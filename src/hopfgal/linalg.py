@@ -2,10 +2,14 @@
 
 Two layers:
 
-* field_* functions work on raw scalar matrices (Gaussian elimination;
-  division is fine, it is a field).  Large prime-field systems are routed
-  through an int64 numpy elimination, still exact: entries stay reduced
-  mod p, magnitudes never exceed p**2.
+* field_* functions share one sparse Gauss-Jordan kernel, ``_eliminate``.
+  Rows are dicts column -> scalar holding only nonzeros, and scalars are
+  touched only through the field's add/sub/mul/inv/is_zero, so the result
+  is exact for every field the types accept.  Determinant and solve pick
+  each pivot Markowitz-style (the shortest row, then its column with the
+  fewest rows), which keeps fill-in low on sparse systems such as the
+  antipode equations; the kernel takes columns left to right, so its basis
+  is read off the reduced row echelon form.
 
 * ring_* functions work on matrices of BaseElements over an arbitrary base
   ring, where zero divisors are possible and blind division is not.  The
@@ -17,131 +21,132 @@ Two layers:
 
 from __future__ import annotations
 
-import numpy as np
+from heapq import heapify, heappop, heappush
 
-from .fields import Field, PrimeField
+from .fields import Field
 from .rings import BaseElement, BaseRing, _berkowitz_dicts
 
-_NUMPY_THRESHOLD = 48
-
 
 # --------------------------------------------------------------------------
-# field layer: matrices are lists of lists of raw scalars
+# field layer: matrices are lists of rows of raw scalars, each row a dense
+# list or a sparse dict column -> scalar
 # --------------------------------------------------------------------------
+
+def _sparse_rows(M, field: Field) -> list:
+    return [{c: x for c, x in (row.items() if isinstance(row, dict) else enumerate(row))
+             if not field.is_zero(x)} for row in M]
+
+
+def _eliminate(rows: list, field: Field, ncols: int, markowitz: bool) -> list:
+    """Sparse Gauss-Jordan on ``rows`` in place; returns (row, col, pivot)s.
+
+    Each pivot row ends scaled to 1 at its column, which is zero in every
+    other row; columns >= ncols (a right-hand side) are never pivots.  With
+    ``markowitz`` the pivot is the shortest unpivoted row and its column with
+    the fewest rows, stopping at a row with no column left (the matrix is
+    singular); otherwise columns go left to right: reduced row echelon form.
+    """
+    zero, sub, mul = field.zero(), field.sub, field.mul
+    colrows = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            colrows.setdefault(c, set()).add(i)
+    active = set(range(len(rows)))
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
+    columns = iter(range(ncols))
+    pivots = []
+    while active:
+        if markowitz:
+            ln, i = heappop(heap)
+            if i not in active or ln != len(rows[i]):
+                continue  # stale entry: the row was pivoted or changed length
+            c = min((k for k in rows[i] if k < ncols), default=None,
+                    key=lambda k: (len(colrows[k]), k))
+            if c is None:
+                break
+        else:
+            c = next(columns, None)
+            if c is None:
+                break
+            i = min((j for j in colrows.get(c, ()) if j in active), default=None,
+                    key=lambda j: (len(rows[j]), j))
+            if i is None:
+                continue
+        active.remove(i)
+        prow = rows[i]
+        pv = prow[c]
+        pinv = field.inv(pv)
+        for k in prow:
+            prow[k] = mul(pinv, prow[k])
+        pivots.append((i, c, pv))
+        rest = [(k, y) for k, y in prow.items() if k != c]
+        for j in colrows[c] - {i}:
+            row = rows[j]
+            f = row.pop(c)
+            for k, y in rest:
+                x = sub(row.get(k, zero), mul(f, y))
+                if field.is_zero(x):
+                    row.pop(k, None)
+                    colrows[k].discard(j)
+                else:
+                    row[k] = x
+                    colrows[k].add(j)
+            if j in active:
+                heappush(heap, (len(row), j))
+        colrows[c] = {i}
+    return pivots
+
 
 def field_det(M, field: Field):
     n = len(M)
-    if n == 0:
-        return field.one()
-    A = [row[:] for row in M]
-    det = field.one()
-    sign = False
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not field.is_zero(A[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return field.zero()
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            sign = not sign
-        p = A[col][col]
-        det = field.mul(det, p)
-        pinv = field.inv(p)
-        for r in range(col + 1, n):
-            f = A[r][col]
-            if field.is_zero(f):
-                continue
-            f = field.mul(f, pinv)
-            A[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(A[r], A[col])]
-    return field.neg(det) if sign else det
+    pivots = _eliminate(_sparse_rows(M, field), field, n, True)
+    if len(pivots) < n:
+        return field.zero()
+    det, perm, odd = field.one(), [0] * n, False
+    for i, c, pv in pivots:
+        det = field.mul(det, pv)
+        perm[i] = c
+    for i in range(n):  # sort the permutation row -> pivot column by swaps
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            odd = not odd
+    return field.neg(det) if odd else det
 
 
 def field_solve(M, b, field: Field):
     """Solve the square system M x = b; None if M is singular."""
     n = len(M)
-    if isinstance(field, PrimeField) and n >= _NUMPY_THRESHOLD:
-        return _solve_mod_p(M, b, field.p)
-    A = [row[:] + [bv] for row, bv in zip(M, b)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not field.is_zero(A[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        pinv = field.inv(A[col][col])
-        A[col] = [field.mul(pinv, x) for x in A[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = A[r][col]
-            if field.is_zero(f):
-                continue
-            A[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(A[r], A[col])]
-    return [A[r][n] for r in range(n)]
-
-
-def _solve_mod_p(M, b, p: int):
-    n = len(M)
-    A = np.zeros((n, n + 1), dtype=np.int64)
-    for i, row in enumerate(M):
-        A[i, :n] = [x % p for x in row]
-        A[i, n] = b[i] % p
-    for col in range(n):
-        piv = col + int(np.argmax(A[col:, col] != 0))
-        if A[piv, col] == 0:
-            return None
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-        pinv = pow(int(A[col, col]), p - 2, p)
-        A[col] = (A[col] * pinv) % p
-        factors = A[:, col].copy()
-        factors[col] = 0
-        A = (A - np.outer(factors, A[col])) % p
-    return [int(x) for x in A[:, n]]
+    rows = _sparse_rows(M, field)
+    for row, bv in zip(rows, b):
+        if not field.is_zero(bv):
+            row[n] = bv
+    pivots = _eliminate(rows, field, n, True)
+    if len(pivots) < n:
+        return None
+    x = [None] * n
+    for i, c, _ in pivots:
+        x[c] = rows[i].get(n, field.zero())
+    return x
 
 
 def field_kernel(M, field: Field, ncols: int):
-    """Basis of the kernel of an (m x ncols) matrix, as coordinate lists."""
-    A = [row[:] for row in M]
-    m = len(A)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if not field.is_zero(A[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        pinv = field.inv(A[r][col])
-        A[r] = [field.mul(pinv, x) for x in A[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(A[i][col]):
-                f = A[i][col]
-                A[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(A[i], A[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the kernel of an (m x ncols) matrix, as coordinate lists:
+    one vector per free column, set to 1 and the other free columns to 0."""
+    rows = _sparse_rows(M, field)
+    pivots = _eliminate(rows, field, ncols, False)
+    pivot_cols = {c for _, c, _ in pivots}
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
         v = [field.zero()] * ncols
         v[fc] = field.one()
-        for row_i, pc in enumerate(pivots):
-            v[pc] = field.neg(A[row_i][fc])
+        for i, c, _ in pivots:
+            v[c] = field.neg(rows[i].get(fc, field.zero()))
         basis.append(v)
     return basis
-
-
-def field_matrix_invertible(M, field: Field) -> bool:
-    return not field.is_zero(field_det(M, field))
 
 
 # --------------------------------------------------------------------------
@@ -302,12 +307,3 @@ def mat_vec(A, v, ring: BaseRing):
                 acc = acc + a * x
         out.append(acc)
     return out
-
-
-def identity_matrix(n: int, ring: BaseRing):
-    return [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-
-
-def map_matrix(f, M):
-    """Apply a BaseMorphism entrywise."""
-    return [[f.apply(e) for e in row] for row in M]

@@ -4,8 +4,11 @@ Oracle values were computed by hand from the defining relations and frozen
 here; none were produced by the code under test.
 """
 
+from pathlib import Path
+
 import pytest
 
+from hopfgal.document import load_document
 from hopfgal.errors import BadRootOfUnityError, NoAntipodeError
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.hopf import (
@@ -134,3 +137,9 @@ def test_monoid_bialgebra_has_no_antipode():
                   {0: {(0, 0): one}, 1: {(1, 1): one}}, {0: one, 1: one})
     with pytest.raises(NoAntipodeError):
         solve_antipode(B)
+
+
+def test_taft6_matches_stored_document():
+    # the stored document holds the antipode written by perfbench/gen_taft6.py
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "taft6_F7_q3.json"
+    assert taft(6, 3, F7) == load_document(str(path)).hopf_algebras["T"]

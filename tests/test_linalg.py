@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
-from hopfgal.fields import QQ, PrimeField
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfgal.fields import QQ, PrimeField, SimpleExtension
+from hopfgal.homotopy import identity_matrix
 from hopfgal.linalg import (
     berkowitz_det,
     field_det,
     field_kernel,
     field_solve,
-    identity_matrix,
     mat_mul,
     mat_vec,
     ring_det,
@@ -46,28 +51,57 @@ def test_field_solve_round_trip_random() -> None:
                     assert got == x
 
 
-def test_numpy_mod_p_path_matches_generic() -> None:
-    rng = random.Random(4)
-    n = 60  # over the threshold, exercises the int64 path
-    M = [[rng.randrange(5) for _ in range(n)] for _ in range(n)]
-    b = [rng.randrange(5) for _ in range(n)]
-    fast = field_solve(M, b, F5)
-    # reference: the small-system pure python route
-    import hopfgal.linalg as la
+def _dense_solve(M, b, K):
+    """Reference: textbook dense Gauss-Jordan, first nonzero pivot per column."""
+    n = len(M)
+    A = [list(row) + [bv] for row, bv in zip(M, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not K.is_zero(A[r][col])), None)
+        if piv is None:
+            return None
+        A[col], A[piv] = A[piv], A[col]
+        pinv = K.inv(A[col][col])
+        A[col] = [K.mul(pinv, x) for x in A[col]]
+        for r in range(n):
+            if r != col and not K.is_zero(A[r][col]):
+                f = A[r][col]
+                A[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(A[r], A[col])]
+    return [A[r][n] for r in range(n)]
 
-    old = la._NUMPY_THRESHOLD
-    la._NUMPY_THRESHOLD = 10 ** 9
-    try:
-        slow = field_solve(M, b, F5)
-    finally:
-        la._NUMPY_THRESHOLD = old
-    assert fast == slow
-    if fast is not None:
-        for i in range(n):
-            acc = 0
-            for j in range(n):
-                acc = (acc + M[i][j] * fast[j]) % 5
-            assert acc == b[i] % 5
+
+def _residual_zero(M, x, b, K):
+    for row, bv in zip(M, b):
+        acc = K.zero()
+        for a, v in zip(row, x):
+            acc = K.add(acc, K.mul(a, v))
+        if not K.is_zero(K.sub(acc, bv)):
+            return False
+    return True
+
+
+QI = SimpleExtension(QQ, "i", [Fraction(1), Fraction(0), Fraction(1)])
+
+
+def test_field_solve_matches_dense_reference() -> None:
+    big = PrimeField(4294967311)  # p**2 overflows int64
+    cases = [
+        (PrimeField(5), 60, random.Random(4), lambda r: r.randrange(5)),
+        (big, 48, random.Random(1), lambda r: r.randrange(big.p)),
+        (QI, 8, random.Random(3), lambda r: (QQ.random_scalar(r, 4), QQ.random_scalar(r, 4))),
+    ]
+    for K, n, rng, draw in cases:
+        M = [[draw(rng) for _ in range(n)] for _ in range(n)]
+        b = [draw(rng) for _ in range(n)]
+        got = field_solve(M, b, K)
+        assert got is not None
+        assert got == _dense_solve(M, b, K)
+        assert _residual_zero(M, got, b, K)
+        # singular: the last row repeats a combination of the first two
+        two = K.from_int(2)
+        M[-1] = [K.add(x, K.mul(two, y)) for x, y in zip(M[0], M[1])]
+        assert _dense_solve(M, b, K) is None
+        assert field_solve(M, b, K) is None
+        assert K.is_zero(field_det(M, K))
 
 
 def test_field_kernel() -> None:
@@ -130,7 +164,7 @@ def test_ring_solve_and_inverse() -> None:
             if ring.is_unit(d):
                 assert got == x
                 Minv = ring_matrix_inverse(M, ring)
-                assert mat_mul(M, Minv, ring) == identity_matrix(n, ring)
+                assert mat_mul(M, Minv, ring) == identity_matrix(ring, n)
             else:
                 assert got is None or mat_vec(M, got, ring) == b
 
@@ -141,3 +175,65 @@ def test_ring_det_no_unit_entry_falls_back() -> None:
     x = ring.gen("x")
     M = [[x, x * x], [x * x, x]]
     assert ring_det(M, ring) == x * x - x ** 4
+
+
+# --------------------------------------------------------------------------
+# independent oracles: sympy over Q, brute force over F_p
+# --------------------------------------------------------------------------
+
+# small rationals, zero drawn often so that singular and sparse cases occur
+_q_entries = st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def _matrices(draw, entries, rows, cols=None):
+    m = draw(rows)
+    n = m if cols is None else draw(cols)
+    return [[draw(entries) for _ in range(n)] for _ in range(m)], n
+
+
+def _sympy_matrix(M, ncols):
+    return sympy.Matrix(len(M), ncols, [sympy.Rational(x.numerator, x.denominator)
+                                        for row in M for x in row])
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@settings(deadline=None)
+@given(_matrices(_q_entries, st.integers(1, 6)))
+def test_field_det_matches_sympy(case) -> None:
+    M, n = case
+    assert field_det(M, QQ) == _fraction(_sympy_matrix(M, n).det())
+
+
+def _leibniz_det_mod(M, p):
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= M[i][perm[i]]
+        total += term
+    return total % p
+
+
+@settings(deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 61)).flatmap(
+    lambda p: st.tuples(st.just(p), _matrices(st.integers(0, p - 1), st.integers(0, 5)))))
+def test_field_det_matches_brute_force_mod_p(case) -> None:
+    p, (M, _) = case
+    assert field_det(M, PrimeField(p)) == _leibniz_det_mod(M, p)
+
+
+@settings(deadline=None)
+@given(_matrices(_q_entries, st.integers(1, 5), st.integers(1, 6)))
+def test_field_kernel_matches_sympy_nullspace(case) -> None:
+    # sympy also sets each free column to 1 and the others to 0, in
+    # increasing column order, so the bases must agree exactly
+    M, n = case
+    expect = [[_fraction(x) for x in v] for v in _sympy_matrix(M, n).nullspace()]
+    assert field_kernel(M, QQ, n) == expect
