@@ -25,7 +25,6 @@ from .errors import (
     BadRootOfUnityError,
     DimensionMismatchError,
     NoAntipodeError,
-    RingMismatchError,
 )
 from .fields import Field
 from .linalg import field_det, field_solve
@@ -508,8 +507,3 @@ def is_commutative_hopf(H: HopfAlgebra) -> bool:
             if H.mul_vec(H.basis_vec(i), H.basis_vec(j)) != H.mul_vec(H.basis_vec(j), H.basis_vec(i)):
                 return False
     return True
-
-
-def check_field(H: HopfAlgebra, other: HopfAlgebra) -> None:
-    if H.field != other.field:
-        raise RingMismatchError("Hopf algebras over different ground fields")

@@ -16,7 +16,8 @@ Two layers:
   workhorse is elimination that only ever pivots on *units* of the ring
   (multiplying by an explicit inverse, exact over any commutative ring),
   falling back to the division-free Berkowitz determinant for any block
-  without a unit entry.  The two determinant routes agree; tests pin that.
+  without a unit entry.  A row update touches only the nonzero columns of
+  the pivot row, in place.  The two determinant routes agree; tests pin that.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def ring_det(M, ring: BaseRing) -> BaseElement:
         K = ring.field
         scal = field_det([[e.constant_scalar() for e in row] for row in M], K)
         return ring.from_scalar(scal)
-    A = [row[:] for row in M]
+    A = [list(row) for row in M]  # canonical-matrix rows are tuples
     sign = False
     diag = []
     for step in range(n):
@@ -205,12 +206,16 @@ def ring_det(M, ring: BaseRing) -> BaseElement:
                 row[step], row[j] = row[j], row[step]
             sign = not sign
         diag.append(A[step][step])
+        nz = [(k, y) for k, y in enumerate(A[step]) if k > step and not y.is_zero]
         for r in range(step + 1, n):
-            f = A[r][step]
+            row = A[r]
+            f = row[step]
             if f.is_zero:
                 continue
             f = f * pinv
-            A[r] = [x - f * y for x, y in zip(A[r], A[step])]
+            row[step] = ring.zero()
+            for k, y in nz:
+                row[k] = row[k] - f * y
     acc = ring.one()
     for d in diag:
         acc = acc * d
@@ -245,14 +250,19 @@ def ring_solve(M, b, ring: BaseRing):
             for row in A:
                 row[step], row[j] = row[j], row[step]
             colperm[step], colperm[j] = colperm[j], colperm[step]
-        A[step] = [pinv * x for x in A[step]]
+        prow = A[step]
+        nz = [k for k, y in enumerate(prow) if k != step and not y.is_zero]
+        for k in nz:
+            prow[k] = pinv * prow[k]
+        prow[step] = ring.one()
         for r in range(n):
-            if r == step:
+            row = A[r]
+            f = row[step]
+            if r == step or f.is_zero:
                 continue
-            f = A[r][step]
-            if f.is_zero:
-                continue
-            A[r] = [x - f * y for x, y in zip(A[r], A[step])]
+            row[step] = ring.zero()
+            for k in nz:
+                row[k] = row[k] - f * prow[k]
     x = [None] * n
     for row_i in range(n):
         x[colperm[row_i]] = A[row_i][n]

@@ -20,13 +20,15 @@ Every ring built this way is commutative, reduced (root adjunctions of units
 with invertible degree are etale) and free as a module over each prefix of
 its tower.  Unit testing follows that structure: an element is a unit iff it
 is constant in the free generators, its single Laurent monomial factor is
-absorbed, and for each root extension the determinant of the multiplication
-operator on the rank-n free module over the prefix ring is a unit, recursing
-to k.  Reported inverses are always re-verified by multiplication.  The
-procedure is complete for every tower in which Laurent generators precede
-root adjunctions (all rings the admissible constructors produce); a
-hand-built tower putting a Laurent generator above a root adjunction that
-created idempotents could have exotic mixed units it reports as non-units.
+absorbed, and for each root extension the norm is a unit, recursing to k:
+norm via the characteristic polynomial of the multiplication operator on the
+rank-n free module over the prefix ring, inverse via Cayley-Hamilton,
+re-verified by multiplication (an explicit check, not an assert, so
+``python -O`` keeps it).  The procedure is complete for every tower in which
+Laurent generators precede root adjunctions (all rings the admissible
+constructors produce); a hand-built tower putting a Laurent generator above a
+root adjunction that created idempotents could have exotic mixed units it
+reports as non-units.
 
 An optional grading assigns a non-negative degree to each generator.  Only
 free generators may carry positive degree: a graded unit would otherwise be
@@ -86,6 +88,7 @@ class BaseRing:
         self._root_indices = tuple(i for i, g in enumerate(self.gens) if g.kind == ROOT)
         self._prefix_cache: dict[int, BaseRing] = {}
         self._root_pow_cache: dict[tuple[int, int], dict] = {}
+        self._hash = None
 
     # -------------------------------------------------------------- basics
 
@@ -100,8 +103,10 @@ class BaseRing:
                 and self.gens == other.gens and self.root_values == other.root_values)
 
     def __hash__(self):
-        rv = tuple(None if v is None else frozenset(v.items()) for v in self.root_values)
-        return hash((self.field, self.gens, rv))
+        if self._hash is None:
+            rv = tuple(None if v is None else frozenset(v.items()) for v in self.root_values)
+            self._hash = hash((self.field, self.gens, rv))
+        return self._hash
 
     def __repr__(self):
         if not self.gens:
@@ -185,7 +190,8 @@ class BaseRing:
 
     def restrict(self, a: BaseElement, k: int) -> BaseElement:
         """Inverse of lift for elements supported on the first k generators."""
-        assert all(all(e == 0 for e in m[k:]) for m in a.coeffs)
+        if any(any(m[k:]) for m in a.coeffs):
+            raise RingMismatchError(f"{a} involves generators beyond the first {k}")
         return BaseElement(self.prefix(k), {m[:k]: c for m, c in a.coeffs.items()})
 
     # ----------------------------------------------- raw dict arithmetic
@@ -288,7 +294,8 @@ class BaseRing:
         return self._root_pow_cache[key]
 
     def _pow(self, A: dict, e: int) -> dict:
-        assert e >= 0
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
         result = {(0,) * len(self.gens): self.field.one()}
         base = A
         while e:
@@ -309,7 +316,8 @@ class BaseRing:
         if inv is None:
             return None
         result = BaseElement(self, inv)
-        assert (a * result) == self.one(), "internal error: unverified inverse"
+        if a * result != self.one():
+            raise RuntimeError(f"internal error: computed inverse of {a} fails a * inv == 1")
         return result
 
     def is_unit(self, a: BaseElement) -> bool:
@@ -370,22 +378,19 @@ class BaseRing:
                 images[r] = sub._add(images[r], term)
             for row in range(n):
                 M[row][col] = images[row]
-        det = _berkowitz_dicts(sub, M)
-        dinv = sub._try_inv_dict(det)
-        if dinv is None:
+        # det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n, and c_n = (-1)^n det M
+        poly = _charpoly_dicts(sub, M)
+        cinv = sub._try_inv_dict(poly[n])
+        if cinv is None:
             return None
-        out: dict = {}
-        sign_flip = False
-        for j in range(n):
-            minor = [[M[r][c] for c in range(n) if c != j] for r in range(1, n)]
-            cof = _berkowitz_dicts(sub, minor)
-            if sign_flip:
-                cof = sub._neg(cof)
-            xj = sub._mul(dinv, cof)
-            for mono, c in xj.items():
-                out[mono + (j,)] = c
-            sign_flip = not sign_flip
-        return out
+        # Cayley-Hamilton: a (a^(n-1) + c_1 a^(n-2) + ... + c_(n-1)) = -c_n,
+        # the bracket evaluated by Horner's rule
+        def lift(x):
+            return {mono + (0,): c for mono, c in x.items()}
+        acc = {(0,) * m: self.field.one()}
+        for c in poly[1:n]:
+            acc = self._add(self._mul(acc, d), lift(c))
+        return self._mul(acc, lift(sub._neg(cinv)))
 
     # ------------------------------------------------------------ grading
 
@@ -561,7 +566,7 @@ class BaseElement:
         return self.ring == other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.coeffs.items())))
+        return hash((self.ring, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         return self.ring.format_element(self)
@@ -571,61 +576,52 @@ class BaseElement:
 # division-free determinant (Berkowitz) on coefficient dicts
 # --------------------------------------------------------------------------
 
-def _berkowitz_dicts(ring: BaseRing, M) -> dict:
-    """Determinant of a square matrix of coefficient dicts over ring.
+def _charpoly_dicts(ring: BaseRing, M) -> list:
+    """Coefficients [1, c_1, ..., c_n] of det(tI - M), highest degree first.
 
     Berkowitz's method: iteratively build the characteristic polynomial
     vector of each leading principal submatrix by multiplying Toeplitz
     matrices assembled from the row/column bordering it.  No divisions, so
-    it is valid over any commutative ring, zero divisors included.
+    it is valid over any commutative ring, zero divisors included.  Products
+    with a zero factor are skipped: the multiplication matrix of a monomial
+    has one nonzero entry per column.
     """
     n = len(M)
     one = {(0,) * len(ring.gens): ring.field.one()}
     if n == 0:
-        return one
-    if n == 1:
-        return dict(M[0][0])
+        return [one]
     mul, add, neg = ring._mul, ring._add, ring._neg
+
+    def dot(R, vec):
+        acc: dict = {}
+        for r, v in zip(R, vec):
+            if r and v:
+                acc = add(acc, mul(r, v))
+        return acc
 
     # charpoly vector of the 1x1 leading block: [1, -M[0][0]]
     poly = [one, neg(M[0][0])]
     for k in range(1, n):
-        # R = row (M[k][0..k-1]), C = column (M[0..k-1][k]), a = M[k][k]
+        # R = row (M[k][0..k-1]), C = column (M[0..k-1][k]) = vec, a = M[k][k]
         R = M[k][:k]
-        C = [M[j][k] for j in range(k)]
-        a = M[k][k]
+        vec = [M[j][k] for j in range(k)]
         # Toeplitz column entries: t_0 = 1, t_1 = -a, t_{i+2} = -(R . A^i C)
-        toep = [one, neg(a)]
-        vec = C
+        toep = [one, neg(M[k][k])]
         for _ in range(k - 1):
-            dot: dict = {}
-            for r, v in zip(R, vec):
-                dot = add(dot, mul(r, v))
-            toep.append(neg(dot))
-            vec = [_mat_vec_row(ring, M, vec, j, k) for j in range(k)]
-        dot = {}
-        for r, v in zip(R, vec):
-            dot = add(dot, mul(r, v))
-        toep.append(neg(dot))
-        new_poly = []
-        for i in range(k + 2):
-            acc: dict = {}
-            for j in range(min(i, len(poly) - 1) + 1):
-                if i - j < len(toep):
-                    acc = add(acc, mul(toep[i - j], poly[j]))
-            new_poly.append(acc)
-        poly = new_poly
-    det = poly[-1]
-    if n % 2 == 1:
-        det = neg(det)
-    return det
+            toep.append(neg(dot(R, vec)))
+            vec = [dot(M[j][:k], vec) for j in range(k)]
+        toep.append(neg(dot(R, vec)))
+        poly = [dot(toep[i::-1], poly) for i in range(k + 2)]
+    return poly
 
 
-def _mat_vec_row(ring: BaseRing, M, vec, j: int, k: int) -> dict:
-    acc: dict = {}
-    for i in range(k):
-        acc = ring._add(acc, ring._mul(M[j][i], vec[i]))
-    return acc
+def _berkowitz_dicts(ring: BaseRing, M) -> dict:
+    """Determinant of a square matrix of coefficient dicts over ring.
+
+    Division-free: (-1)^n times the last coefficient c_n of _charpoly_dicts.
+    """
+    c = _charpoly_dicts(ring, M)[-1]
+    return ring._neg(c) if len(M) % 2 else c
 
 
 # --------------------------------------------------------------------------
@@ -801,22 +797,3 @@ def compose(f: BaseMorphism, g: BaseMorphism) -> BaseMorphism:
         raise RingMismatchError("morphisms do not compose")
     images = {gen.name: g.apply(img) for gen, img in zip(f.source.gens, f.images)}
     return BaseMorphism(f.source, g.target, images)
-
-
-def root_components(ext: BaseRing, a: BaseElement) -> list:
-    """Coordinates of a over the prefix ring along powers of the last generator.
-
-    The last generator must be a root generator of some order n; every
-    element then decomposes uniquely as sum c_j g^j with c_j in the prefix
-    ring, and the list [c_0, ..., c_{n-1}] is returned.
-    """
-    if not ext.gens or ext.gens[-1].kind != ROOT:
-        raise RingMismatchError("last generator is not a root adjunction")
-    if a.ring != ext:
-        raise RingMismatchError("element does not belong to the extension")
-    n = ext.gens[-1].degree
-    prefix = ext.prefix(len(ext.gens) - 1)
-    comps = [{} for _ in range(n)]
-    for mono, c in a.coeffs.items():
-        comps[mono[-1]][mono[:-1]] = c
-    return [BaseElement(prefix, comp) for comp in comps]

@@ -1,0 +1,178 @@
+"""Unit tests and inverses of root towers against oracles sharing no library code,
+plus the certificates that must survive ``python -O`` and the hash contract."""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import product
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hopfgal
+from hopfgal.fields import QQ, PrimeField
+from hopfgal.rings import _charpoly_dicts, adjoin_root, base_ring, laurent_ring, polynomial_ring
+
+F5 = PrimeField(5)
+
+
+def _root_ring(field, c, n):
+    k = base_ring(field)
+    ring, _, _ = adjoin_root(k, k.from_int(c), n, name="r")
+    return ring
+
+
+# ------------------------------------------------------------ Q[r | r^n = c]
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sampled_from((1, -1, 2, 3, 4, -4, 5, 8, 9, 16, -27)),
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n))))
+def test_root_inverse_matches_sympy_invert(case) -> None:
+    n, c, coeffs = case
+    ring = _root_ring(QQ, c, n)
+    a = ring.element({(i,): Fraction(x) for i, x in enumerate(coeffs)})
+    x = sympy.Symbol("x")
+    try:
+        expect = sympy.Poly(sympy.invert(sum(v * x ** i for i, v in enumerate(coeffs)),
+                                         x ** n - c, x), x)
+    except sympy.polys.polyerrors.NotInvertible:
+        expect = None
+    got = ring.try_inverse(a)
+    if expect is None:
+        assert got is None
+    else:
+        assert got is not None
+        want = {(i,): Fraction(int(v.p), int(v.q))
+                for (i,), v in expect.terms() if v != 0}
+        assert got.coeffs == want
+
+
+# ------------------------------------------------------------ F5[r | r^n = u]
+
+def _mul_mod(a, b, u, n, p):
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            k = i + j
+            out[k % n] = (out[k % n] + x * y * (u if k >= n else 1)) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("u", (1, 2, 3, 4))
+def test_root_units_exhaustive_f5(n, u) -> None:
+    ring = _root_ring(F5, u, n)
+    elems = list(product(range(5), repeat=n))
+    one = (1,) + (0,) * (n - 1)
+    brute = {}
+    for a in elems:
+        for b in elems:
+            if _mul_mod(a, b, u, n, 5) == one:
+                brute[a] = b
+                break
+    for a in elems:
+        inv = ring.try_inverse(ring.element({(i,): x for i, x in enumerate(a)}))
+        if a not in brute:
+            assert inv is None, a
+        else:
+            assert inv is not None, a
+            assert inv.coeffs == {(i,): x for i, x in enumerate(brute[a]) if x}
+
+
+# ------------------------------------------------------------ charpoly
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5)), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_charpoly_matches_sympy(rows) -> None:
+    k = base_ring(QQ)
+    M = [[{(): Fraction(x)} if x else {} for x in row] for row in rows]
+    got = [Fraction(c.get((), 0)) for c in _charpoly_dicts(k, M)]
+    expect = [Fraction(int(v.p), int(v.q)) for v in sympy.Matrix(rows).charpoly().all_coeffs()]
+    assert got == expect
+
+
+# ------------------------------------------------------------ Kummer towers
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_kummer_tower_units(n) -> None:
+    rng = random.Random(n)
+    K = PrimeField(241)
+    C = laurent_ring(K, "z")
+    ring, _, r = adjoin_root(C, C.gen("z"), n, name="r")
+    assert ring.try_inverse(ring.one() + r) is None
+    for _ in range(30):
+        a = ring.monomial({"z": rng.randint(-5, 5), "r": rng.randint(0, n - 1)},
+                          rng.randint(1, 240))
+        inv = ring.try_inverse(a)
+        assert inv is not None and a * inv == ring.one()
+        assert ring.try_inverse(inv) == a
+
+
+# ------------------------------------------------------------ certificates
+
+_UNDER_O = """
+import sys
+from hopfgal.errors import RingMismatchError
+from hopfgal.fields import QQ
+from hopfgal.rings import BaseRing, adjoin_root, base_ring
+k = base_ring(QQ)
+ring, _, r = adjoin_root(k, k.from_int(2), 3, name="r")
+print("optimize", sys.flags.optimize)
+BaseRing._try_inv_dict = lambda self, d: {(0,): QQ.from_int(5)}
+for name, call, exc in (("inverse", lambda: ring.try_inverse(r), RuntimeError),
+                        ("restrict", lambda: ring.restrict(r, 0), RingMismatchError),
+                        ("pow", lambda: ring._pow(r.coeffs, -1), ValueError)):
+    try:
+        call()
+    except exc:
+        print(name, "raised")
+    else:
+        print(name, "passed")
+"""
+
+
+def test_certificates_survive_python_O() -> None:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfgal.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                         capture_output=True, text=True, timeout=30, check=True).stdout
+    assert out.split("\n")[:4] == ["optimize 1", "inverse raised", "restrict raised", "pow raised"]
+
+
+# ------------------------------------------------------------ hashing
+
+def test_equal_elements_from_separate_rings_hash_equal() -> None:
+    a = polynomial_ring(QQ, "x").gen("x")
+    b = polynomial_ring(QQ, "x").gen("x")
+    assert a.ring is not b.ring and a == b
+    assert len({a, b}) == 1
+
+
+def _kummer(field):
+    L = laurent_ring(field, "z")
+    ring, _, _ = adjoin_root(L, L.gen("z"), 3, name="w")
+    return ring
+
+
+_terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(0, 2)),
+                         st.integers(-3, 3), max_size=3)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_terms, _terms, st.booleans())
+def test_equal_implies_equal_hash(ta, tb, same) -> None:
+    R1, R2 = _kummer(QQ), _kummer(QQ)
+    a = R1.element({m: Fraction(c) for m, c in ta.items()})
+    b = R2.element({m: Fraction(c) for m, c in (ta if same else tb).items()})
+    if a == b:
+        assert hash(a) == hash(b)
+    if same:
+        assert a == b and len({a, b}) == 1
