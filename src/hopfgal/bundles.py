@@ -327,7 +327,7 @@ def _kummer_checks(N: int, q, k: Field):
         raise BadRootOfUnityError("cover degree must be at least 2")
     if ch and N % ch == 0:
         raise CharDividesError(f"characteristic {ch} divides the degree {N}")
-    if k.multiplicative_order(q) != N:
+    if not k.has_order(q, N):
         raise BadRootOfUnityError(
             f"{k.format(q)} does not have exact multiplicative order {N}")
     return q

@@ -6,19 +6,13 @@ verified, 1 means a mathematical check failed or an object was rejected,
 2 means the input itself was unusable.  With --json each command prints a
 single machine-readable verdict; the encoder is pinned (sorted keys,
 two-space indent) so identical inputs give byte-identical output.
-
-Independent verifications in one invocation may run on a small thread
-pool, capped by the HOPFGAL_THREADS environment variable; results are
-always reported in input order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bundles import (
     AbgParams,
@@ -46,28 +40,6 @@ from .rings import base_ring
 # --------------------------------------------------------------------------
 # plumbing
 # --------------------------------------------------------------------------
-
-def _thread_cap() -> int:
-    raw = os.environ.get("HOPFGAL_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise InputError(f"HOPFGAL_THREADS must be a positive integer, not {raw!r}")
-    return cap
-
-
-def _run_ordered(jobs: list) -> list:
-    """Run zero-argument jobs, possibly concurrently, results in input order."""
-    cap = _thread_cap()
-    if len(jobs) <= 1 or cap == 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=min(cap, len(jobs))) as pool:
-        return list(pool.map(lambda job: job(), jobs))
-
 
 def _load(path: str) -> Document:
     try:
@@ -131,21 +103,21 @@ def _cmd_verify_hopf(args):
     doc = _load(args.file)
     objs = [_pick(doc.hopf_algebras, nm, "Hopf algebra", args.file)
             for nm in args.names]
-    reports = _run_ordered([lambda H=H: verify_hopf(H) for H in objs])
+    reports = [verify_hopf(H) for H in objs]
     return _report_results("verify-hopf", args.names, reports)
 
 
 def _cmd_verify_bundle(args):
     doc = _load(args.file)
     objs = [_pick(doc.bundles, nm, "bundle", args.file) for nm in args.names]
-    reports = _run_ordered([lambda A=A: verify_bundle(A) for A in objs])
+    reports = [verify_bundle(A) for A in objs]
     return _report_results("verify-bundle", args.names, reports)
 
 
 def _cmd_galois(args):
     doc = _load(args.file)
     objs = [_pick(doc.bundles, nm, "bundle", args.file) for nm in args.names]
-    verdicts = _run_ordered([lambda A=A: is_galois(A) for A in objs])
+    verdicts = [is_galois(A) for A in objs]
     lines, results = [], []
     for nm, v in zip(args.names, verdicts):
         lines.append(f"{nm}: {v.describe()}")
@@ -161,7 +133,7 @@ def _cmd_cleft(args):
     doc = _load(args.file)
     maps = [_pick(doc.cleavings, nm, "cleaving", args.file) for nm in args.names]
     # rejects with NotComoduleMap / NotInvertible before any report is built
-    made = _run_ordered([lambda g=g: check_cleaving(g.algebra, g) for g in maps])
+    made = [check_cleaving(g.algebra, g) for g in maps]
     if args.action == "check":
         reports = [cm.verify() for cm in made]
         return _report_results("cleft check", args.names, reports)
@@ -216,7 +188,7 @@ def _cmd_witness_verify(args):
     if not names:
         raise InputError(f"no witnesses in {args.file}")
     objs = [_pick(doc.witnesses, nm, "witness", args.file) for nm in names]
-    reports = _run_ordered([lambda w=w: verify_witness(w) for w in objs])
+    reports = [verify_witness(w) for w in objs]
     return _report_results("witness verify", names, reports)
 
 

@@ -3,7 +3,10 @@
 Scalars and ring elements are strings so that exact values survive the trip
 ("3/4", "2 mod 7", "z^2-1").  A document is first checked against the
 shipped schema, then resolved name by name; every diagnostic carries the
-JSON pointer of the offending spot.  Serialization always emits the
+JSON pointer of the offending spot.  Validity is decided by a predicate
+compiled once from the shipped schema (plain closures, Draft 2020-12
+semantics for the keywords the schema uses); jsonschema is imported only
+to explain a rejection, so its pointer and message name the offending spot.  Serialization always emits the
 explicit normal form (constructor shorthands like "sweedler" parse but are
 not reproduced), and parse of a serialized document rebuilds equal objects.
 """
@@ -11,10 +14,10 @@ not reproduced), and parse of a serialized document rebuilds equal objects.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from importlib import resources
-
-import jsonschema
 
 from .errors import BadScalarError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension
@@ -43,15 +46,149 @@ class Document:
     witnesses: dict = dc_field(default_factory=dict)
 
 
+@cache
 def _schema():
     text = resources.files("hopfgal").joinpath("schema.json").read_text()
     return json.loads(text)
 
 
+# -------------------------------------------------------- schema predicate
+
+_TYPED_KEYWORDS = {"object": {"required", "properties", "additionalProperties"},
+                   "array": {"prefixItems", "items", "minItems", "maxItems"},
+                   "string": {"minLength", "pattern"},
+                   "integer": {"minimum"}}
+_GENERAL_KEYWORDS = {"$schema", "title", "$defs", "type", "enum", "const", "oneOf", "$ref"}
+
+
+def _is_integer(x):
+    if isinstance(x, int):
+        return not isinstance(x, bool)
+    return isinstance(x, float) and x.is_integer()
+
+
+def _accept(x):
+    return True
+
+
+def _reject(x):
+    return False
+
+
+def _compile_schema(root):
+    """A predicate equal to jsonschema's Draft 2020-12 is_valid for ``root``.
+
+    Only the keywords the shipped schema uses are understood, and each
+    type-specific keyword must sit beside the ``type`` it constrains.  Any
+    other keyword or type, an ``enum``/``const`` value that is not a string,
+    or a ``$ref`` outside ``#/$defs`` raises ValueError, so a schema edit
+    cannot widen what is accepted unnoticed.
+    """
+    defs, compiled = root.get("$defs", {}), {}
+
+    def ref(target):
+        name = target.removeprefix("#/$defs/")
+        if name == target or name not in defs:
+            raise ValueError(f"unsupported $ref {target!r}")
+        if name not in compiled:
+            compiled[name] = None
+            compiled[name] = build(defs[name])
+        if compiled[name] is None:
+            raise ValueError(f"recursive $ref {target!r}")
+        return compiled[name]
+
+    def strings(values, key):
+        if not all(isinstance(v, str) for v in values):
+            raise ValueError(f"non-string {key} value in {values!r}")
+        return frozenset(values)
+
+    def object_check(schema):
+        required = tuple(schema.get("required", ()))
+        props = {k: build(v) for k, v in schema.get("properties", {}).items()}
+        extra = build(schema.get("additionalProperties", True))
+
+        def check(x):
+            if not isinstance(x, dict):
+                return False
+            for k in required:
+                if k not in x:
+                    return False
+            for k, v in x.items():
+                if not props.get(k, extra)(v):
+                    return False
+            return True
+        return check
+
+    def array_check(schema):
+        prefix = tuple(build(s) for s in schema.get("prefixItems", ()))
+        rest = build(schema.get("items", True))
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
+        skip = len(prefix)
+        return lambda x: (isinstance(x, list) and lo <= len(x) <= hi
+                          and all(f(v) for f, v in zip(prefix, x))
+                          and (rest is _accept or all(map(rest, x[skip:] if skip else x))))
+
+    def string_check(schema):
+        lo = schema.get("minLength", 0)
+        if "pattern" in schema:
+            search = re.compile(schema["pattern"]).search
+            return lambda x: isinstance(x, str) and len(x) >= lo and search(x) is not None
+        return lambda x: isinstance(x, str) and len(x) >= lo
+
+    def integer_check(schema):
+        if "minimum" not in schema:
+            return _is_integer
+        low = schema["minimum"]
+        return lambda x: _is_integer(x) and not x < low
+
+    typed = {"object": object_check, "array": array_check,
+             "string": string_check, "integer": integer_check}
+
+    def build(schema):
+        if schema is True or schema is False:
+            return _accept if schema else _reject
+        kind = schema.get("type")
+        if kind not in (None, *typed):
+            raise ValueError(f"unsupported type {kind!r}")
+        stray = schema.keys() - _GENERAL_KEYWORDS - _TYPED_KEYWORDS.get(kind, set())
+        if stray:
+            raise ValueError(f"unsupported schema keywords {sorted(stray)} for type {kind!r}")
+        checks = [typed[kind](schema)] if kind is not None else []
+        if "enum" in schema:
+            allowed = strings(schema["enum"], "enum")
+            checks.append(lambda x: isinstance(x, str) and x in allowed)
+        if "const" in schema:
+            (want,) = strings([schema["const"]], "const")
+            checks.append(lambda x: isinstance(x, str) and x == want)
+        if "oneOf" in schema:
+            options = tuple(build(s) for s in schema["oneOf"])
+            checks.append(lambda x: sum(1 for f in options if f(x)) == 1)
+        if "$ref" in schema:
+            checks.append(ref(schema["$ref"]))
+        if len(checks) <= 1:
+            return checks[0] if checks else _accept
+        return lambda x: all(f(x) for f in checks)
+
+    return build(root)
+
+
+@cache
+def _is_valid():
+    return _compile_schema(_schema())
+
+
 def validate_raw(obj) -> None:
-    """Structural check against the shipped schema; SchemaError on failure."""
-    validator = jsonschema.Draft202012Validator(_schema())
-    err = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    """Structural check against the shipped schema; SchemaError on failure.
+
+    The compiled predicate decides validity.  Only a rejected document pays
+    for importing jsonschema, whose best match names the offending spot; if
+    jsonschema finds nothing wrong the document is accepted.
+    """
+    if _is_valid()(obj):
+        return
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+    err = best_match(Draft202012Validator(_schema()).iter_errors(obj))
     if err is not None:
         pointer = "/" + "/".join(str(p) for p in err.absolute_path)
         raise SchemaError(pointer, err.message)

@@ -6,9 +6,10 @@ field object.  Representations are normalized, so ``==`` on raw values is
 exact equality.  No floating point is used anywhere.
 
 Root extraction is exact: over Q by integer Newton iteration on numerator and
-denominator, over finite fields by exhaustive search (these fields are small
-by construction).  Over an infinite extension field root search raises
-``RootSearchUnsupportedError`` rather than guessing.
+denominator, square roots in F_p by Tonelli-Shanks, other roots over finite
+fields by exhaustive search (these fields are small by construction).  Over
+an infinite extension field root search raises ``RootSearchUnsupportedError``
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ def _int_nth_root(m: int, n: int) -> tuple[int, bool]:
     while (x + 1) ** n <= m:
         x += 1
     return x, x ** n == m
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 class Field:
@@ -106,6 +118,16 @@ class Field:
 
     def sqrt(self, a):
         return self.nth_root(a, 2)
+
+    def has_order(self, a, n: int) -> bool:
+        """Whether a has multiplicative order exactly n >= 1.
+
+        a^n = 1 and a^(n/r) != 1 for every prime r dividing n; no search,
+        so the answer is exact for every field size.
+        """
+        one = self.one()
+        return (not self.is_zero(a) and self.pow(a, n) == one
+                and all(self.pow(a, n // r) != one for r in _prime_factors(n)))
 
     def multiplicative_order(self, a):
         """Order of a in the unit group, or None if no finite order."""
@@ -271,6 +293,31 @@ class PrimeField(Field):
             if pow(x, n, self.p) == a % self.p:
                 return x
         return None
+
+    def sqrt(self, a):
+        """The smaller of the two square roots (Euler's criterion, then
+        Tonelli-Shanks), or None for a non-residue."""
+        p = self.p
+        a %= p
+        if a == 0 or p == 2:
+            return a
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        q, m = p - 1, 0
+        while q % 2 == 0:
+            q, m = q // 2, m + 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1
+        c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+        return min(r, p - r)
 
     def multiplicative_order(self, a):
         if a % self.p == 0:

@@ -429,7 +429,7 @@ def taft(N: int, q, field: Field) -> HopfAlgebra:
         q = K.from_int(q)
     if N < 2:
         raise BadRootOfUnityError("order must be at least 2")
-    if K.multiplicative_order(q) != N:
+    if not K.has_order(q, N):
         raise BadRootOfUnityError(
             f"{K.format(q)} does not have exact multiplicative order {N}")
     labels = tuple(_xy_label(i, j) for j in range(N) for i in range(N))

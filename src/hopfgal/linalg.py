@@ -279,41 +279,3 @@ def _cramer_solve(M, b, ring: BaseRing):
         Mj = [[b[i] if c == j else M[i][c] for c in range(len(M))] for i in range(len(M))]
         out.append(berkowitz_det(Mj, ring) * dinv)
     return out
-
-
-def ring_matrix_inverse(M, ring: BaseRing):
-    """Inverse of a square matrix over the ring, or None if det is no unit."""
-    n = len(M)
-    cols = []
-    for j in range(n):
-        e = [ring.one() if i == j else ring.zero() for i in range(n)]
-        x = ring_solve(M, e, ring)
-        if x is None:
-            return None
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B, ring: BaseRing):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[ring.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = ring.zero()
-            for l in range(k):
-                if A[i][l].is_zero or B[l][j].is_zero:
-                    continue
-                acc = acc + A[i][l] * B[l][j]
-            out[i][j] = acc
-    return out
-
-
-def mat_vec(A, v, ring: BaseRing):
-    out = []
-    for row in A:
-        acc = ring.zero()
-        for a, x in zip(row, v):
-            if not (a.is_zero or x.is_zero):
-                acc = acc + a * x
-        out.append(acc)
-    return out

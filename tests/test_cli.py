@@ -8,13 +8,13 @@ import json
 
 import pytest
 
-from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving
+from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving, kummer_bundle
 from hopfgal.cli import main
-from hopfgal.comod import HModuleMap
+from hopfgal.comod import HModuleMap, trivial_bundle
 from hopfgal.document import Document, dump_document
 from hopfgal.fields import QQ
 from hopfgal.homotopy import cleft_trivialization_witness
-from hopfgal.hopf import sweedler_h4
+from hopfgal.hopf import cyclic_group_algebra, dual_hopf, sweedler_h4
 from hopfgal.rings import base_ring, inclusion_morphism
 
 
@@ -211,14 +211,33 @@ def test_demo_census_and_json_determinism(capsys):
     assert json.loads(one)["trivial_count"] == 3
 
 
-# ------------------------------------------------------------- concurrency
+# ------------------------------------------------------------- many names
 
-def test_thread_cap_env(doc_path, capsys, monkeypatch):
-    monkeypatch.setenv("HOPFGAL_THREADS", "3")
-    assert main(["verify-hopf", doc_path, "H4", "H4", "H4", "H4"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[ok] hopf axioms") == 4
-    monkeypatch.setenv("HOPFGAL_THREADS", "zero")
-    assert main(["verify-hopf", doc_path, "H4", "H4"]) == 2
-    monkeypatch.setenv("HOPFGAL_THREADS", "0")
-    assert main(["verify-hopf", doc_path, "H4", "H4"]) == 2
+def test_multi_name_reports_in_input_order(tmp_path, capsys):
+    C = base_ring(QQ)
+    doc = Document(
+        QQ,
+        hopf_algebras={"H4": sweedler_h4(QQ), "C3": cyclic_group_algebra(3, QQ),
+                       "D2": dual_hopf(cyclic_group_algebra(2, QQ))},
+        bundles={"A": abg_bundle(AbgParams(C, 3, 5, 7)),
+                 "T": trivial_bundle(C, cyclic_group_algebra(3, QQ)),
+                 "K": kummer_bundle(2, -1, QQ)})
+    path = tmp_path / "many.json"
+    path.write_text(dump_document(doc))
+    for command, names in (("verify-hopf", ["D2", "H4", "C3", "H4"]),
+                           ("verify-bundle", ["K", "T", "A"]),
+                           ("galois", ["T", "K", "A"])):
+        single = {}
+        for nm in set(names):
+            assert main([command, str(path), nm, "--json"]) == 0
+            single[nm] = json.loads(capsys.readouterr().out)["results"][0]
+        bodies = {json.dumps({k: v for k, v in r.items() if k != "name"}, sort_keys=True)
+                  for r in single.values()}
+        assert len(bodies) == len(single)  # a swapped report would show
+        assert main([command, str(path), *names, "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == [single[nm] for nm in names]
+        assert main([command, str(path), *names]) == 0
+        out = capsys.readouterr().out
+        found = [ln.split(":")[0] for ln in out.splitlines() if not ln.startswith(" ")]
+        assert found == names

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hopfgal.errors import BadScalarError, RootSearchUnsupportedError
+import hopfgal
+from hopfgal.bundles import kummer_bundle
+from hopfgal.errors import BadRootOfUnityError, BadScalarError, RootSearchUnsupportedError
 from hopfgal.fields import (
     QQ,
     PrimeField,
@@ -12,6 +17,7 @@ from hopfgal.fields import (
     _int_nth_root,
     field_from_name,
 )
+from hopfgal.hopf import taft
 
 F7 = PrimeField(7)
 F3 = PrimeField(3)
@@ -136,3 +142,64 @@ def test_field_from_name() -> None:
     assert field_from_name("F7") == PrimeField(7)
     with pytest.raises(BadScalarError):
         field_from_name("Z")
+
+
+# ------------------------------------------------- square roots and exact orders
+
+@pytest.mark.parametrize("p", [3, 5, 13, 17, 41, 97])
+def test_prime_sqrt_matches_brute_force(p) -> None:
+    # 17, 41 and 97 are 1 mod 8, so Tonelli-Shanks runs its inner loop
+    K = PrimeField(p)
+    for a in range(p):
+        roots = [x for x in range(p) if x * x % p == a]
+        assert K.sqrt(a) == (roots[0] if roots else None)
+
+
+def test_prime_sqrt_large_two_adic_prime() -> None:
+    p = 998244353  # 119 * 2^23 + 1
+    K = PrimeField(p)
+    rng = random.Random(5)
+    for _ in range(50):
+        a = rng.randrange(p)
+        assert K.sqrt(a * a % p) == min(a, p - a)
+    assert K.sqrt(3) is None  # 3 generates the unit group, so it is no square
+
+
+QI = SimpleExtension(QQ, "i", [Fraction(1), Fraction(0), Fraction(1)])
+
+
+def test_has_order_matches_brute_force_order() -> None:
+    samples = [(K, list(K.elements())) for K in (PrimeField(p) for p in (2, 7, 13, 17))]
+    samples.append((QI, [QI.zero(), QI.one(), QI.from_int(-1), QI.gen(), QI.neg(QI.gen()),
+                         QI.add(QI.one(), QI.gen()), QI.from_int(2),
+                         (Fraction(3, 5), Fraction(4, 5))]))
+    for K, elems in samples:
+        for a in elems:
+            # over Q(i) a unit of finite order has order at most 4; stop early
+            # on the others instead of counting to multiplicative_order's cap
+            powers = [K.pow(a, k) for k in range(1, 9)]
+            order = (K.multiplicative_order(a) if K.is_finite() or K.one() in powers
+                     else None)
+            for n in range(1, 40):
+                assert K.has_order(a, n) == (order == n), (K, a, n)
+
+
+def test_order_checks_end_quickly_over_a_large_prime() -> None:
+    K = PrimeField(1000000007)
+    with pytest.raises(BadRootOfUnityError):
+        taft(2, 3, K)  # 3 has order p - 1; counting up to it took minutes
+    with pytest.raises(BadRootOfUnityError):
+        kummer_bundle(4, 5, K)
+    assert taft(2, -1, K).dim == 4
+
+
+def test_h4_criterion_over_a_large_prime_field() -> None:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfgal.__file__)))
+    run = [sys.executable, "-m", "hopfgal.cli", "h4", "criterion", "--field", "F1000000007"]
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(run + ["--alpha", "5", "--beta", "1", "--gamma", "4"], env=env,
+                         capture_output=True, text=True, timeout=10)
+    assert (out.returncode, out.stdout) == (1, "not trivial\n")
+    out = subprocess.run(run + ["--alpha", "4", "--beta", "1", "--gamma", "4"], env=env,
+                         capture_output=True, text=True, timeout=10)
+    assert (out.returncode, out.stdout) == (0, "trivial, s=2 mod 1000000007, t=1 mod 1000000007\n")

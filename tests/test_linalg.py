@@ -13,10 +13,7 @@ from hopfgal.linalg import (
     field_det,
     field_kernel,
     field_solve,
-    mat_mul,
-    mat_vec,
     ring_det,
-    ring_matrix_inverse,
     ring_solve,
 )
 from hopfgal.rings import adjoin_root, base_ring, laurent_ring, polynomial_ring
@@ -133,6 +130,33 @@ def _rand_element(ring, rng):
     return out
 
 
+def _mat_vec(A, v, ring):
+    out = []
+    for row in A:
+        acc = ring.zero()
+        for a, x in zip(row, v):
+            acc = acc + a * x
+        out.append(acc)
+    return out
+
+
+def _mat_mul(A, B, ring):
+    cols = [_mat_vec(A, [row[j] for row in B], ring) for j in range(len(B[0]))]
+    return [list(r) for r in zip(*cols)]
+
+
+def _ring_inverse(M, ring):
+    """Columns of the inverse from ring_solve on unit vectors, or None."""
+    n = len(M)
+    cols = []
+    for j in range(n):
+        x = ring_solve(M, [ring.one() if i == j else ring.zero() for i in range(n)], ring)
+        if x is None:
+            return None
+        cols.append(x)
+    return [list(r) for r in zip(*cols)]
+
+
 def test_ring_det_agrees_with_berkowitz() -> None:
     rng = random.Random(6)
     for ring in _sample_rings():
@@ -148,7 +172,7 @@ def test_ring_det_multiplicative_on_products() -> None:
         for _ in range(5):
             A = [[_rand_element(ring, rng) for _ in range(3)] for _ in range(3)]
             B = [[_rand_element(ring, rng) for _ in range(3)] for _ in range(3)]
-            assert ring_det(mat_mul(A, B, ring), ring) == ring_det(A, ring) * ring_det(B, ring)
+            assert ring_det(_mat_mul(A, B, ring), ring) == ring_det(A, ring) * ring_det(B, ring)
 
 
 def test_ring_solve_and_inverse() -> None:
@@ -159,14 +183,14 @@ def test_ring_solve_and_inverse() -> None:
             M = [[_rand_element(ring, rng) for _ in range(n)] for _ in range(n)]
             d = ring_det(M, ring)
             x = [_rand_element(ring, rng) for _ in range(n)]
-            b = mat_vec(M, x, ring)
+            b = _mat_vec(M, x, ring)
             got = ring_solve(M, b, ring)
             if ring.is_unit(d):
                 assert got == x
-                Minv = ring_matrix_inverse(M, ring)
-                assert mat_mul(M, Minv, ring) == identity_matrix(ring, n)
+                Minv = _ring_inverse(M, ring)
+                assert _mat_mul(M, Minv, ring) == identity_matrix(ring, n)
             else:
-                assert got is None or mat_vec(M, got, ring) == b
+                assert got is None or _mat_vec(M, got, ring) == b
 
 
 def test_ring_det_no_unit_entry_falls_back() -> None:
@@ -237,3 +261,54 @@ def test_field_kernel_matches_sympy_nullspace(case) -> None:
     M, n = case
     expect = [[_fraction(x) for x in v] for v in _sympy_matrix(M, n).nullspace()]
     assert field_kernel(M, QQ, n) == expect
+
+
+# ring determinants against sympy: sparse integer-coefficient polynomial
+# matrices over Q[x, y] and F_p[x], a share of them made singular
+
+_X, _Y = sympy.symbols("x y")
+
+
+@st.composite
+def _poly_matrices(draw, nvars, coeffs):
+    n = draw(st.integers(1, 4))
+    monomial = st.tuples(*[st.integers(0, 2)] * nvars)
+    entry = st.one_of(st.just({}), st.dictionaries(monomial, coeffs, max_size=2))
+    M = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(("any", "any", "repeat", "zero", "sum")))
+    if n > 1 and kind == "repeat":
+        M[-1] = list(M[0])
+    elif kind == "zero":
+        M[-1] = [{}] * n
+    elif n > 2 and kind == "sum":
+        M[-1] = [{m: a.get(m, 0) + b.get(m, 0) for m in a.keys() | b.keys()}
+                 for a, b in zip(M[0], M[1])]
+    return M
+
+
+def _sympy_poly_matrix(M, gens):
+    return sympy.Matrix([[sum(c * sympy.prod(g ** e for g, e in zip(gens, m))
+                              for m, c in entry.items())
+                          for entry in row] for row in M])
+
+
+@settings(deadline=None, max_examples=60)
+@given(_poly_matrices(2, st.integers(-3, 3)))
+def test_ring_det_matches_sympy_over_qxy(M) -> None:
+    ring = polynomial_ring(QQ, "x", "y")
+    got = ring_det([[ring.element({m: Fraction(c) for m, c in e.items()}) for e in row]
+                    for row in M], ring)
+    det = sympy.Poly(sympy.expand(_sympy_poly_matrix(M, (_X, _Y)).det()), _X, _Y)
+    assert got.coeffs == {m: Fraction(int(c)) for m, c in det.terms() if c != 0}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from((2, 3, 7)).flatmap(
+    lambda p: st.tuples(st.just(p), _poly_matrices(1, st.integers(0, p - 1)))))
+def test_ring_det_matches_sympy_over_fpx(case) -> None:
+    p, M = case
+    ring = polynomial_ring(PrimeField(p), "x")
+    got = ring_det([[ring.element({m: c % p for m, c in e.items()}) for e in row]
+                    for row in M], ring)
+    det = sympy.Poly(sympy.expand(_sympy_poly_matrix(M, (_X,)).det()), _X, modulus=p)
+    assert got.coeffs == {m: int(c) % p for m, c in det.terms() if int(c) % p}

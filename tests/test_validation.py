@@ -1,0 +1,240 @@
+"""Document validation: the compiled schema predicate against jsonschema as
+the oracle, the diagnostics of rejected documents, and the import budget of
+a cold CLI process (jsonschema is loaded only to explain a rejection)."""
+
+import copy
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import hopfgal
+from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving
+from hopfgal.cli import main
+from hopfgal.document import Document, _compile_schema, _is_valid, _schema, document_of, validate_raw
+from hopfgal.errors import SchemaError
+from hopfgal.fields import QQ, PrimeField
+from hopfgal.homotopy import cleft_trivialization_witness
+from hopfgal.hopf import sweedler_h4, taft
+from hopfgal.rings import base_ring, inclusion_morphism
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hopfgal.__file__)))
+BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "seed0"
+
+
+def _library_documents():
+    C = base_ring(QQ)
+    P = C.add_free("u")
+    A = abg_bundle(AbgParams(C, 3, 5, 7))
+    full = Document(
+        QQ, rings={"C": C, "P": P},
+        hopf_algebras={"H4": sweedler_h4(QQ)},
+        morphisms={"f": inclusion_morphism(C, P)},
+        bundles={"A": A},
+        cleavings={"g": abg_cleaving(A).gamma},
+        witnesses={"w": cleft_trivialization_witness(AbgParams(C, 3, 5, 7)).links[0][0]})
+    shorthand = {"field": {"base": "Q", "var": "i", "modulus": ["1", "0", "1"]},
+                 "rings": {"R": {"gens": [{"name": "z", "kind": "laurent"},
+                                          {"name": "w", "kind": "root", "degree": 2,
+                                           "value": "z", "grade": 1}]}},
+                 "hopf_algebras": {"S": {"construction": "sweedler"},
+                                   "T": {"construction": "taft", "order": 4, "q": "i"},
+                                   "G": {"construction": "cyclic_group", "order": 2}},
+                 "bundles": {"K": {"construction": "kummer", "order": 2, "q": "-1"},
+                             "V": {"construction": "trivial", "ring": "R", "hopf": "S"}}}
+    return [document_of(full), shorthand,
+            document_of(Document(PrimeField(5), hopf_algebras={"T": taft(2, 4, PrimeField(5))}))]
+
+
+def _bench_documents():
+    names = ("cli-docs/abg.json", "cli-docs/schema.json", "cli-docs/unresolved.json",
+             "bundle-towers/abg_uvw.json", "hopf-antipode/taft3_F61.json")
+    return [json.loads((BENCH_DATA / n).read_text()) for n in names if (BENCH_DATA / n).is_file()]
+
+
+LIBRARY_DOCUMENTS = _library_documents()
+DOCUMENTS = LIBRARY_DOCUMENTS + _bench_documents()
+ORACLE = jsonschema.Draft202012Validator(_schema())
+
+
+def _property_names(schema, out):
+    if isinstance(schema, dict):
+        out.update(schema.get("properties", {}))
+        for v in schema.values():
+            _property_names(v, out)
+    elif isinstance(schema, list):
+        for v in schema:
+            _property_names(v, out)
+    return out
+
+
+KEYS = sorted(_property_names(_schema(), set())) + ["extra", "1", "x"]
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.sampled_from([0.0, 2.0, 1.5, -1.0, math.nan, math.inf]),
+    st.sampled_from(["", "1", "-1", "Q", "F7", "Q7", "F", "Q\n", "free", "laurent", "root",
+                     "cubic", "sweedler", "taft", "cyclic_group", "cyclic_dual", "explicit",
+                     "kummer", "abg", "trivial", "x", "u"]))
+VALUES = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(KEYS), kids, max_size=3),
+    max_leaves=6)
+
+
+def _containers(node, out):
+    out.append(node)
+    for child in (node.values() if isinstance(node, dict) else node):
+        if isinstance(child, (dict, list)):
+            _containers(child, out)
+    return out
+
+
+def _mutate(data, doc):
+    """One to three edits: set, delete, insert or copy an entry of some object or array."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        boxes = _containers(doc, [])
+        box = boxes[data.draw(st.integers(0, len(boxes) - 1))]
+        keys = list(box) if isinstance(box, dict) else list(range(len(box)))
+        op = data.draw(st.sampled_from(("set", "delete", "insert", "copy")))
+        if not keys or op == "insert":
+            if isinstance(box, dict):
+                box[data.draw(st.sampled_from(KEYS))] = data.draw(VALUES)
+            else:
+                box.insert(data.draw(st.integers(0, len(box))), data.draw(VALUES))
+            continue
+        key = data.draw(st.sampled_from(keys))
+        if op == "set":
+            box[key] = data.draw(VALUES)
+        elif op == "delete":
+            del box[key]
+        elif isinstance(box, list):
+            box.append(copy.deepcopy(box[key]))
+        else:
+            box[data.draw(st.sampled_from(KEYS))] = copy.deepcopy(box[key])
+    return doc
+
+
+def test_predicate_agrees_on_the_unmutated_documents() -> None:
+    assert all(map(_is_valid(), LIBRARY_DOCUMENTS))
+    for doc in DOCUMENTS:
+        assert _is_valid()(doc) == ORACLE.is_valid(doc)
+
+
+@settings(deadline=None, max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_predicate_matches_jsonschema_on_mutated_documents(data) -> None:
+    doc = _mutate(data, data.draw(st.sampled_from(DOCUMENTS)))
+    valid = ORACLE.is_valid(doc)
+    assert _is_valid()(doc) == valid
+    if valid:
+        validate_raw(doc)
+    else:
+        with pytest.raises(SchemaError):
+            validate_raw(doc)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "maxLength": 3},
+    {"type": "object", "patternProperties": {}},
+    {"anyOf": [{"type": "string"}]},
+    {"enum": ["a", 1]},
+    {"const": None},
+    {"type": "number"},
+    {"$ref": "#/definitions/x"},
+    {"$defs": {"a": {"$ref": "#/$defs/a"}}, "$ref": "#/$defs/a"},
+    {"properties": {"a": {"format": "date"}}},
+    {"minLength": 1},
+    {"type": "array", "minimum": 0},
+    {"type": ["string", "integer"]},
+])
+def test_compiler_refuses_what_it_does_not_implement(schema) -> None:
+    with pytest.raises(ValueError):
+        _compile_schema(schema)
+
+
+# The diagnostics below are the pointers and messages jsonschema's best match
+# gave before the predicate existed; a rejected document must keep them.
+REJECTIONS = [
+    ({"field": "Q", "bundles": {"A": {"construction": "explicit", "ring": "C", "hopf": "H",
+                                      "labels": ["1"], "unit": {"1": "1"},
+                                      "mult": [["1", "1", {"1": "1"}]],
+                                      "coaction": [["1", [["1", "1"]]]]}}},
+     "/bundles/A/coaction/0/1/0", "['1', '1'] is too short"),
+    ({"field": "Q7"}, "/field", "'Q7' does not match '^(Q|F[0-9]+)$'"),
+    ({"rings": {}}, "/", "'field' is a required property"),
+    ({"field": "Q", "rings": {"C": {"gens": [{"name": "u", "kind": "cubic"}]}}},
+     "/rings/C/gens/0/kind", "'cubic' is not one of ['free', 'laurent', 'root']"),
+    ({"field": "Q", "rings": {"C": {"gens": [{"name": "u", "kind": "free", "grade": -1}]}}},
+     "/rings/C/gens/0/grade", "-1 is less than the minimum of 0"),
+    ({"field": "Q", "rings": {"C": {"gens": [{"name": "u", "kind": "free", "grade": True}]}}},
+     "/rings/C/gens/0/grade", "True is not of type 'integer'"),
+    ({"field": "Q", "hopf_algebras": {"H": {"construction": "taft", "order": 1, "q": "-1"}}},
+     "/hopf_algebras/H",
+     "{'construction': 'taft', 'order': 1, 'q': '-1'} is not valid under any of the given schemas"),
+    ({"field": {"base": "Q", "var": "i", "modulus": ["1", "0"]}},
+     "/field/modulus", "['1', '0'] is too short"),
+    ({"field": "Q", "witnesses": {"w": {"step": {"source": "C", "adjunctions": []},
+                                        "family": {"construction": "trivial", "hopf": "H"},
+                                        "at_zero": "A", "at_one": "B",
+                                        "iso_zero": [], "iso_one": [["1"]]}}},
+     "/witnesses/w/iso_zero", "[] should be non-empty"),
+    ({"field": "Q", "morphisms": {"f": {"source": "C", "target": "D", "images": {"u": ""}}}},
+     "/morphisms/f/images/u", "'' should be non-empty"),
+    ({"field": "Q", "extra": 1}, "/", "Additional properties are not allowed ('extra' was unexpected)"),
+]
+
+
+@pytest.mark.parametrize("doc,pointer,message", REJECTIONS)
+def test_rejection_keeps_pointer_and_message(doc, pointer, message) -> None:
+    with pytest.raises(SchemaError) as exc:
+        validate_raw(doc)
+    assert exc.value.pointer == pointer
+    assert str(exc.value) == f"{pointer}: {message}"
+
+
+def test_neg_schema_document_diagnostic(capsys) -> None:
+    path = BENCH_DATA / "cli-docs" / "schema.json"
+    if not path.is_file():
+        pytest.skip("benchmark documents not present")
+    assert main(["verify-bundle", str(path), "A", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: /bundles/A: {'construction': 'explicit', 'hopf': 'H4'")
+    assert captured.err.endswith("is not valid under any of the given schemas\n")
+
+
+# ------------------------------------------------------------ import budget
+
+def _fresh(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout.split()
+
+
+def test_cli_import_leaves_jsonschema_and_thread_pool_unloaded() -> None:
+    out = _fresh("import sys, hopfgal.cli\n"
+                 "print('jsonschema' in sys.modules, 'concurrent.futures' in sys.modules)")
+    assert out == ["False", "False"]
+
+
+def test_valid_document_never_imports_jsonschema(tmp_path) -> None:
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(document_of(Document(QQ, hopf_algebras={"H4": sweedler_h4(QQ)}))))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": "Q7"}))
+    code = ("import contextlib, io, sys\n"
+            "from hopfgal.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    good = main(['verify-hopf', {str(good)!r}, 'H4'])\n"
+            "    loaded = 'jsonschema' in sys.modules\n"
+            f"    bad = main(['verify-hopf', {str(bad)!r}, 'H4'])\n"
+            "print(good, loaded, bad, 'jsonschema' in sys.modules)")
+    assert _fresh(code) == ["0", "False", "2", "True"]
