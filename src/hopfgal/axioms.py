@@ -1,0 +1,192 @@
+"""One axiom checker on structure-constant tables.
+
+An algebra A of rank n is read from tables with zero coefficients dropped
+once per call (``sparse``): ``mult[(i, j)]`` holds the terms (l, c) of
+a_i a_j, ``unit`` the terms of 1_A, and ``coaction[i]`` the terms
+((j, k), c) of rho(a_i) in A (x) H.  The coacting Hopf algebra H gives
+``hmult``, ``hcomult`` and ``hcounit`` with coefficients in the same ring;
+a Hopf algebra checked against itself is the case A = H, rho = Delta.
+Coefficients are handled by ``Ops``: the ground field's operations for a
+Hopf algebra, the ``BaseElement`` operators for a bundle.
+
+A product of basis elements is read off the table instead of being formed
+from basis vectors, and a product with a coefficient 1 is the other
+factor, so neither costs a multiplication.  Each check returns the first
+failing basis index or tuple in the order its docstring gives, or None.
+"""
+
+from __future__ import annotations
+
+import operator
+from typing import Callable, NamedTuple
+
+
+class Ops(NamedTuple):
+    add: Callable
+    mul: Callable
+    is_zero: Callable
+    one: object
+
+
+def _skipping_one(mul, one):
+    # coefficients are kept in normal form, so a product with 1 is the
+    # other factor as it stands
+    def times(a, b):
+        if a == one:
+            return b
+        if b == one:
+            return a
+        return mul(a, b)
+    return times
+
+
+def field_ops(K) -> Ops:
+    return Ops(K.add, _skipping_one(K.mul, K.one()), K.is_zero, K.one())
+
+
+def ring_ops(C) -> Ops:
+    """The BaseElement operators of the base ring C."""
+    return Ops(operator.add, _skipping_one(operator.mul, C.one()),
+               operator.attrgetter("is_zero"), C.one())
+
+
+def terms(ops: Ops, vec: dict) -> tuple:
+    """The items of vec with a nonzero value."""
+    return tuple((k, c) for k, c in vec.items() if not ops.is_zero(c))
+
+
+def sparse(ops: Ops, table: dict) -> dict:
+    """{key: {index: c}} as {key: terms}, empty rows dropped."""
+    rows = ((key, terms(ops, row)) for key, row in table.items())
+    return {key: row for key, row in rows if row}
+
+
+def accumulate(ops: Ops, pairs) -> dict:
+    """Sum the values of (key, value) pairs per key; zero sums are dropped."""
+    add = ops.add
+    out: dict = {}
+    for key, val in pairs:
+        s = out.get(key)
+        out[key] = val if s is None else add(s, val)
+    return {k: v for k, v in out.items() if not ops.is_zero(v)}
+
+
+def record(rep, name: str, bad, witness) -> None:
+    """Add check `name` to a Report: passed when bad is None, else failed
+    with the text witness(bad)."""
+    rep.add(name, bad is None, "" if bad is None else witness(bad))
+
+
+def first(*bad):
+    """The least of the failures that are not None, else None."""
+    return min((b for b in bad if b is not None), default=None)
+
+
+def _first_index(left: dict, right: dict):
+    """Least l among the keys (l, ...) on which two unequal dicts differ."""
+    return min(key[0] for key in left.keys() | right.keys()
+               if left.get(key) != right.get(key))
+
+
+def unit(ops: Ops, n: int, mult: dict, unit: tuple):
+    """First i with 1 a_i != a_i or a_i 1 != a_i."""
+    mul, get = ops.mul, mult.get
+    for i in range(n):
+        e = {i: ops.one}
+        if (accumulate(ops, ((l, mul(u, m)) for k, u in unit for l, m in get((k, i), ()))) != e
+                or accumulate(ops, ((l, mul(u, m)) for k, u in unit
+                                    for l, m in get((i, k), ()))) != e):
+            return i
+    return None
+
+
+def associativity(ops: Ops, n: int, mult: dict):
+    """First (i, j, l) in lexicographic order with (a_i a_j) a_l != a_i (a_j a_l).
+
+    Both sides are formed for all l at once, keyed (l, index).
+    """
+    mul, get = ops.mul, mult.get
+    # the terms (l, r, c) of a_k a_l over all l, per k
+    times = [[(l, r, c) for l in range(n) for r, c in get((k, l), ())] for k in range(n)]
+    for i in range(n):
+        for j in range(n):
+            left = accumulate(ops, (((l, r), mul(c, m)) for k, c in get((i, j), ())
+                                    for l, r, m in times[k]))
+            right = accumulate(ops, (((l, r), mul(c, m)) for l, k, c in times[j]
+                                     for r, m in get((i, k), ())))
+            if left != right:
+                return i, j, _first_index(left, right)
+    return None
+
+
+def commutativity(n: int, mult: dict):
+    """First (i, j) with j < i in lexicographic order and a_i a_j != a_j a_i."""
+    return next(((i, j) for i in range(n) for j in range(i)
+                 if dict(mult.get((i, j), ())) != dict(mult.get((j, i), ()))), None)
+
+
+def coaction_counit(ops: Ops, n: int, coaction: dict, hcounit: dict):
+    """First i with (id (x) counit) rho(a_i) != a_i; hcounit maps k to a nonzero c."""
+    mul = ops.mul
+    for i in range(n):
+        back = accumulate(ops, ((j, mul(c, hcounit[k]))
+                                for (j, k), c in coaction.get(i, ()) if k in hcounit))
+        if back != {i: ops.one}:
+            return i
+    return None
+
+
+def coassociativity(ops: Ops, n: int, coaction: dict, hcomult: dict):
+    """First i with (rho (x) id) rho(a_i) != (id (x) Delta) rho(a_i)."""
+    mul = ops.mul
+    for i in range(n):
+        t = coaction.get(i, ())
+        lhs = accumulate(ops, (((p, q, k), mul(c, c2)) for (j, k), c in t
+                               for (p, q), c2 in coaction.get(j, ())))
+        rhs = accumulate(ops, (((j, a, b), mul(c, c2)) for (j, k), c in t
+                               for (a, b), c2 in hcomult.get(k, ())))
+        if lhs != rhs:
+            return i
+    return None
+
+
+def coaction_product(ops: Ops, n: int, mult: dict, coaction: dict, hmult: dict):
+    """First (i, j) in lexicographic order with rho(a_i a_j) != rho(a_i) rho(a_j).
+
+    Both sides are formed for all j at once, keyed (j, (index, H-index)).
+    """
+    mul, get = ops.mul, mult.get
+
+    def products(ti):
+        for j in range(n):
+            for (q, l), cq in coaction.get(j, ()):
+                for (p, k), cp in ti:
+                    am, hm = get((p, q)), hmult.get((k, l))
+                    if am and hm:
+                        c = mul(cp, cq)
+                        for r, cr in am:
+                            w = mul(c, cr)
+                            for s, cs in hm:
+                                yield (j, (r, s)), mul(w, cs)
+
+    for i in range(n):
+        lhs = accumulate(ops, (((j, key), mul(c, c2)) for j in range(n)
+                               for l, c in get((i, j), ())
+                               for key, c2 in coaction.get(l, ())))
+        rhs = accumulate(ops, products(coaction.get(i, ())))
+        if lhs != rhs:
+            return i, _first_index(lhs, rhs)
+    return None
+
+
+def antipode(ops: Ops, n: int, mult: dict, comult: dict, S: dict, expect: list, left: bool):
+    """First i with sum S(h_(1)) h_(2) != expect[i] for h = a_i, or with
+    sum h_(1) S(h_(2)) when left is False; S maps j to the terms of S(a_j)."""
+    mul, get = ops.mul, mult.get
+    for i in range(n):
+        got = accumulate(ops, ((r, mul(mul(c, s), m)) for (j, k), c in comult.get(i, ())
+                               for p, s in S.get(j if left else k, ())
+                               for r, m in get((p, k) if left else (j, p), ())))
+        if got != expect[i]:
+            return i
+    return None

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import axioms
+from .axioms import accumulate, ring_ops, sparse, terms
 from .comod import (
     ComoduleAlgebra,
     HModuleMap,
@@ -80,17 +82,12 @@ class CleavingMap:
 
 def _comodule_map_witness(A: ComoduleAlgebra, gamma: HModuleMap):
     """Index of the first basis element where rho(gamma(h)) != (gamma (x) id)(Delta h)."""
-    H = A.hopf
-    for k in range(H.dim):
-        lhs = A.coact_vec(gamma.values[k])
-        rhs: dict = {}
-        for (i, j), c in H.comult.get(k, {}).items():
-            lifted = A.lift(c)
-            for p, m in gamma.values[i].items():
-                _vadd(rhs, (p, j), lifted * m)
-        if lhs != rhs:
-            return k
-    return None
+    ops = ring_ops(A.base)
+    return next((k for k in range(A.hopf.dim)
+                 if A.coact_vec(gamma.values[k])
+                 != accumulate(ops, (((p, j), ops.mul(A.lift(c), m))
+                                     for (i, j), c in A.hopf.comult.get(k, {}).items()
+                                     for p, m in gamma.values[i].items()))), None)
 
 
 def check_cleaving(A: ComoduleAlgebra, gamma: HModuleMap) -> CleavingMap:
@@ -263,39 +260,27 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
     _check_normalization(sigma)
     K = H.field
     d = H.dim
-    mult = {}
-    for a in range(d):
-        for b in range(d):
-            out: dict = {}
-            for (a1, a2), ca in H.comult.get(a, {}).items():
-                for (b1, b2), cb in H.comult.get(b, {}).items():
-                    s = sigma.sigma[a1][b1]
-                    if s.is_zero:
-                        continue
-                    w = K.mul(ca, cb)
-                    prod = H.mult.get((a2, b2), {})
-                    for l, m in prod.items():
-                        _vadd(out, l, base.from_scalar(K.mul(w, m)) * s)
-            mult[(a, b)] = out
+    ops = ring_ops(base)
+    mult = {(a, b): accumulate(ops, ((l, ops.mul(base.from_scalar(K.mul(K.mul(ca, cb), m)),
+                                                  sigma.sigma[a1][b1]))
+                                     for (a1, a2), ca in H.comult.get(a, {}).items()
+                                     for (b1, b2), cb in H.comult.get(b, {}).items()
+                                     for l, m in H.mult.get((a2, b2), {}).items()))
+            for a in range(d) for b in range(d)}
     unit = {i: base.from_scalar(c) for i, c in H.unit.items()}
     coaction = {i: {jk: base.from_scalar(c) for jk, c in t.items()}
                 for i, t in H.comult.items()}
     A = ComoduleAlgebra(base, H, H.labels, mult, unit, coaction)
-    for i in range(d):
-        e = A.basis_vec(i)
-        if A.mul_vec(A.unit, e) != e or A.mul_vec(e, A.unit) != e:
-            raise NotAssociativeError(
-                f"twisted product is not unital on {H.labels[i]}")
-    for i in range(d):
-        for j in range(d):
-            ij = A.mul_vec(A.basis_vec(i), A.basis_vec(j))
-            for l in range(d):
-                left = A.mul_vec(ij, A.basis_vec(l))
-                right = A.mul_vec(A.basis_vec(i), A.mul_vec(A.basis_vec(j), A.basis_vec(l)))
-                if left != right:
-                    raise NotAssociativeError(
-                        "twisted product fails associativity on "
-                        f"({H.labels[i]}, {H.labels[j]}, {H.labels[l]})")
+    L = H.labels
+    table = sparse(ops, mult)
+    bad = axioms.unit(ops, d, table, terms(ops, unit))
+    if bad is not None:
+        raise NotAssociativeError(f"twisted product is not unital on {L[bad]}")
+    bad = axioms.associativity(ops, d, table)
+    if bad is not None:
+        i, j, l = bad
+        raise NotAssociativeError(
+            f"twisted product fails associativity on ({L[i]}, {L[j]}, {L[l]})")
     return A
 
 

@@ -14,12 +14,17 @@ commutative ring C, centrality of the base is built into the representation.
 Whether C is exactly the coinvariant subalgebra is a theorem to check, not
 an assumption: see ``coinvariants_over_field`` and the canonical-map test in
 the Galois module.
+
+``verify_comodule_algebra`` checks the axioms on these tables with the one
+axiom checker of ``axioms``, the one that also verifies Hopf algebras.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import axioms
+from .axioms import accumulate, field_ops, record, ring_ops, sparse, terms
 from .errors import (
     BaseNotFieldError,
     DimensionMismatchError,
@@ -88,45 +93,24 @@ class ComoduleAlgebra:
         return self.base.from_scalar(c)
 
     def mul_vec(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                sc = self.mult.get((i, j))
-                if not sc:
-                    continue
-                c = ca * cb
-                for l, m in sc.items():
-                    _vadd(out, l, c * m)
-        return out
+        ops = ring_ops(self.base)
+        return accumulate(ops, ((l, ops.mul(ops.mul(ca, cb), m))
+                                for i, ca in a.items() for j, cb in b.items()
+                                for l, m in self.mult.get((i, j), {}).items()))
 
     def coact_vec(self, a: dict) -> dict:
-        out: dict = {}
-        for i, c in a.items():
-            for jk, m in self.coaction.get(i, {}).items():
-                _vadd(out, jk, c * m)
-        return out
+        ops = ring_ops(self.base)
+        return accumulate(ops, ((jk, ops.mul(c, m)) for i, c in a.items()
+                                for jk, m in self.coaction.get(i, {}).items()))
 
     def tensor_mul(self, A: dict, B: dict) -> dict:
         """Product in A (x) H of tensors {(i, k): C-element}."""
-        out: dict = {}
-        for (i, k), ca in A.items():
-            for (j, l), cb in B.items():
-                am = self.mult.get((i, j))
-                hm = self.hopf.mult.get((k, l))
-                if not am or not hm:
-                    continue
-                c = ca * cb
-                for p, cp in am.items():
-                    for q, cq in hm.items():
-                        _vadd(out, (p, q), c * cp * self.lift(cq))
-        return out
-
-    def unit_tensor(self) -> dict:
-        out: dict = {}
-        for i, c in self.unit.items():
-            for k, u in self.hopf.unit.items():
-                _vadd(out, (i, k), c * self.lift(u))
-        return out
+        ops, lift = ring_ops(self.base), self.lift
+        mul, get, hget = ops.mul, self.mult.get, self.hopf.mult.get
+        return accumulate(ops, (((p, q), mul(mul(ca, cb), mul(cp, lift(cq))))
+                                for (i, k), ca in A.items() for (j, l), cb in B.items()
+                                for p, cp in get((i, j), {}).items()
+                                for q, cq in hget((k, l), {}).items()))
 
     def _normal(self):
         mult = {ij: _clean(v) for ij, v in self.mult.items()}
@@ -155,86 +139,41 @@ class ComoduleAlgebra:
 # --------------------------------------------------------------------------
 
 def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
+    """Re-check the comodule-algebra axioms on the structure constants.
+
+    The Hopf algebra's tables are lifted into the base ring once per call.
+    """
     rep = Report(f"comodule algebra (rank {A.dim} over {A.base!r})")
-    n = A.dim
-
-    ok = True
-    for i in range(n):
-        e = A.basis_vec(i)
-        if A.mul_vec(A.unit, e) != e or A.mul_vec(e, A.unit) != e:
-            ok = rep.add("unit", False, f"fails on {A.labels[i]}")
-            break
-    if ok:
-        rep.add("unit", True)
-
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            ij = A.mul_vec(A.basis_vec(i), A.basis_vec(j))
-            for l in range(n):
-                left = A.mul_vec(ij, A.basis_vec(l))
-                right = A.mul_vec(A.basis_vec(i), A.mul_vec(A.basis_vec(j), A.basis_vec(l)))
-                if left != right:
-                    ok = rep.add("associativity", False,
-                                 f"({A.labels[i]}*{A.labels[j]})*{A.labels[l]}")
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
-        rep.add("associativity", True)
-
-    K = A.field
+    n, L = A.dim, A.labels
     H = A.hopf
-    ok = True
-    for i in range(n):
-        t = A.coact_vec(A.basis_vec(i))
-        back: dict = {}
-        for (j, k), c in t.items():
-            eps = H.counit.get(k, K.zero())
-            if not K.is_zero(eps):
-                _vadd(back, j, c * A.lift(eps))
-        if back != A.basis_vec(i):
-            ok = rep.add("coaction counit", False, f"fails on {A.labels[i]}")
-            break
-    if ok:
-        rep.add("coaction counit", True)
+    ops, hops = ring_ops(A.base), field_ops(A.field)
+    lift = A.lift
 
-    ok = True
-    for i in range(n):
-        t = A.coact_vec(A.basis_vec(i))
-        lhs: dict = {}
-        rhs: dict = {}
-        for (j, k), c in t.items():
-            for (p, q), c2 in A.coaction.get(j, {}).items():
-                _vadd(lhs, (p, q, k), c * c2)
-            for (a, b), c2 in H.comult.get(k, {}).items():
-                _vadd(rhs, (j, a, b), c * A.lift(c2))
-        if lhs != rhs:
-            ok = rep.add("coaction coassociativity", False, f"fails on {A.labels[i]}")
-            break
-    if ok:
-        rep.add("coaction coassociativity", True)
+    def lifted(table):
+        return {key: tuple((k, lift(c)) for k, c in row) for key, row in table.items()}
 
-    ok = True
-    if A.coact_vec(A.unit) != A.unit_tensor():
-        ok = rep.add("coaction respects product", False, "rho(1) != 1 (x) 1")
-    if ok:
-        for i in range(n):
-            for j in range(n):
-                prod = A.mul_vec(A.basis_vec(i), A.basis_vec(j))
-                lhs = A.coact_vec(prod)
-                rhs = A.tensor_mul(A.coact_vec(A.basis_vec(i)), A.coact_vec(A.basis_vec(j)))
-                if lhs != rhs:
-                    ok = rep.add("coaction respects product", False,
-                                 f"rho({A.labels[i]}*{A.labels[j]})")
-                    break
-            if not ok:
-                break
-    if ok:
-        rep.add("coaction respects product", True)
+    mult, coaction = sparse(ops, A.mult), sparse(ops, A.coaction)
+    unit = terms(ops, A.unit)
 
+    def fails_on(i):
+        return f"fails on {L[i]}"
+
+    record(rep, "unit", axioms.unit(ops, n, mult, unit), fails_on)
+    record(rep, "associativity", axioms.associativity(ops, n, mult),
+           lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
+    hcounit = {k: lift(c) for k, c in terms(hops, H.counit)}
+    record(rep, "coaction counit", axioms.coaction_counit(ops, n, coaction, hcounit), fails_on)
+    record(rep, "coaction coassociativity",
+           axioms.coassociativity(ops, n, coaction, lifted(sparse(hops, H.comult))), fails_on)
+
+    hunit = [(k, lift(c)) for k, c in terms(hops, H.unit)]
+    rho_1 = accumulate(ops, ((key, u * c) for l, u in unit for key, c in coaction.get(l, ())))
+    if rho_1 != accumulate(ops, (((i, k), c * u) for i, c in unit for k, u in hunit)):
+        rep.add("coaction respects product", False, "rho(1) != 1 (x) 1")
+    else:
+        record(rep, "coaction respects product",
+               axioms.coaction_product(ops, n, mult, coaction, lifted(sparse(hops, H.mult))),
+               lambda b: f"rho({L[b[0]]}*{L[b[1]]})")
     return rep
 
 
@@ -348,29 +287,18 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
     rep.add("preserves unit", apply_matrix(M, A.unit) == B.unit,
             "phi(1) != 1")
 
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            lhs = apply_matrix(M, A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
-            rhs = B.mul_vec(apply_matrix(M, A.basis_vec(i)), apply_matrix(M, A.basis_vec(j)))
-            if lhs != rhs:
-                ok = rep.add("preserves product", False,
-                             f"phi({A.labels[i]}*{A.labels[j]}) != phi({A.labels[i]})*phi({A.labels[j]})")
-                break
-        if not ok:
-            break
-    if ok:
-        rep.add("preserves product", True)
-
-    ok = True
-    for i in range(n):
-        lhs = B.coact_vec(apply_matrix(M, A.basis_vec(i)))
-        rhs = apply_matrix_left(M, A.coact_vec(A.basis_vec(i)))
-        if lhs != rhs:
-            ok = rep.add("equivariant", False, f"coaction differs on phi({A.labels[i]})")
-            break
-    if ok:
-        rep.add("equivariant", True)
+    L = A.labels
+    phi = [apply_matrix(M, A.basis_vec(i)) for i in range(n)]
+    record(rep, "preserves product",
+           next(((i, j) for i in range(n) for j in range(n)
+                 if apply_matrix(M, A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
+                 != B.mul_vec(phi[i], phi[j])), None),
+           lambda b: f"phi({L[b[0]]}*{L[b[1]]}) != phi({L[b[0]]})*phi({L[b[1]]})")
+    record(rep, "equivariant",
+           next((i for i in range(n)
+                 if B.coact_vec(phi[i]) != apply_matrix_left(M, A.coact_vec(A.basis_vec(i)))),
+                None),
+           lambda i: f"coaction differs on phi({L[i]})")
     return rep
 
 

@@ -228,12 +228,18 @@ def parse_field(spec, pointer="/field") -> Field:
         if spec == "Q":
             return QQ
         if spec.startswith("F"):
-            return PrimeField(int(spec[1:]))
+            try:
+                return PrimeField(int(spec[1:]))
+            except ValueError as exc:
+                raise SchemaError(pointer, str(exc)) from None
         raise SchemaError(pointer, f"unknown field {spec!r}")
     base = parse_field(spec["base"], pointer + "/base")
     modulus = tuple(_scalar(base, c, f"{pointer}/modulus/{i}")
                     for i, c in enumerate(spec["modulus"]))
-    return SimpleExtension(base, spec["var"], modulus)
+    try:
+        return SimpleExtension(base, spec["var"], modulus)
+    except ValueError as exc:
+        raise SchemaError(pointer + "/modulus", str(exc)) from None
 
 
 def field_spec(K: Field):

@@ -9,7 +9,9 @@ Root extraction is exact: over Q by integer Newton iteration on numerator and
 denominator, square roots in F_p by Tonelli-Shanks, other roots over finite
 fields by exhaustive search (these fields are small by construction).  Over
 an infinite extension field root search raises ``RootSearchUnsupportedError``
-rather than guessing.
+rather than guessing.  Primality is deterministic Miller-Rabin, refused past
+the size where its bases are proven exact, and multiplicative orders come
+from the prime factors of the group order, with no search.
 """
 
 from __future__ import annotations
@@ -45,6 +47,38 @@ def _int_nth_root(m: int, n: int) -> tuple[int, bool]:
     return x, x ** n == m
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above 3.317e24, where
+    these bases no longer decide primality."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is too large for an exact primality test")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_factors(n: int) -> list[int]:
     out, d = [], 2
     while d * d <= n:
@@ -54,6 +88,12 @@ def _prime_factors(n: int) -> list[int]:
                 n //= d
         d += 1
     return out + [n] if n > 1 else out
+
+
+def _totient(n: int) -> int:
+    for r in _prime_factors(n):
+        n -= n // r
+    return n
 
 
 class Field:
@@ -129,19 +169,32 @@ class Field:
         return (not self.is_zero(a) and self.pow(a, n) == one
                 and all(self.pow(a, n // r) != one for r in _prime_factors(n)))
 
+    def absolute_degree(self) -> int:
+        """Degree over the prime field (Q or F_p)."""
+        return 1
+
     def multiplicative_order(self, a):
-        """Order of a in the unit group, or None if no finite order."""
+        """Order of a in the unit group, or None if no finite order.
+
+        Over a finite field of q elements the order divides q - 1: divide
+        each prime r out of q - 1 while a^(order/r) = 1.  In characteristic
+        0 a root of unity of order n generates Q(zeta_n), of degree
+        phi(n) <= [K:Q]; only those n are tested.
+        """
         if self.is_zero(a):
             return None
-        x, k = a, 1
-        # over an infinite field give up past a safe bound: the only roots of
-        # unity in Q or a real-free extension we meet are low order anyway
-        bound = 10_000
-        while k <= bound:
-            if x == self.one():
-                return k
-            x = self.mul(x, a)
-            k += 1
+        one = self.one()
+        if self.is_finite():
+            order = self.characteristic() ** self.absolute_degree() - 1
+            for r in _prime_factors(order):
+                while order % r == 0 and self.pow(a, order // r) == one:
+                    order //= r
+            return order
+        # phi(n) >= sqrt(n / 2), so phi(n) <= D forces n <= 2 D^2
+        D = self.absolute_degree()
+        for n in range(1, 2 * D * D + 1):
+            if _totient(n) <= D and self.pow(a, n) == one:
+                return n
         return None
 
     def random_scalar(self, rng, size: int = 9):
@@ -240,7 +293,7 @@ QQ = RationalField()
 
 class PrimeField(Field):
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
@@ -319,15 +372,6 @@ class PrimeField(Field):
             t, r = t * c % p, r * b % p
         return min(r, p - r)
 
-    def multiplicative_order(self, a):
-        if a % self.p == 0:
-            return None
-        x, k = a % self.p, 1
-        while x != 1:
-            x = (x * a) % self.p
-            k += 1
-        return k
-
     def random_scalar(self, rng, size=9):
         return rng.randrange(self.p)
 
@@ -367,6 +411,9 @@ class SimpleExtension(Field):
         self.var = var
         self.modulus = modulus
         self.degree = len(modulus) - 1
+        # the nonzero coefficients below the monic top, for reduction
+        self._reduction = tuple((j, c) for j, c in enumerate(modulus[:-1])
+                                if not base.is_zero(c))
         self.name = f"{base.name}[{var}]/({self._poly_str(modulus)})"
 
     def _poly_str(self, coeffs) -> str:
@@ -414,20 +461,21 @@ class SimpleExtension(Field):
 
     def mul(self, a, b):
         d, K = self.degree, self.base
+        add, mul, is_zero = K.add, K.mul, K.is_zero
         prod = [K.zero()] * (2 * d - 1)
+        b_terms = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
         for i, x in enumerate(a):
-            if K.is_zero(x):
+            if is_zero(x):
                 continue
-            for j, y in enumerate(b):
-                prod[i + j] = K.add(prod[i + j], K.mul(x, y))
+            for j, y in b_terms:
+                prod[i + j] = add(prod[i + j], mul(x, y))
         # reduce by the monic modulus: u^d = -(c_0 + ... + c_{d-1} u^{d-1})
         for e in range(2 * d - 2, d - 1, -1):
             c = prod[e]
-            if K.is_zero(c):
+            if is_zero(c):
                 continue
-            prod[e] = K.zero()
-            for j in range(d):
-                prod[e - d + j] = K.sub(prod[e - d + j], K.mul(c, self.modulus[j]))
+            for j, m in self._reduction:
+                prod[e - d + j] = K.sub(prod[e - d + j], mul(c, m))
         return tuple(prod[:d])
 
     def inv(self, a):
@@ -471,6 +519,9 @@ class SimpleExtension(Field):
 
     def is_zero(self, a):
         return all(self.base.is_zero(c) for c in a)
+
+    def absolute_degree(self):
+        return self.degree * self.base.absolute_degree()
 
     def characteristic(self):
         return self.base.characteristic()

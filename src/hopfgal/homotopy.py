@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import axioms
+from .axioms import ring_ops, sparse
 from .errors import (BaseMismatchError, CharTwoError, MathError,
                      NotCommutativeError, NotEtaleInclusionError,
                      RingMismatchError)
@@ -401,12 +403,10 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
     family is constant.
     """
     n = A.dim
-    for a in range(n):
-        for b in range(a):
-            left = A.mul_vec(A.basis_vec(a), A.basis_vec(b))
-            if left != A.mul_vec(A.basis_vec(b), A.basis_vec(a)):
-                raise NotCommutativeError(
-                    f"total algebra is not commutative on {A.labels[a]}, {A.labels[b]}")
+    bad = axioms.commutativity(n, sparse(ring_ops(A.base), A.mult))
+    if bad is not None:
+        raise NotCommutativeError(
+            f"total algebra is not commutative on {A.labels[bad[0]]}, {A.labels[bad[1]]}")
     if not is_commutative_hopf(A.hopf):
         raise NotCommutativeError("coacting Hopf algebra is not commutative")
     if step.source != A.base:

@@ -1,0 +1,386 @@
+"""Reference axiom checkers for the differential tests.
+
+These are the verifiers as they were written before the library moved to
+one checker on structure-constant tables (``hopfgal.axioms``): every axiom
+is re-derived on basis vectors, through copies of the vector operations
+(``mul_vec``, ``comult_vec``, ``tensor_mul``, ``coact_vec``) as the library
+had them, so nothing here shares arithmetic code with the checker beyond
+the field and ring operations.  The tests require the library's reports to
+equal these, check for check and witness for witness.
+"""
+
+from hopfgal.fields import Field
+from hopfgal.linalg import field_det
+from hopfgal.report import Report
+
+Vec = dict
+
+
+def _vadd(out: dict, key, val) -> None:
+    s = out.get(key)
+    s = val if s is None else s + val
+    if s.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def _vec_add(field: Field, a: Vec, b: Vec) -> Vec:
+    out = dict(a)
+    for i, c in b.items():
+        s = field.add(out.get(i, field.zero()), c)
+        if field.is_zero(s):
+            out.pop(i, None)
+        else:
+            out[i] = s
+    return out
+
+
+def _vec_scale(field: Field, c, a: Vec) -> Vec:
+    if field.is_zero(c):
+        return {}
+    return {i: field.mul(c, x) for i, x in a.items()}
+
+
+def _counit_of(H, a: Vec):
+    K = H.field
+    acc = K.zero()
+    for i, c in a.items():
+        acc = K.add(acc, K.mul(c, H.counit.get(i, K.zero())))
+    return acc
+
+
+def _unit_tensor(A) -> dict:
+    out: dict = {}
+    for i, c in A.unit.items():
+        for k, u in A.hopf.unit.items():
+            _vadd(out, (i, k), c * A.base.from_scalar(u))
+    return out
+
+
+# ---- vector operations on basis vectors, as the library had them
+
+
+def _h_mul_vec(H, a: Vec, b: Vec) -> Vec:
+    K = H.field
+    out: Vec = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            sc = H.mult.get((i, j))
+            if not sc:
+                continue
+            c = K.mul(ca, cb)
+            for l, m in sc.items():
+                s = K.add(out.get(l, K.zero()), K.mul(c, m))
+                if K.is_zero(s):
+                    out.pop(l, None)
+                else:
+                    out[l] = s
+    return out
+
+
+def _h_comult_vec(H, a: Vec) -> dict:
+    K = H.field
+    out: dict = {}
+    for i, c in a.items():
+        for jk, m in H.comult.get(i, {}).items():
+            s = K.add(out.get(jk, K.zero()), K.mul(c, m))
+            if K.is_zero(s):
+                out.pop(jk, None)
+            else:
+                out[jk] = s
+    return out
+
+
+def _h_tensor_mul(H, A: dict, B: dict) -> dict:
+    K = H.field
+    out: dict = {}
+    for (i, j), ca in A.items():
+        for (p, q), cb in B.items():
+            left = H.mult.get((i, p))
+            right = H.mult.get((j, q))
+            if not left or not right:
+                continue
+            c = K.mul(ca, cb)
+            for l, cl in left.items():
+                for r, cr in right.items():
+                    key = (l, r)
+                    s = K.add(out.get(key, K.zero()), K.mul(c, K.mul(cl, cr)))
+                    if K.is_zero(s):
+                        out.pop(key, None)
+                    else:
+                        out[key] = s
+    return out
+
+
+def _h_antipode_vec(H, a: Vec) -> Vec:
+    K = H.field
+    out: Vec = {}
+    for j, c in a.items():
+        for i in range(H.dim):
+            m = H.antipode[i][j]
+            if K.is_zero(m):
+                continue
+            s = K.add(out.get(i, K.zero()), K.mul(c, m))
+            if K.is_zero(s):
+                out.pop(i, None)
+            else:
+                out[i] = s
+    return out
+
+
+def _h_basis(H, i: int) -> Vec:
+    return {i: H.field.one()}
+
+
+def _a_mul_vec(A, a: dict, b: dict) -> dict:
+    out: dict = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            sc = A.mult.get((i, j))
+            if not sc:
+                continue
+            c = ca * cb
+            for l, m in sc.items():
+                _vadd(out, l, c * m)
+    return out
+
+
+def _a_coact_vec(A, a: dict) -> dict:
+    out: dict = {}
+    for i, c in a.items():
+        for jk, m in A.coaction.get(i, {}).items():
+            _vadd(out, jk, c * m)
+    return out
+
+
+def _a_tensor_mul(A, X: dict, Y: dict) -> dict:
+    out: dict = {}
+    for (i, k), ca in X.items():
+        for (j, l), cb in Y.items():
+            am = A.mult.get((i, j))
+            hm = A.hopf.mult.get((k, l))
+            if not am or not hm:
+                continue
+            c = ca * cb
+            for p, cp in am.items():
+                for q, cq in hm.items():
+                    _vadd(out, (p, q), c * cp * A.base.from_scalar(cq))
+    return out
+
+
+def _a_basis(A, i: int) -> dict:
+    return {i: A.base.one()}
+
+
+def verify_hopf(H) -> Report:
+    """Re-check every Hopf axiom on basis elements; no structure is trusted."""
+    K = H.field
+    d = H.dim
+    rep = Report(f"hopf axioms ({d}-dimensional over {K.name})")
+
+    ok = True
+    for i in range(d):
+        e = _h_basis(H, i)
+        if _h_mul_vec(H, H.unit, e) != e or _h_mul_vec(H, e, H.unit) != e:
+            ok = rep.add("unit", False, f"fails on {H.labels[i]}")
+            break
+    else:
+        rep.add("unit", True)
+
+    for i in range(d):
+        for j in range(d):
+            ij = _h_mul_vec(H, _h_basis(H, i), _h_basis(H, j))
+            for l in range(d):
+                left = _h_mul_vec(H, ij, _h_basis(H, l))
+                right = _h_mul_vec(H, _h_basis(H, i), _h_mul_vec(H, _h_basis(H, j), _h_basis(H, l)))
+                if left != right:
+                    rep.add("associativity", False,
+                            f"({H.labels[i]}*{H.labels[j]})*{H.labels[l]}")
+                    break
+            else:
+                continue
+            break
+        else:
+            continue
+        break
+    else:
+        rep.add("associativity", True)
+
+    ok = True
+    for i in range(d):
+        t = _h_comult_vec(H, _h_basis(H, i))
+        left: Vec = {}
+        right: Vec = {}
+        for (j, k), c in t.items():
+            left = _vec_add(K, left, _vec_scale(K, K.mul(c, H.counit.get(j, K.zero())), _h_basis(H, k)))
+            right = _vec_add(K, right, _vec_scale(K, K.mul(c, H.counit.get(k, K.zero())), _h_basis(H, j)))
+        if left != _h_basis(H, i) or right != _h_basis(H, i):
+            ok = rep.add("counit", False, f"fails on {H.labels[i]}")
+            break
+    if ok:
+        rep.add("counit", True)
+
+    ok = True
+    for i in range(d):
+        t = _h_comult_vec(H, _h_basis(H, i))
+        lhs: dict = {}
+        rhs: dict = {}
+        for (j, k), c in t.items():
+            for (a, b), c2 in _h_comult_vec(H, _h_basis(H, j)).items():
+                key = (a, b, k)
+                s = K.add(lhs.get(key, K.zero()), K.mul(c, c2))
+                if K.is_zero(s):
+                    lhs.pop(key, None)
+                else:
+                    lhs[key] = s
+            for (a, b), c2 in _h_comult_vec(H, _h_basis(H, k)).items():
+                key = (j, a, b)
+                s = K.add(rhs.get(key, K.zero()), K.mul(c, c2))
+                if K.is_zero(s):
+                    rhs.pop(key, None)
+                else:
+                    rhs[key] = s
+        if lhs != rhs:
+            ok = rep.add("coassociativity", False, f"fails on {H.labels[i]}")
+            break
+    if ok:
+        rep.add("coassociativity", True)
+
+    ok = True
+    if _h_comult_vec(H, H.unit) != _outer(K, H.unit, H.unit):
+        ok = rep.add("comultiplication is unital", False, "Delta(1) != 1 (x) 1")
+    if ok and not K.is_zero(K.sub(_counit_of(H, H.unit), K.one())):
+        ok = rep.add("comultiplication is unital", False, "counit(1) != 1")
+    if ok:
+        rep.add("comultiplication is unital", True)
+
+    ok = True
+    for i in range(d):
+        for j in range(d):
+            prod = _h_mul_vec(H, _h_basis(H, i), _h_basis(H, j))
+            lhs = _h_comult_vec(H, prod)
+            rhs = _h_tensor_mul(H, _h_comult_vec(H, _h_basis(H, i)), _h_comult_vec(H, _h_basis(H, j)))
+            if lhs != rhs:
+                ok = rep.add("comultiplication is multiplicative", False,
+                             f"Delta({H.labels[i]}*{H.labels[j]})")
+                break
+            eps = K.mul(H.counit.get(i, K.zero()), H.counit.get(j, K.zero()))
+            if not K.is_zero(K.sub(_counit_of(H, prod), eps)):
+                ok = rep.add("comultiplication is multiplicative", False,
+                             f"counit({H.labels[i]}*{H.labels[j]})")
+                break
+        if not ok:
+            break
+    if ok:
+        rep.add("comultiplication is multiplicative", True)
+
+    ok = True
+    for i in range(d):
+        t = _h_comult_vec(H, _h_basis(H, i))
+        left: Vec = {}
+        right: Vec = {}
+        for (j, k), c in t.items():
+            left = _vec_add(K, left, _vec_scale(K, c, _h_mul_vec(H, _h_antipode_vec(H, _h_basis(H, j)), _h_basis(H, k))))
+            right = _vec_add(K, right, _vec_scale(K, c, _h_mul_vec(H, _h_basis(H, j), _h_antipode_vec(H, _h_basis(H, k)))))
+        expect = _vec_scale(K, H.counit.get(i, K.zero()), H.unit)
+        if left != expect or right != expect:
+            ok = rep.add("antipode identity", False, f"fails on {H.labels[i]}")
+            break
+    if ok:
+        rep.add("antipode identity", True)
+
+    rep.add("antipode bijective", not K.is_zero(field_det(H.antipode, K)))
+    return rep
+
+
+def _outer(field: Field, a: Vec, b: Vec) -> dict:
+    out = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            out[(i, j)] = field.mul(ca, cb)
+    return out
+
+
+def verify_comodule_algebra(A) -> Report:
+    rep = Report(f"comodule algebra (rank {A.dim} over {A.base!r})")
+    n = A.dim
+
+    ok = True
+    for i in range(n):
+        e = _a_basis(A, i)
+        if _a_mul_vec(A, A.unit, e) != e or _a_mul_vec(A, e, A.unit) != e:
+            ok = rep.add("unit", False, f"fails on {A.labels[i]}")
+            break
+    if ok:
+        rep.add("unit", True)
+
+    ok = True
+    for i in range(n):
+        for j in range(n):
+            ij = _a_mul_vec(A, _a_basis(A, i), _a_basis(A, j))
+            for l in range(n):
+                left = _a_mul_vec(A, ij, _a_basis(A, l))
+                right = _a_mul_vec(A, _a_basis(A, i), _a_mul_vec(A, _a_basis(A, j), _a_basis(A, l)))
+                if left != right:
+                    ok = rep.add("associativity", False,
+                                 f"({A.labels[i]}*{A.labels[j]})*{A.labels[l]}")
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    if ok:
+        rep.add("associativity", True)
+
+    K = A.field
+    H = A.hopf
+    ok = True
+    for i in range(n):
+        t = _a_coact_vec(A, _a_basis(A, i))
+        back: dict = {}
+        for (j, k), c in t.items():
+            eps = H.counit.get(k, K.zero())
+            if not K.is_zero(eps):
+                _vadd(back, j, c * A.base.from_scalar(eps))
+        if back != _a_basis(A, i):
+            ok = rep.add("coaction counit", False, f"fails on {A.labels[i]}")
+            break
+    if ok:
+        rep.add("coaction counit", True)
+
+    ok = True
+    for i in range(n):
+        t = _a_coact_vec(A, _a_basis(A, i))
+        lhs: dict = {}
+        rhs: dict = {}
+        for (j, k), c in t.items():
+            for (p, q), c2 in A.coaction.get(j, {}).items():
+                _vadd(lhs, (p, q, k), c * c2)
+            for (a, b), c2 in H.comult.get(k, {}).items():
+                _vadd(rhs, (j, a, b), c * A.base.from_scalar(c2))
+        if lhs != rhs:
+            ok = rep.add("coaction coassociativity", False, f"fails on {A.labels[i]}")
+            break
+    if ok:
+        rep.add("coaction coassociativity", True)
+
+    ok = True
+    if _a_coact_vec(A, A.unit) != _unit_tensor(A):
+        ok = rep.add("coaction respects product", False, "rho(1) != 1 (x) 1")
+    if ok:
+        for i in range(n):
+            for j in range(n):
+                prod = _a_mul_vec(A, _a_basis(A, i), _a_basis(A, j))
+                lhs = _a_coact_vec(A, prod)
+                rhs = _a_tensor_mul(A, _a_coact_vec(A, _a_basis(A, i)), _a_coact_vec(A, _a_basis(A, j)))
+                if lhs != rhs:
+                    ok = rep.add("coaction respects product", False,
+                                 f"rho({A.labels[i]}*{A.labels[j]})")
+                    break
+            if not ok:
+                break
+    if ok:
+        rep.add("coaction respects product", True)
+
+    return rep

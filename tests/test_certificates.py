@@ -1,0 +1,63 @@
+"""Verdicts that `python -O` cannot switch off.
+
+`-O` strips `assert` statements, so no check in the library may be one: a
+static scan of every module rejects them, and the two verifiers must still
+reject corrupted structure constants (exit 1) in an optimized interpreter.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hopfgal
+from hopfgal.bundles import AbgParams, abg_bundle
+from hopfgal.document import Document, dump_document
+from hopfgal.fields import QQ, PrimeField
+from hopfgal.hopf import taft
+from hopfgal.rings import base_ring
+
+PACKAGE = Path(hopfgal.__file__).resolve().parent
+
+
+def test_no_assert_statements_in_the_library():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _run_optimized(*args):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-O", "-m", "hopfgal.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _corrupt_product(raw: dict, left: str, right: str, value: dict) -> None:
+    for row in raw["mult"]:
+        if row[0] == left and row[1] == right:
+            row[2] = value
+
+
+def test_corrupted_structure_constants_rejected_under_optimization(tmp_path):
+    F7 = PrimeField(7)
+    raw = json.loads(dump_document(Document(F7, hopf_algebras={"T": taft(3, 2, F7)})))
+    _corrupt_product(raw["hopf_algebras"]["T"], "Y", "X", {"XY": "3 mod 7"})  # q = 2
+    path = tmp_path / "taft.json"
+    path.write_text(json.dumps(raw))
+    out = _run_optimized("verify-hopf", str(path), "T")
+    assert out.returncode == 1, out.stderr
+    assert "[FAIL] associativity" in out.stdout
+
+    C = base_ring(QQ)
+    raw = json.loads(dump_document(Document(
+        QQ, rings={"C": C}, bundles={"A": abg_bundle(AbgParams(C, 3, 5, 7))})))
+    _corrupt_product(raw["bundles"]["A"], "x", "x", {"1": "4"})  # alpha = 3
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(raw))
+    out = _run_optimized("verify-bundle", str(path), "A")
+    assert out.returncode == 1, out.stderr
+    assert "[FAIL] associativity" in out.stdout

@@ -179,6 +179,17 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_bad_field_is_input_error(tmp_path, capsys):
+    path = tmp_path / "field.json"
+    for field, pointer, message in (
+            ("F4", "/field", "4 is not prime"),
+            ({"base": "Q", "var": "u", "modulus": ["1", "0", "2"]}, "/field/modulus",
+             "modulus must be monic")):
+        path.write_text(json.dumps({"field": field}))
+        assert main(["verify-hopf", str(path), "H"]) == 2
+        assert capsys.readouterr().err == f"error: {pointer}: {message}\n"
+
+
 def test_no_witnesses_is_input_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"field": "Q"}\n')

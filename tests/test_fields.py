@@ -1,10 +1,15 @@
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfgal
 from hopfgal.bundles import kummer_bundle
@@ -16,6 +21,7 @@ from hopfgal.fields import (
     SimpleExtension,
     _int_nth_root,
     field_from_name,
+    is_prime,
 )
 from hopfgal.hopf import taft
 
@@ -168,6 +174,18 @@ def test_prime_sqrt_large_two_adic_prime() -> None:
 QI = SimpleExtension(QQ, "i", [Fraction(1), Fraction(0), Fraction(1)])
 
 
+def _counted_order(K, a, bound):
+    """The least k <= bound with a^k = 1 by repeated multiplication, else None."""
+    if K.is_zero(a):
+        return None
+    x = a
+    for k in range(1, bound + 1):
+        if x == K.one():
+            return k
+        x = K.mul(x, a)
+    return None
+
+
 def test_has_order_matches_brute_force_order() -> None:
     samples = [(K, list(K.elements())) for K in (PrimeField(p) for p in (2, 7, 13, 17))]
     samples.append((QI, [QI.zero(), QI.one(), QI.from_int(-1), QI.gen(), QI.neg(QI.gen()),
@@ -175,13 +193,72 @@ def test_has_order_matches_brute_force_order() -> None:
                          (Fraction(3, 5), Fraction(4, 5))]))
     for K, elems in samples:
         for a in elems:
-            # over Q(i) a unit of finite order has order at most 4; stop early
-            # on the others instead of counting to multiplicative_order's cap
-            powers = [K.pow(a, k) for k in range(1, 9)]
-            order = (K.multiplicative_order(a) if K.is_finite() or K.one() in powers
-                     else None)
+            # over Q(i) a unit of finite order has order at most 4
+            order = _counted_order(K, a, 17 if K.is_finite() else 8)
             for n in range(1, 40):
                 assert K.has_order(a, n) == (order == n), (K, a, n)
+
+
+F2 = PrimeField(2)
+F4 = SimpleExtension(F2, "a", [1, 1, 1])  # a^2 + a + 1
+
+
+@pytest.mark.parametrize("K", [F7, PrimeField(13), F4,
+                               SimpleExtension(F3, "u", [1, 0, 1])],  # F9
+                         ids=lambda K: K.name)
+def test_multiplicative_order_matches_brute_force(K) -> None:
+    size = K.characteristic() ** K.absolute_degree()
+    assert len(list(K.elements())) == size
+    for a in K.elements():
+        assert K.multiplicative_order(a) == _counted_order(K, a, size), (K, a)
+
+
+def test_multiplicative_order_past_ten_thousand() -> None:
+    F101 = PrimeField(101)
+    K = SimpleExtension(F101, "u", [2, 0, 1])  # u^2 + 2, irreducible mod 101
+    a = (1, 1)
+    assert K.multiplicative_order(a) == 10200  # the generic count gave up at 10,000
+    assert K.has_order(a, 10200)
+    assert K.multiplicative_order(K.pow(a, 102)) == 100
+
+
+def test_multiplicative_order_in_characteristic_zero() -> None:
+    QW = SimpleExtension(QQ, "w", [1, 1, 1])  # w^2 + w + 1
+    t0 = time.perf_counter()
+    assert QI.multiplicative_order(QI.add(QI.one(), QI.gen())) is None
+    assert QI.multiplicative_order((Fraction(3, 5), Fraction(4, 5))) is None
+    assert QQ.multiplicative_order(Fraction(2)) is None
+    assert time.perf_counter() - t0 < 1.0  # the counting version took seconds
+    assert QI.multiplicative_order(QI.gen()) == 4
+    assert QI.multiplicative_order(QI.from_int(-1)) == 2
+    assert QQ.multiplicative_order(Fraction(-1)) == 2
+    assert QQ.multiplicative_order(Fraction(1)) == 1
+    assert QW.multiplicative_order(QW.gen()) == 3
+    assert QW.multiplicative_order(QW.neg(QW.gen())) == 6
+    assert QQ.multiplicative_order(QQ.zero()) is None
+
+
+def _trial_division_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_miller_rabin_matches_trial_division() -> None:
+    assert [n for n in range(100_000) if is_prime(n)] == \
+        [n for n in range(100_000) if _trial_division_prime(n)]
+
+
+def test_miller_rabin_strong_pseudoprimes_and_bound() -> None:
+    # strong pseudoprimes to the bases 2, 3, 5, 7; to 2, ..., 31; to 2, ..., 37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+    assert not is_prime(2**61 + 1)
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)  # prime, but past the bound where the bases are exact
+    with pytest.raises(ValueError):
+        PrimeField(2**89 - 1)
+    with pytest.raises(BadScalarError):
+        field_from_name(f"F{2**89 - 1}")
 
 
 def test_order_checks_end_quickly_over_a_large_prime() -> None:
@@ -203,3 +280,58 @@ def test_h4_criterion_over_a_large_prime_field() -> None:
     out = subprocess.run(run + ["--alpha", "4", "--beta", "1", "--gamma", "4"], env=env,
                          capture_output=True, text=True, timeout=10)
     assert (out.returncode, out.stdout) == (0, "trivial, s=2 mod 1000000007, t=1 mod 1000000007\n")
+
+
+def test_h4_criterion_over_a_mersenne_prime_field() -> None:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfgal.__file__)))
+    p = 2**61 - 1  # trial division was still running when killed at 5 s
+    out = subprocess.run([sys.executable, "-m", "hopfgal.cli", "h4", "criterion",
+                          "--field", f"F{p}", "--alpha", "4", "--beta", "1", "--gamma", "4"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=10)
+    assert (out.returncode, out.stdout) == (0, f"trivial, s=2 mod {p}, t=1 mod {p}\n")
+
+
+# zero often, so the zero-skipping paths of the product and the reduction run
+_small_q = st.just(Fraction(0)) | st.fractions(-4, 4, max_denominator=3)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.lists(_small_q, min_size=d, max_size=d),
+    st.lists(_small_q, min_size=d, max_size=d),
+    st.lists(_small_q, min_size=d, max_size=d))))
+def test_extension_mul_matches_sympy_rem(case) -> None:
+    tail, a, b = case
+    K = SimpleExtension(QQ, "u", tuple(tail) + (Fraction(1),))
+    u = sympy.Symbol("u")
+
+    def poly(coeffs):
+        return sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
+                                         for c in coeffs])), u, domain="QQ")
+
+    want = sympy.rem(poly(a) * poly(b), poly(K.modulus)).all_coeffs()[::-1]
+    want = [Fraction(int(c.p), int(c.q)) for c in want] + [Fraction(0)] * K.degree
+    assert K.mul(tuple(a), tuple(b)) == tuple(want[:K.degree])
+
+
+@pytest.mark.parametrize("modulus", [(2, 0, 1), (1, 1, 0, 1), (3, 0, 0, 1), (0, 1, 1)])
+def test_extension_mul_matches_schoolbook_mod_5(modulus) -> None:
+    p, d = 5, len(modulus) - 1
+    K = SimpleExtension(PrimeField(p), "u", modulus)
+
+    def reference(a, b):
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for e in range(2 * d - 2, d - 1, -1):  # subtract prod[e] u^(e-d) f
+            c = prod[e]
+            for j, m in enumerate(modulus):
+                prod[e - d + j] -= c * m
+        return tuple(c % p for c in prod[:d])
+
+    elems = list(K.elements())
+    for a in elems:
+        for b in elems:
+            assert K.mul(a, b) == reference(a, b), (a, b)
