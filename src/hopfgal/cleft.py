@@ -24,7 +24,6 @@ from .comod import (
     ComoduleAlgebra,
     HModuleMap,
     _clean,
-    _vadd,
     convolution_invert,
     convolve,
     trivial_bundle,
@@ -158,13 +157,10 @@ def quasi_action(cm: CleavingMap, k: int, c: BaseElement) -> dict:
     A = cm.algebra
     H = A.hopf
     c_vec = {i: c * u for i, u in A.unit.items()}
-    out: dict = {}
-    for (i, j), w in H.comult.get(k, {}).items():
-        term = A.mul_vec(A.mul_vec(cm.gamma.values[i], c_vec), cm.gamma_inv.values[j])
-        lifted = A.lift(w)
-        for l, m in term.items():
-            _vadd(out, l, lifted * m)
-    return out
+    return accumulate(ring_ops(A.base), (
+        (l, m.scale(w)) for (i, j), w in H.comult.get(k, {}).items()
+        for l, m in A.mul_vec(A.mul_vec(cm.gamma.values[i], c_vec),
+                              cm.gamma_inv.values[j]).items()))
 
 
 def extract_cocycle(cm: CleavingMap) -> Cocycle:
@@ -192,19 +188,17 @@ def extract_cocycle(cm: CleavingMap) -> Cocycle:
     for a2 in range(d):
         for b2 in range(d):
             hopf_products[(a2, b2)] = H.mul_vec(H.basis_vec(a2), H.basis_vec(b2))
+    ops = ring_ops(C)
     rows = []
     for a in range(d):
         row = []
         for b in range(d):
-            acc: dict = {}
-            for (a1, a2), ca in H.comult.get(a, {}).items():
-                for (b1, b2), cb in H.comult.get(b, {}).items():
-                    val = A.mul_vec(
-                        A.mul_vec(cm.gamma.values[a1], cm.gamma.values[b1]),
-                        cm.gamma_inv.apply(hopf_products[(a2, b2)]))
-                    lifted = A.lift(K.mul(ca, cb))
-                    for l, m in val.items():
-                        _vadd(acc, l, lifted * m)
+            acc = accumulate(ops, (
+                (l, m.scale(K.mul(ca, cb)))
+                for (a1, a2), ca in H.comult.get(a, {}).items()
+                for (b1, b2), cb in H.comult.get(b, {}).items()
+                for l, m in A.mul_vec(A.mul_vec(cm.gamma.values[a1], cm.gamma.values[b1]),
+                                      cm.gamma_inv.apply(hopf_products[(a2, b2)])).items()))
             c = central_coefficient(A, acc)
             if c is None:
                 raise NonCentralDatumError(
@@ -300,7 +294,7 @@ def crossed_multiply(base: BaseRing, H: HopfAlgebra, action, sigma: Cocycle,
     K = H.field
     c, g = x
     dd, h = y
-    out: dict = {}
+    pairs = []
     for a, cg in g.items():
         # Delta^2(h_a) as (r, s, q) components
         for (p, q), w1 in H.comult.get(a, {}).items():
@@ -312,8 +306,8 @@ def crossed_multiply(base: BaseRing, H: HopfAlgebra, action, sigma: Cocycle,
                         coeff = acted * sigma.sigma[s][b1]
                         w = base.from_scalar(K.mul(w_a, K.mul(ch, wb)))
                         for l, m in H.mult.get((q, b2), {}).items():
-                            _vadd(out, l, w * coeff * base.from_scalar(m))
-    return out
+                            pairs.append((l, w * coeff * base.from_scalar(m)))
+    return accumulate(ring_ops(base), pairs)
 
 
 def trivial_action(base: BaseRing, H: HopfAlgebra):

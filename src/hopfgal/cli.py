@@ -18,7 +18,6 @@ from .bundles import (
     AbgParams,
     abg_bundle,
     abg_triviality_criterion,
-    kummer_bundle,
     search_trivialization,
 )
 from .cleft import check_cleaving

@@ -38,15 +38,6 @@ from .report import Report
 from .rings import BaseElement, BaseMorphism, BaseRing
 
 
-def _vadd(out: dict, key, val) -> None:
-    s = out.get(key)
-    s = val if s is None else s + val
-    if s.is_zero:
-        out.pop(key, None)
-    else:
-        out[key] = s
-
-
 def _clean(d: dict) -> dict:
     return {k: v for k, v in d.items() if not v.is_zero}
 
@@ -233,27 +224,16 @@ def coinvariants_over_field(A: ComoduleAlgebra) -> list:
 # algebra maps between comodule algebras
 # --------------------------------------------------------------------------
 
-def apply_matrix(M: list, v: dict) -> dict:
+def apply_matrix(ops, M: list, v: dict) -> dict:
     """phi(a_j) = sum_i M[i][j] b_i applied to a coordinate vector."""
-    out: dict = {}
-    for j, c in v.items():
-        for i, m in enumerate(row[j] for row in M):
-            if m.is_zero:
-                continue
-            _vadd(out, i, c * m)
-    return out
+    return accumulate(ops, ((i, ops.mul(c, row[j])) for j, c in v.items()
+                             for i, row in enumerate(M) if not row[j].is_zero))
 
 
-def apply_matrix_left(M: list, t: dict) -> dict:
+def apply_matrix_left(ops, M: list, t: dict) -> dict:
     """phi (x) id on an A (x) H tensor."""
-    out: dict = {}
-    for (j, k), c in t.items():
-        for i, row in enumerate(M):
-            m = row[j]
-            if m.is_zero:
-                continue
-            _vadd(out, (i, k), c * m)
-    return out
+    return accumulate(ops, (((i, k), ops.mul(c, row[j])) for (j, k), c in t.items()
+                             for i, row in enumerate(M) if not row[j].is_zero))
 
 
 def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
@@ -284,19 +264,20 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
         return rep
     rep.add("invertible", True)
 
-    rep.add("preserves unit", apply_matrix(M, A.unit) == B.unit,
+    ops = ring_ops(A.base)
+    rep.add("preserves unit", apply_matrix(ops, M, A.unit) == B.unit,
             "phi(1) != 1")
 
     L = A.labels
-    phi = [apply_matrix(M, A.basis_vec(i)) for i in range(n)]
+    phi = [apply_matrix(ops, M, A.basis_vec(i)) for i in range(n)]
     record(rep, "preserves product",
            next(((i, j) for i in range(n) for j in range(n)
-                 if apply_matrix(M, A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
+                 if apply_matrix(ops, M, A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
                  != B.mul_vec(phi[i], phi[j])), None),
            lambda b: f"phi({L[b[0]]}*{L[b[1]]}) != phi({L[b[0]]})*phi({L[b[1]]})")
     record(rep, "equivariant",
            next((i for i in range(n)
-                 if B.coact_vec(phi[i]) != apply_matrix_left(M, A.coact_vec(A.basis_vec(i)))),
+                 if B.coact_vec(phi[i]) != apply_matrix_left(ops, M, A.coact_vec(A.basis_vec(i)))),
                 None),
            lambda i: f"coaction differs on phi({L[i]})")
     return rep
@@ -328,12 +309,10 @@ class HModuleMap:
             raise DimensionMismatchError("one value per Hopf basis element required")
 
     def apply(self, h: dict) -> dict:
-        out: dict = {}
-        for k, c in h.items():
-            lifted = self.algebra.lift(c) if not isinstance(c, BaseElement) else c
-            for i, m in self.values[k].items():
-                _vadd(out, i, lifted * m)
-        return out
+        A = self.algebra
+        return accumulate(ring_ops(A.base), (
+            (i, c * m if isinstance(c, BaseElement) else m.scale(c))
+            for k, c in h.items() for i, m in self.values[k].items()))
 
     def matrix(self) -> list:
         """Coordinate matrix with columns indexed by the H basis."""
@@ -367,16 +346,11 @@ def convolve(f: HModuleMap, g: HModuleMap) -> HModuleMap:
     A = f.algebra
     if g.algebra != A:
         raise RingMismatchError("convolution needs maps into the same algebra")
-    vals = []
-    for k in range(A.hopf.dim):
-        acc: dict = {}
-        for (i, j), c in A.hopf.comult.get(k, {}).items():
-            term = A.mul_vec(f.values[i], g.values[j])
-            lifted = A.lift(c)
-            for l, m in term.items():
-                _vadd(acc, l, lifted * m)
-        vals.append(acc)
-    return HModuleMap(A, tuple(vals))
+    ops = ring_ops(A.base)
+    return HModuleMap(A, tuple(
+        accumulate(ops, ((l, m.scale(c)) for (i, j), c in A.hopf.comult.get(k, {}).items()
+                         for l, m in A.mul_vec(f.values[i], g.values[j]).items()))
+        for k in range(A.hopf.dim)))
 
 
 def convolution_invert(gamma: HModuleMap) -> HModuleMap:
@@ -391,7 +365,7 @@ def convolution_invert(gamma: HModuleMap) -> HModuleMap:
     n, d = A.dim, H.dim
     N = n * d
     zero = C.zero()
-    M = [[zero] * N for _ in range(N)]
+    rows = [{} for _ in range(N)]
     rhs = [zero] * N
     for k in range(d):
         for (i, j), c in H.comult.get(k, {}).items():
@@ -399,19 +373,15 @@ def convolution_invert(gamma: HModuleMap) -> HModuleMap:
             for p, cp in gamma.values[i].items():
                 base = lifted * cp
                 for m in range(n):
-                    sc = A.mult.get((p, m))
-                    if not sc:
-                        continue
-                    for l, cl in sc.items():
-                        row = k * n + l
-                        col = j * n + m
-                        M[row][col] = M[row][col] + base * cl
+                    for l, cl in A.mult.get((p, m), {}).items():
+                        row = rows[k * n + l]
+                        row[j * n + m] = row.get(j * n + m, zero) + base * cl
         eps = H.counit.get(k, K.zero())
         if not K.is_zero(eps):
             lifted = A.lift(eps)
             for l, u in A.unit.items():
                 rhs[k * n + l] = lifted * u
-    sol = ring_solve(M, rhs, C)
+    sol = ring_solve(rows, rhs, C)
     if sol is None:
         raise NotInvertibleError("the cleaving map has no convolution inverse")
     inv = HModuleMap(A, tuple(_clean({i: sol[j * n + i] for i in range(n)})

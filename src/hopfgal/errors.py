@@ -40,6 +40,10 @@ class GradingError(MathError):
     """A grading assignment that admits no degree-scaling morphism."""
 
 
+class TowerOrderError(MathError):
+    """A Laurent generator placed above a root adjunction."""
+
+
 # ---------------------------------------------------------------- hopf
 
 class DimensionMismatchError(MathError):

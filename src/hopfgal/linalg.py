@@ -1,53 +1,88 @@
 """Exact linear algebra over the ground fields and over base rings.
 
-Two layers:
+One sparse Gauss-Jordan kernel, ``_eliminate``, serves both layers.  Rows
+are dicts column -> coefficient holding only nonzeros, and coefficients are
+touched only through the operations passed in (a field's sub and mul, or
+the BaseElement operators of a base ring), so the result is exact for every
+field the types accept and for every base ring, zero divisors included.
 
-* field_* functions share one sparse Gauss-Jordan kernel, ``_eliminate``.
-  Rows are dicts column -> scalar holding only nonzeros, and scalars are
-  touched only through the field's add/sub/mul/inv/is_zero, so the result
-  is exact for every field the types accept.  Determinant and solve pick
-  each pivot Markowitz-style (the shortest row, then its column with the
-  fewest rows), which keeps fill-in low on sparse systems such as the
-  antipode equations; the kernel takes columns left to right, so its basis
-  is read off the reduced row echelon form.
-
-* ring_* functions work on matrices of BaseElements over an arbitrary base
-  ring, where zero divisors are possible and blind division is not.  The
-  workhorse is elimination that only ever pivots on *units* of the ring
-  (multiplying by an explicit inverse, exact over any commutative ring),
-  falling back to the division-free Berkowitz determinant for any block
-  without a unit entry.  A row update touches only the nonzero columns of
-  the pivot row, in place.  The two determinant routes agree; tests pin that.
+* Pivots are units only, and a pivot row is scaled by the pivot's inverse.
+  The caller supplies the inverse: ``field.inv`` for a field, where every
+  nonzero is a unit; for a base ring, ``try_inverse`` memoized by entry
+  value within one call, which answers None for a non-unit, so no entry is
+  tested twice.
+* Determinant and solve pick each pivot Markowitz-style: the shortest row,
+  then its unit entry in the column with the fewest rows.  This keeps
+  fill-in low on sparse systems such as the antipode equations.  A row
+  with no unit entry waits until an update changes it; a row with no entry
+  at all ends elimination, as the matrix is then singular.  The kernel of a
+  field matrix takes columns left to right instead, so its basis is read
+  off the reduced row echelon form.
+* Over a base ring elimination can stall: the rows still active at the end
+  have no unit entry.  Those rows, on the columns no pivot took, form the
+  block elimination could not reduce.  ``ring_det`` multiplies the pivots,
+  the division-free Berkowitz determinant of that block and the sign of the
+  full row -> column permutation.  ``ring_solve`` of a stalled system falls
+  back to Cramer's rule on Berkowitz determinants, one per unknown.
 """
 
 from __future__ import annotations
 
+import operator
 from heapq import heapify, heappop, heappush
+from typing import Callable, NamedTuple
 
 from .fields import Field
 from .rings import BaseElement, BaseRing, _berkowitz_dicts
 
 
-# --------------------------------------------------------------------------
-# field layer: matrices are lists of rows of raw scalars, each row a dense
-# list or a sparse dict column -> scalar
-# --------------------------------------------------------------------------
+class _Ops(NamedTuple):
+    zero: object
+    one: object
+    sub: Callable
+    mul: Callable
+    is_zero: Callable
 
-def _sparse_rows(M, field: Field) -> list:
+
+def _field_ops(field: Field) -> _Ops:
+    return _Ops(field.zero(), field.one(), field.sub, field.mul, field.is_zero)
+
+
+def _ring_ops(ring: BaseRing) -> _Ops:
+    return _Ops(ring.zero(), ring.one(), operator.sub, operator.mul,
+                operator.attrgetter("is_zero"))
+
+
+def _unit_inverse(ring: BaseRing):
+    """ring.try_inverse, memoized by entry value for one elimination."""
+    memo = {}
+
+    def inv(e):
+        key = frozenset(e.coeffs.items())
+        if key not in memo:
+            memo[key] = ring.try_inverse(e)
+        return memo[key]
+    return inv
+
+
+def _sparse_rows(M, is_zero) -> list:
+    """Rows of M, each a dense list or a sparse dict column -> entry, as
+    dicts holding only the nonzero entries."""
     return [{c: x for c, x in (row.items() if isinstance(row, dict) else enumerate(row))
-             if not field.is_zero(x)} for row in M]
+             if not is_zero(x)} for row in M]
 
 
-def _eliminate(rows: list, field: Field, ncols: int, markowitz: bool) -> list:
+def _eliminate(rows: list, ops: _Ops, inv, ncols: int, markowitz: bool) -> list:
     """Sparse Gauss-Jordan on ``rows`` in place; returns (row, col, pivot)s.
 
-    Each pivot row ends scaled to 1 at its column, which is zero in every
-    other row; columns >= ncols (a right-hand side) are never pivots.  With
-    ``markowitz`` the pivot is the shortest unpivoted row and its column with
-    the fewest rows, stopping at a row with no column left (the matrix is
-    singular); otherwise columns go left to right: reduced row echelon form.
+    ``inv`` returns the inverse of an entry, or None for a non-unit.  Each
+    pivot row ends scaled to 1 at its column, which is zero in every other
+    row; columns >= ncols (a right-hand side) are never pivots.  With
+    ``markowitz`` the pivot is a unit entry of the shortest unpivoted row,
+    in its column with the fewest rows; otherwise columns go left to right
+    (every nonzero must then be a unit, as over a field).
     """
-    zero, sub, mul = field.zero(), field.sub, field.mul
+    zero, _, sub, mul, is_zero = ops
     colrows = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -57,15 +92,20 @@ def _eliminate(rows: list, field: Field, ncols: int, markowitz: bool) -> list:
     heapify(heap)
     columns = iter(range(ncols))
     pivots = []
-    while active:
+    while active and (heap or not markowitz):
         if markowitz:
             ln, i = heappop(heap)
             if i not in active or ln != len(rows[i]):
                 continue  # stale entry: the row was pivoted or changed length
-            c = min((k for k in rows[i] if k < ncols), default=None,
-                    key=lambda k: (len(colrows[k]), k))
-            if c is None:
+            cols = sorted((k for k in rows[i] if k < ncols), key=lambda k: (len(colrows[k]), k))
+            if not cols:
                 break
+            for c in cols:
+                pinv = inv(rows[i][c])
+                if pinv is not None:
+                    break
+            else:
+                continue  # no unit entry: the row waits for an update
         else:
             c = next(columns, None)
             if c is None:
@@ -74,10 +114,10 @@ def _eliminate(rows: list, field: Field, ncols: int, markowitz: bool) -> list:
                     key=lambda j: (len(rows[j]), j))
             if i is None:
                 continue
+            pinv = inv(rows[i][c])
         active.remove(i)
         prow = rows[i]
         pv = prow[c]
-        pinv = field.inv(pv)
         for k in prow:
             prow[k] = mul(pinv, prow[k])
         pivots.append((i, c, pv))
@@ -87,7 +127,7 @@ def _eliminate(rows: list, field: Field, ncols: int, markowitz: bool) -> list:
             f = row.pop(c)
             for k, y in rest:
                 x = sub(row.get(k, zero), mul(f, y))
-                if field.is_zero(x):
+                if is_zero(x):
                     row.pop(k, None)
                     colrows[k].discard(j)
                 else:
@@ -99,44 +139,71 @@ def _eliminate(rows: list, field: Field, ncols: int, markowitz: bool) -> list:
     return pivots
 
 
-def field_det(M, field: Field):
-    n = len(M)
-    pivots = _eliminate(_sparse_rows(M, field), field, n, True)
-    if len(pivots) < n:
-        return field.zero()
-    det, perm, odd = field.one(), [0] * n, False
+def _det(rows: list, ops: _Ops, inv, tail):
+    """Determinant of the square matrix ``rows`` (sparse, consumed).
+
+    ``tail`` is the determinant of the block elimination could not reduce,
+    given as dense rows; over a field that block never arises.
+    """
+    n = len(rows)
+    pivots = _eliminate(rows, ops, inv, n, True)
+    det, perm = ops.one, [None] * n
     for i, c, pv in pivots:
-        det = field.mul(det, pv)
+        det = ops.mul(det, pv)
         perm[i] = c
-    for i in range(n):  # sort the permutation row -> pivot column by swaps
+    left = [i for i in range(n) if perm[i] is None]
+    if any(not rows[i] for i in left):
+        return ops.zero
+    if left:
+        cols = sorted(set(range(n)).difference(perm))
+        det = ops.mul(det, tail([[rows[i].get(c, ops.zero) for c in cols] for i in left]))
+        for i, c in zip(left, cols):
+            perm[i] = c
+    odd = False
+    for i in range(n):  # sort the permutation row -> column by swaps
         while perm[i] != i:
             j = perm[i]
             perm[i], perm[j] = perm[j], j
             odd = not odd
-    return field.neg(det) if odd else det
+    return ops.sub(ops.zero, det) if odd else det
 
 
-def field_solve(M, b, field: Field):
-    """Solve the square system M x = b; None if M is singular."""
+def _solve(M, b, ops: _Ops, inv):
+    """Solve the square system M x = b, or None if elimination pivots on
+    fewer than n columns."""
     n = len(M)
-    rows = _sparse_rows(M, field)
+    rows = _sparse_rows(M, ops.is_zero)
     for row, bv in zip(rows, b):
-        if not field.is_zero(bv):
+        if not ops.is_zero(bv):
             row[n] = bv
-    pivots = _eliminate(rows, field, n, True)
+    pivots = _eliminate(rows, ops, inv, n, True)
     if len(pivots) < n:
         return None
     x = [None] * n
     for i, c, _ in pivots:
-        x[c] = rows[i].get(n, field.zero())
+        x[c] = rows[i].get(n, ops.zero)
     return x
+
+
+# --------------------------------------------------------------------------
+# field layer: matrices are lists of rows of raw scalars, each row a dense
+# list or a sparse dict column -> scalar
+# --------------------------------------------------------------------------
+
+def field_det(M, field: Field):
+    return _det(_sparse_rows(M, field.is_zero), _field_ops(field), field.inv, None)
+
+
+def field_solve(M, b, field: Field):
+    """Solve the square system M x = b; None if M is singular."""
+    return _solve(M, b, _field_ops(field), field.inv)
 
 
 def field_kernel(M, field: Field, ncols: int):
     """Basis of the kernel of an (m x ncols) matrix, as coordinate lists:
     one vector per free column, set to 1 and the other free columns to 0."""
-    rows = _sparse_rows(M, field)
-    pivots = _eliminate(rows, field, ncols, False)
+    rows = _sparse_rows(M, field.is_zero)
+    pivots = _eliminate(rows, _field_ops(field), field.inv, ncols, False)
     pivot_cols = {c for _, c, _ in pivots}
     basis = []
     for fc in range(ncols):
@@ -151,7 +218,8 @@ def field_kernel(M, field: Field, ncols: int):
 
 
 # --------------------------------------------------------------------------
-# ring layer: matrices are lists of lists of BaseElements
+# ring layer: matrices are lists of rows of BaseElements, each row a dense
+# list (or tuple) or a sparse dict column -> element
 # --------------------------------------------------------------------------
 
 def berkowitz_det(M, ring: BaseRing) -> BaseElement:
@@ -159,123 +227,41 @@ def berkowitz_det(M, ring: BaseRing) -> BaseElement:
     return ring.element(_berkowitz_dicts(ring, raw))
 
 
-def _find_unit_pivot(M, ring: BaseRing, start: int):
-    n = len(M)
-    # cheap first: single-term entries (constants, monomials) invert fastest
-    for sweep in (True, False):
-        for i in range(start, n):
-            for j in range(start, n):
-                e = M[i][j]
-                if e.is_zero or (sweep and len(e.coeffs) != 1):
-                    continue
-                inv = ring.try_inverse(e)
-                if inv is not None:
-                    return i, j, inv
-        if not sweep:
-            break
-    return None
+def _scalars(M) -> list:
+    return [{c: e.constant_scalar() for c, e in row.items()} if isinstance(row, dict)
+            else [e.constant_scalar() for e in row] for row in M]
 
 
 def ring_det(M, ring: BaseRing) -> BaseElement:
     """Determinant over any base ring: unit-pivot elimination, Berkowitz tail."""
-    n = len(M)
-    if n == 0:
-        return ring.one()
     if ring.is_field:
-        K = ring.field
-        scal = field_det([[e.constant_scalar() for e in row] for row in M], K)
-        return ring.from_scalar(scal)
-    A = [list(row) for row in M]  # canonical-matrix rows are tuples
-    sign = False
-    diag = []
-    for step in range(n):
-        found = _find_unit_pivot(A, ring, step)
-        if found is None:
-            tail = [[A[i][j] for j in range(step, n)] for i in range(step, n)]
-            rest = berkowitz_det(tail, ring)
-            acc = rest
-            for d in diag:
-                acc = acc * d
-            return -acc if sign else acc
-        i, j, pinv = found
-        if i != step:
-            A[step], A[i] = A[i], A[step]
-            sign = not sign
-        if j != step:
-            for row in A:
-                row[step], row[j] = row[j], row[step]
-            sign = not sign
-        diag.append(A[step][step])
-        nz = [(k, y) for k, y in enumerate(A[step]) if k > step and not y.is_zero]
-        for r in range(step + 1, n):
-            row = A[r]
-            f = row[step]
-            if f.is_zero:
-                continue
-            f = f * pinv
-            row[step] = ring.zero()
-            for k, y in nz:
-                row[k] = row[k] - f * y
-    acc = ring.one()
-    for d in diag:
-        acc = acc * d
-    return -acc if sign else acc
+        return ring.from_scalar(field_det(_scalars(M), ring.field))
+    return _det(_sparse_rows(M, operator.attrgetter("is_zero")), _ring_ops(ring),
+                _unit_inverse(ring), lambda block: berkowitz_det(block, ring))
 
 
 def ring_solve(M, b, ring: BaseRing):
     """Solve the square system M x = b over the ring.
 
     Returns the unique solution when the determinant is a unit, else None.
-    Unit-pivot Gauss-Jordan; if some block has no unit entry the rare Cramer
-    fallback takes over (division-free determinants, one per unknown).
+    A system whose elimination stalls goes to Cramer's rule.
     """
-    n = len(M)
     if ring.is_field:
-        K = ring.field
-        sol = field_solve([[e.constant_scalar() for e in row] for row in M],
-                          [e.constant_scalar() for e in b], K)
-        if sol is None:
-            return None
-        return [ring.from_scalar(c) for c in sol]
-    A = [row[:] + [bv] for row, bv in zip(M, b)]
-    colperm = list(range(n))
-    for step in range(n):
-        found = _find_unit_pivot(A, ring, step)
-        if found is None:
-            return _cramer_solve(M, b, ring)
-        i, j, pinv = found
-        if i != step:
-            A[step], A[i] = A[i], A[step]
-        if j != step:
-            for row in A:
-                row[step], row[j] = row[j], row[step]
-            colperm[step], colperm[j] = colperm[j], colperm[step]
-        prow = A[step]
-        nz = [k for k, y in enumerate(prow) if k != step and not y.is_zero]
-        for k in nz:
-            prow[k] = pinv * prow[k]
-        prow[step] = ring.one()
-        for r in range(n):
-            row = A[r]
-            f = row[step]
-            if r == step or f.is_zero:
-                continue
-            row[step] = ring.zero()
-            for k in nz:
-                row[k] = row[k] - f * prow[k]
-    x = [None] * n
-    for row_i in range(n):
-        x[colperm[row_i]] = A[row_i][n]
-    return x
+        sol = field_solve(_scalars(M), [e.constant_scalar() for e in b], ring.field)
+        return None if sol is None else [ring.from_scalar(c) for c in sol]
+    x = _solve(M, b, _ring_ops(ring), _unit_inverse(ring))
+    return _cramer_solve(M, b, ring) if x is None else x
 
 
 def _cramer_solve(M, b, ring: BaseRing):
+    n, zero = len(M), ring.zero()
+    M = [[row.get(c, zero) for c in range(n)] if isinstance(row, dict) else row for row in M]
     d = berkowitz_det(M, ring)
     dinv = ring.try_inverse(d)
     if dinv is None:
         return None
     out = []
-    for j in range(len(M)):
-        Mj = [[b[i] if c == j else M[i][c] for c in range(len(M))] for i in range(len(M))]
+    for j in range(n):
+        Mj = [[b[i] if c == j else M[i][c] for c in range(n)] for i in range(n)]
         out.append(berkowitz_det(Mj, ring) * dinv)
     return out

@@ -24,11 +24,9 @@ absorbed, and for each root extension the norm is a unit, recursing to k:
 norm via the characteristic polynomial of the multiplication operator on the
 rank-n free module over the prefix ring, inverse via Cayley-Hamilton,
 re-verified by multiplication (an explicit check, not an assert, so
-``python -O`` keeps it).  The procedure is complete for every tower in which
-Laurent generators precede root adjunctions (all rings the admissible
-constructors produce); a hand-built tower putting a Laurent generator above a
-root adjunction that created idempotents could have exotic mixed units it
-reports as non-units.
+``python -O`` keeps it).  Laurent generators must precede every root
+adjunction (TowerOrderError otherwise): above a root adjunction that created
+idempotents, a unit need not be a single Laurent monomial times a unit.
 
 An optional grading assigns a non-negative degree to each generator.  Only
 free generators may carry positive degree: a graded unit would otherwise be
@@ -47,6 +45,7 @@ from .errors import (
     GradingError,
     NonUnitError,
     RingMismatchError,
+    TowerOrderError,
 )
 from .fields import Field
 
@@ -78,12 +77,15 @@ class BaseRing:
         names = [g.name for g in self.gens]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names in {names}")
-        for g in self.gens:
+        for i, g in enumerate(self.gens):
             if g.grade < 0:
                 raise GradingError(f"generator {g.name} has negative grade")
             if g.grade > 0 and g.kind != FREE:
                 raise GradingError(
                     f"generator {g.name} is {g.kind}; only free generators may have positive grade")
+            if g.kind == LAURENT and any(h.kind == ROOT for h in self.gens[:i]):
+                raise TowerOrderError(
+                    f"laurent generator {g.name} comes after a root adjunction")
         self._index = {g.name: i for i, g in enumerate(self.gens)}
         self._root_indices = tuple(i for i, g in enumerate(self.gens) if g.kind == ROOT)
         self._prefix_cache: dict[int, BaseRing] = {}
@@ -347,7 +349,7 @@ class BaseRing:
         if g.kind == LAURENT:
             exps = {mono[-1] for mono in d}
             if len(exps) != 1:
-                return None  # see module docstring for the completeness caveat
+                return None  # no root lies below g, so the prefix is a domain
             e = exps.pop()
             inv = sub._try_inv_dict({mono[:-1]: c for mono, c in d.items()})
             if inv is None:

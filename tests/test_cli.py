@@ -190,6 +190,22 @@ def test_bad_field_is_input_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {pointer}: {message}\n"
 
 
+def test_laurent_above_root_is_rejected(tmp_path, capsys):
+    path = tmp_path / "tower.json"
+    gens = [{"name": "r", "kind": "root", "degree": 2, "value": "1"},
+            {"name": "z", "kind": "laurent"}]
+    path.write_text(json.dumps({"field": "Q", "rings": {"R": {"gens": gens}},
+                                "hopf_algebras": {"S": {"construction": "sweedler"}}}))
+    assert main(["verify-hopf", str(path), "S"]) == 1
+    assert capsys.readouterr().err == \
+        "rejected: laurent generator z comes after a root adjunction\n"
+    gens.reverse()
+    gens[1]["value"] = "z"
+    path.write_text(json.dumps({"field": "Q", "rings": {"R": {"gens": gens}},
+                                "hopf_algebras": {"S": {"construction": "sweedler"}}}))
+    assert main(["verify-hopf", str(path), "S"]) == 0
+
+
 def test_no_witnesses_is_input_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"field": "Q"}\n')

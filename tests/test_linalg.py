@@ -6,9 +6,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfgal import linalg
+from hopfgal.bundles import kummer_bundle
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
+from hopfgal.galois import canonical_matrix
 from hopfgal.homotopy import identity_matrix
 from hopfgal.linalg import (
+    _cramer_solve,
     berkowitz_det,
     field_det,
     field_kernel,
@@ -16,7 +20,7 @@ from hopfgal.linalg import (
     ring_det,
     ring_solve,
 )
-from hopfgal.rings import adjoin_root, base_ring, laurent_ring, polynomial_ring
+from hopfgal.rings import BaseRing, adjoin_root, base_ring, laurent_ring, polynomial_ring
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -199,6 +203,91 @@ def test_ring_det_no_unit_entry_falls_back() -> None:
     x = ring.gen("x")
     M = [[x, x * x], [x * x, x]]
     assert ring_det(M, ring) == x * x - x ** 4
+
+
+def _stalling_matrices(rng):
+    """(ring, matrix, k, m): a k x k block of constants, invertible over Q,
+    and an m x m block with no unit entry, with rows and columns permuted at
+    random.  The off-diagonal blocks keep the lower-right block free of
+    units however elimination proceeds, so exactly k pivots are taken.
+
+    Over Q[x] both off-diagonal blocks lie in x Q[x], so the determinant is
+    no unit.  Over Q[r | r^2=1], with the idempotents e, f = (1 +- r)/2, the
+    upper-right entries are multiples of e and the lower-left ones of f
+    (ef = 0), and the m x m block has multiples of e on its diagonal and of
+    f next to it: its determinant is a e + b f with nonzero scalars a and b,
+    a unit.
+    """
+    P = polynomial_ring(QQ, "x")
+    x = P.gen("x")
+    E, _, r = adjoin_root(base_ring(QQ), base_ring(QQ).one(), 2, name="r")
+    e, f = (E.one() + r) / 2, (E.one() - r) / 2
+
+    def c(nonzero=False):
+        return rng.randint(1, 3) if nonzero else rng.randint(-3, 3)
+
+    def poly_block(m):
+        return [[x * c() + x * x * c() for _ in range(m)] for _ in range(m)]
+
+    def idempotent_block(m):
+        return [[e * c(True) if j == i else f * c(True) if j == (i + 1) % m else E.zero()
+                 for j in range(m)] for i in range(m)]
+
+    for ring, upper, lower, block in ((P, x, x, poly_block), (E, e, f, idempotent_block)):
+        for k in (1, 2, 3):
+            for m in (2, 3):
+                A = [[ring.zero()]]
+                while berkowitz_det(A, ring).is_zero:
+                    A = [[ring.from_int(c()) for _ in range(k)] for _ in range(k)]
+                B = block(m)
+                M = ([A[i] + [upper * c() for _ in range(m)] for i in range(k)]
+                     + [[lower * c() for _ in range(k)] + B[i] for i in range(m)])
+                rows, cols = list(range(k + m)), list(range(k + m))
+                rng.shuffle(rows)
+                rng.shuffle(cols)
+                yield ring, [[M[i][j] for j in cols] for i in rows], k, m
+
+
+def test_ring_kernel_stalls_on_a_block_without_units(monkeypatch) -> None:
+    rng = random.Random(12)
+    blocks = []
+
+    def recording(block, ring):
+        blocks.append(len(block))
+        return berkowitz_det(block, ring)
+    monkeypatch.setattr(linalg, "berkowitz_det", recording)
+    seen_unit = False
+    for ring, M, k, m in _stalling_matrices(rng):
+        del blocks[:]
+        det = ring_det(M, ring)
+        assert blocks == [m]  # k pivots, then one Berkowitz tail
+        assert det == berkowitz_det(M, ring)
+        b = [ring.from_int(rng.randint(-3, 3)) for _ in range(k + m)]
+        x = ring_solve(M, b, ring)
+        assert x == _cramer_solve(M, b, ring)
+        assert (x is not None) == ring.is_unit(det)
+        if x is not None:
+            seen_unit = True
+            assert _mat_vec(M, x, ring) == b
+    assert seen_unit
+
+
+def test_ring_det_tests_each_entry_for_a_unit_once(monkeypatch) -> None:
+    K = PrimeField(241)
+    q = next(K.from_int(a) for a in range(2, 241) if K.has_order(K.from_int(a), 8))
+    A = kummer_bundle(8, q, K)
+    M = canonical_matrix(A).rows()
+    tested = []
+    try_inverse = BaseRing.try_inverse
+
+    def recording(ring, a):
+        tested.append(frozenset(a.coeffs.items()))
+        return try_inverse(ring, a)
+    monkeypatch.setattr(BaseRing, "try_inverse", recording)
+    det = ring_det(M, A.base)
+    monkeypatch.undo()
+    assert A.base.is_unit(det)
+    assert tested and len(tested) == len(set(tested))
 
 
 # --------------------------------------------------------------------------

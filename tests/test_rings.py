@@ -7,8 +7,10 @@ from hopfgal.errors import (
     BadScalarError,
     CharDividesError,
     GradingError,
+    MathError,
     NonUnitError,
     RingMismatchError,
+    TowerOrderError,
 )
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.rings import (
@@ -158,6 +160,19 @@ def test_grading_validation() -> None:
     assert graded.grades == (2,)
     assert graded.has_positive_grading
     assert not laurent_ring(QQ, "z").has_positive_grading
+
+
+def test_laurent_above_root_refused() -> None:
+    # in Q[r | r^2=1][z^+-1], a = e z + f z^2 with the idempotents
+    # e, f = (1 +- r)/2 is a unit (inverse e z^-1 + f z^-2) that is no single
+    # Laurent monomial times a unit, so the tower is refused
+    E, _, _ = adjoin_root(base_ring(QQ), base_ring(QQ).one(), 2, name="r")
+    with pytest.raises(TowerOrderError, match="laurent generator z"):
+        E.add_laurent("z")
+    assert issubclass(TowerOrderError, MathError) and issubclass(GradingError, MathError)
+    E.add_free("x")  # a free generator above a root stays admissible
+    kum, _, _ = adjoin_root(laurent_ring(QQ, "z"), laurent_ring(QQ, "z").gen("z"), 2, name="w")
+    assert kum.is_unit(kum.gen("w"))
 
 
 def test_lift_restrict_round_trip() -> None:
