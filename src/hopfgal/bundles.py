@@ -16,7 +16,6 @@ root-of-unity action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .cleft import CleavingMap, check_cleaving
@@ -34,6 +33,7 @@ from .errors import (
 )
 from .fields import Field, PrimeField
 from .hopf import cyclic_group_algebra, dual_hopf, sweedler_h4
+from .record import Record
 from .report import Report
 from .rings import BaseElement, BaseRing, adjoin_root, laurent_ring
 
@@ -42,8 +42,7 @@ from .rings import BaseElement, BaseRing, adjoin_root, laurent_ring
 # the rank-4 two-generator family
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbgParams:
+class AbgParams(Record, frozen=True):
     """Structure constants (alpha, beta, gamma) of the rank-4 family over C."""
 
     base: BaseRing
@@ -145,8 +144,7 @@ def abg_cleaving(A: ComoduleAlgebra) -> CleavingMap:
 # triviality over a field
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrivialityVerdict:
+class TrivialityVerdict(Record, frozen=True):
     trivial: bool
     s: object = None
     t: object = None
@@ -277,8 +275,7 @@ def search_trivialization(p: AbgParams):
 # square-root reduction of alpha
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SqrtReduction:
+class SqrtReduction(Record, frozen=True):
     source: AbgParams
     target: AbgParams
     matrix: tuple

@@ -16,8 +16,6 @@ check is cheap and leaves nothing implicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import axioms
 from .axioms import accumulate, ring_ops, sparse, terms
 from .comod import (
@@ -38,6 +36,7 @@ from .errors import (
     RingMismatchError,
 )
 from .hopf import HopfAlgebra
+from .record import Record
 from .report import Report
 from .rings import BaseElement, BaseMorphism, BaseRing
 
@@ -59,8 +58,7 @@ def central_coefficient(A: ComoduleAlgebra, vec: dict):
     return c if _clean(dict(vec)) == expect else None
 
 
-@dataclass(frozen=True)
-class CleavingMap:
+class CleavingMap(Record, frozen=True):
     """A convolution-invertible comodule map H -> A with stored inverse."""
 
     algebra: ComoduleAlgebra
@@ -109,8 +107,7 @@ def check_cleaving(A: ComoduleAlgebra, gamma: HModuleMap) -> CleavingMap:
 # cocycle extraction
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(Record, frozen=True):
     """sigma: H (x) H -> C on basis pairs; sigma[a][b] = sigma(h_a, h_b)."""
 
     base: BaseRing

@@ -21,8 +21,6 @@ axiom checker of ``axioms``, the one that also verifies Hopf algebras.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import axioms
 from .axioms import accumulate, field_ops, record, ring_ops, sparse, terms
 from .errors import (
@@ -34,6 +32,7 @@ from .errors import (
 )
 from .hopf import HopfAlgebra
 from .linalg import field_kernel, ring_det, ring_solve
+from .record import Record
 from .report import Report
 from .rings import BaseElement, BaseMorphism, BaseRing
 
@@ -42,8 +41,7 @@ def _clean(d: dict) -> dict:
     return {k: v for k, v in d.items() if not v.is_zero}
 
 
-@dataclass(frozen=True)
-class ComoduleAlgebra:
+class ComoduleAlgebra(Record, frozen=True):
     base: BaseRing
     hopf: HopfAlgebra
     labels: tuple
@@ -297,8 +295,7 @@ def map_matrix_entries(f: BaseMorphism, M: list) -> list:
 # linear maps from H and convolution
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HModuleMap:
+class HModuleMap(Record, frozen=True):
     """A C-linear map H -> A given by its values on the H basis."""
 
     algebra: ComoduleAlgebra

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dc_field
 from functools import cache
 from importlib import resources
 
@@ -29,21 +28,21 @@ from .comod import ComoduleAlgebra, HModuleMap, trivial_bundle
 from .bundles import AbgParams, abg_bundle, kummer_bundle
 from .homotopy import (ROOT_ADJUNCTION, EtaleStep, HomotopyWitness,
                        _frozen_matrix)
+from .record import Record
 
 FREE, LAURENT, ROOT = "free", "laurent", "root"
 
 
-@dataclass
-class Document:
+class Document(Record):
     """The resolved object graph of one interchange file."""
 
     field: Field
-    rings: dict = dc_field(default_factory=dict)
-    hopf_algebras: dict = dc_field(default_factory=dict)
-    morphisms: dict = dc_field(default_factory=dict)
-    bundles: dict = dc_field(default_factory=dict)
-    cleavings: dict = dc_field(default_factory=dict)
-    witnesses: dict = dc_field(default_factory=dict)
+    rings: dict = {}
+    hopf_algebras: dict = {}
+    morphisms: dict = {}
+    bundles: dict = {}
+    cleavings: dict = {}
+    witnesses: dict = {}
 
 
 @cache
@@ -258,16 +257,16 @@ def parse_ring(K: Field, spec, pointer) -> BaseRing:
     R = base_ring(K)
     for i, g in enumerate(spec["gens"]):
         here = f"{pointer}/gens/{i}"
-        kind = g["kind"]
+        kind, grade = g["kind"], g.get("grade", 0)
         if kind == FREE:
-            R = R.add_free(g["name"], grade=g.get("grade", 0))
+            R = R.add_free(g["name"], grade=grade)
         elif kind == LAURENT:
-            R = R.add_laurent(g["name"])
+            R = R.add_laurent(g["name"], grade=grade)
         else:
             if "value" not in g:
                 raise SchemaError(here, "root generator needs a value")
             u = _element(R, g["value"], here + "/value")
-            R, _, _ = adjoin_root(R, u, g.get("degree", 2), g["name"])
+            R, _, _ = adjoin_root(R, u, g.get("degree", 2), g["name"], grade=grade)
     return R
 
 

@@ -588,6 +588,28 @@ class SimpleExtension(Field):
 # scalar expression parsing: +, -, *, /, integer powers, over any Field
 # --------------------------------------------------------------------------
 
+# Largest |e| in a power b^e whose value can grow.  Exponents of nested powers
+# multiply, so ((2^16)^16)^16 is refused like 2^4096.
+MAX_POWER = 256
+
+
+def exponent(node) -> int:
+    """The integer literal, possibly negated, that an ast power node raises to."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        sign, node = -1, node.operand
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, int)):
+        raise BadScalarError("exponent must be an integer literal")
+    return sign * node.value
+
+
+def check_power(e: int, room: int, grows: bool):
+    """Refuse b^e when b can grow and |e| exceeds the room the enclosing powers left."""
+    if grows and abs(e) > room:
+        nested = "" if room == MAX_POWER else " once multiplied by the enclosing exponents"
+        raise BadScalarError(f"exponent {e} exceeds the exponent cap {MAX_POWER}{nested}")
+
+
 def _eval_scalar(field: Field, text: str, names: dict):
     try:
         tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
@@ -599,7 +621,7 @@ def _eval_scalar(field: Field, text: str, names: dict):
         raise BadScalarError(f"division by zero in scalar {text!r}") from None
 
 
-def _eval_node(field: Field, node, names):
+def _eval_node(field: Field, node, names, room=MAX_POWER):
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
             return field.from_int(node.value)
@@ -609,20 +631,17 @@ def _eval_node(field: Field, node, names):
             return names[node.id]
         raise BadScalarError(f"unknown name {node.id!r} in scalar")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        v = _eval_node(field, node.operand, names)
+        v = _eval_node(field, node.operand, names, room)
         return field.neg(v) if isinstance(node.op, ast.USub) else v
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Pow):
-            base = _eval_node(field, node.left, names)
-            exp = node.right
-            sign = 1
-            if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
-                sign, exp = -1, exp.operand
-            if not (isinstance(exp, ast.Constant) and isinstance(exp.value, int)):
-                raise BadScalarError("exponent must be an integer literal")
-            return field.pow(base, sign * exp.value)
-        a = _eval_node(field, node.left, names)
-        b = _eval_node(field, node.right, names)
+            e = exponent(node.right)
+            base = _eval_node(field, node.left, names, room // max(abs(e), 1))
+            check_power(e, room, not field.is_finite() and base not in (
+                field.zero(), field.one(), field.neg(field.one())))
+            return field.pow(base, e)
+        a = _eval_node(field, node.left, names, room)
+        b = _eval_node(field, node.right, names, room)
         if isinstance(node.op, ast.Add):
             return field.add(a, b)
         if isinstance(node.op, ast.Sub):

@@ -14,10 +14,9 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .comod import ComoduleAlgebra, verify_comodule_algebra
 from .linalg import ring_det
+from .record import Record
 from .report import Report
 from .rings import BaseElement
 
@@ -26,8 +25,7 @@ RANK_MISMATCH = "rank_mismatch"
 NOT_BIJECTIVE = "not_bijective"
 
 
-@dataclass(frozen=True)
-class CanonicalMatrix:
+class CanonicalMatrix(Record, frozen=True):
     """Matrix of beta; rows (l, k) as l*d + k, columns (i, j) as i*n + j."""
 
     algebra: ComoduleAlgebra
@@ -69,8 +67,7 @@ def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
     return CanonicalMatrix(A, entries)
 
 
-@dataclass(frozen=True)
-class GaloisVerdict:
+class GaloisVerdict(Record, frozen=True):
     status: str
     det: BaseElement | None = None
 

@@ -12,8 +12,6 @@ family backwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import axioms
 from .axioms import ring_ops, sparse
 from .errors import (BaseMismatchError, CharTwoError, MathError,
@@ -22,6 +20,7 @@ from .errors import (BaseMismatchError, CharTwoError, MathError,
 from .rings import (BaseMorphism, IntervalRing, adjoin_root, compose,
                     extend_with_t, fresh_name, identity_morphism,
                     inclusion_morphism)
+from .record import Record
 from .report import Report
 from .hopf import is_commutative_hopf
 from .comod import (ComoduleAlgebra, check_iso, map_matrix_entries,
@@ -44,8 +43,7 @@ def _frozen_matrix(M) -> tuple:
 # --------------------------------------------------------------- base steps
 
 
-@dataclass(frozen=True)
-class EtaleStep:
+class EtaleStep(Record, frozen=True):
     """An admissible extension of the base: a tower of root adjunctions.
 
     The recipe records each adjunction as (kind, value, degree, name), so
@@ -133,8 +131,7 @@ def transport_step(step: EtaleStep, f: BaseMorphism):
 # ---------------------------------------------------------------- witnesses
 
 
-@dataclass(frozen=True)
-class HomotopyWitness:
+class HomotopyWitness(Record, frozen=True):
     """A family over the interval with certified endpoint fibres.
 
     The two matrices identify the pushed-forward endpoint bundles with the
@@ -233,8 +230,7 @@ def _link_ends(link):
     return (w.at_zero, w.at_one) if forward else (w.at_one, w.at_zero)
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(Record, frozen=True):
     """Witnesses laid end to end; links are (witness, forward) pairs.
 
     A backward link contributes its family run from 1 to 0, which is how a

@@ -21,8 +21,6 @@ multiplicative order N, cyclic group algebras, and duals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import axioms
 from .axioms import accumulate, field_ops, first, record, sparse, terms
 from .errors import (
@@ -32,14 +30,14 @@ from .errors import (
 )
 from .fields import Field
 from .linalg import field_det, field_solve
+from .record import Record
 from .report import Report
 
 Vec = dict  # index -> scalar
 Tens2 = dict  # (index, index) -> scalar
 
 
-@dataclass(frozen=True)
-class Bialgebra:
+class Bialgebra(Record, frozen=True):
     field: Field
     labels: tuple
     mult: dict
@@ -104,8 +102,7 @@ class Bialgebra:
         return hash((self.field, self.labels))
 
 
-@dataclass(frozen=True, eq=False)
-class HopfAlgebra(Bialgebra):
+class HopfAlgebra(Bialgebra, frozen=True):
     antipode: tuple = ()
 
     def antipode_vec(self, a: Vec) -> Vec:

@@ -7,11 +7,10 @@ and serialize deterministically for the CLI's machine-readable output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
-@dataclass
-class Check:
+class Check(Record):
     name: str
     ok: bool
     witness: str = ""
@@ -23,11 +22,10 @@ class Check:
         return out
 
 
-@dataclass
-class Report:
+class Report(Record):
     title: str
-    checks: list[Check] = field(default_factory=list)
-    subreports: list["Report"] = field(default_factory=list)
+    checks: list[Check] = []
+    subreports: list["Report"] = []
 
     def add(self, name: str, ok: bool, witness: str = "") -> bool:
         self.checks.append(Check(name, ok, witness if not ok else ""))

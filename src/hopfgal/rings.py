@@ -37,7 +37,6 @@ ring.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 
 from .errors import (
     BadScalarError,
@@ -47,15 +46,15 @@ from .errors import (
     RingMismatchError,
     TowerOrderError,
 )
-from .fields import Field
+from .fields import MAX_POWER, Field, check_power, exponent
+from .record import Record
 
 FREE = "free"
 LAURENT = "laurent"
 ROOT = "root"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record, frozen=True):
     name: str
     kind: str
     degree: int = 0  # root generators: the n of g^n = u
@@ -137,8 +136,8 @@ class BaseRing:
     def add_free(self, name: str, grade: int = 0) -> BaseRing:
         return self._extended(Generator(name, FREE, grade=grade))
 
-    def add_laurent(self, name: str) -> BaseRing:
-        return self._extended(Generator(name, LAURENT))
+    def add_laurent(self, name: str, grade: int = 0) -> BaseRing:
+        return self._extended(Generator(name, LAURENT, grade=grade))
 
     def prefix(self, k: int) -> BaseRing:
         if k == len(self.gens):
@@ -449,7 +448,17 @@ class BaseRing:
             raise BadScalarError(f"cannot parse element {text!r}: {exc.msg}") from None
         return self._eval_node(tree.body, names)
 
-    def _eval_node(self, node, names) -> BaseElement:
+    def _power_grows(self, a: BaseElement) -> bool:
+        """Whether powers of a can grow.  They cannot when a is one term, free
+        of root generators, whose coefficient is +-1 or lies in a finite field."""
+        if len(a.coeffs) != 1:
+            return True
+        [(m, c)] = a.coeffs.items()
+        K = self.field
+        return (any(m[i] for i in self._root_indices)
+                or not (K.is_finite() or c in (K.one(), K.neg(K.one()))))
+
+    def _eval_node(self, node, names, room=MAX_POWER) -> BaseElement:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, int):
                 return self.from_int(node.value)
@@ -459,26 +468,21 @@ class BaseRing:
                 return names[node.id]
             raise BadScalarError(f"unknown name {node.id!r} in element over {self!r}")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = self._eval_node(node.operand, names)
+            v = self._eval_node(node.operand, names, room)
             return -v if isinstance(node.op, ast.USub) else v
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Pow):
-                base = self._eval_node(node.left, names)
-                exp = node.right
-                sign = 1
-                if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
-                    sign, exp = -1, exp.operand
-                if not (isinstance(exp, ast.Constant) and isinstance(exp.value, int)):
-                    raise BadScalarError("exponent must be an integer literal")
-                e = sign * exp.value
+                e = exponent(node.right)
+                base = self._eval_node(node.left, names, room // max(abs(e), 1))
+                check_power(e, room, self._power_grows(base))
                 if e < 0:
                     inv = self.try_inverse(base)
                     if inv is None:
                         raise BadScalarError(f"negative power of the non-unit {base}")
                     return inv ** (-e)
                 return base ** e
-            a = self._eval_node(node.left, names)
-            b = self._eval_node(node.right, names)
+            a = self._eval_node(node.left, names, room)
+            b = self._eval_node(node.right, names, room)
             if isinstance(node.op, ast.Add):
                 return a + b
             if isinstance(node.op, ast.Sub):
@@ -659,13 +663,14 @@ def fresh_name(ring: BaseRing, stem: str) -> str:
     return f"{stem}{i}"
 
 
-def adjoin_root(ring: BaseRing, u: BaseElement, n: int, name: str | None = None):
+def adjoin_root(ring: BaseRing, u: BaseElement, n: int, name: str | None = None,
+                grade: int = 0):
     """Adjoin an n-th root of the unit u: returns (extension, inclusion, root).
 
     The extension k-tower gains one root generator r with r^n = u.  Requires
     u to be a unit (NonUnitError) and n to be invertible in the ground field
     (CharDividesError); under those hypotheses the extension is etale, hence
-    still reduced.
+    still reduced.  A root generator takes no grade (GradingError).
     """
     if u.ring != ring:
         raise RingMismatchError("root value must live in the ring being extended")
@@ -679,13 +684,12 @@ def adjoin_root(ring: BaseRing, u: BaseElement, n: int, name: str | None = None)
     nm = name or fresh_name(ring, "r")
     if nm in {g.name for g in ring.gens}:
         raise ValueError(f"generator name {nm} already used")
-    ext = ring._extended(Generator(nm, ROOT, degree=n), root_value=u.coeffs)
+    ext = ring._extended(Generator(nm, ROOT, degree=n, grade=grade), root_value=u.coeffs)
     incl = inclusion_morphism(ring, ext)
     return ext, incl, ext.gen(nm)
 
 
-@dataclass(frozen=True)
-class IntervalRing:
+class IntervalRing(Record, frozen=True):
     """A ring C[t] with inclusion and the two evaluation morphisms."""
 
     ring: BaseRing

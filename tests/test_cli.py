@@ -206,6 +206,24 @@ def test_laurent_above_root_is_rejected(tmp_path, capsys):
     assert main(["verify-hopf", str(path), "S"]) == 0
 
 
+@pytest.mark.parametrize("gen", [
+    {"name": "z", "kind": "laurent", "grade": 1},
+    {"name": "r", "kind": "root", "degree": 2, "value": "1", "grade": 1},
+])
+def test_graded_laurent_or_root_generator_is_rejected(tmp_path, capsys, gen):
+    path = tmp_path / "graded.json"
+    path.write_text(json.dumps({"field": "Q", "rings": {"R": {"gens": [gen]}},
+                                "hopf_algebras": {"S": {"construction": "sweedler"}}}))
+    assert main(["verify-hopf", str(path), "S"]) == 1
+    assert capsys.readouterr().err == (
+        f"rejected: generator {gen['name']} is {gen['kind']}; "
+        "only free generators may have positive grade\n")
+    ungraded = {k: v for k, v in gen.items() if k != "grade"}
+    path.write_text(json.dumps({"field": "Q", "rings": {"R": {"gens": [ungraded]}},
+                                "hopf_algebras": {"S": {"construction": "sweedler"}}}))
+    assert main(["verify-hopf", str(path), "S"]) == 0
+
+
 def test_no_witnesses_is_input_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"field": "Q"}\n')

@@ -7,9 +7,13 @@ is already normal.  Constructor shorthands parse but are not reproduced.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hopfgal
 from hopfgal.bundles import AbgParams, kummer_bundle
 from hopfgal.document import (
     Document,
@@ -21,7 +25,7 @@ from hopfgal.errors import BadScalarError, SchemaError, UnresolvedReferenceError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.homotopy import cleft_trivialization_witness, verify_witness
 from hopfgal.hopf import dual_hopf, cyclic_group_algebra, sweedler_h4, taft, verify_hopf
-from hopfgal.rings import base_ring
+from hopfgal.rings import adjoin_root, base_ring
 
 
 def parse_obj(obj):
@@ -141,6 +145,69 @@ def test_bad_scalar_carries_location():
                    "bundles": {"A": {"construction": "abg", "ring": "C",
                                      "alpha": "1", "beta": "q", "gamma": "0"}}})
     assert "/bundles/A/beta" in str(exc.value)
+
+
+_POLY_RING = {"C": {"gens": [{"name": "u", "kind": "free"}, {"name": "z", "kind": "laurent"}]}}
+
+
+@pytest.mark.parametrize("raw, argv, pointer", [
+    # kept `witness verify` running past 10 s
+    ({"field": "Q", "rings": {"C": {"gens": [{"name": "u", "kind": "free"}]}},
+      "morphisms": {"f": {"source": "C", "target": "C", "images": {"u": "(1+u)^100000"}}}},
+     ["witness", "verify", "{}"], "/morphisms/f/images/u"),
+    # QQ.parse took 4 s on this scalar
+    ({"field": "Q", "hopf_algebras": {"T": {"construction": "taft", "order": 2,
+                                            "q": "3^10000000"}}},
+     ["verify-hopf", "{}", "T"], "/hopf_algebras/T/q"),
+])
+def test_huge_power_exits_2_quickly(tmp_path, raw, argv, pointer):
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(raw))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfgal.__file__)))
+    out = subprocess.run([sys.executable, "-m", "hopfgal.cli",
+                          *(a.format(path) for a in argv)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 2
+    assert pointer in out.stderr and "exponent cap 256" in out.stderr
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("z^100000000", True), ("-z^-100000000", True), ("(u*z)^100000001", True),
+    ("(1+u)^256", True), ("2^256*u", True), ("(1+u)^257", False), ("(2*u)^257", False),
+    ("2^257", False), ("(u^2+1)^-300", False), ("((1+u)^16)^16", True),
+    ("((1+u)^16)^17", False), ("(((2^7)^7)^7)^7", False),
+])
+def test_power_cap_applies_only_where_the_value_grows(text, ok):
+    raw = {"field": "Q", "rings": _POLY_RING, "morphisms": {"f": {
+        "source": "C", "target": "C", "images": {"u": text, "z": "z"}}}}
+    if ok:
+        assert not parse_obj(raw).morphisms["f"].images[0].is_zero
+    else:
+        with pytest.raises(BadScalarError, match="/morphisms/f/images/u"):
+            parse_obj(raw)
+
+
+def test_ring_power_cap_over_a_finite_field_and_under_a_root():
+    F = base_ring(PrimeField(61)).add_free("u")
+    big = F.parse_element("(5*u)^100000000")
+    assert big == F.parse_element("u^100000000") * pow(5, 10**8, 61)
+    with pytest.raises(BadScalarError, match="exponent cap"):
+        F.parse_element("(1+u)^300")
+    Z = base_ring(QQ).add_laurent("z")
+    R, _, _ = adjoin_root(Z, Z.gen("z"), 3, "r")
+    assert R.parse_element("r^100") == R.parse_element("z^33*r")
+    with pytest.raises(BadScalarError, match="exponent cap"):
+        R.parse_element("r^1000")  # r^3 = z: a power of a root generator is reduced, so it can grow
+
+
+def test_scalar_power_cap_spares_finite_fields_and_units():
+    assert QQ.parse("(-1)^1000001") == -1 and QQ.parse("0^1000000") == 0
+    assert PrimeField(61).parse("3^10000000") == pow(3, 10000000, 61)
+    assert QQ.parse("(2^16)^16") == 2 ** 256
+    for text in ("3^10000000", "2^-257", "(2^16)^17"):
+        with pytest.raises(BadScalarError, match="exponent cap"):
+            QQ.parse(text)
 
 
 def test_unknown_basis_label_rejected():

@@ -221,8 +221,9 @@ def _fresh(code: str) -> str:
 
 def test_cli_import_leaves_jsonschema_and_thread_pool_unloaded() -> None:
     out = _fresh("import sys, hopfgal.cli\n"
-                 "print('jsonschema' in sys.modules, 'concurrent.futures' in sys.modules)")
-    assert out == ["False", "False"]
+                 "print('jsonschema' in sys.modules, 'concurrent.futures' in sys.modules,\n"
+                 "      'dataclasses' in sys.modules)")
+    assert out == ["False", "False", "False"]
 
 
 def test_valid_document_never_imports_jsonschema(tmp_path) -> None:
