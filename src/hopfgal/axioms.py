@@ -13,6 +13,29 @@ A product of basis elements is read off the table instead of being formed
 from basis vectors, and a product with a coefficient 1 is the other
 factor, so neither costs a multiplication.  Each check returns the first
 failing basis index or tuple in the order its docstring gives, or None.
+
+Checks on generators.  ``word_tree`` finds, by a closure search over the
+multiplication table, a generating set S such that every basis element is
+a unit times a word s_1 (s_2 (... (s_k 1))) in S.  Three reductions use
+it; each only ever certifies a pass, so a failure, a failed premise or a
+missing tree (1 not a unit times one basis element) runs the full scan,
+whose witness is the one reported:
+
+* associativity, once ``unit`` holds: the left nucleus
+  {a : (a b) c = a (b c) for all b, c} is a subalgebra containing 1, so
+  rows i in S suffice (``associativity(..., gens)``);
+* multiplicativity of Delta, of the counit and of a coaction, once
+  ``unit``, associativity and rho(1) = 1 (x) 1 (with counit(1) = 1) hold,
+  and for a bundle once H is unital and associative as well: the
+  elements a with rho(a b) = rho(a) rho(b) for all b form a subalgebra,
+  so rows i in S suffice (``coaction_product(..., gens)``);
+* the antipode (``hopf.solve_antipode``), once unit, counit,
+  associativity and coassociativity hold: the square system is solved on
+  the root and S closed under the left legs of Delta, then extended by
+  S(a_s a_r) = S(a_r) S(a_s); the result is kept only when both antipode
+  identities hold on every basis element, as then it is the unique
+  inverse of id in the convolution algebra.  A singular sub-system, or
+  one that is the whole system, runs the full solve.
 """
 
 from __future__ import annotations
@@ -26,6 +49,7 @@ class Ops(NamedTuple):
     mul: Callable
     is_zero: Callable
     one: object
+    is_unit: Callable
 
 
 def _skipping_one(mul, one):
@@ -41,13 +65,15 @@ def _skipping_one(mul, one):
 
 
 def field_ops(K) -> Ops:
-    return Ops(K.add, _skipping_one(K.mul, K.one()), K.is_zero, K.one())
+    one = K.one()
+    return Ops(K.add, _skipping_one(K.mul, one), K.is_zero, one, lambda c: not K.is_zero(c))
 
 
 def ring_ops(C) -> Ops:
-    """The BaseElement operators of the base ring C."""
-    return Ops(operator.add, _skipping_one(operator.mul, C.one()),
-               operator.attrgetter("is_zero"), C.one())
+    """The BaseElement operators of the base ring C; 1 needs no unit test."""
+    one = C.one()
+    return Ops(operator.add, _skipping_one(operator.mul, one),
+               operator.attrgetter("is_zero"), one, lambda c: c == one or C.is_unit(c))
 
 
 def terms(ops: Ops, vec: dict) -> tuple:
@@ -100,23 +126,89 @@ def unit(ops: Ops, n: int, mult: dict, unit: tuple):
     return None
 
 
-def associativity(ops: Ops, n: int, mult: dict):
+class WordTree(NamedTuple):
+    gens: tuple  # the generating set S, in the order chosen
+    root: int  # 1 = u a_root with u a unit
+    steps: dict  # i -> (s, r, c) with a_s a_r = c a_i, c a unit, in the order reached
+
+
+def word_tree(n: int, mult: dict, unit: tuple, is_unit):
+    """A generating set S, with a step a_s a_r = c a_i for each basis
+    element a_i outside S but the root; None when 1 is not a unit times one
+    basis element.
+
+    A greedy closure search over the table, no linear algebra: the first
+    basis element not reached yet joins S, then every generator multiplies
+    every element reached so far on the left, and a product a_s a_r whose
+    only term is c a_i with c a unit reaches a_i.  So each a_i outside S
+    and the root is c^-1 a_s a_r for an a_r reached before it.
+    """
+    if len(unit) != 1 or not is_unit(unit[0][1]):
+        return None
+    root = unit[0][0]
+    gens, steps, reached, seen = [], {}, [root], {root}
+    done = 0  # reached[:done] have been multiplied by every generator
+
+    def step(s, r):
+        row = mult.get((s, r), ())
+        if len(row) == 1 and row[0][0] not in seen and is_unit(row[0][1]):
+            i, c = row[0]
+            seen.add(i)
+            reached.append(i)
+            steps[i] = (s, r, c)
+
+    for a in range(n):
+        if a in seen:
+            continue
+        gens.append(a)
+        seen.add(a)
+        reached.append(a)
+        for r in reached[:done]:
+            step(a, r)
+        while done < len(reached):
+            r = reached[done]
+            done += 1
+            for s in gens:
+                step(s, r)
+    return WordTree(tuple(gens), root, steps)
+
+
+def unit_tree(ops: Ops, n: int, mult: dict, unit_terms: tuple):
+    """The first failure of ``unit``, and a word tree when there is none."""
+    bad = unit(ops, n, mult, unit_terms)
+    return bad, None if bad is not None else word_tree(n, mult, unit_terms, ops.is_unit)
+
+
+def on_generators(scan, n: int, gens):
+    """scan(rows) on the generators when they are given and pass, else on
+    every row: the generators only ever certify a pass."""
+    if gens is not None and scan(gens) is None:
+        return None
+    return scan(range(n))
+
+
+def associativity(ops: Ops, n: int, mult: dict, gens=None):
     """First (i, j, l) in lexicographic order with (a_i a_j) a_l != a_i (a_j a_l).
 
-    Both sides are formed for all l at once, keyed (l, index).
+    Both sides are formed for all l at once, keyed (l, index).  ``gens``,
+    the generators of a word tree, may be given once ``unit`` holds.
     """
     mul, get = ops.mul, mult.get
     # the terms (l, r, c) of a_k a_l over all l, per k
     times = [[(l, r, c) for l in range(n) for r, c in get((k, l), ())] for k in range(n)]
-    for i in range(n):
-        for j in range(n):
-            left = accumulate(ops, (((l, r), mul(c, m)) for k, c in get((i, j), ())
-                                    for l, r, m in times[k]))
-            right = accumulate(ops, (((l, r), mul(c, m)) for l, k, c in times[j]
-                                     for r, m in get((i, k), ())))
-            if left != right:
-                return i, j, _first_index(left, right)
-    return None
+
+    def scan(rows):
+        for i in rows:
+            for j in range(n):
+                left = accumulate(ops, (((l, r), mul(c, m)) for k, c in get((i, j), ())
+                                        for l, r, m in times[k]))
+                right = accumulate(ops, (((l, r), mul(c, m)) for l, k, c in times[j]
+                                         for r, m in get((i, k), ())))
+                if left != right:
+                    return i, j, _first_index(left, right)
+        return None
+
+    return on_generators(scan, n, gens)
 
 
 def commutativity(n: int, mult: dict):
@@ -150,10 +242,12 @@ def coassociativity(ops: Ops, n: int, coaction: dict, hcomult: dict):
     return None
 
 
-def coaction_product(ops: Ops, n: int, mult: dict, coaction: dict, hmult: dict):
+def coaction_product(ops: Ops, n: int, mult: dict, coaction: dict, hmult: dict, gens=None):
     """First (i, j) in lexicographic order with rho(a_i a_j) != rho(a_i) rho(a_j).
 
     Both sides are formed for all j at once, keyed (j, (index, H-index)).
+    ``gens``, the generators of a word tree, may be given once ``unit``,
+    associativity and rho(1) = 1 (x) 1 hold and H is unital and associative.
     """
     mul, get = ops.mul, mult.get
 
@@ -169,14 +263,17 @@ def coaction_product(ops: Ops, n: int, mult: dict, coaction: dict, hmult: dict):
                             for s, cs in hm:
                                 yield (j, (r, s)), mul(w, cs)
 
-    for i in range(n):
-        lhs = accumulate(ops, (((j, key), mul(c, c2)) for j in range(n)
-                               for l, c in get((i, j), ())
-                               for key, c2 in coaction.get(l, ())))
-        rhs = accumulate(ops, products(coaction.get(i, ())))
-        if lhs != rhs:
-            return i, _first_index(lhs, rhs)
-    return None
+    def scan(rows):
+        for i in rows:
+            lhs = accumulate(ops, (((j, key), mul(c, c2)) for j in range(n)
+                                   for l, c in get((i, j), ())
+                                   for key, c2 in coaction.get(l, ())))
+            rhs = accumulate(ops, products(coaction.get(i, ())))
+            if lhs != rhs:
+                return i, _first_index(lhs, rhs)
+        return None
+
+    return on_generators(scan, n, gens)
 
 
 def antipode(ops: Ops, n: int, mult: dict, comult: dict, S: dict, expect: list, left: bool):

@@ -241,8 +241,9 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
     (c (x) g)(d (x) h) = sum c d sigma(g_(1), h_(1)) (x) g_(2) h_(2)
 
     Normalization of sigma is checked first (BadNormalization), then the
-    result is screened for unitality and associativity on all basis triples
-    (NotAssociative); what survives is a genuine comodule algebra.
+    result is screened for unitality and associativity (NotAssociative, on
+    the generators of a word tree when they pass); what survives is a
+    genuine comodule algebra.
     """
     if sigma.base != base or sigma.hopf != H:
         raise RingMismatchError("cocycle was built over different data")
@@ -264,10 +265,10 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
     A = ComoduleAlgebra(base, H, H.labels, mult, unit, coaction)
     L = H.labels
     table = sparse(ops, mult)
-    bad = axioms.unit(ops, d, table, terms(ops, unit))
+    bad, tree = axioms.unit_tree(ops, d, table, terms(ops, unit))
     if bad is not None:
         raise NotAssociativeError(f"twisted product is not unital on {L[bad]}")
-    bad = axioms.associativity(ops, d, table)
+    bad = axioms.associativity(ops, d, table, None if tree is None else tree.gens)
     if bad is not None:
         i, j, l = bad
         raise NotAssociativeError(

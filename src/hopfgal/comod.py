@@ -147,9 +147,10 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     def fails_on(i):
         return f"fails on {L[i]}"
 
-    record(rep, "unit", axioms.unit(ops, n, mult, unit), fails_on)
-    record(rep, "associativity", axioms.associativity(ops, n, mult),
-           lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
+    bad_unit, tree = axioms.unit_tree(ops, n, mult, unit)
+    record(rep, "unit", bad_unit, fails_on)
+    bad_assoc = axioms.associativity(ops, n, mult, None if tree is None else tree.gens)
+    record(rep, "associativity", bad_assoc, lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
     hcounit = {k: lift(c) for k, c in terms(hops, H.counit)}
     record(rep, "coaction counit", axioms.coaction_counit(ops, n, coaction, hcounit), fails_on)
     record(rep, "coaction coassociativity",
@@ -160,8 +161,16 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     if rho_1 != accumulate(ops, (((i, k), c * u) for i, c in unit for k, u in hunit)):
         rep.add("coaction respects product", False, "rho(1) != 1 (x) 1")
     else:
+        hmult = sparse(hops, H.mult)
+        gens = None
+        # the rows of the generators suffice once A (x) H is unital and associative
+        if tree is not None and bad_assoc is None:
+            bad_hunit, htree = axioms.unit_tree(hops, H.dim, hmult, terms(hops, H.unit))
+            if bad_hunit is None and axioms.associativity(
+                    hops, H.dim, hmult, None if htree is None else htree.gens) is None:
+                gens = tree.gens
         record(rep, "coaction respects product",
-               axioms.coaction_product(ops, n, mult, coaction, lifted(sparse(hops, H.mult))),
+               axioms.coaction_product(ops, n, mult, coaction, lifted(hmult), gens),
                lambda b: f"rho({L[b[0]]}*{L[b[1]]})")
     return rep
 

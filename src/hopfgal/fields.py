@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -610,15 +611,37 @@ def check_power(e: int, room: int, grows: bool):
         raise BadScalarError(f"exponent {e} exceeds the exponent cap {MAX_POWER}{nested}")
 
 
+def _too_long(v) -> bool:
+    """Whether a raw value holds an integer past the interpreter's int-to-str
+    digit limit, which no report could print."""
+    if isinstance(v, tuple):
+        return any(_too_long(c) for c in v)
+    limit = sys.get_int_max_str_digits()
+    if isinstance(v, Fraction):
+        return _too_long(v.numerator) or _too_long(v.denominator)
+    # 8^limit < 10^limit, so a shorter integer has at most `limit` digits
+    return limit > 0 and abs(v).bit_length() > 3 * limit and abs(v) >= 10 ** limit
+
+
+def check_digits(field: Field, values, text: str):
+    """Refuse parsed values that could not be printed; the values of a finite
+    field are bounded by its size."""
+    if not field.is_finite() and any(_too_long(v) for v in values):
+        raise BadScalarError(f"{text!r} evaluates to a number of more than "
+                             f"{sys.get_int_max_str_digits()} digits")
+
+
 def _eval_scalar(field: Field, text: str, names: dict):
     try:
         tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
     except SyntaxError as exc:
         raise BadScalarError(f"cannot parse scalar {text!r}: {exc.msg}") from None
     try:
-        return _eval_node(field, tree.body, names)
+        value = _eval_node(field, tree.body, names)
     except ZeroDivisionError:
         raise BadScalarError(f"division by zero in scalar {text!r}") from None
+    check_digits(field, (value,), text)
+    return value
 
 
 def _eval_node(field: Field, node, names, room=MAX_POWER):

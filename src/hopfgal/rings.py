@@ -46,7 +46,7 @@ from .errors import (
     RingMismatchError,
     TowerOrderError,
 )
-from .fields import MAX_POWER, Field, check_power, exponent
+from .fields import MAX_POWER, Field, check_digits, check_power, exponent
 from .record import Record
 
 FREE = "free"
@@ -446,7 +446,9 @@ class BaseRing:
             tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
         except SyntaxError as exc:
             raise BadScalarError(f"cannot parse element {text!r}: {exc.msg}") from None
-        return self._eval_node(tree.body, names)
+        a = self._eval_node(tree.body, names)
+        check_digits(self.field, a.coeffs.values(), text)
+        return a
 
     def _power_grows(self, a: BaseElement) -> bool:
         """Whether powers of a can grow.  They cannot when a is one term, free

@@ -6,11 +6,14 @@ is re-derived on basis vectors, through copies of the vector operations
 (``mul_vec``, ``comult_vec``, ``tensor_mul``, ``coact_vec``) as the library
 had them, so nothing here shares arithmetic code with the checker beyond
 the field and ring operations.  The tests require the library's reports to
-equal these, check for check and witness for witness.
+equal these, check for check and witness for witness.  ``solve_antipode``
+is the full d^2 x d^2 solve as the library had it before it solved on
+generators first.
 """
 
+from hopfgal.errors import NoAntipodeError
 from hopfgal.fields import Field
-from hopfgal.linalg import field_det
+from hopfgal.linalg import field_det, field_solve
 from hopfgal.report import Report
 
 Vec = dict
@@ -384,3 +387,36 @@ def verify_comodule_algebra(A) -> Report:
         rep.add("coaction respects product", True)
 
     return rep
+
+
+def solve_antipode(B) -> tuple:
+    """The antipode matrix from sum S(h_(1)) h_(2) = counit(h) 1 for every
+    basis element, one k-linear system in all d^2 unknowns S[p][i], then the
+    right-sided identity on basis vectors; NoAntipodeError as the library."""
+    K = B.field
+    d = B.dim
+    M = [{} for _ in range(d * d)]
+    rhs = [K.zero()] * (d * d)
+    for k in range(d):
+        for (i, j), c in B.comult.get(k, {}).items():
+            for p in range(d):
+                for l, m in B.mult.get((p, j), {}).items():
+                    row = M[k * d + l]
+                    row[p * d + i] = K.add(row.get(p * d + i, K.zero()), K.mul(c, m))
+        eps = B.counit.get(k, K.zero())
+        for l, u in B.unit.items():
+            rhs[k * d + l] = K.mul(eps, u)
+    sol = field_solve(M, rhs, K)
+    if sol is None:
+        raise NoAntipodeError(
+            "identity has no convolution inverse: this bialgebra is not a Hopf algebra")
+    S = tuple(tuple(sol[p * d + i] for i in range(d)) for p in range(d))
+    for i in range(d):
+        right: Vec = {}
+        for (j, k), c in _h_comult_vec(B, _h_basis(B, i)).items():
+            Sk = {p: S[p][k] for p in range(d) if not K.is_zero(S[p][k])}
+            right = _vec_add(K, right, _vec_scale(K, c, _h_mul_vec(B, _h_basis(B, j), Sk)))
+        if right != _vec_scale(K, B.counit.get(i, K.zero()), B.unit):
+            raise NoAntipodeError(
+                f"left convolution inverse fails the right-sided identity on {B.labels[i]}")
+    return S

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfgal.axioms import field_ops, ring_ops, sparse, terms, word_tree
 from hopfgal.bundles import AbgParams, abg_bundle, kummer_bundle
 from hopfgal.cleft import Cocycle, trivial_cocycle, twisted_product
 from hopfgal.comod import ComoduleAlgebra, verify_comodule_algebra
@@ -30,10 +31,11 @@ from hopfgal.hopf import (
     taft,
     verify_hopf,
 )
-from hopfgal.rings import base_ring, laurent_ring, polynomial_ring
+from hopfgal.rings import adjoin_root, base_ring, laurent_ring, polynomial_ring
 
 import reference_axioms as ref
 
+F5 = PrimeField(5)
 F7 = PrimeField(7)
 F241 = PrimeField(241)
 QW = SimpleExtension(QQ, "w", (QQ.one(), QQ.one(), QQ.one()))  # w^2 + w + 1
@@ -213,3 +215,120 @@ def test_non_associative_cocycle_message():
     with pytest.raises(NotAssociativeError) as err:
         twisted_product(R, H3, Cocycle(R, H3, tuple(tuple(r) for r in t)))
     assert str(err.value) == "twisted product fails associativity on (g, g, g)"
+
+
+# -------------------------------------------------------------------------
+# checks on generators: the shortcut only ever certifies a pass
+# -------------------------------------------------------------------------
+
+T4 = taft(4, 2, F5)
+KUMMER4 = kummer_bundle(4, F241.from_int(64), F241)  # 64^2 = -1 mod 241
+
+
+def _generators(ops, n, mult, unit):
+    tree = word_tree(n, sparse(ops, mult), terms(ops, unit), ops.is_unit)
+    return None if tree is None else tree.gens
+
+
+def _non_generator_pairs(n, gens):
+    return [(i, j) for i in range(n) for j in range(n) if i not in gens and j not in gens]
+
+
+def test_word_trees_of_taft_and_kummer():
+    assert _generators(field_ops(F5), T4.dim, T4.mult, T4.unit) == (1, 4)  # X, Y
+    assert _generators(ring_ops(KUMMER4.base), KUMMER4.dim, KUMMER4.mult,
+                       KUMMER4.unit) == (1,)  # w
+    # the dual group algebra's unit is the sum of all basis elements: no tree
+    H = KUMMER4.hopf
+    assert _generators(field_ops(F241), H.dim, H.mult, H.unit) is None
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_non_generator_corruptions_match_reference(data):
+    """One or two products of two non-generators are changed, added or zeroed."""
+    hopf = data.draw(st.booleans())
+    mult = T4.mult if hopf else KUMMER4.mult
+    for _ in range(data.draw(st.integers(1, 2))):
+        if hopf:
+            mult = _corrupt_entry(data, mult, _non_generator_pairs(T4.dim, (1, 4)),
+                                  _nonzero_scalar(data, F5), F5.zero())
+        else:
+            C = KUMMER4.base
+            value = C.from_scalar(_nonzero_scalar(data, F241))
+            if data.draw(st.booleans()):
+                value = value * C.gen("z") ** data.draw(st.sampled_from((-1, 1)))
+            mult = _corrupt_entry(data, mult, _non_generator_pairs(KUMMER4.dim, (1,)),
+                                  value, C.zero())
+    if hopf:
+        H = HopfAlgebra(F5, T4.labels, mult, T4.unit, T4.comult, T4.counit, T4.antipode)
+        assert verify_hopf(H).to_json() == ref.verify_hopf(H).to_json()
+    else:
+        A = KUMMER4
+        A = ComoduleAlgebra(A.base, A.hopf, A.labels, mult, A.unit, A.coaction)
+        assert verify_comodule_algebra(A).to_json() == ref.verify_comodule_algebra(A).to_json()
+
+
+def _hopf_table(K, labels, mult, comult, counit):
+    d = len(labels)
+    one, zero = K.one(), K.zero()
+    identity = tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
+    return HopfAlgebra(K, labels, mult, {0: one}, comult, counit, identity)
+
+
+def _non_unit_step():
+    """x x = e y with e = (1 + r)/2 an idempotent non-unit of Q[r | r^2 = 1]:
+    y is no word in x, and (y x) x != y (x x) although every row of x passes."""
+    C0 = base_ring(QQ)
+    C, _, r = adjoin_root(C0, C0.one(), 2, "r")
+    one = C.one()
+    e = C.from_scalar(Fraction(1, 2)) * (one + r)
+    mult = {(0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (1, 0): {1: one},
+            (2, 0): {2: one}, (1, 1): {2: e}, (2, 1): {2: one - e}}
+    return ComoduleAlgebra(C, cyclic_group_algebra(1, QQ), ("1", "x", "y"), mult, {0: one},
+                           {i: {(i, 0): one} for i in range(3)})
+
+
+def _unit_fails():
+    """1 1 = 0 over F2: every row of x passes, (1 1) x != 1 (1 x)."""
+    F2 = PrimeField(2)
+    return _hopf_table(F2, ("1", "x"), {(0, 1): {1: 1}},
+                       {0: {(0, 0): 1}, 1: {(1, 0): 1, (0, 1): 1}}, {0: 1})
+
+
+def _not_unital():
+    """F2[x]/(x^2), x primitive, but Delta(1) = 1 (x) 1 + x (x) x: Delta(x b) =
+    Delta(x) Delta(b) for all b, Delta(1 1) != Delta(1) Delta(1)."""
+    F2 = PrimeField(2)
+    return _hopf_table(F2, ("1", "x"), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                       {0: {(0, 0): 1, (1, 1): 1}, 1: {(1, 0): 1, (0, 1): 1}}, {0: 1})
+
+
+def _hopf_not_associative():
+    """An ABG bundle coacted on by H4 with XY XY = X: H is not associative, and
+    rho(xy xy) != rho(xy) rho(xy) although rho(x b) = rho(x) rho(b) for all b."""
+    H = sweedler_h4(QQ)
+    mult = dict(H.mult)
+    mult[(3, 3)] = {1: QQ.one()}
+    H = HopfAlgebra(QQ, H.labels, mult, H.unit, H.comult, H.counit, H.antipode)
+    C = base_ring(QQ)
+    A = abg_bundle(AbgParams(C, 3, 5, 7))
+    return ComoduleAlgebra(C, H, A.labels, A.mult, A.unit, A.coaction)
+
+
+@pytest.mark.parametrize("build, check", [
+    (_non_unit_step, "associativity"),
+    (_unit_fails, "associativity"),
+    (_not_unital, "comultiplication is multiplicative"),
+    (_hopf_not_associative, "coaction respects product"),
+])
+def test_generator_shortcut_needs_its_premises(build, check):
+    """Each object passes its check on the generator rows alone; a shortcut
+    taken without the closure test or a premise would certify it."""
+    obj = build()
+    if isinstance(obj, HopfAlgebra):
+        rep, want = verify_hopf(obj), ref.verify_hopf(obj)
+    else:
+        rep, want = verify_comodule_algebra(obj), ref.verify_comodule_algebra(obj)
+    assert rep.to_json() == want.to_json()
+    assert [c.ok for c in rep.checks if c.name == check] == [False]

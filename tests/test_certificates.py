@@ -2,7 +2,9 @@
 
 `-O` strips `assert` statements, so no check in the library may be one: a
 static scan of every module rejects them, and the two verifiers must still
-reject corrupted structure constants (exit 1) in an optimized interpreter.
+reject corrupted structure constants (exit 1) in an optimized interpreter,
+and certify a Taft algebra built from its shorthand (antipode and axioms on
+generators) with the same output as without `-O`.
 """
 
 import ast
@@ -50,9 +52,9 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
-def _run_optimized(*args):
+def _run_optimized(*args, flags=("-O",)):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    return subprocess.run([sys.executable, "-O", "-m", "hopfgal.cli", *args], env=env,
+    return subprocess.run([sys.executable, *flags, "-m", "hopfgal.cli", *args], env=env,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -81,3 +83,13 @@ def test_corrupted_structure_constants_rejected_under_optimization(tmp_path):
     out = _run_optimized("verify-bundle", str(path), "A")
     assert out.returncode == 1, out.stderr
     assert "[FAIL] associativity" in out.stdout
+
+
+def test_taft_shorthand_certified_under_optimization(tmp_path):
+    path = tmp_path / "taft.json"
+    path.write_text(json.dumps({"field": "F61", "hopf_algebras": {
+        "T": {"construction": "taft", "order": 5, "q": "9"}}}))  # 9 has order 5 mod 61
+    out = _run_optimized("verify-hopf", str(path), "T", "--json")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["ok"] is True
+    assert out.stdout == _run_optimized("verify-hopf", str(path), "T", "--json", flags=()).stdout

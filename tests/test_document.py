@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -208,6 +209,46 @@ def test_scalar_power_cap_spares_finite_fields_and_units():
     for text in ("3^10000000", "2^-257", "(2^16)^17"):
         with pytest.raises(BadScalarError, match="exponent cap"):
             QQ.parse(text)
+
+
+_PAST_THE_DIGIT_LIMIT = "*".join(["2^256"] * 57)  # 2^14592 has 4,393 digits
+
+
+@pytest.mark.parametrize("raw, argv, pointer", [
+    # crashed in RationalField.format with a traceback (exit 1)
+    ({"field": "Q", "hopf_algebras": {"T": {"construction": "taft", "order": 2,
+                                            "q": _PAST_THE_DIGIT_LIMIT}}},
+     ["verify-hopf", "{}", "T"], "/hopf_algebras/T/q"),
+    ({"field": "Q", "rings": {"C": {"gens": [{"name": "u", "kind": "free"}]}},
+      "morphisms": {"f": {"source": "C", "target": "C",
+                          "images": {"u": f"u/({_PAST_THE_DIGIT_LIMIT})"}}}},
+     ["witness", "verify", "{}"], "/morphisms/f/images/u"),
+])
+def test_scalar_past_the_digit_limit_exits_2(tmp_path, raw, argv, pointer):
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(raw))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfgal.__file__)))
+    out = subprocess.run([sys.executable, "-m", "hopfgal.cli",
+                          *(a.format(path) for a in argv)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 2, out.stderr
+    assert pointer in out.stderr and "more than 4300 digits" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_digit_limit_is_exact():
+    ten_4096 = "*".join(["10^256"] * 16)
+    assert QQ.parse(f"{ten_4096}*10^203") == 10 ** 4299  # 4,300 digits
+    assert QQ.parse(f"-1/({ten_4096}*10^203)") == Fraction(-1, 10 ** 4299)
+    for text in (f"{ten_4096}*10^204", f"1/({ten_4096}*10^204)"):
+        with pytest.raises(BadScalarError, match="more than 4300 digits"):
+            QQ.parse(text)
+    QW = SimpleExtension(QQ, "w", (QQ.one(), QQ.one(), QQ.one()))
+    with pytest.raises(BadScalarError, match="more than 4300 digits"):
+        QW.parse(f"1 + w*{ten_4096}*10^204")
+    with pytest.raises(BadScalarError, match="more than 4300 digits"):
+        base_ring(QQ).add_free("u").parse_element(f"u + {ten_4096}*10^204")
 
 
 def test_unknown_basis_label_rejected():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hopfgal import hopf
 from hopfgal.document import load_document
 from hopfgal.errors import BadRootOfUnityError, NoAntipodeError
 from hopfgal.fields import QQ, PrimeField
@@ -21,6 +22,10 @@ from hopfgal.hopf import (
     taft,
     verify_hopf,
 )
+from hopfgal.linalg import field_solve
+from test_axioms import HOPF
+
+import reference_axioms as ref
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -127,15 +132,78 @@ def test_solve_antipode_matches_known():
     assert solve_antipode(B) == H.antipode
 
 
-def test_monoid_bialgebra_has_no_antipode():
-    # k{1, e} with e idempotent and group-like: Delta(e) = e (x) e has no
-    # convolution inverse because e is not invertible.
-    K = QQ
-    one = K.one()
-    mult = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {1: one}}
-    B = Bialgebra(K, ("1", "e"), mult, {0: one},
-                  {0: {(0, 0): one}, 1: {(1, 1): one}}, {0: one, 1: one})
-    with pytest.raises(NoAntipodeError):
+def _system_sizes(monkeypatch):
+    sizes = []
+
+    def solve(M, b, field):
+        sizes.append(len(M))
+        return field_solve(M, b, field)
+
+    monkeypatch.setattr(hopf, "field_solve", solve)
+    return sizes
+
+
+def _monoid_bialgebra(n):
+    """k{1, a, ..., a^(n-1)} with a^n = a^(n-1), every basis element group-like:
+    a is not invertible, so the identity has no convolution inverse."""
+    one = QQ.one()
+    labels = ("1", "a") + tuple(f"a^{i}" for i in range(2, n))
+    mult = {(i, j): {min(i + j, n - 1): one} for i in range(n) for j in range(n)}
+    return Bialgebra(QQ, labels, mult, {0: one}, {i: {(i, i): one} for i in range(n)},
+                     {i: one for i in range(n)})
+
+
+def test_monoid_bialgebra_has_no_antipode(monkeypatch):
+    # n = 2 is k{1, e} with e idempotent, where the generators are the whole
+    # basis; for n > 2 the system on the generators {1, a} is singular
+    sizes = _system_sizes(monkeypatch)
+    for n in (2, 3, 4):
+        with pytest.raises(NoAntipodeError) as err:
+            ref.solve_antipode(_monoid_bialgebra(n))
+        assert str(err.value) == (
+            "identity has no convolution inverse: this bialgebra is not a Hopf algebra")
+        sizes.clear()
+        with pytest.raises(NoAntipodeError, match=f"^{err.value}$"):
+            solve_antipode(_monoid_bialgebra(n))
+        assert sizes == ([2 * n] if n > 2 else []) + [n * n]
+
+
+@pytest.mark.parametrize("H", HOPF + [taft(6, 3, F7), taft(8, 2, PrimeField(17))], ids=repr)
+def test_antipode_on_generators_equals_the_full_solve(H, monkeypatch):
+    B = Bialgebra(H.field, H.labels, H.mult, H.unit, H.comult, H.counit)
+    sizes = _system_sizes(monkeypatch)
+    assert solve_antipode(B) == ref.solve_antipode(B) == H.antipode
+    # one system, on generators unless 1 is a sum of basis elements (the dual)
+    assert len(sizes) == 1 and (sizes[0] < H.dim ** 2) == (len(H.unit) == 1)
+
+
+def test_antipode_extension_failing_the_identities_falls_back(monkeypatch):
+    # Z/3 with Delta(g^2) = 1 (x) g^2 + g^2 (x) 1 - 1 (x) 1: coassociative and
+    # counital, but Delta is not multiplicative, so S(g^2) = S(g) S(g) = g
+    # fails the antipode identity; the full solve gives S(g^2) = 2 - g^2
+    H = cyclic_group_algebra(3, QQ)
+    one = QQ.one()
+    comult = dict(H.comult)
+    comult[2] = {(0, 2): one, (2, 0): one, (0, 0): -one}
+    B = Bialgebra(QQ, H.labels, H.mult, H.unit, comult, H.counit)
+    sizes = _system_sizes(monkeypatch)
+    S = solve_antipode(B)
+    assert sizes == [2 * 3, 3 * 3]  # the system on {1, g} solved, then the full one
+    assert S == ref.solve_antipode(B)
+    assert [S[p][2] for p in range(3)] == [2, 0, -1]
+
+
+def test_antipode_on_generators_needs_an_associative_algebra():
+    # Z/4 over F5 with g^3 g^2 = 0: not associative.  S(g^i) = g^-i still
+    # satisfies both antipode identities, but the full system is singular, so
+    # the solve on generators must not be used
+    H = cyclic_group_algebra(4, F5)
+    mult = dict(H.mult)
+    mult[(3, 2)] = {}
+    B = Bialgebra(F5, H.labels, mult, H.unit, H.comult, H.counit)
+    with pytest.raises(NoAntipodeError) as err:
+        ref.solve_antipode(B)
+    with pytest.raises(NoAntipodeError, match=f"^{err.value}$"):
         solve_antipode(B)
 
 
