@@ -52,28 +52,36 @@ class Ops(NamedTuple):
     is_unit: Callable
 
 
-def _skipping_one(mul, one):
+def _skipping_one(mul, is_one):
     # coefficients are kept in normal form, so a product with 1 is the
     # other factor as it stands
     def times(a, b):
-        if a == one:
+        if is_one(a):
             return b
-        if b == one:
+        if is_one(b):
             return a
         return mul(a, b)
     return times
 
 
 def field_ops(K) -> Ops:
-    one = K.one()
-    return Ops(K.add, _skipping_one(K.mul, one), K.is_zero, one, lambda c: not K.is_zero(c))
+    return Ops(K.add, _skipping_one(K.mul, K.is_one), K.is_zero, K.one(),
+               lambda c: not K.is_zero(c))
 
 
 def ring_ops(C) -> Ops:
-    """The BaseElement operators of the base ring C; 1 needs no unit test."""
-    one = C.one()
-    return Ops(operator.add, _skipping_one(operator.mul, one),
-               operator.attrgetter("is_zero"), one, lambda c: c == one or C.is_unit(c))
+    """The BaseElement operators of the base ring C; 1 needs no unit test.
+
+    An element is 1 when its only term is the field's 1 on the constant
+    monomial: a test on the coefficient dict, not an element comparison.
+    """
+    is_one_scalar, constant = C.field.is_one, (0,) * len(C.gens)
+
+    def is_one(a):
+        c = a.coeffs
+        return len(c) == 1 and constant in c and is_one_scalar(c[constant])
+    return Ops(operator.add, _skipping_one(operator.mul, is_one),
+               operator.attrgetter("is_zero"), C.one(), lambda c: is_one(c) or C.is_unit(c))
 
 
 def terms(ops: Ops, vec: dict) -> tuple:

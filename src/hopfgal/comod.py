@@ -92,15 +92,6 @@ class ComoduleAlgebra(Record, frozen=True):
         return accumulate(ops, ((jk, ops.mul(c, m)) for i, c in a.items()
                                 for jk, m in self.coaction.get(i, {}).items()))
 
-    def tensor_mul(self, A: dict, B: dict) -> dict:
-        """Product in A (x) H of tensors {(i, k): C-element}."""
-        ops, lift = ring_ops(self.base), self.lift
-        mul, get, hget = ops.mul, self.mult.get, self.hopf.mult.get
-        return accumulate(ops, (((p, q), mul(mul(ca, cb), mul(cp, lift(cq))))
-                                for (i, k), ca in A.items() for (j, l), cb in B.items()
-                                for p, cp in get((i, j), {}).items()
-                                for q, cq in hget((k, l), {}).items()))
-
     def _normal(self):
         mult = {ij: _clean(v) for ij, v in self.mult.items()}
         mult = {ij: v for ij, v in mult.items() if v}

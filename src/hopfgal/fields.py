@@ -143,6 +143,9 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
+    def is_one(self, a) -> bool:
+        return a == self.one()
+
     def characteristic(self) -> int:
         raise NotImplementedError
 
@@ -250,6 +253,9 @@ class RationalField(Field):
     def is_zero(self, a):
         return a == 0
 
+    def is_one(self, a):
+        return a == 1
+
     def characteristic(self):
         return 0
 
@@ -332,6 +338,9 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def is_one(self, a):
+        return a == 1
 
     def characteristic(self):
         return self.p
@@ -520,6 +529,9 @@ class SimpleExtension(Field):
 
     def is_zero(self, a):
         return all(self.base.is_zero(c) for c in a)
+
+    def is_one(self, a):
+        return self.base.is_one(a[0]) and all(map(self.base.is_zero, a[1:]))
 
     def absolute_degree(self):
         return self.degree * self.base.absolute_degree()

@@ -10,10 +10,21 @@ bijective, which for a square matrix over a commutative ring means the
 determinant is a unit.  Determinants are computed division-free so bases
 with zero divisors (root adjunctions can split the ring) are handled
 exactly.
+
+The matrix is read off the structure-constant tables.  With 1_H h_l =
+sum_q s h_q, computed once per l over the ground field, and rho(a_j) =
+sum c a_l (x) h_l', the column of a_i (x) a_j is
+
+    (a_i (x) 1) rho(a_j) = sum c (a_i a_l) (x) 1_H h_l',
+
+so entry (p, q) is the sum of s c c' over the terms c' a_p of a_i a_l.  No
+unitality of H is assumed, so a corrupted H gives the matrix of the map as
+defined.  ``is_galois`` hands the sparse rows straight to ``ring_det``.
 """
 
 from __future__ import annotations
 
+from .axioms import accumulate, field_ops
 from .comod import ComoduleAlgebra, verify_comodule_algebra
 from .linalg import ring_det
 from .record import Record
@@ -26,45 +37,75 @@ NOT_BIJECTIVE = "not_bijective"
 
 
 class CanonicalMatrix(Record, frozen=True):
-    """Matrix of beta; rows (l, k) as l*d + k, columns (i, j) as i*n + j."""
+    """Matrix of beta; rows (l, k) as l*d + k, columns (i, j) as i*n + j.
+
+    Each row is held as its (column, entry) pairs with a nonzero entry, in
+    column order; ``entries`` spells the matrix out densely.
+    """
 
     algebra: ComoduleAlgebra
-    entries: tuple  # tuple of row tuples of BaseElements
+    terms: tuple
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.terms)
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return self.algebra.dim ** 2 if self.terms else 0
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    @property
+    def entries(self) -> tuple:
+        """Tuple of row tuples of BaseElements."""
+        zero, ncols = self.algebra.base.zero(), self.ncols
+        return tuple(tuple(row.get(c, zero) for c in range(ncols))
+                     for row in self.sparse_rows())
+
     def rows(self) -> list:
         return [list(r) for r in self.entries]
 
+    def sparse_rows(self) -> list:
+        return [dict(r) for r in self.terms]
+
     def entry(self, l: int, k: int, i: int, j: int) -> BaseElement:
         n, d = self.algebra.dim, self.algebra.hopf.dim
-        return self.entries[l * d + k][i * n + j]
+        return dict(self.terms[l * d + k]).get(i * n + j, self.algebra.base.zero())
 
 
 def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
     n, d = A.dim, A.hopf.dim
-    zero = A.base.zero()
-    cols = []
+    C, H, K = A.base, A.hopf, A.field
+    fops = field_ops(K)
+    hunit = [(k, u) for k, u in H.unit.items() if not K.is_zero(u)]
+    # 1_H h_l over the ground field, per basis element l of H
+    unit_times = [accumulate(fops, ((q, K.mul(u, s)) for k, u in hunit
+                                    for q, s in H.mult.get((k, l), {}).items()))
+                  for l in range(d)]
+    mult = {ij: [(p, c.coeffs) for p, c in row.items() if c.coeffs]
+            for ij, row in A.mult.items()}
+    rho = [[(l, unit_times[h].items(), c.coeffs)
+            for (l, h), c in A.coaction.get(j, {}).items() if c.coeffs and unit_times[h]]
+           for j in range(n)]
+    mul, add, scale, is_one = C._mul, C._add, C._scale, K.is_one
+    rows = [[] for _ in range(n * d)]
     for i in range(n):
-        left = {(i, k): A.lift(u) for k, u in A.hopf.unit.items()}
-        for j in range(n):
-            image = A.tensor_mul(left, A.coact_vec(A.basis_vec(j)))
-            col = [zero] * (n * d)
-            for (l, k), c in image.items():
-                col[l * d + k] = c
-            cols.append(col)
-    entries = tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * d))
-    return CanonicalMatrix(A, entries)
+        for j in range(n):  # column i * n + j, so each row fills in column order
+            col = {}
+            for l, hl, c in rho[j]:
+                for p, cp in mult.get((i, l), ()):
+                    cc = mul(c, cp)
+                    for q, s in hl:
+                        t = cc if is_one(s) else scale(s, cc)
+                        key = p * d + q
+                        col[key] = add(col[key], t) if key in col else t
+            for key, v in col.items():
+                if v:
+                    rows[key].append((i * n + j, BaseElement(C, v)))
+    return CanonicalMatrix(A, tuple(map(tuple, rows)))
 
 
 class GaloisVerdict(Record, frozen=True):
@@ -94,8 +135,7 @@ def is_galois(A: ComoduleAlgebra) -> GaloisVerdict:
     """
     if A.dim != A.hopf.dim:
         return GaloisVerdict(RANK_MISMATCH)
-    M = canonical_matrix(A)
-    det = ring_det(M.rows(), A.base)
+    det = ring_det(canonical_matrix(A).sparse_rows(), A.base)
     if A.base.is_unit(det):
         return GaloisVerdict(GALOIS, det)
     return GaloisVerdict(NOT_BIJECTIVE, det)

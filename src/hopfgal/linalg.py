@@ -2,9 +2,12 @@
 
 One sparse Gauss-Jordan kernel, ``_eliminate``, serves both layers.  Rows
 are dicts column -> coefficient holding only nonzeros, and coefficients are
-touched only through the operations passed in (a field's sub and mul, or
-the BaseElement operators of a base ring), so the result is exact for every
-field the types accept and for every base ring, zero divisors included.
+touched only through the operations passed in: a field's add, neg and mul
+on its scalars, or a base ring's ``_add``, ``_neg`` and ``_mul`` on
+coefficient dicts (monomial -> scalar), where the empty dict is zero.  Ring
+entries are unwrapped from BaseElements once on the way in and results
+wrapped once on the way out, so the result is exact for every field the
+types accept and for every base ring, zero divisors included.
 
 * Pivots are units only, and a pivot row is scaled by the pivot's inverse.
   The caller supplies the inverse: ``field.inv`` for a field, where every
@@ -24,6 +27,10 @@ field the types accept and for every base ring, zero divisors included.
   the division-free Berkowitz determinant of that block and the sign of the
   full row -> column permutation.  ``ring_solve`` of a stalled system falls
   back to Cramer's rule on Berkowitz determinants, one per unknown.
+  Berkowitz runs once per connected component of the block's nonzero
+  pattern (``rings._berkowitz_dicts``): a block that falls apart into
+  independent pieces costs what the pieces cost, and one with a
+  non-square piece is singular outright.
 """
 
 from __future__ import annotations
@@ -33,43 +40,53 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
 
 from .fields import Field
-from .rings import BaseElement, BaseRing, _berkowitz_dicts
+from .rings import BaseElement, BaseRing, _berkowitz_dicts, odd_permutation
 
 
 class _Ops(NamedTuple):
     zero: object
     one: object
-    sub: Callable
+    add: Callable
+    neg: Callable
     mul: Callable
     is_zero: Callable
 
 
 def _field_ops(field: Field) -> _Ops:
-    return _Ops(field.zero(), field.one(), field.sub, field.mul, field.is_zero)
+    return _Ops(field.zero(), field.one(), field.add, field.neg, field.mul, field.is_zero)
 
 
 def _ring_ops(ring: BaseRing) -> _Ops:
-    return _Ops(ring.zero(), ring.one(), operator.sub, operator.mul,
-                operator.attrgetter("is_zero"))
+    return _Ops({}, ring.one().coeffs, ring._add, ring._neg, ring._mul, operator.not_)
 
 
 def _unit_inverse(ring: BaseRing):
-    """ring.try_inverse, memoized by entry value for one elimination."""
+    """ring.try_inverse on coefficient dicts, memoized by entry value for
+    one elimination."""
     memo = {}
 
-    def inv(e):
-        key = frozenset(e.coeffs.items())
+    def inv(d):
+        key = frozenset(d.items())
         if key not in memo:
-            memo[key] = ring.try_inverse(e)
+            e = ring.try_inverse(BaseElement(ring, d))
+            memo[key] = None if e is None else e.coeffs
         return memo[key]
     return inv
+
+
+def _items(row):
+    return row.items() if isinstance(row, dict) else enumerate(row)
 
 
 def _sparse_rows(M, is_zero) -> list:
     """Rows of M, each a dense list or a sparse dict column -> entry, as
     dicts holding only the nonzero entries."""
-    return [{c: x for c, x in (row.items() if isinstance(row, dict) else enumerate(row))
-             if not is_zero(x)} for row in M]
+    return [{c: x for c, x in _items(row) if not is_zero(x)} for row in M]
+
+
+def _coeff_rows(M) -> list:
+    """Rows of BaseElements as sparse dicts column -> coefficient dict."""
+    return [{c: e.coeffs for c, e in _items(row) if e.coeffs} for row in M]
 
 
 def _eliminate(rows: list, ops: _Ops, inv, ncols: int, markowitz: bool) -> list:
@@ -82,7 +99,7 @@ def _eliminate(rows: list, ops: _Ops, inv, ncols: int, markowitz: bool) -> list:
     in its column with the fewest rows; otherwise columns go left to right
     (every nonzero must then be a unit, as over a field).
     """
-    zero, _, sub, mul, is_zero = ops
+    _, _, add, neg, mul, is_zero = ops
     colrows = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -124,9 +141,11 @@ def _eliminate(rows: list, ops: _Ops, inv, ncols: int, markowitz: bool) -> list:
         rest = [(k, y) for k, y in prow.items() if k != c]
         for j in colrows[c] - {i}:
             row = rows[j]
-            f = row.pop(c)
+            f = neg(row.pop(c))
             for k, y in rest:
-                x = sub(row.get(k, zero), mul(f, y))
+                x = mul(f, y)
+                if k in row:
+                    x = add(row[k], x)
                 if is_zero(x):
                     row.pop(k, None)
                     colrows[k].discard(j)
@@ -159,20 +178,13 @@ def _det(rows: list, ops: _Ops, inv, tail):
         det = ops.mul(det, tail([[rows[i].get(c, ops.zero) for c in cols] for i in left]))
         for i, c in zip(left, cols):
             perm[i] = c
-    odd = False
-    for i in range(n):  # sort the permutation row -> column by swaps
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], j
-            odd = not odd
-    return ops.sub(ops.zero, det) if odd else det
+    return ops.neg(det) if odd_permutation(perm) else det
 
 
-def _solve(M, b, ops: _Ops, inv):
-    """Solve the square system M x = b, or None if elimination pivots on
-    fewer than n columns."""
-    n = len(M)
-    rows = _sparse_rows(M, ops.is_zero)
+def _solve(rows: list, b, ops: _Ops, inv):
+    """Solve the square system rows x = b (sparse rows, consumed), or None
+    if elimination pivots on fewer than n columns."""
+    n = len(rows)
     for row, bv in zip(rows, b):
         if not ops.is_zero(bv):
             row[n] = bv
@@ -196,7 +208,7 @@ def field_det(M, field: Field):
 
 def field_solve(M, b, field: Field):
     """Solve the square system M x = b; None if M is singular."""
-    return _solve(M, b, _field_ops(field), field.inv)
+    return _solve(_sparse_rows(M, field.is_zero), b, _field_ops(field), field.inv)
 
 
 def field_kernel(M, field: Field, ncols: int):
@@ -236,8 +248,10 @@ def ring_det(M, ring: BaseRing) -> BaseElement:
     """Determinant over any base ring: unit-pivot elimination, Berkowitz tail."""
     if ring.is_field:
         return ring.from_scalar(field_det(_scalars(M), ring.field))
-    return _det(_sparse_rows(M, operator.attrgetter("is_zero")), _ring_ops(ring),
-                _unit_inverse(ring), lambda block: berkowitz_det(block, ring))
+
+    def tail(block):
+        return berkowitz_det([[BaseElement(ring, x) for x in row] for row in block], ring).coeffs
+    return BaseElement(ring, _det(_coeff_rows(M), _ring_ops(ring), _unit_inverse(ring), tail))
 
 
 def ring_solve(M, b, ring: BaseRing):
@@ -249,8 +263,8 @@ def ring_solve(M, b, ring: BaseRing):
     if ring.is_field:
         sol = field_solve(_scalars(M), [e.constant_scalar() for e in b], ring.field)
         return None if sol is None else [ring.from_scalar(c) for c in sol]
-    x = _solve(M, b, _ring_ops(ring), _unit_inverse(ring))
-    return _cramer_solve(M, b, ring) if x is None else x
+    x = _solve(_coeff_rows(M), [e.coeffs for e in b], _ring_ops(ring), _unit_inverse(ring))
+    return _cramer_solve(M, b, ring) if x is None else [BaseElement(ring, v) for v in x]
 
 
 def _cramer_solve(M, b, ring: BaseRing):

@@ -24,7 +24,9 @@ absorbed, and for each root extension the norm is a unit, recursing to k:
 norm via the characteristic polynomial of the multiplication operator on the
 rank-n free module over the prefix ring, inverse via Cayley-Hamilton,
 re-verified by multiplication (an explicit check, not an assert, so
-``python -O`` keeps it).  Laurent generators must precede every root
+``python -O`` keeps it).  A scalar times a monomial in the Laurent
+generators alone is inverted directly, whatever roots lie above them.
+Laurent generators must precede every root
 adjunction (TowerOrderError otherwise): above a root adjunction that created
 idempotents, a unit need not be a single Laurent monomial times a unit.
 
@@ -37,6 +39,7 @@ ring.
 from __future__ import annotations
 
 import ast
+import operator
 
 from .errors import (
     BadScalarError,
@@ -48,6 +51,9 @@ from .errors import (
 )
 from .fields import MAX_POWER, Field, check_digits, check_power, exponent
 from .record import Record
+
+# the pairs of terms the products and powers in one element string may multiply
+MAX_TERM_PRODUCTS = 1 << 16
 
 FREE = "free"
 LAURENT = "laurent"
@@ -89,6 +95,7 @@ class BaseRing:
         self._root_indices = tuple(i for i, g in enumerate(self.gens) if g.kind == ROOT)
         self._prefix_cache: dict[int, BaseRing] = {}
         self._root_pow_cache: dict[tuple[int, int], dict] = {}
+        self._names: dict | None = None  # parse_element's names, built on first use
         self._hash = None
 
     # -------------------------------------------------------------- basics
@@ -229,7 +236,7 @@ class BaseRing:
         out: dict = {}
         for m1, c1 in A.items():
             for m2, c2 in B.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(operator.add, m1, m2))
                 c = mul(c1, c2)
                 if roots and any(m[i] >= gens[i].degree for i in roots):
                     for mr, cr in self._reduce({m: c}).items():
@@ -279,7 +286,7 @@ class BaseRing:
             base = list(m)
             base[over] = r
             for mu, cu in self._root_power(over, q).items():
-                mm = tuple(x + y for x, y in zip(base, mu))
+                mm = tuple(map(operator.add, base, mu))
                 stack.append((mm, K.mul(c, cu)))
         return out
 
@@ -294,17 +301,18 @@ class BaseRing:
                 self._root_pow_cache[key] = self._mul(prev, self.root_values[i])
         return self._root_pow_cache[key]
 
-    def _pow(self, A: dict, e: int) -> dict:
+    def _pow(self, A: dict, e: int, mul=None) -> dict:
         if e < 0:
             raise ValueError(f"negative exponent {e}")
+        mul = mul or self._mul
         result = {(0,) * len(self.gens): self.field.one()}
         base = A
         while e:
             if e & 1:
-                result = self._mul(result, base)
+                result = mul(result, base)
             e >>= 1
             if e:
-                base = self._mul(base, base)
+                base = mul(base, base)
         return result
 
     # ------------------------------------------------------------- units
@@ -334,8 +342,11 @@ class BaseRing:
         if not d:
             return None
         m = len(self.gens)
-        if m == 0:
-            return {(): self.field.inv(d[()])}
+        if len(d) == 1:
+            [(mono, c)] = d.items()
+            if all(e == 0 or g.kind == LAURENT for e, g in zip(mono, self.gens)):
+                # c * m with m a Laurent monomial: (c m)^-1 = c^-1 m^-1
+                return {tuple(-e for e in mono): self.field.inv(c)}
         g = self.gens[-1]
         sub = self.prefix(m - 1)
         if g.kind == FREE:
@@ -354,9 +365,15 @@ class BaseRing:
             if inv is None:
                 return None
             return {mono + (-e,): c for mono, c in inv.items()}
-        # root generator: decide via the multiplication operator on the free
-        # module with basis 1, g, ..., g^(n-1) over the prefix ring
-        n = g.degree
+        return self._root_try_inv(d)
+
+    def _root_try_inv(self, d: dict):
+        """_try_inv_dict when the last generator is a root: decide via the
+        multiplication operator on the free module with basis 1, g, ...,
+        g^(n-1) over the prefix ring."""
+        m = len(self.gens)
+        sub = self.prefix(m - 1)
+        n = self.gens[-1].degree
         coords = [{} for _ in range(n)]
         for mono, c in d.items():
             coords[mono[-1]][mono[:-1]] = c
@@ -437,18 +454,32 @@ class BaseRing:
         return out
 
     def parse_element(self, text: str) -> BaseElement:
-        names = {g.name: self.gen(i) for i, g in enumerate(self.gens)}
-        from .fields import SimpleExtension
-        if isinstance(self.field, SimpleExtension):
-            if self.field.var not in names:
-                names[self.field.var] = self.from_scalar(self.field.gen())
+        if self._names is None:
+            self._names = {g.name: self.gen(i) for i, g in enumerate(self.gens)}
+            from .fields import SimpleExtension
+            if isinstance(self.field, SimpleExtension):
+                self._names.setdefault(self.field.var, self.from_scalar(self.field.gen()))
         try:
             tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
         except SyntaxError as exc:
             raise BadScalarError(f"cannot parse element {text!r}: {exc.msg}") from None
-        a = self._eval_node(tree.body, names)
+        a = self._eval_node(tree.body, self._names, self._budgeted_mul())
         check_digits(self.field, a.coeffs.values(), text)
         return a
+
+    def _budgeted_mul(self):
+        """_mul that refuses once the products of one parse have multiplied
+        more than MAX_TERM_PRODUCTS pairs of terms."""
+        room = MAX_TERM_PRODUCTS
+
+        def mul(A: dict, B: dict) -> dict:
+            nonlocal room
+            room -= len(A) * len(B)
+            if room < 0:
+                raise BadScalarError("products and powers multiply more pairs of terms than "
+                                     f"the work cap of {MAX_TERM_PRODUCTS}")
+            return self._mul(A, B)
+        return mul
 
     def _power_grows(self, a: BaseElement) -> bool:
         """Whether powers of a can grow.  They cannot when a is one term, free
@@ -460,7 +491,7 @@ class BaseRing:
         return (any(m[i] for i in self._root_indices)
                 or not (K.is_finite() or c in (K.one(), K.neg(K.one()))))
 
-    def _eval_node(self, node, names, room=MAX_POWER) -> BaseElement:
+    def _eval_node(self, node, names, mul, room=MAX_POWER) -> BaseElement:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, int):
                 return self.from_int(node.value)
@@ -470,32 +501,32 @@ class BaseRing:
                 return names[node.id]
             raise BadScalarError(f"unknown name {node.id!r} in element over {self!r}")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = self._eval_node(node.operand, names, room)
+            v = self._eval_node(node.operand, names, mul, room)
             return -v if isinstance(node.op, ast.USub) else v
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Pow):
                 e = exponent(node.right)
-                base = self._eval_node(node.left, names, room // max(abs(e), 1))
+                base = self._eval_node(node.left, names, mul, room // max(abs(e), 1))
                 check_power(e, room, self._power_grows(base))
                 if e < 0:
                     inv = self.try_inverse(base)
                     if inv is None:
                         raise BadScalarError(f"negative power of the non-unit {base}")
-                    return inv ** (-e)
-                return base ** e
-            a = self._eval_node(node.left, names, room)
-            b = self._eval_node(node.right, names, room)
+                    base = inv
+                return BaseElement(self, self._pow(base.coeffs, abs(e), mul))
+            a = self._eval_node(node.left, names, mul, room)
+            b = self._eval_node(node.right, names, mul, room)
             if isinstance(node.op, ast.Add):
                 return a + b
             if isinstance(node.op, ast.Sub):
                 return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
             if isinstance(node.op, ast.Div):
                 inv = self.try_inverse(b)
                 if inv is None:
                     raise BadScalarError(f"division by the non-unit {b}")
-                return a * inv
+                b = inv
+            if isinstance(node.op, (ast.Mult, ast.Div)):
+                return BaseElement(self, mul(a.coeffs, b.coeffs))
         raise BadScalarError("unsupported syntax in element expression")
 
 
@@ -626,10 +657,51 @@ def _charpoly_dicts(ring: BaseRing, M) -> list:
 def _berkowitz_dicts(ring: BaseRing, M) -> dict:
     """Determinant of a square matrix of coefficient dicts over ring.
 
-    Division-free: (-1)^n times the last coefficient c_n of _charpoly_dicts.
+    The rows and columns fall into the connected components of the graph
+    joining row i to column j when M[i][j] is nonzero.  det M is 0 when a
+    component has more rows than columns or fewer; otherwise it is the
+    product of the components' determinants, each division-free as (-1)^k
+    times the last coefficient c_k of _charpoly_dicts, times the sign of the
+    permutation pairing each component's rows with its columns in
+    increasing order.
     """
-    c = _charpoly_dicts(ring, M)[-1]
-    return ring._neg(c) if len(M) % 2 else c
+    n = len(M)
+    parent = list(range(2 * n))  # row i is node i, column j is node n + j
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if x:
+                parent[find(i)] = find(n + j)
+    components: dict = {}
+    for x in range(2 * n):
+        components.setdefault(find(x), []).append(x)
+    det = {(0,) * len(ring.gens): ring.field.one()}
+    perm = [0] * n
+    for nodes in components.values():
+        rows = [x for x in nodes if x < n]
+        cols = [x - n for x in nodes if x >= n]
+        if len(rows) != len(cols):
+            return {}
+        for i, j in zip(rows, cols):
+            perm[i] = j
+        c = _charpoly_dicts(ring, [[M[i][j] for j in cols] for i in rows])[-1]
+        det = ring._mul(det, ring._neg(c) if len(rows) % 2 else c)
+    return ring._neg(det) if odd_permutation(perm) else det
+
+
+def odd_permutation(perm: list) -> bool:
+    """Whether the permutation i -> perm[i] of range(len(perm)) is odd."""
+    perm, odd = list(perm), False
+    for i in range(len(perm)):  # sort by swaps
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            odd = not odd
+    return odd
 
 
 # --------------------------------------------------------------------------

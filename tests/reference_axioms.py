@@ -8,7 +8,8 @@ had them, so nothing here shares arithmetic code with the checker beyond
 the field and ring operations.  The tests require the library's reports to
 equal these, check for check and witness for witness.  ``solve_antipode``
 is the full d^2 x d^2 solve as the library had it before it solved on
-generators first.
+generators first.  ``canonical_matrix`` builds the structure map's matrix
+through ``tensor_mul``, as the library did before reading it off the tables.
 """
 
 from hopfgal.errors import NoAntipodeError
@@ -174,6 +175,22 @@ def _a_tensor_mul(A, X: dict, Y: dict) -> dict:
 
 def _a_basis(A, i: int) -> dict:
     return {i: A.base.one()}
+
+
+def canonical_matrix(A) -> tuple:
+    """Dense rows (l, k) as l*d + k of the matrix of a (x) b -> (a (x) 1) rho(b),
+    columns (i, j) as i*n + j: each column is tensor_mul({(i, k): 1_H}, rho(a_j))."""
+    n, d = A.dim, A.hopf.dim
+    zero = A.base.zero()
+    cols = []
+    for i in range(n):
+        left = {(i, k): A.base.from_scalar(u) for k, u in A.hopf.unit.items()}
+        for j in range(n):
+            col = [zero] * (n * d)
+            for (l, k), c in _a_tensor_mul(A, left, _a_coact_vec(A, _a_basis(A, j))).items():
+                col[l * d + k] = c
+            cols.append(col)
+    return tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * d))
 
 
 def verify_hopf(H) -> Report:

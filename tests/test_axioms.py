@@ -21,7 +21,8 @@ from hopfgal.cleft import Cocycle, trivial_cocycle, twisted_product
 from hopfgal.comod import ComoduleAlgebra, verify_comodule_algebra
 from hopfgal.document import load_document
 from hopfgal.errors import NotAssociativeError
-from hopfgal.fields import QQ, PrimeField, SimpleExtension
+from hopfgal.fields import QQ, PrimeField, SimpleExtension, is_prime
+from hopfgal.galois import canonical_matrix, is_galois
 from hopfgal.hopf import (
     HopfAlgebra,
     cyclic_group_algebra,
@@ -31,6 +32,12 @@ from hopfgal.hopf import (
     taft,
     verify_hopf,
 )
+from hopfgal.homotopy import (
+    cleft_trivialization_witness,
+    grading_witness,
+    kummer_trivialization_witness,
+)
+from hopfgal.linalg import berkowitz_det
 from hopfgal.rings import adjoin_root, base_ring, laurent_ring, polynomial_ring
 
 import reference_axioms as ref
@@ -157,9 +164,8 @@ def test_corrupted_hopf_reports_match_reference(data):
     assert is_commutative_hopf(bad) == _commutative_reference(bad)
 
 
-@settings(deadline=None, max_examples=80)
-@given(st.data())
-def test_corrupted_bundle_reports_match_reference(data):
+def _corrupt_bundle(data) -> ComoduleAlgebra:
+    """One of BUNDLES with one entry of its tables, or of H's, changed."""
     A = data.draw(st.sampled_from(BUNDLES))
     C, H = A.base, A.hopf
     value = C.from_scalar(_nonzero_scalar(data, C.field))
@@ -177,8 +183,76 @@ def test_corrupted_bundle_reports_match_reference(data):
         coaction = _corrupt_entry(data, coaction, list(range(n)), value, C.zero())
     else:
         H = _corrupt_hopf(data, H, _nonzero_scalar(data, H.field), H.field.zero())
-    bad = ComoduleAlgebra(C, H, A.labels, mult, unit, coaction)
+    return ComoduleAlgebra(C, H, A.labels, mult, unit, coaction)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_corrupted_bundle_reports_match_reference(data):
+    bad = _corrupt_bundle(data)
     assert verify_comodule_algebra(bad).to_json() == ref.verify_comodule_algebra(bad).to_json()
+
+
+# ----------------------------------------------------- the structure map
+
+def _kummer(N):
+    """(K, q): the least prime field K with an element q of order N."""
+    K = PrimeField(next(p for p in range(N + 1, 10 * N * N, N) if is_prime(p)))
+    q = next(K.from_int(a) for a in range(2, K.p) if K.has_order(K.from_int(a), N))
+    return K, q
+
+
+def _structure_map_inputs():
+    out = [kummer_bundle(N, q, K) for N in range(2, 13) for K, q in [_kummer(N)]]
+    R = polynomial_ring(QQ, "u", "v", "w")
+    u, v, w = R.gen("u"), R.gen("v"), R.gen("w")
+    out.append(abg_bundle(AbgParams(R, 3, u * v + 2 * w, 5 * u + 7 * v * w + 4)))
+    Cg = polynomial_ring(QQ, "x", grades=(1,))
+    C = base_ring(QQ)
+    witnesses = [kummer_trivialization_witness(N, q, K)[1]
+                 for N in (2, 3, 4) for K, q in [_kummer(N)]]
+    witnesses += [cleft_trivialization_witness(AbgParams(C, 3, 5, 7)).links[0][0],
+                  grading_witness(abg_bundle(AbgParams(Cg, 1, Cg.gen("x"), 0)))]
+    out += [A for w in witnesses for A in (w.family, w.at_zero, w.at_one)]
+    return out
+
+
+@pytest.mark.parametrize("A", _structure_map_inputs(), ids=repr)
+def test_canonical_matrix_matches_tensor_mul_reference(A):
+    assert canonical_matrix(A).entries == ref.canonical_matrix(A)
+
+
+def _with_hopf(A, H) -> ComoduleAlgebra:
+    return ComoduleAlgebra(A.base, H, A.labels, A.mult, A.unit, A.coaction)
+
+
+def _with_unit(H, unit) -> HopfAlgebra:
+    return HopfAlgebra(H.field, H.labels, H.mult, unit, H.comult, H.counit, H.antipode)
+
+
+def test_canonical_matrix_reads_no_unit_premise_of_h():
+    """1_H a sum of basis elements (the dual group algebra of a Kummer
+    bundle), or no unit at all: 1_H h_l is formed from H's tables as given."""
+    A = kummer_bundle(3, F241.from_int(15), F241)
+    H = A.hopf
+    assert len(H.unit) == 3  # 1 is the sum of the three idempotents
+    for unit in (H.unit, {}, {0: 1}, {0: 2, 2: 1}, {1: 0}):
+        B = _with_hopf(A, _with_unit(H, unit))
+        assert canonical_matrix(B).entries == ref.canonical_matrix(B), unit
+    S = abg_bundle(AbgParams(base_ring(QQ), 3, 5, 7))
+    for unit in ({}, {1: QQ.one()}, {0: QQ.one(), 3: Fraction(1, 2)}):
+        B = _with_hopf(S, _with_unit(S.hopf, unit))
+        assert canonical_matrix(B).entries == ref.canonical_matrix(B), unit
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_canonical_matrix_matches_reference_on_corrupted_tables(data):
+    bad = _corrupt_bundle(data)
+    M = canonical_matrix(bad)
+    assert M.entries == ref.canonical_matrix(bad)
+    if bad.dim == bad.hopf.dim:
+        assert is_galois(bad).det == berkowitz_det(M.rows(), bad.base)
 
 
 def test_benchmark_documents_match_reference():

@@ -3,8 +3,9 @@
 `-O` strips `assert` statements, so no check in the library may be one: a
 static scan of every module rejects them, and the two verifiers must still
 reject corrupted structure constants (exit 1) in an optimized interpreter,
-and certify a Taft algebra built from its shorthand (antipode and axioms on
-generators) with the same output as without `-O`.
+certify a Taft algebra built from its shorthand (antipode and axioms on
+generators) and decide Kummer bundles' structure maps with the same output
+as without `-O`.
 """
 
 import ast
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 import hopfgal
-from hopfgal.bundles import AbgParams, abg_bundle
+from hopfgal.bundles import AbgParams, abg_bundle, kummer_bundle
 from hopfgal.document import Document, dump_document
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.hopf import taft
@@ -93,3 +94,20 @@ def test_taft_shorthand_certified_under_optimization(tmp_path):
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["ok"] is True
     assert out.stdout == _run_optimized("verify-hopf", str(path), "T", "--json", flags=()).stdout
+
+
+def test_kummer_galois_verdicts_same_under_optimization(tmp_path):
+    """The structure map read off the tables, unit pivots and the Berkowitz
+    blocks give the same `galois` output with and without `-O`: a Galois
+    Kummer bundle over F241[z^+-1], and the same tables over F241[z]."""
+    K = PrimeField(241)
+    q = next(K.from_int(a) for a in range(2, 241) if K.has_order(K.from_int(a), 8))
+    raw = json.loads(dump_document(Document(K, bundles={"K8": kummer_bundle(8, q, K)})))
+    raw["rings"]["P"] = {"gens": [{"kind": "free", "name": "z"}]}
+    raw["bundles"]["B"] = dict(raw["bundles"]["K8"], ring="P")
+    path = tmp_path / "kummer.json"
+    path.write_text(json.dumps(raw))
+    out = _run_optimized("galois", str(path), "K8", "B", "--json")
+    assert out.returncode == 1, out.stderr
+    assert [r["galois"] for r in json.loads(out.stdout)["results"]] == [True, False]
+    assert out.stdout == _run_optimized("galois", str(path), "K8", "B", "--json", flags=()).stdout

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,43 @@ def test_huge_power_exits_2_quickly(tmp_path, raw, argv, pointer):
                          capture_output=True, text=True, timeout=10)
     assert out.returncode == 2
     assert pointer in out.stderr and "exponent cap 256" in out.stderr
+
+
+_UVW_RING = {"C": {"gens": [{"name": g, "kind": "free"} for g in "uvw"]}}
+
+
+@pytest.mark.parametrize("e", [32, 200])
+def test_huge_product_exits_2_in_under_a_second(tmp_path, e):
+    # (1+u+v+w)^32 passes the exponent cap and took 6 s to expand
+    raw = {"field": "Q", "rings": _UVW_RING, "morphisms": {"f": {
+        "source": "C", "target": "C", "images": {"u": f"(1+u+v+w)^{e}", "v": "v", "w": "w"}}}}
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(raw))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfgal.__file__)))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "hopfgal.cli", "witness", "verify", str(path)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - t0 < 1.0
+    assert out.returncode == 2
+    assert "/morphisms/f/images/u" in out.stderr and "work cap" in out.stderr
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("(1+u+v+w)^16", True), ("(1+u+v+w)^8*(1+u+v+w)^8", True),
+    ("(1+u+v+w)^8*(1+u+v+w)^8*(1+u+v+w)^8", False), ("(1+u+v+w)^24", False),
+    ("((1+u+v+w)^4)^8", False), ("(1+u+v+w)^8*(1+u+v+w)^8/2", True),
+])
+def test_work_cap_bounds_products_and_powers_together(text, ok):
+    """One element string may multiply at most MAX_TERM_PRODUCTS pairs of
+    terms, summed over its products and the squarings of its powers."""
+    raw = {"field": "Q", "rings": _UVW_RING, "morphisms": {"f": {
+        "source": "C", "target": "C", "images": {"u": text, "v": "v", "w": "w"}}}}
+    if ok:
+        assert not parse_obj(raw).morphisms["f"].images[0].is_zero
+    else:
+        with pytest.raises(BadScalarError, match="/morphisms/f/images/u.*work cap"):
+            parse_obj(raw)
 
 
 @pytest.mark.parametrize("text, ok", [

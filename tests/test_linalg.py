@@ -6,10 +6,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgal import linalg
+from hopfgal import linalg, rings
 from hopfgal.bundles import kummer_bundle
+from hopfgal.comod import ComoduleAlgebra
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
-from hopfgal.galois import canonical_matrix
+from hopfgal.galois import NOT_BIJECTIVE, canonical_matrix, is_galois
 from hopfgal.homotopy import identity_matrix
 from hopfgal.linalg import (
     _cramer_solve,
@@ -20,7 +21,14 @@ from hopfgal.linalg import (
     ring_det,
     ring_solve,
 )
-from hopfgal.rings import BaseRing, adjoin_root, base_ring, laurent_ring, polynomial_ring
+from hopfgal.rings import (
+    BaseRing,
+    _charpoly_dicts,
+    adjoin_root,
+    base_ring,
+    laurent_ring,
+    polynomial_ring,
+)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -401,3 +409,94 @@ def test_ring_det_matches_sympy_over_fpx(case) -> None:
                     for row in M], ring)
     det = sympy.Poly(sympy.expand(_sympy_poly_matrix(M, (_X,)).det()), _X, modulus=p)
     assert got.coeffs == {m: int(c) % p for m, c in det.terms() if int(c) % p}
+
+
+# ring determinants and solves on coefficient dicts against Berkowitz, Cramer
+# and the Leibniz sum, over F_p[z], F_p[z^+-1] and Q[r | r^2 = 1] (zero divisors)
+
+def _leibniz_det(M, ring):
+    n, total = len(M), ring.zero()
+    for perm in permutations(range(n)):
+        term = ring.one()
+        for i in range(n):
+            term = term * M[i][perm[i]]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _coefficient_rings():
+    P = polynomial_ring(F7, "z")
+    L = laurent_ring(F7, "z")
+    E, _, _ = adjoin_root(base_ring(QQ), base_ring(QQ).one(), 2, name="r")
+    return [P, L, E]
+
+
+@st.composite
+def _ring_matrices(draw):
+    """(ring, M, b): M square with sparse entries, a share of them block
+    diagonal with rows and columns permuted, or with an empty row or column."""
+    ring = draw(st.sampled_from(_coefficient_rings()))
+    g = ring.gens[0]
+    lo, hi = (-2, 2) if g.kind == "laurent" else (0, g.degree - 1 if g.kind == "root" else 2)
+    scalar = st.integers(-3, 3).map(ring.field.from_int)
+    term = st.builds(lambda e, c: ring.monomial({g.name: e}, c), st.integers(lo, hi), scalar)
+    entry = st.one_of(st.just(ring.zero()), st.just(ring.zero()),
+                      st.lists(term, min_size=1, max_size=2).map(lambda ts: sum(ts, ring.zero())))
+    n = draw(st.integers(0, 6))
+    M = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(("any", "blocks", "blocks", "empty row", "empty column")))
+    if kind == "blocks" and n:
+        block = [draw(st.integers(0, 2)) for _ in range(n)]  # the block of each index
+        M = [[x if block[i] == block[j] else ring.zero() for j, x in enumerate(row)]
+             for i, row in enumerate(M)]
+        rows = draw(st.permutations(range(n)))
+        cols = draw(st.permutations(range(n)))
+        M = [[M[i][j] for j in cols] for i in rows]
+    elif kind == "empty row" and n:
+        M[draw(st.integers(0, n - 1))] = [ring.zero()] * n
+    elif kind == "empty column" and n:
+        j = draw(st.integers(0, n - 1))
+        for row in M:
+            row[j] = ring.zero()
+    b = [draw(entry) for _ in range(n)]
+    return ring, M, b
+
+
+@settings(deadline=None, max_examples=100)
+@given(_ring_matrices())
+def test_ring_det_and_solve_match_berkowitz_cramer_and_leibniz(case) -> None:
+    ring, M, b = case
+    det = ring_det(M, ring)
+    assert det == berkowitz_det(M, ring) == _leibniz_det(M, ring)
+    # the Berkowitz of the whole matrix, not split into components
+    whole = _charpoly_dicts(ring, [[e.coeffs for e in row] for row in M])[-1]
+    assert det == ring.element(whole if len(M) % 2 == 0 else ring._neg(whole))
+    assert ring_solve(M, b, ring) == _cramer_solve(M, b, ring)
+    sparse = [{j: e for j, e in enumerate(row) if not e.is_zero} for row in M]
+    assert ring_det(sparse, ring) == det
+
+
+def test_berkowitz_runs_per_connected_block(monkeypatch) -> None:
+    """The non-Galois bundle: Kummer 8 over F241[z], determinant z^28.  Its
+    stalled 28-row block falls apart into blocks of 7, 6, ..., 1 rows."""
+    K = PrimeField(241)
+    q = next(K.from_int(a) for a in range(2, 241) if K.has_order(K.from_int(a), 8))
+    A = kummer_bundle(8, q, K)
+    P = polynomial_ring(K, "z")
+
+    def over_p(table):
+        return {key: {k: P.element(c.coeffs) for k, c in row.items()}
+                for key, row in table.items()}
+    B = ComoduleAlgebra(P, A.hopf, A.labels, over_p(A.mult), {0: P.one()},
+                        over_p(A.coaction))
+    sizes = []
+    charpoly = rings._charpoly_dicts
+
+    def recording(ring, M):
+        sizes.append(len(M))
+        return charpoly(ring, M)
+    monkeypatch.setattr(rings, "_charpoly_dicts", recording)
+    verdict = is_galois(B)
+    assert verdict.status == NOT_BIJECTIVE and verdict.det == P.gen("z") ** 28
+    assert sorted(sizes) == [1, 2, 3, 4, 5, 6, 7]

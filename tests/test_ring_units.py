@@ -116,6 +116,54 @@ def test_kummer_tower_units(n) -> None:
         assert ring.try_inverse(inv) == a
 
 
+# ------------------------------------------------------------ Laurent monomials
+
+def _towers_with_roots():
+    K = PrimeField(241)
+    C = laurent_ring(K, "z")
+    kummer, _, _ = adjoin_root(C, C.gen("z"), 8, name="r")
+    L = laurent_ring(QQ, "y", "z")
+    two_roots, _, s = adjoin_root(L, L.gen("y") * L.gen("z"), 2, name="s")
+    two_roots, _, _ = adjoin_root(two_roots, two_roots.lift(s), 3, name="t")
+    free = polynomial_ring(QQ, "x").add_laurent("z")
+    split, _, _ = adjoin_root(free, free.from_int(4), 2, name="r")
+    return [kummer, two_roots, split]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_towers_with_roots()), st.data())
+def test_laurent_monomial_inverse_matches_the_charpoly_route(ring, data) -> None:
+    """c m with m a monomial in the Laurent generators is inverted directly;
+    the Cayley-Hamilton route of the top root generator gives the same."""
+    exps = tuple(data.draw(st.integers(-4, 4)) if g.kind == "laurent" else 0
+                 for g in ring.gens)
+    c = ring.field.from_int(data.draw(st.integers(1, 9)))
+    d = {exps: c}
+    inv = ring._try_inv_dict(d)
+    assert inv == ring._root_try_inv(d) == {tuple(-e for e in exps): ring.field.inv(c)}
+    assert ring.element(d) * ring.element(inv) == ring.one()
+
+
+def test_only_laurent_monomials_skip_the_charpoly(monkeypatch) -> None:
+    ring = _towers_with_roots()[0]  # F241[z^+-1, r | r^8 = z]
+    calls = []
+    route = type(ring)._root_try_inv
+
+    def recording(self, d):
+        calls.append(d)
+        return route(self, d)
+    monkeypatch.setattr(type(ring), "_root_try_inv", recording)
+    z, r = ring.gen("z"), ring.gen("r")
+    for a in (z, 5 * z ** -3, ring.from_int(7)):
+        assert ring.try_inverse(a) is not None
+    assert calls == []
+    assert ring.try_inverse(3 * z * r) * (3 * z * r) == ring.one()
+    assert ring.try_inverse(z + r) is None  # its norm is z^8 - z
+    assert len(calls) == 2
+    x = _towers_with_roots()[2].gen("x")
+    assert x.ring.try_inverse(x) is None  # a free generator is no unit
+
+
 # ------------------------------------------------------------ certificates
 
 _UNDER_O = """
