@@ -14,9 +14,14 @@ from basis vectors, and a product with a coefficient 1 is the other
 factor, so neither costs a multiplication.  Each check returns the first
 failing basis index or tuple in the order its docstring gives, or None.
 
+Map checks.  ``algebra_map`` and ``comodule_map`` test a map phi: A -> B
+given by the terms of each phi(a_i).  Delta, the counit and a coaction
+are algebra maps (into A (x) A, k, A (x) H), and coassociativity says rho
+is a comodule map into A (x) H coacted on by id (x) Delta.
+
 Checks on generators.  ``word_tree`` finds, by a closure search over the
 multiplication table, a generating set S such that every basis element is
-a unit times a word s_1 (s_2 (... (s_k 1))) in S.  Three reductions use
+a unit times a word s_1 (s_2 (... (s_k 1))) in S.  Four reductions use
 it; each only ever certifies a pass, so a failure, a failed premise or a
 missing tree (1 not a unit times one basis element) runs the full scan,
 whose witness is the one reported:
@@ -24,11 +29,11 @@ whose witness is the one reported:
 * associativity, once ``unit`` holds: the left nucleus
   {a : (a b) c = a (b c) for all b, c} is a subalgebra containing 1, so
   rows i in S suffice (``associativity(..., gens)``);
-* multiplicativity of Delta, of the counit and of a coaction, once
-  ``unit``, associativity and rho(1) = 1 (x) 1 (with counit(1) = 1) hold,
-  and for a bundle once H is unital and associative as well: the
-  elements a with rho(a b) = rho(a) rho(b) for all b form a subalgebra,
-  so rows i in S suffice (``coaction_product(..., gens)``);
+* multiplicativity of an algebra map phi: A -> B, among them Delta, the
+  counit, a coaction and (the fourth) a bundle isomorphism, once A and B
+  pass ``unit`` and associativity and phi(1) = 1: the a with
+  phi(a b) = phi(a) phi(b) for all b form a subalgebra, so rows i in S
+  suffice (``algebra_map(..., gens)``);
 * the antipode (``hopf.solve_antipode``), once unit, counit,
   associativity and coassociativity hold: the square system is solved on
   the root and S closed under the left legs of Delta, then extended by
@@ -219,6 +224,13 @@ def associativity(ops: Ops, n: int, mult: dict, gens=None):
     return on_generators(scan, n, gens)
 
 
+def unital_associative(ops: Ops, n: int, mult: dict, unit_terms: tuple) -> bool:
+    """Whether ``unit`` and associativity hold."""
+    bad, tree = unit_tree(ops, n, mult, unit_terms)
+    return bad is None and associativity(
+        ops, n, mult, None if tree is None else tree.gens) is None
+
+
 def commutativity(n: int, mult: dict):
     """First (i, j) with j < i in lexicographic order and a_i a_j != a_j a_i."""
     return next(((i, j) for i in range(n) for j in range(i)
@@ -238,50 +250,73 @@ def coaction_counit(ops: Ops, n: int, coaction: dict, hcounit: dict):
 
 def coassociativity(ops: Ops, n: int, coaction: dict, hcomult: dict):
     """First i with (rho (x) id) rho(a_i) != (id (x) Delta) rho(a_i)."""
+    id_delta = {(j, k): tuple((((j, a), b), c) for (a, b), c in hcomult.get(k, ()))
+                for t in coaction.values() for (j, k), _ in t}
+    return comodule_map(ops, n, coaction, coaction, id_delta)
+
+
+def image(ops: Ops, phi: dict, vec) -> dict:
+    """phi(v) for v given by its terms (i, c); phi maps i to the terms of phi(a_i)."""
     mul = ops.mul
-    for i in range(n):
-        t = coaction.get(i, ())
-        lhs = accumulate(ops, (((p, q, k), mul(c, c2)) for (j, k), c in t
-                               for (p, q), c2 in coaction.get(j, ())))
-        rhs = accumulate(ops, (((j, a, b), mul(c, c2)) for (j, k), c in t
-                               for (a, b), c2 in hcomult.get(k, ())))
-        if lhs != rhs:
-            return i
-    return None
+    return accumulate(ops, ((key, mul(c, m)) for i, c in vec for key, m in phi.get(i, ())))
 
 
-def coaction_product(ops: Ops, n: int, mult: dict, coaction: dict, hmult: dict, gens=None):
-    """First (i, j) in lexicographic order with rho(a_i a_j) != rho(a_i) rho(a_j).
+def product(ops: Ops, mult: dict):
+    """x y for x, y given by their terms, from a multiplication table; for
+    ``algebra_map``, which sums the terms it yields."""
+    mul = ops.mul
+    return lambda x, y: ((l, mul(mul(cp, cq), m)) for p, cp in x for q, cq in y
+                         for l, m in mult.get((p, q), ()))
 
-    Both sides are formed for all j at once, keyed (j, (index, H-index)).
-    ``gens``, the generators of a word tree, may be given once ``unit``,
-    associativity and rho(1) = 1 (x) 1 hold and H is unital and associative.
+
+def tensor_product(ops: Ops, mult: dict, hmult: dict):
+    """``product`` for A (x) H, from the tables of A and H."""
+    mul = ops.mul
+    return lambda x, y: (((r, s), mul(mul(mul(cp, cq), cr), cs))
+                         for (q, l), cq in y for (p, k), cp in x
+                         for s, cs in hmult.get((k, l), ()) for r, cr in mult.get((p, q), ()))
+
+
+def algebra_map(ops: Ops, n: int, mult: dict, phi: dict, bmul, gens=None):
+    """First (i, j) in lexicographic order with phi(a_i a_j) != phi(a_i) phi(a_j).
+
+    phi maps i to the terms of phi(a_i) in B, and bmul is B's ``product``.
+    Both sides are formed for all j at once, keyed (j, B-index).  ``gens``,
+    the generators of a word tree of A, may be given once A and B are
+    unital and associative and phi(1) = 1.
     """
     mul, get = ops.mul, mult.get
-
-    def products(ti):
-        for j in range(n):
-            for (q, l), cq in coaction.get(j, ()):
-                for (p, k), cp in ti:
-                    am, hm = get((p, q)), hmult.get((k, l))
-                    if am and hm:
-                        c = mul(cp, cq)
-                        for r, cr in am:
-                            w = mul(c, cr)
-                            for s, cs in hm:
-                                yield (j, (r, s)), mul(w, cs)
 
     def scan(rows):
         for i in rows:
             lhs = accumulate(ops, (((j, key), mul(c, c2)) for j in range(n)
                                    for l, c in get((i, j), ())
-                                   for key, c2 in coaction.get(l, ())))
-            rhs = accumulate(ops, products(coaction.get(i, ())))
+                                   for key, c2 in phi.get(l, ())))
+            ti = phi.get(i, ())
+            rhs = accumulate(ops, (((j, key), c) for j in range(n)
+                                   for key, c in bmul(ti, phi.get(j, ()))))
             if lhs != rhs:
                 return i, _first_index(lhs, rhs)
         return None
 
     return on_generators(scan, n, gens)
+
+
+def comodule_map(ops: Ops, n: int, phi: dict, coaction: dict, bcoaction: dict):
+    """First i with rho_B(phi(a_i)) != (phi (x) id) rho(a_i).
+
+    phi maps i to the terms of phi(a_i) in B, and bcoaction is the coaction
+    table of B.
+    """
+    mul = ops.mul
+    for i in range(n):
+        lhs = accumulate(ops, ((key, mul(c, c2)) for p, c in phi.get(i, ())
+                               for key, c2 in bcoaction.get(p, ())))
+        rhs = accumulate(ops, (((q, k), mul(c, c2)) for (j, k), c in coaction.get(i, ())
+                               for q, c2 in phi.get(j, ())))
+        if lhs != rhs:
+            return i
+    return None
 
 
 def antipode(ops: Ops, n: int, mult: dict, comult: dict, S: dict, expect: list, left: bool):

@@ -22,6 +22,7 @@ from .comod import (
     ComoduleAlgebra,
     HModuleMap,
     _clean,
+    _lifted,
     convolution_invert,
     convolve,
     trivial_bundle,
@@ -80,11 +81,8 @@ class CleavingMap(Record, frozen=True):
 def _comodule_map_witness(A: ComoduleAlgebra, gamma: HModuleMap):
     """Index of the first basis element where rho(gamma(h)) != (gamma (x) id)(Delta h)."""
     ops = ring_ops(A.base)
-    return next((k for k in range(A.hopf.dim)
-                 if A.coact_vec(gamma.values[k])
-                 != accumulate(ops, (((p, j), ops.mul(A.lift(c), m))
-                                     for (i, j), c in A.hopf.comult.get(k, {}).items()
-                                     for p, m in gamma.values[i].items()))), None)
+    return axioms.comodule_map(ops, A.hopf.dim, sparse(ops, dict(enumerate(gamma.values))),
+                               _lifted(A, A.hopf.comult), sparse(ops, A.coaction))
 
 
 def check_cleaving(A: ComoduleAlgebra, gamma: HModuleMap) -> CleavingMap:

@@ -463,13 +463,16 @@ def parse_document(text: str) -> Document:
     """Validate and resolve one interchange file."""
     try:
         raw = json.loads(text)
+        validate_raw(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"not valid JSON: {exc.msg} at line {exc.lineno}") from None
+    except RecursionError:
+        raise SchemaError("/", "the document nests too deeply to read") from None
     return resolve(raw)
 
 
 def resolve(raw) -> Document:
-    validate_raw(raw)
+    """The objects of a document that passed ``validate_raw``."""
     doc = Document(parse_field(raw["field"]))
     K = doc.field
     for name, spec in raw.get("rings", {}).items():

@@ -441,10 +441,12 @@ class SimpleExtension(Field):
                 head = "" if cs == "1" else ("-" if cs == "-1" else cs + "*")
                 mono = head + (self.var if e == 1 else f"{self.var}^{e}")
             terms.append(mono)
+        if not terms:
+            return "0"
         out = terms[0]
         for t in terms[1:]:
             out += t if t.startswith("-") else "+" + t
-        return out if terms else "0"
+        return out
 
     # elements are tuples of length self.degree over the base field
     def zero(self):
@@ -559,27 +561,7 @@ class SimpleExtension(Field):
         return tuple(self.base.random_scalar(rng, size) for _ in range(self.degree))
 
     def format(self, a):
-        K = self.base
-        terms = []
-        for e in range(self.degree - 1, -1, -1):
-            c = a[e]
-            if K.is_zero(c):
-                continue
-            cs = K.format(c)
-            if isinstance(K, PrimeField):
-                cs = cs.split(" mod ")[0]
-            if e == 0:
-                mono = cs
-            else:
-                head = "" if cs == "1" else ("-" if cs == "-1" else cs + "*")
-                mono = head + (self.var if e == 1 else f"{self.var}^{e}")
-            terms.append(mono)
-        if not terms:
-            return f"0 in {self.name}"
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return f"{out} in {self.name}"
+        return f"{self._poly_str(a)} in {self.name}"
 
     def parse(self, text):
         m = re.fullmatch(r"(.*?)\s+in\s+(\S+)", text.strip())
@@ -646,12 +628,13 @@ def check_digits(field: Field, values, text: str):
 def _eval_scalar(field: Field, text: str, names: dict):
     try:
         tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
+        value = _eval_node(field, tree.body, names)
     except SyntaxError as exc:
         raise BadScalarError(f"cannot parse scalar {text!r}: {exc.msg}") from None
-    try:
-        value = _eval_node(field, tree.body, names)
     except ZeroDivisionError:
         raise BadScalarError(f"division by zero in scalar {text!r}") from None
+    except RecursionError:
+        raise BadScalarError("scalar nests too deeply to parse") from None
     check_digits(field, (value,), text)
     return value
 

@@ -399,7 +399,8 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
     family is constant.
     """
     n = A.dim
-    bad = axioms.commutativity(n, sparse(ring_ops(A.base), A.mult))
+    table = sparse(ring_ops(A.base), A.mult)
+    bad = axioms.commutativity(n, table)
     if bad is not None:
         raise NotCommutativeError(
             f"total algebra is not commutative on {A.labels[bad[0]]}, {A.labels[bad[1]]}")
@@ -413,20 +414,16 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
     if len(images) != n or any(getattr(x, "ring", None) != ext for x in images):
         raise NotEtaleInclusionError("need one extension element per module basis vector")
 
-    def realize(vec):
-        out = ext.zero()
-        for idx, c in vec.items():
-            out = out + incl(c) * images[idx]
-        return out
-
-    if realize(A.unit) != ext.one():
+    # a_i -> images[i] must be an algebra map into ext, whose one basis element is 0
+    ops, one = ring_ops(ext), ext.one()
+    phi = {i: ((0, x),) for i, x in enumerate(images) if not x.is_zero}
+    if axioms.image(ops, phi, [(i, incl(c)) for i, c in A.unit.items()]) != {0: one}:
         raise NotEtaleInclusionError("images do not realize the unit")
-    for a in range(n):
-        for b in range(n):
-            want = realize(A.mul_vec(A.basis_vec(a), A.basis_vec(b)))
-            if images[a] * images[b] != want:
-                raise NotEtaleInclusionError(
-                    f"images break the product on {A.labels[a]}, {A.labels[b]}")
+    mult = {ij: tuple((l, incl(c)) for l, c in row) for ij, row in table.items()}
+    bad = axioms.algebra_map(ops, n, mult, phi, axioms.product(ops, {(0, 0): ((0, one),)}))
+    if bad is not None:
+        raise NotEtaleInclusionError(
+            f"images break the product on {A.labels[bad[0]]}, {A.labels[bad[1]]}")
     d = A.hopf.dim
     M = [[ext.zero() for _ in range(n)] for _ in range(d)]
     for j in range(n):

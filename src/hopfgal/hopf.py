@@ -157,14 +157,13 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     L = H.labels
     rep = Report(f"hopf axioms ({d}-dimensional over {K.name})")
     ops = field_ops(K)
-    one, zero = K.one(), K.zero()
     mult, comult = sparse(ops, H.mult), sparse(ops, H.comult)
-    counit = dict(terms(ops, H.counit))
+    unit, counit = terms(ops, H.unit), dict(terms(ops, H.counit))
 
     def fails_on(i):
         return f"fails on {L[i]}"
 
-    bad_unit, tree = axioms.unit_tree(ops, d, mult, terms(ops, H.unit))
+    bad_unit, tree = axioms.unit_tree(ops, d, mult, unit)
     gens = None if tree is None else tree.gens
     record(rep, "unit", bad_unit, fails_on)
     bad_assoc = axioms.associativity(ops, d, mult, gens)
@@ -172,18 +171,12 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     record(rep, "counit", _counit(ops, d, comult, counit), fails_on)
     record(rep, "coassociativity", axioms.coassociativity(ops, d, comult, comult), fails_on)
 
-    def counit_of(vec_terms):
-        acc = zero
-        for l, c in vec_terms:
-            if l in counit:
-                acc = K.add(acc, K.mul(c, counit[l]))
-        return acc
-
+    # the counit as an algebra map into k, whose one basis element is 0
+    eps, k = {i: ((0, c),) for i, c in counit.items()}, {(0, 0): ((0, ops.one),)}
     unit_sq = {(i, j): K.mul(a, b) for i, a in H.unit.items() for j, b in H.unit.items()}
-    if accumulate(ops, ((key, K.mul(u, c)) for l, u in terms(ops, H.unit)
-                        for key, c in comult.get(l, ()))) != unit_sq:
+    if axioms.image(ops, comult, unit) != unit_sq:
         not_unital = "Delta(1) != 1 (x) 1"
-    elif not K.is_zero(K.sub(counit_of(H.unit.items()), one)):
+    elif axioms.image(ops, eps, unit) != {0: ops.one}:
         not_unital = "counit(1) != 1"
     else:
         not_unital = None
@@ -191,15 +184,9 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     if not_unital is not None or bad_assoc is not None:
         gens = None
 
-    def counit_product(rows):
-        return next(((i, j) for i in rows for j in range(d)
-                     if not K.is_zero(K.sub(counit_of(mult.get((i, j), ())),
-                                            K.mul(counit.get(i, zero), counit.get(j, zero))))),
-                    None)
-
     # the first pair failing either identity; Delta is checked first on a pair
-    bad = axioms.coaction_product(ops, d, mult, comult, mult, gens)
-    bad_eps = axioms.on_generators(counit_product, d, gens)
+    bad = axioms.algebra_map(ops, d, mult, comult, axioms.tensor_product(ops, mult, mult), gens)
+    bad_eps = axioms.algebra_map(ops, d, mult, eps, axioms.product(ops, k), gens)
     if bad is not None and (bad_eps is None or bad <= bad_eps):
         rep.add("comultiplication is multiplicative", False, f"Delta({L[bad[0]]}*{L[bad[1]]})")
     elif bad_eps is not None:

@@ -461,9 +461,11 @@ class BaseRing:
                 self._names.setdefault(self.field.var, self.from_scalar(self.field.gen()))
         try:
             tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
+            a = self._eval_node(tree.body, self._names, self._budgeted_mul())
         except SyntaxError as exc:
             raise BadScalarError(f"cannot parse element {text!r}: {exc.msg}") from None
-        a = self._eval_node(tree.body, self._names, self._budgeted_mul())
+        except RecursionError:
+            raise BadScalarError("element nests too deeply to parse") from None
         check_digits(self.field, a.coeffs.values(), text)
         return a
 

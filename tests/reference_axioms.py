@@ -10,11 +10,13 @@ equal these, check for check and witness for witness.  ``solve_antipode``
 is the full d^2 x d^2 solve as the library had it before it solved on
 generators first.  ``canonical_matrix`` builds the structure map's matrix
 through ``tensor_mul``, as the library did before reading it off the tables.
+``check_iso`` forms every product of two basis elements and its image, as
+the library did before it checked maps through the axiom checker.
 """
 
 from hopfgal.errors import NoAntipodeError
 from hopfgal.fields import Field
-from hopfgal.linalg import field_det, field_solve
+from hopfgal.linalg import field_det, field_solve, ring_det
 from hopfgal.report import Report
 
 Vec = dict
@@ -437,3 +439,62 @@ def solve_antipode(B) -> tuple:
             raise NoAntipodeError(
                 f"left convolution inverse fails the right-sided identity on {B.labels[i]}")
     return S
+
+
+def _apply_matrix(M: list, v: dict) -> dict:
+    """phi(a_j) = sum_i M[i][j] b_i applied to a coordinate vector."""
+    out: dict = {}
+    for j, c in v.items():
+        for i, row in enumerate(M):
+            if not row[j].is_zero:
+                _vadd(out, i, c * row[j])
+    return out
+
+
+def _apply_matrix_left(M: list, t: dict) -> dict:
+    """phi (x) id on an A (x) H tensor."""
+    out: dict = {}
+    for (j, k), c in t.items():
+        for i, row in enumerate(M):
+            if not row[j].is_zero:
+                _vadd(out, (i, k), c * row[j])
+    return out
+
+
+def check_iso(A, B, M) -> Report:
+    """The isomorphism certificate on every pair of basis elements; phi(1)
+    is compared with the terms of 1_B that are not zero."""
+    rep = Report("bundle isomorphism")
+    if A.base != B.base:
+        rep.add("same base ring", False, "base rings differ")
+        return rep
+    rep.add("same base ring", True)
+    if A.hopf != B.hopf:
+        rep.add("same Hopf algebra", False, "coacting Hopf algebras differ")
+        return rep
+    rep.add("same Hopf algebra", True)
+    n = A.dim
+    if B.dim != n or len(M) != n or any(len(row) != n for row in M):
+        rep.add("matrix shape", False, "expected a square matrix of the common rank")
+        return rep
+    rep.add("matrix shape", True)
+    det = ring_det(M, A.base)
+    if not A.base.is_unit(det):
+        rep.add("invertible", False, f"determinant {A.base.format_element(det)} is not a unit")
+        return rep
+    rep.add("invertible", True)
+
+    one_b = {i: c for i, c in B.unit.items() if not c.is_zero}
+    rep.add("preserves unit", _apply_matrix(M, A.unit) == one_b, "phi(1) != 1")
+    L = A.labels
+    phi = [_apply_matrix(M, _a_basis(A, i)) for i in range(n)]
+    bad = next(((i, j) for i in range(n) for j in range(n)
+                if _apply_matrix(M, _a_mul_vec(A, _a_basis(A, i), _a_basis(A, j)))
+                != _a_mul_vec(B, phi[i], phi[j])), None)
+    rep.add("preserves product", bad is None, "" if bad is None else
+            f"phi({L[bad[0]]}*{L[bad[1]]}) != phi({L[bad[0]]})*phi({L[bad[1]]})")
+    bad = next((i for i in range(n) if _a_coact_vec(B, phi[i])
+                != _apply_matrix_left(M, _a_coact_vec(A, _a_basis(A, i)))), None)
+    rep.add("equivariant", bad is None,
+            "" if bad is None else f"coaction differs on phi({L[bad]})")
+    return rep

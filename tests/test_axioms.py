@@ -1,11 +1,12 @@
 """The table-based axiom checker against the basis-vector reference.
 
 ``reference_axioms`` keeps the verifiers written on basis vectors through
-the public vector operations.  Every report of ``verify_hopf`` and
-``verify_comodule_algebra`` must equal the reference's JSON exactly, on the
-untouched inputs and after one structure constant is changed, added or
-zeroed.  Zeroed entries stay in the tables as explicit zeros, so the
-checker's dropping of zero coefficients is exercised too.
+the public vector operations.  Every report of ``verify_hopf``,
+``verify_comodule_algebra`` and ``check_iso`` must equal the reference's
+JSON exactly, on the untouched inputs and after one structure constant or
+matrix entry is changed, added or zeroed.  Zeroed entries stay in the
+tables as explicit zeros, so the checker's dropping of zero coefficients is
+exercised too.
 """
 
 from fractions import Fraction
@@ -15,10 +16,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfgal import axioms
 from hopfgal.axioms import field_ops, ring_ops, sparse, terms, word_tree
-from hopfgal.bundles import AbgParams, abg_bundle, kummer_bundle
+from hopfgal.bundles import (
+    AbgParams,
+    abg_bundle,
+    abg_triviality_criterion,
+    kummer_bundle,
+    sqrt_reduction,
+)
 from hopfgal.cleft import Cocycle, trivial_cocycle, twisted_product
-from hopfgal.comod import ComoduleAlgebra, verify_comodule_algebra
+from hopfgal.comod import (
+    ComoduleAlgebra,
+    check_iso,
+    push_forward,
+    trivial_bundle,
+    verify_comodule_algebra,
+)
 from hopfgal.document import load_document
 from hopfgal.errors import NotAssociativeError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension, is_prime
@@ -406,3 +420,176 @@ def test_generator_shortcut_needs_its_premises(build, check):
         rep, want = verify_comodule_algebra(obj), ref.verify_comodule_algebra(obj)
     assert rep.to_json() == want.to_json()
     assert [c.ok for c in rep.checks if c.name == check] == [False]
+
+
+# -------------------------------------------------------------------------
+# isomorphisms: the map checks against the all-pairs reference
+# -------------------------------------------------------------------------
+
+def _identity(C, n):
+    return [[C.one() if i == j else C.zero() for j in range(n)] for i in range(n)]
+
+
+def _endpoint_isos(w):
+    """(source, target, matrix) of both endpoint isomorphisms a witness claims."""
+    return [(push_forward(w.step.morphism, A), push_forward(at, w.family), M)
+            for A, at, M in ((w.at_zero, w.interval.at_zero, w.iso_zero),
+                             (w.at_one, w.interval.at_one, w.iso_one))]
+
+
+def _iso_inputs():
+    Q = base_ring(QQ)
+    p = AbgParams(Q, 4, 1, 4)
+    verdict = abg_triviality_criterion(p)
+    red = sqrt_reduction(AbgParams(Q, 4, 5, 7), 2)
+    T = trivial_bundle(polynomial_ring(QQ, "u"), sweedler_h4(QQ))
+    # no word tree: 1 is the sum of the idempotents of the dual group algebra
+    D = trivial_bundle(Q, dual_hopf(cyclic_group_algebra(3, QQ)))
+    return [
+        (abg_bundle(p), verdict.target, [list(r) for r in verdict.matrix]),
+        (abg_bundle(red.source), abg_bundle(red.target), [list(r) for r in red.matrix]),
+        (T, T, _identity(T.base, 4)),
+        (D, D, _identity(Q, 3)),
+        *_endpoint_isos(kummer_trivialization_witness(3, F241.from_int(15), F241)[1]),
+    ]
+
+
+ISOS = _iso_inputs()
+
+
+def _element(data, C):
+    value = C.from_scalar(_nonzero_scalar(data, C.field))
+    if C.gens and data.draw(st.booleans()):
+        value = value * C.gen(data.draw(st.integers(0, len(C.gens) - 1)))
+    return value
+
+
+def _unimodular(data, C, M):
+    """M times elementary matrices: the determinant is unchanged."""
+    M = [list(r) for r in M]
+    n = len(M)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if i != j:
+            c = _element(data, C)
+            for row in M:
+                row[j] = row[j] + c * row[i]
+    return M
+
+
+def _mutated_iso(data):
+    A, B, M = data.draw(st.sampled_from(ISOS))
+    C, n = A.base, A.dim
+    M = [list(r) for r in M]
+    how = data.draw(st.sampled_from(
+        ("none", "entry", "unimodular", "singular", "scale unit", "source", "target")))
+    if how == "entry":
+        M[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = (
+            C.zero() if data.draw(st.booleans()) else _element(data, C))
+    elif how == "unimodular":
+        M = _unimodular(data, C, M)
+    elif how == "singular":
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        for row in M:
+            row[j] = row[i] if i != j else C.zero()
+    elif how == "scale unit":  # phi(a_0) times a unit: phi(1) != 1 where 1 = a_0
+        c = C.from_scalar(_nonzero_scalar(data, C.field))
+        for row in M:
+            row[0] = c * row[0]
+    else:  # a corrupted source or target: not associative or not unital
+        X = A if how == "source" else B
+        keys = [(i, j) for i in range(n) for j in range(n)]
+        X = ComoduleAlgebra(C, X.hopf, X.labels, _corrupt_entry(
+            data, X.mult, keys, _element(data, C), C.zero()), X.unit, X.coaction)
+        A, B = (X, B) if how == "source" else (A, X)
+    return A, B, M
+
+
+@pytest.mark.parametrize("A, B, M", ISOS,
+                         ids=["criterion", "sqrt", "trivial", "dual", "kummer-0", "kummer-1"])
+def test_iso_reports_match_reference_on_passing_inputs(A, B, M):
+    rep = check_iso(A, B, M)
+    assert rep.ok
+    assert rep.to_json() == ref.check_iso(A, B, M).to_json()
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_mutated_iso_reports_match_reference(data):
+    A, B, M = _mutated_iso(data)
+    assert check_iso(A, B, M).to_json() == ref.check_iso(A, B, M).to_json()
+
+
+def _generator_rows_pass(A, B, M, gens):
+    one = A.base.one()
+    phi = [ref._apply_matrix(M, {i: one}) for i in range(A.dim)]
+    return all(ref._apply_matrix(M, A.mul_vec({i: one}, {j: one})) == B.mul_vec(phi[i], phi[j])
+               for i in gens for j in range(A.dim))
+
+
+def _abg_pair(corrupt_source, key, row):
+    """An ABG bundle and a copy with the product at key changed, under the identity."""
+    C = base_ring(QQ)
+    A = abg_bundle(AbgParams(C, 3, 5, 7))
+    mult = {**A.mult, key: {l: C.from_int(c) for l, c in row.items()}}
+    X = ComoduleAlgebra(C, A.hopf, A.labels, mult, A.unit, A.coaction)
+    A, B = (X, A) if corrupt_source else (A, X)
+    return A, B, _identity(C, 4)
+
+
+def _phi_one_not_one():
+    """phi(1) = 1 + x on Q[x]/(x^2), phi(x) = x: phi(x b) = phi(x) phi(b) for
+    all b, phi(1 1) != phi(1) phi(1)."""
+    C = base_ring(QQ)
+    one, zero = C.one(), C.zero()
+    A = ComoduleAlgebra(C, cyclic_group_algebra(1, QQ), ("1", "x"),
+                        {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}},
+                        {0: one}, {i: {(i, 0): one} for i in range(2)})
+    return A, A, [[one, zero], [one, one]]
+
+
+@pytest.mark.parametrize("build, side, premise", [
+    (lambda: _abg_pair(True, (3, 3), {1: 2}), "source", "associativity"),
+    (lambda: _abg_pair(False, (3, 3), {1: 2}), "target", "associativity"),
+    (lambda: _abg_pair(False, (0, 3), {3: 2}), "target", "unit"),
+    (_phi_one_not_one, "map", "preserves unit"),
+])
+def test_iso_generator_shortcut_needs_its_premises(build, side, premise):
+    """The generator rows pass and a later pair fails; a shortcut taken
+    without the broken premise would certify the map."""
+    A, B, M = build()
+    gens = _generators(ring_ops(A.base), A.dim, A.mult, A.unit)
+    assert gens and _generator_rows_pass(A, B, M, gens)
+    rep = check_iso(A, B, M)
+    assert rep.to_json() == ref.check_iso(A, B, M).to_json()
+    assert [c.ok for c in rep.checks if c.name == "preserves product"] == [False]
+    broken = {"source": ref.verify_comodule_algebra(A), "target": ref.verify_comodule_algebra(B),
+              "map": rep}[side]
+    assert [c.ok for c in broken.checks if c.name == premise] == [False]
+
+
+def test_kummer_witness_isos_scan_only_generator_rows(monkeypatch):
+    """The product check of check_iso on the Kummer witness isomorphism at 0
+    scans the row of the generator w and no other row.  At 1 the source is
+    the trivial bundle over the dual group algebra, whose 1 is the sum of the
+    idempotents: it has no word tree, so every row is scanned."""
+    scanned = []
+    algebra_map, on_generators = axioms.algebra_map, axioms.on_generators
+
+    def recording(*args):
+        monkeypatch.setattr(axioms, "on_generators", lambda scan, n, gens: on_generators(
+            lambda rows: scanned.append(tuple(rows)) or scan(rows), n, gens))
+        try:
+            return algebra_map(*args)
+        finally:
+            monkeypatch.setattr(axioms, "on_generators", on_generators)
+
+    monkeypatch.setattr(axioms, "algebra_map", recording)
+    for N in (6, 8):
+        K, q = _kummer(N)
+        rows = []
+        for A, B, M in _endpoint_isos(kummer_trivialization_witness(N, q, K)[1]):
+            scanned.clear()
+            assert check_iso(A, B, M).ok
+            rows.append(list(scanned))
+        assert rows == [[(1,)], [tuple(range(N))]]

@@ -172,6 +172,15 @@ def test_check_iso_identity_and_failure():
     assert not check_iso(A, A, singular).ok
 
 
+def test_check_iso_ignores_an_explicit_zero_in_the_unit():
+    C = polynomial_ring(QQ, "u")
+    A = trivial_bundle(C, sweedler_h4(QQ))
+    B = ComoduleAlgebra(C, A.hopf, A.labels, A.mult, A.unit | {1: C.zero()}, A.coaction)
+    assert A == B and verify_bundle(B).ok
+    ident = [[C.one() if i == j else C.zero() for j in range(4)] for i in range(4)]
+    assert check_iso(A, B, ident).ok
+
+
 def test_trivial_cleaving_inverse_is_antipode():
     H = sweedler_h4(QQ)
     C = base_ring(QQ)

@@ -14,9 +14,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hopfgal
-from hopfgal.bundles import AbgParams, kummer_bundle
+from hopfgal.bundles import AbgParams, abg_bundle, kummer_bundle
 from hopfgal.document import (
     Document,
     document_of,
@@ -27,7 +29,15 @@ from hopfgal.errors import BadScalarError, SchemaError, UnresolvedReferenceError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.homotopy import cleft_trivialization_witness, verify_witness
 from hopfgal.hopf import dual_hopf, cyclic_group_algebra, sweedler_h4, taft, verify_hopf
-from hopfgal.rings import adjoin_root, base_ring
+from hopfgal.comod import trivial_bundle
+from hopfgal.rings import (
+    BaseMorphism,
+    adjoin_root,
+    base_ring,
+    inclusion_morphism,
+    laurent_ring,
+    polynomial_ring,
+)
 
 
 def parse_obj(obj):
@@ -117,6 +127,87 @@ def test_witness_round_trip_and_reverify():
     assert dump_document(doc2) == text
 
 
+# ------------------------------------------- round trips of whole documents
+
+_QW = SimpleExtension(QQ, "w", (QQ.one(), QQ.one(), QQ.one()))  # w^2 + w + 1
+# (field, N, q of exact order N) for a Kummer bundle over each field
+_FIELDS = [(QQ, 2, QQ.from_int(-1)), (PrimeField(7), 3, 2), (_QW, 3, _QW.gen())]
+
+
+def _scalar_of(draw, K, nonzero=False):
+    if isinstance(K, SimpleExtension):
+        c = tuple(_scalar_of(draw, K.base) for _ in range(K.degree))
+        return K.one() if nonzero and K.is_zero(c) else c
+    if isinstance(K, PrimeField):
+        return draw(st.integers(1 if nonzero else 0, K.p - 1))
+    n = draw(st.integers(-9, 9).filter(lambda n: n or not nonzero))
+    return Fraction(n, draw(st.integers(1, 5)))
+
+
+def _unit_of(draw, R):
+    """A nonzero scalar times a monomial in the Laurent and root generators."""
+    exps = {g.name: draw(st.integers(-2, 2) if g.kind == "laurent" else st.integers(0, 2))
+            for g in R.gens if g.kind != "free" and draw(st.booleans())}
+    return R.monomial(exps, _scalar_of(draw, R.field, nonzero=True))
+
+
+def _element_of(draw, R):
+    out = R.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        exps = {g.name: draw(st.integers(-2, 2) if g.kind == "laurent" else st.integers(0, 3))
+                for g in R.gens if draw(st.booleans())}
+        out = out + R.monomial(exps, _scalar_of(draw, R.field))
+    return out
+
+
+@st.composite
+def _documents(draw):
+    """A document naming every ring, Hopf algebra and bundle it refers to,
+    each once: equal objects under two names are dumped under the one first
+    in insertion order, which parsing does not keep."""
+    K, N, q = draw(st.sampled_from(_FIELDS))
+    R = base_ring(K)
+    for name in "abc"[:draw(st.integers(0, 3))]:
+        rooted = any(g.kind == "root" for g in R.gens)  # Laurent generators come first
+        kind = draw(st.sampled_from(("free", "root") if rooted else ("free", "laurent", "root")))
+        if kind == "free":
+            R = R.add_free(name, grade=draw(st.integers(0, 2)))
+        elif kind == "laurent":
+            R = R.add_laurent(name)
+        else:
+            R, _, _ = adjoin_root(R, _unit_of(draw, R), draw(st.sampled_from((2, 3))), name)
+    P, L = polynomial_ring(K, "x", "y"), laurent_ring(K, "t")
+    rings = {"R": R, "P": P, "L": L}
+    morphisms = {
+        "f": BaseMorphism(P, R, {"x": _element_of(draw, R), "y": _element_of(draw, R)}),
+        "g": BaseMorphism(L, R, {"t": _unit_of(draw, R)})}
+    if R.gens:
+        rings["S"] = S = R.prefix(draw(st.integers(0, len(R.gens) - 1)))
+        morphisms["incl"] = inclusion_morphism(S, R)
+    hopf = {"H4": sweedler_h4(K), "C2": cyclic_group_algebra(2, K)}
+    H = hopf[draw(st.sampled_from(sorted(hopf)))]
+    bundles = {}
+    kinds = draw(st.sets(st.sampled_from(("abg", "trivial", "kummer")), min_size=1))
+    if "abg" in kinds:
+        bundles["A"] = abg_bundle(AbgParams(R, _unit_of(draw, R), _element_of(draw, R),
+                                            _element_of(draw, R)))
+    if "trivial" in kinds:
+        bundles["T"] = trivial_bundle(R, H)
+    if "kummer" in kinds:
+        bundles["Z"] = B = kummer_bundle(N, q, K)
+        rings["Z"], hopf["D"] = B.base, B.hopf
+    return Document(K, rings=rings, hopf_algebras=hopf, morphisms=morphisms, bundles=bundles)
+
+
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(_documents())
+def test_generated_documents_round_trip(doc):
+    text = dump_document(doc)
+    again = parse_document(text)
+    assert again == doc
+    assert dump_document(again) == text
+
+
 def test_wrong_arity_coaction_rejected():
     with pytest.raises(SchemaError) as exc:
         parse_obj({
@@ -192,6 +283,32 @@ def test_huge_product_exits_2_in_under_a_second(tmp_path, e):
     assert time.perf_counter() - t0 < 1.0
     assert out.returncode == 2
     assert "/morphisms/f/images/u" in out.stderr and "work cap" in out.stderr
+
+
+_DEEP_SUM = {"field": "Q", "rings": {"C": {"gens": [{"name": "u", "kind": "free"}]}},
+             "morphisms": {"f": {"source": "C", "target": "C",
+                                 "images": {"u": "+".join(["u"] * 2000)}}}}
+_DEEP_SCALAR = {"field": "Q", "hopf_algebras": {"T": {"construction": "taft", "order": 2,
+                                                      "q": "+".join(["1"] * 2000)}}}
+
+
+@pytest.mark.parametrize("text, pointer", [
+    (json.dumps(_DEEP_SUM), "at /morphisms/f/images/u: element nests too deeply"),
+    (json.dumps(_DEEP_SCALAR), "at /hopf_algebras/T/q: scalar nests too deeply"),
+    ("[" * 100000 + "]" * 100000, "/: the document nests too deeply"),
+], ids=["element", "scalar", "arrays"])
+def test_deep_nesting_exits_2_quickly(tmp_path, text, pointer):
+    # each died with a RecursionError traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfgal.__file__)))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "hopfgal.cli", "witness", "verify", str(path)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - t0 < 2.0
+    assert out.returncode == 2
+    assert pointer in out.stderr and "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("text, ok", [
