@@ -21,7 +21,7 @@ from importlib import resources
 from .errors import BadScalarError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension
 from .rings import (BaseMorphism, BaseRing, adjoin_root, base_ring,
-                    extend_with_t, inclusion_morphism)
+                    extend_with_t, inclusion_morphism, work_budget)
 from .hopf import (Bialgebra, HopfAlgebra, cyclic_group_algebra, dual_hopf,
                    hopf_from_bialgebra, sweedler_h4, taft)
 from .comod import ComoduleAlgebra, HModuleMap, trivial_bundle
@@ -56,7 +56,7 @@ def _schema():
 _TYPED_KEYWORDS = {"object": {"required", "properties", "additionalProperties"},
                    "array": {"prefixItems", "items", "minItems", "maxItems"},
                    "string": {"minLength", "pattern"},
-                   "integer": {"minimum"}}
+                   "integer": {"minimum", "maximum"}}
 _GENERAL_KEYWORDS = {"$schema", "title", "$defs", "type", "enum", "const", "oneOf", "$ref"}
 
 
@@ -135,10 +135,8 @@ def _compile_schema(root):
         return lambda x: isinstance(x, str) and len(x) >= lo
 
     def integer_check(schema):
-        if "minimum" not in schema:
-            return _is_integer
-        low = schema["minimum"]
-        return lambda x: _is_integer(x) and not x < low
+        low, high = schema.get("minimum", -float("inf")), schema.get("maximum", float("inf"))
+        return lambda x: _is_integer(x) and low <= x <= high
 
     typed = {"object": object_check, "array": array_check,
              "string": string_check, "integer": integer_check}
@@ -193,16 +191,16 @@ def validate_raw(obj) -> None:
         raise SchemaError(pointer, err.message)
 
 
-def _scalar(K: Field, text, pointer):
+def _scalar(K: Field, text, pointer, spend):
     try:
-        return K.parse(text)
+        return K.parse(text, spend)
     except BadScalarError as exc:
         raise BadScalarError(f"at {pointer}: {exc}") from None
 
 
-def _element(ring: BaseRing, text, pointer):
+def _element(ring: BaseRing, text, pointer, spend):
     try:
-        return ring.parse_element(text)
+        return ring.parse_element(text, spend)
     except BadScalarError as exc:
         raise BadScalarError(f"at {pointer}: {exc}") from None
 
@@ -222,7 +220,7 @@ def _index(labels: dict, label, pointer):
 # ------------------------------------------------------------------ fields
 
 
-def parse_field(spec, pointer="/field") -> Field:
+def parse_field(spec, spend, pointer="/field") -> Field:
     if isinstance(spec, str):
         if spec == "Q":
             return QQ
@@ -232,8 +230,8 @@ def parse_field(spec, pointer="/field") -> Field:
             except ValueError as exc:
                 raise SchemaError(pointer, str(exc)) from None
         raise SchemaError(pointer, f"unknown field {spec!r}")
-    base = parse_field(spec["base"], pointer + "/base")
-    modulus = tuple(_scalar(base, c, f"{pointer}/modulus/{i}")
+    base = parse_field(spec["base"], spend, pointer + "/base")
+    modulus = tuple(_scalar(base, c, f"{pointer}/modulus/{i}", spend)
                     for i, c in enumerate(spec["modulus"]))
     try:
         return SimpleExtension(base, spec["var"], modulus)
@@ -253,7 +251,7 @@ def field_spec(K: Field):
 # ------------------------------------------------------------------- rings
 
 
-def parse_ring(K: Field, spec, pointer) -> BaseRing:
+def parse_ring(K: Field, spec, pointer, spend) -> BaseRing:
     R = base_ring(K)
     for i, g in enumerate(spec["gens"]):
         here = f"{pointer}/gens/{i}"
@@ -265,7 +263,7 @@ def parse_ring(K: Field, spec, pointer) -> BaseRing:
         else:
             if "value" not in g:
                 raise SchemaError(here, "root generator needs a value")
-            u = _element(R, g["value"], here + "/value")
+            u = _element(R, g["value"], here + "/value", spend)
             R, _, _ = adjoin_root(R, u, g.get("degree", 2), g["name"], grade=grade)
     return R
 
@@ -288,22 +286,22 @@ def ring_spec(R: BaseRing):
 # ----------------------------------------------------------- Hopf algebras
 
 
-def _scalar_vec(K, spec, labels, pointer):
+def _scalar_vec(K, spec, labels, pointer, spend):
     out = {}
     for label, text in spec.items():
         i = _index(labels, label, f"{pointer}/{label}")
-        c = _scalar(K, text, f"{pointer}/{label}")
+        c = _scalar(K, text, f"{pointer}/{label}", spend)
         if not K.is_zero(c):
             out[i] = c
     return out
 
 
-def parse_hopf(K: Field, spec, pointer) -> HopfAlgebra:
+def parse_hopf(K: Field, spec, pointer, spend) -> HopfAlgebra:
     kind = spec["construction"]
     if kind == "sweedler":
         return sweedler_h4(K)
     if kind == "taft":
-        return taft(spec["order"], _scalar(K, spec["q"], pointer + "/q"), K)
+        return taft(spec["order"], _scalar(K, spec["q"], pointer + "/q", spend), K)
     if kind == "cyclic_group":
         return cyclic_group_algebra(spec["order"], K)
     if kind == "cyclic_dual":
@@ -315,7 +313,7 @@ def parse_hopf(K: Field, spec, pointer) -> HopfAlgebra:
     for r, (a, b, vec) in enumerate(spec["mult"]):
         here = f"{pointer}/mult/{r}"
         key = (_index(labels, a, here), _index(labels, b, here))
-        entry = _scalar_vec(K, vec, labels, here + "/2")
+        entry = _scalar_vec(K, vec, labels, here + "/2", spend)
         if entry:
             mult[key] = entry
     comult = {}
@@ -326,7 +324,7 @@ def parse_hopf(K: Field, spec, pointer) -> HopfAlgebra:
         for s, (lft, rgt, c) in enumerate(terms):
             at = f"{here}/1/{s}"
             key = (_index(labels, lft, at), _index(labels, rgt, at))
-            v = K.add(entry.get(key, K.zero()), _scalar(K, c, at))
+            v = K.add(entry.get(key, K.zero()), _scalar(K, c, at, spend))
             if K.is_zero(v):
                 entry.pop(key, None)
             else:
@@ -334,9 +332,9 @@ def parse_hopf(K: Field, spec, pointer) -> HopfAlgebra:
         if entry:
             comult[i] = entry
     B = Bialgebra(K, tuple(spec["labels"]), mult,
-                  _scalar_vec(K, spec["unit"], labels, pointer + "/unit"),
+                  _scalar_vec(K, spec["unit"], labels, pointer + "/unit", spend),
                   comult,
-                  _scalar_vec(K, spec["counit"], labels, pointer + "/counit"))
+                  _scalar_vec(K, spec["counit"], labels, pointer + "/counit", spend))
     if "antipode" not in spec:
         return hopf_from_bialgebra(B)
     d = len(labels)
@@ -344,7 +342,7 @@ def parse_hopf(K: Field, spec, pointer) -> HopfAlgebra:
     for r, (a, vec) in enumerate(spec["antipode"]):
         here = f"{pointer}/antipode/{r}"
         j = _index(labels, a, here)
-        for i, c in _scalar_vec(K, vec, labels, here + "/1").items():
+        for i, c in _scalar_vec(K, vec, labels, here + "/1", spend).items():
             S[i][j] = c
     return HopfAlgebra(K, B.labels, B.mult, B.unit, B.comult, B.counit,
                        tuple(tuple(row) for row in S))
@@ -377,17 +375,17 @@ def hopf_spec(H: HopfAlgebra):
 # ----------------------------------------------------------------- bundles
 
 
-def _element_vec(R, spec, labels, pointer):
+def _element_vec(R, spec, labels, pointer, spend):
     out = {}
     for label, text in spec.items():
         i = _index(labels, label, f"{pointer}/{label}")
-        v = _element(R, text, f"{pointer}/{label}")
+        v = _element(R, text, f"{pointer}/{label}", spend)
         if v != R.zero():
             out[i] = v
     return out
 
 
-def _parse_bundle_body(R: BaseRing, H: HopfAlgebra, spec, pointer) -> ComoduleAlgebra:
+def _parse_bundle_body(R: BaseRing, H: HopfAlgebra, spec, pointer, spend) -> ComoduleAlgebra:
     labels = {nm: i for i, nm in enumerate(spec["labels"])}
     if len(labels) != len(spec["labels"]):
         raise SchemaError(pointer + "/labels", "duplicate basis label")
@@ -396,7 +394,7 @@ def _parse_bundle_body(R: BaseRing, H: HopfAlgebra, spec, pointer) -> ComoduleAl
     for r, (a, b, vec) in enumerate(spec["mult"]):
         here = f"{pointer}/mult/{r}"
         key = (_index(labels, a, here), _index(labels, b, here))
-        entry = _element_vec(R, vec, labels, here + "/2")
+        entry = _element_vec(R, vec, labels, here + "/2", spend)
         if entry:
             mult[key] = entry
     coaction = {}
@@ -407,7 +405,7 @@ def _parse_bundle_body(R: BaseRing, H: HopfAlgebra, spec, pointer) -> ComoduleAl
         for s, (lft, rgt, text) in enumerate(terms):
             at = f"{here}/1/{s}"
             key = (_index(labels, lft, at), _index(hlabels, rgt, at))
-            v = entry.get(key, R.zero()) + _element(R, text, at)
+            v = entry.get(key, R.zero()) + _element(R, text, at, spend)
             if v == R.zero():
                 entry.pop(key, None)
             else:
@@ -415,27 +413,27 @@ def _parse_bundle_body(R: BaseRing, H: HopfAlgebra, spec, pointer) -> ComoduleAl
         if entry:
             coaction[i] = entry
     return ComoduleAlgebra(R, H, tuple(spec["labels"]), mult,
-                           _element_vec(R, spec["unit"], labels, pointer + "/unit"),
+                           _element_vec(R, spec["unit"], labels, pointer + "/unit", spend),
                            coaction)
 
 
-def parse_bundle(doc: Document, spec, pointer) -> ComoduleAlgebra:
+def parse_bundle(doc: Document, spec, pointer, spend) -> ComoduleAlgebra:
     kind = spec["construction"]
     if kind == "kummer":
         return kummer_bundle(spec["order"],
-                             _scalar(doc.field, spec["q"], pointer + "/q"),
+                             _scalar(doc.field, spec["q"], pointer + "/q", spend),
                              doc.field)
     R = _ref(doc.rings, spec["ring"], pointer + "/ring")
     if kind == "abg":
         return abg_bundle(AbgParams(
             R,
-            _element(R, spec["alpha"], pointer + "/alpha"),
-            _element(R, spec["beta"], pointer + "/beta"),
-            _element(R, spec["gamma"], pointer + "/gamma")))
+            _element(R, spec["alpha"], pointer + "/alpha", spend),
+            _element(R, spec["beta"], pointer + "/beta", spend),
+            _element(R, spec["gamma"], pointer + "/gamma", spend)))
     H = _ref(doc.hopf_algebras, spec["hopf"], pointer + "/hopf")
     if kind == "trivial":
         return trivial_bundle(R, H)
-    return _parse_bundle_body(R, H, spec, pointer)
+    return _parse_bundle_body(R, H, spec, pointer, spend)
 
 
 def _bundle_body_spec(A: ComoduleAlgebra, hopf_name: str):
@@ -472,22 +470,24 @@ def parse_document(text: str) -> Document:
 
 
 def resolve(raw) -> Document:
-    """The objects of a document that passed ``validate_raw``."""
-    doc = Document(parse_field(raw["field"]))
+    """The objects of a document that passed ``validate_raw``.  Its scalars
+    and elements share one work budget."""
+    spend = work_budget()
+    doc = Document(parse_field(raw["field"], spend))
     K = doc.field
     for name, spec in raw.get("rings", {}).items():
-        doc.rings[name] = parse_ring(K, spec, f"/rings/{name}")
+        doc.rings[name] = parse_ring(K, spec, f"/rings/{name}", spend)
     for name, spec in raw.get("hopf_algebras", {}).items():
-        doc.hopf_algebras[name] = parse_hopf(K, spec, f"/hopf_algebras/{name}")
+        doc.hopf_algebras[name] = parse_hopf(K, spec, f"/hopf_algebras/{name}", spend)
     for name, spec in raw.get("morphisms", {}).items():
         here = f"/morphisms/{name}"
         src = _ref(doc.rings, spec["source"], here + "/source")
         dst = _ref(doc.rings, spec["target"], here + "/target")
-        images = {g: _element(dst, text, f"{here}/images/{g}")
+        images = {g: _element(dst, text, f"{here}/images/{g}", spend)
                   for g, text in spec["images"].items()}
         doc.morphisms[name] = BaseMorphism(src, dst, images)
     for name, spec in raw.get("bundles", {}).items():
-        doc.bundles[name] = parse_bundle(doc, spec, f"/bundles/{name}")
+        doc.bundles[name] = parse_bundle(doc, spec, f"/bundles/{name}", spend)
     for name, spec in raw.get("cleavings", {}).items():
         here = f"/cleavings/{name}"
         A = _ref(doc.bundles, spec["bundle"], here + "/bundle")
@@ -496,19 +496,19 @@ def resolve(raw) -> Document:
         values = [dict() for _ in range(A.hopf.dim)]
         for r, (hl, vec) in enumerate(spec["values"]):
             at = f"{here}/values/{r}"
-            values[_index(hlabels, hl, at)] = _element_vec(A.base, vec, alabels, at + "/1")
+            values[_index(hlabels, hl, at)] = _element_vec(A.base, vec, alabels, at + "/1", spend)
         doc.cleavings[name] = HModuleMap(A, tuple(values))
     for name, spec in raw.get("witnesses", {}).items():
-        doc.witnesses[name] = _parse_witness(doc, spec, f"/witnesses/{name}")
+        doc.witnesses[name] = _parse_witness(doc, spec, f"/witnesses/{name}", spend)
     return doc
 
 
-def _parse_witness(doc: Document, spec, pointer) -> HomotopyWitness:
+def _parse_witness(doc: Document, spec, pointer, spend) -> HomotopyWitness:
     source = _ref(doc.rings, spec["step"]["source"], pointer + "/step/source")
     cur, recipe = source, []
     for i, adj in enumerate(spec["step"]["adjunctions"]):
         here = f"{pointer}/step/adjunctions/{i}"
-        u = _element(cur, adj["value"], here + "/value")
+        u = _element(cur, adj["value"], here + "/value", spend)
         recipe.append((ROOT_ADJUNCTION, u, adj["degree"], adj["name"]))
         cur, _, _ = adjoin_root(cur, u, adj["degree"], adj["name"])
     step = EtaleStep(inclusion_morphism(source, cur), tuple(recipe))
@@ -519,20 +519,20 @@ def _parse_witness(doc: Document, spec, pointer) -> HomotopyWitness:
         R = interval.ring
         family = abg_bundle(AbgParams(
             R,
-            _element(R, fam["alpha"], pointer + "/family/alpha"),
-            _element(R, fam["beta"], pointer + "/family/beta"),
-            _element(R, fam["gamma"], pointer + "/family/gamma")))
+            _element(R, fam["alpha"], pointer + "/family/alpha", spend),
+            _element(R, fam["beta"], pointer + "/family/beta", spend),
+            _element(R, fam["gamma"], pointer + "/family/gamma", spend)))
     elif kind == "trivial":
         H = _ref(doc.hopf_algebras, fam["hopf"], pointer + "/family/hopf")
         family = trivial_bundle(interval.ring, H)
     else:
         H = _ref(doc.hopf_algebras, fam["hopf"], pointer + "/family/hopf")
-        family = _parse_bundle_body(interval.ring, H, fam, pointer + "/family")
+        family = _parse_bundle_body(interval.ring, H, fam, pointer + "/family", spend)
     at_zero = _ref(doc.bundles, spec["at_zero"], pointer + "/at_zero")
     at_one = _ref(doc.bundles, spec["at_one"], pointer + "/at_one")
     isos = []
     for key in ("iso_zero", "iso_one"):
-        M = [[_element(cur, e, f"{pointer}/{key}/{r}/{c}")
+        M = [[_element(cur, e, f"{pointer}/{key}/{r}/{c}", spend)
               for c, e in enumerate(row)]
              for r, row in enumerate(spec[key])]
         isos.append(_frozen_matrix(M))
@@ -540,9 +540,11 @@ def _parse_witness(doc: Document, spec, pointer) -> HomotopyWitness:
 
 
 def _named(table: dict, obj, stem: str):
-    for name, existing in table.items():
-        if existing == obj:
-            return name
+    """The greatest name table gives obj, which does not depend on the
+    table's order; else a new name from stem."""
+    name = max((n for n, existing in table.items() if existing == obj), default=None)
+    if name is not None:
+        return name
     name = stem
     i = 2
     while name in table:

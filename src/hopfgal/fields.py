@@ -16,7 +16,6 @@ from the prime factors of the group order, with no search.
 
 from __future__ import annotations
 
-import ast
 import math
 import re
 import sys
@@ -207,8 +206,17 @@ class Field:
     def format(self, a) -> str:
         raise NotImplementedError
 
-    def parse(self, text: str):
-        raise NotImplementedError
+    _constants = None  # base_ring(self), built on first parse
+
+    def parse(self, text: str, spend=None):
+        """The scalar ``text`` spells, read by BaseRing.parse_element as a
+        constant of base_ring(self): the same grammar, caps and work budget,
+        with an extension field's variable as the only name.  Subclasses
+        strip their own annotation first."""
+        if self._constants is None:
+            from .rings import base_ring
+            self._constants = base_ring(self)
+        return self._constants.parse_element(text, spend, "scalar").constant_scalar()
 
     def __repr__(self):
         return self.name
@@ -280,9 +288,6 @@ class RationalField(Field):
 
     def format(self, a):
         return str(a)
-
-    def parse(self, text):
-        return _eval_scalar(self, text, {})
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -388,13 +393,13 @@ class PrimeField(Field):
     def format(self, a):
         return f"{a % self.p} mod {self.p}"
 
-    def parse(self, text):
+    def parse(self, text, spend=None):
         m = re.fullmatch(r"(.*?)\s+mod\s+(\d+)", text.strip())
         if m:
             if int(m.group(2)) != self.p:
                 raise BadScalarError(f"scalar {text!r} declares modulus {m.group(2)}, field is {self.name}")
             text = m.group(1)
-        return _eval_scalar(self, text, {})
+        return super().parse(text, spend)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -461,9 +466,6 @@ class SimpleExtension(Field):
 
     def from_int(self, n):
         return (self.base.from_int(n),) + (self.base.zero(),) * (self.degree - 1)
-
-    def from_base(self, c):
-        return (c,) + (self.base.zero(),) * (self.degree - 1)
 
     def add(self, a, b):
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
@@ -563,13 +565,13 @@ class SimpleExtension(Field):
     def format(self, a):
         return f"{self._poly_str(a)} in {self.name}"
 
-    def parse(self, text):
+    def parse(self, text, spend=None):
         m = re.fullmatch(r"(.*?)\s+in\s+(\S+)", text.strip())
         if m:
             if m.group(2) != self.name:
                 raise BadScalarError(f"scalar {text!r} declares field {m.group(2)}, expected {self.name}")
             text = m.group(1)
-        return _eval_scalar(self, text, {self.var: self.gen()})
+        return super().parse(text, spend)
 
     def __eq__(self, other):
         return (isinstance(other, SimpleExtension) and other.base == self.base
@@ -580,30 +582,8 @@ class SimpleExtension(Field):
 
 
 # --------------------------------------------------------------------------
-# scalar expression parsing: +, -, *, /, integer powers, over any Field
+# the digit limit on parsed scalars
 # --------------------------------------------------------------------------
-
-# Largest |e| in a power b^e whose value can grow.  Exponents of nested powers
-# multiply, so ((2^16)^16)^16 is refused like 2^4096.
-MAX_POWER = 256
-
-
-def exponent(node) -> int:
-    """The integer literal, possibly negated, that an ast power node raises to."""
-    sign = 1
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        sign, node = -1, node.operand
-    if not (isinstance(node, ast.Constant) and isinstance(node.value, int)):
-        raise BadScalarError("exponent must be an integer literal")
-    return sign * node.value
-
-
-def check_power(e: int, room: int, grows: bool):
-    """Refuse b^e when b can grow and |e| exceeds the room the enclosing powers left."""
-    if grows and abs(e) > room:
-        nested = "" if room == MAX_POWER else " once multiplied by the enclosing exponents"
-        raise BadScalarError(f"exponent {e} exceeds the exponent cap {MAX_POWER}{nested}")
-
 
 def _too_long(v) -> bool:
     """Whether a raw value holds an integer past the interpreter's int-to-str
@@ -623,52 +603,6 @@ def check_digits(field: Field, values, text: str):
     if not field.is_finite() and any(_too_long(v) for v in values):
         raise BadScalarError(f"{text!r} evaluates to a number of more than "
                              f"{sys.get_int_max_str_digits()} digits")
-
-
-def _eval_scalar(field: Field, text: str, names: dict):
-    try:
-        tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
-        value = _eval_node(field, tree.body, names)
-    except SyntaxError as exc:
-        raise BadScalarError(f"cannot parse scalar {text!r}: {exc.msg}") from None
-    except ZeroDivisionError:
-        raise BadScalarError(f"division by zero in scalar {text!r}") from None
-    except RecursionError:
-        raise BadScalarError("scalar nests too deeply to parse") from None
-    check_digits(field, (value,), text)
-    return value
-
-
-def _eval_node(field: Field, node, names, room=MAX_POWER):
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, int):
-            return field.from_int(node.value)
-        raise BadScalarError(f"non-integer literal {node.value!r} in scalar")
-    if isinstance(node, ast.Name):
-        if node.id in names:
-            return names[node.id]
-        raise BadScalarError(f"unknown name {node.id!r} in scalar")
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        v = _eval_node(field, node.operand, names, room)
-        return field.neg(v) if isinstance(node.op, ast.USub) else v
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Pow):
-            e = exponent(node.right)
-            base = _eval_node(field, node.left, names, room // max(abs(e), 1))
-            check_power(e, room, not field.is_finite() and base not in (
-                field.zero(), field.one(), field.neg(field.one())))
-            return field.pow(base, e)
-        a = _eval_node(field, node.left, names, room)
-        b = _eval_node(field, node.right, names, room)
-        if isinstance(node.op, ast.Add):
-            return field.add(a, b)
-        if isinstance(node.op, ast.Sub):
-            return field.sub(a, b)
-        if isinstance(node.op, ast.Mult):
-            return field.mul(a, b)
-        if isinstance(node.op, ast.Div):
-            return field.div(a, b)
-    raise BadScalarError(f"unsupported syntax in scalar expression: {ast.dump(node)}")
 
 
 def field_from_name(name: str) -> Field:

@@ -55,10 +55,6 @@ class CanonicalMatrix(Record, frozen=True):
         return self.algebra.dim ** 2 if self.terms else 0
 
     @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    @property
     def entries(self) -> tuple:
         """Tuple of row tuples of BaseElements."""
         zero, ncols = self.algebra.base.zero(), self.ncols
@@ -70,10 +66,6 @@ class CanonicalMatrix(Record, frozen=True):
 
     def sparse_rows(self) -> list:
         return [dict(r) for r in self.terms]
-
-    def entry(self, l: int, k: int, i: int, j: int) -> BaseElement:
-        n, d = self.algebra.dim, self.algebra.hopf.dim
-        return dict(self.terms[l * d + k]).get(i * n + j, self.algebra.base.zero())
 
 
 def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:

@@ -49,11 +49,14 @@ from .errors import (
     RingMismatchError,
     TowerOrderError,
 )
-from .fields import MAX_POWER, Field, check_digits, check_power, exponent
+from .fields import Field, check_digits
 from .record import Record
 
-# the pairs of terms the products and powers in one element string may multiply
+# the pairs of terms the products and powers of one document may multiply
 MAX_TERM_PRODUCTS = 1 << 16
+# Largest |e| in a power b^e whose value can grow.  Exponents of nested powers
+# multiply, so ((2^16)^16)^16 is refused like 2^4096.
+MAX_POWER = 256
 
 FREE = "free"
 LAURENT = "laurent"
@@ -453,62 +456,66 @@ class BaseRing:
             out += t if t.startswith("-") else "+" + t
         return out
 
-    def parse_element(self, text: str) -> BaseElement:
+    def parse_element(self, text: str, spend=None, noun: str = "element") -> BaseElement:
+        """The element ``text`` spells: integer literals, the generators (and
+        an extension field's variable) by name, +, -, *, division by a unit,
+        and integer powers written ^ or **.
+
+        A power of a value that can grow raises to at most MAX_POWER,
+        counted through nested powers.  Products and powers pay the pairs of
+        terms they multiply from ``spend`` (a ``work_budget``), one budget
+        per call unless the caller shares one.  Anything else raises
+        BadScalarError, whose message calls ``text`` the ``noun``.
+        """
         if self._names is None:
             self._names = {g.name: self.gen(i) for i, g in enumerate(self.gens)}
             from .fields import SimpleExtension
             if isinstance(self.field, SimpleExtension):
                 self._names.setdefault(self.field.var, self.from_scalar(self.field.gen()))
+        spend = spend or work_budget()
+
+        def mul(A: dict, B: dict) -> dict:
+            spend(len(A) * len(B))
+            return self._mul(A, B)
         try:
             tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
-            a = self._eval_node(tree.body, self._names, self._budgeted_mul())
+            a = self._eval_node(tree.body, noun, mul)
         except SyntaxError as exc:
-            raise BadScalarError(f"cannot parse element {text!r}: {exc.msg}") from None
+            raise BadScalarError(f"cannot parse {noun} {text!r}: {exc.msg}") from None
+        except ZeroDivisionError:  # a zero divisor of a reducible extension field
+            raise BadScalarError(f"division by zero in {noun} {text!r}") from None
         except RecursionError:
-            raise BadScalarError("element nests too deeply to parse") from None
+            raise BadScalarError(f"{noun} nests too deeply to parse") from None
         check_digits(self.field, a.coeffs.values(), text)
         return a
 
-    def _budgeted_mul(self):
-        """_mul that refuses once the products of one parse have multiplied
-        more than MAX_TERM_PRODUCTS pairs of terms."""
-        room = MAX_TERM_PRODUCTS
-
-        def mul(A: dict, B: dict) -> dict:
-            nonlocal room
-            room -= len(A) * len(B)
-            if room < 0:
-                raise BadScalarError("products and powers multiply more pairs of terms than "
-                                     f"the work cap of {MAX_TERM_PRODUCTS}")
-            return self._mul(A, B)
-        return mul
-
     def _power_grows(self, a: BaseElement) -> bool:
-        """Whether powers of a can grow.  They cannot when a is one term, free
-        of root generators, whose coefficient is +-1 or lies in a finite field."""
+        """Whether powers of a can grow.  They cannot when a is 0, or one term
+        free of root generators whose coefficient is +-1 or lies in a finite
+        field."""
         if len(a.coeffs) != 1:
-            return True
+            return bool(a.coeffs)
         [(m, c)] = a.coeffs.items()
         K = self.field
         return (any(m[i] for i in self._root_indices)
                 or not (K.is_finite() or c in (K.one(), K.neg(K.one()))))
 
-    def _eval_node(self, node, names, mul, room=MAX_POWER) -> BaseElement:
+    def _eval_node(self, node, noun, mul, room=MAX_POWER) -> BaseElement:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, int):
                 return self.from_int(node.value)
-            raise BadScalarError(f"non-integer literal {node.value!r} in element")
+            raise BadScalarError(f"non-integer literal {node.value!r} in {noun}")
         if isinstance(node, ast.Name):
-            if node.id in names:
-                return names[node.id]
-            raise BadScalarError(f"unknown name {node.id!r} in element over {self!r}")
+            if node.id in self._names:
+                return self._names[node.id]
+            raise BadScalarError(f"unknown name {node.id!r} in {noun} over {self!r}")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = self._eval_node(node.operand, names, mul, room)
+            v = self._eval_node(node.operand, noun, mul, room)
             return -v if isinstance(node.op, ast.USub) else v
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Pow):
                 e = exponent(node.right)
-                base = self._eval_node(node.left, names, mul, room // max(abs(e), 1))
+                base = self._eval_node(node.left, noun, mul, room // max(abs(e), 1))
                 check_power(e, room, self._power_grows(base))
                 if e < 0:
                     inv = self.try_inverse(base)
@@ -516,8 +523,8 @@ class BaseRing:
                         raise BadScalarError(f"negative power of the non-unit {base}")
                     base = inv
                 return BaseElement(self, self._pow(base.coeffs, abs(e), mul))
-            a = self._eval_node(node.left, names, mul, room)
-            b = self._eval_node(node.right, names, mul, room)
+            a = self._eval_node(node.left, noun, mul, room)
+            b = self._eval_node(node.right, noun, mul, room)
             if isinstance(node.op, ast.Add):
                 return a + b
             if isinstance(node.op, ast.Sub):
@@ -529,7 +536,38 @@ class BaseRing:
                 b = inv
             if isinstance(node.op, (ast.Mult, ast.Div)):
                 return BaseElement(self, mul(a.coeffs, b.coeffs))
-        raise BadScalarError("unsupported syntax in element expression")
+        raise BadScalarError(f"unsupported syntax in {noun} expression")
+
+
+def exponent(node) -> int:
+    """The integer literal, possibly negated, that an ast power node raises to."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        sign, node = -1, node.operand
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, int)):
+        raise BadScalarError("exponent must be an integer literal")
+    return sign * node.value
+
+
+def check_power(e: int, room: int, grows: bool):
+    """Refuse b^e when b can grow and |e| exceeds the room the enclosing powers left."""
+    if grows and abs(e) > room:
+        nested = "" if room == MAX_POWER else " once multiplied by the enclosing exponents"
+        raise BadScalarError(f"exponent {e} exceeds the exponent cap {MAX_POWER}{nested}")
+
+
+def work_budget():
+    """A spend(pairs) that refuses once the products and powers paid from it
+    have multiplied more than MAX_TERM_PRODUCTS pairs of terms in all."""
+    room = MAX_TERM_PRODUCTS
+
+    def spend(pairs: int):
+        nonlocal room
+        room -= pairs
+        if room < 0:
+            raise BadScalarError("products and powers multiply more pairs of terms than "
+                                 f"the work cap of {MAX_TERM_PRODUCTS}")
+    return spend
 
 
 class BaseElement:

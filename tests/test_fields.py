@@ -24,6 +24,7 @@ from hopfgal.fields import (
     is_prime,
 )
 from hopfgal.hopf import taft
+from reference_scalars import reference_parse
 
 F7 = PrimeField(7)
 F3 = PrimeField(3)
@@ -141,6 +142,41 @@ def test_scalar_parse_rejects_garbage() -> None:
         QQ.parse("1/0")
     with pytest.raises(BadScalarError):
         F7.parse("2 mod 5")
+
+
+# Q, a small and a large prime field, Q(w) with w^2 + w + 1 = 0, and
+# Q[w]/(w^2 - 1), whose w - 1 and w + 1 are zero divisors
+_PARSE_FIELDS = [QQ, F7, PrimeField(4294967311),
+                 SimpleExtension(QQ, "w", [Fraction(1), Fraction(1), Fraction(1)]),
+                 SimpleExtension(QQ, "w", [Fraction(-1), Fraction(0), Fraction(1)])]
+_EXPONENTS = (0, 1, 2, 3, -1, -2, 16, 17, 255, 256, 257, -257, 300, -300, 10 ** 6)
+_EXPRESSIONS = st.recursive(
+    st.one_of(st.integers(-12, 12).map(str), st.integers(-2 ** 70, 2 ** 70).map(str),
+              st.sampled_from(("0", "w", "x", "1.5", "'w'"))),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        # quotients by 0, by zero divisors of Q[w]/(w^2 - 1) and by units
+        st.tuples(inner, st.sampled_from(("0", "w+1", "w-1", "w"))).map(lambda t: f"({t[0]})/({t[1]})"),
+        st.tuples(inner, st.sampled_from(_EXPONENTS)).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda a: f"-({a})")),
+    max_leaves=8)
+
+
+def _parsed(parse, K, text):
+    try:
+        return parse(K, text)
+    except BadScalarError:
+        return "refused"
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(_PARSE_FIELDS), _EXPRESSIONS, st.booleans())
+def test_scalar_parse_matches_the_reference_parser(K, text, annotated) -> None:
+    """Field.parse reads scalars through BaseRing.parse_element; the
+    reference is the field-level evaluator it replaced."""
+    if annotated and K != QQ:
+        text += f" mod {K.p}" if isinstance(K, PrimeField) else f" in {K.name}"
+    assert _parsed(type(K).parse, K, text) == _parsed(reference_parse, K, text)
 
 
 def test_field_from_name() -> None:

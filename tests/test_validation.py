@@ -6,8 +6,10 @@ import copy
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -209,6 +211,59 @@ def test_neg_schema_document_diagnostic(capsys) -> None:
     assert captured.out == ""
     assert captured.err.startswith("error: /bundles/A: {'construction': 'explicit', 'hopf': 'H4'")
     assert captured.err.endswith("is not valid under any of the given schemas\n")
+
+
+# ----------------------------------------------------- shorthand order caps
+
+def _shorthands(order):
+    return [{"field": "F17", "hopf_algebras": {"T": {"construction": kind, "order": order}}}
+            for kind in ("cyclic_group", "cyclic_dual")] + [
+        {"field": "F17", "hopf_algebras": {"T": {"construction": "taft", "order": order, "q": "3"}}},
+        {"field": "F193", "bundles": {"K": {"construction": "kummer", "order": order, "q": "5"}}}]
+
+
+@pytest.mark.parametrize("order", [16, 17, 64, 65, 10 ** 30, 16.0, 17.0, True])
+def test_predicate_matches_jsonschema_at_the_order_caps(order) -> None:
+    for doc in _shorthands(order):
+        assert _is_valid()(doc) == ORACLE.is_valid(doc)
+
+
+def test_order_caps_admit_the_largest_orders() -> None:
+    # a Hopf algebra shorthand of order 16 (taft(16), 256-dimensional) and
+    # a Kummer bundle of order 64
+    for doc in _shorthands(16)[:3] + _shorthands(64)[3:]:
+        validate_raw(doc)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+# Before the caps, taft of order 40 over F41 ran for 22.8 s and exited 0;
+# order 100 over F101 was killed out of memory.  cyclic_dual of order 256
+# exhausted 2 GB of address space.
+@pytest.mark.parametrize("raw, argv, pointer", [
+    ({"field": "F41", "hopf_algebras": {"T": {"construction": "taft", "order": 40, "q": "7"}}},
+     ["verify-hopf", "{}", "T"], "/hopf_algebras/T/order"),
+    ({"field": "F101", "hopf_algebras": {"T": {"construction": "taft", "order": 100, "q": "2"}}},
+     ["verify-hopf", "{}", "T"], "/hopf_algebras/T/order"),
+    ({"field": "F257", "hopf_algebras": {"T": {"construction": "cyclic_dual", "order": 256}}},
+     ["verify-hopf", "{}", "T"], "/hopf_algebras/T/order"),
+    ({"field": "F10007", "hopf_algebras": {"T": {"construction": "cyclic_group", "order": 10000}}},
+     ["verify-hopf", "{}", "T"], "/hopf_algebras/T/order"),
+    ({"field": "F1201", "bundles": {"K": {"construction": "kummer", "order": 400, "q": "3"}}},
+     ["verify-bundle", "{}", "K"], "/bundles/K/order"),
+], ids=["taft40", "taft100", "cyclic_dual256", "cyclic_group10000", "kummer400"])
+def test_order_over_the_cap_exits_2_quickly(tmp_path, raw, argv, pointer) -> None:
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(raw))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "hopfgal.cli", *(a.format(path) for a in argv)],
+                         env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=_limit_address_space,
+                         capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - t0 < 2.0
+    assert out.returncode == 2, out.stderr
+    assert f"error: {pointer}: " in out.stderr and "Traceback" not in out.stderr
 
 
 # ------------------------------------------------------------ import budget
