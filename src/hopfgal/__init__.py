@@ -30,7 +30,6 @@ from .cleft import (
     trivial_action,
     trivial_cocycle,
     twisted_product,
-    untwisted_is_trivial,
 )
 from .comod import (
     ComoduleAlgebra,
@@ -41,7 +40,6 @@ from .comod import (
     convolve,
     map_matrix_entries,
     push_forward,
-    require_iso,
     trivial_bundle,
     unit_counit_map,
     verify_comodule_algebra,

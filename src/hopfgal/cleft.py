@@ -25,7 +25,6 @@ from .comod import (
     _lifted,
     convolution_invert,
     convolve,
-    trivial_bundle,
     unit_counit_map,
 )
 from .errors import (
@@ -116,15 +115,6 @@ class Cocycle(Record, frozen=True):
         d = self.hopf.dim
         if len(self.sigma) != d or any(len(row) != d for row in self.sigma):
             raise DimensionMismatchError("cocycle table must be square of the Hopf dimension")
-
-    def value(self, g: dict, h: dict) -> BaseElement:
-        """sigma on arbitrary H-elements, extended bilinearly."""
-        K = self.hopf.field
-        acc = self.base.zero()
-        for a, ca in g.items():
-            for b, cb in h.items():
-                acc = acc + self.base.from_scalar(K.mul(ca, cb)) * self.sigma[a][b]
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, Cocycle):
@@ -340,7 +330,3 @@ def cleaving_of_twisted_product(A: ComoduleAlgebra) -> CleavingMap:
     """gamma(h) = 1 (x) h on a product-type bundle whose basis is the H basis."""
     gamma = HModuleMap(A, tuple(A.basis_vec(k) for k in range(A.hopf.dim)))
     return check_cleaving(A, gamma)
-
-
-def untwisted_is_trivial(base: BaseRing, H: HopfAlgebra) -> bool:
-    return twisted_product(base, H, trivial_cocycle(base, H)) == trivial_bundle(base, H)

@@ -26,7 +26,6 @@ from .axioms import accumulate, field_ops, record, ring_ops, sparse, terms
 from .errors import (
     BaseNotFieldError,
     DimensionMismatchError,
-    NotComoduleMapError,
     NotInvertibleError,
     RingMismatchError,
 )
@@ -271,12 +270,6 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
            axioms.comodule_map(ops, n, phi, sparse(ops, A.coaction), sparse(ops, B.coaction)),
            lambda i: f"coaction differs on phi({L[i]})")
     return rep
-
-
-def require_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> None:
-    rep = check_iso(A, B, M)
-    if not rep.ok:
-        raise NotComoduleMapError("; ".join(rep.failures()))
 
 
 def map_matrix_entries(f: BaseMorphism, M: list) -> list:

@@ -6,9 +6,16 @@ shipped schema, then resolved name by name; every diagnostic carries the
 JSON pointer of the offending spot.  Validity is decided by a predicate
 compiled once from the shipped schema (plain closures, Draft 2020-12
 semantics for the keywords the schema uses); jsonschema is imported only
-to explain a rejection, so its pointer and message name the offending spot.  Serialization always emits the
-explicit normal form (constructor shorthands like "sweedler" parse but are
-not reproduced), and parse of a serialized document rebuilds equal objects.
+to explain a rejection, so its pointer and message name the offending
+spot.  Serialization always emits the explicit normal form (constructor
+shorthands like "sweedler" parse but are not reproduced), and parse of a
+serialized document rebuilds equal objects.
+
+Hopf algebras, bundles and the families of witnesses share one table
+format, read by one reader and written by one writer.  Scalars and ring
+elements share the value and vector readers, which are given the parse
+function and the ``axioms.Ops`` to use; a bundle and a family share the
+reader of their constructions.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import re
 from functools import cache
 from importlib import resources
 
+from .axioms import accumulate, field_ops, ring_ops
 from .errors import BadScalarError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension
 from .rings import (BaseMorphism, BaseRing, adjoin_root, base_ring,
@@ -191,16 +199,11 @@ def validate_raw(obj) -> None:
         raise SchemaError(pointer, err.message)
 
 
-def _scalar(K: Field, text, pointer, spend):
+def _value(read, text, pointer, spend):
+    """read(text, spend) for read a Field.parse or a BaseRing.parse_element,
+    with pointer in the message of a BadScalarError."""
     try:
-        return K.parse(text, spend)
-    except BadScalarError as exc:
-        raise BadScalarError(f"at {pointer}: {exc}") from None
-
-
-def _element(ring: BaseRing, text, pointer, spend):
-    try:
-        return ring.parse_element(text, spend)
+        return read(text, spend)
     except BadScalarError as exc:
         raise BadScalarError(f"at {pointer}: {exc}") from None
 
@@ -209,12 +212,6 @@ def _ref(table: dict, name, pointer):
     if name not in table:
         raise UnresolvedReferenceError(pointer, name)
     return table[name]
-
-
-def _index(labels: dict, label, pointer):
-    if label not in labels:
-        raise UnresolvedReferenceError(pointer, label)
-    return labels[label]
 
 
 # ------------------------------------------------------------------ fields
@@ -231,7 +228,7 @@ def parse_field(spec, spend, pointer="/field") -> Field:
                 raise SchemaError(pointer, str(exc)) from None
         raise SchemaError(pointer, f"unknown field {spec!r}")
     base = parse_field(spec["base"], spend, pointer + "/base")
-    modulus = tuple(_scalar(base, c, f"{pointer}/modulus/{i}", spend)
+    modulus = tuple(_value(base.parse, c, f"{pointer}/modulus/{i}", spend)
                     for i, c in enumerate(spec["modulus"]))
     try:
         return SimpleExtension(base, spec["var"], modulus)
@@ -263,7 +260,7 @@ def parse_ring(K: Field, spec, pointer, spend) -> BaseRing:
         else:
             if "value" not in g:
                 raise SchemaError(here, "root generator needs a value")
-            u = _element(R, g["value"], here + "/value", spend)
+            u = _value(R.parse_element, g["value"], here + "/value", spend)
             R, _, _ = adjoin_root(R, u, g.get("degree", 2), g["name"], grade=grade)
     return R
 
@@ -283,17 +280,58 @@ def ring_spec(R: BaseRing):
     return {"gens": gens}
 
 
-# ----------------------------------------------------------- Hopf algebras
+# ----------------------------------------------- Hopf algebras and bundles
+#
+# An explicit Hopf algebra, an explicit bundle and an explicit family share
+# one table format: labels, unit, ``mult`` (rows [a, b, {label: value}]) and
+# a tensor table under ``key`` (rows [a, [[left, right, value], ...]]),
+# "comult" with both legs in the labels, "coaction" with the right leg in
+# the Hopf algebra's.  A Hopf algebra adds its counit and antipode.
 
 
-def _scalar_vec(K, spec, labels, pointer, spend):
+def _labels(spec, pointer) -> dict:
+    labels = {nm: i for i, nm in enumerate(spec["labels"])}
+    if len(labels) != len(spec["labels"]):
+        raise SchemaError(pointer + "/labels", "duplicate basis label")
+    return labels
+
+
+def _vec(read, ops, spec, labels, pointer, spend):
+    """{index: value} of a vector keyed by label, zeros dropped; ops is
+    axioms.field_ops or axioms.ring_ops of what read returns."""
     out = {}
     for label, text in spec.items():
-        i = _index(labels, label, f"{pointer}/{label}")
-        c = _scalar(K, text, f"{pointer}/{label}", spend)
-        if not K.is_zero(c):
+        here = f"{pointer}/{label}"
+        i = _ref(labels, label, here)
+        c = _value(read, text, here, spend)
+        if not ops.is_zero(c):
             out[i] = c
     return out
+
+
+def _tables(read, ops, spec, labels, right_labels, key, pointer, spend):
+    """The ``mult`` table, the ``key`` table and the unit, read in that
+    order; repeated terms of a row of the ``key`` table are summed."""
+    mult = {}
+    for r, (a, b, vec) in enumerate(spec["mult"]):
+        here = f"{pointer}/mult/{r}"
+        row = (_ref(labels, a, here), _ref(labels, b, here))
+        entry = _vec(read, ops, vec, labels, here + "/2", spend)
+        if entry:
+            mult[row] = entry
+
+    def term(at, left, right, text):
+        return ((_ref(labels, left, at), _ref(right_labels, right, at)),
+                _value(read, text, at, spend))
+
+    table = {}
+    for r, (a, terms) in enumerate(spec[key]):
+        here = f"{pointer}/{key}/{r}"
+        i = _ref(labels, a, here)
+        entry = accumulate(ops, (term(f"{here}/1/{s}", *t) for s, t in enumerate(terms)))
+        if entry:
+            table[i] = entry
+    return mult, table, _vec(read, ops, spec["unit"], labels, pointer + "/unit", spend)
 
 
 def parse_hopf(K: Field, spec, pointer, spend) -> HopfAlgebra:
@@ -301,157 +339,86 @@ def parse_hopf(K: Field, spec, pointer, spend) -> HopfAlgebra:
     if kind == "sweedler":
         return sweedler_h4(K)
     if kind == "taft":
-        return taft(spec["order"], _scalar(K, spec["q"], pointer + "/q", spend), K)
+        return taft(spec["order"], _value(K.parse, spec["q"], pointer + "/q", spend), K)
     if kind == "cyclic_group":
         return cyclic_group_algebra(spec["order"], K)
     if kind == "cyclic_dual":
         return dual_hopf(cyclic_group_algebra(spec["order"], K))
-    labels = {nm: i for i, nm in enumerate(spec["labels"])}
-    if len(labels) != len(spec["labels"]):
-        raise SchemaError(pointer + "/labels", "duplicate basis label")
-    mult = {}
-    for r, (a, b, vec) in enumerate(spec["mult"]):
-        here = f"{pointer}/mult/{r}"
-        key = (_index(labels, a, here), _index(labels, b, here))
-        entry = _scalar_vec(K, vec, labels, here + "/2", spend)
-        if entry:
-            mult[key] = entry
-    comult = {}
-    for r, (a, terms) in enumerate(spec["comult"]):
-        here = f"{pointer}/comult/{r}"
-        i = _index(labels, a, here)
-        entry = {}
-        for s, (lft, rgt, c) in enumerate(terms):
-            at = f"{here}/1/{s}"
-            key = (_index(labels, lft, at), _index(labels, rgt, at))
-            v = K.add(entry.get(key, K.zero()), _scalar(K, c, at, spend))
-            if K.is_zero(v):
-                entry.pop(key, None)
-            else:
-                entry[key] = v
-        if entry:
-            comult[i] = entry
-    B = Bialgebra(K, tuple(spec["labels"]), mult,
-                  _scalar_vec(K, spec["unit"], labels, pointer + "/unit", spend),
-                  comult,
-                  _scalar_vec(K, spec["counit"], labels, pointer + "/counit", spend))
+    labels = _labels(spec, pointer)
+    read, ops = K.parse, field_ops(K)
+    mult, comult, unit = _tables(read, ops, spec, labels, labels, "comult", pointer, spend)
+    B = Bialgebra(K, tuple(spec["labels"]), mult, unit, comult,
+                  _vec(read, ops, spec["counit"], labels, pointer + "/counit", spend))
     if "antipode" not in spec:
         return hopf_from_bialgebra(B)
     d = len(labels)
     S = [[K.zero()] * d for _ in range(d)]
     for r, (a, vec) in enumerate(spec["antipode"]):
         here = f"{pointer}/antipode/{r}"
-        j = _index(labels, a, here)
-        for i, c in _scalar_vec(K, vec, labels, here + "/1", spend).items():
+        j = _ref(labels, a, here)
+        for i, c in _vec(read, ops, vec, labels, here + "/1", spend).items():
             S[i][j] = c
     return HopfAlgebra(K, B.labels, B.mult, B.unit, B.comult, B.counit,
                        tuple(tuple(row) for row in S))
 
 
+def _bundle_over(doc: Document, R: BaseRing, spec, pointer, spend) -> ComoduleAlgebra:
+    """A bundle over R from an abg, trivial or explicit spec: a bundle of
+    the document, or the family of a witness."""
+    kind, read = spec["construction"], R.parse_element
+    if kind == "abg":
+        return abg_bundle(AbgParams(R, *(_value(read, spec[k], f"{pointer}/{k}", spend)
+                                         for k in ("alpha", "beta", "gamma"))))
+    H = _ref(doc.hopf_algebras, spec["hopf"], pointer + "/hopf")
+    if kind == "trivial":
+        return trivial_bundle(R, H)
+    labels = _labels(spec, pointer)
+    hlabels = {nm: i for i, nm in enumerate(H.labels)}
+    mult, coaction, unit = _tables(read, ring_ops(R), spec, labels, hlabels, "coaction",
+                                   pointer, spend)
+    return ComoduleAlgebra(R, H, tuple(spec["labels"]), mult, unit, coaction)
+
+
+def parse_bundle(doc: Document, spec, pointer, spend) -> ComoduleAlgebra:
+    if spec["construction"] == "kummer":
+        return kummer_bundle(spec["order"],
+                             _value(doc.field.parse, spec["q"], pointer + "/q", spend),
+                             doc.field)
+    R = _ref(doc.rings, spec["ring"], pointer + "/ring")
+    return _bundle_over(doc, R, spec, pointer, spend)
+
+
+def _vec_spec(fmt, labels, v):
+    return {labels[i]: fmt(c) for i, c in sorted(v.items())}
+
+
+def _tables_spec(fmt, labels, right_labels, unit, mult, key, table):
+    """The explicit form of labels, unit, ``mult`` and the ``key`` table."""
+    return {"construction": "explicit", "labels": list(labels),
+            "unit": _vec_spec(fmt, labels, unit),
+            "mult": [[labels[i], labels[j], _vec_spec(fmt, labels, mult[(i, j)])]
+                     for (i, j) in sorted(mult) if mult[(i, j)]],
+            key: [[labels[i], [[labels[a], right_labels[b], fmt(c)]
+                               for (a, b), c in sorted(table[i].items())]]
+                  for i in sorted(table) if table[i]]}
+
+
 def hopf_spec(H: HopfAlgebra):
     K, labels = H.field, H.labels
     fmt = K.format
-
-    def vec(v):
-        return {labels[i]: fmt(c) for i, c in sorted(v.items())}
-
-    mult = [[labels[i], labels[j], vec(H.mult[(i, j)])]
-            for (i, j) in sorted(H.mult) if H.mult[(i, j)]]
-    comult = [[labels[i],
-               [[labels[a], labels[b], fmt(c)]
-                for (a, b), c in sorted(H.comult[i].items())]]
-              for i in sorted(H.comult) if H.comult[i]]
     antipode = []
     for j in range(H.dim):
         col = {i: H.antipode[i][j] for i in range(H.dim)
                if not K.is_zero(H.antipode[i][j])}
         if col:
-            antipode.append([labels[j], vec(col)])
-    return {"construction": "explicit", "labels": list(labels),
-            "unit": vec(H.unit), "counit": vec(H.counit),
-            "mult": mult, "comult": comult, "antipode": antipode}
-
-
-# ----------------------------------------------------------------- bundles
-
-
-def _element_vec(R, spec, labels, pointer, spend):
-    out = {}
-    for label, text in spec.items():
-        i = _index(labels, label, f"{pointer}/{label}")
-        v = _element(R, text, f"{pointer}/{label}", spend)
-        if v != R.zero():
-            out[i] = v
-    return out
-
-
-def _parse_bundle_body(R: BaseRing, H: HopfAlgebra, spec, pointer, spend) -> ComoduleAlgebra:
-    labels = {nm: i for i, nm in enumerate(spec["labels"])}
-    if len(labels) != len(spec["labels"]):
-        raise SchemaError(pointer + "/labels", "duplicate basis label")
-    hlabels = {nm: i for i, nm in enumerate(H.labels)}
-    mult = {}
-    for r, (a, b, vec) in enumerate(spec["mult"]):
-        here = f"{pointer}/mult/{r}"
-        key = (_index(labels, a, here), _index(labels, b, here))
-        entry = _element_vec(R, vec, labels, here + "/2", spend)
-        if entry:
-            mult[key] = entry
-    coaction = {}
-    for r, (a, terms) in enumerate(spec["coaction"]):
-        here = f"{pointer}/coaction/{r}"
-        i = _index(labels, a, here)
-        entry = {}
-        for s, (lft, rgt, text) in enumerate(terms):
-            at = f"{here}/1/{s}"
-            key = (_index(labels, lft, at), _index(hlabels, rgt, at))
-            v = entry.get(key, R.zero()) + _element(R, text, at, spend)
-            if v == R.zero():
-                entry.pop(key, None)
-            else:
-                entry[key] = v
-        if entry:
-            coaction[i] = entry
-    return ComoduleAlgebra(R, H, tuple(spec["labels"]), mult,
-                           _element_vec(R, spec["unit"], labels, pointer + "/unit", spend),
-                           coaction)
-
-
-def parse_bundle(doc: Document, spec, pointer, spend) -> ComoduleAlgebra:
-    kind = spec["construction"]
-    if kind == "kummer":
-        return kummer_bundle(spec["order"],
-                             _scalar(doc.field, spec["q"], pointer + "/q", spend),
-                             doc.field)
-    R = _ref(doc.rings, spec["ring"], pointer + "/ring")
-    if kind == "abg":
-        return abg_bundle(AbgParams(
-            R,
-            _element(R, spec["alpha"], pointer + "/alpha", spend),
-            _element(R, spec["beta"], pointer + "/beta", spend),
-            _element(R, spec["gamma"], pointer + "/gamma", spend)))
-    H = _ref(doc.hopf_algebras, spec["hopf"], pointer + "/hopf")
-    if kind == "trivial":
-        return trivial_bundle(R, H)
-    return _parse_bundle_body(R, H, spec, pointer, spend)
+            antipode.append([labels[j], _vec_spec(fmt, labels, col)])
+    return {**_tables_spec(fmt, labels, labels, H.unit, H.mult, "comult", H.comult),
+            "counit": _vec_spec(fmt, labels, H.counit), "antipode": antipode}
 
 
 def _bundle_body_spec(A: ComoduleAlgebra, hopf_name: str):
-    R, labels, hlabels = A.base, A.labels, A.hopf.labels
-    fmt = R.format_element
-
-    def vec(v):
-        return {labels[i]: fmt(c) for i, c in sorted(v.items())}
-
-    mult = [[labels[i], labels[j], vec(A.mult[(i, j)])]
-            for (i, j) in sorted(A.mult) if A.mult[(i, j)]]
-    coaction = [[labels[i],
-                 [[labels[a], hlabels[b], fmt(c)]
-                  for (a, b), c in sorted(A.coaction[i].items())]]
-                for i in sorted(A.coaction) if A.coaction[i]]
-    return {"construction": "explicit", "hopf": hopf_name,
-            "labels": list(labels), "unit": vec(A.unit),
-            "mult": mult, "coaction": coaction}
+    return {**_tables_spec(A.base.format_element, A.labels, A.hopf.labels, A.unit, A.mult,
+                           "coaction", A.coaction), "hopf": hopf_name}
 
 
 # --------------------------------------------------------------- documents
@@ -483,7 +450,7 @@ def resolve(raw) -> Document:
         here = f"/morphisms/{name}"
         src = _ref(doc.rings, spec["source"], here + "/source")
         dst = _ref(doc.rings, spec["target"], here + "/target")
-        images = {g: _element(dst, text, f"{here}/images/{g}", spend)
+        images = {g: _value(dst.parse_element, text, f"{here}/images/{g}", spend)
                   for g, text in spec["images"].items()}
         doc.morphisms[name] = BaseMorphism(src, dst, images)
     for name, spec in raw.get("bundles", {}).items():
@@ -493,10 +460,11 @@ def resolve(raw) -> Document:
         A = _ref(doc.bundles, spec["bundle"], here + "/bundle")
         alabels = {nm: i for i, nm in enumerate(A.labels)}
         hlabels = {nm: i for i, nm in enumerate(A.hopf.labels)}
+        read, ops = A.base.parse_element, ring_ops(A.base)
         values = [dict() for _ in range(A.hopf.dim)]
         for r, (hl, vec) in enumerate(spec["values"]):
             at = f"{here}/values/{r}"
-            values[_index(hlabels, hl, at)] = _element_vec(A.base, vec, alabels, at + "/1", spend)
+            values[_ref(hlabels, hl, at)] = _vec(read, ops, vec, alabels, at + "/1", spend)
         doc.cleavings[name] = HModuleMap(A, tuple(values))
     for name, spec in raw.get("witnesses", {}).items():
         doc.witnesses[name] = _parse_witness(doc, spec, f"/witnesses/{name}", spend)
@@ -508,31 +476,17 @@ def _parse_witness(doc: Document, spec, pointer, spend) -> HomotopyWitness:
     cur, recipe = source, []
     for i, adj in enumerate(spec["step"]["adjunctions"]):
         here = f"{pointer}/step/adjunctions/{i}"
-        u = _element(cur, adj["value"], here + "/value", spend)
+        u = _value(cur.parse_element, adj["value"], here + "/value", spend)
         recipe.append((ROOT_ADJUNCTION, u, adj["degree"], adj["name"]))
         cur, _, _ = adjoin_root(cur, u, adj["degree"], adj["name"])
     step = EtaleStep(inclusion_morphism(source, cur), tuple(recipe))
     interval = extend_with_t(cur)
-    fam = spec["family"]
-    kind = fam["construction"]
-    if kind == "abg":
-        R = interval.ring
-        family = abg_bundle(AbgParams(
-            R,
-            _element(R, fam["alpha"], pointer + "/family/alpha", spend),
-            _element(R, fam["beta"], pointer + "/family/beta", spend),
-            _element(R, fam["gamma"], pointer + "/family/gamma", spend)))
-    elif kind == "trivial":
-        H = _ref(doc.hopf_algebras, fam["hopf"], pointer + "/family/hopf")
-        family = trivial_bundle(interval.ring, H)
-    else:
-        H = _ref(doc.hopf_algebras, fam["hopf"], pointer + "/family/hopf")
-        family = _parse_bundle_body(interval.ring, H, fam, pointer + "/family", spend)
+    family = _bundle_over(doc, interval.ring, spec["family"], pointer + "/family", spend)
     at_zero = _ref(doc.bundles, spec["at_zero"], pointer + "/at_zero")
     at_one = _ref(doc.bundles, spec["at_one"], pointer + "/at_one")
     isos = []
     for key in ("iso_zero", "iso_one"):
-        M = [[_element(cur, e, f"{pointer}/{key}/{r}/{c}", spend)
+        M = [[_value(cur.parse_element, e, f"{pointer}/{key}/{r}/{c}", spend)
               for c, e in enumerate(row)]
              for r, row in enumerate(spec[key])]
         isos.append(_frozen_matrix(M))
@@ -582,11 +536,9 @@ def document_of(doc: Document) -> dict:
                        for g, img in zip(f.source.gens, f.images)}}
     cleavings = {}
     for name, cm in doc.cleavings.items():
-        hlabels = cm.algebra.hopf.labels
-        alabels = cm.algebra.labels
-        fmt = cm.algebra.base.format_element
-        cleavings[name] = {"bundle": bundle_name(cm.algebra), "values": [
-            [hlabels[k], {alabels[i]: fmt(c) for i, c in sorted(v.items())}]
+        A = cm.algebra
+        cleavings[name] = {"bundle": bundle_name(A), "values": [
+            [A.hopf.labels[k], _vec_spec(A.base.format_element, A.labels, v)]
             for k, v in enumerate(cm.values) if v]}
     witnesses = {}
     for name, w in doc.witnesses.items():

@@ -133,12 +133,13 @@ def _antipode_columns(ops, S) -> dict:
 
 
 def _counit_times_unit(B: Bialgebra) -> list:
-    """counit(h_i) 1 for each i, scaled entry by entry from the stored unit."""
+    """counit(h_i) 1 for each i, scaled term by term from the unit."""
     K = B.field
+    unit = terms(field_ops(K), B.unit)
     out = []
     for i in range(B.dim):
         eps = B.counit.get(i, K.zero())
-        out.append({} if K.is_zero(eps) else {l: K.mul(eps, u) for l, u in B.unit.items()})
+        out.append({} if K.is_zero(eps) else {l: K.mul(eps, u) for l, u in unit})
     return out
 
 
@@ -173,7 +174,7 @@ def verify_hopf(H: HopfAlgebra) -> Report:
 
     # the counit as an algebra map into k, whose one basis element is 0
     eps, k = {i: ((0, c),) for i, c in counit.items()}, {(0, 0): ((0, ops.one),)}
-    unit_sq = {(i, j): K.mul(a, b) for i, a in H.unit.items() for j, b in H.unit.items()}
+    unit_sq = {(i, j): K.mul(a, b) for i, a in unit for j, b in unit}
     if axioms.image(ops, comult, unit) != unit_sq:
         not_unital = "Delta(1) != 1 (x) 1"
     elif axioms.image(ops, eps, unit) != {0: ops.one}:

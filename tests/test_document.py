@@ -27,13 +27,21 @@ from hopfgal.document import (
 )
 from hopfgal.errors import BadScalarError, SchemaError, UnresolvedReferenceError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
-from hopfgal.homotopy import cleft_trivialization_witness, verify_witness
+from hopfgal.homotopy import (
+    HomotopyWitness,
+    cleft_trivialization_witness,
+    identity_step,
+    root_step,
+    verify_witness,
+)
 from hopfgal.hopf import dual_hopf, cyclic_group_algebra, sweedler_h4, taft, verify_hopf
-from hopfgal.comod import trivial_bundle
+from hopfgal.comod import HModuleMap, push_forward, trivial_bundle
 from hopfgal.rings import (
     BaseMorphism,
     adjoin_root,
     base_ring,
+    compose,
+    extend_with_t,
     inclusion_morphism,
     laurent_ring,
     polynomial_ring,
@@ -160,11 +168,26 @@ def _element_of(draw, R):
     return out
 
 
+def _nonzero_vec(draw, R, n):
+    """A coordinate vector of rank n with nonzero entries, as a dump keeps them."""
+    vec = {i: _element_of(draw, R) for i in range(n) if draw(st.booleans())}
+    return {i: c for i, c in vec.items() if not c.is_zero}
+
+
+def _abg_over(draw, R):
+    p = AbgParams(R, _unit_of(draw, R), _element_of(draw, R), _element_of(draw, R))
+    spec = {"construction": "abg", **{k: R.format_element(getattr(p, k))
+                                      for k in ("alpha", "beta", "gamma")}}
+    return abg_bundle(p), spec
+
+
 @st.composite
-def _documents(draw):
+def _documents_and_shorthands(draw):
     """A document naming every ring, Hopf algebra and bundle it refers to,
     some of them twice: a dump refers to those by their greatest name,
-    whatever order the names were inserted in."""
+    whatever order the names were inserted in.  With it, the shorthand
+    specs that build some of its bundles and its witness's family, keyed by
+    their path in the dump."""
     K, N, q = draw(st.sampled_from(_FIELDS))
     R = base_ring(K)
     for name in "abc"[:draw(st.integers(0, 3))]:
@@ -185,31 +208,76 @@ def _documents(draw):
         rings["S"] = S = R.prefix(draw(st.integers(0, len(R.gens) - 1)))
         morphisms["incl"] = inclusion_morphism(S, R)
     hopf = {"H4": sweedler_h4(K), "C2": cyclic_group_algebra(2, K)}
-    H = hopf[draw(st.sampled_from(sorted(hopf)))]
+    hname = draw(st.sampled_from(sorted(hopf)))
+    H = hopf[hname]
     if draw(st.booleans()):
         hopf["H"] = hopf["H4"]
     if draw(st.booleans()):
         rings["A"] = R
-    bundles = {}
+    bundles, shorthands = {}, {}
     kinds = draw(st.sets(st.sampled_from(("abg", "trivial", "kummer")), min_size=1))
     if "abg" in kinds:
-        bundles["A"] = abg_bundle(AbgParams(R, _unit_of(draw, R), _element_of(draw, R),
-                                            _element_of(draw, R)))
+        bundles["A"], spec = _abg_over(draw, R)
+        shorthands[("bundles", "A")] = {**spec, "ring": "R"}
     if "trivial" in kinds:
         bundles["T"] = trivial_bundle(R, H)
+        shorthands[("bundles", "T")] = {"construction": "trivial", "ring": "R", "hopf": hname}
     if "kummer" in kinds:
         bundles["Z"] = B = kummer_bundle(N, q, K)
         rings["Z"], hopf["D"] = B.base, B.hopf
-    return Document(K, rings=rings, hopf_algebras=hopf, morphisms=morphisms, bundles=bundles)
+        shorthands[("bundles", "Z")] = {"construction": "kummer", "order": N, "q": K.format(q)}
+    cleavings, witnesses = {}, {}
+    if draw(st.booleans()):
+        A = bundles[draw(st.sampled_from(sorted(bundles)))]
+        cleavings["c"] = HModuleMap(A, tuple(_nonzero_vec(draw, A.base, A.dim)
+                                             for _ in range(A.hopf.dim)))
+    if draw(st.booleans()):
+        step = identity_step(R) if draw(st.booleans()) else root_step(
+            R, _unit_of(draw, R), draw(st.sampled_from((2, 3))), "s")[0]
+        interval = extend_with_t(step.target)
+        I = interval.ring
+        kind = draw(st.sampled_from(("abg", "trivial", "explicit")))
+        if kind == "abg":
+            family, shorthands[("witnesses", "w", "family")] = _abg_over(draw, I)
+        elif kind == "trivial":
+            family = trivial_bundle(I, H)
+            shorthands[("witnesses", "w", "family")] = {"construction": "trivial", "hopf": hname}
+        else:
+            family = push_forward(compose(step.morphism, interval.include), _abg_over(draw, R)[0])
+        at_zero, at_one = (bundles[draw(st.sampled_from(sorted(bundles)))] for _ in range(2))
+        isos = [tuple(tuple(_element_of(draw, step.target) for _ in range(A.dim))
+                      for _ in range(A.dim)) for A in (at_zero, at_one)]
+        witnesses["w"] = HomotopyWitness(step, interval, family, at_zero, at_one, *isos)
+    doc = Document(K, rings=rings, hopf_algebras=hopf, morphisms=morphisms, bundles=bundles,
+                   cleavings=cleavings, witnesses=witnesses)
+    return doc, shorthands
+
+
+_documents = _documents_and_shorthands().map(lambda drawn: drawn[0])
 
 
 @settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-@given(_documents())
+@given(_documents)
 def test_generated_documents_round_trip(doc):
     text = dump_document(doc)
     again = parse_document(text)
     assert again == doc
     assert dump_document(again) == text
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(_documents_and_shorthands())
+def test_shorthands_build_what_the_normal_form_spells(drawn):
+    """A bundle or a witness's family given by its abg, trivial or kummer
+    shorthand parses to the object its explicit normal form gives."""
+    doc, shorthands = drawn
+    raw = json.loads(dump_document(doc))
+    for path, spec in shorthands.items():
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = spec
+    assert parse_obj(raw) == doc
 
 
 def test_wrong_arity_coaction_rejected():
@@ -447,6 +515,41 @@ def test_unknown_basis_label_rejected():
             "hopf_algebras": {"H": {"construction": "sweedler"}},
             "bundles": {"T": {"construction": "trivial", "ring": "C", "hopf": "H"}},
             "cleavings": {"g": {"bundle": "T", "values": [["nope", {"1": "1"}]]}}})
+
+
+def _tables_document():
+    C = base_ring(QQ)
+    return document_of(Document(
+        QQ, hopf_algebras={"H4": sweedler_h4(QQ)},
+        bundles={"A": abg_bundle(AbgParams(C, 3, 5, 7))},
+        witnesses={"w": cleft_trivialization_witness(AbgParams(C, 3, 5, 7)).links[0][0]}))
+
+
+@pytest.mark.parametrize("path", [("hopf_algebras", "H4", "comult", 1),
+                                  ("bundles", "A", "coaction", 2),
+                                  ("witnesses", "w", "family", "coaction", 2)],
+                         ids=["comult", "coaction", "family"])
+def test_table_terms_are_reported_at_their_pointer(path):
+    """The three tables share one reader: an unknown right-leg label and a
+    bad value in the first term of a row are reported at that term."""
+    pointer = "/" + "/".join(map(str, path)) + "/1/0"
+
+    def first_term(raw):
+        node = raw
+        for key in path:
+            node = node[key]
+        return node[1][0]
+
+    raw = _tables_document()
+    first_term(raw)[1] = "nope"
+    with pytest.raises(UnresolvedReferenceError) as exc:
+        parse_obj(raw)
+    assert (exc.value.pointer, exc.value.name) == (pointer, "nope")
+    raw = _tables_document()
+    first_term(raw)[2] = "1/q"
+    with pytest.raises(BadScalarError) as exc:
+        parse_obj(raw)
+    assert str(exc.value).startswith(f"at {pointer}: ")
 
 
 def test_not_json_is_a_schema_error():

@@ -17,6 +17,7 @@ from hopfgal.hopf import (
     HopfAlgebra,
     cyclic_group_algebra,
     dual_hopf,
+    hopf_from_bialgebra,
     solve_antipode,
     sweedler_h4,
     taft,
@@ -130,6 +131,21 @@ def test_solve_antipode_matches_known():
     H = sweedler_h4(QQ)
     B = Bialgebra(H.field, H.labels, H.mult, H.unit, H.comult, H.counit)
     assert solve_antipode(B) == H.antipode
+
+
+@pytest.mark.parametrize("H", [sweedler_h4(QQ), taft(3, 2, F7)], ids=repr)
+def test_explicit_zero_in_the_unit_changes_nothing(H):
+    """A unit stored with an explicit zero coordinate is the same algebra:
+    the same report, and the same antipode from either solve."""
+    K = H.field
+    unit = {**H.unit, 1: K.zero()}
+    Z = HopfAlgebra(K, H.labels, H.mult, unit, H.comult, H.counit, H.antipode)
+    assert Z == H
+    assert verify_hopf(Z).to_json() == verify_hopf(H).to_json()
+    assert ref.verify_hopf(Z).to_json() == verify_hopf(H).to_json()
+    B = Bialgebra(K, H.labels, H.mult, unit, H.comult, H.counit)
+    assert solve_antipode(B) == ref.solve_antipode(B) == H.antipode
+    assert hopf_from_bialgebra(B).antipode == H.antipode
 
 
 def _system_sizes(monkeypatch):

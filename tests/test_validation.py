@@ -162,6 +162,18 @@ def test_compiler_refuses_what_it_does_not_implement(schema) -> None:
         _compile_schema(schema)
 
 
+def test_schema_spells_each_definition_once() -> None:
+    """One definition per shape: no two $defs of the shipped schema have
+    equal bodies.  With none equal, none are equal up to the names of the
+    definitions they refer to either (a vector of scalars against a vector
+    of elements), since such a pair needs an equal pair below it."""
+    defs = json.loads((Path(hopfgal.__file__).parent / "schema.json").read_text())["$defs"]
+    bodies = {}
+    for name, body in defs.items():
+        bodies.setdefault(json.dumps(body, sort_keys=True), []).append(name)
+    assert [names for names in bodies.values() if len(names) > 1] == []
+
+
 # The diagnostics below are the pointers and messages jsonschema's best match
 # gave before the predicate existed; a rejected document must keep them.
 REJECTIONS = [
