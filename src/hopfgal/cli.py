@@ -6,11 +6,17 @@ verified, 1 means a mathematical check failed or an object was rejected,
 2 means the input itself was unusable.  With --json each command prints a
 single machine-readable verdict; the encoder is pinned (sorted keys,
 two-space indent) so identical inputs give byte-identical output.
+
+A run builds the parser of the one command it names (all of them only for
+help, usage and unknown words), and ``run``, the process entry point,
+calls gc.freeze() before the interpreter exits, so the collections at
+shutdown skip every live object.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -277,44 +283,22 @@ def _abg_flags(parser):
     parser.add_argument("--field", default="Q", help="Q or F<p> (default Q)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="print one machine-readable verdict")
-
-    parser = argparse.ArgumentParser(
-        prog="hopfgal",
-        description="verify Hopf algebras, principal bundles, cleavings, "
-                    "and homotopy witnesses from JSON documents")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-hopf", parents=[common],
-                       help="check every Hopf algebra axiom")
+def _file_and_names(sub, common, name, handler, help):
+    p = sub.add_parser(name, parents=[common], help=help)
     p.add_argument("file")
     p.add_argument("names", nargs="+", metavar="name")
-    p.set_defaults(handler=_cmd_verify_hopf)
+    p.set_defaults(handler=handler)
 
-    p = sub.add_parser("verify-bundle", parents=[common],
-                       help="full principal bundle check")
-    p.add_argument("file")
-    p.add_argument("names", nargs="+", metavar="name")
-    p.set_defaults(handler=_cmd_verify_bundle)
 
-    p = sub.add_parser("galois", parents=[common],
-                       help="bijectivity of the structure map, by determinant")
-    p.add_argument("file")
-    p.add_argument("names", nargs="+", metavar="name")
-    p.set_defaults(handler=_cmd_galois)
-
+def _add_cleft(sub, common):
     cleft = sub.add_parser("cleft", help="cleaving map commands")
     csub = cleft.add_subparsers(dest="action", required=True)
     for act, txt in (("check", "certify a cleaving map"),
                      ("invert", "print the convolution inverse")):
-        p = csub.add_parser(act, parents=[common], help=txt)
-        p.add_argument("file")
-        p.add_argument("names", nargs="+", metavar="name")
-        p.set_defaults(handler=_cmd_cleft)
+        _file_and_names(csub, common, act, _cmd_cleft, txt)
 
+
+def _add_pushforward(sub, common):
     p = sub.add_parser("pushforward", parents=[common],
                        help="push a bundle along a base morphism")
     p.add_argument("file")
@@ -322,6 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("morphism")
     p.set_defaults(handler=_cmd_pushforward)
 
+
+def _add_h4(sub, common):
     h4 = sub.add_parser("h4", help="rank-4 family commands")
     hsub = h4.add_subparsers(dest="action", required=True)
     p = hsub.add_parser("criterion", parents=[common],
@@ -329,6 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _abg_flags(p)
     p.set_defaults(handler=_cmd_h4_criterion)
 
+
+def _add_witness(sub, common):
     wit = sub.add_parser("witness", help="homotopy witness commands")
     wsub = wit.add_subparsers(dest="action", required=True)
     p = wsub.add_parser("verify", parents=[common],
@@ -338,6 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="default: every witness in the file")
     p.set_defaults(handler=_cmd_witness_verify)
 
+
+def _add_demo(sub, common):
     demo = sub.add_parser("demo", help="rebuild and re-verify known results")
     dsub = demo.add_subparsers(dest="what", required=True)
     p = dsub.add_parser("thm43", parents=[common],
@@ -354,12 +344,52 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="criterion versus exhaustive search, all 18 triples")
     p.set_defaults(handler=_cmd_demo_census)
 
+
+# each command's name and the function that adds its parser, in help order
+_COMMANDS = {
+    "verify-hopf": lambda sub, common: _file_and_names(
+        sub, common, "verify-hopf", _cmd_verify_hopf, "check every Hopf algebra axiom"),
+    "verify-bundle": lambda sub, common: _file_and_names(
+        sub, common, "verify-bundle", _cmd_verify_bundle, "full principal bundle check"),
+    "galois": lambda sub, common: _file_and_names(
+        sub, common, "galois", _cmd_galois,
+        "bijectivity of the structure map, by determinant"),
+    "cleft": _add_cleft,
+    "pushforward": _add_pushforward,
+    "h4": _add_h4,
+    "witness": _add_witness,
+    "demo": _add_demo,
+}
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the command argv[0] names, or of every command when
+    argv[0] names none, so that help, usage and the error for an unknown
+    word read as they would with every command built."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true",
+                        help="print one machine-readable verdict")
+
+    parser = argparse.ArgumentParser(
+        prog="hopfgal",
+        description="verify Hopf algebras, principal bundles, cleavings, "
+                    "and homotopy witnesses from JSON documents")
+    if argv and argv[0] in _COMMANDS:
+        # the usage line of an error the top parser reports lists them all
+        names = [argv[0]]
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _COMMANDS[name](sub, common)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -377,5 +407,18 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """main() for ``python -m hopfgal.cli`` and the ``hopfgal`` script.
+
+    gc.freeze() after main() returns moves every live object out of the
+    collector's reach, so the collections at interpreter shutdown walk
+    none of them.  main() itself never freezes: it may run many times in
+    one process.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -15,7 +15,11 @@ Hopf algebras, bundles and the families of witnesses share one table
 format, read by one reader and written by one writer.  Scalars and ring
 elements share the value and vector readers, which are given the parse
 function and the ``axioms.Ops`` to use; a bundle and a family share the
-reader of their constructions.
+reader of their constructions.  The strings of a document share one
+``rings.WorkBudget``, whose memo reads each distinct string once per
+document.  A table that gives two rows for the same key (a product a·b,
+a basis element of the tensor table or the antipode, a cleaving's value
+on a basis element) is refused at the second.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .axioms import accumulate, field_ops, ring_ops
 from .errors import BadScalarError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension
 from .rings import (BaseMorphism, BaseRing, adjoin_root, base_ring,
-                    extend_with_t, inclusion_morphism, work_budget)
+                    WorkBudget, extend_with_t, inclusion_morphism)
 from .hopf import (Bialgebra, HopfAlgebra, cyclic_group_algebra, dual_hopf,
                    hopf_from_bialgebra, sweedler_h4, taft)
 from .comod import ComoduleAlgebra, HModuleMap, trivial_bundle
@@ -201,9 +205,10 @@ def validate_raw(obj) -> None:
 
 def _value(read, text, pointer, spend):
     """read(text, spend) for read a Field.parse or a BaseRing.parse_element,
+    once per distinct read and text of the document (``WorkBudget.read``),
     with pointer in the message of a BadScalarError."""
     try:
-        return read(text, spend)
+        return spend.read(read, text)
     except BadScalarError as exc:
         raise BadScalarError(f"at {pointer}: {exc}") from None
 
@@ -309,12 +314,25 @@ def _vec(read, ops, spec, labels, pointer, spend):
     return out
 
 
+def _rows(rows, pointer, width):
+    """(pointer, row) for each row of a table keyed by its first ``width``
+    entries, refusing a row whose key an earlier row already gave."""
+    first = {}
+    for r, row in enumerate(rows):
+        here = f"{pointer}/{r}"
+        key = tuple(row[:width])
+        if key in first:
+            raise SchemaError(here, f"repeats the row at {first[key]}")
+        first[key] = here
+        yield here, row
+
+
 def _tables(read, ops, spec, labels, right_labels, key, pointer, spend):
     """The ``mult`` table, the ``key`` table and the unit, read in that
-    order; repeated terms of a row of the ``key`` table are summed."""
+    order; repeated terms of a row of the ``key`` table are summed, a
+    repeated row is refused."""
     mult = {}
-    for r, (a, b, vec) in enumerate(spec["mult"]):
-        here = f"{pointer}/mult/{r}"
+    for here, (a, b, vec) in _rows(spec["mult"], f"{pointer}/mult", 2):
         row = (_ref(labels, a, here), _ref(labels, b, here))
         entry = _vec(read, ops, vec, labels, here + "/2", spend)
         if entry:
@@ -325,8 +343,7 @@ def _tables(read, ops, spec, labels, right_labels, key, pointer, spend):
                 _value(read, text, at, spend))
 
     table = {}
-    for r, (a, terms) in enumerate(spec[key]):
-        here = f"{pointer}/{key}/{r}"
+    for here, (a, terms) in _rows(spec[key], f"{pointer}/{key}", 1):
         i = _ref(labels, a, here)
         entry = accumulate(ops, (term(f"{here}/1/{s}", *t) for s, t in enumerate(terms)))
         if entry:
@@ -353,8 +370,7 @@ def parse_hopf(K: Field, spec, pointer, spend) -> HopfAlgebra:
         return hopf_from_bialgebra(B)
     d = len(labels)
     S = [[K.zero()] * d for _ in range(d)]
-    for r, (a, vec) in enumerate(spec["antipode"]):
-        here = f"{pointer}/antipode/{r}"
+    for here, (a, vec) in _rows(spec["antipode"], f"{pointer}/antipode", 1):
         j = _ref(labels, a, here)
         for i, c in _vec(read, ops, vec, labels, here + "/1", spend).items():
             S[i][j] = c
@@ -439,7 +455,7 @@ def parse_document(text: str) -> Document:
 def resolve(raw) -> Document:
     """The objects of a document that passed ``validate_raw``.  Its scalars
     and elements share one work budget."""
-    spend = work_budget()
+    spend = WorkBudget()
     doc = Document(parse_field(raw["field"], spend))
     K = doc.field
     for name, spec in raw.get("rings", {}).items():
@@ -462,8 +478,7 @@ def resolve(raw) -> Document:
         hlabels = {nm: i for i, nm in enumerate(A.hopf.labels)}
         read, ops = A.base.parse_element, ring_ops(A.base)
         values = [dict() for _ in range(A.hopf.dim)]
-        for r, (hl, vec) in enumerate(spec["values"]):
-            at = f"{here}/values/{r}"
+        for at, (hl, vec) in _rows(spec["values"], f"{here}/values", 1):
             values[_ref(hlabels, hl, at)] = _vec(read, ops, vec, alabels, at + "/1", spend)
         doc.cleavings[name] = HModuleMap(A, tuple(values))
     for name, spec in raw.get("witnesses", {}).items():

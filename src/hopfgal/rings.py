@@ -30,6 +30,10 @@ Laurent generators must precede every root
 adjunction (TowerOrderError otherwise): above a root adjunction that created
 idempotents, a unit need not be a single Laurent monomial times a unit.
 
+The strings of one document share one ``WorkBudget``, which also reads
+each distinct string once: a repeat costs a dictionary lookup and
+re-spends the work its first reading spent.
+
 An optional grading assigns a non-negative degree to each generator.  Only
 free generators may carry positive degree: a graded unit would otherwise be
 forced into positive degree, which cannot happen in a non-negatively graded
@@ -463,7 +467,7 @@ class BaseRing:
 
         A power of a value that can grow raises to at most MAX_POWER,
         counted through nested powers.  Products and powers pay the pairs of
-        terms they multiply from ``spend`` (a ``work_budget``), one budget
+        terms they multiply from ``spend`` (a ``WorkBudget``), one budget
         per call unless the caller shares one.  Anything else raises
         BadScalarError, whose message calls ``text`` the ``noun``.
         """
@@ -472,7 +476,7 @@ class BaseRing:
             from .fields import SimpleExtension
             if isinstance(self.field, SimpleExtension):
                 self._names.setdefault(self.field.var, self.from_scalar(self.field.gen()))
-        spend = spend or work_budget()
+        spend = spend or WorkBudget()
 
         def mul(A: dict, B: dict) -> dict:
             spend(len(A) * len(B))
@@ -556,18 +560,36 @@ def check_power(e: int, room: int, grows: bool):
         raise BadScalarError(f"exponent {e} exceeds the exponent cap {MAX_POWER}{nested}")
 
 
-def work_budget():
+class WorkBudget:
     """A spend(pairs) that refuses once the products and powers paid from it
-    have multiplied more than MAX_TERM_PRODUCTS pairs of terms in all."""
-    room = MAX_TERM_PRODUCTS
+    have multiplied more than MAX_TERM_PRODUCTS pairs of terms in all, with
+    the memo of the values ``read`` under it."""
 
-    def spend(pairs: int):
-        nonlocal room
-        room -= pairs
-        if room < 0:
+    __slots__ = ("room", "_memo")
+
+    def __init__(self):
+        self.room = MAX_TERM_PRODUCTS
+        self._memo = {}
+
+    def __call__(self, pairs: int):
+        self.room -= pairs
+        if self.room < 0:
             raise BadScalarError("products and powers multiply more pairs of terms than "
                                  f"the work cap of {MAX_TERM_PRODUCTS}")
-    return spend
+
+    def read(self, read, text: str):
+        """read(text, self), once per reader and text: a repeat re-spends
+        the pairs the first read spent, so the cap trips at the same
+        string, and returns the same value.  Errors are not remembered."""
+        key = (read, text)
+        hit = self._memo.get(key)
+        if hit is None:
+            room = self.room
+            value = read(text, self)
+            hit = self._memo[key] = (value, room - self.room)
+        else:
+            self(hit[1])
+        return hit[0]
 
 
 class BaseElement:

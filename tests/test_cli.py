@@ -1,15 +1,24 @@
 """Command line behavior: exit taxonomy, verdict text, JSON determinism.
 
 Everything runs in-process through main(argv) so the exit codes are the
-function's return values and output is captured with capsys.
+function's return values and output is captured with capsys, except the
+process exit path, which is compared against main() in a child process.
 """
 
+import argparse
+import gc
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hopfgal
 from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving, kummer_bundle
-from hopfgal.cli import main
+from hopfgal.cli import _build_parser, main, run
 from hopfgal.comod import HModuleMap, trivial_bundle
 from hopfgal.document import Document, dump_document
 from hopfgal.fields import QQ
@@ -286,3 +295,88 @@ def test_multi_name_reports_in_input_order(tmp_path, capsys):
         out = capsys.readouterr().out
         found = [ln.split(":")[0] for ln in out.splitlines() if not ln.startswith(" ")]
         assert found == names
+
+
+# ----------------------------------------------------- parser and exit path
+
+_EVERY_HELP = [["-h"], ["--help"]] + [[*cmd, "-h"] for cmd in (
+    ["verify-hopf"], ["verify-bundle"], ["galois"], ["cleft"], ["cleft", "check"],
+    ["cleft", "invert"], ["pushforward"], ["h4"], ["h4", "criterion"], ["witness"],
+    ["witness", "verify"], ["demo"], ["demo", "thm43"], ["demo", "prop35"],
+    ["demo", "census-f3"])]
+_MISUSE = [[], ["frobnicate"], ["verify-hop"], ["--json"], ["--json", "galois", "f", "A"],
+           ["verify-hopf"], ["verify-bundle", "f"], ["galois"], ["cleft"], ["cleft", "nope"],
+           ["cleft", "check", "f"], ["pushforward", "f", "A"], ["h4"],
+           ["h4", "criterion", "--alpha", "1"], ["witness"], ["demo"],
+           ["demo", "prop35", "--order", "x"], ["verify-hopf", "f", "H", "--bogus"],
+           ["demo", "census-f3", "extra"]]
+_VALID = [["galois", "f", "A", "B", "--json"], ["cleft", "invert", "f", "g"],
+          ["witness", "verify", "f"], ["demo", "prop35", "--order", "3", "--q", "2"],
+          ["h4", "criterion", "--alpha", "4", "--beta", "1", "--gamma", "4"]]
+
+
+def _parsed(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _EVERY_HELP + _MISUSE + _VALID, ids=" ".join)
+def test_one_command_parser_reads_like_the_full_one(argv, capsys):
+    """The parser built for argv prints the help, usage and errors, and
+    returns the arguments, of the parser with every command."""
+    assert _parsed(_build_parser(argv), argv, capsys) == _parsed(_build_parser(), argv, capsys)
+
+
+def test_a_named_command_builds_only_its_parser():
+    def commands(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+    assert commands(_build_parser(["cleft", "check", "f", "g"])) == ["cleft"]
+    assert len(commands(_build_parser(["frobnicate"]))) == 8
+
+
+def test_main_never_freezes(capsys):
+    before = gc.get_freeze_count()
+    assert main(["demo", "census-f3"]) == 0
+    assert main(["h4", "criterion", "--alpha", "1"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_after_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hopfgal", "h4", "criterion", "--alpha", "4",
+                                      "--beta", "1", "--gamma", "4"])
+    before = gc.get_freeze_count()
+    try:
+        assert run() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == "trivial, s=2, t=1\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["h4", "criterion", "--alpha", "4", "--beta", "1", "--gamma", "4", "--json"], 0),
+    (["h4", "criterion", "--alpha", "1", "--beta", "0", "--gamma", "5"], 1),
+    (["verify-hopf", "/nonexistent/doc.json", "H"], 2),
+    (["frobnicate"], 2),
+])
+def test_module_exit_keeps_codes_and_output(argv, code, capsys):
+    assert main(argv) == code
+    want = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfgal.__file__)))
+    out = subprocess.run([sys.executable, "-m", "hopfgal.cli", *argv],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (code, want.out, want.err)
+
+
+def test_console_script_is_the_freezing_exit():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["hopfgal"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is run

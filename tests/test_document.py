@@ -6,12 +6,14 @@ anything, and serialize(parse(text)) is a byte fixed point once the text
 is already normal.  Constructor shorthands parse but are not reproduced.
 """
 
+import copy
 import json
 import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 
 import hopfgal
 from hopfgal.bundles import AbgParams, abg_bundle, kummer_bundle
+from hopfgal.cleft import check_cleaving
+from hopfgal.cli import main
 from hopfgal.document import (
     Document,
     document_of,
@@ -36,8 +40,11 @@ from hopfgal.homotopy import (
 )
 from hopfgal.hopf import dual_hopf, cyclic_group_algebra, sweedler_h4, taft, verify_hopf
 from hopfgal.comod import HModuleMap, push_forward, trivial_bundle
+from hopfgal.galois import verify_bundle
 from hopfgal.rings import (
+    MAX_TERM_PRODUCTS,
     BaseMorphism,
+    WorkBudget,
     adjoin_root,
     base_ring,
     compose,
@@ -565,3 +572,143 @@ def test_duplicate_labels_rejected():
                        "unit": {"e": "1"}, "counit": {"e": "1"},
                        "mult": [["e", "e", {"e": "1"}]],
                        "comult": [["e", [["e", "e", "1"]]]]}}})
+
+
+# ------------------------------------------------------------ repeated rows
+
+def _sweedler_raw():
+    return document_of(Document(QQ, hopf_algebras={"H": sweedler_h4(QQ)}))
+
+
+@pytest.mark.parametrize("row", [["1", "X", {"Y": "1"}], ["1", "X", {"X": "0"}]],
+                         ids=["replacing", "all-zero"])
+def test_repeated_mult_row_is_refused_at_its_pointer(tmp_path, capsys, row):
+    """A second row for 1·X used to replace the first, or to be dropped
+    when it was all zero; now it is refused where it stands."""
+    raw = _sweedler_raw()
+    mult = raw["hopf_algebras"]["H"]["mult"]
+    mult.append(row)
+    pointer = f"/hopf_algebras/H/mult/{len(mult) - 1}"
+    with pytest.raises(SchemaError) as exc:
+        parse_obj(raw)
+    assert str(exc.value) == f"{pointer}: repeats the row at /hopf_algebras/H/mult/1"
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify-hopf", str(path), "H"]) == 2
+    assert capsys.readouterr().err == f"error: {pointer}: repeats the row at /hopf_algebras/H/mult/1\n"
+
+
+def _repeat_last_row(table):
+    table.append(json.loads(json.dumps(table[-1])))
+    return len(table) - 1
+
+
+@pytest.mark.parametrize("path", [("hopf_algebras", "H4", "comult"),
+                                  ("hopf_algebras", "H4", "antipode"),
+                                  ("bundles", "A", "coaction"),
+                                  ("witnesses", "w", "family", "mult"),
+                                  ("cleavings", "g", "values")])
+def test_every_table_refuses_a_repeated_row(path):
+    raw = _tables_document()
+    C = base_ring(QQ)
+    A = abg_bundle(AbgParams(C, 3, 5, 7))
+    raw["cleavings"] = {"g": document_of(Document(
+        QQ, bundles={"A": A}, cleavings={"g": HModuleMap(A, tuple(
+            A.basis_vec(k) for k in range(4)))}))["cleavings"]["g"]}
+    node = raw
+    for key in path:
+        node = node[key]
+    r = _repeat_last_row(node)
+    at = "/" + "/".join(path)
+    with pytest.raises(SchemaError) as exc:
+        parse_obj(raw)
+    assert exc.value.pointer == f"{at}/{r}"
+    assert str(exc.value).endswith(f"repeats the row at {at}/{r - 1}")
+
+
+def test_repeated_terms_inside_one_row_still_add_up():
+    raw = _sweedler_raw()
+    raw["hopf_algebras"]["H"]["comult"][0][1] = [["1", "1", "1/2"], ["1", "1", "1/2"]]
+    assert parse_obj(raw).hopf_algebras["H"] == sweedler_h4(QQ)
+
+
+# --------------------------------------------------------------- value memo
+
+BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+def _bench_text(name):
+    path = BENCH_DATA / name
+    if not path.is_file():
+        pytest.skip("benchmark documents not present")
+    return path.read_text()
+
+
+@pytest.mark.parametrize("name", ["seed0/bundle-towers/kummer.json", "taft6_F7_q3.json"])
+def test_memo_reads_what_each_string_reads_on_its_own(monkeypatch, name):
+    """Every string the memo answers, hits included, equals the string read
+    alone, with a budget of its own, by a fresh copy of its ring or field;
+    and the document equals and dumps like one read without the memo."""
+    text = _bench_text(name)
+    reads, memo_read = [], WorkBudget.read
+
+    def recording(budget, read, s):
+        value = memo_read(budget, read, s)
+        reads.append((read, s, value))
+        return value
+    monkeypatch.setattr(WorkBudget, "read", recording)
+    doc = parse_document(text)
+    assert len(reads) > len({(r, s) for r, s, _ in reads})
+    fresh = {}
+    for read, s, value in reads:
+        owner = read.__self__
+        copy_of = fresh.setdefault(id(owner), copy.deepcopy(owner))
+        assert copy_of is not owner
+        assert getattr(copy_of, read.__name__)(s, WorkBudget()) == value
+    monkeypatch.setattr(WorkBudget, "read", lambda budget, read, s: read(s, budget))
+    alone = parse_document(text)
+    assert alone == doc
+    assert dump_document(alone) == dump_document(doc)
+
+
+def test_memo_keeps_the_cap_and_forgets_errors():
+    """A hit re-spends the pairs its first read spent; an error is read
+    again, not remembered."""
+    C = base_ring(QQ).add_free("u")
+    budget = WorkBudget()
+    first = budget.read(C.parse_element, "(1+u)^8")
+    spent = MAX_TERM_PRODUCTS - budget.room
+    assert spent > 0
+    assert budget.read(C.parse_element, "(1+u)^8") is first
+    assert MAX_TERM_PRODUCTS - budget.room == 2 * spent
+    calls = []
+
+    def bad(text, spend):
+        calls.append(text)
+        raise BadScalarError("no")
+    for _ in range(2):
+        with pytest.raises(BadScalarError):
+            budget.read(bad, "x")
+    assert calls == ["x", "x"]
+
+
+def test_repeated_bad_string_is_reported_at_its_first_pointer():
+    raw = {"field": "Q", "rings": _UVW_RING, "morphisms": {"f": {
+        "source": "C", "target": "C", "images": {"u": "u", "v": "q", "w": "q"}}}}
+    with pytest.raises(BadScalarError, match="^at /morphisms/f/images/v: unknown name 'q'"):
+        parse_obj(raw)
+
+
+def test_verifying_leaves_shared_values_unchanged():
+    """Strings read once are shared across the tables; verifying every
+    bundle, witness and cleaving must not change any of them."""
+    for name in ("seed0/bundle-towers/kummer.json", "seed0/bundle-towers/abg_uvw.json"):
+        doc = parse_document(_bench_text(name))
+        before = dump_document(doc)
+        for A in doc.bundles.values():
+            assert verify_bundle(A).ok
+        for w in doc.witnesses.values():
+            assert verify_witness(w).ok
+        for g in doc.cleavings.values():
+            check_cleaving(g.algebra, g).verify()
+        assert dump_document(doc) == before

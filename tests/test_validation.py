@@ -162,16 +162,42 @@ def test_compiler_refuses_what_it_does_not_implement(schema) -> None:
         _compile_schema(schema)
 
 
+_SUBSCHEMAS = ("properties", "additionalProperties", "items", "prefixItems", "oneOf", "$defs")
+
+
+def _spellings(schema, at, out):
+    """Every subschema that holds another, by body, with the pointers of
+    its spellings: the $defs and the inline ones alike."""
+    children = []
+    for key in _SUBSCHEMAS:
+        v = schema.get(key)
+        if key in ("properties", "$defs") and isinstance(v, dict):
+            children += [(f"{at}/{key}/{k}", s) for k, s in v.items()]
+        elif isinstance(v, list):
+            children += [(f"{at}/{key}/{i}", s) for i, s in enumerate(v)]
+        elif isinstance(v, dict):
+            children.append((f"{at}/{key}", v))
+    children = [(where, s) for where, s in children if isinstance(s, dict)]
+    if children and at:
+        out.setdefault(json.dumps(schema, sort_keys=True), []).append(at)
+    for where, s in children:
+        _spellings(s, where, out)
+    return out
+
+
 def test_schema_spells_each_definition_once() -> None:
     """One definition per shape: no two $defs of the shipped schema have
-    equal bodies.  With none equal, none are equal up to the names of the
-    definitions they refer to either (a vector of scalars against a vector
-    of elements), since such a pair needs an equal pair below it."""
-    defs = json.loads((Path(hopfgal.__file__).parent / "schema.json").read_text())["$defs"]
+    equal bodies, and no subschema that holds another (a table, a vector,
+    the labels array) is spelled twice, inline or as a definition.  With
+    none equal, none are equal up to the names of the definitions they
+    refer to either (a vector of scalars against a vector of elements),
+    since such a pair needs an equal pair below it."""
+    schema = json.loads((Path(hopfgal.__file__).parent / "schema.json").read_text())
     bodies = {}
-    for name, body in defs.items():
+    for name, body in schema["$defs"].items():
         bodies.setdefault(json.dumps(body, sort_keys=True), []).append(name)
     assert [names for names in bodies.values() if len(names) > 1] == []
+    assert [at for at in _spellings(schema, "", {}).values() if len(at) > 1] == []
 
 
 # The diagnostics below are the pointers and messages jsonschema's best match
