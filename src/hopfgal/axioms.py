@@ -6,8 +6,13 @@ a_i a_j, ``unit`` the terms of 1_A, and ``coaction[i]`` the terms
 ((j, k), c) of rho(a_i) in A (x) H.  The coacting Hopf algebra H gives
 ``hmult``, ``hcomult`` and ``hcounit`` with coefficients in the same ring;
 a Hopf algebra checked against itself is the case A = H, rho = Delta.
-Coefficients are handled by ``Ops``: the ground field's operations for a
-Hopf algebra, the ``BaseElement`` operators for a bundle.
+Coefficients are handled by ``Ops``, the one coefficient interface that
+``linalg`` shares: the ground field's operations on scalars for a Hopf
+algebra, the base ring's operations on coefficient dicts for a bundle.
+``terms`` and ``sparse`` read each table entry once through ``Ops.raw``
+(a BaseElement's ``.coeffs``), so every check on a bundle runs on raw
+dicts; ``total`` sums table entries and writes them back through
+``Ops.wrap``.
 
 A product of basis elements is read off the table instead of being formed
 from basis vectors, and a product with a coefficient 1 is the other
@@ -46,15 +51,28 @@ whose witness is the one reported:
 from __future__ import annotations
 
 import operator
+from functools import partial
 from typing import Callable, NamedTuple
+
+from .rings import BaseElement
 
 
 class Ops(NamedTuple):
+    """Coefficient operations of a field (on scalars) or of a base ring (on
+    coefficient dicts, where {} is zero).  ``mul`` skips a factor 1,
+    ``inv`` answers None for a non-unit, and ``raw``/``wrap`` read a table
+    entry as a coefficient and write a coefficient back as an entry."""
+    zero: object
+    one: object
     add: Callable
+    neg: Callable
     mul: Callable
     is_zero: Callable
-    one: object
+    is_one: Callable
     is_unit: Callable
+    inv: Callable
+    raw: Callable
+    wrap: Callable
 
 
 def _skipping_one(mul, is_one):
@@ -69,33 +87,50 @@ def _skipping_one(mul, is_one):
     return times
 
 
+def _same(x):
+    return x
+
+
 def field_ops(K) -> Ops:
-    return Ops(K.add, _skipping_one(K.mul, K.is_one), K.is_zero, K.one(),
-               lambda c: not K.is_zero(c))
+    """A field's operations; a unit is a nonzero, found with no inverse."""
+    def inv(c):
+        return None if K.is_zero(c) else K.inv(c)
+    return Ops(K.zero(), K.one(), K.add, K.neg, _skipping_one(K.mul, K.is_one), K.is_zero,
+               K.is_one, lambda c: not K.is_zero(c), inv, _same, _same)
 
 
 def ring_ops(C) -> Ops:
-    """The BaseElement operators of the base ring C; 1 needs no unit test.
+    """The base ring C's operations on coefficient dicts.
 
     An element is 1 when its only term is the field's 1 on the constant
-    monomial: a test on the coefficient dict, not an element comparison.
+    monomial.  ``inv`` is ``C.try_inverse``, which re-checks a a^-1 = 1,
+    memoized by value for the life of these Ops, so no entry is tested twice.
     """
     is_one_scalar, constant = C.field.is_one, (0,) * len(C.gens)
 
     def is_one(a):
-        c = a.coeffs
-        return len(c) == 1 and constant in c and is_one_scalar(c[constant])
-    return Ops(operator.add, _skipping_one(operator.mul, is_one),
-               operator.attrgetter("is_zero"), C.one(), lambda c: is_one(c) or C.is_unit(c))
+        return len(a) == 1 and constant in a and is_one_scalar(a[constant])
+    memo = {}
+
+    def inv(a):
+        key = frozenset(a.items())
+        if key not in memo:
+            e = C.try_inverse(BaseElement(C, a))
+            memo[key] = None if e is None else e.coeffs
+        return memo[key]
+    return Ops({}, C.one().coeffs, C._add, C._neg, _skipping_one(C._mul, is_one),
+               operator.not_, is_one, lambda a: is_one(a) or inv(a) is not None, inv,
+               operator.attrgetter("coeffs"), partial(BaseElement, C))
 
 
 def terms(ops: Ops, vec: dict) -> tuple:
-    """The items of vec with a nonzero value."""
-    return tuple((k, c) for k, c in vec.items() if not ops.is_zero(c))
+    """The items of vec with a nonzero value, each value read by ``ops.raw``."""
+    raw, is_zero = ops.raw, ops.is_zero
+    return tuple((k, c) for k, c in ((k, raw(e)) for k, e in vec.items()) if not is_zero(c))
 
 
 def sparse(ops: Ops, table: dict) -> dict:
-    """{key: {index: c}} as {key: terms}, empty rows dropped."""
+    """{key: {index: entry}} as {key: terms}, empty rows dropped."""
     rows = ((key, terms(ops, row)) for key, row in table.items())
     return {key: row for key, row in rows if row}
 
@@ -108,6 +143,13 @@ def accumulate(ops: Ops, pairs) -> dict:
         s = out.get(key)
         out[key] = val if s is None else add(s, val)
     return {k: v for k, v in out.items() if not ops.is_zero(v)}
+
+
+def total(ops: Ops, pairs) -> dict:
+    """``accumulate`` for table entries: each value is read by ``ops.raw``
+    and each sum written back by ``ops.wrap``."""
+    raw, wrap = ops.raw, ops.wrap
+    return {k: wrap(v) for k, v in accumulate(ops, ((k, raw(v)) for k, v in pairs)).items()}
 
 
 def record(rep, name: str, bad, witness) -> None:

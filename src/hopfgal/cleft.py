@@ -17,7 +17,7 @@ check is cheap and leaves nothing implicit.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import accumulate, ring_ops, sparse, terms
+from .axioms import ring_ops, sparse, terms, total
 from .comod import (
     ComoduleAlgebra,
     HModuleMap,
@@ -142,7 +142,7 @@ def quasi_action(cm: CleavingMap, k: int, c: BaseElement) -> dict:
     A = cm.algebra
     H = A.hopf
     c_vec = {i: c * u for i, u in A.unit.items()}
-    return accumulate(ring_ops(A.base), (
+    return total(ring_ops(A.base), (
         (l, m.scale(w)) for (i, j), w in H.comult.get(k, {}).items()
         for l, m in A.mul_vec(A.mul_vec(cm.gamma.values[i], c_vec),
                               cm.gamma_inv.values[j]).items()))
@@ -178,7 +178,7 @@ def extract_cocycle(cm: CleavingMap) -> Cocycle:
     for a in range(d):
         row = []
         for b in range(d):
-            acc = accumulate(ops, (
+            acc = total(ops, (
                 (l, m.scale(K.mul(ca, cb)))
                 for (a1, a2), ca in H.comult.get(a, {}).items()
                 for (b1, b2), cb in H.comult.get(b, {}).items()
@@ -241,11 +241,10 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
     K = H.field
     d = H.dim
     ops = ring_ops(base)
-    mult = {(a, b): accumulate(ops, ((l, ops.mul(base.from_scalar(K.mul(K.mul(ca, cb), m)),
-                                                  sigma.sigma[a1][b1]))
-                                     for (a1, a2), ca in H.comult.get(a, {}).items()
-                                     for (b1, b2), cb in H.comult.get(b, {}).items()
-                                     for l, m in H.mult.get((a2, b2), {}).items()))
+    mult = {(a, b): total(ops, ((l, sigma.sigma[a1][b1].scale(K.mul(K.mul(ca, cb), m)))
+                                for (a1, a2), ca in H.comult.get(a, {}).items()
+                                for (b1, b2), cb in H.comult.get(b, {}).items()
+                                for l, m in H.mult.get((a2, b2), {}).items()))
             for a in range(d) for b in range(d)}
     unit = {i: base.from_scalar(c) for i, c in H.unit.items()}
     coaction = {i: {jk: base.from_scalar(c) for jk, c in t.items()}
@@ -293,7 +292,7 @@ def crossed_multiply(base: BaseRing, H: HopfAlgebra, action, sigma: Cocycle,
                         w = base.from_scalar(K.mul(w_a, K.mul(ch, wb)))
                         for l, m in H.mult.get((q, b2), {}).items():
                             pairs.append((l, w * coeff * base.from_scalar(m)))
-    return accumulate(ring_ops(base), pairs)
+    return total(ring_ops(base), pairs)
 
 
 def trivial_action(base: BaseRing, H: HopfAlgebra):

@@ -3,9 +3,10 @@
 Verification commands read a JSON document, resolve named objects, and
 re-run the library's certifying checks.  Exit status 0 means everything
 verified, 1 means a mathematical check failed or an object was rejected,
-2 means the input itself was unusable.  With --json each command prints a
-single machine-readable verdict; the encoder is pinned (sorted keys,
-two-space indent) so identical inputs give byte-identical output.
+2 means the input itself was unusable, or too large to check in memory.
+With --json each command prints a single machine-readable verdict; the
+encoder is pinned (sorted keys, two-space indent) so identical inputs give
+byte-identical output.
 
 A run builds the parser of the one command it names (all of them only for
 help, usage and unknown words), and ``run``, the process entry point,
@@ -396,6 +397,9 @@ def main(argv=None) -> int:
         code, lines, payload = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except MathError as exc:
         print(f"rejected: {exc}", file=sys.stderr)

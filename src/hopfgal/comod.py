@@ -22,7 +22,7 @@ axiom checker of ``axioms``, the one that also verifies Hopf algebras.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import accumulate, field_ops, record, ring_ops, sparse, terms
+from .axioms import accumulate, field_ops, record, ring_ops, sparse, terms, total
 from .errors import (
     BaseNotFieldError,
     DimensionMismatchError,
@@ -41,9 +41,10 @@ def _clean(d: dict) -> dict:
 
 
 def _lifted(A, table: dict) -> dict:
-    """A table of H with zero coefficients dropped and the rest lifted into A's base."""
+    """A table of H with zero coefficients dropped and the rest lifted into
+    A's base, as coefficient dicts."""
     lift = A.lift
-    return {key: tuple((k, lift(c)) for k, c in row)
+    return {key: tuple((k, lift(c).coeffs) for k, c in row)
             for key, row in sparse(field_ops(A.field), table).items()}
 
 
@@ -89,14 +90,16 @@ class ComoduleAlgebra(Record, frozen=True):
 
     def mul_vec(self, a: dict, b: dict) -> dict:
         ops = ring_ops(self.base)
-        return accumulate(ops, ((l, ops.mul(ops.mul(ca, cb), m))
-                                for i, ca in a.items() for j, cb in b.items()
-                                for l, m in self.mult.get((i, j), {}).items()))
+        mul, raw, wrap = ops.mul, ops.raw, ops.wrap
+        return total(ops, ((l, wrap(mul(mul(raw(ca), raw(cb)), raw(m))))
+                           for i, ca in a.items() for j, cb in b.items()
+                           for l, m in self.mult.get((i, j), {}).items()))
 
     def coact_vec(self, a: dict) -> dict:
         ops = ring_ops(self.base)
-        return accumulate(ops, ((jk, ops.mul(c, m)) for i, c in a.items()
-                                for jk, m in self.coaction.get(i, {}).items()))
+        mul, raw, wrap = ops.mul, ops.raw, ops.wrap
+        return total(ops, ((jk, wrap(mul(raw(c), raw(m)))) for i, c in a.items()
+                           for jk, m in self.coaction.get(i, {}).items()))
 
     def _normal(self):
         mult = {ij: _clean(v) for ij, v in self.mult.items()}
@@ -144,14 +147,14 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     record(rep, "unit", bad_unit, fails_on)
     bad_assoc = axioms.associativity(ops, n, mult, None if tree is None else tree.gens)
     record(rep, "associativity", bad_assoc, lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
-    hcounit = {k: lift(c) for k, c in terms(hops, H.counit)}
+    hcounit = {k: lift(c).coeffs for k, c in terms(hops, H.counit)}
     record(rep, "coaction counit", axioms.coaction_counit(ops, n, coaction, hcounit), fails_on)
     record(rep, "coaction coassociativity",
            axioms.coassociativity(ops, n, coaction, _lifted(A, H.comult)), fails_on)
 
-    hunit = [(k, lift(c)) for k, c in terms(hops, H.unit)]
-    if axioms.image(ops, coaction, unit) != accumulate(ops, (((i, k), c * u) for i, c in unit
-                                                            for k, u in hunit)):
+    hunit = [(k, lift(c).coeffs) for k, c in terms(hops, H.unit)]
+    if axioms.image(ops, coaction, unit) != accumulate(ops, (((i, k), ops.mul(c, u))
+                                                            for i, c in unit for k, u in hunit)):
         rep.add("coaction respects product", False, "rho(1) != 1 (x) 1")
     else:
         hmult = sparse(hops, H.mult)
@@ -292,7 +295,7 @@ class HModuleMap(Record, frozen=True):
 
     def apply(self, h: dict) -> dict:
         A = self.algebra
-        return accumulate(ring_ops(A.base), (
+        return total(ring_ops(A.base), (
             (i, c * m if isinstance(c, BaseElement) else m.scale(c))
             for k, c in h.items() for i, m in self.values[k].items()))
 
@@ -330,8 +333,8 @@ def convolve(f: HModuleMap, g: HModuleMap) -> HModuleMap:
         raise RingMismatchError("convolution needs maps into the same algebra")
     ops = ring_ops(A.base)
     return HModuleMap(A, tuple(
-        accumulate(ops, ((l, m.scale(c)) for (i, j), c in A.hopf.comult.get(k, {}).items()
-                         for l, m in A.mul_vec(f.values[i], g.values[j]).items()))
+        total(ops, ((l, m.scale(c)) for (i, j), c in A.hopf.comult.get(k, {}).items()
+                    for l, m in A.mul_vec(f.values[i], g.values[j]).items()))
         for k in range(A.hopf.dim)))
 
 

@@ -29,7 +29,7 @@ import re
 from functools import cache
 from importlib import resources
 
-from .axioms import accumulate, field_ops, ring_ops
+from .axioms import field_ops, ring_ops, total
 from .errors import BadScalarError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension
 from .rings import (BaseMorphism, BaseRing, adjoin_root, base_ring,
@@ -304,12 +304,13 @@ def _labels(spec, pointer) -> dict:
 def _vec(read, ops, spec, labels, pointer, spend):
     """{index: value} of a vector keyed by label, zeros dropped; ops is
     axioms.field_ops or axioms.ring_ops of what read returns."""
+    raw, is_zero = ops.raw, ops.is_zero
     out = {}
     for label, text in spec.items():
         here = f"{pointer}/{label}"
         i = _ref(labels, label, here)
         c = _value(read, text, here, spend)
-        if not ops.is_zero(c):
+        if not is_zero(raw(c)):
             out[i] = c
     return out
 
@@ -345,7 +346,7 @@ def _tables(read, ops, spec, labels, right_labels, key, pointer, spend):
     table = {}
     for here, (a, terms) in _rows(spec[key], f"{pointer}/{key}", 1):
         i = _ref(labels, a, here)
-        entry = accumulate(ops, (term(f"{here}/1/{s}", *t) for s, t in enumerate(terms)))
+        entry = total(ops, (term(f"{here}/1/{s}", *t) for s, t in enumerate(terms)))
         if entry:
             table[i] = entry
     return mult, table, _vec(read, ops, spec["unit"], labels, pointer + "/unit", spend)

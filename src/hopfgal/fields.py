@@ -10,8 +10,8 @@ denominator, square roots in F_p by Tonelli-Shanks, other roots over finite
 fields by exhaustive search (these fields are small by construction).  Over
 an infinite extension field root search raises ``RootSearchUnsupportedError``
 rather than guessing.  Primality is deterministic Miller-Rabin, refused past
-the size where its bases are proven exact, and multiplicative orders come
-from the prime factors of the group order, with no search.
+the size where its bases are proven exact, and an order test
+(``has_order``) reads the prime factors of the order, with no search.
 """
 
 from __future__ import annotations
@@ -90,12 +90,6 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
-def _totient(n: int) -> int:
-    for r in _prime_factors(n):
-        n -= n // r
-    return n
-
-
 class Field:
     """Common interface; subclasses fix the scalar representation."""
 
@@ -171,34 +165,6 @@ class Field:
         one = self.one()
         return (not self.is_zero(a) and self.pow(a, n) == one
                 and all(self.pow(a, n // r) != one for r in _prime_factors(n)))
-
-    def absolute_degree(self) -> int:
-        """Degree over the prime field (Q or F_p)."""
-        return 1
-
-    def multiplicative_order(self, a):
-        """Order of a in the unit group, or None if no finite order.
-
-        Over a finite field of q elements the order divides q - 1: divide
-        each prime r out of q - 1 while a^(order/r) = 1.  In characteristic
-        0 a root of unity of order n generates Q(zeta_n), of degree
-        phi(n) <= [K:Q]; only those n are tested.
-        """
-        if self.is_zero(a):
-            return None
-        one = self.one()
-        if self.is_finite():
-            order = self.characteristic() ** self.absolute_degree() - 1
-            for r in _prime_factors(order):
-                while order % r == 0 and self.pow(a, order // r) == one:
-                    order //= r
-            return order
-        # phi(n) >= sqrt(n / 2), so phi(n) <= D forces n <= 2 D^2
-        D = self.absolute_degree()
-        for n in range(1, 2 * D * D + 1):
-            if _totient(n) <= D and self.pow(a, n) == one:
-                return n
-        return None
 
     def random_scalar(self, rng, size: int = 9):
         raise NotImplementedError
@@ -536,9 +502,6 @@ class SimpleExtension(Field):
 
     def is_one(self, a):
         return self.base.is_one(a[0]) and all(map(self.base.is_zero, a[1:]))
-
-    def absolute_degree(self):
-        return self.degree * self.base.absolute_degree()
 
     def characteristic(self):
         return self.base.characteristic()

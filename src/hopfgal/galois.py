@@ -24,7 +24,7 @@ defined.  ``is_galois`` hands the sparse rows straight to ``ring_det``.
 
 from __future__ import annotations
 
-from .axioms import accumulate, field_ops
+from .axioms import accumulate, field_ops, ring_ops, sparse, terms
 from .comod import ComoduleAlgebra, verify_comodule_algebra
 from .linalg import ring_det
 from .record import Record
@@ -40,7 +40,7 @@ class CanonicalMatrix(Record, frozen=True):
     """Matrix of beta; rows (l, k) as l*d + k, columns (i, j) as i*n + j.
 
     Each row is held as its (column, entry) pairs with a nonzero entry, in
-    column order; ``entries`` spells the matrix out densely.
+    column order.
     """
 
     algebra: ComoduleAlgebra
@@ -53,16 +53,6 @@ class CanonicalMatrix(Record, frozen=True):
     @property
     def ncols(self) -> int:
         return self.algebra.dim ** 2 if self.terms else 0
-
-    @property
-    def entries(self) -> tuple:
-        """Tuple of row tuples of BaseElements."""
-        zero, ncols = self.algebra.base.zero(), self.ncols
-        return tuple(tuple(row.get(c, zero) for c in range(ncols))
-                     for row in self.sparse_rows())
-
-    def rows(self) -> list:
-        return [list(r) for r in self.entries]
 
     def sparse_rows(self) -> list:
         return [dict(r) for r in self.terms]
@@ -77,12 +67,11 @@ def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
     unit_times = [accumulate(fops, ((q, K.mul(u, s)) for k, u in hunit
                                     for q, s in H.mult.get((k, l), {}).items()))
                   for l in range(d)]
-    mult = {ij: [(p, c.coeffs) for p, c in row.items() if c.coeffs]
-            for ij, row in A.mult.items()}
-    rho = [[(l, unit_times[h].items(), c.coeffs)
-            for (l, h), c in A.coaction.get(j, {}).items() if c.coeffs and unit_times[h]]
-           for j in range(n)]
-    mul, add, scale, is_one = C._mul, C._add, C._scale, K.is_one
+    ops = ring_ops(C)
+    mult = sparse(ops, A.mult)
+    rho = [[(l, unit_times[h].items(), c) for (l, h), c in terms(ops, A.coaction.get(j, {}))
+            if unit_times[h]] for j in range(n)]
+    mul, add, scale, is_one = ops.mul, ops.add, C._scale, K.is_one
     rows = [[] for _ in range(n * d)]
     for i in range(n):
         for j in range(n):  # column i * n + j, so each row fills in column order
@@ -96,7 +85,7 @@ def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
                         col[key] = add(col[key], t) if key in col else t
             for key, v in col.items():
                 if v:
-                    rows[key].append((i * n + j, BaseElement(C, v)))
+                    rows[key].append((i * n + j, ops.wrap(v)))
     return CanonicalMatrix(A, tuple(map(tuple, rows)))
 
 

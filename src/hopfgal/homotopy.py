@@ -399,7 +399,8 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
     family is constant.
     """
     n = A.dim
-    table = sparse(ring_ops(A.base), A.mult)
+    aops = ring_ops(A.base)
+    table = sparse(aops, A.mult)
     bad = axioms.commutativity(n, table)
     if bad is not None:
         raise NotCommutativeError(
@@ -415,12 +416,12 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
         raise NotEtaleInclusionError("need one extension element per module basis vector")
 
     # a_i -> images[i] must be an algebra map into ext, whose one basis element is 0
-    ops, one = ring_ops(ext), ext.one()
-    phi = {i: ((0, x),) for i, x in enumerate(images) if not x.is_zero}
-    if axioms.image(ops, phi, [(i, incl(c)) for i, c in A.unit.items()]) != {0: one}:
+    ops = ring_ops(ext)
+    phi = {i: ((0, x.coeffs),) for i, x in enumerate(images) if not x.is_zero}
+    if axioms.image(ops, phi, [(i, incl(c).coeffs) for i, c in A.unit.items()]) != {0: ops.one}:
         raise NotEtaleInclusionError("images do not realize the unit")
-    mult = {ij: tuple((l, incl(c)) for l, c in row) for ij, row in table.items()}
-    bad = axioms.algebra_map(ops, n, mult, phi, axioms.product(ops, {(0, 0): ((0, one),)}))
+    mult = {ij: tuple((l, incl(aops.wrap(c)).coeffs) for l, c in row) for ij, row in table.items()}
+    bad = axioms.algebra_map(ops, n, mult, phi, axioms.product(ops, {(0, 0): ((0, ops.one),)}))
     if bad is not None:
         raise NotEtaleInclusionError(
             f"images break the product on {A.labels[bad[0]]}, {A.labels[bad[1]]}")

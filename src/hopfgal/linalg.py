@@ -1,19 +1,19 @@
 """Exact linear algebra over the ground fields and over base rings.
 
-One sparse Gauss-Jordan kernel, ``_eliminate``, serves both layers.  Rows
-are dicts column -> coefficient holding only nonzeros, and coefficients are
-touched only through the operations passed in: a field's add, neg and mul
-on its scalars, or a base ring's ``_add``, ``_neg`` and ``_mul`` on
-coefficient dicts (monomial -> scalar), where the empty dict is zero.  Ring
-entries are unwrapped from BaseElements once on the way in and results
-wrapped once on the way out, so the result is exact for every field the
-types accept and for every base ring, zero divisors included.
+One sparse Gauss-Jordan kernel, ``_eliminate``, serves both.  Rows are
+dicts column -> coefficient holding only nonzeros, and coefficients are
+touched only through an ``axioms.Ops``, the interface the axiom checker
+uses too: a field's operations on its scalars, or a base ring's on
+coefficient dicts (monomial -> scalar), where the empty dict is zero.
+Entries are read once on the way in (``Ops.raw``, a BaseElement's
+``.coeffs``) and results written once on the way out (``Ops.wrap``), so
+the result is exact for every field the types accept and for every base
+ring, zero divisors included.
 
-* Pivots are units only, and a pivot row is scaled by the pivot's inverse.
-  The caller supplies the inverse: ``field.inv`` for a field, where every
-  nonzero is a unit; for a base ring, ``try_inverse`` memoized by entry
-  value within one call, which answers None for a non-unit, so no entry is
-  tested twice.
+* Pivots are units only, and a pivot row is scaled by the pivot's inverse,
+  ``Ops.inv``: over a field every nonzero is a unit; over a base ring it is
+  ``try_inverse`` memoized by entry value, which answers None for a
+  non-unit, so no entry is tested twice.
 * Determinant and solve pick each pivot Markowitz-style: the shortest row,
   then its unit entry in the column with the fewest rows.  This keeps
   fill-in low on sparse systems such as the antipode equations.  A row
@@ -24,82 +24,46 @@ types accept and for every base ring, zero divisors included.
 * Over a base ring elimination can stall: the rows still active at the end
   have no unit entry.  Those rows, on the columns no pivot took, form the
   block elimination could not reduce.  ``ring_det`` multiplies the pivots,
-  the division-free Berkowitz determinant of that block and the sign of the
-  full row -> column permutation.  ``ring_solve`` of a stalled system falls
-  back to Cramer's rule on Berkowitz determinants, one per unknown.
-  Berkowitz runs once per connected component of the block's nonzero
-  pattern (``rings._berkowitz_dicts``): a block that falls apart into
-  independent pieces costs what the pieces cost, and one with a
+  the division-free Berkowitz determinant of that block
+  (``rings._berkowitz_dicts``) and the sign of the full row -> column
+  permutation.  ``ring_solve`` of a stalled system falls back to Cramer's
+  rule on Berkowitz determinants, one per unknown.  Berkowitz runs once per
+  connected component of the block's nonzero pattern: a block that falls
+  apart into independent pieces costs what the pieces cost, and one with a
   non-square piece is singular outright.
 """
 
 from __future__ import annotations
 
-import operator
 from heapq import heapify, heappop, heappush
-from typing import Callable, NamedTuple
 
+from .axioms import Ops, field_ops, ring_ops
 from .fields import Field
 from .rings import BaseElement, BaseRing, _berkowitz_dicts, odd_permutation
 
 
-class _Ops(NamedTuple):
-    zero: object
-    one: object
-    add: Callable
-    neg: Callable
-    mul: Callable
-    is_zero: Callable
-
-
-def _field_ops(field: Field) -> _Ops:
-    return _Ops(field.zero(), field.one(), field.add, field.neg, field.mul, field.is_zero)
-
-
-def _ring_ops(ring: BaseRing) -> _Ops:
-    return _Ops({}, ring.one().coeffs, ring._add, ring._neg, ring._mul, operator.not_)
-
-
-def _unit_inverse(ring: BaseRing):
-    """ring.try_inverse on coefficient dicts, memoized by entry value for
-    one elimination."""
-    memo = {}
-
-    def inv(d):
-        key = frozenset(d.items())
-        if key not in memo:
-            e = ring.try_inverse(BaseElement(ring, d))
-            memo[key] = None if e is None else e.coeffs
-        return memo[key]
-    return inv
-
-
-def _items(row):
-    return row.items() if isinstance(row, dict) else enumerate(row)
-
-
-def _sparse_rows(M, is_zero) -> list:
+def _rows(M, ops: Ops) -> list:
     """Rows of M, each a dense list or a sparse dict column -> entry, as
-    dicts holding only the nonzero entries."""
-    return [{c: x for c, x in _items(row) if not is_zero(x)} for row in M]
+    dicts column -> coefficient holding only the nonzeros."""
+    raw, is_zero = ops.raw, ops.is_zero
+    rows = []
+    for row in M:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        rows.append({c: x for c, x in ((c, raw(e)) for c, e in items) if not is_zero(x)})
+    return rows
 
 
-def _coeff_rows(M) -> list:
-    """Rows of BaseElements as sparse dicts column -> coefficient dict."""
-    return [{c: e.coeffs for c, e in _items(row) if e.coeffs} for row in M]
-
-
-def _eliminate(rows: list, ops: _Ops, inv, ncols: int, markowitz: bool) -> list:
+def _eliminate(rows: list, ops: Ops, ncols: int, markowitz: bool) -> list:
     """Sparse Gauss-Jordan on ``rows`` in place; returns (row, col, pivot)s.
 
-    ``inv`` returns the inverse of an entry, or None for a non-unit.  Each
-    pivot row ends scaled to 1 at its column, which is zero in every other
-    row; columns >= ncols (a right-hand side) are never pivots.  With
+    ``ops.inv`` gives the inverse of an entry, or None for a non-unit.
+    Each pivot row ends scaled to 1 at its column, which is zero in every
+    other row; columns >= ncols (a right-hand side) are never pivots.  With
     ``markowitz`` the pivot is a unit entry of the shortest unpivoted row,
     in its column with the fewest rows; otherwise columns go left to right
     (every nonzero must then be a unit, as over a field).
     """
-    _, _, add, neg, mul, is_zero = ops
+    add, neg, mul, is_zero, inv = ops.add, ops.neg, ops.mul, ops.is_zero, ops.inv
     colrows = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -158,100 +122,90 @@ def _eliminate(rows: list, ops: _Ops, inv, ncols: int, markowitz: bool) -> list:
     return pivots
 
 
-def _det(rows: list, ops: _Ops, inv, tail):
-    """Determinant of the square matrix ``rows`` (sparse, consumed).
+def _det(M, ops: Ops, ring: BaseRing | None = None):
+    """Determinant of the square matrix M.
 
-    ``tail`` is the determinant of the block elimination could not reduce,
-    given as dense rows; over a field that block never arises.
+    The block elimination could not reduce goes to Berkowitz over ``ring``;
+    over a field that block never arises.
     """
+    rows = _rows(M, ops)
     n = len(rows)
-    pivots = _eliminate(rows, ops, inv, n, True)
+    pivots = _eliminate(rows, ops, n, True)
     det, perm = ops.one, [None] * n
     for i, c, pv in pivots:
         det = ops.mul(det, pv)
         perm[i] = c
     left = [i for i in range(n) if perm[i] is None]
     if any(not rows[i] for i in left):
-        return ops.zero
+        return ops.wrap(ops.zero)
     if left:
         cols = sorted(set(range(n)).difference(perm))
-        det = ops.mul(det, tail([[rows[i].get(c, ops.zero) for c in cols] for i in left]))
+        det = ops.mul(det, _berkowitz_dicts(ring, [[rows[i].get(c, ops.zero) for c in cols]
+                                                   for i in left]))
         for i, c in zip(left, cols):
             perm[i] = c
-    return ops.neg(det) if odd_permutation(perm) else det
+    return ops.wrap(ops.neg(det) if odd_permutation(perm) else det)
 
 
-def _solve(rows: list, b, ops: _Ops, inv):
-    """Solve the square system rows x = b (sparse rows, consumed), or None
-    if elimination pivots on fewer than n columns."""
+def _solve(M, b, ops: Ops):
+    """Solve the square system M x = b, or None if elimination pivots on
+    fewer than n columns."""
+    rows = _rows(M, ops)
     n = len(rows)
     for row, bv in zip(rows, b):
+        bv = ops.raw(bv)
         if not ops.is_zero(bv):
             row[n] = bv
-    pivots = _eliminate(rows, ops, inv, n, True)
+    pivots = _eliminate(rows, ops, n, True)
     if len(pivots) < n:
         return None
     x = [None] * n
     for i, c, _ in pivots:
-        x[c] = rows[i].get(n, ops.zero)
+        x[c] = ops.wrap(rows[i].get(n, ops.zero))
     return x
 
 
 # --------------------------------------------------------------------------
-# field layer: matrices are lists of rows of raw scalars, each row a dense
-# list or a sparse dict column -> scalar
+# field layer: matrices are lists of rows of raw scalars; ring layer: lists
+# of rows of BaseElements.  Each row is a dense list (or tuple) or a sparse
+# dict column -> entry.
 # --------------------------------------------------------------------------
 
 def field_det(M, field: Field):
-    return _det(_sparse_rows(M, field.is_zero), _field_ops(field), field.inv, None)
+    return _det(M, field_ops(field))
 
 
 def field_solve(M, b, field: Field):
     """Solve the square system M x = b; None if M is singular."""
-    return _solve(_sparse_rows(M, field.is_zero), b, _field_ops(field), field.inv)
+    return _solve(M, b, field_ops(field))
 
 
 def field_kernel(M, field: Field, ncols: int):
     """Basis of the kernel of an (m x ncols) matrix, as coordinate lists:
     one vector per free column, set to 1 and the other free columns to 0."""
-    rows = _sparse_rows(M, field.is_zero)
-    pivots = _eliminate(rows, _field_ops(field), field.inv, ncols, False)
+    ops = field_ops(field)
+    rows = _rows(M, ops)
+    pivots = _eliminate(rows, ops, ncols, False)
     pivot_cols = {c for _, c, _ in pivots}
     basis = []
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
+        v = [ops.zero] * ncols
+        v[fc] = ops.one
         for i, c, _ in pivots:
-            v[c] = field.neg(rows[i].get(fc, field.zero()))
+            v[c] = ops.neg(rows[i].get(fc, ops.zero))
         basis.append(v)
     return basis
 
 
-# --------------------------------------------------------------------------
-# ring layer: matrices are lists of rows of BaseElements, each row a dense
-# list (or tuple) or a sparse dict column -> element
-# --------------------------------------------------------------------------
-
 def berkowitz_det(M, ring: BaseRing) -> BaseElement:
-    raw = [[e.coeffs for e in row] for row in M]
-    return ring.element(_berkowitz_dicts(ring, raw))
-
-
-def _scalars(M) -> list:
-    return [{c: e.constant_scalar() for c, e in row.items()} if isinstance(row, dict)
-            else [e.constant_scalar() for e in row] for row in M]
+    return BaseElement(ring, _berkowitz_dicts(ring, [[e.coeffs for e in row] for row in M]))
 
 
 def ring_det(M, ring: BaseRing) -> BaseElement:
     """Determinant over any base ring: unit-pivot elimination, Berkowitz tail."""
-    if ring.is_field:
-        return ring.from_scalar(field_det(_scalars(M), ring.field))
-
-    def tail(block):
-        return berkowitz_det([[BaseElement(ring, x) for x in row] for row in block], ring).coeffs
-    return BaseElement(ring, _det(_coeff_rows(M), _ring_ops(ring), _unit_inverse(ring), tail))
+    return _det(M, ring_ops(ring), ring)
 
 
 def ring_solve(M, b, ring: BaseRing):
@@ -260,11 +214,8 @@ def ring_solve(M, b, ring: BaseRing):
     Returns the unique solution when the determinant is a unit, else None.
     A system whose elimination stalls goes to Cramer's rule.
     """
-    if ring.is_field:
-        sol = field_solve(_scalars(M), [e.constant_scalar() for e in b], ring.field)
-        return None if sol is None else [ring.from_scalar(c) for c in sol]
-    x = _solve(_coeff_rows(M), [e.coeffs for e in b], _ring_ops(ring), _unit_inverse(ring))
-    return _cramer_solve(M, b, ring) if x is None else [BaseElement(ring, v) for v in x]
+    x = _solve(M, b, ring_ops(ring))
+    return _cramer_solve(M, b, ring) if x is None else x
 
 
 def _cramer_solve(M, b, ring: BaseRing):

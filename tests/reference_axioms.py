@@ -12,6 +12,8 @@ generators first.  ``canonical_matrix`` builds the structure map's matrix
 through ``tensor_mul``, as the library did before reading it off the tables.
 ``check_iso`` forms every product of two basis elements and its image, as
 the library did before it checked maps through the axiom checker.
+``entries`` and ``rows`` spell a ``galois.CanonicalMatrix`` out densely, as
+its own methods did before only the tests read them.
 """
 
 from hopfgal.errors import NoAntipodeError
@@ -193,6 +195,18 @@ def canonical_matrix(A) -> tuple:
                 col[l * d + k] = c
             cols.append(col)
     return tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * d))
+
+
+def entries(M) -> tuple:
+    """The dense matrix of a ``galois.CanonicalMatrix``: a tuple of row
+    tuples of BaseElements."""
+    zero, ncols = M.algebra.base.zero(), M.ncols
+    return tuple(tuple(row.get(c, zero) for c in range(ncols)) for row in M.sparse_rows())
+
+
+def rows(M) -> list:
+    """``entries`` as a list of row lists."""
+    return [list(r) for r in entries(M)]
 
 
 def verify_hopf(H) -> Report:

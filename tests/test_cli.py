@@ -182,6 +182,17 @@ def test_not_json_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_memory_error_is_one_error_line(doc_path, monkeypatch, capsys):
+    """A command that runs out of memory exits 2 with one line, no traceback."""
+    def exhausted(A):
+        raise MemoryError
+    monkeypatch.setattr("hopfgal.cli.verify_bundle", exhausted)
+    assert main(["verify-bundle", doc_path, "A"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_usage_errors(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["h4", "criterion", "--alpha", "1"]) == 2

@@ -39,6 +39,8 @@ from hopfgal.rings import (
 )
 from hopfgal.comod import verify_comodule_algebra
 
+import reference_axioms as ref
+
 F7 = PrimeField(7)
 
 
@@ -68,7 +70,7 @@ def test_canonical_matrix_known_entry():
     A = trivial_bundle(base_ring(QQ), sweedler_h4(QQ))
     M = canonical_matrix(A)
     assert M.nrows == 16 and M.ncols == 16
-    col = [M.entries[r][0 * 4 + 1] for r in range(16)]
+    col = [ref.entries(M)[r][0 * 4 + 1] for r in range(16)]
     nonzero = [(r, c) for r, c in enumerate(col) if not c.is_zero]
     assert nonzero == [(1 * 4 + 1, A.base.one())]
 

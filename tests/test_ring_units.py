@@ -14,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfgal
+from hopfgal.axioms import ring_ops
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.rings import _charpoly_dicts, adjoin_root, base_ring, laurent_ring, polynomial_ring
+from hopfgal.rings import (
+    BaseRing,
+    _charpoly_dicts,
+    adjoin_root,
+    base_ring,
+    laurent_ring,
+    polynomial_ring,
+)
 
 F5 = PrimeField(5)
 
@@ -164,6 +172,63 @@ def test_only_laurent_monomials_skip_the_charpoly(monkeypatch) -> None:
     assert x.ring.try_inverse(x) is None  # a free generator is no unit
 
 
+# ------------------------------------------------------------ ring_ops
+
+def _ops_rings():
+    L = laurent_ring(PrimeField(7), "z")
+    root, _, _ = adjoin_root(L, L.gen("z"), 3, name="r")
+    return [polynomial_ring(QQ, "u"), L, root]
+
+
+def _element(ring, data):
+    """An element with at most three terms, often one (a unit, off the free
+    generators)."""
+    def exponent(g):
+        return {"laurent": st.integers(-2, 2), "root": st.integers(0, g.degree - 1)}.get(
+            g.kind, st.integers(0, 2))
+    terms = data.draw(st.dictionaries(st.tuples(*map(exponent, ring.gens)),
+                                      st.integers(-3, 3), max_size=3))
+    return ring.element({m: ring.field.from_int(c) for m, c in terms.items()})
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(_ops_rings()), st.data())
+def test_ring_ops_agree_with_the_element_operators(ring, data) -> None:
+    """Over Q[u], F7[z^+-1] and F7[z^+-1, r | r^3 = z], ring_ops works on
+    coefficient dicts as the BaseElement operators and try_inverse do."""
+    ops = ring_ops(ring)
+    a, b = _element(ring, data), _element(ring, data)
+    for x, y in ((a, b), (a, ring.one()), (ring.one(), b)):
+        assert ops.add(x.coeffs, y.coeffs) == (x + y).coeffs
+        assert ops.mul(x.coeffs, y.coeffs) == (x * y).coeffs
+    assert ops.neg(a.coeffs) == (-a).coeffs
+    assert ops.is_zero(a.coeffs) == a.is_zero
+    assert ops.is_one(a.coeffs) == (a == 1)
+    inv = ring.try_inverse(a)
+    assert ops.inv(a.coeffs) == (None if inv is None else inv.coeffs)
+    assert ops.is_unit(a.coeffs) == (inv is not None)
+    assert ops.wrap(ops.raw(a)) == a
+
+
+def test_ring_ops_inverse_is_memoized_and_certified(monkeypatch) -> None:
+    ring = _ops_rings()[2]
+    r, ops = ring.gen("r"), ring_ops(ring)
+    want = ring.inverse(r).coeffs
+    calls = []
+    try_inverse = BaseRing.try_inverse
+
+    def recording(self, a):
+        calls.append(a)
+        return try_inverse(self, a)
+    monkeypatch.setattr(BaseRing, "try_inverse", recording)
+    assert ops.inv(r.coeffs) == ops.inv(dict(r.coeffs)) == want
+    assert len(calls) == 1
+    # a wrong inverse fails try_inverse's a * a^-1 = 1 check
+    monkeypatch.setattr(BaseRing, "_try_inv_dict", lambda self, d: {(0, 0): 5})
+    with pytest.raises(RuntimeError):
+        ring_ops(ring).inv(r.coeffs)
+
+
 # ------------------------------------------------------------ certificates
 
 _UNDER_O = """
@@ -171,11 +236,13 @@ import sys
 from hopfgal.errors import RingMismatchError
 from hopfgal.fields import QQ
 from hopfgal.rings import BaseRing, adjoin_root, base_ring
+from hopfgal.axioms import ring_ops
 k = base_ring(QQ)
 ring, _, r = adjoin_root(k, k.from_int(2), 3, name="r")
 print("optimize", sys.flags.optimize)
 BaseRing._try_inv_dict = lambda self, d: {(0,): QQ.from_int(5)}
 for name, call, exc in (("inverse", lambda: ring.try_inverse(r), RuntimeError),
+                        ("ops inverse", lambda: ring_ops(ring).inv(r.coeffs), RuntimeError),
                         ("restrict", lambda: ring.restrict(r, 0), RingMismatchError),
                         ("pow", lambda: ring._pow(r.coeffs, -1), ValueError)):
     try:
@@ -192,7 +259,8 @@ def test_certificates_survive_python_O() -> None:
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
                          capture_output=True, text=True, timeout=30, check=True).stdout
-    assert out.split("\n")[:4] == ["optimize 1", "inverse raised", "restrict raised", "pow raised"]
+    assert out.split("\n")[:5] == ["optimize 1", "inverse raised", "ops inverse raised",
+                                   "restrict raised", "pow raised"]
 
 
 # ------------------------------------------------------------ hashing

@@ -251,7 +251,7 @@ def test_neg_schema_document_diagnostic(capsys) -> None:
     assert captured.err.endswith("is not valid under any of the given schemas\n")
 
 
-# ----------------------------------------------------- shorthand order caps
+# ------------------------------------------- shorthand order and degree caps
 
 def _shorthands(order):
     return [{"field": "F17", "hopf_algebras": {"T": {"construction": kind, "order": order}}}
@@ -260,9 +260,31 @@ def _shorthands(order):
         {"field": "F193", "bundles": {"K": {"construction": "kummer", "order": order, "q": "5"}}}]
 
 
+def _root_document(degree):
+    """r^degree = z over F7[z^+-1] and an abg bundle with alpha 1+r, which
+    is not a unit: its norm 1 +- z is not a unit of F7[z^+-1]."""
+    return {"field": "F7",
+            "rings": {"R": {"gens": [{"name": "z", "kind": "laurent"},
+                                     {"name": "r", "kind": "root", "degree": degree,
+                                      "value": "z"}]}},
+            "bundles": {"A": {"construction": "abg", "ring": "R",
+                              "alpha": "1+r", "beta": "0", "gamma": "0"}}}
+
+
+def _witness_document(degree):
+    """The cleft witness of the abg bundle (3, 5, 7) over Q, its step
+    adjoining s with s^degree = 3 in place of s^2 = 3."""
+    C = base_ring(QQ)
+    w = cleft_trivialization_witness(AbgParams(C, 3, 5, 7)).links[0][0]
+    raw = document_of(Document(QQ, rings={"C": C}, witnesses={"w": w}))
+    raw["witnesses"]["w"]["step"]["adjunctions"][0]["degree"] = degree
+    return raw
+
+
 @pytest.mark.parametrize("order", [16, 17, 64, 65, 10 ** 30, 16.0, 17.0, True])
 def test_predicate_matches_jsonschema_at_the_order_caps(order) -> None:
-    for doc in _shorthands(order):
+    """The shorthand orders, and a root generator's degree (at most 64)."""
+    for doc in _shorthands(order) + [_root_document(order), _witness_document(order)]:
         assert _is_valid()(doc) == ORACLE.is_valid(doc)
 
 
@@ -277,9 +299,20 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 
 
+def _cli(tmp_path, raw, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    return subprocess.run([sys.executable, "-m", "hopfgal.cli", *(a.format(path) for a in argv)],
+                          env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=_limit_address_space,
+                          capture_output=True, text=True, timeout=10)
+
+
 # Before the caps, taft of order 40 over F41 ran for 22.8 s and exited 0;
 # order 100 over F101 was killed out of memory.  cyclic_dual of order 256
-# exhausted 2 GB of address space.
+# exhausted 2 GB of address space.  A root of degree 120 took 2.3 s to
+# exit 1 and one of degree 200 took 15 s, as the unit test of 1+r builds
+# the dense degree x degree matrix of multiplication by 1+r; degree 100000
+# ended in a MemoryError traceback.
 @pytest.mark.parametrize("raw, argv, pointer", [
     ({"field": "F41", "hopf_algebras": {"T": {"construction": "taft", "order": 40, "q": "7"}}},
      ["verify-hopf", "{}", "T"], "/hopf_algebras/T/order"),
@@ -291,17 +324,27 @@ def _limit_address_space():
      ["verify-hopf", "{}", "T"], "/hopf_algebras/T/order"),
     ({"field": "F1201", "bundles": {"K": {"construction": "kummer", "order": 400, "q": "3"}}},
      ["verify-bundle", "{}", "K"], "/bundles/K/order"),
-], ids=["taft40", "taft100", "cyclic_dual256", "cyclic_group10000", "kummer400"])
+    (_root_document(65), ["verify-bundle", "{}", "A"], "/rings/R/gens/1/degree"),
+    (_root_document(100000), ["verify-bundle", "{}", "A"], "/rings/R/gens/1/degree"),
+    (_witness_document(65), ["witness", "verify", "{}"], "/witnesses/w/step/adjunctions/0/degree"),
+], ids=["taft40", "taft100", "cyclic_dual256", "cyclic_group10000", "kummer400",
+        "degree65", "degree100000", "step_degree65"])
 def test_order_over_the_cap_exits_2_quickly(tmp_path, raw, argv, pointer) -> None:
-    path = tmp_path / "order.json"
-    path.write_text(json.dumps(raw))
     t0 = time.perf_counter()
-    out = subprocess.run([sys.executable, "-m", "hopfgal.cli", *(a.format(path) for a in argv)],
-                         env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=_limit_address_space,
-                         capture_output=True, text=True, timeout=10)
+    out = _cli(tmp_path, raw, argv)
     assert time.perf_counter() - t0 < 2.0
     assert out.returncode == 2, out.stderr
     assert f"error: {pointer}: " in out.stderr and "Traceback" not in out.stderr
+
+
+def test_root_degree_at_the_cap_still_answers(tmp_path) -> None:
+    out = _cli(tmp_path, _root_document(64), ["verify-bundle", "{}", "A"])
+    assert out.returncode == 1, out.stderr
+    assert out.stderr == "rejected: alpha = r+1 is not a unit; x could not be invertible\n"
+    # s^64 = 3 in place of s^2 = 3: the witness loads and fails a check
+    out = _cli(tmp_path, _witness_document(64), ["witness", "verify", "{}"])
+    assert out.returncode == 1, out.stderr
+    assert "[FAIL] preserves product  (phi(x*x) != phi(x)*phi(x))" in out.stdout
 
 
 # ------------------------------------------------------------ import budget
