@@ -51,28 +51,18 @@ whose witness is the one reported:
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from functools import partial
-from typing import Callable, NamedTuple
 
 from .rings import BaseElement
 
 
-class Ops(NamedTuple):
-    """Coefficient operations of a field (on scalars) or of a base ring (on
-    coefficient dicts, where {} is zero).  ``mul`` skips a factor 1,
-    ``inv`` answers None for a non-unit, and ``raw``/``wrap`` read a table
-    entry as a coefficient and write a coefficient back as an entry."""
-    zero: object
-    one: object
-    add: Callable
-    neg: Callable
-    mul: Callable
-    is_zero: Callable
-    is_one: Callable
-    is_unit: Callable
-    inv: Callable
-    raw: Callable
-    wrap: Callable
+# Coefficient operations of a field (on scalars) or of a base ring (on
+# coefficient dicts, where {} is zero).  ``mul`` skips a factor 1, ``inv``
+# answers None for a non-unit, and ``raw``/``wrap`` read a table entry as a
+# coefficient and write a coefficient back as an entry.  Ops and WordTree
+# are collections.namedtuples, so this module imports no ``typing``.
+Ops = namedtuple("Ops", "zero one add neg mul is_zero is_one is_unit inv raw wrap")
 
 
 def _skipping_one(mul, is_one):
@@ -181,10 +171,10 @@ def unit(ops: Ops, n: int, mult: dict, unit: tuple):
     return None
 
 
-class WordTree(NamedTuple):
-    gens: tuple  # the generating set S, in the order chosen
-    root: int  # 1 = u a_root with u a unit
-    steps: dict  # i -> (s, r, c) with a_s a_r = c a_i, c a unit, in the order reached
+# gens: the generating set S, in the order chosen; root: 1 = u a_root with u
+# a unit; steps: i -> (s, r, c) with a_s a_r = c a_i, c a unit, in the
+# order reached
+WordTree = namedtuple("WordTree", "gens root steps")
 
 
 def word_tree(n: int, mult: dict, unit: tuple, is_unit):

@@ -16,6 +16,7 @@ root-of-unity action.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from .cleft import CleavingMap, check_cleaving
@@ -209,6 +210,30 @@ def abg_triviality_criterion(p: AbgParams) -> TrivialityVerdict:
     return TrivialityVerdict(False)
 
 
+@cache
+def _coaction_images(C: BaseRing):
+    """The bundle (1, 0, 0) over C, with the candidate images of x and of y
+    in it that respect the coaction: they depend on C alone, so a census of
+    many triples over one ring filters its q^4 candidates once.  Every
+    caller shares the result and only reads it."""
+    K = C.field
+    T = abg_bundle(AbgParams(C, C.one(), C.zero(), C.zero()))
+    zero, one = C.zero(), C.one()
+    elems = [C.from_scalar(K.from_int(i)) for i in range(K.characteristic())]
+    # rho(x) = x (x) X and rho(y) = 1 (x) Y + y (x) X in the whole family,
+    # so an algebra map respects the coaction iff its generator images do.
+    xs, ys = [], []
+    for combo in product(elems, repeat=4):
+        v = {i: c for i, c in enumerate(combo) if c != zero}
+        rho = T.coact_vec(v)
+        tensored = {(i, 1): c for i, c in v.items()}
+        if rho == tensored:
+            xs.append(v)
+        if rho == tensored | {(0, 2): one}:
+            ys.append(v)
+    return T, tuple(xs), tuple(ys)
+
+
 def search_trivialization(p: AbgParams):
     """Exhaustive search for a change of generators onto (1, 0, 0).
 
@@ -221,29 +246,15 @@ def search_trivialization(p: AbgParams):
     None means no candidate works.
     """
     C = p.base
-    K = C.field
-    if not isinstance(K, PrimeField):
+    if not isinstance(C.field, PrimeField):
         raise RootSearchUnsupportedError(
             "exhaustive image search runs over a finite prime field")
     alpha = p.alpha.constant_scalar()
     beta = p.beta.constant_scalar()
     gamma = p.gamma.constant_scalar()
     A = abg_bundle(p)
-    T = abg_bundle(AbgParams(C, C.one(), C.zero(), C.zero()))
+    T, xs, ys = _coaction_images(C)
     zero, one = C.zero(), C.one()
-    elems = [C.from_scalar(K.from_int(i)) for i in range(K.characteristic())]
-
-    # rho(x) = x (x) X and rho(y) = 1 (x) Y + y (x) X in the whole family,
-    # so an algebra map respects the coaction iff its generator images do.
-    xs, ys = [], []
-    for combo in product(elems, repeat=4):
-        v = {i: c for i, c in enumerate(combo) if c != zero}
-        rho = T.coact_vec(v)
-        tensored = {(i, 1): c for i, c in v.items()}
-        if rho == tensored:
-            xs.append(v)
-        if rho == tensored | {(0, 2): one}:
-            ys.append(v)
 
     want_xx = {} if p.alpha.is_zero else {0: C.from_scalar(alpha)}
     want_yy = {} if p.beta.is_zero else {0: C.from_scalar(beta)}

@@ -8,18 +8,23 @@ With --json each command prints a single machine-readable verdict; the
 encoder is pinned (sorted keys, two-space indent) so identical inputs give
 byte-identical output.
 
-A run builds the parser of the one command it names (all of them only for
-help, usage and unknown words), and ``run``, the process entry point,
-calls gc.freeze() before the interpreter exits, so the collections at
-shutdown skip every live object.
+One table, ``_COMMANDS``, defines every command.  A plain reader reads
+the usual argv (the command's words, its positionals, and --json and its
+options, each given once with a value) from that table without argparse;
+help, abbreviations and every usage error go to argparse, which builds
+the parser of the one command argv names (of all of them only for help,
+usage and unknown words).  ``run``, the process entry point, flushes
+stdout and stderr and ends the process with os._exit, so the interpreter
+tears down nothing the run built.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
 import json
+import os
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from .bundles import (
     AbgParams,
@@ -202,6 +207,10 @@ def _cmd_witness_verify(args):
 # demos: rebuild a known result and re-verify it through public entry points
 # --------------------------------------------------------------------------
 
+# the schema's cap on a kummer bundle's order, which --order shares
+MAX_KUMMER_ORDER = 64
+
+
 def _cmd_demo_thm43(args):
     K = field_from_name(args.field)
     C = base_ring(K)
@@ -229,6 +238,9 @@ def _cmd_demo_thm43(args):
 
 
 def _cmd_demo_prop35(args):
+    if args.order > MAX_KUMMER_ORDER:
+        raise InputError(f"--order {args.order} is above {MAX_KUMMER_ORDER}, "
+                         "the largest order a kummer bundle may have")
     K = field_from_name(args.field)
     q = _scalar_flag(K, args.q, "q")
     A, w = kummer_trivialization_witness(args.order, q, K)
@@ -274,102 +286,67 @@ def _cmd_demo_census(args):
 
 
 # --------------------------------------------------------------------------
-# argument parsing and entry point
+# the command table, its two readers, and the entry point
 # --------------------------------------------------------------------------
 
-def _abg_flags(parser):
-    parser.add_argument("--alpha", required=True, help="unit scalar, e.g. 3 or 2/5")
-    parser.add_argument("--beta", required=True)
-    parser.add_argument("--gamma", required=True)
-    parser.add_argument("--field", default="Q", help="Q or F<p> (default Q)")
+# A command is a leaf, or a group whose next word names one of its leaves.
+# Positionals and options are (name, add_argument keywords); a variadic
+# positional comes last.  Every leaf also takes --json.
+_Leaf = namedtuple("_Leaf", "help handler positionals options", defaults=((), ()))
+_Group = namedtuple("_Group", "help dest leaves")
 
+_FILE_NAMES = (("file", {}), ("names", {"nargs": "+", "metavar": "name"}))
+_ABG_FLAGS = (("--alpha", {"required": True, "help": "unit scalar, e.g. 3 or 2/5"}),
+              ("--beta", {"required": True}),
+              ("--gamma", {"required": True}),
+              ("--field", {"default": "Q", "help": "Q or F<p> (default Q)"}))
 
-def _file_and_names(sub, common, name, handler, help):
-    p = sub.add_parser(name, parents=[common], help=help)
-    p.add_argument("file")
-    p.add_argument("names", nargs="+", metavar="name")
-    p.set_defaults(handler=handler)
-
-
-def _add_cleft(sub, common):
-    cleft = sub.add_parser("cleft", help="cleaving map commands")
-    csub = cleft.add_subparsers(dest="action", required=True)
-    for act, txt in (("check", "certify a cleaving map"),
-                     ("invert", "print the convolution inverse")):
-        _file_and_names(csub, common, act, _cmd_cleft, txt)
-
-
-def _add_pushforward(sub, common):
-    p = sub.add_parser("pushforward", parents=[common],
-                       help="push a bundle along a base morphism")
-    p.add_argument("file")
-    p.add_argument("bundle")
-    p.add_argument("morphism")
-    p.set_defaults(handler=_cmd_pushforward)
-
-
-def _add_h4(sub, common):
-    h4 = sub.add_parser("h4", help="rank-4 family commands")
-    hsub = h4.add_subparsers(dest="action", required=True)
-    p = hsub.add_parser("criterion", parents=[common],
-                        help="decide isomorphism to (1, 0, 0) over a field")
-    _abg_flags(p)
-    p.set_defaults(handler=_cmd_h4_criterion)
-
-
-def _add_witness(sub, common):
-    wit = sub.add_parser("witness", help="homotopy witness commands")
-    wsub = wit.add_subparsers(dest="action", required=True)
-    p = wsub.add_parser("verify", parents=[common],
-                        help="re-certify stored witnesses")
-    p.add_argument("file")
-    p.add_argument("names", nargs="*", metavar="name",
-                   help="default: every witness in the file")
-    p.set_defaults(handler=_cmd_witness_verify)
-
-
-def _add_demo(sub, common):
-    demo = sub.add_parser("demo", help="rebuild and re-verify known results")
-    dsub = demo.add_subparsers(dest="what", required=True)
-    p = dsub.add_parser("thm43", parents=[common],
-                        help="trivializing witness chain for a cleft bundle")
-    _abg_flags(p)
-    p.set_defaults(handler=_cmd_demo_thm43)
-    p = dsub.add_parser("prop35", parents=[common],
-                        help="etale self-trivialization of a cyclic bundle")
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--q", default="-1")
-    p.add_argument("--field", default="Q")
-    p.set_defaults(handler=_cmd_demo_prop35)
-    p = dsub.add_parser("census-f3", parents=[common],
-                        help="criterion versus exhaustive search, all 18 triples")
-    p.set_defaults(handler=_cmd_demo_census)
-
-
-# each command's name and the function that adds its parser, in help order
+# in help order
 _COMMANDS = {
-    "verify-hopf": lambda sub, common: _file_and_names(
-        sub, common, "verify-hopf", _cmd_verify_hopf, "check every Hopf algebra axiom"),
-    "verify-bundle": lambda sub, common: _file_and_names(
-        sub, common, "verify-bundle", _cmd_verify_bundle, "full principal bundle check"),
-    "galois": lambda sub, common: _file_and_names(
-        sub, common, "galois", _cmd_galois,
-        "bijectivity of the structure map, by determinant"),
-    "cleft": _add_cleft,
-    "pushforward": _add_pushforward,
-    "h4": _add_h4,
-    "witness": _add_witness,
-    "demo": _add_demo,
+    "verify-hopf": _Leaf("check every Hopf algebra axiom", _cmd_verify_hopf, _FILE_NAMES),
+    "verify-bundle": _Leaf("full principal bundle check", _cmd_verify_bundle, _FILE_NAMES),
+    "galois": _Leaf("bijectivity of the structure map, by determinant", _cmd_galois,
+                    _FILE_NAMES),
+    "cleft": _Group("cleaving map commands", "action", {
+        "check": _Leaf("certify a cleaving map", _cmd_cleft, _FILE_NAMES),
+        "invert": _Leaf("print the convolution inverse", _cmd_cleft, _FILE_NAMES)}),
+    "pushforward": _Leaf("push a bundle along a base morphism", _cmd_pushforward,
+                         (("file", {}), ("bundle", {}), ("morphism", {}))),
+    "h4": _Group("rank-4 family commands", "action", {
+        "criterion": _Leaf("decide isomorphism to (1, 0, 0) over a field",
+                           _cmd_h4_criterion, options=_ABG_FLAGS)}),
+    "witness": _Group("homotopy witness commands", "action", {
+        "verify": _Leaf("re-certify stored witnesses", _cmd_witness_verify, (
+            ("file", {}),
+            ("names", {"nargs": "*", "metavar": "name",
+                       "help": "default: every witness in the file"})))}),
+    "demo": _Group("rebuild and re-verify known results", "what", {
+        "thm43": _Leaf("trivializing witness chain for a cleft bundle", _cmd_demo_thm43,
+                       options=_ABG_FLAGS),
+        "prop35": _Leaf("etale self-trivialization of a cyclic bundle", _cmd_demo_prop35,
+                        options=(("--order", {"type": int, "default": 2}),
+                                 ("--q", {"default": "-1"}),
+                                 ("--field", {"default": "Q"}))),
+        "census-f3": _Leaf("criterion versus exhaustive search, all 18 triples",
+                           _cmd_demo_census)}),
 }
 
 
-def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of the command argv[0] names, or of every command when
-    argv[0] names none, so that help, usage and the error for an unknown
-    word read as they would with every command built."""
+def _build_parser(argv=()):
+    """The argparse parser of the command argv[0] names, or of every command
+    when argv[0] names none, so that help, usage and the error for an
+    unknown word read as they would with every command built."""
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="print one machine-readable verdict")
+
+    def add_leaf(sub, name, leaf):
+        p = sub.add_parser(name, parents=[common], help=leaf.help)
+        for arg, kw in leaf.positionals + leaf.options:
+            p.add_argument(arg, **kw)
+        p.set_defaults(handler=leaf.handler)
 
     parser = argparse.ArgumentParser(
         prog="hopfgal",
@@ -383,16 +360,85 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
         names, metavar = list(_COMMANDS), None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        _COMMANDS[name](sub, common)
+        spec = _COMMANDS[name]
+        if isinstance(spec, _Leaf):
+            add_leaf(sub, name, spec)
+            continue
+        group = sub.add_parser(name, help=spec.help)
+        gsub = group.add_subparsers(dest=spec.dest, required=True)
+        for word, leaf in spec.leaves.items():
+            add_leaf(gsub, word, leaf)
     return parser
+
+
+def _read_plain(argv):
+    """The arguments argparse would read from argv, read from the table
+    without argparse, or None.  argv is read only when it is the command's
+    words, then --json, the leaf's options each followed by a value that
+    does not start with '-', and one run of positional words, with each
+    option given at most once, the positional counts met, the required
+    options given and typed values converted; help, abbreviations, repeats
+    and every error are left to argparse."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    values, rest = {"command": argv[0]}, argv[1:]
+    if isinstance(spec, _Group):
+        if not rest or rest[0] not in spec.leaves:
+            return None
+        values[spec.dest] = rest[0]
+        spec, rest = spec.leaves[rest[0]], rest[1:]
+    options = dict(spec.options)
+    values["json"] = False
+    for flag, kw in spec.options:
+        values[flag[2:]] = kw.get("default")
+    seen, words, ended = set(), [], False
+    tokens = iter(rest)
+    for tok in tokens:
+        if not tok.startswith("-"):
+            if ended:  # a second run of positional words
+                return None
+            words.append(tok)
+            continue
+        if tok in seen:
+            return None
+        seen.add(tok)
+        ended = bool(words)
+        if tok == "--json":
+            values["json"] = True
+        elif tok in options:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                values[tok[2:]] = options[tok].get("type", str)(value)
+            except ValueError:
+                return None
+        else:
+            return None
+    if any(kw.get("required") and flag not in seen for flag, kw in spec.options):
+        return None
+    for dest, kw in spec.positionals:
+        nargs = kw.get("nargs")
+        if nargs is None and words:
+            values[dest] = words.pop(0)
+        elif nargs == "*" or (nargs == "+" and words):
+            values[dest], words = words, []
+        else:
+            return None
+    if words:
+        return None
+    return SimpleNamespace(handler=spec.handler, **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         code, lines, payload = args.handler(args)
     except InputError as exc:
@@ -414,14 +460,19 @@ def main(argv=None) -> int:
 def run() -> int:
     """main() for ``python -m hopfgal.cli`` and the ``hopfgal`` script.
 
-    gc.freeze() after main() returns moves every live object out of the
-    collector's reach, so the collections at interpreter shutdown walk
-    none of them.  main() itself never freezes: it may run many times in
-    one process.
+    Once main() has returned and stdout and stderr are flushed, the process
+    ends with os._exit, so the interpreter tears down none of the objects
+    the run built.  A failed flush returns the code instead, and the
+    interpreter's own shutdown reports it as it would without this exit.
+    main() itself never exits: it may run many times in one process.
     """
     code = main()
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a full disk, a closed pipe, a missing stream
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -25,9 +25,9 @@ on a basis element) is refused at the second.
 from __future__ import annotations
 
 import json
+import os
 import re
 from functools import cache
-from importlib import resources
 
 from .axioms import field_ops, ring_ops, total
 from .errors import BadScalarError, SchemaError, UnresolvedReferenceError
@@ -59,8 +59,10 @@ class Document(Record):
 
 @cache
 def _schema():
-    text = resources.files("hopfgal").joinpath("schema.json").read_text()
-    return json.loads(text)
+    # read as pkgutil.get_data reads a package resource, through this
+    # module's own loader, but without importing pkgutil (and typing)
+    path = os.path.join(os.path.dirname(__file__), "schema.json")
+    return json.loads(__spec__.loader.get_data(path))
 
 
 # -------------------------------------------------------- schema predicate

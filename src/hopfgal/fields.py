@@ -2,7 +2,8 @@
 
 Scalars are raw values (``Fraction`` for Q, ``int`` in ``range(p)`` for F_p,
 tuples of base scalars for extensions) and all arithmetic goes through the
-field object.  Representations are normalized, so ``==`` on raw values is
+field object.  ``fractions`` is imported when Q makes its first scalar, so
+a run over F_p never loads it.  Representations are normalized, so ``==`` on raw values is
 exact equality.  No floating point is used anywhere.
 
 Root extraction is exact: over Q by integer Newton iteration on numerator and
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .errors import BadScalarError, RootSearchUnsupportedError
@@ -195,14 +196,20 @@ class Field:
 class RationalField(Field):
     name = "Q"
 
+    @cached_property
+    def fraction(self):
+        """``fractions.Fraction``, imported when the first rational is made."""
+        from fractions import Fraction
+        return Fraction
+
     def zero(self):
-        return Fraction(0)
+        return self.fraction(0)
 
     def one(self):
-        return Fraction(1)
+        return self.fraction(1)
 
     def from_int(self, n):
-        return Fraction(n)
+        return self.fraction(n)
 
     def add(self, a, b):
         return a + b
@@ -238,7 +245,7 @@ class RationalField(Field):
 
     def nth_root(self, a, n):
         if a == 0:
-            return Fraction(0)
+            return self.fraction(0)
         if n % 2 == 0 and a < 0:
             return None
         num, den = abs(a.numerator), a.denominator
@@ -246,11 +253,11 @@ class RationalField(Field):
         rd, okd = _int_nth_root(den, n)
         if not (okn and okd):
             return None
-        r = Fraction(rn, rd)
+        r = self.fraction(rn, rd)
         return -r if a < 0 else r
 
     def random_scalar(self, rng, size=9):
-        return Fraction(rng.randint(-size, size), rng.randint(1, size))
+        return self.fraction(rng.randint(-size, size), rng.randint(1, size))
 
     def format(self, a):
         return str(a)
@@ -553,9 +560,9 @@ def _too_long(v) -> bool:
     digit limit, which no report could print."""
     if isinstance(v, tuple):
         return any(_too_long(c) for c in v)
-    limit = sys.get_int_max_str_digits()
-    if isinstance(v, Fraction):
+    if not isinstance(v, int):  # a rational
         return _too_long(v.numerator) or _too_long(v.denominator)
+    limit = sys.get_int_max_str_digits()
     # 8^limit < 10^limit, so a shorter integer has at most `limit` digits
     return limit > 0 and abs(v).bit_length() > 3 * limit and abs(v) >= 10 ** limit
 

@@ -32,7 +32,9 @@ idempotents, a unit need not be a single Laurent monomial times a unit.
 
 The strings of one document share one ``WorkBudget``, which also reads
 each distinct string once: a repeat costs a dictionary lookup and
-re-spends the work its first reading spent.
+re-spends the work its first reading spent.  A string is parsed into the
+syntax tree ``ast.parse`` would give, with the node classes of the C
+module ``_ast``, so reading a document never loads ``ast``.
 
 An optional grading assigns a non-negative degree to each generator.  Only
 free generators may carry positive degree: a graded unit would otherwise be
@@ -42,7 +44,7 @@ ring.
 
 from __future__ import annotations
 
-import ast
+import _ast
 import operator
 
 from .errors import (
@@ -482,7 +484,7 @@ class BaseRing:
             spend(len(A) * len(B))
             return self._mul(A, B)
         try:
-            tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
+            tree = syntax_tree(text.replace("^", "**").strip())
             a = self._eval_node(tree.body, noun, mul)
         except SyntaxError as exc:
             raise BadScalarError(f"cannot parse {noun} {text!r}: {exc.msg}") from None
@@ -505,19 +507,19 @@ class BaseRing:
                 or not (K.is_finite() or c in (K.one(), K.neg(K.one()))))
 
     def _eval_node(self, node, noun, mul, room=MAX_POWER) -> BaseElement:
-        if isinstance(node, ast.Constant):
+        if isinstance(node, _ast.Constant):
             if isinstance(node.value, int):
                 return self.from_int(node.value)
             raise BadScalarError(f"non-integer literal {node.value!r} in {noun}")
-        if isinstance(node, ast.Name):
+        if isinstance(node, _ast.Name):
             if node.id in self._names:
                 return self._names[node.id]
             raise BadScalarError(f"unknown name {node.id!r} in {noun} over {self!r}")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        if isinstance(node, _ast.UnaryOp) and isinstance(node.op, (_ast.USub, _ast.UAdd)):
             v = self._eval_node(node.operand, noun, mul, room)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
+            return -v if isinstance(node.op, _ast.USub) else v
+        if isinstance(node, _ast.BinOp):
+            if isinstance(node.op, _ast.Pow):
                 e = exponent(node.right)
                 base = self._eval_node(node.left, noun, mul, room // max(abs(e), 1))
                 check_power(e, room, self._power_grows(base))
@@ -529,26 +531,33 @@ class BaseRing:
                 return BaseElement(self, self._pow(base.coeffs, abs(e), mul))
             a = self._eval_node(node.left, noun, mul, room)
             b = self._eval_node(node.right, noun, mul, room)
-            if isinstance(node.op, ast.Add):
+            if isinstance(node.op, _ast.Add):
                 return a + b
-            if isinstance(node.op, ast.Sub):
+            if isinstance(node.op, _ast.Sub):
                 return a - b
-            if isinstance(node.op, ast.Div):
+            if isinstance(node.op, _ast.Div):
                 inv = self.try_inverse(b)
                 if inv is None:
                     raise BadScalarError(f"division by the non-unit {b}")
                 b = inv
-            if isinstance(node.op, (ast.Mult, ast.Div)):
+            if isinstance(node.op, (_ast.Mult, _ast.Div)):
                 return BaseElement(self, mul(a.coeffs, b.coeffs))
         raise BadScalarError(f"unsupported syntax in {noun} expression")
+
+
+def syntax_tree(text: str):
+    """``ast.parse(text, mode="eval")``, made by the compile() call that
+    ast.parse makes, with the node classes of ``_ast``, the C module that
+    ``ast`` re-exports; so parsing loads no ``ast`` module."""
+    return compile(text, "<unknown>", "eval", _ast.PyCF_ONLY_AST, dont_inherit=True)
 
 
 def exponent(node) -> int:
     """The integer literal, possibly negated, that an ast power node raises to."""
     sign = 1
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+    if isinstance(node, _ast.UnaryOp) and isinstance(node.op, _ast.USub):
         sign, node = -1, node.operand
-    if not (isinstance(node, ast.Constant) and isinstance(node.value, int)):
+    if not (isinstance(node, _ast.Constant) and isinstance(node.value, int)):
         raise BadScalarError("exponent must be an integer literal")
     return sign * node.value
 

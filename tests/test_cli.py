@@ -6,19 +6,25 @@ process exit path, which is compared against main() in a child process.
 """
 
 import argparse
+import contextlib
 import gc
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfgal
-from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving, kummer_bundle
-from hopfgal.cli import _build_parser, main, run
+from hopfgal.bundles import (AbgParams, _coaction_images, abg_bundle, abg_cleaving,
+                             kummer_bundle)
+from hopfgal.cli import MAX_KUMMER_ORDER, _build_parser, _read_plain, main, run
 from hopfgal.comod import HModuleMap, trivial_bundle
 from hopfgal.document import Document, dump_document
 from hopfgal.fields import QQ
@@ -264,6 +270,43 @@ def test_demo_prop35(capsys):
     assert "[ok] homotopy witness" in capsys.readouterr().out
 
 
+def test_demo_prop35_refuses_an_order_above_the_schema_cap(capsys):
+    """--order shares the schema's cap on a kummer bundle's order and is
+    refused before any work, with one error line; the cap itself passes."""
+    schema = json.loads((Path(hopfgal.__file__).parent / "schema.json").read_text())
+    assert MAX_KUMMER_ORDER == schema["$defs"]["bundle"]["properties"]["order"]["maximum"]
+    for order in (65, 1000):
+        start = time.perf_counter()
+        assert main(["demo", "prop35", "--order", str(order), "--field", "F3001"]) == 2
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --order {order} is above 64, the largest "
+                                "order a kummer bundle may have\n")
+    assert main(["demo", "prop35", "--order", "64"]) == 1
+    assert capsys.readouterr().err == (
+        "rejected: -1 does not have exact multiplicative order 64\n")
+
+
+def _element_of_order(n):
+    """(p, q): the least prime p = 1 mod n and the least q of exact
+    multiplicative order n in F_p."""
+    p = n + 1
+    while any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        p += n
+    q = next(q for q in range(2, p)
+             if pow(q, n, p) == 1 and all(pow(q, k, p) != 1 for k in range(1, n)))
+    return p, q
+
+
+@pytest.mark.parametrize("order", range(2, 17))
+def test_demo_prop35_orders_below_the_cap(order, capsys):
+    p, q = _element_of_order(order)
+    assert main(["demo", "prop35", "--order", str(order), "--q", str(q),
+                 "--field", f"F{p}"]) == 0
+    assert "[ok] homotopy witness" in capsys.readouterr().out
+
+
 def test_demo_census_and_json_determinism(capsys):
     assert main(["demo", "census-f3"]) == 0
     first = capsys.readouterr().out
@@ -274,6 +317,13 @@ def test_demo_census_and_json_determinism(capsys):
     two = capsys.readouterr().out
     assert one == two
     assert json.loads(one)["trivial_count"] == 3
+
+
+def test_census_filters_the_candidate_images_once_per_ring(capsys):
+    _coaction_images.cache_clear()
+    assert main(["demo", "census-f3"]) == 0
+    info = _coaction_images.cache_info()
+    assert (info.misses, info.hits) == (1, 17)
 
 
 # ------------------------------------------------------------- many names
@@ -320,7 +370,8 @@ _MISUSE = [[], ["frobnicate"], ["verify-hop"], ["--json"], ["--json", "galois", 
            ["cleft", "check", "f"], ["pushforward", "f", "A"], ["h4"],
            ["h4", "criterion", "--alpha", "1"], ["witness"], ["demo"],
            ["demo", "prop35", "--order", "x"], ["verify-hopf", "f", "H", "--bogus"],
-           ["demo", "census-f3", "extra"]]
+           ["demo", "census-f3", "extra"], ["demo", "prop35", "--q"],
+           ["h4", "criterion", "--alpha", "4", "--beta", "1", "--gamma"]]
 _VALID = [["galois", "f", "A", "B", "--json"], ["cleft", "invert", "f", "g"],
           ["witness", "verify", "f"], ["demo", "prop35", "--order", "3", "--q", "2"],
           ["h4", "criterion", "--alpha", "4", "--beta", "1", "--gamma", "4"]]
@@ -350,23 +401,63 @@ def test_a_named_command_builds_only_its_parser():
     assert len(commands(_build_parser(["frobnicate"]))) == 8
 
 
+def _argparse_reads(argv):
+    """vars() of what argparse reads from argv, or ("exit", code)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser(argv).parse_args(argv))
+        except SystemExit as exc:
+            return ("exit", exc.code)
+
+
+def _check_plain_reader(argv):
+    """Whenever the plain reader reads argv, argparse reads the same."""
+    plain = _read_plain(argv)
+    if plain is not None:
+        assert vars(plain) == _argparse_reads(argv)
+    return plain
+
+
+@pytest.mark.parametrize("argv", _EVERY_HELP + _MISUSE + _VALID, ids=" ".join)
+def test_plain_reader_reads_the_valid_corpus_and_leaves_the_rest(argv):
+    assert (_check_plain_reader(argv) is not None) == (argv in _VALID)
+
+
+_ABG = ["--alpha", "--beta", "--gamma", "--field"]
+# each command's words and its options
+_PATHS = {(): [], ("verify-hopf",): [], ("verify-bundle",): [], ("galois",): [],
+          ("cleft", "check"): [], ("cleft", "invert"): [], ("pushforward",): [],
+          ("h4", "criterion"): _ABG, ("witness", "verify"): [], ("demo", "thm43"): _ABG,
+          ("demo", "prop35"): ["--order", "--q", "--field"], ("demo", "census-f3"): []}
+_VALUES = ["-1", "x", "2/5", "3", "F7", "", "--json", "-h"]
+_TOKENS = ["cleft", "check", "h4", "witness", "verify", "demo", "prop35", "f", "A", "B",
+           "--json", "--al", "--alpha=4", "--", "-h", "--order", "--q", *_ABG, *_VALUES]
+
+
+@st.composite
+def _argvs(draw):
+    """A command's words, then a shuffle of file and name words, its options
+    (with a value or none), and loose tokens, so that many draws are valid."""
+    path = draw(st.sampled_from(sorted(_PATHS)))
+    words = draw(st.lists(st.sampled_from(["f", "A", "B"]), max_size=4))
+    flags = draw(st.lists(st.sampled_from(_PATHS[path] or ["--json"]), unique=True))
+    chunks = [words] + [[flag, *draw(st.sampled_from([[], *([v] for v in _VALUES)]))]
+                        for flag in flags]
+    chunks += [[tok] for tok in draw(st.lists(st.sampled_from(_TOKENS), max_size=2))]
+    return list(path) + sum(draw(st.permutations(chunks)), [])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argvs())
+def test_plain_reader_reads_what_argparse_reads(argv):
+    _check_plain_reader(argv)
+
+
 def test_main_never_freezes(capsys):
     before = gc.get_freeze_count()
     assert main(["demo", "census-f3"]) == 0
     assert main(["h4", "criterion", "--alpha", "1"]) == 2
     assert gc.get_freeze_count() == before
-
-
-def test_run_freezes_after_main(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["hopfgal", "h4", "criterion", "--alpha", "4",
-                                      "--beta", "1", "--gamma", "4"])
-    before = gc.get_freeze_count()
-    try:
-        assert run() == 0
-        assert gc.get_freeze_count() > before
-    finally:
-        gc.unfreeze()
-    assert capsys.readouterr().out == "trivial, s=2, t=1\n"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -385,7 +476,54 @@ def test_module_exit_keeps_codes_and_output(argv, code, capsys):
     assert (out.returncode, out.stdout, out.stderr) == (code, want.out, want.err)
 
 
-def test_console_script_is_the_freezing_exit():
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(hopfgal.__file__)))
+# the line after run() is printed only if run() returns
+_RUN = ("import sys; from hopfgal.cli import run; code = run(); "
+        "print('run returned', code, file=sys.stderr); sys.exit(code)")
+
+
+def _run_child(argv, stdout=subprocess.PIPE, unbuffered=False):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = _SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-c", _RUN, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["h4", "criterion", "--alpha", "4", "--beta", "1", "--gamma", "4"], 0),
+    (["h4", "criterion", "--alpha", "1", "--beta", "0", "--gamma", "5", "--json"], 1),
+    (["demo", "prop35", "--order", "65"], 2),
+    (["h4", "criterion", "--alpha", "1"], 2),
+])
+def test_run_ends_the_process_with_the_code_and_bytes_of_main(argv, code, capsys):
+    assert main(argv) == code
+    want = capsys.readouterr()
+    out = _run_child(argv)
+    assert (out.returncode, out.stdout, out.stderr) == (code, want.out, want.err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_run_leaves_a_failed_flush_to_the_interpreter():
+    argv = ["h4", "criterion", "--alpha", "4", "--beta", "1", "--gamma", "4"]
+    with open("/dev/full", "w") as full:
+        buffered = _run_child(argv, stdout=full)
+        unbuffered = _run_child(argv, stdout=full, unbuffered=True)
+    # run()'s flush fails, so it returns, and the interpreter's last flush
+    # fails again and reports it
+    assert buffered.returncode == 120
+    lines = buffered.stderr.splitlines()
+    assert lines[0] == "run returned 0"
+    assert lines[1].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert lines[2:] == ["OSError: [Errno 28] No space left on device"]
+    # unbuffered, the print itself raises out of main()
+    assert unbuffered.returncode == 1
+    assert unbuffered.stderr.startswith("Traceback (most recent call last):")
+    assert unbuffered.stderr.endswith("\nOSError: [Errno 28] No space left on device\n")
+
+
+def test_console_script_is_run():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["hopfgal"]
