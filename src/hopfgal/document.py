@@ -5,9 +5,11 @@ Scalars and ring elements are strings so that exact values survive the trip
 shipped schema, then resolved name by name; every diagnostic carries the
 JSON pointer of the offending spot.  Validity is decided by a predicate
 compiled once from the shipped schema (plain closures, Draft 2020-12
-semantics for the keywords the schema uses); jsonschema is imported only
-to explain a rejection, so its pointer and message name the offending
-spot.  Serialization always emits the explicit normal form (constructor
+semantics for the keywords the schema uses).  A rejected document is
+explained by a second output of the same compiler, built on the first
+rejection: the pointer and message that jsonschema's ``best_match`` gives,
+worded the same way, so no jsonschema is needed at run time.
+Serialization always emits the explicit normal form (constructor
 shorthands like "sweedler" parse but are not reproduced), and parse of a
 serialized document rebuilds equal objects.
 
@@ -65,7 +67,7 @@ def _schema():
     return json.loads(__spec__.loader.get_data(path))
 
 
-# -------------------------------------------------------- schema predicate
+# ---------------------------------------------- schema predicate and explainer
 
 _TYPED_KEYWORDS = {"object": {"required", "properties", "additionalProperties"},
                    "array": {"prefixItems", "items", "minItems", "maxItems"},
@@ -80,6 +82,10 @@ def _is_integer(x):
     return isinstance(x, float) and x.is_integer()
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _accept(x):
     return True
 
@@ -88,8 +94,9 @@ def _reject(x):
     return False
 
 
-def _compile_schema(root):
-    """A predicate equal to jsonschema's Draft 2020-12 is_valid for ``root``.
+def _compile_schema(root, explain=False):
+    """A predicate equal to jsonschema's Draft 2020-12 is_valid for ``root``;
+    with ``explain``, the explainer of ``_explainer`` instead.
 
     Only the keywords the shipped schema uses are understood, and each
     type-specific keyword must sit beside the ``type`` it constrains.  Any
@@ -97,7 +104,7 @@ def _compile_schema(root):
     or a ``$ref`` outside ``#/$defs`` raises ValueError, so a schema edit
     cannot widen what is accepted unnoticed.
     """
-    defs, compiled = root.get("$defs", {}), {}
+    defs, compiled, by_id = root.get("$defs", {}), {}, {}
 
     def ref(target):
         name = target.removeprefix("#/$defs/")
@@ -155,7 +162,7 @@ def _compile_schema(root):
     typed = {"object": object_check, "array": array_check,
              "string": string_check, "integer": integer_check}
 
-    def build(schema):
+    def node(schema):
         if schema is True or schema is False:
             return _accept if schema else _reject
         kind = schema.get("type")
@@ -180,7 +187,226 @@ def _compile_schema(root):
             return checks[0] if checks else _accept
         return lambda x: all(f(x) for f in checks)
 
-    return build(root)
+    def build(schema):
+        # kept by id, so the explainer walks only the subschemas that fail
+        check = by_id[id(schema)] = node(schema)
+        return check
+
+    check = build(root)
+    return _explainer(root, by_id) if explain else check
+
+
+# The explainer gives the error that jsonschema 4.26.0 picks,
+# ``best_match(Draft202012Validator(schema).iter_errors(x))``, from the same
+# errors: each keyword yields the errors of its function in jsonschema's
+# ``_keywords.py``, with the same messages, in the schema's key order, and
+# a subschema the predicate accepts yields none and is not walked.  An error
+# is (key, message, context): key is jsonschema's ``relevance`` (its empty
+# "strong" set left out), context the errors of a oneOf no branch of which
+# matched, their paths relative to the oneOf's instance.
+
+_IS_TYPE = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance(x, list),
+            "string": lambda x: isinstance(x, str), "integer": _is_integer}
+
+
+def _error(path, message, keyword, typed, context=()):
+    return (-len(path), path, keyword != "oneOf", not typed), message, context
+
+
+def _skip(x, path, key, out):
+    pass
+
+
+def _once(keyword, fails, message):
+    """The step of a keyword that yields message(x) where fails(x)."""
+    def step(x, path, out, typed):
+        if fails(x):
+            out.append(_error(path, message(x), keyword, typed))
+    return step
+
+
+def _explainer(root, checks):
+    """why(x): the (path, message) of jsonschema's best match for an x that
+    the predicate rejected, or None if there is no error.  ``checks`` maps
+    the id of each subschema of root to its compiled predicate."""
+    defs, refs = root.get("$defs", {}), {}
+
+    def descend(schema):
+        """visit(x, path, key, out): append to out the errors of schema on
+        x, found at path + (key,), or at path if key is None."""
+        check = checks[id(schema)]
+        if check is _accept:
+            return _skip
+        if schema is False:
+            # jsonschema yields a false schema's error before it extends the
+            # path by key
+            return lambda x, path, key, out: out.append(
+                _error(path, f"False schema does not allow {x!r}", None, False))
+        is_kind = _IS_TYPE.get(schema.get("type"), _reject)
+        steps = [keywords[k](v, schema) for k, v in schema.items() if k in keywords]
+
+        def visit(x, path, key, out):
+            if check(x):
+                return
+            if key is not None:
+                path = (*path, key)
+            typed = is_kind(x)
+            for step in steps:
+                step(x, path, out, typed)
+        return visit
+
+    def type_(kind, schema):
+        return _once("type", lambda x: not _IS_TYPE[kind](x),
+                     lambda x: f"{x!r} is not of type {kind!r}")
+
+    def ref(target, schema):
+        name = target.removeprefix("#/$defs/")
+        if name not in refs:
+            refs[name] = descend(defs[name])
+        visit = refs[name]
+        return lambda x, path, out, typed: visit(x, path, None, out)
+
+    def required(names, schema):
+        def step(x, path, out, typed):
+            if isinstance(x, dict):
+                out.extend(_error(path, f"{k!r} is a required property", "required", typed)
+                           for k in names if k not in x)
+        return step
+
+    def properties(props, schema):
+        visits = [(k, descend(s)) for k, s in props.items()]
+
+        def step(x, path, out, typed):
+            if isinstance(x, dict):
+                for k, visit in visits:
+                    if k in x:
+                        visit(x[k], path, k, out)
+        return step
+
+    def additional(extra, schema):
+        props = schema.get("properties", {})
+        if extra is False:
+            def fails(x):
+                return isinstance(x, dict) and any(k not in props for k in x)
+
+            def message(x):
+                extras = sorted(k for k in x if k not in props)
+                verb = "was" if len(extras) == 1 else "were"
+                return ("Additional properties are not allowed "
+                        f"({', '.join(map(repr, extras))} {verb} unexpected)")
+            return _once("additionalProperties", fails, message)
+        visit = descend(extra)
+
+        def step(x, path, out, typed):
+            if isinstance(x, dict):
+                for k, v in x.items():
+                    if k not in props:
+                        visit(v, path, k, out)
+        return step
+
+    def prefix_items(subs, schema):
+        visits = [descend(s) for s in subs]
+
+        def step(x, path, out, typed):
+            if isinstance(x, list):
+                for i, (v, visit) in enumerate(zip(x, visits)):
+                    visit(v, path, i, out)
+        return step
+
+    def items(rest, schema):
+        prefix = len(schema.get("prefixItems", ()))
+        if rest is False:
+            def message(x):
+                extra = len(x) - prefix
+                tail = x[prefix:] if extra != 1 else x[prefix]
+                return (f"Expected at most {prefix} {'item' if prefix == 1 else 'items'} "
+                        f"but found {extra} extra: {tail!r}")
+            return _once("items", lambda x: isinstance(x, list) and len(x) > prefix, message)
+        visit = descend(rest)
+
+        def step(x, path, out, typed):
+            if isinstance(x, list):
+                for i in range(prefix, len(x)):
+                    visit(x[i], path, i, out)
+        return step
+
+    def one_of(options, schema):
+        branches = [(checks[id(s)], descend(s), s) for s in options]
+
+        def step(x, path, out, typed):
+            context = []
+            for i, (check, visit, _) in enumerate(branches):
+                if check(x):
+                    break
+                visit(x, (), None, context)
+            else:
+                out.append(_error(path, f"{x!r} is not valid under any of the given schemas",
+                                  "oneOf", typed, context))
+                return
+            more = [s for check, _, s in branches[i + 1:] if check(x)]
+            if more:
+                more.append(branches[i][2])
+                out.append(_error(path, f"{x!r} is valid under each of "
+                                  + ", ".join(map(repr, more)), "oneOf", typed))
+        return step
+
+    keywords = {
+        "type": type_,
+        "$ref": ref,
+        "required": required,
+        "properties": properties,
+        "additionalProperties": additional,
+        "prefixItems": prefix_items,
+        "items": items,
+        "oneOf": one_of,
+        "enum": lambda allowed, schema: _once(
+            "enum", lambda x: not (isinstance(x, str) and x in allowed),
+            lambda x: f"{x!r} is not one of {allowed!r}"),
+        "const": lambda want, schema: _once(
+            "const", lambda x: not (isinstance(x, str) and x == want),
+            lambda x: f"{want!r} was expected"),
+        "minItems": lambda low, schema: _once(
+            "minItems", lambda x: isinstance(x, list) and len(x) < low,
+            lambda x: f"{x!r} {'should be non-empty' if low == 1 else 'is too short'}"),
+        "maxItems": lambda high, schema: _once(
+            "maxItems", lambda x: isinstance(x, list) and len(x) > high,
+            lambda x: f"{x!r} {'is expected to be empty' if high == 0 else 'is too long'}"),
+        "minLength": lambda low, schema: _once(
+            "minLength", lambda x: isinstance(x, str) and len(x) < low,
+            lambda x: f"{x!r} {'should be non-empty' if low == 1 else 'is too short'}"),
+        "pattern": lambda pattern, schema: _once(
+            "pattern", lambda x, search=re.compile(pattern).search: (
+                isinstance(x, str) and search(x) is None),
+            lambda x: f"{x!r} does not match {pattern!r}"),
+        "minimum": lambda low, schema: _once(
+            "minimum", lambda x: _is_number(x) and x < low,
+            lambda x: f"{x!r} is less than the minimum of {low!r}"),
+        "maximum": lambda high, schema: _once(
+            "maximum", lambda x: _is_number(x) and x > high,
+            lambda x: f"{x!r} is greater than the maximum of {high!r}"),
+    }
+    visit_root = descend(root)
+
+    def why(x):
+        errors = []
+        visit_root(x, (), None, errors)
+        if not errors:
+            return None
+        # max keeps the first of equal keys; into a oneOf's context while its
+        # two least keys differ, as best_match's heapq.nsmallest(2, ...) does
+        (_, path, *_), message, context = max(errors, key=_key)
+        while context:
+            least = sorted(context, key=_key)[:2]
+            if len(least) == 2 and least[0][0] == least[1][0]:
+                break
+            (_, below, *_), message, context = least[0]
+            path += below
+        return path, message
+    return why
+
+
+def _key(error):
+    return error[0]
 
 
 @cache
@@ -188,21 +414,26 @@ def _is_valid():
     return _compile_schema(_schema())
 
 
+@cache
+def _explain():
+    return _compile_schema(_schema(), explain=True)
+
+
 def validate_raw(obj) -> None:
     """Structural check against the shipped schema; SchemaError on failure.
 
-    The compiled predicate decides validity.  Only a rejected document pays
-    for importing jsonschema, whose best match names the offending spot; if
-    jsonschema finds nothing wrong the document is accepted.
+    The compiled predicate decides validity.  A rejected document is
+    explained by the explainer compiled from the same schema on the first
+    rejection; its pointer and message are those jsonschema's best match
+    gives.  A document the predicate rejects is never accepted.
     """
     if _is_valid()(obj):
         return
-    from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
-    err = best_match(Draft202012Validator(_schema()).iter_errors(obj))
-    if err is not None:
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise SchemaError(pointer, err.message)
+    found = _explain()(obj)
+    if found is None:
+        raise SchemaError("/", "the document does not match the schema")
+    path, message = found
+    raise SchemaError("/" + "/".join(map(str, path)), message)
 
 
 def _value(read, text, pointer, spend):

@@ -4,8 +4,8 @@
 static scan of every module rejects them, and the two verifiers must still
 reject corrupted structure constants (exit 1) in an optimized interpreter,
 certify a Taft algebra built from its shorthand (antipode and axioms on
-generators) and decide Kummer bundles' structure maps with the same output
-as without `-O`.
+generators), decide Kummer bundles' structure maps with the same output
+as without `-O`, and word a schema rejection with the same bytes.
 """
 
 import ast
@@ -14,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hopfgal
 from hopfgal.bundles import AbgParams, abg_bundle, kummer_bundle
@@ -111,3 +113,15 @@ def test_kummer_galois_verdicts_same_under_optimization(tmp_path):
     assert out.returncode == 1, out.stderr
     assert [r["galois"] for r in json.loads(out.stdout)["results"]] == [True, False]
     assert out.stdout == _run_optimized("galois", str(path), "K8", "B", "--json", flags=()).stdout
+
+
+def test_schema_rejection_same_under_optimization():
+    """The benchmark's neg-schema document is explained with the same stderr
+    bytes with and without `-O`: the explainer relies on no assert."""
+    path = PACKAGE.parent.parent / "perfbench" / "data" / "seed0" / "cli-docs" / "schema.json"
+    if not path.is_file():
+        pytest.skip("benchmark documents not present")
+    out = _run_optimized("verify-bundle", str(path), "A", "--json")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: /bundles/A: ")
+    assert out.stderr == _run_optimized("verify-bundle", str(path), "A", "--json", flags=()).stderr

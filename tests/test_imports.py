@@ -2,8 +2,9 @@
 
 A command over F_p loads every hopfgal module and, of the standard
 library, only what it uses: no argparse (help and errors only), no
-fractions (Q only), no ast, typing or importlib.resources.  Each child
-runs under ``python -S``, so no site ``.pth`` file imports anything first.
+fractions (Q only), no ast, typing or importlib.resources, and no
+jsonschema, not even to word a rejected document.  Each child runs under
+``python -S``, so no site ``.pth`` file imports anything first.
 """
 
 import ast
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfgal
+from hopfgal.cli import main
 from hopfgal.rings import syntax_tree
 
 _PACKAGE_DIR = Path(hopfgal.__file__).resolve().parent
@@ -25,7 +27,7 @@ _SRC = str(_PACKAGE_DIR.parent)
 _HOPFGAL = {"hopfgal"} | {f"hopfgal.{p.stem}" for p in _PACKAGE_DIR.glob("*.py")
                           if p.stem != "__init__"}
 _UNUSED = ("argparse", "gettext", "fractions", "decimal", "numbers", "ast", "typing",
-           "importlib.resources", "pathlib", "zipfile", "tempfile")
+           "importlib.resources", "pathlib", "zipfile", "tempfile", "jsonschema")
 
 # runs main(argv) and writes the loaded module names as stderr's last line
 _CHILD = """
@@ -33,16 +35,29 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from hopfgal.cli import main
 code = main(sys.argv[2:])
-print(" ".join(sorted(sys.modules)), file=sys.stderr)
+print(" ".join(sorted(m for m, v in sys.modules.items() if v is not None)), file=sys.stderr)
 sys.exit(code)
 """
 
+# the same child, where importing jsonschema raises ImportError
+_CHILD_WITHOUT_JSONSCHEMA = """
+import sys
+sys.modules["jsonschema"] = None
+""" + _CHILD
+
+
+def _run(argv, child=_CHILD):
+    """(exit code, loaded modules, stderr before the module list)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, "-S", "-c", child, _SRC, *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    *err, modules = out.stderr.splitlines(keepends=True)
+    return out.returncode, set(modules.split()), "".join(err)
+
 
 def _loaded(argv):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = subprocess.run([sys.executable, "-S", "-c", _CHILD, _SRC, *argv],
-                         capture_output=True, text=True, env=env, timeout=60)
-    return out.returncode, set(out.stderr.splitlines()[-1].split())
+    code, modules, _ = _run(argv)
+    return code, modules
 
 
 def _taft(tmp_path, field, q):
@@ -58,6 +73,21 @@ def test_a_prime_field_command_loads_only_what_it_uses(tmp_path):
     assert [m for m in _UNUSED if m in modules] == []
     assert {m for m in modules if m.split(".")[0] == "hopfgal"} == _HOPFGAL
     assert len(_HOPFGAL) == 16
+
+
+def test_a_rejected_document_needs_no_jsonschema(capsys):
+    """The schema rejection of the benchmark's neg-schema document, in a
+    child that cannot import jsonschema: exit 2 and the stderr bytes of the
+    same command run in this process."""
+    path = _PACKAGE_DIR.parent.parent / "perfbench" / "data" / "seed0" / "cli-docs" / "schema.json"
+    if not path.is_file():
+        pytest.skip("benchmark documents not present")
+    argv = ["verify-bundle", str(path), "A", "--json"]
+    code, modules, err = _run(argv, _CHILD_WITHOUT_JSONSCHEMA)
+    assert main(argv) == code == 2
+    assert err == capsys.readouterr().err
+    assert err.startswith("error: /bundles/A: ")
+    assert [m for m in _UNUSED if m in modules] == []
 
 
 def test_q_loads_fractions_and_help_loads_argparse(tmp_path):
