@@ -433,7 +433,12 @@ def validate_raw(obj) -> None:
     if found is None:
         raise SchemaError("/", "the document does not match the schema")
     path, message = found
-    raise SchemaError("/" + "/".join(map(str, path)), message)
+    raise SchemaError("/" + "/".join(map(_token, path)), message)
+
+
+def _token(name) -> str:
+    """name as one JSON pointer token (RFC 6901): ~ as ~0, then / as ~1."""
+    return str(name).replace("~", "~0").replace("/", "~1")
 
 
 def _value(read, text, pointer, spend):
@@ -540,7 +545,7 @@ def _vec(read, ops, spec, labels, pointer, spend):
     raw, is_zero = ops.raw, ops.is_zero
     out = {}
     for label, text in spec.items():
-        here = f"{pointer}/{label}"
+        here = f"{pointer}/{_token(label)}"
         i = _ref(labels, label, here)
         c = _value(read, text, here, spend)
         if not is_zero(raw(c)):
@@ -693,20 +698,20 @@ def resolve(raw) -> Document:
     doc = Document(parse_field(raw["field"], spend))
     K = doc.field
     for name, spec in raw.get("rings", {}).items():
-        doc.rings[name] = parse_ring(K, spec, f"/rings/{name}", spend)
+        doc.rings[name] = parse_ring(K, spec, f"/rings/{_token(name)}", spend)
     for name, spec in raw.get("hopf_algebras", {}).items():
-        doc.hopf_algebras[name] = parse_hopf(K, spec, f"/hopf_algebras/{name}", spend)
+        doc.hopf_algebras[name] = parse_hopf(K, spec, f"/hopf_algebras/{_token(name)}", spend)
     for name, spec in raw.get("morphisms", {}).items():
-        here = f"/morphisms/{name}"
+        here = f"/morphisms/{_token(name)}"
         src = _ref(doc.rings, spec["source"], here + "/source")
         dst = _ref(doc.rings, spec["target"], here + "/target")
-        images = {g: _value(dst.parse_element, text, f"{here}/images/{g}", spend)
+        images = {g: _value(dst.parse_element, text, f"{here}/images/{_token(g)}", spend)
                   for g, text in spec["images"].items()}
         doc.morphisms[name] = BaseMorphism(src, dst, images)
     for name, spec in raw.get("bundles", {}).items():
-        doc.bundles[name] = parse_bundle(doc, spec, f"/bundles/{name}", spend)
+        doc.bundles[name] = parse_bundle(doc, spec, f"/bundles/{_token(name)}", spend)
     for name, spec in raw.get("cleavings", {}).items():
-        here = f"/cleavings/{name}"
+        here = f"/cleavings/{_token(name)}"
         A = _ref(doc.bundles, spec["bundle"], here + "/bundle")
         alabels = {nm: i for i, nm in enumerate(A.labels)}
         hlabels = {nm: i for i, nm in enumerate(A.hopf.labels)}
@@ -716,7 +721,7 @@ def resolve(raw) -> Document:
             values[_ref(hlabels, hl, at)] = _vec(read, ops, vec, alabels, at + "/1", spend)
         doc.cleavings[name] = HModuleMap(A, tuple(values))
     for name, spec in raw.get("witnesses", {}).items():
-        doc.witnesses[name] = _parse_witness(doc, spec, f"/witnesses/{name}", spend)
+        doc.witnesses[name] = _parse_witness(doc, spec, f"/witnesses/{_token(name)}", spend)
     return doc
 
 

@@ -26,20 +26,23 @@ ring, zero divisors included.
   block elimination could not reduce.  ``ring_det`` multiplies the pivots,
   the division-free Berkowitz determinant of that block
   (``rings._berkowitz_dicts``) and the sign of the full row -> column
-  permutation.  ``ring_solve`` of a stalled system falls back to Cramer's
-  rule on Berkowitz determinants, one per unknown.  Berkowitz runs once per
-  connected component of the block's nonzero pattern: a block that falls
-  apart into independent pieces costs what the pieces cost, and one with a
-  non-square piece is singular outright.
+  permutation.  Berkowitz runs once per connected component of the block's
+  nonzero pattern: a block that falls apart into independent pieces costs
+  what the pieces cost, and one with a non-square piece is singular
+  outright.  ``ring_solve`` of a stalled system takes the characteristic
+  polynomial of the block; when its constant term is a unit, Cayley-Hamilton
+  gives the block's unknowns, and the pivot rows give the rest.  The unit
+  tests under a root (``rings.BaseRing._root_try_inv``) are such solves.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from heapq import heapify, heappop, heappush
 
 from .axioms import Ops, field_ops, ring_ops
 from .fields import Field
-from .rings import BaseElement, BaseRing, _berkowitz_dicts, odd_permutation
+from .rings import BaseElement, BaseRing, _berkowitz_dicts, _charpoly_dicts, odd_permutation
 
 
 def _rows(M, ops: Ops) -> list:
@@ -147,9 +150,15 @@ def _det(M, ops: Ops, ring: BaseRing | None = None):
     return ops.wrap(ops.neg(det) if odd_permutation(perm) else det)
 
 
-def _solve(M, b, ops: Ops):
-    """Solve the square system M x = b, or None if elimination pivots on
-    fewer than n columns."""
+def _solve(M, b, ops: Ops, ring: BaseRing | None = None):
+    """Solve the square system M x = b; None unless det M is a unit.
+
+    Over ``ring`` the block B elimination could not reduce is solved by
+    Cayley-Hamilton: with det(tI - B) = t^k + c_1 t^(k-1) + ... + c_k,
+    B^-1 = -c_k^-1 (B^(k-1) + c_1 B^(k-2) + ... + c_(k-1) I), applied to
+    the right-hand side by Horner's rule.  Over a field a stall means M is
+    singular.
+    """
     rows = _rows(M, ops)
     n = len(rows)
     for row, bv in zip(rows, b):
@@ -157,12 +166,30 @@ def _solve(M, b, ops: Ops):
         if not ops.is_zero(bv):
             row[n] = bv
     pivots = _eliminate(rows, ops, n, True)
-    if len(pivots) < n:
-        return None
-    x = [None] * n
+    zero, add, neg, mul = ops.zero, ops.add, ops.neg, ops.mul
+    taken = {i for i, _, _ in pivots}
+    left = [rows[i] for i in range(n) if i not in taken]
+    y = {}
+    if left:
+        # a row of B with one entry: elimination found it no unit, nor is det B
+        if ring is None or any(len(row) - (n in row) < 2 for row in left):
+            return None
+        cols = sorted(set(range(n)).difference(c for _, c, _ in pivots))
+        poly = _charpoly_dicts(ring, [[row.get(c, zero) for c in cols] for row in left])
+        f = ops.inv(neg(poly[-1]))
+        if f is None:
+            return None
+        B = [[(j, row[c]) for j, c in enumerate(cols) if c in row] for row in left]
+        rhs = v = [row.get(n, zero) for row in left]
+        for c in poly[1:-1]:
+            v = [reduce(add, (mul(e, v[j]) for j, e in Bi), mul(c, r)) for Bi, r in zip(B, rhs)]
+        y = {c: mul(f, vc) for c, vc in zip(cols, v)}
+    x = dict(y)
     for i, c, _ in pivots:
-        x[c] = ops.wrap(rows[i].get(n, ops.zero))
-    return x
+        row = rows[i]
+        x[c] = reduce(add, (neg(mul(row[k], yk)) for k, yk in y.items() if k in row),
+                      row.get(n, zero))
+    return [ops.wrap(x[c]) for c in range(n)]
 
 
 # --------------------------------------------------------------------------
@@ -212,21 +239,5 @@ def ring_solve(M, b, ring: BaseRing):
     """Solve the square system M x = b over the ring.
 
     Returns the unique solution when the determinant is a unit, else None.
-    A system whose elimination stalls goes to Cramer's rule.
     """
-    x = _solve(M, b, ring_ops(ring))
-    return _cramer_solve(M, b, ring) if x is None else x
-
-
-def _cramer_solve(M, b, ring: BaseRing):
-    n, zero = len(M), ring.zero()
-    M = [[row.get(c, zero) for c in range(n)] if isinstance(row, dict) else row for row in M]
-    d = berkowitz_det(M, ring)
-    dinv = ring.try_inverse(d)
-    if dinv is None:
-        return None
-    out = []
-    for j in range(n):
-        Mj = [[b[i] if c == j else M[i][c] for c in range(n)] for i in range(n)]
-        out.append(berkowitz_det(Mj, ring) * dinv)
-    return out
+    return _solve(M, b, ring_ops(ring), ring)

@@ -20,11 +20,12 @@ Every ring built this way is commutative, reduced (root adjunctions of units
 with invertible degree are etale) and free as a module over each prefix of
 its tower.  Unit testing follows that structure: an element is a unit iff it
 is constant in the free generators, its single Laurent monomial factor is
-absorbed, and for each root extension the norm is a unit, recursing to k:
-norm via the characteristic polynomial of the multiplication operator on the
-rank-n free module over the prefix ring, inverse via Cayley-Hamilton,
-re-verified by multiplication (an explicit check, not an assert, so
-``python -O`` keeps it).  A scalar times a monomial in the Laurent
+absorbed, and for each root extension its multiplication operator L on the
+rank-n free module over the prefix ring is invertible, recursing to k: the
+elimination kernel (``linalg.ring_solve``) solves L y = e_0 over the prefix
+ring, or answers None when det L is no unit, and y is the inverse.  Each
+inverse is re-verified by multiplication (an explicit check, not an assert,
+so ``python -O`` keeps it).  A scalar times a monomial in the Laurent
 generators alone is inverted directly, whatever roots lie above them.
 Laurent generators must precede every root
 adjunction (TowerOrderError otherwise): above a root adjunction that created
@@ -377,47 +378,28 @@ class BaseRing:
         return self._root_try_inv(d)
 
     def _root_try_inv(self, d: dict):
-        """_try_inv_dict when the last generator is a root: decide via the
-        multiplication operator on the free module with basis 1, g, ...,
-        g^(n-1) over the prefix ring."""
-        m = len(self.gens)
-        sub = self.prefix(m - 1)
+        """_try_inv_dict when the last generator is a root r with r^n = u:
+        solve L y = e_0 over the prefix ring, where column k of L is d r^k in
+        the basis 1, r, ..., r^(n-1); then d^-1 = sum_k y_k r^k."""
+        from .linalg import ring_solve  # linalg imports this module
+        sub = self.prefix(len(self.gens) - 1)
         n = self.gens[-1].degree
-        coords = [{} for _ in range(n)]
-        for mono, c in d.items():
-            coords[mono[-1]][mono[:-1]] = c
         u = {mono[:-1]: c for mono, c in self.root_values[-1].items()}
-        upow = {0: {(0,) * (m - 1): self.field.one()}, 1: u}
-
-        def u_to(q):
-            if q not in upow:
-                upow[q] = sub._mul(u_to(q - 1), u)
-            return upow[q]
-
-        M = [[None] * n for _ in range(n)]
-        for col in range(n):
-            images = [{} for _ in range(n)]
-            for j in range(n):
-                if not coords[j]:
-                    continue
-                r, q = (j + col) % n, (j + col) // n
-                term = coords[j] if q == 0 else sub._mul(coords[j], u_to(q))
-                images[r] = sub._add(images[r], term)
-            for row in range(n):
-                M[row][col] = images[row]
-        # det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n, and c_n = (-1)^n det M
-        poly = _charpoly_dicts(sub, M)
-        cinv = sub._try_inv_dict(poly[n])
-        if cinv is None:
+        coords = {}
+        for mono, c in d.items():
+            coords.setdefault(mono[-1], {})[mono[:-1]] = c
+        # a term a r^j of d puts a in row j + k of column k, or a u in row
+        # j + k - n once r^(j+k) passes r^n = u
+        entries = {j: (BaseElement(sub, a), BaseElement(sub, sub._mul(a, u)))
+                   for j, a in coords.items()}
+        rows = [{} for _ in range(n)]
+        for k in range(n):
+            for j, (a, au) in entries.items():
+                rows[(j + k) % n][k] = au if j + k >= n else a
+        y = ring_solve(rows, [sub.one()] + [sub.zero()] * (n - 1), sub)
+        if y is None:
             return None
-        # Cayley-Hamilton: a (a^(n-1) + c_1 a^(n-2) + ... + c_(n-1)) = -c_n,
-        # the bracket evaluated by Horner's rule
-        def lift(x):
-            return {mono + (0,): c for mono, c in x.items()}
-        acc = {(0,) * m: self.field.one()}
-        for c in poly[1:n]:
-            acc = self._add(self._mul(acc, d), lift(c))
-        return self._mul(acc, lift(sub._neg(cinv)))
+        return {mono + (k,): c for k, yk in enumerate(y) for mono, c in yk.coeffs.items()}
 
     # ------------------------------------------------------------ grading
 

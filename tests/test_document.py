@@ -524,6 +524,26 @@ def test_unknown_basis_label_rejected():
             "cleavings": {"g": {"bundle": "T", "values": [["nope", {"1": "1"}]]}}})
 
 
+def test_names_in_pointers_are_escaped():
+    """A name taken from the document is one RFC 6901 token in a pointer:
+    ~ as ~0, then / as ~1."""
+    ring = {"gens": [{"name": "u/v", "kind": "free"}]}
+    with pytest.raises(UnresolvedReferenceError) as exc:
+        parse_obj({"field": "Q", "hopf_algebras": {"H": {"construction": "sweedler"}},
+                   "bundles": {"x/y": {"construction": "trivial", "ring": "C", "hopf": "H"}}})
+    assert exc.value.pointer == "/bundles/x~1y/ring"
+    with pytest.raises(BadScalarError, match="^at /morphisms/f~0g/images/u~1v: "):
+        parse_obj({"field": "Q", "rings": {"C": ring},
+                   "morphisms": {"f~g": {"source": "C", "target": "C",
+                                         "images": {"u/v": "1/0"}}}})
+    with pytest.raises(UnresolvedReferenceError) as exc:
+        parse_obj({"field": "Q", "hopf_algebras": {"H": {
+            "construction": "explicit", "labels": ["1"], "unit": {"1": "1"},
+            "mult": [["1", "1", {"1": "1"}]], "comult": [["1", [["1", "1", "1"]]]],
+            "counit": {"~/": "1"}, "antipode": [["1", {"1": "1"}]]}}})
+    assert exc.value.pointer == "/hopf_algebras/H/counit/~0~1"
+
+
 def _tables_document():
     C = base_ring(QQ)
     return document_of(Document(

@@ -97,6 +97,32 @@ def test_q_loads_fractions_and_help_loads_argparse(tmp_path):
     assert code == 0 and "argparse" in modules and "fractions" not in modules
 
 
+# imports hopfgal.rings alone, then decides a unit under a root; the package's
+# __init__ imports every module, so the child registers a bare package first
+_RINGS_ALONE = """
+import sys, types
+sys.path.insert(0, sys.argv[1])
+package = types.ModuleType("hopfgal")
+package.__path__ = [sys.argv[1] + "/hopfgal"]
+sys.modules["hopfgal"] = package
+from hopfgal.fields import PrimeField
+from hopfgal.rings import adjoin_root, base_ring
+print("hopfgal.linalg" in sys.modules)
+k = base_ring(PrimeField(7))
+ring, _, r = adjoin_root(k, k.from_int(3), 5, name="r")
+print(ring.try_inverse(1 + r) * (1 + r) == ring.one(), "hopfgal.linalg" in sys.modules)
+"""
+
+
+def test_rings_imports_without_linalg():
+    """rings imports the elimination kernel inside the function that uses it:
+    at module level, linalg -> axioms -> rings would be an import cycle."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, "-S", "-c", _RINGS_ALONE, _SRC],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False\nTrue True\n", "")
+
+
 # ------------------------------------------- _ast parse trees are ast.parse's
 
 def _tree_or_error(parse, text):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.galois import NOT_BIJECTIVE, canonical_matrix, is_galois
 from hopfgal.homotopy import identity_matrix
 from hopfgal.linalg import (
-    _cramer_solve,
     berkowitz_det,
     field_det,
     field_kernel,
@@ -32,6 +32,7 @@ from hopfgal.rings import (
 )
 
 import reference_axioms as ref
+from reference_units import cramer_solve
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -275,12 +276,60 @@ def test_ring_kernel_stalls_on_a_block_without_units(monkeypatch) -> None:
         assert det == berkowitz_det(M, ring)
         b = [ring.from_int(rng.randint(-3, 3)) for _ in range(k + m)]
         x = ring_solve(M, b, ring)
-        assert x == _cramer_solve(M, b, ring)
+        assert x == cramer_solve(M, b, ring)
         assert (x is not None) == ring.is_unit(det)
         if x is not None:
             seen_unit = True
             assert _mat_vec(M, x, ring) == b
     assert seen_unit
+
+
+def _multiplication_matrix(x, n):
+    """The matrix of multiplication by x on the basis 1, r, ..., r^(n-1)
+    over the prefix ring, column k holding the coordinates of x r^k."""
+    ring = x.ring
+    sub, r = ring.prefix(len(ring.gens) - 1), ring.gens[-1].name
+    M = [[sub.zero()] * n for _ in range(n)]
+    for k in range(n):
+        for mono, c in (x * ring.monomial({r: k})).coeffs.items():
+            M[mono[-1]][k] = M[mono[-1]][k] + sub.element({mono[:-1]: c})
+    return M
+
+
+@pytest.mark.parametrize("n", (2, 3, 6))
+def test_ring_solve_of_stalled_systems_matches_cramer(monkeypatch, n) -> None:
+    """With e = (1 + r + ... + r^(n-1))/n and r^n = 1 over F7[z^+-1], no entry
+    of the multiplication matrix of e z + (1 - e) or of e z^2 + (1 - e)(1 + z)
+    is a unit: elimination stalls on all of it, and the Cayley-Hamilton tail
+    solves the first (a unit) and refuses the second.  Bordered by a unit
+    block whose rows reach into it, the system stalls on that part only."""
+    L = laurent_ring(F7, "z")
+    ring, _, r = adjoin_root(L, L.one(), n, name="r")
+    z, w = ring.gen("z"), L.gen("z")
+    e = sum((r ** k for k in range(n)), ring.zero()) * F7.inv(F7.from_int(n))
+    blocks = []
+
+    def recording(R, B):
+        blocks.append(len(B))
+        return _charpoly_dicts(R, B)
+    monkeypatch.setattr(linalg, "_charpoly_dicts", recording)
+    rng = random.Random(n)
+    for x, unit in ((e * z + (ring.one() - e), True),
+                    (e * z * z + (ring.one() - e) * (ring.one() + z), False)):
+        X = _multiplication_matrix(x, n)
+        A = [[L.from_int(1), L.from_int(2)], [L.from_int(3), L.from_int(5)]]
+        C = [[L.from_int(rng.randint(-3, 3)) * w ** rng.randint(-1, 1) for _ in range(n)]
+             for _ in range(2)]
+        bordered = [A[i] + C[i] for i in range(2)] + [[L.zero()] * 2 + row for row in X]
+        for M in (X, bordered):
+            b = [L.from_int(rng.randint(-3, 3)) + w * rng.randint(-3, 3) for _ in M]
+            del blocks[:]
+            got = ring_solve(M, b, L)
+            assert blocks == [n]
+            assert got == cramer_solve(M, b, L)
+            assert (got is not None) == unit
+            if unit:
+                assert _mat_vec(M, got, L) == b
 
 
 def test_ring_det_tests_each_entry_for_a_unit_once(monkeypatch) -> None:
@@ -475,7 +524,7 @@ def test_ring_det_and_solve_match_berkowitz_cramer_and_leibniz(case) -> None:
     # the Berkowitz of the whole matrix, not split into components
     whole = _charpoly_dicts(ring, [[e.coeffs for e in row] for row in M])[-1]
     assert det == ring.element(whole if len(M) % 2 == 0 else ring._neg(whole))
-    assert ring_solve(M, b, ring) == _cramer_solve(M, b, ring)
+    assert ring_solve(M, b, ring) == cramer_solve(M, b, ring)
     sparse = [{j: e for j, e in enumerate(row) if not e.is_zero} for row in M]
     assert ring_det(sparse, ring) == det
 

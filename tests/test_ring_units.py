@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfgal
+from hopfgal import linalg, rings
 from hopfgal.axioms import ring_ops
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.rings import (
@@ -25,7 +26,10 @@ from hopfgal.rings import (
     polynomial_ring,
 )
 
+import reference_units as ref
+
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def _root_ring(field, c, n):
@@ -142,7 +146,7 @@ def _towers_with_roots():
 @given(st.sampled_from(_towers_with_roots()), st.data())
 def test_laurent_monomial_inverse_matches_the_charpoly_route(ring, data) -> None:
     """c m with m a monomial in the Laurent generators is inverted directly;
-    the Cayley-Hamilton route of the top root generator gives the same."""
+    the elimination route of the top root generator gives the same."""
     exps = tuple(data.draw(st.integers(-4, 4)) if g.kind == "laurent" else 0
                  for g in ring.gens)
     c = ring.field.from_int(data.draw(st.integers(1, 9)))
@@ -170,6 +174,64 @@ def test_only_laurent_monomials_skip_the_charpoly(monkeypatch) -> None:
     assert len(calls) == 2
     x = _towers_with_roots()[2].gen("x")
     assert x.ring.try_inverse(x) is None  # a free generator is no unit
+
+
+# ------------------------------------------------------------ the elimination route
+
+def _root_over(prefix, u, n):
+    ring, _, _ = adjoin_root(prefix, u, n, name="r")
+    return ring
+
+
+@st.composite
+def _under_a_root(draw):
+    """(ring, coefficient dict): r^n = u with n in 2..6 over Q, F7, F7[z] or
+    F7[z^+-1], u a constant, a Laurent monomial or 1 (a split root), and an
+    element of up to four terms; often free of z or a single term, so that
+    units and non-units both occur."""
+    prefix = draw(st.sampled_from((base_ring(QQ), base_ring(F7), polynomial_ring(F7, "z"),
+                                   laurent_ring(F7, "z"))))
+    u = prefix.from_int(draw(st.sampled_from((1, 1, -1, 2, 3))))
+    if prefix.gens and prefix.gens[0].kind == "laurent" and draw(st.booleans()):
+        u = u * prefix.gen("z") ** draw(st.sampled_from((-2, -1, 1, 3)))
+    n = draw(st.integers(2, 6))
+    ring = _root_over(prefix, u, n)
+    shape = draw(st.sampled_from(("any", "free of z", "one term")))
+    lo = -2 if prefix.gens and prefix.gens[0].kind == "laurent" else 0
+    zexp = st.just(0) if shape == "free of z" else st.integers(lo, 2)
+    mono = st.tuples(*[zexp] * len(prefix.gens), st.integers(0, n - 1))
+    terms = draw(st.dictionaries(mono, st.integers(-3, 3).filter(bool), min_size=1,
+                                 max_size=1 if shape == "one term" else 4))
+    return ring, {m: ring.field.from_int(c) for m, c in terms.items()}
+
+
+@settings(deadline=None, max_examples=300)
+@given(_under_a_root())
+def test_root_inverse_matches_the_cayley_hamilton_oracle(case) -> None:
+    ring, d = case
+    got = ring.try_inverse(ring.element(d))
+    assert (None if got is None else got.coeffs) == ref.root_try_inv(ring, d)
+
+
+def _refuse_charpoly(ring, M):
+    raise AssertionError("the charpoly was taken")
+
+
+def test_rows_with_unit_entries_never_take_the_charpoly(monkeypatch) -> None:
+    """1+r (r^64 = z over F7[z^+-1]), 3z r^5 and 2+s+3s^2 (s^64 = 3 over
+    F7): every row of their multiplication matrix has a unit entry, so the
+    kernel decides them by unit pivots alone."""
+    L = laurent_ring(F7, "z")
+    R = _root_over(L, L.gen("z"), 64)
+    S = _root_over(base_ring(F7), base_ring(F7).from_int(3), 64)
+    z, r, s = R.gen("z"), R.gen("r"), S.gen("r")
+    cases = [(R, R.one() + r), (R, 3 * z * r ** 5), (S, 2 + s + 3 * s * s)]
+    want = [ref.root_try_inv(ring, x.coeffs) for ring, x in cases]
+    monkeypatch.setattr(rings, "_charpoly_dicts", _refuse_charpoly)
+    monkeypatch.setattr(linalg, "_charpoly_dicts", _refuse_charpoly)
+    got = [ring.try_inverse(x) for ring, x in cases]
+    assert [None if y is None else y.coeffs for y in got] == want
+    assert got[0] is None and got[1] is not None and got[2] is not None
 
 
 # ------------------------------------------------------------ ring_ops
@@ -218,7 +280,8 @@ def test_ring_ops_inverse_is_memoized_and_certified(monkeypatch) -> None:
     try_inverse = BaseRing.try_inverse
 
     def recording(self, a):
-        calls.append(a)
+        if self is ring:  # not the prefix ring's unit tests inside the inverse
+            calls.append(a)
         return try_inverse(self, a)
     monkeypatch.setattr(BaseRing, "try_inverse", recording)
     assert ops.inv(r.coeffs) == ops.inv(dict(r.coeffs)) == want

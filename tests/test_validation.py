@@ -68,12 +68,17 @@ DOCUMENTS = LIBRARY_DOCUMENTS + _bench_documents()
 ORACLE = jsonschema.Draft202012Validator(_schema())
 
 
+def _pointer(path):
+    """The JSON pointer (RFC 6901) of a path of keys and indices."""
+    return "".join("/" + str(p).replace("~", "~0").replace("/", "~1") for p in path) or "/"
+
+
 def _oracle(doc, validator=ORACLE):
     """(pointer, message) of jsonschema's best match, None for a valid doc."""
     err = best_match(validator.iter_errors(doc))
     if err is None:
         return None
-    return "/" + "/".join(str(p) for p in err.absolute_path), err.message
+    return _pointer(err.absolute_path), err.message
 
 
 def _diagnostic(doc):
@@ -270,6 +275,11 @@ REJECTIONS = [
     (_degree(math.nan), "/rings/R/gens/0/degree", "nan is not of type 'integer'"),
     (_degree(math.inf), "/rings/R/gens/0/degree", "inf is not of type 'integer'"),
     (_degree(65.0), "/rings/R/gens/0/degree", "65.0 is greater than the maximum of 64"),
+    # names are escaped as RFC 6901 says: ~ as ~0, / as ~1
+    ({"field": "Q", "rings": {"a/b": {"gens": [{"name": "u", "kind": "cubic"}]}}},
+     "/rings/a~1b/gens/0/kind", "'cubic' is not one of ['free', 'laurent', 'root']"),
+    ({"field": "Q", "rings": {"~1/": {"gens": [{"name": "u", "kind": "cubic"}]}}},
+     "/rings/~01~1/gens/0/kind", "'cubic' is not one of ['free', 'laurent', 'root']"),
 ]
 
 
@@ -299,7 +309,7 @@ SMALL_SCHEMA_REJECTIONS = [
 @pytest.mark.parametrize("schema,doc,pointer,message", SMALL_SCHEMA_REJECTIONS)
 def test_explainer_on_small_schemas(schema, doc, pointer, message) -> None:
     path, said = _compile_schema(schema, explain=True)(doc)
-    assert ("/" + "/".join(map(str, path)), said) == (pointer, message)
+    assert (_pointer(path), said) == (pointer, message)
     assert _oracle(doc, jsonschema.Draft202012Validator(schema)) == (pointer, message)
 
 
