@@ -23,16 +23,19 @@ ring, zero divisors included.
   off the reduced row echelon form.
 * Over a base ring elimination can stall: the rows still active at the end
   have no unit entry.  Those rows, on the columns no pivot took, form the
-  block elimination could not reduce.  ``ring_det`` multiplies the pivots,
-  the division-free Berkowitz determinant of that block
-  (``rings._berkowitz_dicts``) and the sign of the full row -> column
+  block elimination could not reduce (``_stalled``).  ``ring_det``
+  multiplies the pivots, the division-free Berkowitz determinant of that
+  block (``_berkowitz``) and the sign of the full row -> column
   permutation.  Berkowitz runs once per connected component of the block's
   nonzero pattern: a block that falls apart into independent pieces costs
   what the pieces cost, and one with a non-square piece is singular
   outright.  ``ring_solve`` of a stalled system takes the characteristic
-  polynomial of the block; when its constant term is a unit, Cayley-Hamilton
-  gives the block's unknowns, and the pivot rows give the rest.  The unit
-  tests under a root (``rings.BaseRing._root_try_inv``) are such solves.
+  polynomial of the block (``_charpoly``); when its constant term is a
+  unit, Cayley-Hamilton gives the block's unknowns, and the pivot rows give
+  the rest.  The unit tests under a root (``rings.BaseRing._root_try_inv``)
+  are such solves.  Both use only ``Ops.zero``, ``one``, ``add``, ``neg``,
+  ``mul`` and ``is_zero``.  Over a field elimination stops only at an empty
+  row, and the matrix is then singular.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from heapq import heapify, heappop, heappush
 
 from .axioms import Ops, field_ops, ring_ops
 from .fields import Field
-from .rings import BaseElement, BaseRing, _berkowitz_dicts, _charpoly_dicts, odd_permutation
+from .rings import BaseElement, BaseRing
 
 
 def _rows(M, ops: Ops) -> list:
@@ -125,39 +128,37 @@ def _eliminate(rows: list, ops: Ops, ncols: int, markowitz: bool) -> list:
     return pivots
 
 
-def _det(M, ops: Ops, ring: BaseRing | None = None):
-    """Determinant of the square matrix M.
+def _stalled(rows: list, pivots: list, n: int) -> tuple:
+    """The rows, and the columns below n, that got no pivot: on them lies the
+    block elimination could not reduce."""
+    taken = {i for i, _, _ in pivots}
+    return ([i for i in range(len(rows)) if i not in taken],
+            sorted(set(range(n)).difference(c for _, c, _ in pivots)))
 
-    The block elimination could not reduce goes to Berkowitz over ``ring``;
-    over a field that block never arises.
-    """
+
+def _det(M, ops: Ops):
+    """Determinant of the square matrix M: the pivots, times Berkowitz on the
+    block elimination could not reduce, times the sign of the permutation."""
     rows = _rows(M, ops)
     n = len(rows)
     pivots = _eliminate(rows, ops, n, True)
-    det, perm = ops.one, [None] * n
-    for i, c, pv in pivots:
-        det = ops.mul(det, pv)
-        perm[i] = c
-    left = [i for i in range(n) if perm[i] is None]
+    left, cols = _stalled(rows, pivots, n)
     if any(not rows[i] for i in left):
         return ops.wrap(ops.zero)
-    if left:
-        cols = sorted(set(range(n)).difference(perm))
-        det = ops.mul(det, _berkowitz_dicts(ring, [[rows[i].get(c, ops.zero) for c in cols]
-                                                   for i in left]))
-        for i, c in zip(left, cols):
-            perm[i] = c
-    return ops.wrap(ops.neg(det) if odd_permutation(perm) else det)
+    block = [[rows[i].get(c, ops.zero) for c in cols] for i in left]
+    det = ops.mul(reduce(ops.mul, (pv for _, _, pv in pivots), ops.one), _berkowitz(block, ops))
+    perm = dict(zip(left, cols))
+    perm.update((i, c) for i, c, _ in pivots)
+    return ops.wrap(ops.neg(det) if odd_permutation([perm[i] for i in range(n)]) else det)
 
 
-def _solve(M, b, ops: Ops, ring: BaseRing | None = None):
+def _solve(M, b, ops: Ops):
     """Solve the square system M x = b; None unless det M is a unit.
 
-    Over ``ring`` the block B elimination could not reduce is solved by
-    Cayley-Hamilton: with det(tI - B) = t^k + c_1 t^(k-1) + ... + c_k,
+    The block B elimination could not reduce is solved by Cayley-Hamilton:
+    with det(tI - B) = t^k + c_1 t^(k-1) + ... + c_k,
     B^-1 = -c_k^-1 (B^(k-1) + c_1 B^(k-2) + ... + c_(k-1) I), applied to
-    the right-hand side by Horner's rule.  Over a field a stall means M is
-    singular.
+    the right-hand side by Horner's rule.
     """
     rows = _rows(M, ops)
     n = len(rows)
@@ -167,20 +168,18 @@ def _solve(M, b, ops: Ops, ring: BaseRing | None = None):
             row[n] = bv
     pivots = _eliminate(rows, ops, n, True)
     zero, add, neg, mul = ops.zero, ops.add, ops.neg, ops.mul
-    taken = {i for i, _, _ in pivots}
-    left = [rows[i] for i in range(n) if i not in taken]
+    left, cols = _stalled(rows, pivots, n)
     y = {}
     if left:
-        # a row of B with one entry: elimination found it no unit, nor is det B
-        if ring is None or any(len(row) - (n in row) < 2 for row in left):
+        # a row of B with at most one entry: elimination found it no unit, nor is det B
+        if any(len(rows[i]) - (n in rows[i]) < 2 for i in left):
             return None
-        cols = sorted(set(range(n)).difference(c for _, c, _ in pivots))
-        poly = _charpoly_dicts(ring, [[row.get(c, zero) for c in cols] for row in left])
+        poly = _charpoly([[rows[i].get(c, zero) for c in cols] for i in left], ops)
         f = ops.inv(neg(poly[-1]))
         if f is None:
             return None
-        B = [[(j, row[c]) for j, c in enumerate(cols) if c in row] for row in left]
-        rhs = v = [row.get(n, zero) for row in left]
+        B = [[(j, rows[i][c]) for j, c in enumerate(cols) if c in rows[i]] for i in left]
+        rhs = v = [rows[i].get(n, zero) for i in left]
         for c in poly[1:-1]:
             v = [reduce(add, (mul(e, v[j]) for j, e in Bi), mul(c, r)) for Bi, r in zip(B, rhs)]
         y = {c: mul(f, vc) for c, vc in zip(cols, v)}
@@ -190,6 +189,93 @@ def _solve(M, b, ops: Ops, ring: BaseRing | None = None):
         x[c] = reduce(add, (neg(mul(row[k], yk)) for k, yk in y.items() if k in row),
                       row.get(n, zero))
     return [ops.wrap(x[c]) for c in range(n)]
+
+
+def _charpoly(M, ops: Ops) -> list:
+    """Coefficients [1, c_1, ..., c_n] of det(tI - M), highest degree first.
+
+    Berkowitz's method: iteratively build the characteristic polynomial
+    vector of each leading principal submatrix by multiplying Toeplitz
+    matrices assembled from the row/column bordering it.  No divisions, so
+    it is valid over any commutative ring, zero divisors included.  Products
+    with a zero factor are skipped: the multiplication matrix of a monomial
+    has one nonzero entry per column.
+    """
+    n = len(M)
+    if n == 0:
+        return [ops.one]
+    zero, add, neg, mul, is_zero = ops.zero, ops.add, ops.neg, ops.mul, ops.is_zero
+
+    def dot(R, vec):
+        acc = zero
+        for r, v in zip(R, vec):
+            if not (is_zero(r) or is_zero(v)):
+                acc = add(acc, mul(r, v))
+        return acc
+
+    # charpoly vector of the 1x1 leading block: [1, -M[0][0]]
+    poly = [ops.one, neg(M[0][0])]
+    for k in range(1, n):
+        # R = row (M[k][0..k-1]), C = column (M[0..k-1][k]) = vec, a = M[k][k]
+        R = M[k][:k]
+        vec = [M[j][k] for j in range(k)]
+        # Toeplitz column entries: t_0 = 1, t_1 = -a, t_{i+2} = -(R . A^i C)
+        toep = [ops.one, neg(M[k][k])]
+        for _ in range(k - 1):
+            toep.append(neg(dot(R, vec)))
+            vec = [dot(M[j][:k], vec) for j in range(k)]
+        toep.append(neg(dot(R, vec)))
+        poly = [dot(toep[i::-1], poly) for i in range(k + 2)]
+    return poly
+
+
+def _berkowitz(M, ops: Ops):
+    """Determinant of a square matrix of raw coefficients.
+
+    The rows and columns fall into the connected components of the graph
+    joining row i to column j when M[i][j] is nonzero.  det M is 0 when a
+    component has more rows than columns or fewer; otherwise it is the
+    product of the components' determinants, each division-free as (-1)^k
+    times the last coefficient c_k of ``_charpoly``, times the sign of the
+    permutation pairing each component's rows with its columns in
+    increasing order.
+    """
+    n = len(M)
+    parent = list(range(2 * n))  # row i is node i, column j is node n + j
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if not ops.is_zero(x):
+                parent[find(i)] = find(n + j)
+    components: dict = {}
+    for x in range(2 * n):
+        components.setdefault(find(x), []).append(x)
+    det, perm = ops.one, [0] * n
+    for nodes in components.values():
+        rows = [x for x in nodes if x < n]
+        cols = [x - n for x in nodes if x >= n]
+        if len(rows) != len(cols):
+            return ops.zero
+        for i, j in zip(rows, cols):
+            perm[i] = j
+        c = _charpoly([[M[i][j] for j in cols] for i in rows], ops)[-1]
+        det = ops.mul(det, ops.neg(c) if len(rows) % 2 else c)
+    return ops.neg(det) if odd_permutation(perm) else det
+
+
+def odd_permutation(perm: list) -> bool:
+    """Whether the permutation i -> perm[i] of range(len(perm)) is odd."""
+    perm, odd = list(perm), False
+    for i in range(len(perm)):  # sort by swaps
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            odd = not odd
+    return odd
 
 
 # --------------------------------------------------------------------------
@@ -227,12 +313,12 @@ def field_kernel(M, field: Field, ncols: int):
 
 
 def berkowitz_det(M, ring: BaseRing) -> BaseElement:
-    return BaseElement(ring, _berkowitz_dicts(ring, [[e.coeffs for e in row] for row in M]))
+    return BaseElement(ring, _berkowitz([[e.coeffs for e in row] for row in M], ring_ops(ring)))
 
 
 def ring_det(M, ring: BaseRing) -> BaseElement:
     """Determinant over any base ring: unit-pivot elimination, Berkowitz tail."""
-    return _det(M, ring_ops(ring), ring)
+    return _det(M, ring_ops(ring))
 
 
 def ring_solve(M, b, ring: BaseRing):
@@ -240,4 +326,4 @@ def ring_solve(M, b, ring: BaseRing):
 
     Returns the unique solution when the determinant is a unit, else None.
     """
-    return _solve(M, b, ring_ops(ring), ring)
+    return _solve(M, b, ring_ops(ring))

@@ -30,6 +30,8 @@ generators alone is inverted directly, whatever roots lie above them.
 Laurent generators must precede every root
 adjunction (TowerOrderError otherwise): above a root adjunction that created
 idempotents, a unit need not be a single Laurent monomial times a unit.
+This module holds no linear algebra: ``linalg`` imports it, so the root
+unit test imports ``ring_solve`` when it first runs.
 
 The strings of one document share one ``WorkBudget``, which also reads
 each distinct string once: a repeat costs a dictionary lookup and
@@ -662,99 +664,6 @@ class BaseElement:
 
     def __repr__(self):
         return self.ring.format_element(self)
-
-
-# --------------------------------------------------------------------------
-# division-free determinant (Berkowitz) on coefficient dicts
-# --------------------------------------------------------------------------
-
-def _charpoly_dicts(ring: BaseRing, M) -> list:
-    """Coefficients [1, c_1, ..., c_n] of det(tI - M), highest degree first.
-
-    Berkowitz's method: iteratively build the characteristic polynomial
-    vector of each leading principal submatrix by multiplying Toeplitz
-    matrices assembled from the row/column bordering it.  No divisions, so
-    it is valid over any commutative ring, zero divisors included.  Products
-    with a zero factor are skipped: the multiplication matrix of a monomial
-    has one nonzero entry per column.
-    """
-    n = len(M)
-    one = {(0,) * len(ring.gens): ring.field.one()}
-    if n == 0:
-        return [one]
-    mul, add, neg = ring._mul, ring._add, ring._neg
-
-    def dot(R, vec):
-        acc: dict = {}
-        for r, v in zip(R, vec):
-            if r and v:
-                acc = add(acc, mul(r, v))
-        return acc
-
-    # charpoly vector of the 1x1 leading block: [1, -M[0][0]]
-    poly = [one, neg(M[0][0])]
-    for k in range(1, n):
-        # R = row (M[k][0..k-1]), C = column (M[0..k-1][k]) = vec, a = M[k][k]
-        R = M[k][:k]
-        vec = [M[j][k] for j in range(k)]
-        # Toeplitz column entries: t_0 = 1, t_1 = -a, t_{i+2} = -(R . A^i C)
-        toep = [one, neg(M[k][k])]
-        for _ in range(k - 1):
-            toep.append(neg(dot(R, vec)))
-            vec = [dot(M[j][:k], vec) for j in range(k)]
-        toep.append(neg(dot(R, vec)))
-        poly = [dot(toep[i::-1], poly) for i in range(k + 2)]
-    return poly
-
-
-def _berkowitz_dicts(ring: BaseRing, M) -> dict:
-    """Determinant of a square matrix of coefficient dicts over ring.
-
-    The rows and columns fall into the connected components of the graph
-    joining row i to column j when M[i][j] is nonzero.  det M is 0 when a
-    component has more rows than columns or fewer; otherwise it is the
-    product of the components' determinants, each division-free as (-1)^k
-    times the last coefficient c_k of _charpoly_dicts, times the sign of the
-    permutation pairing each component's rows with its columns in
-    increasing order.
-    """
-    n = len(M)
-    parent = list(range(2 * n))  # row i is node i, column j is node n + j
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-    for i, row in enumerate(M):
-        for j, x in enumerate(row):
-            if x:
-                parent[find(i)] = find(n + j)
-    components: dict = {}
-    for x in range(2 * n):
-        components.setdefault(find(x), []).append(x)
-    det = {(0,) * len(ring.gens): ring.field.one()}
-    perm = [0] * n
-    for nodes in components.values():
-        rows = [x for x in nodes if x < n]
-        cols = [x - n for x in nodes if x >= n]
-        if len(rows) != len(cols):
-            return {}
-        for i, j in zip(rows, cols):
-            perm[i] = j
-        c = _charpoly_dicts(ring, [[M[i][j] for j in cols] for i in rows])[-1]
-        det = ring._mul(det, ring._neg(c) if len(rows) % 2 else c)
-    return ring._neg(det) if odd_permutation(perm) else det
-
-
-def odd_permutation(perm: list) -> bool:
-    """Whether the permutation i -> perm[i] of range(len(perm)) is odd."""
-    perm, odd = list(perm), False
-    for i in range(len(perm)):  # sort by swaps
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], j
-            odd = not odd
-    return odd
 
 
 # --------------------------------------------------------------------------

@@ -7,14 +7,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgal import linalg, rings
+from hopfgal import linalg
+from hopfgal.axioms import field_ops, ring_ops
 from hopfgal.bundles import kummer_bundle
 from hopfgal.comod import ComoduleAlgebra
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.galois import NOT_BIJECTIVE, canonical_matrix, is_galois
 from hopfgal.homotopy import identity_matrix
 from hopfgal.linalg import (
-    berkowitz_det,
     field_det,
     field_kernel,
     field_solve,
@@ -23,8 +23,6 @@ from hopfgal.linalg import (
 )
 from hopfgal.rings import (
     BaseRing,
-    _berkowitz_dicts,
-    _charpoly_dicts,
     adjoin_root,
     base_ring,
     laurent_ring,
@@ -32,7 +30,7 @@ from hopfgal.rings import (
 )
 
 import reference_axioms as ref
-from reference_units import cramer_solve
+from reference_units import _berkowitz_dicts, _charpoly_dicts, berkowitz_det, cramer_solve
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -263,11 +261,12 @@ def _stalling_matrices(rng):
 def test_ring_kernel_stalls_on_a_block_without_units(monkeypatch) -> None:
     rng = random.Random(12)
     blocks = []
+    berkowitz = linalg._berkowitz
 
-    def recording(ring, block):
+    def recording(block, ops):
         blocks.append(len(block))
-        return _berkowitz_dicts(ring, block)
-    monkeypatch.setattr(linalg, "_berkowitz_dicts", recording)
+        return berkowitz(block, ops)
+    monkeypatch.setattr(linalg, "_berkowitz", recording)
     seen_unit = False
     for ring, M, k, m in _stalling_matrices(rng):
         del blocks[:]
@@ -308,11 +307,12 @@ def test_ring_solve_of_stalled_systems_matches_cramer(monkeypatch, n) -> None:
     z, w = ring.gen("z"), L.gen("z")
     e = sum((r ** k for k in range(n)), ring.zero()) * F7.inv(F7.from_int(n))
     blocks = []
+    charpoly = linalg._charpoly
 
-    def recording(R, B):
+    def recording(B, ops):
         blocks.append(len(B))
-        return _charpoly_dicts(R, B)
-    monkeypatch.setattr(linalg, "_charpoly_dicts", recording)
+        return charpoly(B, ops)
+    monkeypatch.setattr(linalg, "_charpoly", recording)
     rng = random.Random(n)
     for x, unit in ((e * z + (ring.one() - e), True),
                     (e * z * z + (ring.one() - e) * (ring.one() + z), False)):
@@ -543,12 +543,70 @@ def test_berkowitz_runs_per_connected_block(monkeypatch) -> None:
     B = ComoduleAlgebra(P, A.hopf, A.labels, over_p(A.mult), {0: P.one()},
                         over_p(A.coaction))
     sizes = []
-    charpoly = rings._charpoly_dicts
+    charpoly = linalg._charpoly
 
-    def recording(ring, M):
+    def recording(M, ops):
         sizes.append(len(M))
-        return charpoly(ring, M)
-    monkeypatch.setattr(rings, "_charpoly_dicts", recording)
+        return charpoly(M, ops)
+    monkeypatch.setattr(linalg, "_charpoly", recording)
     verdict = is_galois(B)
     assert verdict.status == NOT_BIJECTIVE and verdict.det == P.gen("z") ** 28
     assert sorted(sizes) == [1, 2, 3, 4, 5, 6, 7]
+
+
+# Berkowitz on any Ops against oracles that share no code with linalg: the
+# Leibniz sum over F7, sympy's characteristic polynomial over Q, and the
+# coefficient-dict Berkowitz over F7[z^+-1, r | r^2 = 1] (zero divisors)
+
+def _draw_pattern(draw, entry, zero, sizes):
+    """A square matrix of ``entry`` draws: dense, with a zero row or column,
+    or block diagonal with its rows and columns permuted."""
+    n = draw(sizes)
+    M = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(("any", "blocks", "blocks", "zero row", "zero column")))
+    if kind == "blocks" and n:
+        block = [draw(st.integers(0, 2)) for _ in range(n)]
+        rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        M = [[M[i][j] if block[i] == block[j] else zero for j in cols] for i in rows]
+    elif kind == "zero row" and n:
+        M[draw(st.integers(0, n - 1))] = [zero] * n
+    elif kind == "zero column" and n:
+        j = draw(st.integers(0, n - 1))
+        for row in M:
+            row[j] = zero
+    return M
+
+
+@settings(deadline=None, max_examples=250)
+@given(st.data())
+def test_berkowitz_over_a_field_matches_leibniz(data) -> None:
+    M = _draw_pattern(data.draw, st.one_of(st.just(0), st.integers(0, 6)), 0, st.integers(0, 5))
+    assert linalg._berkowitz(M, field_ops(F7)) == _leibniz_det_mod(M, 7)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_matrices(_q_entries, st.integers(1, 6)))
+def test_charpoly_over_q_matches_sympy(case) -> None:
+    M, n = case
+    expect = [_fraction(c) for c in _sympy_matrix(M, n).charpoly().all_coeffs()]
+    assert linalg._charpoly(M, field_ops(QQ)) == expect
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_berkowitz_over_a_ring_matches_the_dict_oracle(data) -> None:
+    """Over F7[z^+-1, r | r^2 = 1], where (1 + r)/2 and (1 - r)/2 are
+    idempotents, so products of nonzero entries can vanish."""
+    L = laurent_ring(F7, "z")
+    ring, _, r = adjoin_root(L, L.one(), 2, name="r")
+    z = ring.gen("z")
+    e = (ring.one() + r) * 4  # 4 = 1/2 in F7
+    atoms = [z, z ** -1, r, z * r, e, ring.one() - e, e * z]
+    entry = st.one_of(st.just(ring.zero()), st.tuples(st.sampled_from(atoms), st.integers(1, 6))
+                      .map(lambda ac: ac[0] * ac[1]))
+    M = _draw_pattern(data.draw, entry, ring.zero(), st.integers(0, 4))
+    raw = [[x.coeffs for x in row] for row in M]
+    ops = ring_ops(ring)
+    assert linalg._berkowitz(raw, ops) == _berkowitz_dicts(ring, raw)
+    assert linalg._charpoly(raw, ops) == _charpoly_dicts(ring, raw)
+    assert linalg.berkowitz_det(M, ring) == berkowitz_det(M, ring)

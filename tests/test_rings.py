@@ -15,7 +15,6 @@ from hopfgal.errors import (
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.rings import (
     BaseMorphism,
-    _berkowitz_dicts,
     adjoin_root,
     base_ring,
     compose,
@@ -25,6 +24,8 @@ from hopfgal.rings import (
     laurent_ring,
     polynomial_ring,
 )
+
+from reference_units import _berkowitz_dicts
 
 F7 = PrimeField(7)
 
