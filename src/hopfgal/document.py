@@ -5,13 +5,12 @@ Scalars and ring elements are strings so that exact values survive the trip
 shipped schema, then resolved name by name; every diagnostic carries the
 JSON pointer of the offending spot.  Validity is decided by a predicate
 compiled once from the shipped schema (plain closures, Draft 2020-12
-semantics for the keywords the schema uses).  A rejected document is
-explained by a second output of the same compiler, built on the first
-rejection: the pointer and message that jsonschema's ``best_match`` gives,
-worded the same way, so no jsonschema is needed at run time.
-Serialization always emits the explicit normal form (constructor
-shorthands like "sweedler" parse but are not reproduced), and parse of a
-serialized document rebuilds equal objects.
+semantics for the keywords the schema uses).  A rejected document is worded
+by a walk over the schema that skips what the predicate's checks accept:
+jsonschema's ``best_match`` pointer and message, with no jsonschema at run
+time.  Serialization always emits the explicit normal form (shorthands like
+"sweedler" parse but are not reproduced), and parse of a serialized
+document rebuilds equal objects.
 
 Hopf algebras, bundles and the families of witnesses share one table
 format, read by one reader and written by one writer.  Scalars and ring
@@ -21,7 +20,8 @@ reader of their constructions.  The strings of a document share one
 ``rings.WorkBudget``, whose memo reads each distinct string once per
 document.  A table that gives two rows for the same key (a product a·b,
 a basis element of the tensor table or the antipode, a cleaving's value
-on a basis element) is refused at the second.
+on a basis element) is refused at the second, and so is a generator name
+given twice in a ring or a witness's tower.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from __future__ import annotations
 import json
 import os
 import re
-from functools import cache
+from functools import cache, partial
+from operator import itemgetter
 
 from .axioms import field_ops, ring_ops, total
 from .errors import BadScalarError, SchemaError, UnresolvedReferenceError
@@ -95,8 +96,9 @@ def _reject(x):
 
 
 def _compile_schema(root, explain=False):
-    """A predicate equal to jsonschema's Draft 2020-12 is_valid for ``root``;
-    with ``explain``, the explainer of ``_explainer`` instead.
+    """A predicate equal to jsonschema's Draft 2020-12 is_valid for ``root``,
+    which keeps the predicate of each subschema by id as ``checks``; with
+    ``explain``, the explainer ``_why`` on root and those checks instead.
 
     Only the keywords the shipped schema uses are understood, and each
     type-specific keyword must sit beside the ``type`` it constrains.  Any
@@ -193,220 +195,140 @@ def _compile_schema(root, explain=False):
         return check
 
     check = build(root)
-    return _explainer(root, by_id) if explain else check
+    if explain:
+        return partial(_why, root, by_id)
+    valid = partial(check)  # a callable of its own, to carry the checks
+    valid.checks = by_id
+    return valid
 
-
-# The explainer gives the error that jsonschema 4.26.0 picks,
-# ``best_match(Draft202012Validator(schema).iter_errors(x))``, from the same
-# errors: each keyword yields the errors of its function in jsonschema's
-# ``_keywords.py``, with the same messages, in the schema's key order, and
-# a subschema the predicate accepts yields none and is not walked.  An error
-# is (key, message, context): key is jsonschema's ``relevance`` (its empty
-# "strong" set left out), context the errors of a oneOf no branch of which
-# matched, their paths relative to the oneOf's instance.
 
 _IS_TYPE = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance(x, list),
             "string": lambda x: isinstance(x, str), "integer": _is_integer}
+
+
+def _short(low, x):
+    return f"{x!r} {'should be non-empty' if low == 1 else 'is too short'}"
+
+
+# (fails(value, x), message(value, x)) of each keyword that reads only x
+_INSTANCE_KEYWORDS = {
+    "type": (lambda kind, x: not _IS_TYPE[kind](x),
+             lambda kind, x: f"{x!r} is not of type {kind!r}"),
+    "enum": (lambda allowed, x: not (isinstance(x, str) and x in allowed),
+             lambda allowed, x: f"{x!r} is not one of {allowed!r}"),
+    "const": (lambda want, x: not (isinstance(x, str) and x == want),
+              lambda want, x: f"{want!r} was expected"),
+    "minItems": (lambda low, x: isinstance(x, list) and len(x) < low, _short),
+    "maxItems": (lambda high, x: isinstance(x, list) and len(x) > high, lambda high, x: (
+        f"{x!r} {'is expected to be empty' if high == 0 else 'is too long'}")),
+    "minLength": (lambda low, x: isinstance(x, str) and len(x) < low, _short),
+    "pattern": (lambda pattern, x: isinstance(x, str) and re.search(pattern, x) is None,
+                lambda pattern, x: f"{x!r} does not match {pattern!r}"),
+    "minimum": (lambda low, x: _is_number(x) and x < low,
+                lambda low, x: f"{x!r} is less than the minimum of {low!r}"),
+    "maximum": (lambda high, x: _is_number(x) and x > high,
+                lambda high, x: f"{x!r} is greater than the maximum of {high!r}"),
+}
 
 
 def _error(path, message, keyword, typed, context=()):
     return (-len(path), path, keyword != "oneOf", not typed), message, context
 
 
-def _skip(x, path, key, out):
-    pass
+def _why(root, checks, x):
+    """The (path, message) of jsonschema 4.26.0's
+    ``best_match(Draft202012Validator(root).iter_errors(x))`` for an x that
+    the predicate of root rejected, or None if there is no error.  ``checks``
+    maps the id of each subschema of root to its compiled predicate.  The
+    walk yields the same errors: each keyword those of its function in
+    jsonschema's ``_keywords.py``, with the same messages, in the schema's
+    key order, and a subschema whose check accepts none.  An error is (key,
+    message, context): key is jsonschema's ``relevance`` (its empty "strong"
+    set left out), context the errors of a oneOf no branch of which matched,
+    their paths relative to the oneOf's instance."""
+    defs = root.get("$defs", {})
 
-
-def _once(keyword, fails, message):
-    """The step of a keyword that yields message(x) where fails(x)."""
-    def step(x, path, out, typed):
-        if fails(x):
-            out.append(_error(path, message(x), keyword, typed))
-    return step
-
-
-def _explainer(root, checks):
-    """why(x): the (path, message) of jsonschema's best match for an x that
-    the predicate rejected, or None if there is no error.  ``checks`` maps
-    the id of each subschema of root to its compiled predicate."""
-    defs, refs = root.get("$defs", {}), {}
-
-    def descend(schema):
-        """visit(x, path, key, out): append to out the errors of schema on
-        x, found at path + (key,), or at path if key is None."""
-        check = checks[id(schema)]
-        if check is _accept:
-            return _skip
+    def visit(schema, x, path, key, out):
+        """Append to out the errors of schema on x, found at path + (key,),
+        or at path if key is None."""
+        if checks[id(schema)](x):
+            return
         if schema is False:
-            # jsonschema yields a false schema's error before it extends the
-            # path by key
-            return lambda x, path, key, out: out.append(
-                _error(path, f"False schema does not allow {x!r}", None, False))
-        is_kind = _IS_TYPE.get(schema.get("type"), _reject)
-        steps = [keywords[k](v, schema) for k, v in schema.items() if k in keywords]
+            # jsonschema yields this error before it extends the path by key
+            out.append(_error(path, f"False schema does not allow {x!r}", None, False))
+            return
+        if key is not None:
+            path = (*path, key)
+        typed = _IS_TYPE.get(schema.get("type"), _reject)(x)
+        for keyword, value in schema.items():
+            if keyword in _INSTANCE_KEYWORDS:
+                fails, message = _INSTANCE_KEYWORDS[keyword]
+                if fails(value, x):
+                    out.append(_error(path, message(value, x), keyword, typed))
+            elif keyword == "$ref":
+                visit(defs[value.removeprefix("#/$defs/")], x, path, None, out)
+            elif keyword == "oneOf":
+                context = []
+                for i, sub in enumerate(value):
+                    if checks[id(sub)](x):
+                        break
+                    visit(sub, x, (), None, context)
+                else:
+                    out.append(_error(path, f"{x!r} is not valid under any of the given schemas",
+                                      keyword, typed, context))
+                    continue
+                more = [s for s in value[i + 1:] if checks[id(s)](x)]
+                if more:
+                    out.append(_error(path, f"{x!r} is valid under each of "
+                                      + ", ".join(map(repr, more + [value[i]])), keyword, typed))
+            elif isinstance(x, dict):
+                if keyword == "required":
+                    out.extend(_error(path, f"{k!r} is a required property", keyword, typed)
+                               for k in value if k not in x)
+                elif keyword == "properties":
+                    for k, sub in value.items():
+                        if k in x:
+                            visit(sub, x[k], path, k, out)
+                elif keyword == "additionalProperties":
+                    extras = [k for k in x if k not in schema.get("properties", {})]
+                    if value is not False:
+                        for k in extras:
+                            visit(value, x[k], path, k, out)
+                    elif extras:
+                        verb = "was" if len(extras) == 1 else "were"
+                        out.append(_error(path, "Additional properties are not allowed "
+                                          f"({', '.join(map(repr, sorted(extras)))} {verb} "
+                                          "unexpected)", keyword, typed))
+            elif isinstance(x, list):
+                if keyword == "prefixItems":
+                    for i, (v, sub) in enumerate(zip(x, value)):
+                        visit(sub, v, path, i, out)
+                elif keyword == "items":
+                    prefix = len(schema.get("prefixItems", ()))
+                    if value is not False:
+                        for i in range(prefix, len(x)):
+                            visit(value, x[i], path, i, out)
+                    elif len(x) > prefix:
+                        extra = len(x) - prefix
+                        tail = x[prefix:] if extra != 1 else x[prefix]
+                        out.append(_error(path, f"Expected at most {prefix} "
+                                          f"{'item' if prefix == 1 else 'items'} "
+                                          f"but found {extra} extra: {tail!r}", keyword, typed))
 
-        def visit(x, path, key, out):
-            if check(x):
-                return
-            if key is not None:
-                path = (*path, key)
-            typed = is_kind(x)
-            for step in steps:
-                step(x, path, out, typed)
-        return visit
-
-    def type_(kind, schema):
-        return _once("type", lambda x: not _IS_TYPE[kind](x),
-                     lambda x: f"{x!r} is not of type {kind!r}")
-
-    def ref(target, schema):
-        name = target.removeprefix("#/$defs/")
-        if name not in refs:
-            refs[name] = descend(defs[name])
-        visit = refs[name]
-        return lambda x, path, out, typed: visit(x, path, None, out)
-
-    def required(names, schema):
-        def step(x, path, out, typed):
-            if isinstance(x, dict):
-                out.extend(_error(path, f"{k!r} is a required property", "required", typed)
-                           for k in names if k not in x)
-        return step
-
-    def properties(props, schema):
-        visits = [(k, descend(s)) for k, s in props.items()]
-
-        def step(x, path, out, typed):
-            if isinstance(x, dict):
-                for k, visit in visits:
-                    if k in x:
-                        visit(x[k], path, k, out)
-        return step
-
-    def additional(extra, schema):
-        props = schema.get("properties", {})
-        if extra is False:
-            def fails(x):
-                return isinstance(x, dict) and any(k not in props for k in x)
-
-            def message(x):
-                extras = sorted(k for k in x if k not in props)
-                verb = "was" if len(extras) == 1 else "were"
-                return ("Additional properties are not allowed "
-                        f"({', '.join(map(repr, extras))} {verb} unexpected)")
-            return _once("additionalProperties", fails, message)
-        visit = descend(extra)
-
-        def step(x, path, out, typed):
-            if isinstance(x, dict):
-                for k, v in x.items():
-                    if k not in props:
-                        visit(v, path, k, out)
-        return step
-
-    def prefix_items(subs, schema):
-        visits = [descend(s) for s in subs]
-
-        def step(x, path, out, typed):
-            if isinstance(x, list):
-                for i, (v, visit) in enumerate(zip(x, visits)):
-                    visit(v, path, i, out)
-        return step
-
-    def items(rest, schema):
-        prefix = len(schema.get("prefixItems", ()))
-        if rest is False:
-            def message(x):
-                extra = len(x) - prefix
-                tail = x[prefix:] if extra != 1 else x[prefix]
-                return (f"Expected at most {prefix} {'item' if prefix == 1 else 'items'} "
-                        f"but found {extra} extra: {tail!r}")
-            return _once("items", lambda x: isinstance(x, list) and len(x) > prefix, message)
-        visit = descend(rest)
-
-        def step(x, path, out, typed):
-            if isinstance(x, list):
-                for i in range(prefix, len(x)):
-                    visit(x[i], path, i, out)
-        return step
-
-    def one_of(options, schema):
-        branches = [(checks[id(s)], descend(s), s) for s in options]
-
-        def step(x, path, out, typed):
-            context = []
-            for i, (check, visit, _) in enumerate(branches):
-                if check(x):
-                    break
-                visit(x, (), None, context)
-            else:
-                out.append(_error(path, f"{x!r} is not valid under any of the given schemas",
-                                  "oneOf", typed, context))
-                return
-            more = [s for check, _, s in branches[i + 1:] if check(x)]
-            if more:
-                more.append(branches[i][2])
-                out.append(_error(path, f"{x!r} is valid under each of "
-                                  + ", ".join(map(repr, more)), "oneOf", typed))
-        return step
-
-    keywords = {
-        "type": type_,
-        "$ref": ref,
-        "required": required,
-        "properties": properties,
-        "additionalProperties": additional,
-        "prefixItems": prefix_items,
-        "items": items,
-        "oneOf": one_of,
-        "enum": lambda allowed, schema: _once(
-            "enum", lambda x: not (isinstance(x, str) and x in allowed),
-            lambda x: f"{x!r} is not one of {allowed!r}"),
-        "const": lambda want, schema: _once(
-            "const", lambda x: not (isinstance(x, str) and x == want),
-            lambda x: f"{want!r} was expected"),
-        "minItems": lambda low, schema: _once(
-            "minItems", lambda x: isinstance(x, list) and len(x) < low,
-            lambda x: f"{x!r} {'should be non-empty' if low == 1 else 'is too short'}"),
-        "maxItems": lambda high, schema: _once(
-            "maxItems", lambda x: isinstance(x, list) and len(x) > high,
-            lambda x: f"{x!r} {'is expected to be empty' if high == 0 else 'is too long'}"),
-        "minLength": lambda low, schema: _once(
-            "minLength", lambda x: isinstance(x, str) and len(x) < low,
-            lambda x: f"{x!r} {'should be non-empty' if low == 1 else 'is too short'}"),
-        "pattern": lambda pattern, schema: _once(
-            "pattern", lambda x, search=re.compile(pattern).search: (
-                isinstance(x, str) and search(x) is None),
-            lambda x: f"{x!r} does not match {pattern!r}"),
-        "minimum": lambda low, schema: _once(
-            "minimum", lambda x: _is_number(x) and x < low,
-            lambda x: f"{x!r} is less than the minimum of {low!r}"),
-        "maximum": lambda high, schema: _once(
-            "maximum", lambda x: _is_number(x) and x > high,
-            lambda x: f"{x!r} is greater than the maximum of {high!r}"),
-    }
-    visit_root = descend(root)
-
-    def why(x):
-        errors = []
-        visit_root(x, (), None, errors)
-        if not errors:
-            return None
-        # max keeps the first of equal keys; into a oneOf's context while its
-        # two least keys differ, as best_match's heapq.nsmallest(2, ...) does
-        (_, path, *_), message, context = max(errors, key=_key)
-        while context:
-            least = sorted(context, key=_key)[:2]
-            if len(least) == 2 and least[0][0] == least[1][0]:
-                break
-            (_, below, *_), message, context = least[0]
-            path += below
-        return path, message
-    return why
-
-
-def _key(error):
-    return error[0]
+    errors = []
+    visit(root, x, (), None, errors)
+    if not errors:
+        return None
+    # max keeps the first of equal keys; into a oneOf's context while its
+    # two least keys differ, as best_match's heapq.nsmallest(2, ...) does
+    (_, path, *_), message, context = max(errors, key=itemgetter(0))
+    while context:
+        least = sorted(context, key=itemgetter(0))[:2]
+        if len(least) == 2 and least[0][0] == least[1][0]:
+            break
+        (_, below, *_), message, context = least[0]
+        path += below
+    return path, message
 
 
 @cache
@@ -416,16 +338,16 @@ def _is_valid():
 
 @cache
 def _explain():
-    return _compile_schema(_schema(), explain=True)
+    # the checks _is_valid compiled, so a rejected document compiles once
+    return partial(_why, _schema(), _is_valid().checks)
 
 
 def validate_raw(obj) -> None:
     """Structural check against the shipped schema; SchemaError on failure.
 
-    The compiled predicate decides validity.  A rejected document is
-    explained by the explainer compiled from the same schema on the first
-    rejection; its pointer and message are those jsonschema's best match
-    gives.  A document the predicate rejects is never accepted.
+    The compiled predicate decides validity and ``_why`` words a rejection,
+    walking the schema with the predicate's own checks.  A document the
+    predicate rejects is never accepted.
     """
     if _is_valid()(obj):
         return
@@ -449,6 +371,13 @@ def _value(read, text, pointer, spend):
         return spend.read(read, text)
     except BadScalarError as exc:
         raise BadScalarError(f"at {pointer}: {exc}") from None
+
+
+def _first(seen: dict, key, here, what):
+    """Record here as where key is first given; refuse it given again."""
+    if key in seen:
+        raise SchemaError(here, f"repeats the {what} at {seen[key]}")
+    seen[key] = here
 
 
 def _ref(table: dict, name, pointer):
@@ -492,9 +421,10 @@ def field_spec(K: Field):
 
 
 def parse_ring(K: Field, spec, pointer, spend) -> BaseRing:
-    R = base_ring(K)
+    R, names = base_ring(K), {}
     for i, g in enumerate(spec["gens"]):
         here = f"{pointer}/gens/{i}"
+        _first(names, g["name"], here + "/name", "name")
         kind, grade = g["kind"], g.get("grade", 0)
         if kind == FREE:
             R = R.add_free(g["name"], grade=grade)
@@ -559,10 +489,7 @@ def _rows(rows, pointer, width):
     first = {}
     for r, row in enumerate(rows):
         here = f"{pointer}/{r}"
-        key = tuple(row[:width])
-        if key in first:
-            raise SchemaError(here, f"repeats the row at {first[key]}")
-        first[key] = here
+        _first(first, tuple(row[:width]), here, "row")
         yield here, row
 
 
@@ -705,8 +632,12 @@ def resolve(raw) -> Document:
         here = f"/morphisms/{_token(name)}"
         src = _ref(doc.rings, spec["source"], here + "/source")
         dst = _ref(doc.rings, spec["target"], here + "/target")
-        images = {g: _value(dst.parse_element, text, f"{here}/images/{_token(g)}", spend)
-                  for g, text in spec["images"].items()}
+        gens, images = {g.name for g in src.gens}, {}
+        for g, text in spec["images"].items():
+            at = f"{here}/images/{_token(g)}"
+            if g not in gens:
+                raise UnresolvedReferenceError(at, g)
+            images[g] = _value(dst.parse_element, text, at, spend)
         doc.morphisms[name] = BaseMorphism(src, dst, images)
     for name, spec in raw.get("bundles", {}).items():
         doc.bundles[name] = parse_bundle(doc, spec, f"/bundles/{_token(name)}", spend)
@@ -726,10 +657,13 @@ def resolve(raw) -> Document:
 
 
 def _parse_witness(doc: Document, spec, pointer, spend) -> HomotopyWitness:
-    source = _ref(doc.rings, spec["step"]["source"], pointer + "/step/source")
+    name = spec["step"]["source"]
+    source = _ref(doc.rings, name, pointer + "/step/source")
+    names = {g.name: f"/rings/{_token(name)}/gens/{i}/name" for i, g in enumerate(source.gens)}
     cur, recipe = source, []
     for i, adj in enumerate(spec["step"]["adjunctions"]):
         here = f"{pointer}/step/adjunctions/{i}"
+        _first(names, adj["name"], here + "/name", "name")
         u = _value(cur.parse_element, adj["value"], here + "/value", spend)
         recipe.append((ROOT_ADJUNCTION, u, adj["degree"], adj["name"]))
         cur, _, _ = adjoin_root(cur, u, adj["degree"], adj["name"])

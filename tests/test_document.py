@@ -652,6 +652,50 @@ def test_repeated_terms_inside_one_row_still_add_up():
     assert parse_obj(raw).hopf_algebras["H"] == sweedler_h4(QQ)
 
 
+@pytest.mark.parametrize("case", ["ring", "source", "adjunction"])
+def test_repeated_generator_name_exits_2_at_its_pointer(tmp_path, capsys, case):
+    """A generator name that a ring, or a witness's tower, already gives
+    used to end in a ValueError traceback; now it is refused where it
+    stands: in a ring's gens, or in an adjunction that repeats a generator
+    of the step's source ring or an earlier adjunction."""
+    raw = _tables_document()
+    step = raw["witnesses"]["w"]["step"]
+    adjunctions = step["adjunctions"]
+    if case == "ring":
+        raw["rings"]["C"] = {"gens": [{"name": "u", "kind": "free"}, {"name": "u", "kind": "free"}]}
+        pointer, first = "/rings/C/gens/1/name", "/rings/C/gens/0/name"
+    elif case == "source":
+        raw["rings"][step["source"]]["gens"] = [{"name": adjunctions[0]["name"], "kind": "free"}]
+        pointer = "/witnesses/w/step/adjunctions/0/name"
+        first = f"/rings/{step['source']}/gens/0/name"
+    else:
+        adjunctions.append(dict(adjunctions[0]))
+        pointer = "/witnesses/w/step/adjunctions/1/name"
+        first = "/witnesses/w/step/adjunctions/0/name"
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(raw))
+    assert main(["witness", "verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {pointer}: repeats the name at {first}\n"
+
+
+def test_image_of_a_name_outside_the_source_exits_2(tmp_path, capsys):
+    """An image for a name that is not a generator of the source ring used
+    to be dropped, and the push-forward went through with exit 0."""
+    raw = {"field": "Q",
+           "rings": {"C": {"gens": [{"name": "u", "kind": "free"}]},
+                     "D": {"gens": [{"name": "u", "kind": "free"}, {"name": "v", "kind": "free"}]}},
+           "hopf_algebras": {"H": {"construction": "sweedler"}},
+           "bundles": {"A": {"construction": "trivial", "ring": "C", "hopf": "H"}},
+           "morphisms": {"f": {"source": "C", "target": "D", "images": {"u": "u", "w": "v"}}}}
+    with pytest.raises(UnresolvedReferenceError) as exc:
+        parse_obj(raw)
+    assert (exc.value.pointer, exc.value.name) == ("/morphisms/f/images/w", "w")
+    path = tmp_path / "images.json"
+    path.write_text(json.dumps(raw))
+    assert main(["pushforward", str(path), "A", "f"]) == 2
+    assert capsys.readouterr().err == "error: /morphisms/f/images/w: unresolved reference 'w'\n"
+
+
 # --------------------------------------------------------------- value memo
 
 BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"

@@ -303,6 +303,12 @@ SMALL_SCHEMA_REJECTIONS = [
     # jsonschema reports a false subschema's error at its parent's path
     ({"type": "object", "properties": {"a": {"type": "object", "properties": {"b": False}}}},
      {"a": {"b": 1}}, "/a", "False schema does not allow 1"),
+    ({"type": "string", "minLength": 2}, "a", "/", "'a' is too short"),
+    ({"type": "array", "prefixItems": [{}], "items": False}, ["a", "b"],
+     "/", "Expected at most 1 item but found 1 extra: 'b'"),
+    ({"enum": ["a"]}, 1, "/", "1 is not one of ['a']"),
+    # the type error and the minimum error tie; the first in key order wins
+    ({"type": "integer", "minimum": 0}, -0.5, "/", "-0.5 is not of type 'integer'"),
 ]
 
 
@@ -324,6 +330,26 @@ def test_rejected_document_is_never_accepted(monkeypatch, tmp_path, capsys) -> N
     path.write_text(json.dumps({"field": "Q7"}))
     assert main(["verify-hopf", str(path), "H"]) == 2
     assert capsys.readouterr().err == "error: /: the document does not match the schema\n"
+
+
+def test_rejected_document_compiles_the_schema_once(monkeypatch) -> None:
+    """The explainer walks with the checks the predicate compiled."""
+    compile_schema, calls = document._compile_schema, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compile_schema(*args, **kwargs)
+    monkeypatch.setattr(document, "_compile_schema", counted)
+    document._is_valid.cache_clear()
+    document._explain.cache_clear()
+    try:
+        with pytest.raises(SchemaError):
+            validate_raw({"field": "Q7"})
+        assert len(calls) == 1
+    finally:
+        # drop what the counted compile left, so later calls compile afresh
+        document._is_valid.cache_clear()
+        document._explain.cache_clear()
 
 
 def test_neg_schema_document_diagnostic(capsys) -> None:
