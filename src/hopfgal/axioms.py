@@ -125,6 +125,18 @@ def sparse(ops: Ops, table: dict) -> dict:
     return {key: row for key, row in rows if row}
 
 
+def nonzero(vec: dict, is_zero) -> dict:
+    """vec with its zero values dropped."""
+    return {k: c for k, c in vec.items() if not is_zero(c)}
+
+
+def normal(table: dict, is_zero) -> dict:
+    """A table of vectors with zero values and empty rows dropped: the form
+    in which a record keeps its tables, so that equality is field by field."""
+    return {key: v for key, row in table.items()
+            if (v := {k: c for k, c in row.items() if not is_zero(c)})}
+
+
 def accumulate(ops: Ops, pairs) -> dict:
     """Sum the values of (key, value) pairs per key; zero sums are dropped."""
     add = ops.add

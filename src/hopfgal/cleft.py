@@ -17,11 +17,11 @@ check is cheap and leaves nothing implicit.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import ring_ops, sparse, terms, total
+from .axioms import nonzero, ring_ops, sparse, terms, total
 from .comod import (
     ComoduleAlgebra,
     HModuleMap,
-    _clean,
+    _is_zero,
     _lifted,
     convolution_invert,
     convolve,
@@ -54,8 +54,8 @@ def central_coefficient(A: ComoduleAlgebra, vec: dict):
         return None
     i0, uinv = pivot
     c = vec.get(i0, C.zero()) * uinv
-    expect = _clean({i: c * u for i, u in A.unit.items()})
-    return c if _clean(dict(vec)) == expect else None
+    expect = nonzero({i: c * u for i, u in A.unit.items()}, _is_zero)
+    return c if nonzero(vec, _is_zero) == expect else None
 
 
 class CleavingMap(Record, frozen=True):
@@ -116,16 +116,6 @@ class Cocycle(Record, frozen=True):
         if len(self.sigma) != d or any(len(row) != d for row in self.sigma):
             raise DimensionMismatchError("cocycle table must be square of the Hopf dimension")
 
-    def __eq__(self, other):
-        if not isinstance(other, Cocycle):
-            return NotImplemented
-        return (self.base == other.base and self.hopf == other.hopf
-                and all(x == y for r1, r2 in zip(self.sigma, other.sigma)
-                        for x, y in zip(r1, r2)))
-
-    def __hash__(self):
-        return hash((self.base, self.hopf.labels))
-
 
 def trivial_cocycle(base: BaseRing, H: HopfAlgebra) -> Cocycle:
     """sigma(g, h) = counit(g) counit(h) 1, the untwisted case."""
@@ -163,7 +153,7 @@ def extract_cocycle(cm: CleavingMap) -> Cocycle:
         eps = H.counit.get(k, K.zero())
         for c in probes:
             got = quasi_action(cm, k, c)
-            want = _clean({i: A.lift(eps) * c * u for i, u in A.unit.items()})
+            want = nonzero({i: A.lift(eps) * c * u for i, u in A.unit.items()}, _is_zero)
             if got != want:
                 raise NonCentralDatumError(
                     f"quasi-action of {H.labels[k]} moves the base element "

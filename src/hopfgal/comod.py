@@ -15,14 +15,20 @@ Whether C is exactly the coinvariant subalgebra is a theorem to check, not
 an assumption: see ``coinvariants_over_field`` and the canonical-map test in
 the Galois module.
 
+As for a Hopf algebra, a record keeps copies of its tables, and an
+``HModuleMap`` of its values, in normal form: zero coefficients and empty
+rows dropped.  Equality is field by field.
+
 ``verify_comodule_algebra`` checks the axioms on these tables with the one
 axiom checker of ``axioms``, the one that also verifies Hopf algebras.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from . import axioms
-from .axioms import accumulate, field_ops, record, ring_ops, sparse, terms, total
+from .axioms import accumulate, field_ops, nonzero, normal, record, ring_ops, sparse, terms, total
 from .errors import (
     BaseNotFieldError,
     DimensionMismatchError,
@@ -36,8 +42,7 @@ from .report import Report
 from .rings import BaseElement, BaseMorphism, BaseRing
 
 
-def _clean(d: dict) -> dict:
-    return {k: v for k, v in d.items() if not v.is_zero}
+_is_zero = attrgetter("is_zero")  # of a BaseElement
 
 
 def _lifted(A, table: dict) -> dict:
@@ -57,6 +62,10 @@ class ComoduleAlgebra(Record, frozen=True):
     coaction: dict
 
     def __post_init__(self):
+        put = object.__setattr__
+        put(self, "mult", normal(self.mult, _is_zero))
+        put(self, "unit", nonzero(self.unit, _is_zero))
+        put(self, "coaction", normal(self.coaction, _is_zero))
         if self.base.field != self.hopf.field:
             raise RingMismatchError(
                 "base ring and Hopf algebra use different ground fields")
@@ -100,20 +109,6 @@ class ComoduleAlgebra(Record, frozen=True):
         mul, raw, wrap = ops.mul, ops.raw, ops.wrap
         return total(ops, ((jk, wrap(mul(raw(c), raw(m)))) for i, c in a.items()
                            for jk, m in self.coaction.get(i, {}).items()))
-
-    def _normal(self):
-        mult = {ij: _clean(v) for ij, v in self.mult.items()}
-        mult = {ij: v for ij, v in mult.items() if v}
-        co = {i: _clean(t) for i, t in self.coaction.items()}
-        co = {i: t for i, t in co.items() if t}
-        return (mult, _clean(self.unit), co)
-
-    def __eq__(self, other):
-        if not isinstance(other, ComoduleAlgebra):
-            return NotImplemented
-        return (self.base == other.base and self.hopf == other.hopf
-                and self.labels == other.labels
-                and self._normal() == other._normal())
 
     def __hash__(self):
         return hash((self.base, self.hopf, self.labels))
@@ -187,11 +182,9 @@ def push_forward(f: BaseMorphism, A: ComoduleAlgebra) -> ComoduleAlgebra:
     """Base change along f: same structure constants with f applied entrywise."""
     if f.source != A.base:
         raise RingMismatchError("morphism source does not match the bundle's base ring")
-    mult = {ij: _clean({l: f.apply(c) for l, c in sc.items()})
-            for ij, sc in A.mult.items()}
-    unit = _clean({i: f.apply(c) for i, c in A.unit.items()})
-    coaction = {i: _clean({jk: f.apply(c) for jk, c in t.items()})
-                for i, t in A.coaction.items()}
+    mult = {ij: {l: f.apply(c) for l, c in sc.items()} for ij, sc in A.mult.items()}
+    unit = {i: f.apply(c) for i, c in A.unit.items()}
+    coaction = {i: {jk: f.apply(c) for jk, c in t.items()} for i, t in A.coaction.items()}
     return ComoduleAlgebra(f.target, A.hopf, A.labels, mult, unit, coaction)
 
 
@@ -290,6 +283,7 @@ class HModuleMap(Record, frozen=True):
     values: tuple  # values[k] is a coordinate vector in A
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(nonzero(v, _is_zero) for v in self.values))
         if len(self.values) != self.algebra.hopf.dim:
             raise DimensionMismatchError("one value per Hopf basis element required")
 
@@ -298,19 +292,6 @@ class HModuleMap(Record, frozen=True):
         return total(ring_ops(A.base), (
             (i, c * m if isinstance(c, BaseElement) else m.scale(c))
             for k, c in h.items() for i, m in self.values[k].items()))
-
-    def matrix(self) -> list:
-        """Coordinate matrix with columns indexed by the H basis."""
-        n = self.algebra.dim
-        zero = self.algebra.base.zero()
-        return [[self.values[k].get(i, zero) for k in range(self.algebra.hopf.dim)]
-                for i in range(n)]
-
-    def __eq__(self, other):
-        if not isinstance(other, HModuleMap):
-            return NotImplemented
-        return (self.algebra == other.algebra
-                and all(_clean(a) == _clean(b) for a, b in zip(self.values, other.values)))
 
     def __hash__(self):
         return hash((self.algebra.labels, len(self.values)))
@@ -322,7 +303,7 @@ def unit_counit_map(A: ComoduleAlgebra) -> HModuleMap:
     vals = []
     for k in range(A.hopf.dim):
         eps = A.hopf.counit.get(k, K.zero())
-        vals.append(_clean({i: c * A.lift(eps) for i, c in A.unit.items()}))
+        vals.append({i: c * A.lift(eps) for i, c in A.unit.items()})
     return HModuleMap(A, tuple(vals))
 
 
@@ -369,8 +350,7 @@ def convolution_invert(gamma: HModuleMap) -> HModuleMap:
     sol = ring_solve(rows, rhs, C)
     if sol is None:
         raise NotInvertibleError("the cleaving map has no convolution inverse")
-    inv = HModuleMap(A, tuple(_clean({i: sol[j * n + i] for i in range(n)})
-                              for j in range(d)))
+    inv = HModuleMap(A, tuple({i: sol[j * n + i] for i in range(n)} for j in range(d)))
     e = unit_counit_map(A)
     if convolve(inv, gamma) != e:
         raise NotInvertibleError(

@@ -33,9 +33,9 @@ from functools import cache, partial
 from operator import itemgetter
 
 from .axioms import field_ops, ring_ops, total
-from .errors import BadScalarError, SchemaError, UnresolvedReferenceError
+from .errors import BadScalarError, GradingError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension
-from .rings import (BaseMorphism, BaseRing, adjoin_root, base_ring,
+from .rings import (BaseMorphism, BaseRing, Generator, adjoin_root, base_ring, refusal,
                     WorkBudget, extend_with_t, inclusion_morphism)
 from .hopf import (Bialgebra, HopfAlgebra, cyclic_group_algebra, dual_hopf,
                    hopf_from_bialgebra, sweedler_h4, taft)
@@ -424,17 +424,21 @@ def parse_ring(K: Field, spec, pointer, spend) -> BaseRing:
     R, names = base_ring(K), {}
     for i, g in enumerate(spec["gens"]):
         here = f"{pointer}/gens/{i}"
-        _first(names, g["name"], here + "/name", "name")
-        kind, grade = g["kind"], g.get("grade", 0)
+        name, kind, grade = g["name"], g["kind"], g.get("grade", 0)
+        _first(names, name, here + "/name", "name")
+        refused = refusal(R.gens, Generator(name, kind, grade=grade))
+        if refused is not None:
+            at = here + "/grade" if isinstance(refused, GradingError) else here
+            raise SchemaError(at, str(refused))
         if kind == FREE:
-            R = R.add_free(g["name"], grade=grade)
+            R = R.add_free(name, grade=grade)
         elif kind == LAURENT:
-            R = R.add_laurent(g["name"], grade=grade)
+            R = R.add_laurent(name)
         else:
             if "value" not in g:
                 raise SchemaError(here, "root generator needs a value")
             u = _value(R.parse_element, g["value"], here + "/value", spend)
-            R, _, _ = adjoin_root(R, u, g.get("degree", 2), g["name"], grade=grade)
+            R, _, _ = adjoin_root(R, u, g.get("degree", 2), name)
     return R
 
 
@@ -469,17 +473,14 @@ def _labels(spec, pointer) -> dict:
     return labels
 
 
-def _vec(read, ops, spec, labels, pointer, spend):
-    """{index: value} of a vector keyed by label, zeros dropped; ops is
-    axioms.field_ops or axioms.ring_ops of what read returns."""
-    raw, is_zero = ops.raw, ops.is_zero
+def _vec(read, spec, labels, pointer, spend):
+    """{index: value} of a vector keyed by label; the record it goes into
+    drops its zeros."""
     out = {}
     for label, text in spec.items():
         here = f"{pointer}/{_token(label)}"
         i = _ref(labels, label, here)
-        c = _value(read, text, here, spend)
-        if not is_zero(raw(c)):
-            out[i] = c
+        out[i] = _value(read, text, here, spend)
     return out
 
 
@@ -500,9 +501,7 @@ def _tables(read, ops, spec, labels, right_labels, key, pointer, spend):
     mult = {}
     for here, (a, b, vec) in _rows(spec["mult"], f"{pointer}/mult", 2):
         row = (_ref(labels, a, here), _ref(labels, b, here))
-        entry = _vec(read, ops, vec, labels, here + "/2", spend)
-        if entry:
-            mult[row] = entry
+        mult[row] = _vec(read, vec, labels, here + "/2", spend)
 
     def term(at, left, right, text):
         return ((_ref(labels, left, at), _ref(right_labels, right, at)),
@@ -511,10 +510,8 @@ def _tables(read, ops, spec, labels, right_labels, key, pointer, spend):
     table = {}
     for here, (a, terms) in _rows(spec[key], f"{pointer}/{key}", 1):
         i = _ref(labels, a, here)
-        entry = total(ops, (term(f"{here}/1/{s}", *t) for s, t in enumerate(terms)))
-        if entry:
-            table[i] = entry
-    return mult, table, _vec(read, ops, spec["unit"], labels, pointer + "/unit", spend)
+        table[i] = total(ops, (term(f"{here}/1/{s}", *t) for s, t in enumerate(terms)))
+    return mult, table, _vec(read, spec["unit"], labels, pointer + "/unit", spend)
 
 
 def parse_hopf(K: Field, spec, pointer, spend) -> HopfAlgebra:
@@ -531,14 +528,14 @@ def parse_hopf(K: Field, spec, pointer, spend) -> HopfAlgebra:
     read, ops = K.parse, field_ops(K)
     mult, comult, unit = _tables(read, ops, spec, labels, labels, "comult", pointer, spend)
     B = Bialgebra(K, tuple(spec["labels"]), mult, unit, comult,
-                  _vec(read, ops, spec["counit"], labels, pointer + "/counit", spend))
+                  _vec(read, spec["counit"], labels, pointer + "/counit", spend))
     if "antipode" not in spec:
         return hopf_from_bialgebra(B)
     d = len(labels)
     S = [[K.zero()] * d for _ in range(d)]
     for here, (a, vec) in _rows(spec["antipode"], f"{pointer}/antipode", 1):
         j = _ref(labels, a, here)
-        for i, c in _vec(read, ops, vec, labels, here + "/1", spend).items():
+        for i, c in _vec(read, vec, labels, here + "/1", spend).items():
             S[i][j] = c
     return HopfAlgebra(K, B.labels, B.mult, B.unit, B.comult, B.counit,
                        tuple(tuple(row) for row in S))
@@ -579,10 +576,10 @@ def _tables_spec(fmt, labels, right_labels, unit, mult, key, table):
     return {"construction": "explicit", "labels": list(labels),
             "unit": _vec_spec(fmt, labels, unit),
             "mult": [[labels[i], labels[j], _vec_spec(fmt, labels, mult[(i, j)])]
-                     for (i, j) in sorted(mult) if mult[(i, j)]],
+                     for (i, j) in sorted(mult)],
             key: [[labels[i], [[labels[a], right_labels[b], fmt(c)]
                                for (a, b), c in sorted(table[i].items())]]
-                  for i in sorted(table) if table[i]]}
+                  for i in sorted(table)]}
 
 
 def hopf_spec(H: HopfAlgebra):
@@ -646,10 +643,10 @@ def resolve(raw) -> Document:
         A = _ref(doc.bundles, spec["bundle"], here + "/bundle")
         alabels = {nm: i for i, nm in enumerate(A.labels)}
         hlabels = {nm: i for i, nm in enumerate(A.hopf.labels)}
-        read, ops = A.base.parse_element, ring_ops(A.base)
+        read = A.base.parse_element
         values = [dict() for _ in range(A.hopf.dim)]
         for at, (hl, vec) in _rows(spec["values"], f"{here}/values", 1):
-            values[_ref(hlabels, hl, at)] = _vec(read, ops, vec, alabels, at + "/1", spend)
+            values[_ref(hlabels, hl, at)] = _vec(read, vec, alabels, at + "/1", spend)
         doc.cleavings[name] = HModuleMap(A, tuple(values))
     for name, spec in raw.get("witnesses", {}).items():
         doc.witnesses[name] = _parse_witness(doc, spec, f"/witnesses/{_token(name)}", spend)

@@ -62,9 +62,8 @@ def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
     n, d = A.dim, A.hopf.dim
     C, H, K = A.base, A.hopf, A.field
     fops = field_ops(K)
-    hunit = [(k, u) for k, u in H.unit.items() if not K.is_zero(u)]
     # 1_H h_l over the ground field, per basis element l of H
-    unit_times = [accumulate(fops, ((q, K.mul(u, s)) for k, u in hunit
+    unit_times = [accumulate(fops, ((q, K.mul(u, s)) for k, u in H.unit.items()
                                     for q, s in H.mult.get((k, l), {}).items()))
                   for l in range(d)]
     ops = ring_ops(C)

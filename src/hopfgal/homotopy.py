@@ -428,7 +428,7 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
     d = A.hopf.dim
     M = [[ext.zero() for _ in range(n)] for _ in range(d)]
     for j in range(n):
-        for (jj, k), c in A.coaction[j].items():
+        for (jj, k), c in A.coaction.get(j, {}).items():
             M[k][j] = M[k][j] + incl(c) * images[jj]
     interval = extend_with_t(ext)
     return HomotopyWitness(step, interval,

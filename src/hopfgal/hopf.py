@@ -8,6 +8,11 @@ A bialgebra over the ground field k is stored sparsely:
 * ``counit``         -- coordinates of the counit functional
 * ``antipode``       -- dense d x d matrix, S(h_j) = sum_i antipode[i][j] h_i
 
+A record keeps copies of its tables in normal form, built once by its
+constructor: zero coefficients and empty rows are dropped, so a missing
+row reads as zero (``.get(key, {})``) and equality is field by field.  A
+Bialgebra never equals a HopfAlgebra.
+
 Nothing is trusted: ``verify_hopf`` re-checks every axiom on these tables
 with the one axiom checker of ``axioms``, which verifies bundles too (a Hopf
 algebra is its own comodule algebra), and ``solve_antipode`` recovers the
@@ -23,7 +28,7 @@ multiplicative order N, cyclic group algebras, and duals.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import accumulate, field_ops, first, record, sparse, terms
+from .axioms import accumulate, field_ops, first, nonzero, normal, record, sparse, terms
 from .errors import (
     BadRootOfUnityError,
     DimensionMismatchError,
@@ -47,6 +52,11 @@ class Bialgebra(Record, frozen=True):
     counit: Vec
 
     def __post_init__(self):
+        put, is_zero = object.__setattr__, self.field.is_zero
+        put(self, "mult", normal(self.mult, is_zero))
+        put(self, "unit", nonzero(self.unit, is_zero))
+        put(self, "comult", normal(self.comult, is_zero))
+        put(self, "counit", nonzero(self.counit, is_zero))
         d = self.dim
         for (i, j) in self.mult:
             if not (0 <= i < d and 0 <= j < d):
@@ -84,21 +94,6 @@ class Bialgebra(Record, frozen=True):
     def basis_vec(self, i: int) -> Vec:
         return {i: self.field.one()}
 
-    def __eq__(self, other):
-        if not isinstance(other, Bialgebra):
-            return NotImplemented
-        return (self.field == other.field and self.labels == other.labels
-                and self._normal_tensors() == other._normal_tensors())
-
-    def _normal_tensors(self):
-        ops = field_ops(self.field)
-
-        def normal(table):
-            return {key: dict(row) for key, row in sparse(ops, table).items()}
-
-        return (normal(self.mult), dict(terms(ops, self.unit)),
-                normal(self.comult), dict(terms(ops, self.counit)))
-
     def __hash__(self):
         return hash((self.field, self.labels))
 
@@ -110,11 +105,6 @@ class HopfAlgebra(Bialgebra, frozen=True):
         ops = field_ops(self.field)
         return accumulate(ops, ((i, ops.mul(c, row[j])) for j, c in a.items()
                                 for i, row in enumerate(self.antipode)))
-
-    def __eq__(self, other):
-        if not isinstance(other, HopfAlgebra):
-            return NotImplemented
-        return Bialgebra.__eq__(self, other) and self.antipode == other.antipode
 
     def __hash__(self):
         return hash((self.field, self.labels, self.antipode))
@@ -322,12 +312,11 @@ def sweedler_h4(field: Field) -> HopfAlgebra:
     neg = K.neg(one)
     labels = ("1", "X", "Y", "XY")
     # products of basis elements, derived from the relations:
-    # Y*X = -XY, X*XY = Y, XY*X = -Y, Y*XY = XY*Y = XY*XY = 0
+    # Y*X = -XY, X*XY = Y, XY*X = -Y; the products left out are 0
     mult = {
         (0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (0, 3): {3: one},
         (1, 0): {1: one}, (1, 1): {0: one}, (1, 2): {3: one}, (1, 3): {2: one},
-        (2, 0): {2: one}, (2, 1): {3: neg}, (2, 2): {}, (2, 3): {},
-        (3, 0): {3: one}, (3, 1): {2: neg}, (3, 2): {}, (3, 3): {},
+        (2, 0): {2: one}, (2, 1): {3: neg}, (3, 0): {3: one}, (3, 1): {2: neg},
     }
     unit = {0: one}
     comult = {
@@ -381,11 +370,8 @@ def taft(N: int, q, field: Field) -> HopfAlgebra:
         for b in range(N):
             for c in range(N):
                 for e in range(N):
-                    if b + e >= N:
-                        mult[(idx(a, b), idx(c, e))] = {}
-                    else:
-                        coeff = K.pow(q, b * c)
-                        mult[(idx(a, b), idx(c, e))] = {idx((a + c) % N, b + e): coeff}
+                    if b + e < N:
+                        mult[(idx(a, b), idx(c, e))] = {idx((a + c) % N, b + e): K.pow(q, b * c)}
     unit = {0: K.one()}
     counit = {idx(i, 0): K.one() for i in range(N)}
     # Delta on generators, then extended as an algebra morphism
@@ -427,9 +413,6 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
     for l in range(d):
         for (i, j), c in H.comult.get(l, {}).items():
             mult.setdefault((i, j), {})[l] = c
-    for i in range(d):
-        for j in range(d):
-            mult.setdefault((i, j), {})
     unit = dict(H.counit)
     comult = {}
     for (i, j), sc in H.mult.items():

@@ -79,6 +79,19 @@ class Generator(Record, frozen=True):
     grade: int = 0   # grading degree
 
 
+def refusal(gens: tuple, g: Generator):
+    """The GradingError or TowerOrderError that refuses g above the
+    generators gens, or None when g may follow them."""
+    if g.grade < 0:
+        return GradingError(f"generator {g.name} has negative grade")
+    if g.grade > 0 and g.kind != FREE:
+        return GradingError(
+            f"generator {g.name} is {g.kind}; only free generators may have positive grade")
+    if g.kind == LAURENT and any(h.kind == ROOT for h in gens):
+        return TowerOrderError(f"laurent generator {g.name} comes after a root adjunction")
+    return None
+
+
 class BaseRing:
     """Immutable tower k[g_1, ..., g_m] as described in the module docstring.
 
@@ -95,14 +108,9 @@ class BaseRing:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names in {names}")
         for i, g in enumerate(self.gens):
-            if g.grade < 0:
-                raise GradingError(f"generator {g.name} has negative grade")
-            if g.grade > 0 and g.kind != FREE:
-                raise GradingError(
-                    f"generator {g.name} is {g.kind}; only free generators may have positive grade")
-            if g.kind == LAURENT and any(h.kind == ROOT for h in self.gens[:i]):
-                raise TowerOrderError(
-                    f"laurent generator {g.name} comes after a root adjunction")
+            refused = refusal(self.gens[:i], g)
+            if refused is not None:
+                raise refused
         self._index = {g.name: i for i, g in enumerate(self.gens)}
         self._root_indices = tuple(i for i, g in enumerate(self.gens) if g.kind == ROOT)
         self._prefix_cache: dict[int, BaseRing] = {}
@@ -155,8 +163,8 @@ class BaseRing:
     def add_free(self, name: str, grade: int = 0) -> BaseRing:
         return self._extended(Generator(name, FREE, grade=grade))
 
-    def add_laurent(self, name: str, grade: int = 0) -> BaseRing:
-        return self._extended(Generator(name, LAURENT, grade=grade))
+    def add_laurent(self, name: str) -> BaseRing:
+        return self._extended(Generator(name, LAURENT))
 
     def prefix(self, k: int) -> BaseRing:
         if k == len(self.gens):
@@ -653,8 +661,6 @@ class BaseElement:
         return None
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
         if not isinstance(other, BaseElement):
             return NotImplemented
         return self.ring == other.ring and self.coeffs == other.coeffs
@@ -699,14 +705,13 @@ def fresh_name(ring: BaseRing, stem: str) -> str:
     return f"{stem}{i}"
 
 
-def adjoin_root(ring: BaseRing, u: BaseElement, n: int, name: str | None = None,
-                grade: int = 0):
+def adjoin_root(ring: BaseRing, u: BaseElement, n: int, name: str | None = None):
     """Adjoin an n-th root of the unit u: returns (extension, inclusion, root).
 
     The extension k-tower gains one root generator r with r^n = u.  Requires
     u to be a unit (NonUnitError) and n to be invertible in the ground field
     (CharDividesError); under those hypotheses the extension is etale, hence
-    still reduced.  A root generator takes no grade (GradingError).
+    still reduced.  A root generator takes no grade.
     """
     if u.ring != ring:
         raise RingMismatchError("root value must live in the ring being extended")
@@ -720,7 +725,7 @@ def adjoin_root(ring: BaseRing, u: BaseElement, n: int, name: str | None = None,
     nm = name or fresh_name(ring, "r")
     if nm in {g.name for g in ring.gens}:
         raise ValueError(f"generator name {nm} already used")
-    ext = ring._extended(Generator(nm, ROOT, degree=n, grade=grade), root_value=u.coeffs)
+    ext = ring._extended(Generator(nm, ROOT, degree=n), root_value=u.coeffs)
     incl = inclusion_morphism(ring, ext)
     return ext, incl, ext.gen(nm)
 

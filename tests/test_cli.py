@@ -222,9 +222,9 @@ def test_laurent_above_root_is_rejected(tmp_path, capsys):
             {"name": "z", "kind": "laurent"}]
     path.write_text(json.dumps({"field": "Q", "rings": {"R": {"gens": gens}},
                                 "hopf_algebras": {"S": {"construction": "sweedler"}}}))
-    assert main(["verify-hopf", str(path), "S"]) == 1
+    assert main(["verify-hopf", str(path), "S"]) == 2
     assert capsys.readouterr().err == \
-        "rejected: laurent generator z comes after a root adjunction\n"
+        "error: /rings/R/gens/1: laurent generator z comes after a root adjunction\n"
     gens.reverse()
     gens[1]["value"] = "z"
     path.write_text(json.dumps({"field": "Q", "rings": {"R": {"gens": gens}},
@@ -234,15 +234,16 @@ def test_laurent_above_root_is_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("gen", [
     {"name": "z", "kind": "laurent", "grade": 1},
+    {"name": "z", "kind": "laurent", "grade": 2},
     {"name": "r", "kind": "root", "degree": 2, "value": "1", "grade": 1},
 ])
 def test_graded_laurent_or_root_generator_is_rejected(tmp_path, capsys, gen):
     path = tmp_path / "graded.json"
     path.write_text(json.dumps({"field": "Q", "rings": {"R": {"gens": [gen]}},
                                 "hopf_algebras": {"S": {"construction": "sweedler"}}}))
-    assert main(["verify-hopf", str(path), "S"]) == 1
+    assert main(["verify-hopf", str(path), "S"]) == 2
     assert capsys.readouterr().err == (
-        f"rejected: generator {gen['name']} is {gen['kind']}; "
+        f"error: /rings/R/gens/0/grade: generator {gen['name']} is {gen['kind']}; "
         "only free generators may have positive grade\n")
     ungraded = {k: v for k, v in gen.items() if k != "grade"}
     path.write_text(json.dumps({"field": "Q", "rings": {"R": {"gens": [ungraded]}},

@@ -115,7 +115,7 @@ def test_cyclic_group_algebra_and_dual():
         assert verify_hopf(D).ok
         DD = dual_hopf(D)
         # double dual has the same tensors (labels gain two stars)
-        assert DD._normal_tensors() == G._normal_tensors()
+        assert (DD.mult, DD.unit, DD.comult, DD.counit) == (G.mult, G.unit, G.comult, G.counit)
         assert DD.antipode == G.antipode
 
 
@@ -207,6 +207,31 @@ def test_antipode_extension_failing_the_identities_falls_back(monkeypatch):
     assert sizes == [2 * 3, 3 * 3]  # the system on {1, g} solved, then the full one
     assert S == ref.solve_antipode(B)
     assert [S[p][2] for p in range(3)] == [2, 0, -1]
+
+
+def _reindexed(H, perm):
+    """The bialgebra part of H on its basis reordered: new index n holds the
+    old basis element perm[n]."""
+    new = {old: n for n, old in enumerate(perm)}
+    return Bialgebra(
+        H.field, tuple(H.labels[old] for old in perm),
+        {(new[i], new[j]): {new[l]: c for l, c in row.items()} for (i, j), row in H.mult.items()},
+        {new[i]: c for i, c in H.unit.items()},
+        {new[i]: {(new[j], new[k]): c for (j, k), c in t.items()} for i, t in H.comult.items()},
+        {new[i]: c for i, c in H.counit.items()})
+
+
+def test_antipode_system_closes_under_the_left_legs_of_delta(monkeypatch):
+    # on this basis order the word tree has root 1 and generators X, Y^2 and
+    # X^2 Y; the left legs of Delta(Y^2) bring in Y, those of Delta(X^2 Y)
+    # bring in X^2, so the system is solved on 6 of the 9 basis elements
+    B = _reindexed(taft(3, 2, F7), [1, 6, 5, 0, 2, 4, 8, 7, 3])
+    assert B.labels == ("X", "Y^2", "X^2Y", "1", "X^2", "XY", "X^2Y^2", "XY^2", "Y")
+    sizes = _system_sizes(monkeypatch)
+    S = solve_antipode(B)
+    assert sizes == [6 * 9]
+    assert S == ref.solve_antipode(B)
+    assert verify_hopf(hopf_from_bialgebra(B)).ok
 
 
 def test_antipode_on_generators_needs_an_associative_algebra():

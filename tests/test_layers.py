@@ -1,12 +1,15 @@
 """The linear algebra stays in one layer: ``linalg`` alone defines the
 elimination kernel and Berkowitz, ``rings`` does not import it at module
-level, and the kernel takes its coefficients through ``Ops`` alone."""
+level, and the kernel takes its coefficients through ``Ops`` alone.
+Equality of records stays in one place: ``Record``'s, field by field."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
 from hopfgal import linalg
+from hopfgal.record import Record
 
 SRC = Path(linalg.__file__).parent
 KERNEL = {"_eliminate", "_charpoly", "_berkowitz", "odd_permutation"}
@@ -38,3 +41,18 @@ def test_rings_does_not_import_linalg_at_module_level() -> None:
 def test_the_kernel_takes_no_ring() -> None:
     for f in (linalg._det, linalg._solve):
         assert "ring" not in inspect.signature(f).parameters
+
+
+def test_no_record_in_src_defines_eq() -> None:
+    # records keep their tables in normal form, so none needs its own equality
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"hopfgal.{path.stem}")
+    todo, records = list(Record.__subclasses__()), {}
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("hopfgal."):
+            records[cls.__qualname__] = "__eq__" in cls.__dict__
+    assert {"Bialgebra", "HopfAlgebra", "ComoduleAlgebra", "HModuleMap", "Cocycle"} <= set(records)
+    assert not any(records.values()), [name for name, own in records.items() if own]

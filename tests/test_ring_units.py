@@ -264,7 +264,7 @@ def test_ring_ops_agree_with_the_element_operators(ring, data) -> None:
         assert ops.mul(x.coeffs, y.coeffs) == (x * y).coeffs
     assert ops.neg(a.coeffs) == (-a).coeffs
     assert ops.is_zero(a.coeffs) == a.is_zero
-    assert ops.is_one(a.coeffs) == (a == 1)
+    assert ops.is_one(a.coeffs) == (a == ring.one())
     inv = ring.try_inverse(a)
     assert ops.inv(a.coeffs) == (None if inv is None else inv.coeffs)
     assert ops.is_unit(a.coeffs) == (inv is not None)
