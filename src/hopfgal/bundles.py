@@ -4,10 +4,11 @@ The rank-4 family over a base C is presented by generators x, y with
 
     x^2 = alpha (a unit),  y^2 = beta,  x y + y x = gamma
 
-and carries the four-dimensional Hopf algebra's coaction.  Its full
-multiplication table is derived mechanically by rewriting words in x, y
-with the rules {xx -> alpha, yy -> beta, yx -> gamma - xy}; the rewriting
-system is confluent (tests drive it with different strategies and compare).
+and carries the four-dimensional Hopf algebra's coaction.  Its
+multiplication table on the basis {1, x, y, xy} is written out, each
+product reduced by y x = gamma - x y; the tests compare it with a
+confluent rewriting of words in x, y under {xx -> alpha, yy -> beta,
+yx -> gamma - xy} over the generic parameters.
 
 The Kummer cover adjoins an N-th root of the Laurent generator z and is
 coacted on by the dual of the cyclic group algebra through the order-N
@@ -68,60 +69,19 @@ class AbgParams(Record, frozen=True):
         return f"({f(self.alpha)}, {f(self.beta)}, {f(self.gamma)} / {self.base!r})"
 
 
-_WORDS = ("", "x", "y", "xy")
-_WORD_INDEX = {w: i for i, w in enumerate(_WORDS)}
-
-
-def _find_redex(word: str, leftmost: bool):
-    rng = range(len(word) - 1)
-    for i in (rng if leftmost else reversed(rng)):
-        if word[i:i + 2] in ("xx", "yy", "yx"):
-            return i
-    return None
-
-
-def reduce_word_combination(p: AbgParams, comb: dict, leftmost: bool = True) -> dict:
-    """Normal form of a C-combination of words in x, y.
-
-    Rules: xx -> alpha, yy -> beta, yx -> gamma * (empty) - xy.  Both
-    strategies must agree; the default scans leftmost.
-    """
-    C = p.base
-    out: dict = {}
-    stack = list(comb.items())
-    while stack:
-        word, c = stack.pop()
-        if c.is_zero:
-            continue
-        i = _find_redex(word, leftmost)
-        if i is None:
-            s = out.get(word, C.zero()) + c
-            if s.is_zero:
-                out.pop(word, None)
-            else:
-                out[word] = s
-            continue
-        pair = word[i:i + 2]
-        rest = word[:i] + word[i + 2:]
-        if pair == "xx":
-            stack.append((rest, c * p.alpha))
-        elif pair == "yy":
-            stack.append((rest, c * p.beta))
-        else:
-            stack.append((rest, c * p.gamma))
-            stack.append((word[:i] + "xy" + word[i + 2:], -c))
-    return out
-
-
 def abg_bundle(p: AbgParams) -> ComoduleAlgebra:
     """The rank-4 bundle of p on the basis {1, x, y, xy}."""
     C = p.base
     one = C.one()
-    mult = {}
-    for i, wi in enumerate(_WORDS):
-        for j, wj in enumerate(_WORDS):
-            nf = reduce_word_combination(p, {wi + wj: one})
-            mult[(i, j)] = {_WORD_INDEX[w]: c for w, c in nf.items()}
+    a, b, g = p.alpha, p.beta, p.gamma
+    # products of basis elements, derived from the relations:
+    # y x = g - x y, so y xy = g y - b x, xy x = g x - a y, xy xy = g xy - a b
+    mult = {
+        (0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (0, 3): {3: one},
+        (1, 0): {1: one}, (1, 1): {0: a}, (1, 2): {3: one}, (1, 3): {2: a},
+        (2, 0): {2: one}, (2, 1): {3: -one, 0: g}, (2, 2): {0: b}, (2, 3): {1: -b, 2: g},
+        (3, 0): {3: one}, (3, 1): {2: -a, 1: g}, (3, 2): {1: b}, (3, 3): {0: -(a * b), 3: g},
+    }
     lift = C.from_scalar
     K = C.field
     e = K.one()

@@ -527,18 +527,17 @@ def parse_hopf(K: Field, spec, pointer, spend) -> HopfAlgebra:
     labels = _labels(spec, pointer)
     read, ops = K.parse, field_ops(K)
     mult, comult, unit = _tables(read, ops, spec, labels, labels, "comult", pointer, spend)
-    B = Bialgebra(K, tuple(spec["labels"]), mult, unit, comult,
-                  _vec(read, spec["counit"], labels, pointer + "/counit", spend))
+    tables = (K, tuple(spec["labels"]), mult, unit, comult,
+              _vec(read, spec["counit"], labels, pointer + "/counit", spend))
     if "antipode" not in spec:
-        return hopf_from_bialgebra(B)
+        return hopf_from_bialgebra(Bialgebra(*tables))
     d = len(labels)
     S = [[K.zero()] * d for _ in range(d)]
     for here, (a, vec) in _rows(spec["antipode"], f"{pointer}/antipode", 1):
         j = _ref(labels, a, here)
         for i, c in _vec(read, vec, labels, here + "/1", spend).items():
             S[i][j] = c
-    return HopfAlgebra(K, B.labels, B.mult, B.unit, B.comult, B.counit,
-                       tuple(tuple(row) for row in S))
+    return HopfAlgebra(*tables, tuple(tuple(row) for row in S))
 
 
 def _bundle_over(doc: Document, R: BaseRing, spec, pointer, spend) -> ComoduleAlgebra:

@@ -1,10 +1,13 @@
 """Exact ground fields: Q, prime fields F_p, and simple extensions k0[u]/(f).
 
-Scalars are raw values (``Fraction`` for Q, ``int`` in ``range(p)`` for F_p,
-tuples of base scalars for extensions) and all arithmetic goes through the
-field object.  ``fractions`` is imported when Q makes its first scalar, so
-a run over F_p never loads it.  Representations are normalized, so ``==`` on raw values is
-exact equality.  No floating point is used anywhere.
+Scalars are raw values (over Q an ``int`` when integral and a ``Fraction``
+otherwise, ``int`` in ``range(p)`` for F_p, tuples of base scalars for
+extensions) and all arithmetic goes through the field object.  ``fractions``
+is imported when Q makes its first non-integer, so a run over F_p, or over Q
+with integral scalars only, never loads it; ``Fraction(n)`` equals ``n`` and
+hashes equal, so both spellings are the same key.  Representations are
+normalized, so ``==`` on raw values is exact equality.  No floating point is
+used anywhere.
 
 Root extraction is exact: over Q by integer Newton iteration on numerator and
 denominator, square roots in F_p by Tonelli-Shanks, other roots over finite
@@ -198,38 +201,48 @@ class RationalField(Field):
 
     @cached_property
     def fraction(self):
-        """``fractions.Fraction``, imported when the first rational is made."""
+        """``fractions.Fraction``, imported when the first non-integer is made."""
         from fractions import Fraction
         return Fraction
 
+    # an integral result is returned as its numerator, so ints stay ints
     def zero(self):
-        return self.fraction(0)
+        return 0
 
     def one(self):
-        return self.fraction(1)
+        return 1
 
     def from_int(self, n):
-        return self.fraction(n)
+        return n
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        if type(a) is int:
+            return a if a in (1, -1) else self.fraction(1, a)
+        r = 1 / a
+        return r if r.denominator != 1 else r.numerator
 
     def pow(self, a, e):
-        return a ** e
+        if e < 0:
+            a, e = self.inv(a), -e
+        r = a ** e
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def is_zero(self, a):
         return a == 0
@@ -245,7 +258,7 @@ class RationalField(Field):
 
     def nth_root(self, a, n):
         if a == 0:
-            return self.fraction(0)
+            return 0
         if n % 2 == 0 and a < 0:
             return None
         num, den = abs(a.numerator), a.denominator
@@ -253,11 +266,12 @@ class RationalField(Field):
         rd, okd = _int_nth_root(den, n)
         if not (okn and okd):
             return None
-        r = self.fraction(rn, rd)
+        r = rn if rd == 1 else self.fraction(rn, rd)
         return -r if a < 0 else r
 
     def random_scalar(self, rng, size=9):
-        return self.fraction(rng.randint(-size, size), rng.randint(1, size))
+        num, den = rng.randint(-size, size), rng.randint(1, size)
+        return num // den if num % den == 0 else self.fraction(num, den)
 
     def format(self, a):
         return str(a)
@@ -402,6 +416,7 @@ class SimpleExtension(Field):
         # the nonzero coefficients below the monic top, for reduction
         self._reduction = tuple((j, c) for j, c in enumerate(modulus[:-1])
                                 if not base.is_zero(c))
+        self._zero, self._one = self.zero(), self.one()
         self.name = f"{base.name}[{var}]/({self._poly_str(modulus)})"
 
     def _poly_str(self, coeffs) -> str:
@@ -468,7 +483,7 @@ class SimpleExtension(Field):
     def inv(self, a):
         # extended Euclid in base[x] against the modulus
         K = self.base
-        if all(K.is_zero(c) for c in a):
+        if self.is_zero(a):
             raise ZeroDivisionError(f"inverse of 0 in {self.name}")
 
         def degree(p):
@@ -505,10 +520,10 @@ class SimpleExtension(Field):
         return tuple(t)
 
     def is_zero(self, a):
-        return all(self.base.is_zero(c) for c in a)
+        return a == self._zero
 
     def is_one(self, a):
-        return self.base.is_one(a[0]) and all(map(self.base.is_zero, a[1:]))
+        return a == self._one
 
     def characteristic(self):
         return self.base.characteristic()

@@ -15,14 +15,15 @@ Bialgebra never equals a HopfAlgebra.
 
 Nothing is trusted: ``verify_hopf`` re-checks every axiom on these tables
 with the one axiom checker of ``axioms``, which verifies bundles too (a Hopf
-algebra is its own comodule algebra), and ``solve_antipode`` recovers the
-antipode from the bialgebra part as the unique solution of a k-linear
-system, solved on generators first (see ``axioms``), then checks the
-right-sided identity with the same checker.
+algebra is its own comodule algebra).  For an explicit table given without
+an antipode, ``solve_antipode`` recovers it from the bialgebra part as the
+unique solution of a k-linear system, solved on generators first (see
+``axioms``), then checks the right-sided identity with the same checker.
 
-Constructors cover the four-dimensional Hopf algebra with X^2 = 1, Y^2 = 0,
-XY + YX = 0, its order-N generalization with Y X = q X Y for q of exact
-multiplicative order N, cyclic group algebras, and duals.
+Constructors write every table, antipode included, in closed form: the
+four-dimensional Hopf algebra with X^2 = 1, Y^2 = 0, XY + YX = 0, its
+order-N generalization with Y X = q X Y for q of exact multiplicative
+order N (Taft's algebras), cyclic group algebras, and duals.
 """
 
 from __future__ import annotations
@@ -81,15 +82,6 @@ class Bialgebra(Record, frozen=True):
         ops = field_ops(self.field)
         return accumulate(ops, ((jk, ops.mul(c, m)) for i, c in a.items()
                                 for jk, m in self.comult.get(i, {}).items()))
-
-    def tensor_mul(self, A: Tens2, B: Tens2) -> Tens2:
-        """Product in H (x) H of two tensor-square elements."""
-        ops = field_ops(self.field)
-        mul, get = ops.mul, self.mult.get
-        return accumulate(ops, (((l, r), mul(mul(ca, cb), mul(cl, cr)))
-                                for (i, j), ca in A.items() for (p, q), cb in B.items()
-                                for l, cl in get((i, p), {}).items()
-                                for r, cr in get((j, q), {}).items()))
 
     def basis_vec(self, i: int) -> Vec:
         return {i: self.field.one()}
@@ -348,9 +340,15 @@ def taft(N: int, q, field: Field) -> HopfAlgebra:
     """The N^2-dimensional Hopf algebra X^N = 1, Y^N = 0, Y X = q X Y.
 
     q must be a scalar of exact multiplicative order N (BadRootOfUnity
-    otherwise).  Comultiplication and counit use the same formulas as the
-    four-dimensional case, extended multiplicatively; the antipode is
-    recovered by solve_antipode, never asserted.
+    otherwise).  X is group-like and Delta(Y) = 1 (x) Y + Y (x) X, as in the
+    four-dimensional case.  On the basis X^a Y^b (index a + N b, X exponents
+    mod N) every table is written in closed form (Taft, PNAS 68, 1971):
+
+        Delta(X^a Y^b) = sum_k [b k]_q X^a Y^k (x) X^(a+k) Y^(b-k)
+        S(X^a Y^b)     = (-1)^b q^(-b(b+1)/2 - ab) X^(-a-b) Y^b
+
+    with the q-binomials from the q-Pascal rule [b k] = [b-1 k-1] + q^k [b-1 k].
+    The tables are not trusted: ``verify_hopf`` certifies each of them.
     """
     K = field
     if isinstance(q, int):
@@ -361,34 +359,28 @@ def taft(N: int, q, field: Field) -> HopfAlgebra:
         raise BadRootOfUnityError(
             f"{K.format(q)} does not have exact multiplicative order {N}")
     labels = tuple(_xy_label(i, j) for j in range(N) for i in range(N))
-
-    def idx(i, j):
-        return i + N * j
-
-    mult = {}
-    for a in range(N):
-        for b in range(N):
-            for c in range(N):
-                for e in range(N):
-                    if b + e < N:
-                        mult[(idx(a, b), idx(c, e))] = {idx((a + c) % N, b + e): K.pow(q, b * c)}
-    unit = {0: K.one()}
-    counit = {idx(i, 0): K.one() for i in range(N)}
-    # Delta on generators, then extended as an algebra morphism
-    shell = Bialgebra(K, labels, mult, unit, {}, counit)
-    dX = {(idx(1, 0), idx(1, 0)): K.one()}
-    dY = {(idx(0, 0), idx(0, 1)): K.one(), (idx(0, 1), idx(1, 0)): K.one()}
-    comult = {}
+    one, zero = K.one(), K.zero()
+    qp = [one]  # q^e for e in range(N); q^N = 1
+    for _ in range(N - 1):
+        qp.append(K.mul(qp[-1], q))
+    mult, comult = {}, {}
+    antipode = [[zero] * (N * N) for _ in range(N * N)]
+    binom = [one]  # [b k]_q for k = 0..b
     for b in range(N):
+        if b:
+            binom = [one, *(K.add(binom[k - 1], K.mul(qp[k], binom[k])) for k in range(1, b)),
+                     one]
         for a in range(N):
-            t = {(0, 0): K.one()}
-            for _ in range(a):
-                t = shell.tensor_mul(t, dX)
-            for _ in range(b):
-                t = shell.tensor_mul(t, dY)
-            comult[idx(a, b)] = t
-    B = Bialgebra(K, labels, mult, unit, comult, counit)
-    return hopf_from_bialgebra(B)
+            i = a + N * b
+            for c in range(N):
+                for e in range(N - b):
+                    mult[(i, c + N * e)] = {(a + c) % N + N * (b + e): qp[b * c % N]}
+            comult[i] = {(a + N * k, (a + k) % N + N * (b - k)): binom[k] for k in range(b + 1)}
+            s = qp[-(b * (b + 1) // 2 + a * b) % N]
+            antipode[(-a - b) % N + N * b][i] = K.neg(s) if b % 2 else s
+    counit = {i: one for i in range(N)}
+    return HopfAlgebra(K, labels, mult, {0: one}, comult, counit,
+                       tuple(map(tuple, antipode)))
 
 
 def cyclic_group_algebra(N: int, field: Field) -> HopfAlgebra:

@@ -14,6 +14,9 @@ through ``tensor_mul``, as the library did before reading it off the tables.
 the library did before it checked maps through the axiom checker.
 ``entries`` and ``rows`` spell a ``galois.CanonicalMatrix`` out densely, as
 its own methods did before only the tests read them.
+``reduce_word_combination`` rewrites words in x, y to the normal form of
+the rank-4 family, as ``bundles.abg_bundle`` did before its table was
+written out.
 """
 
 from hopfgal.errors import NoAntipodeError
@@ -514,3 +517,58 @@ def check_iso(A, B, M) -> Report:
     rep.add("equivariant", bad is None,
             "" if bad is None else f"coaction differs on phi({L[bad]})")
     return rep
+
+
+# ------------------------------------------- the rank-4 family by rewriting
+
+_WORDS = ("", "x", "y", "xy")
+_WORD_INDEX = {w: i for i, w in enumerate(_WORDS)}
+
+
+def _find_redex(word: str, leftmost: bool):
+    rng = range(len(word) - 1)
+    for i in (rng if leftmost else reversed(rng)):
+        if word[i:i + 2] in ("xx", "yy", "yx"):
+            return i
+    return None
+
+
+def reduce_word_combination(p, comb: dict, leftmost: bool = True) -> dict:
+    """Normal form of a C-combination of words in x, y.
+
+    Rules: xx -> alpha, yy -> beta, yx -> gamma * (empty) - xy.  Both
+    strategies must agree; the default scans leftmost.
+    """
+    C = p.base
+    out: dict = {}
+    stack = list(comb.items())
+    while stack:
+        word, c = stack.pop()
+        if c.is_zero:
+            continue
+        i = _find_redex(word, leftmost)
+        if i is None:
+            s = out.get(word, C.zero()) + c
+            if s.is_zero:
+                out.pop(word, None)
+            else:
+                out[word] = s
+            continue
+        pair = word[i:i + 2]
+        rest = word[:i] + word[i + 2:]
+        if pair == "xx":
+            stack.append((rest, c * p.alpha))
+        elif pair == "yy":
+            stack.append((rest, c * p.beta))
+        else:
+            stack.append((rest, c * p.gamma))
+            stack.append((word[:i] + "xy" + word[i + 2:], -c))
+    return out
+
+
+def abg_mult(p) -> dict:
+    """The multiplication table of the rank-4 bundle of p, by rewriting."""
+    one = p.base.one()
+    return {(i, j): {_WORD_INDEX[w]: c
+                     for w, c in reduce_word_combination(p, {wi + wj: one}).items()}
+            for i, wi in enumerate(_WORDS) for j, wj in enumerate(_WORDS)}

@@ -350,3 +350,72 @@ def test_extension_mul_matches_schoolbook_mod_5(modulus) -> None:
     for a in elems:
         for b in elems:
             assert K.mul(a, b) == reference(a, b), (a, b)
+
+
+# ------------------------------------- Q: ints when integral, else Fraction
+
+_RATIONALS = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)).map(
+        lambda r: r.numerator if r.denominator == 1 else r),
+)
+
+
+def _normal_q(value, expected) -> None:
+    assert value == expected
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS, st.integers(-4, 4))
+def test_rational_ops_match_fraction(a, b, e) -> None:
+    fa, fb = Fraction(a), Fraction(b)
+    _normal_q(QQ.add(a, b), fa + fb)
+    _normal_q(QQ.sub(a, b), fa - fb)
+    _normal_q(QQ.mul(a, b), fa * fb)
+    _normal_q(QQ.neg(a), -fa)
+    if a != 0:
+        _normal_q(QQ.inv(a), 1 / fa)
+        _normal_q(QQ.pow(a, e), fa ** e)
+    elif e >= 0:
+        _normal_q(QQ.pow(a, e), fa ** e)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.pow(a, e)
+    for n in (1, 2, 3):
+        root = QQ.nth_root(a ** n, n)
+        _normal_q(root, Fraction(abs(a)) if n == 2 else fa)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_RATIONALS, st.integers(1, 3))
+def test_rational_nth_root_of_a_non_power_is_none(a, n) -> None:
+    r = QQ.nth_root(a, n)
+    if r is None:
+        assert all(x ** n != a for x in (Fraction(k, d) for k in range(-50, 51)
+                                         for d in range(1, 13)))
+    else:
+        _normal_q(r ** n, Fraction(a))
+
+
+def test_rational_constants_are_ints() -> None:
+    assert [type(QQ.zero()), type(QQ.one()), type(QQ.from_int(-7))] == [int, int, int]
+    assert QQ.inv(1) == 1 and QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    rng = random.Random(5)
+    for _ in range(200):
+        r = QQ.random_scalar(rng)
+        assert type(r) is (int if Fraction(r).denominator == 1 else Fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RATIONALS, min_size=2, max_size=2), st.sampled_from([0, 1, 2, 3, 4, 5, 6]))
+def test_extension_is_zero_and_is_one_are_coordinatewise(coords, c) -> None:
+    Q2 = SimpleExtension(QQ, "a", (-3, 0, 1))
+    F49 = SimpleExtension(F7, "a", (1, 0, 1))   # x^2 + 1 has no root mod 7
+    x = coords[0]
+    for K, a in ((Q2, tuple(coords)), (Q2, (x, 0)), (Q2, (0, x)), (Q2, (0, 0)), (Q2, (1, 0)),
+                 (F49, (c, x % 7)), (F49, (c, 0)), (F49, (0, c))):
+        assert K.is_zero(a) == all(K.base.is_zero(x) for x in a)
+        assert K.is_one(a) == (K.base.is_one(a[0]) and all(map(K.base.is_zero, a[1:])))

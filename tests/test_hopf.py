@@ -4,14 +4,17 @@ Oracle values were computed by hand from the defining relations and frozen
 here; none were produced by the code under test.
 """
 
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgal import hopf
-from hopfgal.document import load_document
+from hopfgal.document import load_document, parse_document
 from hopfgal.errors import BadRootOfUnityError, NoAntipodeError
-from hopfgal.fields import QQ, PrimeField
+from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.hopf import (
     Bialgebra,
     HopfAlgebra,
@@ -252,3 +255,71 @@ def test_taft6_matches_stored_document():
     # the stored document holds the antipode written by perfbench/gen_taft6.py
     path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "taft6_F7_q3.json"
     assert taft(6, 3, F7) == load_document(str(path)).hopf_algebras["T"]
+
+
+# ------------------------------------------- Taft's closed forms, by oracle
+
+QI = SimpleExtension(QQ, "i", (1, 0, 1))
+QW = SimpleExtension(QQ, "w", (1, 1, 1))
+# (N, field, every q of exact order N); N = 2..8 over four prime fields
+# wherever such a q exists, and the roots of unity of Q, Q(i) and Q(w)
+TAFT_CASES = [(N, F, qs) for p in (7, 13, 61, 97) for F in [PrimeField(p)]
+              for N in range(2, 9) if (qs := [q for q in range(1, p) if F.has_order(q, N)])]
+TAFT_CASES += [(2, QQ, [-1]), (4, QI, [QI.gen(), QI.neg(QI.gen())]),
+               (3, QW, [QW.gen(), QW.sub(QW.neg(QW.gen()), QW.one())])]
+
+
+def _taft_comult_oracle(H, N, a, b):
+    """(X (x) X)^a (1 (x) Y + Y (x) X)^b, multiplied out in H (x) H."""
+    one = H.field.one()
+    t = {(0, 0): one}
+    for _ in range(a):
+        t = ref._h_tensor_mul(H, t, {(1, 1): one})
+    for _ in range(b):
+        t = ref._h_tensor_mul(H, t, {(0, N): one, (N, 1): one})
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TAFT_CASES).flatmap(
+    lambda case: st.tuples(st.just(case[:2]), st.sampled_from(case[2]))))
+def test_taft_closed_forms_equal_the_multiplied_out_and_solved_tables(drawn):
+    (N, K), q = drawn
+    H = taft(N, q, K)
+    for i in range(N * N):
+        assert H.comult.get(i, {}) == _taft_comult_oracle(H, N, i % N, i // N), H.labels[i]
+    B = Bialgebra(K, H.labels, H.mult, H.unit, H.comult, H.counit)
+    assert H.antipode == solve_antipode(B) == ref.solve_antipode(B)
+
+
+def _count_builds(monkeypatch):
+    """Counters of solve_antipode calls and of record constructions."""
+    calls = {"solve_antipode": 0, "post_init": 0}
+    solve, post_init = hopf.solve_antipode, Bialgebra.__post_init__
+
+    def counting_solve(B):
+        calls["solve_antipode"] += 1
+        return solve(B)
+
+    def counting_post_init(self):
+        calls["post_init"] += 1
+        post_init(self)
+    monkeypatch.setattr(hopf, "solve_antipode", counting_solve)
+    monkeypatch.setattr(Bialgebra, "__post_init__", counting_post_init)
+    return calls
+
+
+def test_a_taft_shorthand_builds_one_record_and_solves_nothing(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    doc = parse_document(json.dumps({"field": "F61", "hopf_algebras": {
+        "T": {"construction": "taft", "order": 5, "q": "9"}}}))
+    assert calls == {"solve_antipode": 0, "post_init": 1}
+    assert verify_hopf(doc.hopf_algebras["T"]).ok
+
+
+def test_an_explicit_table_with_an_antipode_builds_one_record(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "taft6_F7_q3.json"
+    calls = _count_builds(monkeypatch)
+    H = load_document(str(path)).hopf_algebras["T"]
+    assert calls == {"solve_antipode": 0, "post_init": 1}
+    assert type(H) is HopfAlgebra

@@ -2,7 +2,7 @@
 
 A command over F_p loads every hopfgal module and, of the standard
 library, only what it uses: no argparse (help and errors only), no
-fractions (Q only), no ast, typing or importlib.resources, and no
+fractions (a non-integer over Q only), no ast, typing or importlib.resources, and no
 jsonschema, not even to word a rejected document.  Each child runs under
 ``python -S``, so no site ``.pth`` file imports anything first.
 """
@@ -92,6 +92,11 @@ def test_a_rejected_document_needs_no_jsonschema(capsys):
 
 def test_q_loads_fractions_and_help_loads_argparse(tmp_path):
     code, modules = _loaded(["verify-hopf", _taft(tmp_path, "Q", "-1"), "T", "--json"])
+    assert code == 0 and "fractions" not in modules and "argparse" not in modules
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({"field": "Q", "rings": {"C": {"gens": []}}, "bundles": {
+        "A": {"construction": "abg", "ring": "C", "alpha": "1/2", "beta": "0", "gamma": "0"}}}))
+    code, modules = _loaded(["verify-bundle", str(half), "A", "--json"])
     assert code == 0 and "fractions" in modules and "argparse" not in modules
     code, modules = _loaded(["verify-hopf", "-h"])
     assert code == 0 and "argparse" in modules and "fractions" not in modules
