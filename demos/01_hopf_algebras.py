@@ -28,11 +28,9 @@ def show(title, H):
 print("== the 4-dimensional Hopf algebra with a group-like and a skew-primitive ==")
 H4 = sweedler_h4(QQ)
 show("H4 over Q", H4)
-K = H4.field
 print("  antipode columns:")
 for j, lab in enumerate(H4.labels):
-    img = {H4.labels[i]: c for i, row in enumerate(H4.antipode)
-           if not K.is_zero(c := row[j])}
+    img = {H4.labels[i]: c for i, c in sorted(H4.antipode.get(j, {}).items())}
     print(f"    S({lab}) = {img}")
 print()
 

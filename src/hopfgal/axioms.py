@@ -1,9 +1,10 @@
 """One axiom checker on structure-constant tables.
 
-An algebra A of rank n is read from tables with zero coefficients dropped
-once per call (``sparse``): ``mult[(i, j)]`` holds the terms (l, c) of
-a_i a_j, ``unit`` the terms of 1_A, and ``coaction[i]`` the terms
-((j, k), c) of rho(a_i) in A (x) H.  The coacting Hopf algebra H gives
+An algebra A of rank n is read from a record's tables, whose constructor
+dropped every zero coefficient, so no entry is tested for zero again
+(``sparse``): ``mult[(i, j)]`` holds the terms (l, c) of a_i a_j,
+``unit`` the terms of 1_A, and ``coaction[i]`` the terms ((j, k), c) of
+rho(a_i) in A (x) H.  The coacting Hopf algebra H gives
 ``hmult``, ``hcomult`` and ``hcounit`` with coefficients in the same ring;
 a Hopf algebra checked against itself is the case A = H, rho = Delta.
 Coefficients are handled by ``Ops``, the one coefficient interface that
@@ -114,15 +115,15 @@ def ring_ops(C) -> Ops:
 
 
 def terms(ops: Ops, vec: dict) -> tuple:
-    """The items of vec with a nonzero value, each value read by ``ops.raw``."""
-    raw, is_zero = ops.raw, ops.is_zero
-    return tuple((k, c) for k, c in ((k, raw(e)) for k, e in vec.items()) if not is_zero(c))
+    """The items of vec, a vector with no zero value, each value read by
+    ``ops.raw``."""
+    raw = ops.raw
+    return tuple((k, raw(e)) for k, e in vec.items())
 
 
 def sparse(ops: Ops, table: dict) -> dict:
-    """{key: {index: entry}} as {key: terms}, empty rows dropped."""
-    rows = ((key, terms(ops, row)) for key, row in table.items())
-    return {key: row for key, row in rows if row}
+    """{key: {index: entry}} as {key: terms}; the rows hold no zero value."""
+    return {key: terms(ops, row) for key, row in table.items()}
 
 
 def nonzero(vec: dict, is_zero) -> dict:

@@ -241,8 +241,8 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
                 for i, t in H.comult.items()}
     A = ComoduleAlgebra(base, H, H.labels, mult, unit, coaction)
     L = H.labels
-    table = sparse(ops, mult)
-    bad, tree = axioms.unit_tree(ops, d, table, terms(ops, unit))
+    table = sparse(ops, A.mult)
+    bad, tree = axioms.unit_tree(ops, d, table, terms(ops, A.unit))
     if bad is not None:
         raise NotAssociativeError(f"twisted product is not unital on {L[bad]}")
     bad = axioms.associativity(ops, d, table, None if tree is None else tree.gens)

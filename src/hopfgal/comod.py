@@ -248,7 +248,8 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
     rep.add("invertible", True)
 
     ops = ring_ops(A.base)
-    phi = sparse(ops, {j: {i: row[j] for i, row in enumerate(M)} for j in range(n)})
+    phi = sparse(ops, {j: nonzero({i: row[j] for i, row in enumerate(M)}, _is_zero)
+                       for j in range(n)})
     amult, aunit, bmult, bunit = (sparse(ops, A.mult), terms(ops, A.unit),
                                   sparse(ops, B.mult), terms(ops, B.unit))
     unital = axioms.image(ops, phi, aunit) == dict(bunit)

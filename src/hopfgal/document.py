@@ -531,13 +531,9 @@ def parse_hopf(K: Field, spec, pointer, spend) -> HopfAlgebra:
               _vec(read, spec["counit"], labels, pointer + "/counit", spend))
     if "antipode" not in spec:
         return hopf_from_bialgebra(Bialgebra(*tables))
-    d = len(labels)
-    S = [[K.zero()] * d for _ in range(d)]
-    for here, (a, vec) in _rows(spec["antipode"], f"{pointer}/antipode", 1):
-        j = _ref(labels, a, here)
-        for i, c in _vec(read, vec, labels, here + "/1", spend).items():
-            S[i][j] = c
-    return HopfAlgebra(*tables, tuple(tuple(row) for row in S))
+    antipode = {_ref(labels, a, here): _vec(read, vec, labels, here + "/1", spend)
+                for here, (a, vec) in _rows(spec["antipode"], f"{pointer}/antipode", 1)}
+    return HopfAlgebra(*tables, antipode)
 
 
 def _bundle_over(doc: Document, R: BaseRing, spec, pointer, spend) -> ComoduleAlgebra:
@@ -582,16 +578,11 @@ def _tables_spec(fmt, labels, right_labels, unit, mult, key, table):
 
 
 def hopf_spec(H: HopfAlgebra):
-    K, labels = H.field, H.labels
-    fmt = K.format
-    antipode = []
-    for j in range(H.dim):
-        col = {i: H.antipode[i][j] for i in range(H.dim)
-               if not K.is_zero(H.antipode[i][j])}
-        if col:
-            antipode.append([labels[j], _vec_spec(fmt, labels, col)])
+    fmt, labels = H.field.format, H.labels
     return {**_tables_spec(fmt, labels, labels, H.unit, H.mult, "comult", H.comult),
-            "counit": _vec_spec(fmt, labels, H.counit), "antipode": antipode}
+            "counit": _vec_spec(fmt, labels, H.counit),
+            "antipode": [[labels[j], _vec_spec(fmt, labels, H.antipode[j])]
+                         for j in sorted(H.antipode)]}
 
 
 def _bundle_body_spec(A: ComoduleAlgebra, hopf_name: str):

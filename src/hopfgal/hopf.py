@@ -6,7 +6,7 @@ A bialgebra over the ground field k is stored sparsely:
 * ``unit``           -- coordinates of 1
 * ``comult[i]``      -- coordinates of Delta(h_i) (dict (j, k) -> scalar)
 * ``counit``         -- coordinates of the counit functional
-* ``antipode``       -- dense d x d matrix, S(h_j) = sum_i antipode[i][j] h_i
+* ``antipode[j]``    -- coordinates of S(h_j) (dict index -> scalar)
 
 A record keeps copies of its tables in normal form, built once by its
 constructor: zero coefficients and empty rows are dropped, so a missing
@@ -91,15 +91,19 @@ class Bialgebra(Record, frozen=True):
 
 
 class HopfAlgebra(Bialgebra, frozen=True):
-    antipode: tuple = ()
+    antipode: dict
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "antipode", normal(self.antipode, self.field.is_zero))
+        d = self.dim
+        if any(not 0 <= i < d for j, row in self.antipode.items() for i in (j, *row)):
+            raise DimensionMismatchError("antipode index out of range")
 
     def antipode_vec(self, a: Vec) -> Vec:
         ops = field_ops(self.field)
-        return accumulate(ops, ((i, ops.mul(c, row[j])) for j, c in a.items()
-                                for i, row in enumerate(self.antipode)))
-
-    def __hash__(self):
-        return hash((self.field, self.labels, self.antipode))
+        return accumulate(ops, ((i, ops.mul(c, m)) for j, c in a.items()
+                                for i, m in self.antipode.get(j, {}).items()))
 
     def __repr__(self):
         return f"<HopfAlgebra dim {self.dim} over {self.field.name}>"
@@ -108,11 +112,6 @@ class HopfAlgebra(Bialgebra, frozen=True):
 # --------------------------------------------------------------------------
 # axiom verification
 # --------------------------------------------------------------------------
-
-def _antipode_columns(ops, S) -> dict:
-    """{j: terms of S(h_j)} from the matrix with S(h_j) = sum_i S[i][j] h_i."""
-    return sparse(ops, {j: {i: row[j] for i, row in enumerate(S)} for j in range(len(S))})
-
 
 def _counit_times_unit(B: Bialgebra) -> list:
     """counit(h_i) 1 for each i, scaled term by term from the unit."""
@@ -178,12 +177,14 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     else:
         rep.add("comultiplication is multiplicative", True)
 
-    S, expect = _antipode_columns(ops, H.antipode), _counit_times_unit(H)
+    S, expect = sparse(ops, H.antipode), _counit_times_unit(H)
     record(rep, "antipode identity",
            first(axioms.antipode(ops, d, mult, comult, S, expect, left=True),
                  axioms.antipode(ops, d, mult, comult, S, expect, left=False)), fails_on)
 
-    rep.add("antipode bijective", not K.is_zero(field_det(H.antipode, K)))
+    # the rows of S^T, whose determinant is det S
+    rep.add("antipode bijective",
+            not K.is_zero(field_det([H.antipode.get(j, {}) for j in range(d)], K)))
     return rep
 
 
@@ -252,24 +253,22 @@ def _antipode_on_generators(B: Bialgebra, ops, mult: dict, comult: dict, expect:
         if i not in cols:
             inv = B.field.inv(c)
             cols[i] = {p: ops.mul(inv, v) for p, v in B.mul_vec(cols[r], cols[s]).items()}
-    S = _terms(cols)
+    S = sparse(ops, cols)
     if (axioms.antipode(ops, d, mult, comult, S, expect, left=True) is not None
             or axioms.antipode(ops, d, mult, comult, S, expect, left=False) is not None):
         return None
     return cols
 
 
-def _terms(cols: dict) -> dict:
-    return {i: tuple(col.items()) for i, col in cols.items() if col}
-
-
-def solve_antipode(B: Bialgebra) -> tuple:
-    """The unique antipode matrix of a bialgebra, or NoAntipodeError.
+def solve_antipode(B: Bialgebra) -> dict:
+    """The unique antipode of a bialgebra as a table {j: S(h_j) as {i: c}},
+    or NoAntipodeError.
 
     Tries the system on generators first (``_antipode_on_generators``).
     Otherwise solves sum S(h_(1)) h_(2) = counit(h) 1 as a d^2 x d^2
-    k-linear system (unknown S[p][i], row per (basis element, output
-    coordinate)), then verifies the right-sided identity as well.
+    k-linear system (unknown the h_p coordinate of S(h_i), row per (basis
+    element, output coordinate)), then verifies the right-sided identity as
+    well.
     """
     K = B.field
     d = B.dim
@@ -282,11 +281,11 @@ def solve_antipode(B: Bialgebra) -> tuple:
         if cols is None:
             raise NoAntipodeError(
                 "identity has no convolution inverse: this bialgebra is not a Hopf algebra")
-        bad = axioms.antipode(ops, d, mult, comult, _terms(cols), expect, left=False)
+        bad = axioms.antipode(ops, d, mult, comult, sparse(ops, cols), expect, left=False)
         if bad is not None:
             raise NoAntipodeError(
                 f"left convolution inverse fails the right-sided identity on {B.labels[bad]}")
-    return tuple(tuple(cols[i].get(p, K.zero()) for i in range(d)) for p in range(d))
+    return {i: col for i, col in cols.items() if col}
 
 
 def hopf_from_bialgebra(B: Bialgebra) -> HopfAlgebra:
@@ -300,7 +299,7 @@ def hopf_from_bialgebra(B: Bialgebra) -> HopfAlgebra:
 def sweedler_h4(field: Field) -> HopfAlgebra:
     """The four-dimensional Hopf algebra: X^2 = 1, Y^2 = 0, XY + YX = 0."""
     K = field
-    one, zero = K.one(), K.zero()
+    one = K.one()
     neg = K.neg(one)
     labels = ("1", "X", "Y", "XY")
     # products of basis elements, derived from the relations:
@@ -319,12 +318,7 @@ def sweedler_h4(field: Field) -> HopfAlgebra:
     }
     counit = {0: one, 1: one}
     # S(1) = 1, S(X) = X, S(Y) = XY, S(XY) = -Y
-    antipode = (
-        (one, zero, zero, zero),
-        (zero, one, zero, zero),
-        (zero, zero, zero, neg),
-        (zero, zero, one, zero),
-    )
+    antipode = {0: {0: one}, 1: {1: one}, 2: {3: one}, 3: {2: neg}}
     return HopfAlgebra(K, labels, mult, unit, comult, counit, antipode)
 
 
@@ -359,12 +353,11 @@ def taft(N: int, q, field: Field) -> HopfAlgebra:
         raise BadRootOfUnityError(
             f"{K.format(q)} does not have exact multiplicative order {N}")
     labels = tuple(_xy_label(i, j) for j in range(N) for i in range(N))
-    one, zero = K.one(), K.zero()
+    one = K.one()
     qp = [one]  # q^e for e in range(N); q^N = 1
     for _ in range(N - 1):
         qp.append(K.mul(qp[-1], q))
-    mult, comult = {}, {}
-    antipode = [[zero] * (N * N) for _ in range(N * N)]
+    mult, comult, antipode = {}, {}, {}
     binom = [one]  # [b k]_q for k = 0..b
     for b in range(N):
         if b:
@@ -377,10 +370,9 @@ def taft(N: int, q, field: Field) -> HopfAlgebra:
                     mult[(i, c + N * e)] = {(a + c) % N + N * (b + e): qp[b * c % N]}
             comult[i] = {(a + N * k, (a + k) % N + N * (b - k)): binom[k] for k in range(b + 1)}
             s = qp[-(b * (b + 1) // 2 + a * b) % N]
-            antipode[(-a - b) % N + N * b][i] = K.neg(s) if b % 2 else s
+            antipode[i] = {(-a - b) % N + N * b: K.neg(s) if b % 2 else s}
     counit = {i: one for i in range(N)}
-    return HopfAlgebra(K, labels, mult, {0: one}, comult, counit,
-                       tuple(map(tuple, antipode)))
+    return HopfAlgebra(K, labels, mult, {0: one}, comult, counit, antipode)
 
 
 def cyclic_group_algebra(N: int, field: Field) -> HopfAlgebra:
@@ -391,8 +383,7 @@ def cyclic_group_algebra(N: int, field: Field) -> HopfAlgebra:
     unit = {0: K.one()}
     comult = {i: {(i, i): K.one()} for i in range(N)}
     counit = {i: K.one() for i in range(N)}
-    antipode = tuple(tuple(K.one() if i == (-j) % N else K.zero() for j in range(N))
-                     for i in range(N))
+    antipode = {j: {(-j) % N: K.one()} for j in range(N)}
     return HopfAlgebra(K, labels, mult, unit, comult, counit, antipode)
 
 
@@ -411,7 +402,10 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
         for l, c in sc.items():
             comult.setdefault(l, {})[(i, j)] = c
     counit = dict(H.unit)
-    antipode = tuple(tuple(H.antipode[j][i] for j in range(d)) for i in range(d))
+    antipode = {}
+    for j, row in H.antipode.items():
+        for i, c in row.items():
+            antipode.setdefault(i, {})[j] = c
     return HopfAlgebra(K, labels, mult, unit, comult, counit, antipode)
 
 

@@ -8,8 +8,11 @@ had them, so nothing here shares arithmetic code with the checker beyond
 the field and ring operations.  The tests require the library's reports to
 equal these, check for check and witness for witness.  ``solve_antipode``
 is the full d^2 x d^2 solve as the library had it before it solved on
-generators first.  ``canonical_matrix`` builds the structure map's matrix
-through ``tensor_mul``, as the library did before reading it off the tables.
+generators first; it returns the dense matrix S[i][j], the h_i coordinate
+of S(h_j), and the checks read ``H.antipode``'s table through their own
+``_h_antipode_vec`` and ``_h_antipode_matrix``.  ``canonical_matrix``
+builds the structure map's matrix through ``tensor_mul``, as the library
+did before reading it off the tables.
 ``check_iso`` forms every product of two basis elements and its image, as
 the library did before it checked maps through the axiom checker.
 ``entries`` and ``rows`` spell a ``galois.CanonicalMatrix`` out densely, as
@@ -124,12 +127,18 @@ def _h_tensor_mul(H, A: dict, B: dict) -> dict:
     return out
 
 
+def _h_antipode_matrix(H) -> list:
+    """The dense d x d matrix with S(h_j) = sum_i M[i][j] h_i, read off the
+    table {j: {i: c}}."""
+    K, d = H.field, H.dim
+    return [[H.antipode.get(j, {}).get(i, K.zero()) for j in range(d)] for i in range(d)]
+
+
 def _h_antipode_vec(H, a: Vec) -> Vec:
     K = H.field
     out: Vec = {}
     for j, c in a.items():
-        for i in range(H.dim):
-            m = H.antipode[i][j]
+        for i, m in H.antipode.get(j, {}).items():
             if K.is_zero(m):
                 continue
             s = K.add(out.get(i, K.zero()), K.mul(c, m))
@@ -330,7 +339,7 @@ def verify_hopf(H) -> Report:
     if ok:
         rep.add("antipode identity", True)
 
-    rep.add("antipode bijective", not K.is_zero(field_det(H.antipode, K)))
+    rep.add("antipode bijective", not K.is_zero(field_det(_h_antipode_matrix(H), K)))
     return rep
 
 

@@ -141,10 +141,7 @@ def _corrupt_hopf(data, H: HopfAlgebra, value, zero) -> HopfAlgebra:
     elif part == "counit":
         counit = _corrupt_vector(data, counit, d, value, zero)
     else:
-        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
-        rows = [list(r) for r in antipode]
-        rows[i][j] = zero if data.draw(st.booleans()) else value
-        antipode = tuple(tuple(r) for r in rows)
+        antipode = _corrupt_entry(data, antipode, list(range(d)), value, zero)
     return HopfAlgebra(H.field, H.labels, mult, unit, comult, counit, antipode)
 
 
@@ -358,9 +355,8 @@ def test_non_generator_corruptions_match_reference(data):
 
 
 def _hopf_table(K, labels, mult, comult, counit):
-    d = len(labels)
-    one, zero = K.one(), K.zero()
-    identity = tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
+    one = K.one()
+    identity = {i: {i: one} for i in range(len(labels))}
     return HopfAlgebra(K, labels, mult, {0: one}, comult, counit, identity)
 
 

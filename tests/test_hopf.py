@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgal import hopf
-from hopfgal.document import load_document, parse_document
-from hopfgal.errors import BadRootOfUnityError, NoAntipodeError
+from hopfgal.document import Document, dump_document, load_document, parse_document
+from hopfgal.errors import BadRootOfUnityError, DimensionMismatchError, NoAntipodeError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.hopf import (
     Bialgebra,
@@ -35,6 +35,15 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 
 
+def _ref_antipode(B) -> dict:
+    """The reference solve's dense matrix, S(h_j) = sum_i S[i][j] h_i, read
+    as a table {j: {i: c}} with no zero."""
+    K, S = B.field, ref.solve_antipode(B)
+    cols = {j: {i: row[j] for i, row in enumerate(S) if not K.is_zero(row[j])}
+            for j in range(B.dim)}
+    return {j: col for j, col in cols.items() if col}
+
+
 def test_sweedler_axioms():
     for k in (QQ, F7):
         rep = verify_hopf(sweedler_h4(k))
@@ -44,14 +53,26 @@ def test_sweedler_axioms():
 def test_sweedler_broken_antipode_detected():
     H = sweedler_h4(QQ)
     # replace S(Y) = XY with S(Y) = Y; the antipode identity must fail on Y
-    S = [list(row) for row in H.antipode]
-    S[3][2] = QQ.zero()
-    S[2][2] = QQ.one()
     bad = HopfAlgebra(H.field, H.labels, H.mult, H.unit, H.comult, H.counit,
-                      tuple(tuple(r) for r in S))
+                      {**H.antipode, 2: {2: QQ.one()}})
     rep = verify_hopf(bad)
     assert not rep.ok
     assert any("antipode identity" in f for f in rep.failures())
+
+
+def test_the_antipode_is_a_required_range_checked_table():
+    H = sweedler_h4(QQ)
+    tables = (H.field, H.labels, H.mult, H.unit, H.comult, H.counit)
+    with pytest.raises(TypeError):
+        HopfAlgebra(*tables)
+    for bad in ({4: {0: QQ.one()}}, {0: {4: QQ.one()}}, {-1: {0: QQ.one()}}):
+        with pytest.raises(DimensionMismatchError, match="antipode index out of range"):
+            HopfAlgebra(*tables, {**H.antipode, **bad})
+    # no antipode at all, or an explicit zero: S = 0 is not bijective
+    for empty in ({}, {0: {0: QQ.zero()}}):
+        rep = verify_hopf(HopfAlgebra(*tables, empty))
+        assert [c.ok for c in rep.checks if c.name == "antipode bijective"] == [False]
+        assert rep.to_json() == ref.verify_hopf(HopfAlgebra(*tables, empty)).to_json()
 
 
 def test_sweedler_known_products():
@@ -147,7 +168,7 @@ def test_explicit_zero_in_the_unit_changes_nothing(H):
     assert verify_hopf(Z).to_json() == verify_hopf(H).to_json()
     assert ref.verify_hopf(Z).to_json() == verify_hopf(H).to_json()
     B = Bialgebra(K, H.labels, H.mult, unit, H.comult, H.counit)
-    assert solve_antipode(B) == ref.solve_antipode(B) == H.antipode
+    assert solve_antipode(B) == _ref_antipode(B) == H.antipode
     assert hopf_from_bialgebra(B).antipode == H.antipode
 
 
@@ -191,7 +212,7 @@ def test_monoid_bialgebra_has_no_antipode(monkeypatch):
 def test_antipode_on_generators_equals_the_full_solve(H, monkeypatch):
     B = Bialgebra(H.field, H.labels, H.mult, H.unit, H.comult, H.counit)
     sizes = _system_sizes(monkeypatch)
-    assert solve_antipode(B) == ref.solve_antipode(B) == H.antipode
+    assert solve_antipode(B) == _ref_antipode(B) == H.antipode
     # one system, on generators unless 1 is a sum of basis elements (the dual)
     assert len(sizes) == 1 and (sizes[0] < H.dim ** 2) == (len(H.unit) == 1)
 
@@ -208,8 +229,8 @@ def test_antipode_extension_failing_the_identities_falls_back(monkeypatch):
     sizes = _system_sizes(monkeypatch)
     S = solve_antipode(B)
     assert sizes == [2 * 3, 3 * 3]  # the system on {1, g} solved, then the full one
-    assert S == ref.solve_antipode(B)
-    assert [S[p][2] for p in range(3)] == [2, 0, -1]
+    assert S == _ref_antipode(B)
+    assert S[2] == {0: 2, 2: -1}
 
 
 def _reindexed(H, perm):
@@ -233,7 +254,7 @@ def test_antipode_system_closes_under_the_left_legs_of_delta(monkeypatch):
     sizes = _system_sizes(monkeypatch)
     S = solve_antipode(B)
     assert sizes == [6 * 9]
-    assert S == ref.solve_antipode(B)
+    assert S == _ref_antipode(B)
     assert verify_hopf(hopf_from_bialgebra(B)).ok
 
 
@@ -289,7 +310,36 @@ def test_taft_closed_forms_equal_the_multiplied_out_and_solved_tables(drawn):
     for i in range(N * N):
         assert H.comult.get(i, {}) == _taft_comult_oracle(H, N, i % N, i // N), H.labels[i]
     B = Bialgebra(K, H.labels, H.mult, H.unit, H.comult, H.counit)
-    assert H.antipode == solve_antipode(B) == ref.solve_antipode(B)
+    assert H.antipode == solve_antipode(B) == _ref_antipode(B)
+
+
+# Every constructor's antipode table, on the inputs of the closed forms above
+# (N <= 6 over F7, F13 and Q(i)), cyclic group algebras, duals and Sweedler's
+_TABLE_FIELDS = (F7, PrimeField(13), QI)
+_TAFTS = st.sampled_from([(N, K, qs) for N, K, qs in TAFT_CASES
+                          if N <= 6 and K in _TABLE_FIELDS]).flatmap(
+    lambda case: st.sampled_from(case[2]).map(lambda q: taft(case[0], q, case[1])))
+_HOPFS = st.one_of(
+    _TAFTS,
+    st.builds(cyclic_group_algebra, st.integers(1, 6), st.sampled_from((QQ, F7))),
+    st.sampled_from((QQ, F7, QI)).map(sweedler_h4))
+HOPF_TABLES = st.one_of(_HOPFS, _HOPFS.map(dual_hopf))
+
+
+@settings(max_examples=40, deadline=None)
+@given(HOPF_TABLES)
+def test_a_dumped_hopf_algebra_parses_to_an_equal_record(H):
+    text = dump_document(Document(H.field, hopf_algebras={"H": H}))
+    back = parse_document(text).hopf_algebras["H"]
+    assert back == H and back.antipode == H.antipode and hash(back) == hash(H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(HOPF_TABLES)
+def test_the_antipode_table_matches_the_solves_and_the_reference_report(H):
+    B = Bialgebra(H.field, H.labels, H.mult, H.unit, H.comult, H.counit)
+    assert hopf_from_bialgebra(B).antipode == H.antipode == _ref_antipode(B)
+    assert verify_hopf(H).to_json() == ref.verify_hopf(H).to_json()
 
 
 def _count_builds(monkeypatch):
