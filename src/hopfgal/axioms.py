@@ -1,19 +1,20 @@
 """One axiom checker on structure-constant tables.
 
-An algebra A of rank n is read from a record's tables, whose constructor
-dropped every zero coefficient, so no entry is tested for zero again
-(``sparse``): ``mult[(i, j)]`` holds the terms (l, c) of a_i a_j,
-``unit`` the terms of 1_A, and ``coaction[i]`` the terms ((j, k), c) of
-rho(a_i) in A (x) H.  The coacting Hopf algebra H gives
-``hmult``, ``hcomult`` and ``hcounit`` with coefficients in the same ring;
-a Hopf algebra checked against itself is the case A = H, rho = Delta.
-Coefficients are handled by ``Ops``, the one coefficient interface that
-``linalg`` shares: the ground field's operations on scalars for a Hopf
-algebra, the base ring's operations on coefficient dicts for a bundle.
-``terms`` and ``sparse`` read each table entry once through ``Ops.raw``
-(a BaseElement's ``.coeffs``), so every check on a bundle runs on raw
-dicts; ``total`` sums table entries and writes them back through
-``Ops.wrap``.
+An algebra A of rank n is read from tables in a record's form,
+{key: {index: coeff}} with no zero coefficient, so no entry is tested for
+zero again and a missing row reads as zero (``.get(key, {})``):
+``mult[(i, j)]`` holds a_i a_j as {l: c}, ``unit`` holds 1_A as {i: c},
+and ``coaction[i]`` holds rho(a_i) in A (x) H as {(j, k): c}.  The
+coacting Hopf algebra H gives ``hmult``, ``hcomult`` and ``hcounit`` with
+coefficients in the same ring; a Hopf algebra checked against itself is
+the case A = H, rho = Delta.  Coefficients are handled by ``Ops``, the one
+coefficient interface that ``linalg`` shares: the ground field's
+operations on scalars for a Hopf algebra, the base ring's operations on
+coefficient dicts for a bundle.  So a Hopf algebra is checked on the
+tables it was built with, and a bundle on its tables with each
+BaseElement read as its coefficient dict once per check (``coeffs``,
+``coeff_table``); ``total`` sums table entries and writes them back
+through ``Ops.wrap``.
 
 A product of basis elements is read off the table instead of being formed
 from basis vectors, and a product with a coefficient 1 is the other
@@ -21,7 +22,7 @@ factor, so neither costs a multiplication.  Each check returns the first
 failing basis index or tuple in the order its docstring gives, or None.
 
 Map checks.  ``algebra_map`` and ``comodule_map`` test a map phi: A -> B
-given by the terms of each phi(a_i).  Delta, the counit and a coaction
+given by each phi(a_i) as a vector.  Delta, the counit and a coaction
 are algebra maps (into A (x) A, k, A (x) H), and coassociativity says rho
 is a comodule map into A (x) H coacted on by id (x) Delta.
 
@@ -60,9 +61,11 @@ from .rings import BaseElement
 
 # Coefficient operations of a field (on scalars) or of a base ring (on
 # coefficient dicts, where {} is zero).  ``mul`` skips a factor 1, ``inv``
-# answers None for a non-unit, and ``raw``/``wrap`` read a table entry as a
-# coefficient and write a coefficient back as an entry.  Ops and WordTree
-# are collections.namedtuples, so this module imports no ``typing``.
+# answers None for a non-unit, and ``raw``/``wrap`` read a matrix or module
+# entry (a scalar, or a BaseElement) as a coefficient and write a
+# coefficient back as an entry, for ``linalg`` and ``total``.  Ops and
+# WordTree are collections.namedtuples, so this module imports no
+# ``typing``.
 Ops = namedtuple("Ops", "zero one add neg mul is_zero is_one is_unit inv raw wrap")
 
 
@@ -114,16 +117,15 @@ def ring_ops(C) -> Ops:
                operator.attrgetter("coeffs"), partial(BaseElement, C))
 
 
-def terms(ops: Ops, vec: dict) -> tuple:
-    """The items of vec, a vector with no zero value, each value read by
-    ``ops.raw``."""
-    raw = ops.raw
-    return tuple((k, raw(e)) for k, e in vec.items())
+def coeffs(vec: dict) -> dict:
+    """A base-ring vector {index: BaseElement} as {index: coefficient dict}."""
+    return {k: e.coeffs for k, e in vec.items()}
 
 
-def sparse(ops: Ops, table: dict) -> dict:
-    """{key: {index: entry}} as {key: terms}; the rows hold no zero value."""
-    return {key: terms(ops, row) for key, row in table.items()}
+def coeff_table(table: dict) -> dict:
+    """A base-ring table {key: {index: BaseElement}} with each row read by
+    ``coeffs``."""
+    return {key: coeffs(row) for key, row in table.items()}
 
 
 def nonzero(vec: dict, is_zero) -> dict:
@@ -172,14 +174,15 @@ def _first_index(left: dict, right: dict):
                if left.get(key) != right.get(key))
 
 
-def unit(ops: Ops, n: int, mult: dict, unit: tuple):
+def unit(ops: Ops, n: int, mult: dict, unit: dict):
     """First i with 1 a_i != a_i or a_i 1 != a_i."""
     mul, get = ops.mul, mult.get
     for i in range(n):
         e = {i: ops.one}
-        if (accumulate(ops, ((l, mul(u, m)) for k, u in unit for l, m in get((k, i), ()))) != e
-                or accumulate(ops, ((l, mul(u, m)) for k, u in unit
-                                    for l, m in get((i, k), ()))) != e):
+        if (accumulate(ops, ((l, mul(u, m)) for k, u in unit.items()
+                             for l, m in get((k, i), {}).items())) != e
+                or accumulate(ops, ((l, mul(u, m)) for k, u in unit.items()
+                                    for l, m in get((i, k), {}).items())) != e):
             return i
     return None
 
@@ -190,7 +193,7 @@ def unit(ops: Ops, n: int, mult: dict, unit: tuple):
 WordTree = namedtuple("WordTree", "gens root steps")
 
 
-def word_tree(n: int, mult: dict, unit: tuple, is_unit):
+def word_tree(n: int, mult: dict, unit: dict, is_unit):
     """A generating set S, with a step a_s a_r = c a_i for each basis
     element a_i outside S but the root; None when 1 is not a unit times one
     basis element.
@@ -201,16 +204,20 @@ def word_tree(n: int, mult: dict, unit: tuple, is_unit):
     only term is c a_i with c a unit reaches a_i.  So each a_i outside S
     and the root is c^-1 a_s a_r for an a_r reached before it.
     """
-    if len(unit) != 1 or not is_unit(unit[0][1]):
+    if len(unit) != 1:
         return None
-    root = unit[0][0]
+    (root, u), = unit.items()
+    if not is_unit(u):
+        return None
     gens, steps, reached, seen = [], {}, [root], {root}
     done = 0  # reached[:done] have been multiplied by every generator
 
     def step(s, r):
-        row = mult.get((s, r), ())
-        if len(row) == 1 and row[0][0] not in seen and is_unit(row[0][1]):
-            i, c = row[0]
+        row = mult.get((s, r), {})
+        if len(row) != 1:
+            return
+        (i, c), = row.items()
+        if i not in seen and is_unit(c):
             seen.add(i)
             reached.append(i)
             steps[i] = (s, r, c)
@@ -231,10 +238,10 @@ def word_tree(n: int, mult: dict, unit: tuple, is_unit):
     return WordTree(tuple(gens), root, steps)
 
 
-def unit_tree(ops: Ops, n: int, mult: dict, unit_terms: tuple):
+def unit_tree(ops: Ops, n: int, mult: dict, one: dict):
     """The first failure of ``unit``, and a word tree when there is none."""
-    bad = unit(ops, n, mult, unit_terms)
-    return bad, None if bad is not None else word_tree(n, mult, unit_terms, ops.is_unit)
+    bad = unit(ops, n, mult, one)
+    return bad, None if bad is not None else word_tree(n, mult, one, ops.is_unit)
 
 
 def on_generators(scan, n: int, gens):
@@ -253,15 +260,16 @@ def associativity(ops: Ops, n: int, mult: dict, gens=None):
     """
     mul, get = ops.mul, mult.get
     # the terms (l, r, c) of a_k a_l over all l, per k
-    times = [[(l, r, c) for l in range(n) for r, c in get((k, l), ())] for k in range(n)]
+    times = [[(l, r, c) for l in range(n) for r, c in get((k, l), {}).items()]
+             for k in range(n)]
 
     def scan(rows):
         for i in rows:
             for j in range(n):
-                left = accumulate(ops, (((l, r), mul(c, m)) for k, c in get((i, j), ())
+                left = accumulate(ops, (((l, r), mul(c, m)) for k, c in get((i, j), {}).items()
                                         for l, r, m in times[k]))
                 right = accumulate(ops, (((l, r), mul(c, m)) for l, k, c in times[j]
-                                         for r, m in get((i, k), ())))
+                                         for r, m in get((i, k), {}).items()))
                 if left != right:
                     return i, j, _first_index(left, right)
         return None
@@ -269,9 +277,9 @@ def associativity(ops: Ops, n: int, mult: dict, gens=None):
     return on_generators(scan, n, gens)
 
 
-def unital_associative(ops: Ops, n: int, mult: dict, unit_terms: tuple) -> bool:
+def unital_associative(ops: Ops, n: int, mult: dict, one: dict) -> bool:
     """Whether ``unit`` and associativity hold."""
-    bad, tree = unit_tree(ops, n, mult, unit_terms)
+    bad, tree = unit_tree(ops, n, mult, one)
     return bad is None and associativity(
         ops, n, mult, None if tree is None else tree.gens) is None
 
@@ -279,7 +287,7 @@ def unital_associative(ops: Ops, n: int, mult: dict, unit_terms: tuple) -> bool:
 def commutativity(n: int, mult: dict):
     """First (i, j) with j < i in lexicographic order and a_i a_j != a_j a_i."""
     return next(((i, j) for i in range(n) for j in range(i)
-                 if dict(mult.get((i, j), ())) != dict(mult.get((j, i), ()))), None)
+                 if mult.get((i, j), {}) != mult.get((j, i), {})), None)
 
 
 def coaction_counit(ops: Ops, n: int, coaction: dict, hcounit: dict):
@@ -287,7 +295,7 @@ def coaction_counit(ops: Ops, n: int, coaction: dict, hcounit: dict):
     mul = ops.mul
     for i in range(n):
         back = accumulate(ops, ((j, mul(c, hcounit[k]))
-                                for (j, k), c in coaction.get(i, ()) if k in hcounit))
+                                for (j, k), c in coaction.get(i, {}).items() if k in hcounit))
         if back != {i: ops.one}:
             return i
     return None
@@ -295,37 +303,39 @@ def coaction_counit(ops: Ops, n: int, coaction: dict, hcounit: dict):
 
 def coassociativity(ops: Ops, n: int, coaction: dict, hcomult: dict):
     """First i with (rho (x) id) rho(a_i) != (id (x) Delta) rho(a_i)."""
-    id_delta = {(j, k): tuple((((j, a), b), c) for (a, b), c in hcomult.get(k, ()))
-                for t in coaction.values() for (j, k), _ in t}
+    id_delta = {(j, k): {((j, a), b): c for (a, b), c in hcomult.get(k, {}).items()}
+                for t in coaction.values() for j, k in t}
     return comodule_map(ops, n, coaction, coaction, id_delta)
 
 
-def image(ops: Ops, phi: dict, vec) -> dict:
-    """phi(v) for v given by its terms (i, c); phi maps i to the terms of phi(a_i)."""
+def image(ops: Ops, phi: dict, vec: dict) -> dict:
+    """phi(v) for v as {i: c}; phi maps i to phi(a_i) as {key: c}."""
     mul = ops.mul
-    return accumulate(ops, ((key, mul(c, m)) for i, c in vec for key, m in phi.get(i, ())))
+    return accumulate(ops, ((key, mul(c, m)) for i, c in vec.items()
+                            for key, m in phi.get(i, {}).items()))
 
 
 def product(ops: Ops, mult: dict):
-    """x y for x, y given by their terms, from a multiplication table; for
+    """x y for vectors x, y, from a multiplication table; for
     ``algebra_map``, which sums the terms it yields."""
     mul = ops.mul
-    return lambda x, y: ((l, mul(mul(cp, cq), m)) for p, cp in x for q, cq in y
-                         for l, m in mult.get((p, q), ()))
+    return lambda x, y: ((l, mul(mul(cp, cq), m)) for p, cp in x.items() for q, cq in y.items()
+                         for l, m in mult.get((p, q), {}).items())
 
 
 def tensor_product(ops: Ops, mult: dict, hmult: dict):
     """``product`` for A (x) H, from the tables of A and H."""
     mul = ops.mul
     return lambda x, y: (((r, s), mul(mul(mul(cp, cq), cr), cs))
-                         for (q, l), cq in y for (p, k), cp in x
-                         for s, cs in hmult.get((k, l), ()) for r, cr in mult.get((p, q), ()))
+                         for (q, l), cq in y.items() for (p, k), cp in x.items()
+                         for s, cs in hmult.get((k, l), {}).items()
+                         for r, cr in mult.get((p, q), {}).items())
 
 
 def algebra_map(ops: Ops, n: int, mult: dict, phi: dict, bmul, gens=None):
     """First (i, j) in lexicographic order with phi(a_i a_j) != phi(a_i) phi(a_j).
 
-    phi maps i to the terms of phi(a_i) in B, and bmul is B's ``product``.
+    phi maps i to phi(a_i) in B as {key: c}, and bmul is B's ``product``.
     Both sides are formed for all j at once, keyed (j, B-index).  ``gens``,
     the generators of a word tree of A, may be given once A and B are
     unital and associative and phi(1) = 1.
@@ -335,11 +345,11 @@ def algebra_map(ops: Ops, n: int, mult: dict, phi: dict, bmul, gens=None):
     def scan(rows):
         for i in rows:
             lhs = accumulate(ops, (((j, key), mul(c, c2)) for j in range(n)
-                                   for l, c in get((i, j), ())
-                                   for key, c2 in phi.get(l, ())))
-            ti = phi.get(i, ())
+                                   for l, c in get((i, j), {}).items()
+                                   for key, c2 in phi.get(l, {}).items()))
+            ti = phi.get(i, {})
             rhs = accumulate(ops, (((j, key), c) for j in range(n)
-                                   for key, c in bmul(ti, phi.get(j, ()))))
+                                   for key, c in bmul(ti, phi.get(j, {}))))
             if lhs != rhs:
                 return i, _first_index(lhs, rhs)
         return None
@@ -350,15 +360,15 @@ def algebra_map(ops: Ops, n: int, mult: dict, phi: dict, bmul, gens=None):
 def comodule_map(ops: Ops, n: int, phi: dict, coaction: dict, bcoaction: dict):
     """First i with rho_B(phi(a_i)) != (phi (x) id) rho(a_i).
 
-    phi maps i to the terms of phi(a_i) in B, and bcoaction is the coaction
+    phi maps i to phi(a_i) in B as {key: c}, and bcoaction is the coaction
     table of B.
     """
     mul = ops.mul
     for i in range(n):
-        lhs = accumulate(ops, ((key, mul(c, c2)) for p, c in phi.get(i, ())
-                               for key, c2 in bcoaction.get(p, ())))
-        rhs = accumulate(ops, (((q, k), mul(c, c2)) for (j, k), c in coaction.get(i, ())
-                               for q, c2 in phi.get(j, ())))
+        lhs = accumulate(ops, ((key, mul(c, c2)) for p, c in phi.get(i, {}).items()
+                               for key, c2 in bcoaction.get(p, {}).items()))
+        rhs = accumulate(ops, (((q, k), mul(c, c2)) for (j, k), c in coaction.get(i, {}).items()
+                               for q, c2 in phi.get(j, {}).items()))
         if lhs != rhs:
             return i
     return None
@@ -366,12 +376,12 @@ def comodule_map(ops: Ops, n: int, phi: dict, coaction: dict, bcoaction: dict):
 
 def antipode(ops: Ops, n: int, mult: dict, comult: dict, S: dict, expect: list, left: bool):
     """First i with sum S(h_(1)) h_(2) != expect[i] for h = a_i, or with
-    sum h_(1) S(h_(2)) when left is False; S maps j to the terms of S(a_j)."""
+    sum h_(1) S(h_(2)) when left is False; S maps j to S(a_j) as {i: c}."""
     mul, get = ops.mul, mult.get
     for i in range(n):
-        got = accumulate(ops, ((r, mul(mul(c, s), m)) for (j, k), c in comult.get(i, ())
-                               for p, s in S.get(j if left else k, ())
-                               for r, m in get((p, k) if left else (j, p), ())))
+        got = accumulate(ops, ((r, mul(mul(c, s), m)) for (j, k), c in comult.get(i, {}).items()
+                               for p, s in S.get(j if left else k, {}).items()
+                               for r, m in get((p, k) if left else (j, p), {}).items()))
         if got != expect[i]:
             return i
     return None

@@ -17,7 +17,7 @@ check is cheap and leaves nothing implicit.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import nonzero, ring_ops, sparse, terms, total
+from .axioms import coeff_table, coeffs, nonzero, ring_ops, total
 from .comod import (
     ComoduleAlgebra,
     HModuleMap,
@@ -80,8 +80,8 @@ class CleavingMap(Record, frozen=True):
 def _comodule_map_witness(A: ComoduleAlgebra, gamma: HModuleMap):
     """Index of the first basis element where rho(gamma(h)) != (gamma (x) id)(Delta h)."""
     ops = ring_ops(A.base)
-    return axioms.comodule_map(ops, A.hopf.dim, sparse(ops, dict(enumerate(gamma.values))),
-                               _lifted(A, A.hopf.comult), sparse(ops, A.coaction))
+    return axioms.comodule_map(ops, A.hopf.dim, coeff_table(dict(enumerate(gamma.values))),
+                               _lifted(A, A.hopf.comult), coeff_table(A.coaction))
 
 
 def check_cleaving(A: ComoduleAlgebra, gamma: HModuleMap) -> CleavingMap:
@@ -241,8 +241,8 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
                 for i, t in H.comult.items()}
     A = ComoduleAlgebra(base, H, H.labels, mult, unit, coaction)
     L = H.labels
-    table = sparse(ops, A.mult)
-    bad, tree = axioms.unit_tree(ops, d, table, terms(ops, A.unit))
+    table = coeff_table(A.mult)
+    bad, tree = axioms.unit_tree(ops, d, table, coeffs(A.unit))
     if bad is not None:
         raise NotAssociativeError(f"twisted product is not unital on {L[bad]}")
     bad = axioms.associativity(ops, d, table, None if tree is None else tree.gens)
@@ -251,38 +251,6 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
         raise NotAssociativeError(
             f"twisted product fails associativity on ({L[i]}, {L[j]}, {L[l]})")
     return A
-
-
-def crossed_multiply(base: BaseRing, H: HopfAlgebra, action, sigma: Cocycle,
-                     x: tuple, y: tuple) -> dict:
-    """Product of simple tensors in the general crossed product.
-
-    x = (c, g-vec), y = (d, h-vec); returns the coordinates (H-index to
-    C-element) of (c (x) g)(d (x) h) with the three-fold comultiplication:
-
-        sum c (g_(1) . d) sigma(g_(2), h_(1)) (x) g_(3) h_(2)
-
-    action(k, d) must return the base element h_k . d.  Only the trivial
-    action yields central extensions; this entry point exists so the general
-    formula can be exercised directly.
-    """
-    K = H.field
-    c, g = x
-    dd, h = y
-    pairs = []
-    for a, cg in g.items():
-        # Delta^2(h_a) as (r, s, q) components
-        for (p, q), w1 in H.comult.get(a, {}).items():
-            for (r, s), w2 in H.comult.get(p, {}).items():
-                w_a = K.mul(cg, K.mul(w1, w2))
-                acted = c * action(r, dd)
-                for b, ch in h.items():
-                    for (b1, b2), wb in H.comult.get(b, {}).items():
-                        coeff = acted * sigma.sigma[s][b1]
-                        w = base.from_scalar(K.mul(w_a, K.mul(ch, wb)))
-                        for l, m in H.mult.get((q, b2), {}).items():
-                            pairs.append((l, w * coeff * base.from_scalar(m)))
-    return total(ring_ops(base), pairs)
 
 
 def trivial_action(base: BaseRing, H: HopfAlgebra):

@@ -28,7 +28,8 @@ from __future__ import annotations
 from operator import attrgetter
 
 from . import axioms
-from .axioms import accumulate, field_ops, nonzero, normal, record, ring_ops, sparse, terms, total
+from .axioms import (accumulate, coeff_table, coeffs, field_ops, nonzero, normal, record,
+                     ring_ops, total)
 from .errors import (
     BaseNotFieldError,
     DimensionMismatchError,
@@ -46,11 +47,10 @@ _is_zero = attrgetter("is_zero")  # of a BaseElement
 
 
 def _lifted(A, table: dict) -> dict:
-    """A table of H with zero coefficients dropped and the rest lifted into
-    A's base, as coefficient dicts."""
+    """A table of H with its coefficients lifted into A's base, as
+    coefficient dicts."""
     lift = A.lift
-    return {key: tuple((k, lift(c).coeffs) for k, c in row)
-            for key, row in sparse(field_ops(A.field), table).items()}
+    return {key: {k: lift(c).coeffs for k, c in row.items()} for key, row in table.items()}
 
 
 class ComoduleAlgebra(Record, frozen=True):
@@ -132,8 +132,7 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     H = A.hopf
     ops, hops = ring_ops(A.base), field_ops(A.field)
     lift = A.lift
-    mult, coaction = sparse(ops, A.mult), sparse(ops, A.coaction)
-    unit = terms(ops, A.unit)
+    mult, coaction, unit = coeff_table(A.mult), coeff_table(A.coaction), coeffs(A.unit)
 
     def fails_on(i):
         return f"fails on {L[i]}"
@@ -142,20 +141,20 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     record(rep, "unit", bad_unit, fails_on)
     bad_assoc = axioms.associativity(ops, n, mult, None if tree is None else tree.gens)
     record(rep, "associativity", bad_assoc, lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
-    hcounit = {k: lift(c).coeffs for k, c in terms(hops, H.counit)}
+    hcounit = {k: lift(c).coeffs for k, c in H.counit.items()}
     record(rep, "coaction counit", axioms.coaction_counit(ops, n, coaction, hcounit), fails_on)
     record(rep, "coaction coassociativity",
            axioms.coassociativity(ops, n, coaction, _lifted(A, H.comult)), fails_on)
 
-    hunit = [(k, lift(c).coeffs) for k, c in terms(hops, H.unit)]
+    hunit = {k: lift(c).coeffs for k, c in H.unit.items()}
     if axioms.image(ops, coaction, unit) != accumulate(ops, (((i, k), ops.mul(c, u))
-                                                            for i, c in unit for k, u in hunit)):
+                                                            for i, c in unit.items()
+                                                            for k, u in hunit.items())):
         rep.add("coaction respects product", False, "rho(1) != 1 (x) 1")
     else:
-        hmult = sparse(hops, H.mult)
         # the rows of the generators suffice once A (x) H is unital and associative
         gens = (tree.gens if tree is not None and bad_assoc is None and axioms.unital_associative(
-            hops, H.dim, hmult, terms(hops, H.unit)) else None)
+            hops, H.dim, H.mult, H.unit) else None)
         record(rep, "coaction respects product",
                axioms.algebra_map(ops, n, mult, coaction,
                                   axioms.tensor_product(ops, mult, _lifted(A, H.mult)), gens),
@@ -248,11 +247,11 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
     rep.add("invertible", True)
 
     ops = ring_ops(A.base)
-    phi = sparse(ops, {j: nonzero({i: row[j] for i, row in enumerate(M)}, _is_zero)
+    phi = coeff_table({j: nonzero({i: row[j] for i, row in enumerate(M)}, _is_zero)
                        for j in range(n)})
-    amult, aunit, bmult, bunit = (sparse(ops, A.mult), terms(ops, A.unit),
-                                  sparse(ops, B.mult), terms(ops, B.unit))
-    unital = axioms.image(ops, phi, aunit) == dict(bunit)
+    amult, aunit, bmult, bunit = (coeff_table(A.mult), coeffs(A.unit),
+                                  coeff_table(B.mult), coeffs(B.unit))
+    unital = axioms.image(ops, phi, aunit) == bunit
     rep.add("preserves unit", unital, "phi(1) != 1")
 
     _, tree = axioms.unit_tree(ops, n, amult, aunit)
@@ -264,7 +263,7 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
            axioms.algebra_map(ops, n, amult, phi, axioms.product(ops, bmult), gens),
            lambda b: f"phi({L[b[0]]}*{L[b[1]]}) != phi({L[b[0]]})*phi({L[b[1]]})")
     record(rep, "equivariant",
-           axioms.comodule_map(ops, n, phi, sparse(ops, A.coaction), sparse(ops, B.coaction)),
+           axioms.comodule_map(ops, n, phi, coeff_table(A.coaction), coeff_table(B.coaction)),
            lambda i: f"coaction differs on phi({L[i]})")
     return rep
 

@@ -24,7 +24,7 @@ defined.  ``is_galois`` hands the sparse rows straight to ``ring_det``.
 
 from __future__ import annotations
 
-from .axioms import accumulate, field_ops, ring_ops, sparse, terms
+from .axioms import accumulate, coeff_table, field_ops, ring_ops
 from .comod import ComoduleAlgebra, verify_comodule_algebra
 from .linalg import ring_det
 from .record import Record
@@ -67,8 +67,8 @@ def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
                                     for q, s in H.mult.get((k, l), {}).items()))
                   for l in range(d)]
     ops = ring_ops(C)
-    mult = sparse(ops, A.mult)
-    rho = [[(l, unit_times[h].items(), c) for (l, h), c in terms(ops, A.coaction.get(j, {}))
+    mult, coaction = coeff_table(A.mult), coeff_table(A.coaction)
+    rho = [[(l, unit_times[h].items(), c) for (l, h), c in coaction.get(j, {}).items()
             if unit_times[h]] for j in range(n)]
     mul, add, scale, is_one = ops.mul, ops.add, C._scale, K.is_one
     rows = [[] for _ in range(n * d)]
@@ -76,7 +76,7 @@ def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
         for j in range(n):  # column i * n + j, so each row fills in column order
             col = {}
             for l, hl, c in rho[j]:
-                for p, cp in mult.get((i, l), ()):
+                for p, cp in mult.get((i, l), {}).items():
                     cc = mul(c, cp)
                     for q, s in hl:
                         t = cc if is_one(s) else scale(s, cc)

@@ -13,7 +13,7 @@ family backwards.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import ring_ops, sparse
+from .axioms import ring_ops
 from .errors import (BaseMismatchError, CharTwoError, MathError,
                      NotCommutativeError, NotEtaleInclusionError,
                      RingMismatchError)
@@ -399,9 +399,7 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
     family is constant.
     """
     n = A.dim
-    aops = ring_ops(A.base)
-    table = sparse(aops, A.mult)
-    bad = axioms.commutativity(n, table)
+    bad = axioms.commutativity(n, A.mult)
     if bad is not None:
         raise NotCommutativeError(
             f"total algebra is not commutative on {A.labels[bad[0]]}, {A.labels[bad[1]]}")
@@ -417,11 +415,11 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
 
     # a_i -> images[i] must be an algebra map into ext, whose one basis element is 0
     ops = ring_ops(ext)
-    phi = {i: ((0, x.coeffs),) for i, x in enumerate(images) if not x.is_zero}
-    if axioms.image(ops, phi, [(i, incl(c).coeffs) for i, c in A.unit.items()]) != {0: ops.one}:
+    phi = {i: {0: x.coeffs} for i, x in enumerate(images) if not x.is_zero}
+    if axioms.image(ops, phi, {i: incl(c).coeffs for i, c in A.unit.items()}) != {0: ops.one}:
         raise NotEtaleInclusionError("images do not realize the unit")
-    mult = {ij: tuple((l, incl(aops.wrap(c)).coeffs) for l, c in row) for ij, row in table.items()}
-    bad = axioms.algebra_map(ops, n, mult, phi, axioms.product(ops, {(0, 0): ((0, ops.one),)}))
+    mult = {ij: {l: incl(c).coeffs for l, c in row.items()} for ij, row in A.mult.items()}
+    bad = axioms.algebra_map(ops, n, mult, phi, axioms.product(ops, {(0, 0): {0: ops.one}}))
     if bad is not None:
         raise NotEtaleInclusionError(
             f"images break the product on {A.labels[bad[0]]}, {A.labels[bad[1]]}")

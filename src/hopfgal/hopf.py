@@ -29,7 +29,7 @@ order N (Taft's algebras), cyclic group algebras, and duals.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import accumulate, field_ops, first, nonzero, normal, record, sparse, terms
+from .axioms import accumulate, field_ops, first, nonzero, normal, record
 from .errors import (
     BadRootOfUnityError,
     DimensionMismatchError,
@@ -41,7 +41,6 @@ from .record import Record
 from .report import Report
 
 Vec = dict  # index -> scalar
-Tens2 = dict  # (index, index) -> scalar
 
 
 class Bialgebra(Record, frozen=True):
@@ -78,11 +77,6 @@ class Bialgebra(Record, frozen=True):
                                 for i, ca in a.items() for j, cb in b.items()
                                 for l, m in self.mult.get((i, j), {}).items()))
 
-    def comult_vec(self, a: Vec) -> Tens2:
-        ops = field_ops(self.field)
-        return accumulate(ops, ((jk, ops.mul(c, m)) for i, c in a.items()
-                                for jk, m in self.comult.get(i, {}).items()))
-
     def basis_vec(self, i: int) -> Vec:
         return {i: self.field.one()}
 
@@ -100,11 +94,6 @@ class HopfAlgebra(Bialgebra, frozen=True):
         if any(not 0 <= i < d for j, row in self.antipode.items() for i in (j, *row)):
             raise DimensionMismatchError("antipode index out of range")
 
-    def antipode_vec(self, a: Vec) -> Vec:
-        ops = field_ops(self.field)
-        return accumulate(ops, ((i, ops.mul(c, m)) for j, c in a.items()
-                                for i, m in self.antipode.get(j, {}).items()))
-
     def __repr__(self):
         return f"<HopfAlgebra dim {self.dim} over {self.field.name}>"
 
@@ -116,18 +105,17 @@ class HopfAlgebra(Bialgebra, frozen=True):
 def _counit_times_unit(B: Bialgebra) -> list:
     """counit(h_i) 1 for each i, scaled term by term from the unit."""
     K = B.field
-    unit = terms(field_ops(K), B.unit)
     out = []
     for i in range(B.dim):
         eps = B.counit.get(i, K.zero())
-        out.append({} if K.is_zero(eps) else {l: K.mul(eps, u) for l, u in unit})
+        out.append({} if K.is_zero(eps) else {l: K.mul(eps, u) for l, u in B.unit.items()})
     return out
 
 
 def _counit(ops, d: int, comult: dict, counit: dict):
     """First i failing the right counit (a coaction counit) or the left one
     (the same on the flipped tensor)."""
-    flipped = {i: tuple(((k, j), c) for (j, k), c in t) for i, t in comult.items()}
+    flipped = {i: {(k, j): c for (j, k), c in t.items()} for i, t in comult.items()}
     return first(axioms.coaction_counit(ops, d, comult, counit),
                  axioms.coaction_counit(ops, d, flipped, counit))
 
@@ -139,8 +127,7 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     L = H.labels
     rep = Report(f"hopf axioms ({d}-dimensional over {K.name})")
     ops = field_ops(K)
-    mult, comult = sparse(ops, H.mult), sparse(ops, H.comult)
-    unit, counit = terms(ops, H.unit), dict(terms(ops, H.counit))
+    mult, comult, unit, counit = H.mult, H.comult, H.unit, H.counit
 
     def fails_on(i):
         return f"fails on {L[i]}"
@@ -154,8 +141,8 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     record(rep, "coassociativity", axioms.coassociativity(ops, d, comult, comult), fails_on)
 
     # the counit as an algebra map into k, whose one basis element is 0
-    eps, k = {i: ((0, c),) for i, c in counit.items()}, {(0, 0): ((0, ops.one),)}
-    unit_sq = {(i, j): K.mul(a, b) for i, a in unit for j, b in unit}
+    eps, k = {i: {0: c} for i, c in counit.items()}, {(0, 0): {0: ops.one}}
+    unit_sq = {(i, j): K.mul(a, b) for i, a in unit.items() for j, b in unit.items()}
     if axioms.image(ops, comult, unit) != unit_sq:
         not_unital = "Delta(1) != 1 (x) 1"
     elif axioms.image(ops, eps, unit) != {0: ops.one}:
@@ -177,7 +164,7 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     else:
         rep.add("comultiplication is multiplicative", True)
 
-    S, expect = sparse(ops, H.antipode), _counit_times_unit(H)
+    S, expect = H.antipode, _counit_times_unit(H)
     record(rep, "antipode identity",
            first(axioms.antipode(ops, d, mult, comult, S, expect, left=True),
                  axioms.antipode(ops, d, mult, comult, S, expect, left=False)), fails_on)
@@ -192,7 +179,7 @@ def verify_hopf(H: HopfAlgebra) -> Report:
 # antipode recovery
 # --------------------------------------------------------------------------
 
-def _antipode_system(B: Bialgebra, ops, mult: dict, comult: dict, expect: list, sub: list):
+def _antipode_system(B: Bialgebra, ops, expect: list, sub: list):
     """Solve sum S(h_(1)) h_(2) = counit(h) 1 for h = a_i, i in sub.
 
     The left legs of Delta(a_i) must lie in sub, so the unknowns are the
@@ -200,15 +187,15 @@ def _antipode_system(B: Bialgebra, ops, mult: dict, comult: dict, expect: list, 
     for h = a_sub[x], column p*k + y the a_p coordinate of S(a_sub[y]).
     Returns {i: S(a_i) as {p: c}}, or None when the system is singular.
     """
-    K, d, k = B.field, B.dim, len(sub)
+    K, d, k, mult, comult = B.field, B.dim, len(sub), B.mult, B.comult
     zero = K.zero()
     pos = {i: y for y, i in enumerate(sub)}
     M = [{} for _ in range(k * d)]  # sparse rows: column -> scalar
     rhs = [zero] * (k * d)
     for x, i in enumerate(sub):
-        for (j, m), c in comult.get(i, ()):
+        for (j, m), c in comult.get(i, {}).items():
             for p in range(d):
-                for l, v in mult.get((p, m), ()):
+                for l, v in mult.get((p, m), {}).items():
                     row, col = M[x * d + l], p * k + pos[j]
                     row[col] = K.add(row.get(col, zero), ops.mul(c, v))
         for l, u in expect[i].items():
@@ -220,7 +207,7 @@ def _antipode_system(B: Bialgebra, ops, mult: dict, comult: dict, expect: list, 
             for y, i in enumerate(sub)}
 
 
-def _antipode_on_generators(B: Bialgebra, ops, mult: dict, comult: dict, expect: list):
+def _antipode_on_generators(B: Bialgebra, ops, expect: list):
     """{i: S(a_i)} from the system on generators, or None.
 
     With unit, counit, associativity and coassociativity, convolution makes
@@ -233,29 +220,28 @@ def _antipode_on_generators(B: Bialgebra, ops, mult: dict, comult: dict, expect:
     premise, a singular sub-system, a sub-system on every basis element or
     a failed identity.
     """
-    d = B.dim
-    _, tree = axioms.unit_tree(ops, d, mult, terms(ops, B.unit))
-    if (tree is None or _counit(ops, d, comult, dict(terms(ops, B.counit))) is not None
+    d, mult, comult = B.dim, B.mult, B.comult
+    _, tree = axioms.unit_tree(ops, d, mult, B.unit)
+    if (tree is None or _counit(ops, d, comult, B.counit) is not None
             or axioms.coassociativity(ops, d, comult, comult) is not None
             or axioms.associativity(ops, d, mult, tree.gens) is not None):
         return None
     sub = [tree.root, *tree.gens]
     for i in sub:  # grows until closed under the left legs of Delta
-        for (j, _), _ in comult.get(i, ()):
+        for j, _ in comult.get(i, {}):
             if j not in sub:
                 sub.append(j)
     if len(sub) == d:
         return None
-    cols = _antipode_system(B, ops, mult, comult, expect, sub)
+    cols = _antipode_system(B, ops, expect, sub)
     if cols is None:
         return None
     for i, (s, r, c) in tree.steps.items():
         if i not in cols:
             inv = B.field.inv(c)
             cols[i] = {p: ops.mul(inv, v) for p, v in B.mul_vec(cols[r], cols[s]).items()}
-    S = sparse(ops, cols)
-    if (axioms.antipode(ops, d, mult, comult, S, expect, left=True) is not None
-            or axioms.antipode(ops, d, mult, comult, S, expect, left=False) is not None):
+    if (axioms.antipode(ops, d, mult, comult, cols, expect, left=True) is not None
+            or axioms.antipode(ops, d, mult, comult, cols, expect, left=False) is not None):
         return None
     return cols
 
@@ -273,15 +259,14 @@ def solve_antipode(B: Bialgebra) -> dict:
     K = B.field
     d = B.dim
     ops = field_ops(K)
-    mult, comult = sparse(ops, B.mult), sparse(ops, B.comult)
     expect = _counit_times_unit(B)
-    cols = _antipode_on_generators(B, ops, mult, comult, expect)
+    cols = _antipode_on_generators(B, ops, expect)
     if cols is None:
-        cols = _antipode_system(B, ops, mult, comult, expect, list(range(d)))
+        cols = _antipode_system(B, ops, expect, list(range(d)))
         if cols is None:
             raise NoAntipodeError(
                 "identity has no convolution inverse: this bialgebra is not a Hopf algebra")
-        bad = axioms.antipode(ops, d, mult, comult, sparse(ops, cols), expect, left=False)
+        bad = axioms.antipode(ops, d, B.mult, B.comult, cols, expect, left=False)
         if bad is not None:
             raise NoAntipodeError(
                 f"left convolution inverse fails the right-sided identity on {B.labels[bad]}")
@@ -410,4 +395,4 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
 
 
 def is_commutative_hopf(H: HopfAlgebra) -> bool:
-    return axioms.commutativity(H.dim, sparse(field_ops(H.field), H.mult)) is None
+    return axioms.commutativity(H.dim, H.mult) is None

@@ -216,12 +216,6 @@ class BaseRing:
         pad = (0,) * (len(self.gens) - k)
         return BaseElement(self, {m + pad: c for m, c in a.coeffs.items()})
 
-    def restrict(self, a: BaseElement, k: int) -> BaseElement:
-        """Inverse of lift for elements supported on the first k generators."""
-        if any(any(m[k:]) for m in a.coeffs):
-            raise RingMismatchError(f"{a} involves generators beyond the first {k}")
-        return BaseElement(self.prefix(k), {m[:k]: c for m, c in a.coeffs.items()})
-
     # ----------------------------------------------- raw dict arithmetic
 
     def _add(self, A: dict, B: dict) -> dict:
@@ -416,10 +410,6 @@ class BaseRing:
     @property
     def grades(self) -> tuple[int, ...]:
         return tuple(g.grade for g in self.gens)
-
-    @property
-    def has_positive_grading(self) -> bool:
-        return any(g.grade > 0 for g in self.gens)
 
     # --------------------------------------------------------- formatting
 

@@ -19,7 +19,9 @@ the library did before it checked maps through the axiom checker.
 its own methods did before only the tests read them.
 ``reduce_word_combination`` rewrites words in x, y to the normal form of
 the rank-4 family, as ``bundles.abg_bundle`` did before its table was
-written out.
+written out.  ``crossed_multiply`` is the general crossed-product formula
+with an explicit action, which ``cleft`` had as an entry point that only
+the tests called.
 """
 
 from hopfgal.errors import NoAntipodeError
@@ -581,3 +583,34 @@ def abg_mult(p) -> dict:
     return {(i, j): {_WORD_INDEX[w]: c
                      for w, c in reduce_word_combination(p, {wi + wj: one}).items()}
             for i, wi in enumerate(_WORDS) for j, wj in enumerate(_WORDS)}
+
+
+def crossed_multiply(base, H, action, sigma, x: tuple, y: tuple) -> dict:
+    """Product of simple tensors in the general crossed product.
+
+    x = (c, g-vec), y = (d, h-vec); returns the coordinates (H-index to
+    C-element) of (c (x) g)(d (x) h) with the three-fold comultiplication:
+
+        sum c (g_(1) . d) sigma(g_(2), h_(1)) (x) g_(3) h_(2)
+
+    action(k, d) must return the base element h_k . d.  The tests compare
+    ``cleft.twisted_product`` with this formula under the trivial action,
+    and exercise it under a genuine one.
+    """
+    K = H.field
+    c, g = x
+    dd, h = y
+    out: dict = {}
+    for a, cg in g.items():
+        # Delta^2(h_a) as (r, s, q) components
+        for (p, q), w1 in H.comult.get(a, {}).items():
+            for (r, s), w2 in H.comult.get(p, {}).items():
+                w_a = K.mul(cg, K.mul(w1, w2))
+                acted = c * action(r, dd)
+                for b, ch in h.items():
+                    for (b1, b2), wb in H.comult.get(b, {}).items():
+                        coeff = acted * sigma.sigma[s][b1]
+                        w = base.from_scalar(K.mul(w_a, K.mul(ch, wb)))
+                        for l, m in H.mult.get((q, b2), {}).items():
+                            _vadd(out, l, w * coeff * base.from_scalar(m))
+    return out

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgal import axioms
-from hopfgal.axioms import field_ops, ring_ops, sparse, terms, word_tree
+from hopfgal.axioms import coeff_table, coeffs, field_ops, ring_ops, word_tree
 from hopfgal.bundles import (
     AbgParams,
     abg_bundle,
@@ -310,8 +310,14 @@ T4 = taft(4, 2, F5)
 KUMMER4 = kummer_bundle(4, F241.from_int(64), F241)  # 64^2 = -1 mod 241
 
 
-def _generators(ops, n, mult, unit):
-    tree = word_tree(n, sparse(ops, mult), terms(ops, unit), ops.is_unit)
+def _generators(R):
+    """The generators of a word tree of R's algebra, found on R's tables:
+    a Hopf algebra's as they are, a bundle's read by ``coeff_table`` and
+    ``coeffs``."""
+    if isinstance(R, ComoduleAlgebra):
+        tree = word_tree(R.dim, coeff_table(R.mult), coeffs(R.unit), ring_ops(R.base).is_unit)
+    else:
+        tree = word_tree(R.dim, R.mult, R.unit, field_ops(R.field).is_unit)
     return None if tree is None else tree.gens
 
 
@@ -320,12 +326,11 @@ def _non_generator_pairs(n, gens):
 
 
 def test_word_trees_of_taft_and_kummer():
-    assert _generators(field_ops(F5), T4.dim, T4.mult, T4.unit) == (1, 4)  # X, Y
-    assert _generators(ring_ops(KUMMER4.base), KUMMER4.dim, KUMMER4.mult,
-                       KUMMER4.unit) == (1,)  # w
+    assert _generators(T4) == (1, 4)  # X, Y
+    assert _generators(KUMMER4) == (1,)  # w
     # the dual group algebra's unit is the sum of all basis elements: no tree
     H = KUMMER4.hopf
-    assert _generators(field_ops(F241), H.dim, H.mult, H.unit) is None
+    assert _generators(H) is None
 
 
 @settings(deadline=None, max_examples=150)
@@ -554,7 +559,7 @@ def test_iso_generator_shortcut_needs_its_premises(build, side, premise):
     """The generator rows pass and a later pair fails; a shortcut taken
     without the broken premise would certify the map."""
     A, B, M = build()
-    gens = _generators(ring_ops(A.base), A.dim, A.mult, A.unit)
+    gens = _generators(A)
     assert gens and _generator_rows_pass(A, B, M, gens)
     rep = check_iso(A, B, M)
     assert rep.to_json() == ref.check_iso(A, B, M).to_json()

@@ -19,7 +19,6 @@ from hopfgal.cleft import (
     central_coefficient,
     check_cleaving,
     cleaving_of_twisted_product,
-    crossed_multiply,
     crossed_product,
     extract_cocycle,
     push_cocycle,
@@ -40,6 +39,7 @@ from hopfgal.fields import QQ
 from hopfgal.galois import NOT_BIJECTIVE, is_galois, verify_bundle
 from hopfgal.hopf import cyclic_group_algebra, sweedler_h4
 from hopfgal.rings import BaseMorphism, base_ring, laurent_ring, polynomial_ring
+from reference_axioms import crossed_multiply
 
 H4 = sweedler_h4(QQ)
 C2 = cyclic_group_algebra(2, QQ)

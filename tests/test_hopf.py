@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgal import hopf
+from hopfgal import axioms, hopf
 from hopfgal.document import Document, dump_document, load_document, parse_document
 from hopfgal.errors import BadRootOfUnityError, DimensionMismatchError, NoAntipodeError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
@@ -84,9 +84,9 @@ def test_sweedler_known_products():
     assert H.mul_vec(X, Y) == {3: one}
     assert H.mul_vec(Y, Y) == {}
     assert H.mul_vec(XY, XY) == {}
-    assert H.comult_vec(XY) == {(1, 3): one, (3, 0): one}
-    assert H.antipode_vec(Y) == {3: one}      # S(Y) = XY
-    assert H.antipode_vec(XY) == {2: QQ.neg(one)}  # S(XY) = -Y
+    assert ref._h_comult_vec(H, XY) == {(1, 3): one, (3, 0): one}
+    assert ref._h_antipode_vec(H, Y) == {3: one}      # S(Y) = XY
+    assert ref._h_antipode_vec(H, XY) == {2: QQ.neg(one)}  # S(XY) = -Y
 
 
 def test_order_two_case_is_the_four_dimensional_algebra():
@@ -102,8 +102,8 @@ def test_taft_3_2_f7_antipode():
     i_X, i_Y = 1, 3 * 1  # X = X^1 Y^0 at index 1, Y = X^0 Y^1 at index 3
     i_X2 = 2
     i_X2Y = 2 + 3 * 1
-    assert H.antipode_vec({i_X: F7.one()}) == {i_X2: F7.one()}
-    assert H.antipode_vec({i_Y: F7.one()}) == {i_X2Y: 3}
+    assert ref._h_antipode_vec(H, {i_X: F7.one()}) == {i_X2: F7.one()}
+    assert ref._h_antipode_vec(H, {i_Y: F7.one()}) == {i_X2Y: 3}
 
 
 def test_taft_3_2_f7_comult_of_y_squared():
@@ -111,7 +111,7 @@ def test_taft_3_2_f7_comult_of_y_squared():
     H = taft(3, 2, F7)
     i_Y2 = 3 * 2
     i_Y, i_XY, i_X2 = 3, 1 + 3, 2
-    t = H.comult_vec({i_Y2: F7.one()})
+    t = ref._h_comult_vec(H, {i_Y2: F7.one()})
     assert t == {(0, i_Y2): 1, (i_Y, i_XY): 3, (i_Y2, i_X2): 1}
 
 
@@ -231,6 +231,27 @@ def test_antipode_extension_failing_the_identities_falls_back(monkeypatch):
     assert sizes == [2 * 3, 3 * 3]  # the system on {1, g} solved, then the full one
     assert S == _ref_antipode(B)
     assert S[2] == {0: 2, 2: -1}
+
+
+def test_the_checks_read_the_records_own_tables(monkeypatch):
+    """verify_hopf and solve_antipode hand H's tables to the axiom checker
+    as they are: the rows are read in place, not copied first."""
+    H = taft(4, 2, F5)
+    calls = []
+    for name in ("associativity", "antipode"):
+        def spy(*args, _check=getattr(axioms, name), _name=name, **kw):
+            calls.append((_name, args))
+            return _check(*args, **kw)
+        monkeypatch.setattr(axioms, name, spy)
+    for run in (verify_hopf, solve_antipode):
+        calls.clear()
+        run(H)
+        assert sorted({name for name, _ in calls}) == ["antipode", "associativity"], run
+        for name, args in calls:
+            assert args[2] is H.mult
+            if name == "antipode":
+                assert args[3] is H.comult
+    assert verify_hopf(H).ok
 
 
 def _reindexed(H, perm):

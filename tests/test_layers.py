@@ -1,13 +1,17 @@
 """The linear algebra stays in one layer: ``linalg`` alone defines the
 elimination kernel and Berkowitz, ``rings`` does not import it at module
 level, and the kernel takes its coefficients through ``Ops`` alone.
-Equality of records stays in one place: ``Record``'s, field by field."""
+Equality of records stays in one place: ``Record``'s, field by field.
+Nothing in ``src/`` is defined for the tests alone: every function, method
+and class is named somewhere in ``src/`` or exported, or is allowed by
+name with a reason."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+import hopfgal
 from hopfgal import linalg
 from hopfgal.record import Record
 
@@ -56,3 +60,42 @@ def test_no_record_in_src_defines_eq() -> None:
             records[cls.__qualname__] = "__eq__" in cls.__dict__
     assert {"Bialgebra", "HopfAlgebra", "ComoduleAlgebra", "HModuleMap", "Cocycle"} <= set(records)
     assert not any(records.values()), [name for name, own in records.items() if own]
+
+
+# Defined in src/ and named nowhere else in it, each kept on purpose.
+UNCALLED = {
+    "berkowitz_det": "perfbench/traced.py traces it",
+    "BaseRing.monomial": "public ring API; the tests build elements with it",
+    "polynomial_ring": "public constructor; perfbench/workloads.py and the tests use it",
+    "CanonicalMatrix.nrows": "public property; demos/02_galois_bundles.py prints it",
+    "WitnessChain.reverse": "public chain API; test_homotopy and test_cli compose with it",
+    "WitnessChain.then": "public chain API; test_homotopy composes with it",
+}
+
+
+def test_src_defines_nothing_that_only_tests_call() -> None:
+    """A function, method or class counts as called when its name appears
+    in src/ as a name or an attribute anywhere but in its own def line;
+    dunder methods are called by the language, and top-level names in
+    ``hopfgal.__all__`` by users."""
+    defined, named = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        todo = [(tree, "")]
+        while todo:
+            node, owner = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    qualname = f"{owner}.{child.name}" if owner else child.name
+                    defined[qualname] = (child.name, node is tree)
+                    todo.append((child, qualname))
+                else:
+                    todo.append((child, owner))
+        named |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                  if isinstance(n, (ast.Name, ast.Attribute))}
+    uncalled = {qualname for qualname, (name, top) in defined.items()
+                if name not in named and not (name.startswith("__") and name.endswith("__"))
+                and not (top and name in hopfgal.__all__)}
+    assert uncalled == set(UNCALLED), (
+        f"called only from outside src/: {sorted(uncalled - set(UNCALLED))}; "
+        f"no longer uncalled: {sorted(set(UNCALLED) - uncalled)}")
