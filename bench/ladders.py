@@ -1,0 +1,129 @@
+"""Layer ladders: in-process timings of hopfgal, one rung per layer and size.
+
+    PYTHONPATH=src python3 bench/ladders.py BENCH_<n>.json
+
+Run from the root of a source checkout.  Each rung records the median of
+three runs of wall time (``time.perf_counter``) and of CPU time
+(``time.process_time``), or one run when the first takes over 4 s, and the
+verdict it computed, so a run that got a wrong answer shows.  The file also
+records the machine, ``nproc``, the Python version, a SHA-256 of the
+library's sources and a fixed pure-Python yardstick timed the same way: on
+a shared host, divide a rung by the yardstick of its own file before
+comparing files.  The stored documents under ``perfbench/data`` are only
+read.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import hopfgal
+from hopfgal.document import load_document
+from hopfgal.fields import QQ, PrimeField, SimpleExtension
+from hopfgal.galois import is_galois, verify_bundle
+from hopfgal.homotopy import kummer_trivialization_witness, verify_witness
+from hopfgal.hopf import taft, verify_hopf
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "perfbench" / "data" / "seed0"
+RUNS, SINGLE_RUN_OVER_S = 3, 4.0
+INVERSES = 1000  # per run of the extension-field rung
+
+
+def timed(fn):
+    """(median wall, median cpu, value of fn(), number of runs)."""
+    walls, cpus = [], []
+    while len(walls) < RUNS and not (walls and walls[0] > SINGLE_RUN_OVER_S):
+        w0, c0 = time.perf_counter(), time.process_time()
+        value = fn()
+        walls.append(time.perf_counter() - w0)
+        cpus.append(time.process_time() - c0)
+    return statistics.median(walls), statistics.median(cpus), value, len(walls)
+
+
+def yardstick():
+    """Fixed pure-Python work: integer arithmetic, dicts and tuples."""
+    acc, table = 0, {}
+    for i in range(300_000):
+        key = (i % 97, i % 89)
+        table[key] = table.get(key, 0) + i * i % 1009
+        acc = (acc + table[key]) % 1_000_003
+    return acc
+
+
+def of_order(K: PrimeField, n: int):
+    return next(K.from_int(a) for a in range(2, K.p) if K.has_order(K.from_int(a), n))
+
+
+def rungs():
+    """(layer, size, callable returning a verdict) in the order they run;
+    what a rung needs is built before it is timed."""
+    for name in ("bundle-towers/kummer.json", "cli-docs/abg.json"):
+        path = str(DATA / name)
+        yield "load_document", name, lambda path=path: len(load_document(path).bundles)
+    for n, p in ((8, 17), (16, 17), (24, 73), (32, 97)):
+        K = PrimeField(p)
+        q = of_order(K, n)
+        yield "taft", f"N={n}/F{p}", lambda n=n, q=q, K=K: taft(n, q, K).dim
+        H = taft(n, q, K)
+        yield "verify_hopf", f"taft N={n}/F{p}", lambda H=H: verify_hopf(H).ok
+    F241 = PrimeField(241)
+    for n in (24, 40, 60):
+        A, w = kummer_trivialization_witness(n, of_order(F241, n), F241)
+        size = f"kummer N={n}/F241"
+        yield "verify_bundle", size, lambda A=A: verify_bundle(A).ok
+        yield "is_galois", size, lambda A=A: is_galois(A).ok
+        yield "verify_witness", size, lambda w=w: verify_witness(w).ok
+    QI = SimpleExtension(QQ, "i", (1, 0, 1))
+    a = (QQ.fraction(3, 7), 5)
+    yield "SimpleExtension.inv", f"{INVERSES} inverses in Q(i)", lambda: [
+        QI.inv(a) for _ in range(INVERSES)][-1] == QI.inv(a)
+
+
+def sources_sha256() -> str:
+    digest = hashlib.sha256()
+    for path in sorted(Path(hopfgal.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def main(out: str) -> None:
+    wall, cpu, _, runs = timed(yardstick)
+    result = {
+        "machine": {"platform": platform.platform(), "machine": platform.machine(),
+                    "cpu": cpu_model(), "nproc": os.cpu_count()},
+        "python": platform.python_version(),
+        "hopfgal_sha256": sources_sha256(),
+        "yardstick": {"wall_s": round(wall, 4), "cpu_s": round(cpu, 4), "runs": runs},
+        "rungs": [],
+    }
+    for layer, size, fn in rungs():
+        wall, cpu, value, runs = timed(fn)
+        result["rungs"].append({"layer": layer, "size": size, "runs": runs,
+                                "wall_s": round(wall, 4), "cpu_s": round(cpu, 4),
+                                "verdict": value})
+        print(f"{layer:22} {size:28} wall {wall:8.4f} s  cpu {cpu:8.4f} s  ({runs} runs)",
+              file=sys.stderr, flush=True)
+    Path(out).write_text(json.dumps(result, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])

@@ -9,6 +9,7 @@ Run:  python3 demos/03_cleft_and_cocycles.py
 
 from hopfgal import (
     AbgParams,
+    BaseElement,
     QQ,
     abg_bundle,
     abg_cleaving,
@@ -27,7 +28,7 @@ fmt = C.format_element
 
 def show_map(name, values):
     for k, vec in enumerate(values):
-        terms = " + ".join(f"({fmt(c)}) {A.labels[i]}"
+        terms = " + ".join(f"({C.format_coeffs(c)}) {A.labels[i]}"
                            for i, c in sorted(vec.items())) or "0"
         print(f"  {name}({H.labels[k]}) = {terms}")
 
@@ -53,7 +54,7 @@ print()
 
 B = twisted_product(C, H, sigma)
 # columns of the iso are the cleaving values themselves
-M = [[cm.gamma.values[k].get(i, C.zero()) for k in range(4)] for i in range(4)]
+M = [[BaseElement(C, cm.gamma.values[k].get(i, {})) for k in range(4)] for i in range(4)]
 rep = check_iso(B, A, M)
 assert rep.ok
 print("twisted product rebuilt from sigma alone; isomorphism back certified")

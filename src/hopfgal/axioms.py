@@ -10,11 +10,10 @@ coefficients in the same ring; a Hopf algebra checked against itself is
 the case A = H, rho = Delta.  Coefficients are handled by ``Ops``, the one
 coefficient interface that ``linalg`` shares: the ground field's
 operations on scalars for a Hopf algebra, the base ring's operations on
-coefficient dicts for a bundle.  So a Hopf algebra is checked on the
-tables it was built with, and a bundle on its tables with each
-BaseElement read as its coefficient dict once per check (``coeffs``,
-``coeff_table``); ``total`` sums table entries and writes them back
-through ``Ops.wrap``.
+coefficient dicts for a bundle.  A record's tables hold their entries in
+that form, field scalars in a Hopf algebra and coefficient dicts
+{monomial: scalar} in a bundle, so every check reads the tables it was
+built with, as they are.
 
 A product of basis elements is read off the table instead of being formed
 from basis vectors, and a product with a coefficient 1 is the other
@@ -61,9 +60,9 @@ from .rings import BaseElement
 
 # Coefficient operations of a field (on scalars) or of a base ring (on
 # coefficient dicts, where {} is zero).  ``mul`` skips a factor 1, ``inv``
-# answers None for a non-unit, and ``raw``/``wrap`` read a matrix or module
-# entry (a scalar, or a BaseElement) as a coefficient and write a
-# coefficient back as an entry, for ``linalg`` and ``total``.  Ops and
+# answers None for a non-unit, and ``raw``/``wrap`` read an entry of a
+# matrix that ``linalg``'s public functions take (a scalar, or a
+# BaseElement) as a coefficient and write a coefficient back.  Ops and
 # WordTree are collections.namedtuples, so this module imports no
 # ``typing``.
 Ops = namedtuple("Ops", "zero one add neg mul is_zero is_one is_unit inv raw wrap")
@@ -117,17 +116,6 @@ def ring_ops(C) -> Ops:
                operator.attrgetter("coeffs"), partial(BaseElement, C))
 
 
-def coeffs(vec: dict) -> dict:
-    """A base-ring vector {index: BaseElement} as {index: coefficient dict}."""
-    return {k: e.coeffs for k, e in vec.items()}
-
-
-def coeff_table(table: dict) -> dict:
-    """A base-ring table {key: {index: BaseElement}} with each row read by
-    ``coeffs``."""
-    return {key: coeffs(row) for key, row in table.items()}
-
-
 def nonzero(vec: dict, is_zero) -> dict:
     """vec with its zero values dropped."""
     return {k: c for k, c in vec.items() if not is_zero(c)}
@@ -148,13 +136,6 @@ def accumulate(ops: Ops, pairs) -> dict:
         s = out.get(key)
         out[key] = val if s is None else add(s, val)
     return {k: v for k, v in out.items() if not ops.is_zero(v)}
-
-
-def total(ops: Ops, pairs) -> dict:
-    """``accumulate`` for table entries: each value is read by ``ops.raw``
-    and each sum written back by ``ops.wrap``."""
-    raw, wrap = ops.raw, ops.wrap
-    return {k: wrap(v) for k, v in accumulate(ops, ((k, raw(v)) for k, v in pairs)).items()}
 
 
 def record(rep, name: str, bad, witness) -> None:

@@ -18,8 +18,9 @@ root-of-unity action.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import chain, product
 
+from .axioms import accumulate, ring_ops
 from .cleft import CleavingMap, check_cleaving
 from .comod import ComoduleAlgebra, HModuleMap, check_iso
 from .errors import (
@@ -178,18 +179,17 @@ def _coaction_images(C: BaseRing):
     caller shares the result and only reads it."""
     K = C.field
     T = abg_bundle(AbgParams(C, C.one(), C.zero(), C.zero()))
-    zero, one = C.zero(), C.one()
-    elems = [C.from_scalar(K.from_int(i)) for i in range(K.characteristic())]
+    elems = [C.from_scalar(K.from_int(i)).coeffs for i in range(K.characteristic())]
     # rho(x) = x (x) X and rho(y) = 1 (x) Y + y (x) X in the whole family,
     # so an algebra map respects the coaction iff its generator images do.
     xs, ys = [], []
     for combo in product(elems, repeat=4):
-        v = {i: c for i, c in enumerate(combo) if c != zero}
+        v = {i: c for i, c in enumerate(combo) if c}
         rho = T.coact_vec(v)
         tensored = {(i, 1): c for i, c in v.items()}
         if rho == tensored:
             xs.append(v)
-        if rho == tensored | {(0, 2): one}:
+        if rho == tensored | {(0, 2): C.one().coeffs}:
             ys.append(v)
     return T, tuple(xs), tuple(ys)
 
@@ -214,11 +214,11 @@ def search_trivialization(p: AbgParams):
     gamma = p.gamma.constant_scalar()
     A = abg_bundle(p)
     T, xs, ys = _coaction_images(C)
-    zero, one = C.zero(), C.one()
+    ops = ring_ops(C)
 
-    want_xx = {} if p.alpha.is_zero else {0: C.from_scalar(alpha)}
-    want_yy = {} if p.beta.is_zero else {0: C.from_scalar(beta)}
-    want_anti = {} if p.gamma.is_zero else {0: C.from_scalar(gamma)}
+    want_xx = {} if p.alpha.is_zero else {0: C.from_scalar(alpha).coeffs}
+    want_yy = {} if p.beta.is_zero else {0: C.from_scalar(beta).coeffs}
+    want_anti = {} if p.gamma.is_zero else {0: C.from_scalar(gamma).coeffs}
     for vx in xs:
         if T.mul_vec(vx, vx) != want_xx:
             continue
@@ -226,17 +226,10 @@ def search_trivialization(p: AbgParams):
             if T.mul_vec(vy, vy) != want_yy:
                 continue
             cross = T.mul_vec(vx, vy)
-            anti = dict(T.mul_vec(vy, vx))
-            for i, c in cross.items():
-                s = anti.get(i, zero) + c
-                if s == zero:
-                    anti.pop(i, None)
-                else:
-                    anti[i] = s
-            if anti != want_anti:
+            if accumulate(ops, chain(cross.items(), T.mul_vec(vy, vx).items())) != want_anti:
                 continue
-            images = ({0: one}, vx, vy, cross)
-            M = [[images[j].get(i, zero) for j in range(4)] for i in range(4)]
+            images = ({0: ops.one}, vx, vy, cross)
+            M = [[BaseElement(C, images[j].get(i, {})) for j in range(4)] for i in range(4)]
             if check_iso(A, T, M).ok:
                 return M
     return None

@@ -17,11 +17,10 @@ check is cheap and leaves nothing implicit.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import coeff_table, coeffs, nonzero, ring_ops, total
+from .axioms import accumulate, ring_ops
 from .comod import (
     ComoduleAlgebra,
     HModuleMap,
-    _is_zero,
     _lifted,
     convolution_invert,
     convolve,
@@ -42,20 +41,21 @@ from .rings import BaseElement, BaseMorphism, BaseRing
 
 
 def central_coefficient(A: ComoduleAlgebra, vec: dict):
-    """The c in C with vec = c * unit, or None if vec is not central."""
+    """The c in C (a BaseElement) with vec = c * unit, or None if vec is not
+    central; vec holds coefficient dicts, with no zero among them."""
     C = A.base
     pivot = None
     for i, u in A.unit.items():
-        inv = C.try_inverse(u)
+        inv = C.try_inverse(BaseElement(C, u))
         if inv is not None:
-            pivot = (i, inv)
+            pivot = (i, inv.coeffs)
             break
     if pivot is None:
         return None
     i0, uinv = pivot
-    c = vec.get(i0, C.zero()) * uinv
-    expect = nonzero({i: c * u for i, u in A.unit.items()}, _is_zero)
-    return c if nonzero(vec, _is_zero) == expect else None
+    c = C._mul(vec.get(i0, {}), uinv)
+    expect = {i: v for i, u in A.unit.items() if (v := C._mul(c, u))}
+    return BaseElement(C, c) if vec == expect else None
 
 
 class CleavingMap(Record, frozen=True):
@@ -80,8 +80,8 @@ class CleavingMap(Record, frozen=True):
 def _comodule_map_witness(A: ComoduleAlgebra, gamma: HModuleMap):
     """Index of the first basis element where rho(gamma(h)) != (gamma (x) id)(Delta h)."""
     ops = ring_ops(A.base)
-    return axioms.comodule_map(ops, A.hopf.dim, coeff_table(dict(enumerate(gamma.values))),
-                               _lifted(A, A.hopf.comult), coeff_table(A.coaction))
+    return axioms.comodule_map(ops, A.hopf.dim, dict(enumerate(gamma.values)),
+                               _lifted(A, A.hopf.comult), A.coaction)
 
 
 def check_cleaving(A: ComoduleAlgebra, gamma: HModuleMap) -> CleavingMap:
@@ -130,10 +130,10 @@ def trivial_cocycle(base: BaseRing, H: HopfAlgebra) -> Cocycle:
 def quasi_action(cm: CleavingMap, k: int, c: BaseElement) -> dict:
     """h_k . c = sum gamma(h_(1)) (c 1_A) gamma'(h_(2)), as an element of A."""
     A = cm.algebra
-    H = A.hopf
-    c_vec = {i: c * u for i, u in A.unit.items()}
-    return total(ring_ops(A.base), (
-        (l, m.scale(w)) for (i, j), w in H.comult.get(k, {}).items()
+    C, H = A.base, A.hopf
+    c_vec = {i: C._mul(c.coeffs, u) for i, u in A.unit.items()}
+    return accumulate(ring_ops(C), (
+        (l, C._scale(w, m)) for (i, j), w in H.comult.get(k, {}).items()
         for l, m in A.mul_vec(A.mul_vec(cm.gamma.values[i], c_vec),
                               cm.gamma_inv.values[j]).items()))
 
@@ -153,7 +153,8 @@ def extract_cocycle(cm: CleavingMap) -> Cocycle:
         eps = H.counit.get(k, K.zero())
         for c in probes:
             got = quasi_action(cm, k, c)
-            want = nonzero({i: A.lift(eps) * c * u for i, u in A.unit.items()}, _is_zero)
+            ec = C._scale(eps, c.coeffs)
+            want = {i: v for i, u in A.unit.items() if (v := C._mul(ec, u))}
             if got != want:
                 raise NonCentralDatumError(
                     f"quasi-action of {H.labels[k]} moves the base element "
@@ -168,8 +169,8 @@ def extract_cocycle(cm: CleavingMap) -> Cocycle:
     for a in range(d):
         row = []
         for b in range(d):
-            acc = total(ops, (
-                (l, m.scale(K.mul(ca, cb)))
+            acc = accumulate(ops, (
+                (l, C._scale(K.mul(ca, cb), m))
                 for (a1, a2), ca in H.comult.get(a, {}).items()
                 for (b1, b2), cb in H.comult.get(b, {}).items()
                 for l, m in A.mul_vec(A.mul_vec(cm.gamma.values[a1], cm.gamma.values[b1]),
@@ -231,21 +232,21 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
     K = H.field
     d = H.dim
     ops = ring_ops(base)
-    mult = {(a, b): total(ops, ((l, sigma.sigma[a1][b1].scale(K.mul(K.mul(ca, cb), m)))
-                                for (a1, a2), ca in H.comult.get(a, {}).items()
-                                for (b1, b2), cb in H.comult.get(b, {}).items()
-                                for l, m in H.mult.get((a2, b2), {}).items()))
+    scale, sig = base._scale, [[c.coeffs for c in row] for row in sigma.sigma]
+    mult = {(a, b): accumulate(ops, ((l, scale(K.mul(K.mul(ca, cb), m), sig[a1][b1]))
+                                     for (a1, a2), ca in H.comult.get(a, {}).items()
+                                     for (b1, b2), cb in H.comult.get(b, {}).items()
+                                     for l, m in H.mult.get((a2, b2), {}).items()))
             for a in range(d) for b in range(d)}
     unit = {i: base.from_scalar(c) for i, c in H.unit.items()}
     coaction = {i: {jk: base.from_scalar(c) for jk, c in t.items()}
                 for i, t in H.comult.items()}
     A = ComoduleAlgebra(base, H, H.labels, mult, unit, coaction)
     L = H.labels
-    table = coeff_table(A.mult)
-    bad, tree = axioms.unit_tree(ops, d, table, coeffs(A.unit))
+    bad, tree = axioms.unit_tree(ops, d, A.mult, A.unit)
     if bad is not None:
         raise NotAssociativeError(f"twisted product is not unital on {L[bad]}")
-    bad = axioms.associativity(ops, d, table, None if tree is None else tree.gens)
+    bad = axioms.associativity(ops, d, A.mult, None if tree is None else tree.gens)
     if bad is not None:
         i, j, l = bad
         raise NotAssociativeError(

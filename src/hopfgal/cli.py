@@ -90,7 +90,7 @@ def _report_results(command: str, names: list, reports: list):
 
 def _format_vec(A, vec: dict) -> str:
     C = A.base
-    terms = [f"({C.format_element(c)}) {A.labels[i]}"
+    terms = [f"({C.format_coeffs(c)}) {A.labels[i]}"
              for i, c in sorted(vec.items())]
     return " + ".join(terms) if terms else "0"
 
@@ -101,7 +101,7 @@ def _values_table(A, values) -> list:
     for k, vec in enumerate(values):
         if vec:
             out.append([H.labels[k],
-                        {A.labels[i]: C.format_element(c)
+                        {A.labels[i]: C.format_coeffs(c)
                          for i, c in sorted(vec.items())}])
     return out
 

@@ -3,11 +3,12 @@
 An object here is an algebra A, free of finite rank as a module over a
 commutative base ring C, together with a coaction of a Hopf algebra H.
 Multiplication and coaction are stored as structure constants with
-coefficients in C:
+coefficients in C, each held as its coefficient dict {monomial: scalar},
+the form in which ``axioms.ring_ops`` computes:
 
-* ``mult[(i, j)]``  -- coordinates of a_i * a_j (dict index -> C-element)
+* ``mult[(i, j)]``  -- coordinates of a_i * a_j (dict index -> coefficient)
 * ``unit``          -- coordinates of 1_A
-* ``coaction[i]``   -- coordinates of rho(a_i) in A (x) H (dict (j, k) -> C)
+* ``coaction[i]``   -- coordinates of rho(a_i) in A (x) H (dict (j, k) -> coefficient)
 
 C sits inside A as C * 1_A; because all structure constants live in the
 commutative ring C, centrality of the base is built into the representation.
@@ -17,19 +18,22 @@ the Galois module.
 
 As for a Hopf algebra, a record keeps copies of its tables, and an
 ``HModuleMap`` of its values, in normal form: zero coefficients and empty
-rows dropped.  Equality is field by field.
+rows dropped.  Equality is field by field.  Building a record is the one
+place that converts: an entry given as a BaseElement of the base ring is
+read as its coefficient dict, so tables may be built with ring arithmetic.
+Module vectors ({index: coefficient dict}) are summed by
+``axioms.accumulate``; a BaseElement is formed only to call an API that
+takes one (a base morphism, ``ring_solve``, ``try_inverse``).
 
-``verify_comodule_algebra`` checks the axioms on these tables with the one
-axiom checker of ``axioms``, the one that also verifies Hopf algebras.
+``verify_comodule_algebra`` checks the axioms on the record's own tables
+with the one axiom checker of ``axioms``, the one that also verifies Hopf
+algebras.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 from . import axioms
-from .axioms import (accumulate, coeff_table, coeffs, field_ops, nonzero, normal, record,
-                     ring_ops, total)
+from .axioms import accumulate, field_ops, record, ring_ops
 from .errors import (
     BaseNotFieldError,
     DimensionMismatchError,
@@ -43,7 +47,19 @@ from .report import Report
 from .rings import BaseElement, BaseMorphism, BaseRing
 
 
-_is_zero = attrgetter("is_zero")  # of a BaseElement
+def _entry(C: BaseRing, c) -> dict:
+    """A table entry over C as its coefficient dict: a BaseElement's
+    ``coeffs``, a coefficient dict as it is."""
+    if not isinstance(c, BaseElement):
+        return c
+    if c.ring != C:
+        raise RingMismatchError(f"entry {c} lies in {c.ring!r}, not in {C!r}")
+    return c.coeffs
+
+
+def _entries(C: BaseRing, vec: dict) -> dict:
+    """vec with each entry read by ``_entry`` and the zeros dropped."""
+    return {k: e for k, c in vec.items() if (e := _entry(C, c))}
 
 
 def _lifted(A, table: dict) -> dict:
@@ -62,10 +78,11 @@ class ComoduleAlgebra(Record, frozen=True):
     coaction: dict
 
     def __post_init__(self):
-        put = object.__setattr__
-        put(self, "mult", normal(self.mult, _is_zero))
-        put(self, "unit", nonzero(self.unit, _is_zero))
-        put(self, "coaction", normal(self.coaction, _is_zero))
+        put, C = object.__setattr__, self.base
+        for name in ("mult", "coaction"):
+            put(self, name, {key: v for key, row in getattr(self, name).items()
+                             if (v := _entries(C, row))})
+        put(self, "unit", _entries(C, self.unit))
         if self.base.field != self.hopf.field:
             raise RingMismatchError(
                 "base ring and Hopf algebra use different ground fields")
@@ -91,7 +108,7 @@ class ComoduleAlgebra(Record, frozen=True):
     # ------------------------------------------------------ module vectors
 
     def basis_vec(self, i: int) -> dict:
-        return {i: self.base.one()}
+        return {i: self.base.one().coeffs}
 
     def lift(self, c) -> BaseElement:
         """Coerce a ground-field scalar into the base ring."""
@@ -99,16 +116,10 @@ class ComoduleAlgebra(Record, frozen=True):
 
     def mul_vec(self, a: dict, b: dict) -> dict:
         ops = ring_ops(self.base)
-        mul, raw, wrap = ops.mul, ops.raw, ops.wrap
-        return total(ops, ((l, wrap(mul(mul(raw(ca), raw(cb)), raw(m))))
-                           for i, ca in a.items() for j, cb in b.items()
-                           for l, m in self.mult.get((i, j), {}).items()))
+        return accumulate(ops, axioms.product(ops, self.mult)(a, b))
 
     def coact_vec(self, a: dict) -> dict:
-        ops = ring_ops(self.base)
-        mul, raw, wrap = ops.mul, ops.raw, ops.wrap
-        return total(ops, ((jk, wrap(mul(raw(c), raw(m)))) for i, c in a.items()
-                           for jk, m in self.coaction.get(i, {}).items()))
+        return axioms.image(ring_ops(self.base), self.coaction, a)
 
     def __hash__(self):
         return hash((self.base, self.hopf, self.labels))
@@ -125,14 +136,15 @@ class ComoduleAlgebra(Record, frozen=True):
 def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     """Re-check the comodule-algebra axioms on the structure constants.
 
-    The Hopf algebra's tables are lifted into the base ring once per call.
+    A's tables are read as they are; the Hopf algebra's are lifted into the
+    base ring once per call.
     """
     rep = Report(f"comodule algebra (rank {A.dim} over {A.base!r})")
     n, L = A.dim, A.labels
     H = A.hopf
     ops, hops = ring_ops(A.base), field_ops(A.field)
     lift = A.lift
-    mult, coaction, unit = coeff_table(A.mult), coeff_table(A.coaction), coeffs(A.unit)
+    mult, coaction, unit = A.mult, A.coaction, A.unit
 
     def fails_on(i):
         return f"fails on {L[i]}"
@@ -181,9 +193,13 @@ def push_forward(f: BaseMorphism, A: ComoduleAlgebra) -> ComoduleAlgebra:
     """Base change along f: same structure constants with f applied entrywise."""
     if f.source != A.base:
         raise RingMismatchError("morphism source does not match the bundle's base ring")
-    mult = {ij: {l: f.apply(c) for l, c in sc.items()} for ij, sc in A.mult.items()}
-    unit = {i: f.apply(c) for i, c in A.unit.items()}
-    coaction = {i: {jk: f.apply(c) for jk, c in t.items()} for i, t in A.coaction.items()}
+    C = A.base
+
+    def image(c):
+        return f.apply(BaseElement(C, c))
+    mult = {ij: {l: image(c) for l, c in sc.items()} for ij, sc in A.mult.items()}
+    unit = {i: image(c) for i, c in A.unit.items()}
+    coaction = {i: {jk: image(c) for jk, c in t.items()} for i, t in A.coaction.items()}
     return ComoduleAlgebra(f.target, A.hopf, A.labels, mult, unit, coaction)
 
 
@@ -203,8 +219,7 @@ def coinvariants_over_field(A: ComoduleAlgebra) -> list:
         for k in range(d):
             row = []
             for i in range(n):
-                c = A.coaction.get(i, {}).get((j, k))
-                val = K.zero() if c is None else c.constant_scalar()
+                val = A.coaction.get(i, {}).get((j, k), {}).get((), K.zero())
                 if i == j:
                     val = K.sub(val, A.hopf.unit.get(k, K.zero()))
                 row.append(val)
@@ -247,23 +262,20 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
     rep.add("invertible", True)
 
     ops = ring_ops(A.base)
-    phi = coeff_table({j: nonzero({i: row[j] for i, row in enumerate(M)}, _is_zero)
-                       for j in range(n)})
-    amult, aunit, bmult, bunit = (coeff_table(A.mult), coeffs(A.unit),
-                                  coeff_table(B.mult), coeffs(B.unit))
-    unital = axioms.image(ops, phi, aunit) == bunit
+    phi = {j: {i: row[j].coeffs for i, row in enumerate(M) if row[j].coeffs} for j in range(n)}
+    unital = axioms.image(ops, phi, A.unit) == B.unit
     rep.add("preserves unit", unital, "phi(1) != 1")
 
-    _, tree = axioms.unit_tree(ops, n, amult, aunit)
+    _, tree = axioms.unit_tree(ops, n, A.mult, A.unit)
     gens = (tree.gens if unital and tree is not None
-            and axioms.associativity(ops, n, amult, tree.gens) is None
-            and axioms.unital_associative(ops, n, bmult, bunit) else None)
+            and axioms.associativity(ops, n, A.mult, tree.gens) is None
+            and axioms.unital_associative(ops, n, B.mult, B.unit) else None)
     L = A.labels
     record(rep, "preserves product",
-           axioms.algebra_map(ops, n, amult, phi, axioms.product(ops, bmult), gens),
+           axioms.algebra_map(ops, n, A.mult, phi, axioms.product(ops, B.mult), gens),
            lambda b: f"phi({L[b[0]]}*{L[b[1]]}) != phi({L[b[0]]})*phi({L[b[1]]})")
     record(rep, "equivariant",
-           axioms.comodule_map(ops, n, phi, coeff_table(A.coaction), coeff_table(B.coaction)),
+           axioms.comodule_map(ops, n, phi, A.coaction, B.coaction),
            lambda i: f"coaction differs on phi({L[i]})")
     return rep
 
@@ -280,18 +292,19 @@ class HModuleMap(Record, frozen=True):
     """A C-linear map H -> A given by its values on the H basis."""
 
     algebra: ComoduleAlgebra
-    values: tuple  # values[k] is a coordinate vector in A
+    values: tuple  # values[k] is a vector in A, {index: coefficient dict}
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(nonzero(v, _is_zero) for v in self.values))
+        C = self.algebra.base
+        object.__setattr__(self, "values", tuple(_entries(C, v) for v in self.values))
         if len(self.values) != self.algebra.hopf.dim:
             raise DimensionMismatchError("one value per Hopf basis element required")
 
     def apply(self, h: dict) -> dict:
-        A = self.algebra
-        return total(ring_ops(A.base), (
-            (i, c * m if isinstance(c, BaseElement) else m.scale(c))
-            for k, c in h.items() for i, m in self.values[k].items()))
+        """The value at h, a vector {k: scalar} of H."""
+        C = self.algebra.base
+        return accumulate(ring_ops(C), ((i, C._scale(c, m)) for k, c in h.items()
+                                        for i, m in self.values[k].items()))
 
     def __hash__(self):
         return hash((self.algebra.labels, len(self.values)))
@@ -299,12 +312,9 @@ class HModuleMap(Record, frozen=True):
 
 def unit_counit_map(A: ComoduleAlgebra) -> HModuleMap:
     """The convolution identity h -> counit(h) 1_A."""
-    K = A.field
-    vals = []
-    for k in range(A.hopf.dim):
-        eps = A.hopf.counit.get(k, K.zero())
-        vals.append({i: c * A.lift(eps) for i, c in A.unit.items()})
-    return HModuleMap(A, tuple(vals))
+    C, K = A.base, A.field
+    return HModuleMap(A, tuple({i: C._scale(A.hopf.counit.get(k, K.zero()), u)
+                                for i, u in A.unit.items()} for k in range(A.hopf.dim)))
 
 
 def convolve(f: HModuleMap, g: HModuleMap) -> HModuleMap:
@@ -312,10 +322,11 @@ def convolve(f: HModuleMap, g: HModuleMap) -> HModuleMap:
     A = f.algebra
     if g.algebra != A:
         raise RingMismatchError("convolution needs maps into the same algebra")
-    ops = ring_ops(A.base)
+    C = A.base
+    ops = ring_ops(C)
     return HModuleMap(A, tuple(
-        total(ops, ((l, m.scale(c)) for (i, j), c in A.hopf.comult.get(k, {}).items()
-                    for l, m in A.mul_vec(f.values[i], g.values[j]).items()))
+        accumulate(ops, ((l, C._scale(c, m)) for (i, j), c in A.hopf.comult.get(k, {}).items()
+                         for l, m in A.mul_vec(f.values[i], g.values[j]).items()))
         for k in range(A.hopf.dim)))
 
 
@@ -330,24 +341,24 @@ def convolution_invert(gamma: HModuleMap) -> HModuleMap:
     C, K, H = A.base, A.field, A.hopf
     n, d = A.dim, H.dim
     N = n * d
-    zero = C.zero()
+    ops = ring_ops(C)
+    mul, add = ops.mul, ops.add
     rows = [{} for _ in range(N)]
-    rhs = [zero] * N
+    rhs = [{}] * N
     for k in range(d):
         for (i, j), c in H.comult.get(k, {}).items():
-            lifted = A.lift(c)
             for p, cp in gamma.values[i].items():
-                base = lifted * cp
+                base = C._scale(c, cp)
                 for m in range(n):
                     for l, cl in A.mult.get((p, m), {}).items():
-                        row = rows[k * n + l]
-                        row[j * n + m] = row.get(j * n + m, zero) + base * cl
+                        row, key, t = rows[k * n + l], j * n + m, mul(base, cl)
+                        row[key] = add(row[key], t) if key in row else t
         eps = H.counit.get(k, K.zero())
-        if not K.is_zero(eps):
-            lifted = A.lift(eps)
-            for l, u in A.unit.items():
-                rhs[k * n + l] = lifted * u
-    sol = ring_solve(rows, rhs, C)
+        for l, u in A.unit.items():
+            rhs[k * n + l] = C._scale(eps, u)
+    # ring_solve takes BaseElements; a sum that cancelled stays as a zero entry
+    sol = ring_solve([{key: BaseElement(C, v) for key, v in row.items()} for row in rows],
+                     [BaseElement(C, v) for v in rhs], C)
     if sol is None:
         raise NotInvertibleError("the cleaving map has no convolution inverse")
     inv = HModuleMap(A, tuple({i: sol[j * n + i] for i in range(n)} for j in range(d)))

@@ -32,7 +32,7 @@ import re
 from functools import cache, partial
 from operator import itemgetter
 
-from .axioms import field_ops, ring_ops, total
+from .axioms import accumulate, field_ops, ring_ops
 from .errors import BadScalarError, GradingError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension
 from .rings import (BaseMorphism, BaseRing, Generator, adjoin_root, base_ring, refusal,
@@ -95,10 +95,10 @@ def _reject(x):
     return False
 
 
-def _compile_schema(root, explain=False):
+def _compile_schema(root):
     """A predicate equal to jsonschema's Draft 2020-12 is_valid for ``root``,
-    which keeps the predicate of each subschema by id as ``checks``; with
-    ``explain``, the explainer ``_why`` on root and those checks instead.
+    which keeps the predicate of each subschema by id as ``checks``, the
+    checks that ``_why`` walks to word a rejection.
 
     Only the keywords the shipped schema uses are understood, and each
     type-specific keyword must sit beside the ``type`` it constrains.  Any
@@ -195,8 +195,6 @@ def _compile_schema(root, explain=False):
         return check
 
     check = build(root)
-    if explain:
-        return partial(_why, root, by_id)
     valid = partial(check)  # a callable of its own, to carry the checks
     valid.checks = by_id
     return valid
@@ -505,12 +503,12 @@ def _tables(read, ops, spec, labels, right_labels, key, pointer, spend):
 
     def term(at, left, right, text):
         return ((_ref(labels, left, at), _ref(right_labels, right, at)),
-                _value(read, text, at, spend))
+                ops.raw(_value(read, text, at, spend)))
 
     table = {}
     for here, (a, terms) in _rows(spec[key], f"{pointer}/{key}", 1):
         i = _ref(labels, a, here)
-        table[i] = total(ops, (term(f"{here}/1/{s}", *t) for s, t in enumerate(terms)))
+        table[i] = accumulate(ops, (term(f"{here}/1/{s}", *t) for s, t in enumerate(terms)))
     return mult, table, _vec(read, spec["unit"], labels, pointer + "/unit", spend)
 
 
@@ -586,7 +584,7 @@ def hopf_spec(H: HopfAlgebra):
 
 
 def _bundle_body_spec(A: ComoduleAlgebra, hopf_name: str):
-    return {**_tables_spec(A.base.format_element, A.labels, A.hopf.labels, A.unit, A.mult,
+    return {**_tables_spec(A.base.format_coeffs, A.labels, A.hopf.labels, A.unit, A.mult,
                            "coaction", A.coaction), "hopf": hopf_name}
 
 
@@ -713,7 +711,7 @@ def document_of(doc: Document) -> dict:
     for name, cm in doc.cleavings.items():
         A = cm.algebra
         cleavings[name] = {"bundle": bundle_name(A), "values": [
-            [A.hopf.labels[k], _vec_spec(A.base.format_element, A.labels, v)]
+            [A.hopf.labels[k], _vec_spec(A.base.format_coeffs, A.labels, v)]
             for k, v in enumerate(cm.values) if v]}
     witnesses = {}
     for name, w in doc.witnesses.items():

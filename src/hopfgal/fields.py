@@ -170,9 +170,6 @@ class Field:
         return (not self.is_zero(a) and self.pow(a, n) == one
                 and all(self.pow(a, n // r) != one for r in _prime_factors(n)))
 
-    def random_scalar(self, rng, size: int = 9):
-        raise NotImplementedError
-
     def format(self, a) -> str:
         raise NotImplementedError
 
@@ -268,10 +265,6 @@ class RationalField(Field):
             return None
         r = rn if rd == 1 else self.fraction(rn, rd)
         return -r if a < 0 else r
-
-    def random_scalar(self, rng, size=9):
-        num, den = rng.randint(-size, size), rng.randint(1, size)
-        return num // den if num % den == 0 else self.fraction(num, den)
 
     def format(self, a):
         return str(a)
@@ -374,9 +367,6 @@ class PrimeField(Field):
             t, r = t * c % p, r * b % p
         return min(r, p - r)
 
-    def random_scalar(self, rng, size=9):
-        return rng.randrange(self.p)
-
     def format(self, a):
         return f"{a % self.p} mod {self.p}"
 
@@ -397,7 +387,8 @@ class PrimeField(Field):
 
 # --------------------------------------------------------------------------
 # simple extensions k0[u]/(f), f monic;  irreducibility is trusted input and
-# a failed inverse (non-trivial gcd with f) surfaces as ZeroDivisionError
+# a failed inverse (a zero divisor, when f is reducible) surfaces as
+# ZeroDivisionError
 # --------------------------------------------------------------------------
 
 class SimpleExtension(Field):
@@ -481,43 +472,18 @@ class SimpleExtension(Field):
         return tuple(prod[:d])
 
     def inv(self, a):
-        # extended Euclid in base[x] against the modulus
-        K = self.base
+        """Solve a y = 1 on the basis 1, u, ..., u^(d-1), whose matrix has
+        a u^k as column k; it is singular exactly when a is a zero divisor."""
+        from .linalg import field_solve  # linalg imports this module
         if self.is_zero(a):
             raise ZeroDivisionError(f"inverse of 0 in {self.name}")
-
-        def degree(p):
-            for i in range(len(p) - 1, -1, -1):
-                if not K.is_zero(p[i]):
-                    return i
-            return -1
-
-        def scale(p, c):
-            return [K.mul(x, c) for x in p]
-
-        def sub_shift(p, q, c, s):
-            # p - c * x^s * q
-            out = list(p) + [K.zero()] * max(0, len(q) + s - len(p))
-            for i, y in enumerate(q):
-                out[i + s] = K.sub(out[i + s], K.mul(c, y))
-            return out
-
-        r0, r1 = list(self.modulus), list(a)
-        t0, t1 = [K.zero()], [K.one()]
-        while degree(r1) > 0:
-            d0, d1 = degree(r0), degree(r1)
-            if d0 < d1:
-                r0, r1, t0, t1 = r1, r0, t1, t0
-                continue
-            c = K.div(r0[d0], r1[d1])
-            r0 = sub_shift(r0, r1, c, d0 - d1)
-            t0 = sub_shift(t0, t1, c, d0 - d1)
-        if degree(r1) != 0:
+        cols, u = [a], self.gen()
+        while len(cols) < self.degree:
+            cols.append(self.mul(cols[-1], u))
+        y = field_solve(list(zip(*cols)), self.one(), self.base)
+        if y is None:
             raise ZeroDivisionError(f"{self.format(a)} is a zero divisor; modulus of {self.name} is reducible")
-        lead = self.base.inv(r1[0])
-        t = scale(t1, lead)
-        t = (t + [K.zero()] * self.degree)[: self.degree]
-        return tuple(t)
+        return tuple(y)
 
     def is_zero(self, a):
         return a == self._zero
@@ -543,9 +509,6 @@ class SimpleExtension(Field):
             if self.pow(x, n) == a:
                 return x
         return None
-
-    def random_scalar(self, rng, size=9):
-        return tuple(self.base.random_scalar(rng, size) for _ in range(self.degree))
 
     def format(self, a):
         return f"{self._poly_str(a)} in {self.name}"

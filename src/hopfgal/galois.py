@@ -24,7 +24,7 @@ defined.  ``is_galois`` hands the sparse rows straight to ``ring_det``.
 
 from __future__ import annotations
 
-from .axioms import accumulate, coeff_table, field_ops, ring_ops
+from .axioms import accumulate, field_ops, ring_ops
 from .comod import ComoduleAlgebra, verify_comodule_algebra
 from .linalg import ring_det
 from .record import Record
@@ -67,8 +67,8 @@ def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
                                     for q, s in H.mult.get((k, l), {}).items()))
                   for l in range(d)]
     ops = ring_ops(C)
-    mult, coaction = coeff_table(A.mult), coeff_table(A.coaction)
-    rho = [[(l, unit_times[h].items(), c) for (l, h), c in coaction.get(j, {}).items()
+    mult = A.mult
+    rho = [[(l, unit_times[h].items(), c) for (l, h), c in A.coaction.get(j, {}).items()
             if unit_times[h]] for j in range(n)]
     mul, add, scale, is_one = ops.mul, ops.add, C._scale, K.is_one
     rows = [[] for _ in range(n * d)]

@@ -17,7 +17,7 @@ from .axioms import ring_ops
 from .errors import (BaseMismatchError, CharTwoError, MathError,
                      NotCommutativeError, NotEtaleInclusionError,
                      RingMismatchError)
-from .rings import (BaseMorphism, IntervalRing, adjoin_root, compose,
+from .rings import (BaseElement, BaseMorphism, IntervalRing, adjoin_root, compose,
                     extend_with_t, fresh_name, identity_morphism,
                     inclusion_morphism)
 from .record import Record
@@ -414,11 +414,15 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
         raise NotEtaleInclusionError("need one extension element per module basis vector")
 
     # a_i -> images[i] must be an algebra map into ext, whose one basis element is 0
-    ops = ring_ops(ext)
+    ops, C = ring_ops(ext), A.base
+
+    def included(c):
+        return incl(BaseElement(C, c))
     phi = {i: {0: x.coeffs} for i, x in enumerate(images) if not x.is_zero}
-    if axioms.image(ops, phi, {i: incl(c).coeffs for i, c in A.unit.items()}) != {0: ops.one}:
+    unit = {i: included(c).coeffs for i, c in A.unit.items()}
+    if axioms.image(ops, phi, unit) != {0: ops.one}:
         raise NotEtaleInclusionError("images do not realize the unit")
-    mult = {ij: {l: incl(c).coeffs for l, c in row.items()} for ij, row in A.mult.items()}
+    mult = {ij: {l: included(c).coeffs for l, c in row.items()} for ij, row in A.mult.items()}
     bad = axioms.algebra_map(ops, n, mult, phi, axioms.product(ops, {(0, 0): {0: ops.one}}))
     if bad is not None:
         raise NotEtaleInclusionError(
@@ -427,7 +431,7 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
     M = [[ext.zero() for _ in range(n)] for _ in range(d)]
     for j in range(n):
         for (jj, k), c in A.coaction.get(j, {}).items():
-            M[k][j] = M[k][j] + incl(c) * images[jj]
+            M[k][j] = M[k][j] + included(c) * images[jj]
     interval = extend_with_t(ext)
     return HomotopyWitness(step, interval,
                            trivial_bundle(interval.ring, A.hopf),

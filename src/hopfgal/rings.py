@@ -414,12 +414,17 @@ class BaseRing:
     # --------------------------------------------------------- formatting
 
     def format_element(self, a: BaseElement) -> str:
-        if not a.coeffs:
+        return self.format_coeffs(a.coeffs)
+
+    def format_coeffs(self, coeffs: dict) -> str:
+        """The element with coefficient dict ``coeffs``, as ``format_element``
+        writes it."""
+        if not coeffs:
             return "0"
         K = self.field
         terms = []
-        for mono in sorted(a.coeffs, reverse=True):
-            c = a.coeffs[mono]
+        for mono in sorted(coeffs, reverse=True):
+            c = coeffs[mono]
             factors = []
             for i, e in enumerate(mono):
                 if e == 0:

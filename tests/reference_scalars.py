@@ -5,16 +5,31 @@ were read through ``BaseRing.parse_element``: its own ``ast`` walker over a
 ``Field``, with its own exponent cap and no work budget.  Only the field
 arithmetic and the digit-limit check are shared with the library.
 ``reference_parse(field, text)`` strips the field's annotation the way
-``Field.parse`` does, then evaluates the rest.
+``Field.parse`` does, then evaluates the rest.  ``random_scalar`` draws a
+scalar of a field for the seeded tests.
 """
 
 import ast
 import re
 
 from hopfgal.errors import BadScalarError
-from hopfgal.fields import Field, PrimeField, SimpleExtension, check_digits
+from hopfgal.fields import Field, PrimeField, RationalField, SimpleExtension, check_digits
 
 MAX_POWER = 256
+
+
+def random_scalar(field: Field, rng, size: int = 9):
+    """A scalar of field drawn with rng: over Q a fraction of integers in
+    [-size, size] and [1, size], over F_p a residue, over an extension one
+    draw from the base field per coordinate."""
+    if isinstance(field, RationalField):
+        num, den = rng.randint(-size, size), rng.randint(1, size)
+        return num // den if num % den == 0 else field.fraction(num, den)
+    if isinstance(field, PrimeField):
+        return rng.randrange(field.p)
+    if isinstance(field, SimpleExtension):
+        return tuple(random_scalar(field.base, rng, size) for _ in range(field.degree))
+    raise NotImplementedError(f"no random scalars of {field!r}")
 
 
 def reference_parse(field: Field, text: str):

@@ -48,7 +48,7 @@ from hopfgal.hopf import (
     taft,
     verify_hopf,
 )
-from hopfgal.rings import BaseMorphism, adjoin_root, base_ring, extend_with_t
+from hopfgal.rings import BaseElement, BaseMorphism, adjoin_root, base_ring, extend_with_t
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -121,7 +121,7 @@ def test_criterion_3_cleft_round_trip():
             sigma = extract_cocycle(cm)
             assert sigma.sigma[1][1] == p.alpha     # sigma(X, X) = alpha
             B = twisted_product(C, A.hopf, sigma)
-            M = [[cm.gamma.values[k].get(i, C.zero()) for k in range(4)]
+            M = [[BaseElement(C, cm.gamma.values[k].get(i, {})) for k in range(4)]
                  for i in range(4)]
             assert check_iso(B, A, M).ok
     assert time.perf_counter() - t0 < 10.0

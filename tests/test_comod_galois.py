@@ -7,7 +7,12 @@ it is a unit.  Both facts were checked by hand and are frozen here.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfgal import axioms
+from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving, kummer_bundle
+from hopfgal.cleft import cleaving_of_twisted_product
 from hopfgal.comod import (
     ComoduleAlgebra,
     HModuleMap,
@@ -29,8 +34,10 @@ from hopfgal.galois import (
     is_galois,
     verify_bundle,
 )
+from hopfgal.homotopy import identity_matrix
 from hopfgal.hopf import cyclic_group_algebra, sweedler_h4
 from hopfgal.rings import (
+    BaseElement,
     BaseMorphism,
     base_ring,
     compose,
@@ -205,8 +212,8 @@ def test_convolution_invert_over_laurent_base():
     # gamma(1) = 1, gamma(g) = v; inverse must send g to v/u since v^2 = u
     gamma = HModuleMap(A, ({0: C.one()}, {1: C.one()}))
     inv = convolution_invert(gamma)
-    assert inv.values[0] == {0: C.one()}
-    assert inv.values[1] == {1: C.inverse(u)}
+    assert ref.elements(C, inv.values[0]) == {0: C.one()}
+    assert ref.elements(C, inv.values[1]) == {1: C.inverse(u)}
 
 
 def test_convolution_invert_failure():
@@ -228,3 +235,106 @@ def test_convolution_invert_tolerates_nilpotent_kernel():
     inv = convolution_invert(gamma)
     e = unit_counit_map(A)
     assert convolve(gamma, inv) == e and convolve(inv, gamma) == e
+
+
+# --------------------------------------------------------------------------
+# a bundle's tables hold coefficient dicts, read by the checks as they are
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: kummer_bundle(4, PrimeField(241).from_int(64), PrimeField(241)),  # 64^2 = -1
+    lambda: abg_bundle(AbgParams(base_ring(QQ), 3, 5, 7))], ids=["kummer4", "abg"])
+def test_the_checks_read_the_bundles_own_tables(build, monkeypatch):
+    """verify_comodule_algebra and check_iso hand A's and B's tables to the
+    axiom checker as the records hold them, with no copy."""
+    A, B = build(), build()
+    calls = []
+    for name in ("associativity", "comodule_map"):
+        def spy(*args, _check=getattr(axioms, name), _name=name):
+            calls.append((_name, args))
+            return _check(*args)
+        monkeypatch.setattr(axioms, name, spy)
+
+    def tables(name, i):
+        return [id(args[i]) for called, args in calls if called == name]
+    assert verify_comodule_algebra(A).ok
+    # H's own associativity is checked on H's table, A's on A's
+    assert id(A.mult) in tables("associativity", 2)
+    assert set(tables("associativity", 2)) <= {id(A.mult), id(A.hopf.mult)}
+    # coassociativity: rho is the map, and A's coaction the source's
+    assert tables("comodule_map", 2) == tables("comodule_map", 3) == [id(A.coaction)]
+    calls.clear()
+    assert check_iso(A, B, identity_matrix(A.base, A.dim)).ok
+    assert tables("associativity", 2) == [id(A.mult), id(B.mult)]
+    assert tables("comodule_map", 3) == [id(A.coaction)]
+    assert tables("comodule_map", 4) == [id(B.coaction)]
+
+
+def _bundles():
+    """A bundle with the cleavings that the library certifies on it, if any."""
+    def abg(t):
+        A = abg_bundle(AbgParams(base_ring(QQ), *t))
+        return A, [abg_cleaving(A).gamma_inv]
+
+    def kummer(n):
+        K = PrimeField(241)
+        q = next(K.from_int(a) for a in range(2, 241) if K.has_order(K.from_int(a), n))
+        return kummer_bundle(n, q, K), []
+
+    def trivial(names):
+        A = trivial_bundle(polynomial_ring(QQ, *names), sweedler_h4(QQ))
+        cm = cleaving_of_twisted_product(A)
+        return A, [cm.gamma, cm.gamma_inv]
+
+    nonzero = st.integers(-4, 4).filter(bool)
+    return st.one_of(st.tuples(nonzero, st.integers(-4, 4), st.integers(-4, 4)).map(abg),
+                     st.sampled_from([2, 3, 4, 5, 6]).map(kummer),
+                     st.sampled_from([(), ("u",), ("u", "v")]).map(trivial))
+
+
+def _as_elements(C, vec):
+    """vec as BaseElements of C, with a zero entry at an unused index."""
+    return {**{k: BaseElement(C, c) for k, c in vec.items()}, -1: C.zero()}
+
+
+@settings(deadline=None, max_examples=40)
+@given(_bundles(), st.data())
+def test_records_read_base_elements_at_the_edge(built, data):
+    """A record built from BaseElement entries, with zeros and empty rows
+    among them, equals and hashes equal to the one built from coefficient
+    dicts; an entry of another ring is refused."""
+    A, maps = built
+    C, H = A.base, A.hopf
+
+    def elements(table):
+        return {**{key: _as_elements(C, row) for key, row in table.items()}, (-1, -1): {}}
+    wrapped = ComoduleAlgebra(C, H, A.labels, elements(A.mult), _as_elements(C, A.unit),
+                              elements(A.coaction))
+    raw = ComoduleAlgebra(C, H, A.labels, dict(A.mult), dict(A.unit), dict(A.coaction))
+    assert wrapped == raw == A and hash(wrapped) == hash(raw) == hash(A)
+    assert wrapped.mult == A.mult and wrapped.coaction == A.coaction
+    for f in maps:
+        g = HModuleMap(A, tuple(_as_elements(C, v) for v in f.values))
+        assert g == HModuleMap(A, f.values) == f and hash(g) == hash(f)
+
+    other = C.add_free("extra")
+
+    def foreign(vec):
+        """vec with one entry lifted into another ring."""
+        i = data.draw(st.sampled_from(sorted(vec, key=repr)))
+        return {**vec, i: other.lift(BaseElement(C, vec[i]))}
+    tables = {"mult": A.mult, "unit": A.unit, "coaction": A.coaction}
+    name = data.draw(st.sampled_from(sorted(tables)))
+    if name == "unit":
+        tables["unit"] = foreign(A.unit)
+    else:
+        key = data.draw(st.sampled_from(sorted(tables[name], key=repr)))
+        tables[name] = {**tables[name], key: foreign(tables[name][key])}
+    with pytest.raises(RingMismatchError):
+        ComoduleAlgebra(C, H, A.labels, **tables)
+    for f in maps:
+        k = data.draw(st.sampled_from([k for k, v in enumerate(f.values) if v]))
+        values = list(f.values)
+        values[k] = foreign(values[k])
+        with pytest.raises(RingMismatchError):
+            HModuleMap(A, tuple(values))

@@ -23,7 +23,7 @@ from hopfgal.fields import (
     is_prime,
 )
 from hopfgal.hopf import taft
-from reference_scalars import reference_parse
+from reference_scalars import random_scalar, reference_parse
 
 F7 = PrimeField(7)
 F3 = PrimeField(3)
@@ -99,9 +99,9 @@ def test_field_ops_random_consistency() -> None:
     Ka = SimpleExtension(QQ, "a", [Fraction(-3), Fraction(0), Fraction(1)])
     for K in (QQ, F7, F3, Ka):
         for _ in range(200):
-            a = K.random_scalar(rng)
-            b = K.random_scalar(rng)
-            c = K.random_scalar(rng)
+            a = random_scalar(K, rng)
+            b = random_scalar(K, rng)
+            c = random_scalar(K, rng)
             assert K.add(a, b) == K.add(b, a)
             assert K.mul(a, b) == K.mul(b, a)
             assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
@@ -116,7 +116,7 @@ def test_scalar_parse_format_round_trip() -> None:
     Ka = SimpleExtension(QQ, "a", [Fraction(-3), Fraction(0), Fraction(1)])
     for K in (QQ, F7, Ka):
         for _ in range(100):
-            x = K.random_scalar(rng)
+            x = random_scalar(K, rng)
             assert K.parse(K.format(x)) == x
 
 
@@ -330,6 +330,39 @@ def test_extension_mul_matches_sympy_rem(case) -> None:
     assert K.mul(tuple(a), tuple(b)) == tuple(want[:K.degree])
 
 
+# F5[s]/(s^2 + 1) is not a field: s^2 + 1 = (s - 2)(s + 2) mod 5
+_EXTENSIONS = [SimpleExtension(QQ, "i", (1, 0, 1)), SimpleExtension(QQ, "w", (1, 1, 1)),
+               SimpleExtension(F7, "t", (3, 0, 0, 1)), SimpleExtension(PrimeField(5), "s", (1, 0, 1))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(_EXTENSIONS), st.data())
+def test_extension_inverse_matches_sympy_invert(K, data) -> None:
+    """The inverse against sympy's ``invert`` (its extended Euclid); where
+    sympy finds none, the element is refused as a zero divisor."""
+    p = K.characteristic()
+    scalar = st.integers(0, p - 1) if p else _small_q
+    a = tuple(data.draw(st.lists(scalar, min_size=K.degree, max_size=K.degree)))
+    if K.is_zero(a):
+        with pytest.raises(ZeroDivisionError, match="^inverse of 0 in "):
+            K.inv(a)
+        return
+    u = sympy.Symbol("u")
+
+    def poly(coeffs):
+        terms = [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, reversed(coeffs))]
+        return sympy.Poly(terms, u, **({"modulus": p} if p else {"domain": "QQ"}))
+
+    try:
+        want = sympy.invert(poly(a), poly(K.modulus)).all_coeffs()[::-1]
+    except sympy.polys.polyerrors.NotInvertible:
+        with pytest.raises(ZeroDivisionError, match="is a zero divisor; modulus of .* is reducible$"):
+            K.inv(a)
+        return
+    want = [int(c) % p if p else Fraction(int(c.p), int(c.q)) for c in want] + [0] * K.degree
+    assert K.inv(a) == tuple(want[:K.degree])
+
+
 @pytest.mark.parametrize("modulus", [(2, 0, 1), (1, 1, 0, 1), (3, 0, 0, 1), (0, 1, 1)])
 def test_extension_mul_matches_schoolbook_mod_5(modulus) -> None:
     p, d = 5, len(modulus) - 1
@@ -405,7 +438,7 @@ def test_rational_constants_are_ints() -> None:
         QQ.inv(0)
     rng = random.Random(5)
     for _ in range(200):
-        r = QQ.random_scalar(rng)
+        r = random_scalar(QQ, rng)
         assert type(r) is (int if Fraction(r).denominator == 1 else Fraction)
 
 

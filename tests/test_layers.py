@@ -75,24 +75,27 @@ UNCALLED = {
 
 def test_src_defines_nothing_that_only_tests_call() -> None:
     """A function, method or class counts as called when its name appears
-    in src/ as a name or an attribute anywhere but in its own def line;
-    dunder methods are called by the language, and top-level names in
-    ``hopfgal.__all__`` by users."""
+    in src/ as a name or an attribute outside every definition of that
+    name, so a method that names itself, or an override of itself, in its
+    own body is not called by that; dunder methods are called by the
+    language, and top-level names in ``hopfgal.__all__`` by users."""
     defined, named = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = _tree(path.name)
-        todo = [(tree, "")]
+        todo = [(tree, "", frozenset())]
         while todo:
-            node, owner = todo.pop()
+            node, owner, inside = todo.pop()
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     qualname = f"{owner}.{child.name}" if owner else child.name
                     defined[qualname] = (child.name, node is tree)
-                    todo.append((child, qualname))
-                else:
-                    todo.append((child, owner))
-        named |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
-                  if isinstance(n, (ast.Name, ast.Attribute))}
+                    todo.append((child, qualname, inside | {child.name}))
+                    continue
+                if isinstance(child, (ast.Name, ast.Attribute)):
+                    name = child.id if isinstance(child, ast.Name) else child.attr
+                    if name not in inside:
+                        named.add(name)
+                todo.append((child, owner, inside))
     uncalled = {qualname for qualname, (name, top) in defined.items()
                 if name not in named and not (name.startswith("__") and name.endswith("__"))
                 and not (top and name in hopfgal.__all__)}

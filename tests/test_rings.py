@@ -25,6 +25,7 @@ from hopfgal.rings import (
     polynomial_ring,
 )
 
+from reference_scalars import random_scalar
 from reference_units import _berkowitz_dicts
 
 F7 = PrimeField(7)
@@ -38,7 +39,7 @@ def _rand_element(ring, rng, terms=3, emax=3):
             lo = -emax if g.kind == "laurent" else 0
             hi = g.degree - 1 if g.kind == "root" else emax
             exps[g.name] = rng.randint(lo, hi)
-        out = out + ring.monomial(exps, ring.field.random_scalar(rng, 5))
+        out = out + ring.monomial(exps, random_scalar(ring.field, rng, 5))
     return out
 
 

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import jsonschema
@@ -22,7 +23,8 @@ import hopfgal
 from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving
 from hopfgal.cli import main
 from hopfgal import document
-from hopfgal.document import Document, _compile_schema, _is_valid, _schema, document_of, validate_raw
+from hopfgal.document import (Document, _compile_schema, _is_valid, _schema, _why, document_of,
+                              validate_raw)
 from hopfgal.errors import SchemaError
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.homotopy import cleft_trivialization_witness
@@ -314,7 +316,7 @@ SMALL_SCHEMA_REJECTIONS = [
 
 @pytest.mark.parametrize("schema,doc,pointer,message", SMALL_SCHEMA_REJECTIONS)
 def test_explainer_on_small_schemas(schema, doc, pointer, message) -> None:
-    path, said = _compile_schema(schema, explain=True)(doc)
+    path, said = partial(_why, schema, _compile_schema(schema).checks)(doc)
     assert (_pointer(path), said) == (pointer, message)
     assert _oracle(doc, jsonschema.Draft202012Validator(schema)) == (pointer, message)
 
