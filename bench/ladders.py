@@ -23,16 +23,19 @@ import time
 from pathlib import Path
 
 import hopfgal
+from hopfgal.cleft import check_cleaving
 from hopfgal.document import load_document
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
-from hopfgal.galois import is_galois, verify_bundle
+from hopfgal.galois import canonical_matrix, is_galois, verify_bundle
 from hopfgal.homotopy import kummer_trivialization_witness, verify_witness
 from hopfgal.hopf import taft, verify_hopf
+from hopfgal.rings import adjoin_root, laurent_ring
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "perfbench" / "data" / "seed0"
 RUNS, SINGLE_RUN_OVER_S = 3, 4.0
 INVERSES = 1000  # per run of the extension-field rung
+CLEAVINGS = 100  # per run of the cleaving rung: one takes under 1 ms
 
 
 def timed(fn):
@@ -77,8 +80,22 @@ def rungs():
         A, w = kummer_trivialization_witness(n, of_order(F241, n), F241)
         size = f"kummer N={n}/F241"
         yield "verify_bundle", size, lambda A=A: verify_bundle(A).ok
+        yield "canonical_matrix", size, lambda A=A: sum(map(len, canonical_matrix(A).terms))
         yield "is_galois", size, lambda A=A: is_galois(A).ok
         yield "verify_witness", size, lambda w=w: verify_witness(w).ok
+    # e z + (1 - e), e = (1 + r + ... + r^(n-1))/n idempotent: a unit with
+    # no unit entry in its multiplication matrix, so ring_solve runs its
+    # Cayley-Hamilton tail on all of it
+    L = laurent_ring(F241, "z")
+    for n in (8, 16, 24):
+        R, _, r = adjoin_root(L, L.one(), n, name="r")
+        e = sum((r ** k for k in range(n)), R.zero()) * F241.inv(F241.from_int(n))
+        x, want = e * R.gen("z") + (R.one() - e), e * R.gen("z") ** -1 + (R.one() - e)
+        yield "try_inverse", f"root r^{n} = 1 over F241[z^+-1]", (
+            lambda R=R, x=x, want=want: R.try_inverse(x) == want)
+    g = load_document(str(DATA / "bundle-towers" / "abg_uvw.json")).cleavings["g"]
+    yield "check_cleaving", f"{CLEAVINGS} on abg over Q[u,v,w]", lambda: [
+        sum(map(len, check_cleaving(g.algebra, g).gamma_inv.values)) for _ in range(CLEAVINGS)][-1]
     QI = SimpleExtension(QQ, "i", (1, 0, 1))
     a = (QQ.fraction(3, 7), 5)
     yield "SimpleExtension.inv", f"{INVERSES} inverses in Q(i)", lambda: [

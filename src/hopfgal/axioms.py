@@ -53,19 +53,17 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from functools import partial
 
 from .rings import BaseElement
 
 
 # Coefficient operations of a field (on scalars) or of a base ring (on
-# coefficient dicts, where {} is zero).  ``mul`` skips a factor 1, ``inv``
-# answers None for a non-unit, and ``raw``/``wrap`` read an entry of a
-# matrix that ``linalg``'s public functions take (a scalar, or a
-# BaseElement) as a coefficient and write a coefficient back.  Ops and
+# coefficient dicts, where {} is zero), the form in which the records hold
+# their tables and ``linalg`` takes and returns matrix entries.  ``mul``
+# skips a factor 1 and ``inv`` answers None for a non-unit.  Ops and
 # WordTree are collections.namedtuples, so this module imports no
 # ``typing``.
-Ops = namedtuple("Ops", "zero one add neg mul is_zero is_one is_unit inv raw wrap")
+Ops = namedtuple("Ops", "zero one add neg mul is_zero is_one is_unit inv")
 
 
 def _skipping_one(mul, is_one):
@@ -80,16 +78,12 @@ def _skipping_one(mul, is_one):
     return times
 
 
-def _same(x):
-    return x
-
-
 def field_ops(K) -> Ops:
     """A field's operations; a unit is a nonzero, found with no inverse."""
     def inv(c):
         return None if K.is_zero(c) else K.inv(c)
     return Ops(K.zero(), K.one(), K.add, K.neg, _skipping_one(K.mul, K.is_one), K.is_zero,
-               K.is_one, lambda c: not K.is_zero(c), inv, _same, _same)
+               K.is_one, lambda c: not K.is_zero(c), inv)
 
 
 def ring_ops(C) -> Ops:
@@ -112,8 +106,7 @@ def ring_ops(C) -> Ops:
             memo[key] = None if e is None else e.coeffs
         return memo[key]
     return Ops({}, C.one().coeffs, C._add, C._neg, _skipping_one(C._mul, is_one),
-               operator.not_, is_one, lambda a: is_one(a) or inv(a) is not None, inv,
-               operator.attrgetter("coeffs"), partial(BaseElement, C))
+               operator.not_, is_one, lambda a: is_one(a) or inv(a) is not None, inv)
 
 
 def nonzero(vec: dict, is_zero) -> dict:

@@ -79,8 +79,7 @@ class CleavingMap(Record, frozen=True):
 
 def _comodule_map_witness(A: ComoduleAlgebra, gamma: HModuleMap):
     """Index of the first basis element where rho(gamma(h)) != (gamma (x) id)(Delta h)."""
-    ops = ring_ops(A.base)
-    return axioms.comodule_map(ops, A.hopf.dim, dict(enumerate(gamma.values)),
+    return axioms.comodule_map(A.ops, A.hopf.dim, dict(enumerate(gamma.values)),
                                _lifted(A, A.hopf.comult), A.coaction)
 
 
@@ -132,7 +131,7 @@ def quasi_action(cm: CleavingMap, k: int, c: BaseElement) -> dict:
     A = cm.algebra
     C, H = A.base, A.hopf
     c_vec = {i: C._mul(c.coeffs, u) for i, u in A.unit.items()}
-    return accumulate(ring_ops(C), (
+    return accumulate(A.ops, (
         (l, C._scale(w, m)) for (i, j), w in H.comult.get(k, {}).items()
         for l, m in A.mul_vec(A.mul_vec(cm.gamma.values[i], c_vec),
                               cm.gamma_inv.values[j]).items()))
@@ -159,12 +158,7 @@ def extract_cocycle(cm: CleavingMap) -> Cocycle:
                 raise NonCentralDatumError(
                     f"quasi-action of {H.labels[k]} moves the base element "
                     f"{C.format_element(c)}")
-    d = H.dim
-    hopf_products = {}
-    for a2 in range(d):
-        for b2 in range(d):
-            hopf_products[(a2, b2)] = H.mul_vec(H.basis_vec(a2), H.basis_vec(b2))
-    ops = ring_ops(C)
+    d, ops = H.dim, A.ops
     rows = []
     for a in range(d):
         row = []
@@ -174,7 +168,7 @@ def extract_cocycle(cm: CleavingMap) -> Cocycle:
                 for (a1, a2), ca in H.comult.get(a, {}).items()
                 for (b1, b2), cb in H.comult.get(b, {}).items()
                 for l, m in A.mul_vec(A.mul_vec(cm.gamma.values[a1], cm.gamma.values[b1]),
-                                      cm.gamma_inv.apply(hopf_products[(a2, b2)])).items()))
+                                      cm.gamma_inv.apply(H.mult.get((a2, b2), {}))).items()))
             c = central_coefficient(A, acc)
             if c is None:
                 raise NonCentralDatumError(

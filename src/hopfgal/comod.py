@@ -22,8 +22,9 @@ rows dropped.  Equality is field by field.  Building a record is the one
 place that converts: an entry given as a BaseElement of the base ring is
 read as its coefficient dict, so tables may be built with ring arithmetic.
 Module vectors ({index: coefficient dict}) are summed by
-``axioms.accumulate``; a BaseElement is formed only to call an API that
-takes one (a base morphism, ``ring_solve``, ``try_inverse``).
+``axioms.accumulate`` with the record's ``ops``, the ``axioms.ring_ops`` of
+its base, built once with the record; a BaseElement is formed only to call
+an API that takes one (a base morphism, ``try_inverse``).
 
 ``verify_comodule_algebra`` checks the axioms on the record's own tables
 with the one axiom checker of ``axioms``, the one that also verifies Hopf
@@ -83,6 +84,7 @@ class ComoduleAlgebra(Record, frozen=True):
             put(self, name, {key: v for key, row in getattr(self, name).items()
                              if (v := _entries(C, row))})
         put(self, "unit", _entries(C, self.unit))
+        put(self, "ops", ring_ops(C))  # not a field: equality and hash ignore it
         if self.base.field != self.hopf.field:
             raise RingMismatchError(
                 "base ring and Hopf algebra use different ground fields")
@@ -115,11 +117,11 @@ class ComoduleAlgebra(Record, frozen=True):
         return self.base.from_scalar(c)
 
     def mul_vec(self, a: dict, b: dict) -> dict:
-        ops = ring_ops(self.base)
+        ops = self.ops
         return accumulate(ops, axioms.product(ops, self.mult)(a, b))
 
     def coact_vec(self, a: dict) -> dict:
-        return axioms.image(ring_ops(self.base), self.coaction, a)
+        return axioms.image(self.ops, self.coaction, a)
 
     def __hash__(self):
         return hash((self.base, self.hopf, self.labels))
@@ -142,7 +144,7 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     rep = Report(f"comodule algebra (rank {A.dim} over {A.base!r})")
     n, L = A.dim, A.labels
     H = A.hopf
-    ops, hops = ring_ops(A.base), field_ops(A.field)
+    ops, hops = A.ops, field_ops(A.field)
     lift = A.lift
     mult, coaction, unit = A.mult, A.coaction, A.unit
 
@@ -255,14 +257,15 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
         return rep
     rep.add("matrix shape", True)
 
-    det = ring_det(M, A.base)
-    if not A.base.is_unit(det):
-        rep.add("invertible", False, f"determinant {A.base.format_element(det)} is not a unit")
+    # phi's rows are the columns of M, and det of the transpose is det M
+    ops = A.ops
+    phi = {j: {i: row[j].coeffs for i, row in enumerate(M) if row[j].coeffs} for j in range(n)}
+    det = ring_det([phi[j] for j in range(n)], A.base)
+    if not ops.is_unit(det):
+        rep.add("invertible", False, f"determinant {A.base.format_coeffs(det)} is not a unit")
         return rep
     rep.add("invertible", True)
 
-    ops = ring_ops(A.base)
-    phi = {j: {i: row[j].coeffs for i, row in enumerate(M) if row[j].coeffs} for j in range(n)}
     unital = axioms.image(ops, phi, A.unit) == B.unit
     rep.add("preserves unit", unital, "phi(1) != 1")
 
@@ -302,9 +305,10 @@ class HModuleMap(Record, frozen=True):
 
     def apply(self, h: dict) -> dict:
         """The value at h, a vector {k: scalar} of H."""
-        C = self.algebra.base
-        return accumulate(ring_ops(C), ((i, C._scale(c, m)) for k, c in h.items()
-                                        for i, m in self.values[k].items()))
+        A = self.algebra
+        scale = A.base._scale
+        return accumulate(A.ops, ((i, scale(c, m)) for k, c in h.items()
+                                  for i, m in self.values[k].items()))
 
     def __hash__(self):
         return hash((self.algebra.labels, len(self.values)))
@@ -323,10 +327,9 @@ def convolve(f: HModuleMap, g: HModuleMap) -> HModuleMap:
     if g.algebra != A:
         raise RingMismatchError("convolution needs maps into the same algebra")
     C = A.base
-    ops = ring_ops(C)
     return HModuleMap(A, tuple(
-        accumulate(ops, ((l, C._scale(c, m)) for (i, j), c in A.hopf.comult.get(k, {}).items()
-                         for l, m in A.mul_vec(f.values[i], g.values[j]).items()))
+        accumulate(A.ops, ((l, C._scale(c, m)) for (i, j), c in A.hopf.comult.get(k, {}).items()
+                           for l, m in A.mul_vec(f.values[i], g.values[j]).items()))
         for k in range(A.hopf.dim)))
 
 
@@ -341,8 +344,7 @@ def convolution_invert(gamma: HModuleMap) -> HModuleMap:
     C, K, H = A.base, A.field, A.hopf
     n, d = A.dim, H.dim
     N = n * d
-    ops = ring_ops(C)
-    mul, add = ops.mul, ops.add
+    mul, add = A.ops.mul, A.ops.add
     rows = [{} for _ in range(N)]
     rhs = [{}] * N
     for k in range(d):
@@ -356,9 +358,7 @@ def convolution_invert(gamma: HModuleMap) -> HModuleMap:
         eps = H.counit.get(k, K.zero())
         for l, u in A.unit.items():
             rhs[k * n + l] = C._scale(eps, u)
-    # ring_solve takes BaseElements; a sum that cancelled stays as a zero entry
-    sol = ring_solve([{key: BaseElement(C, v) for key, v in row.items()} for row in rows],
-                     [BaseElement(C, v) for v in rhs], C)
+    sol = ring_solve(rows, rhs, C)
     if sol is None:
         raise NotInvertibleError("the cleaving map has no convolution inverse")
     inv = HModuleMap(A, tuple({i: sol[j * n + i] for i in range(n)} for j in range(d)))

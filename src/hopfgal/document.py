@@ -35,8 +35,8 @@ from operator import itemgetter
 from .axioms import accumulate, field_ops, ring_ops
 from .errors import BadScalarError, GradingError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension
-from .rings import (BaseMorphism, BaseRing, Generator, adjoin_root, base_ring, refusal,
-                    WorkBudget, extend_with_t, inclusion_morphism)
+from .rings import (BaseElement, BaseMorphism, BaseRing, Generator, adjoin_root, base_ring,
+                    refusal, WorkBudget, extend_with_t, inclusion_morphism)
 from .hopf import (Bialgebra, HopfAlgebra, cyclic_group_algebra, dual_hopf,
                    hopf_from_bialgebra, sweedler_h4, taft)
 from .comod import ComoduleAlgebra, HModuleMap, trivial_bundle
@@ -502,8 +502,9 @@ def _tables(read, ops, spec, labels, right_labels, key, pointer, spend):
         mult[row] = _vec(read, vec, labels, here + "/2", spend)
 
     def term(at, left, right, text):
+        value = _value(read, text, at, spend)  # a scalar, or a BaseElement of a bundle's base
         return ((_ref(labels, left, at), _ref(right_labels, right, at)),
-                ops.raw(_value(read, text, at, spend)))
+                value.coeffs if isinstance(value, BaseElement) else value)
 
     table = {}
     for here, (a, terms) in _rows(spec[key], f"{pointer}/{key}", 1):

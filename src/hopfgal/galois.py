@@ -19,12 +19,14 @@ sum c a_l (x) h_l', the column of a_i (x) a_j is
 
 so entry (p, q) is the sum of s c c' over the terms c' a_p of a_i a_l.  No
 unitality of H is assumed, so a corrupted H gives the matrix of the map as
-defined.  ``is_galois`` hands the sparse rows straight to ``ring_det``.
+defined.  Entries are coefficient dicts, the form of A's own tables, and
+``is_galois`` hands the sparse rows straight to ``ring_det``; only the
+determinant of the verdict is a BaseElement.
 """
 
 from __future__ import annotations
 
-from .axioms import accumulate, field_ops, ring_ops
+from .axioms import accumulate, field_ops
 from .comod import ComoduleAlgebra, verify_comodule_algebra
 from .linalg import ring_det
 from .record import Record
@@ -40,7 +42,7 @@ class CanonicalMatrix(Record, frozen=True):
     """Matrix of beta; rows (l, k) as l*d + k, columns (i, j) as i*n + j.
 
     Each row is held as its (column, entry) pairs with a nonzero entry, in
-    column order.
+    column order; an entry is a coefficient dict over the base ring.
     """
 
     algebra: ComoduleAlgebra
@@ -57,6 +59,9 @@ class CanonicalMatrix(Record, frozen=True):
     def sparse_rows(self) -> list:
         return [dict(r) for r in self.terms]
 
+    def __hash__(self):
+        return hash(self.algebra)
+
 
 def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
     n, d = A.dim, A.hopf.dim
@@ -66,25 +71,19 @@ def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
     unit_times = [accumulate(fops, ((q, K.mul(u, s)) for k, u in H.unit.items()
                                     for q, s in H.mult.get((k, l), {}).items()))
                   for l in range(d)]
-    ops = ring_ops(C)
-    mult = A.mult
+    ops, mult = A.ops, A.mult
     rho = [[(l, unit_times[h].items(), c) for (l, h), c in A.coaction.get(j, {}).items()
             if unit_times[h]] for j in range(n)]
-    mul, add, scale, is_one = ops.mul, ops.add, C._scale, K.is_one
+    mul, scale, is_one = ops.mul, C._scale, K.is_one
     rows = [[] for _ in range(n * d)]
     for i in range(n):
         for j in range(n):  # column i * n + j, so each row fills in column order
-            col = {}
-            for l, hl, c in rho[j]:
-                for p, cp in mult.get((i, l), {}).items():
-                    cc = mul(c, cp)
-                    for q, s in hl:
-                        t = cc if is_one(s) else scale(s, cc)
-                        key = p * d + q
-                        col[key] = add(col[key], t) if key in col else t
+            col = accumulate(ops, ((p * d + q, cc if is_one(s) else scale(s, cc))
+                                   for l, hl, c in rho[j]
+                                   for p, cp in mult.get((i, l), {}).items()
+                                   for cc in (mul(c, cp),) for q, s in hl))
             for key, v in col.items():
-                if v:
-                    rows[key].append((i * n + j, ops.wrap(v)))
+                rows[key].append((i * n + j, v))
     return CanonicalMatrix(A, tuple(map(tuple, rows)))
 
 
@@ -115,10 +114,8 @@ def is_galois(A: ComoduleAlgebra) -> GaloisVerdict:
     """
     if A.dim != A.hopf.dim:
         return GaloisVerdict(RANK_MISMATCH)
-    det = ring_det(canonical_matrix(A).sparse_rows(), A.base)
-    if A.base.is_unit(det):
-        return GaloisVerdict(GALOIS, det)
-    return GaloisVerdict(NOT_BIJECTIVE, det)
+    det = BaseElement(A.base, ring_det(canonical_matrix(A).sparse_rows(), A.base))
+    return GaloisVerdict(GALOIS if A.base.is_unit(det) else NOT_BIJECTIVE, det)
 
 
 def verify_bundle(A: ComoduleAlgebra) -> Report:

@@ -73,12 +73,7 @@ class Bialgebra(Record, frozen=True):
 
     def mul_vec(self, a: Vec, b: Vec) -> Vec:
         ops = field_ops(self.field)
-        return accumulate(ops, ((l, ops.mul(ops.mul(ca, cb), m))
-                                for i, ca in a.items() for j, cb in b.items()
-                                for l, m in self.mult.get((i, j), {}).items()))
-
-    def basis_vec(self, i: int) -> Vec:
-        return {i: self.field.one()}
+        return accumulate(ops, axioms.product(ops, self.mult)(a, b))
 
     def __hash__(self):
         return hash((self.field, self.labels))

@@ -5,10 +5,10 @@ dicts column -> coefficient holding only nonzeros, and coefficients are
 touched only through an ``axioms.Ops``, the interface the axiom checker
 uses too: a field's operations on its scalars, or a base ring's on
 coefficient dicts (monomial -> scalar), where the empty dict is zero.
-Entries are read once on the way in (``Ops.raw``, a BaseElement's
-``.coeffs``) and results written once on the way out (``Ops.wrap``), so
-the result is exact for every field the types accept and for every base
-ring, zero divisors included.
+Matrix entries and results are in that form, the form in which the
+records hold their tables, so nothing is converted on the way in or out,
+and the result is exact for every field the types accept and for every
+base ring, zero divisors included.
 
 * Pivots are units only, and a pivot row is scaled by the pivot's inverse,
   ``Ops.inv``: over a field every nonzero is a unit; over a base ring it is
@@ -45,18 +45,15 @@ from heapq import heapify, heappop, heappush
 
 from .axioms import Ops, field_ops, ring_ops
 from .fields import Field
-from .rings import BaseElement, BaseRing
+from .rings import BaseRing
 
 
 def _rows(M, ops: Ops) -> list:
     """Rows of M, each a dense list or a sparse dict column -> entry, as
-    dicts column -> coefficient holding only the nonzeros."""
-    raw, is_zero = ops.raw, ops.is_zero
-    rows = []
-    for row in M:
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        rows.append({c: x for c, x in ((c, raw(e)) for c, e in items) if not is_zero(x)})
-    return rows
+    dicts column -> entry holding only the nonzeros."""
+    is_zero = ops.is_zero
+    return [{c: x for c, x in (row.items() if isinstance(row, dict) else enumerate(row))
+             if not is_zero(x)} for row in M]
 
 
 def _eliminate(rows: list, ops: Ops, ncols: int, markowitz: bool) -> list:
@@ -144,12 +141,12 @@ def _det(M, ops: Ops):
     pivots = _eliminate(rows, ops, n, True)
     left, cols = _stalled(rows, pivots, n)
     if any(not rows[i] for i in left):
-        return ops.wrap(ops.zero)
+        return ops.zero
     block = [[rows[i].get(c, ops.zero) for c in cols] for i in left]
     det = ops.mul(reduce(ops.mul, (pv for _, _, pv in pivots), ops.one), _berkowitz(block, ops))
     perm = dict(zip(left, cols))
     perm.update((i, c) for i, c, _ in pivots)
-    return ops.wrap(ops.neg(det) if odd_permutation([perm[i] for i in range(n)]) else det)
+    return ops.neg(det) if odd_permutation([perm[i] for i in range(n)]) else det
 
 
 def _solve(M, b, ops: Ops):
@@ -163,7 +160,6 @@ def _solve(M, b, ops: Ops):
     rows = _rows(M, ops)
     n = len(rows)
     for row, bv in zip(rows, b):
-        bv = ops.raw(bv)
         if not ops.is_zero(bv):
             row[n] = bv
     pivots = _eliminate(rows, ops, n, True)
@@ -188,7 +184,7 @@ def _solve(M, b, ops: Ops):
         row = rows[i]
         x[c] = reduce(add, (neg(mul(row[k], yk)) for k, yk in y.items() if k in row),
                       row.get(n, zero))
-    return [ops.wrap(x[c]) for c in range(n)]
+    return [x[c] for c in range(n)]
 
 
 def _charpoly(M, ops: Ops) -> list:
@@ -230,7 +226,7 @@ def _charpoly(M, ops: Ops) -> list:
 
 
 def _berkowitz(M, ops: Ops):
-    """Determinant of a square matrix of raw coefficients.
+    """Determinant of a square matrix of coefficients.
 
     The rows and columns fall into the connected components of the graph
     joining row i to column j when M[i][j] is nonzero.  det M is 0 when a
@@ -279,9 +275,9 @@ def odd_permutation(perm: list) -> bool:
 
 
 # --------------------------------------------------------------------------
-# field layer: matrices are lists of rows of raw scalars; ring layer: lists
-# of rows of BaseElements.  Each row is a dense list (or tuple) or a sparse
-# dict column -> entry.
+# field layer: matrices are lists of rows of field scalars; ring layer: lists
+# of rows of coefficient dicts.  Each row is a dense list (or tuple) or a
+# sparse dict column -> entry.
 # --------------------------------------------------------------------------
 
 def field_det(M, field: Field):
@@ -312,11 +308,12 @@ def field_kernel(M, field: Field, ncols: int):
     return basis
 
 
-def berkowitz_det(M, ring: BaseRing) -> BaseElement:
-    return BaseElement(ring, _berkowitz([[e.coeffs for e in row] for row in M], ring_ops(ring)))
+def berkowitz_det(M, ring: BaseRing) -> dict:
+    """Determinant of a dense square matrix over the ring by Berkowitz alone."""
+    return _berkowitz(M, ring_ops(ring))
 
 
-def ring_det(M, ring: BaseRing) -> BaseElement:
+def ring_det(M, ring: BaseRing) -> dict:
     """Determinant over any base ring: unit-pivot elimination, Berkowitz tail."""
     return _det(M, ring_ops(ring))
 

@@ -386,24 +386,23 @@ class BaseRing:
         solve L y = e_0 over the prefix ring, where column k of L is d r^k in
         the basis 1, r, ..., r^(n-1); then d^-1 = sum_k y_k r^k."""
         from .linalg import ring_solve  # linalg imports this module
-        sub = self.prefix(len(self.gens) - 1)
-        n = self.gens[-1].degree
+        m = len(self.gens) - 1
+        sub, n = self.prefix(m), self.gens[-1].degree
         u = {mono[:-1]: c for mono, c in self.root_values[-1].items()}
         coords = {}
         for mono, c in d.items():
             coords.setdefault(mono[-1], {})[mono[:-1]] = c
         # a term a r^j of d puts a in row j + k of column k, or a u in row
         # j + k - n once r^(j+k) passes r^n = u
-        entries = {j: (BaseElement(sub, a), BaseElement(sub, sub._mul(a, u)))
-                   for j, a in coords.items()}
+        entries = {j: (a, sub._mul(a, u)) for j, a in coords.items()}
         rows = [{} for _ in range(n)]
         for k in range(n):
             for j, (a, au) in entries.items():
                 rows[(j + k) % n][k] = au if j + k >= n else a
-        y = ring_solve(rows, [sub.one()] + [sub.zero()] * (n - 1), sub)
+        y = ring_solve(rows, [{(0,) * m: self.field.one()}] + [{}] * (n - 1), sub)
         if y is None:
             return None
-        return {mono + (k,): c for k, yk in enumerate(y) for mono, c in yk.coeffs.items()}
+        return {mono + (k,): c for k, yk in enumerate(y) for mono, c in yk.items()}
 
     # ------------------------------------------------------------ grading
 

@@ -16,14 +16,16 @@ did before reading it off the tables.
 ``check_iso`` forms every product of two basis elements and its image, as
 the library did before it checked maps through the axiom checker.
 ``entries`` and ``rows`` spell a ``galois.CanonicalMatrix`` out densely, as
-its own methods did before only the tests read them.
+its own methods did before only the tests read them, with its coefficient
+dicts read as BaseElements.
 ``reduce_word_combination`` rewrites words in x, y to the normal form of
 the rank-4 family, as ``bundles.abg_bundle`` did before its table was
 written out.  ``crossed_multiply`` is the general crossed-product formula
 with an explicit action, which ``cleft`` had as an entry point that only
 the tests called.  A bundle's tables hold coefficient dicts; the oracles
 read each entry as a BaseElement through ``elements`` and compute with
-BaseElement arithmetic, as the library did.
+BaseElement arithmetic, as the library did; ``linalg.ring_det`` takes and
+returns coefficient dicts, and ``check_iso`` converts at that call.
 """
 
 from hopfgal.errors import NoAntipodeError
@@ -222,8 +224,9 @@ def canonical_matrix(A) -> tuple:
 def entries(M) -> tuple:
     """The dense matrix of a ``galois.CanonicalMatrix``: a tuple of row
     tuples of BaseElements."""
-    zero, ncols = M.algebra.base.zero(), M.ncols
-    return tuple(tuple(row.get(c, zero) for c in range(ncols)) for row in M.sparse_rows())
+    C, ncols = M.algebra.base, M.ncols
+    return tuple(tuple(BaseElement(C, row.get(c, {})) for c in range(ncols))
+                 for row in M.sparse_rows())
 
 
 def rows(M) -> list:
@@ -517,7 +520,7 @@ def check_iso(A, B, M) -> Report:
         rep.add("matrix shape", False, "expected a square matrix of the common rank")
         return rep
     rep.add("matrix shape", True)
-    det = ring_det(M, A.base)
+    det = BaseElement(A.base, ring_det([[e.coeffs for e in row] for row in M], A.base))
     if not A.base.is_unit(det):
         rep.add("invertible", False, f"determinant {A.base.format_element(det)} is not a unit")
         return rep

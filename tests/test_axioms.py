@@ -146,8 +146,8 @@ def _corrupt_hopf(data, H: HopfAlgebra, value, zero) -> HopfAlgebra:
 
 
 def _commutative_reference(H) -> bool:
-    return all(H.mul_vec(H.basis_vec(i), H.basis_vec(j))
-               == H.mul_vec(H.basis_vec(j), H.basis_vec(i))
+    one = H.field.one()
+    return all(H.mul_vec({i: one}, {j: one}) == H.mul_vec({j: one}, {i: one})
                for i in range(H.dim) for j in range(i))
 
 
@@ -263,7 +263,8 @@ def test_canonical_matrix_matches_reference_on_corrupted_tables(data):
     M = canonical_matrix(bad)
     assert ref.entries(M) == ref.canonical_matrix(bad)
     if bad.dim == bad.hopf.dim:
-        assert is_galois(bad).det == berkowitz_det(ref.rows(M), bad.base)
+        dense = [[e.coeffs for e in row] for row in ref.rows(M)]
+        assert is_galois(bad).det.coeffs == berkowitz_det(dense, bad.base)
 
 
 def test_benchmark_documents_match_reference():

@@ -11,8 +11,14 @@ Hand-derived facts frozen below:
   the unit, so cocycle extraction must refuse.
 """
 
+import importlib
+import pkgutil
+from pathlib import Path
+
 import pytest
 
+import hopfgal
+from hopfgal import axioms
 from hopfgal.cleft import (
     CleavingMap,
     Cocycle,
@@ -28,6 +34,7 @@ from hopfgal.cleft import (
     twisted_product,
 )
 from hopfgal.comod import ComoduleAlgebra, HModuleMap, push_forward, trivial_bundle
+from hopfgal.document import load_document
 from hopfgal.errors import (
     BadNormalizationError,
     NonCentralDatumError,
@@ -43,6 +50,7 @@ from reference_axioms import crossed_multiply, elements
 
 H4 = sweedler_h4(QQ)
 C2 = cyclic_group_algebra(2, QQ)
+SEED0 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "seed0"
 
 
 def test_trivial_cleaving_and_cocycle():
@@ -222,3 +230,23 @@ def test_push_forward_commutes_with_twisting():
     left = push_forward(f, twisted_product(C, C2, sigma))
     right = twisted_product(C, C2, push_cocycle(f, sigma))
     assert left == right
+
+
+def test_a_cleaving_and_its_cocycle_build_one_ring_ops(monkeypatch):
+    """A bundle record builds its coefficient operations once, and the maps
+    into it use them: certifying the stored cleaving of the ABG bundle over
+    Q[u,v,w] and extracting its cocycle builds only the Ops of the one
+    convolution solve."""
+    g = load_document(str(SEED0 / "bundle-towers" / "abg_uvw.json")).cleavings["g"]
+    built = []
+    ring_ops = axioms.ring_ops
+
+    def counting(C):
+        built.append(C)
+        return ring_ops(C)
+    for info in pkgutil.iter_modules(hopfgal.__path__):
+        module = importlib.import_module(f"hopfgal.{info.name}")
+        if getattr(module, "ring_ops", None) is ring_ops:
+            monkeypatch.setattr(module, "ring_ops", counting)
+    extract_cocycle(check_cleaving(g.algebra, g))
+    assert built == [g.algebra.base]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgal import axioms
+from hopfgal import axioms, comod, galois, linalg
 from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving, kummer_bundle
 from hopfgal.cleft import cleaving_of_twisted_product
 from hopfgal.comod import (
@@ -39,6 +39,7 @@ from hopfgal.hopf import cyclic_group_algebra, sweedler_h4
 from hopfgal.rings import (
     BaseElement,
     BaseMorphism,
+    adjoin_root,
     base_ring,
     compose,
     laurent_ring,
@@ -235,6 +236,48 @@ def test_convolution_invert_tolerates_nilpotent_kernel():
     inv = convolution_invert(gamma)
     e = unit_counit_map(A)
     assert convolve(gamma, inv) == e and convolve(inv, gamma) == e
+
+
+def test_the_ring_layer_of_linalg_computes_on_coefficient_dicts(monkeypatch):
+    """The Galois determinant, a bundle isomorphism, a convolution inverse
+    and a unit test under a root hand linalg coefficient dicts as they are
+    and get dicts back: every entry reaching the elimination kernel, and
+    every entry and result at the ring entry points, is a dict."""
+    entries, results, eliminations = [], [], []
+    eliminate = linalg._eliminate
+
+    def spying(rows, ops, ncols, markowitz):
+        eliminations.append(len(rows))
+        entries.extend(x for row in rows for x in row.values())
+        return eliminate(rows, ops, ncols, markowitz)
+    monkeypatch.setattr(linalg, "_eliminate", spying)
+
+    def recording(f):
+        def entry_point(M, *rest):
+            entries.extend(x for row in M
+                           for x in (row.values() if isinstance(row, dict) else row))
+            out = f(M, *rest)
+            results.extend([] if out is None else out if isinstance(out, list) else [out])
+            return out
+        return entry_point
+    for module, name in ((galois, "ring_det"), (comod, "ring_det"), (comod, "ring_solve"),
+                         (linalg, "ring_solve")):  # rings imports ring_solve when it runs
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+
+    C = laurent_ring(QQ, "u")
+    A = c2_root_bundle(C, C.gen("u"))
+    L = laurent_ring(F7, "z")
+    R, _, r = adjoin_root(L, L.gen("z"), 2, name="r")  # r^2 = z, so r^-1 = r z^-1
+    runs = (lambda: is_galois(A).ok,
+            lambda: check_iso(A, A, identity_matrix(C, A.dim)).ok,
+            lambda: convolution_invert(HModuleMap(A, ({0: C.one()}, {1: C.one()}))) is not None,
+            lambda: R.try_inverse(r) == r * R.gen("z") ** -1)
+    for run in runs:
+        before = len(eliminations)
+        assert run()
+        assert len(eliminations) > before
+    assert entries and all(type(x) is dict for x in entries)
+    assert results and all(type(x) is dict for x in results)
 
 
 # --------------------------------------------------------------------------

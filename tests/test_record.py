@@ -10,7 +10,7 @@ from hopfgal.comod import ComoduleAlgebra, HModuleMap, trivial_bundle, unit_coun
 from hopfgal.document import Document
 from hopfgal.errors import DimensionMismatchError
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.galois import GaloisVerdict
+from hopfgal.galois import GaloisVerdict, canonical_matrix
 from hopfgal.hopf import Bialgebra, HopfAlgebra, cyclic_group_algebra, sweedler_h4, taft
 from hopfgal.record import Record
 from hopfgal.report import Check, Report
@@ -126,12 +126,14 @@ def test_equal_structure_records_hash_equal(H, data):
     sigma = trivial_cocycle(R, H)
     sigma2 = Cocycle(R, twin, tuple(tuple(R.element(dict(c.coeffs)) for c in row)
                                     for row in sigma.sigma))
-    assert A2 == A and e2 == e and sigma2 == sigma
+    M, M2 = canonical_matrix(A), canonical_matrix(A2)
+    assert A2 == A and e2 == e and sigma2 == sigma and M2 == M
 
     n = data.draw(st.integers(-8, 8))
     x = R.from_int(n)
     assert x != n and x != n + 7  # a BaseElement never equals an int
-    _assert_equal_objects_hash_equal([H, twin, B, B0, A, A2, e, e2, sigma, sigma2, x, n, n + 7])
+    _assert_equal_objects_hash_equal([H, twin, B, B0, A, A2, e, e2, sigma, sigma2, M, M2,
+                                      x, n, n + 7])
 
 
 def test_equality_needs_the_same_class():
