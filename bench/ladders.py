@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -29,13 +30,15 @@ from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.galois import canonical_matrix, is_galois, verify_bundle
 from hopfgal.homotopy import kummer_trivialization_witness, verify_witness
 from hopfgal.hopf import taft, verify_hopf
-from hopfgal.rings import adjoin_root, laurent_ring
+from hopfgal.rings import adjoin_root, laurent_ring, polynomial_ring
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "perfbench" / "data" / "seed0"
 RUNS, SINGLE_RUN_OVER_S = 3, 4.0
 INVERSES = 1000  # per run of the extension-field rung
 CLEAVINGS = 100  # per run of the cleaving rung: one takes under 1 ms
+PRODUCTS, TERMS = 1000, 12  # per run of a product rung: pairs of elements, terms of each
+INVERSES_IN_RING = 500  # per run of a ring try_inverse rung
 
 
 def timed(fn):
@@ -63,9 +66,48 @@ def of_order(K: PrimeField, n: int):
     return next(K.from_int(a) for a in range(2, K.p) if K.has_order(K.from_int(a), n))
 
 
+def seeded_pairs(R, exps: dict, seed: int) -> list:
+    """PRODUCTS pairs of elements of R, each a sum of TERMS monomials whose
+    generator g takes an exponent from exps[g] and whose coefficient is a
+    small fraction, drawn from a generator seeded with ``seed``."""
+    rng, K = random.Random(seed), R.field
+
+    def element():
+        return sum((R.monomial({g: rng.choice(e) for g, e in exps.items()},
+                               K.div(K.from_int(rng.randint(-9, 9)), K.from_int(rng.randint(1, 9))))
+                    for _ in range(TERMS)), R.zero())
+    return [(element(), element()) for _ in range(PRODUCTS)]
+
+
+def total_terms(pairs) -> int:
+    return sum(len((a * b).coeffs) for a, b in pairs)
+
+
+def ring_rungs():
+    """Products in Q[u,v,w] and in F241[z^+-1][w | w^N = z]; their verdict
+    is the total number of terms.  Then try_inverse of a Laurent monomial,
+    of the unit 7 z^-2 w^(N-1) under the root (w^N = z makes this ring
+    F241[w^+-1], whose units are single monomials) and of the non-unit
+    1 + w, whose norm is 1 - z for even N."""
+    pairs = seeded_pairs(polynomial_ring(QQ, "u", "v", "w"), dict.fromkeys("uvw", range(4)), 0)
+    yield "ring mul", f"{PRODUCTS} in Q[u,v,w]", lambda: total_terms(pairs)
+    L = laurent_ring(PrimeField(241), "z")
+    for n in (8, 16, 24):
+        R, _, w = adjoin_root(L, L.gen("z"), n, name="w")
+        ring, z = f"F241[z^+-1][w | w^{n} = z]", R.gen("z")
+        pairs = seeded_pairs(R, {"z": range(-3, 4), "w": range(n)}, n)
+        yield "ring mul", f"{PRODUCTS} in {ring}", lambda pairs=pairs: total_terms(pairs)
+        for kind, x in (("laurent monomial", 5 * z ** -3),
+                        ("unit", 7 * z ** -2 * w ** (n - 1)),
+                        ("non-unit", 1 + w)):
+            yield f"try_inverse {kind}", f"{INVERSES_IN_RING} in {ring}", (
+                lambda R=R, x=x: [R.try_inverse(x) for _ in range(INVERSES_IN_RING)][-1] is not None)
+
+
 def rungs():
     """(layer, size, callable returning a verdict) in the order they run;
     what a rung needs is built before it is timed."""
+    yield from ring_rungs()
     for name in ("bundle-towers/kummer.json", "cli-docs/abg.json"):
         path = str(DATA / name)
         yield "load_document", name, lambda path=path: len(load_document(path).bundles)

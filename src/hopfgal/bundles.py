@@ -21,8 +21,8 @@ from functools import cache
 from itertools import chain, product
 
 from .axioms import accumulate, ring_ops
-from .cleft import CleavingMap, check_cleaving
-from .comod import ComoduleAlgebra, HModuleMap, check_iso
+from .cleft import cleaving_of_twisted_product
+from .comod import ComoduleAlgebra, check_iso
 from .errors import (
     BadRootError,
     BadRootOfUnityError,
@@ -96,10 +96,9 @@ def abg_bundle(p: AbgParams) -> ComoduleAlgebra:
                            mult, {0: one}, coaction)
 
 
-def abg_cleaving(A: ComoduleAlgebra) -> CleavingMap:
-    """The tautological cleaving 1 -> 1, X -> x, Y -> y, XY -> xy, certified."""
-    gamma = HModuleMap(A, tuple(A.basis_vec(k) for k in range(A.hopf.dim)))
-    return check_cleaving(A, gamma)
+# The tautological cleaving 1 -> 1, X -> x, Y -> y, XY -> xy, certified: the
+# family's basis is labelled by the H basis, as a twisted product's is.
+abg_cleaving = cleaving_of_twisted_product
 
 
 # --------------------------------------------------------------------------

@@ -279,6 +279,8 @@ def crossed_product(base: BaseRing, H: HopfAlgebra, action, sigma: Cocycle) -> C
 
 
 def cleaving_of_twisted_product(A: ComoduleAlgebra) -> CleavingMap:
-    """gamma(h) = 1 (x) h on a product-type bundle whose basis is the H basis."""
+    """gamma(h_k) = a_k, certified, on a bundle whose k-th basis element
+    stands for the k-th basis element of H: 1 (x) h on a twisted product,
+    1 -> 1, X -> x, Y -> y, XY -> xy on the rank-4 family."""
     gamma = HModuleMap(A, tuple(A.basis_vec(k) for k in range(A.hopf.dim)))
     return check_cleaving(A, gamma)

@@ -236,8 +236,8 @@ def coinvariants_over_field(A: ComoduleAlgebra) -> list:
 def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
     """Certify that a_j -> sum_i M[i][j] b_i is an isomorphism of bundles.
 
-    Requires the same base ring and the same Hopf algebra on both sides;
-    checks invertibility (unit determinant), phi(1) = 1, that phi is an
+    Requires the same base ring and the same Hopf algebra on both sides,
+    and M's entries in that ring (RingMismatchError otherwise); checks invertibility (unit determinant), phi(1) = 1, that phi is an
     algebra map, on the generator rows of A's word tree once A and B are
     unital and associative and phi(1) = 1 (else on every row), and that
     phi is a comodule map.
@@ -259,7 +259,8 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
 
     # phi's rows are the columns of M, and det of the transpose is det M
     ops = A.ops
-    phi = {j: {i: row[j].coeffs for i, row in enumerate(M) if row[j].coeffs} for j in range(n)}
+    phi = {j: {i: e for i, row in enumerate(M) if (e := _entry(A.base, row[j]))}
+           for j in range(n)}
     det = ring_det([phi[j] for j in range(n)], A.base)
     if not ops.is_unit(det):
         rep.add("invertible", False, f"determinant {A.base.format_coeffs(det)} is not a unit")

@@ -10,9 +10,10 @@ of one of three kinds:
                 (exponents reduced into range(n))
 
 Elements are finite sums of monomials with exact scalar coefficients, stored
-as a dict from exponent tuples to scalars.  Multiplication rewrites root
-exponents down into range, always from the highest generator index toward the
-lowest, which terminates because a root relation only involves earlier
+as a dict from exponent tuples to scalars.  A product is summed once, term by
+term; when a root exponent of the sum is out of range, one ``_reduce``
+rewrites it down into range, always from the highest generator index toward
+the lowest, which terminates because a root relation only involves earlier
 generators.  The resulting normal form is unique, so ``==`` is decidable
 equality.
 
@@ -245,32 +246,22 @@ class BaseRing:
     def _mul(self, A: dict, B: dict) -> dict:
         K = self.field
         add, mul, is_zero = K.add, K.mul, K.is_zero
-        roots = self._root_indices
-        gens = self.gens
         out: dict = {}
         for m1, c1 in A.items():
             for m2, c2 in B.items():
                 m = tuple(map(operator.add, m1, m2))
                 c = mul(c1, c2)
-                if roots and any(m[i] >= gens[i].degree for i in roots):
-                    for mr, cr in self._reduce({m: c}).items():
-                        if mr in out:
-                            s = add(out[mr], cr)
-                            if is_zero(s):
-                                del out[mr]
-                            else:
-                                out[mr] = s
-                        else:
-                            out[mr] = cr
-                else:
-                    if m in out:
-                        s = add(out[m], c)
-                        if is_zero(s):
-                            del out[m]
-                        else:
-                            out[m] = s
+                if m in out:
+                    s = add(out[m], c)
+                    if is_zero(s):
+                        del out[m]
                     else:
-                        out[m] = c
+                        out[m] = s
+                else:
+                    out[m] = c
+        roots, gens = self._root_indices, self.gens
+        if roots and any(m[i] >= gens[i].degree for m in out for i in roots):
+            return self._reduce(out)
         return out
 
     def _reduce(self, terms: dict) -> dict:
@@ -286,14 +277,7 @@ class BaseRing:
                     over = i
                     break
             if over is None:
-                if m in out:
-                    s = K.add(out[m], c)
-                    if K.is_zero(s):
-                        del out[m]
-                    else:
-                        out[m] = s
-                else:
-                    out[m] = c
+                out[m] = K.add(out[m], c) if m in out else c
                 continue
             n = self.gens[over].degree
             q, r = divmod(m[over], n)
@@ -302,7 +286,7 @@ class BaseRing:
             for mu, cu in self._root_power(over, q).items():
                 mm = tuple(map(operator.add, base, mu))
                 stack.append((mm, K.mul(c, cu)))
-        return out
+        return {m: c for m, c in out.items() if not K.is_zero(c)}
 
     def _root_power(self, i: int, q: int) -> dict:
         """Normal form of u_i ** q as a coefficient dict (support on gens < i)."""
@@ -361,25 +345,18 @@ class BaseRing:
             if all(e == 0 or g.kind == LAURENT for e, g in zip(mono, self.gens)):
                 # c * m with m a Laurent monomial: (c m)^-1 = c^-1 m^-1
                 return {tuple(-e for e in mono): self.field.inv(c)}
-        g = self.gens[-1]
-        sub = self.prefix(m - 1)
-        if g.kind == FREE:
-            if any(mono[-1] != 0 for mono in d):
-                return None  # reduced ring: units are constant in free generators
-            inv = sub._try_inv_dict({mono[:-1]: c for mono, c in d.items()})
-            if inv is None:
-                return None
-            return {mono + (0,): c for mono, c in inv.items()}
-        if g.kind == LAURENT:
-            exps = {mono[-1] for mono in d}
-            if len(exps) != 1:
-                return None  # no root lies below g, so the prefix is a domain
-            e = exps.pop()
-            inv = sub._try_inv_dict({mono[:-1]: c for mono, c in d.items()})
-            if inv is None:
-                return None
-            return {mono + (-e,): c for mono, c in inv.items()}
-        return self._root_try_inv(d)
+        if self.gens[-1].kind == ROOT:
+            return self._root_try_inv(d)
+        # a unit of this reduced ring is constant in a free generator; no root
+        # lies below a Laurent generator, so the prefix is a domain and a unit
+        # has a single exponent e there
+        [e, *more] = {mono[-1] for mono in d}
+        if more or (e and self.gens[-1].kind == FREE):
+            return None
+        inv = self.prefix(m - 1)._try_inv_dict({mono[:-1]: c for mono, c in d.items()})
+        if inv is None:
+            return None
+        return {mono + (-e,): c for mono, c in inv.items()}
 
     def _root_try_inv(self, d: dict):
         """_try_inv_dict when the last generator is a root r with r^n = u:

@@ -191,6 +191,14 @@ def test_check_iso_ignores_an_explicit_zero_in_the_unit():
     assert check_iso(A, B, ident).ok
 
 
+def test_check_iso_refuses_a_matrix_over_another_ring():
+    # Q[v] has as many generators as Q[u], so its entries' coefficient dicts
+    # would read as elements of Q[u]
+    A = trivial_bundle(polynomial_ring(QQ, "u"), sweedler_h4(QQ))
+    with pytest.raises(RingMismatchError):
+        check_iso(A, A, identity_matrix(polynomial_ring(QQ, "v"), A.dim))
+
+
 def test_trivial_cleaving_inverse_is_antipode():
     H = sweedler_h4(QQ)
     C = base_ring(QQ)

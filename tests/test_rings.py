@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgal.errors import (
     BadScalarError,
@@ -264,3 +267,110 @@ def test_morphisms() -> None:
     assert swap(T * T) == T4.from_int(4)
     assert identity_morphism(T4)(T) == T
     assert inclusion_morphism(base_ring(QQ), T4)(base_ring(QQ).from_int(5)) == T4.from_int(5)
+
+
+# --------------------------------------------------------------------------
+# multiplication against sympy's normal form modulo a Groebner basis
+# --------------------------------------------------------------------------
+
+def _ranges(kinds, degrees):
+    """The exponents a drawn monomial takes on each generator: small ones on
+    free and Laurent generators, all of range(n) on a root of degree n."""
+    return [range(3) if k == "free" else range(-2, 3) if k == "laurent" else range(n)
+            for k, n in zip(kinds, degrees)]
+
+
+@st.composite
+def _scalars(draw, p):
+    """A nonzero scalar of F_p (p > 0) or of Q (p == 0), as the field holds it."""
+    if p:
+        return draw(st.integers(1, p - 1))
+    c = Fraction(draw(st.sampled_from([k for k in range(-6, 7) if k])), draw(st.integers(1, 4)))
+    return c.numerator if c.denominator == 1 else c
+
+
+@st.composite
+def _coeff_dicts(draw, p, ranges, max_terms):
+    monos = draw(st.lists(st.tuples(*(st.sampled_from(r) for r in ranges)),
+                          min_size=1, max_size=max_terms, unique=True))
+    return {m: draw(_scalars(p)) for m in monos}
+
+
+@st.composite
+def _towers_and_pairs(draw):
+    """(p, kinds, degrees, root values, a, b): free and Laurent generators,
+    then free generators and roots, each root over a monomial unit of the
+    generators below it, so roots over Laurent generators and over roots."""
+    p = draw(st.sampled_from([0, 3, 5]))
+    kinds = (draw(st.lists(st.sampled_from(["free", "laurent"]), max_size=2))
+             + draw(st.lists(st.sampled_from(["free", "root"]), max_size=2)))
+    if not kinds:
+        kinds = [draw(st.sampled_from(["free", "laurent", "root"]))]
+    degrees, values = [], []
+    for i, k in enumerate(kinds):
+        degrees.append(draw(st.sampled_from([n for n in (2, 3, 4) if not p or n % p]))
+                       if k == "root" else 0)
+        ranges = [r if kinds[j] != "free" else range(1)
+                  for j, r in enumerate(_ranges(kinds[:i], degrees))]
+        values.append(draw(_coeff_dicts(p, ranges, 1)) if k == "root" else None)
+    ranges = _ranges(kinds, degrees)
+    return (p, kinds, degrees, values,
+            draw(_coeff_dicts(p, ranges, 4)), draw(_coeff_dicts(p, ranges, 4)))
+
+
+def _sympy_normal_form(p, kinds, degrees, values, a, b):
+    """The product a b as {exponents: scalar}, reduced by sympy modulo
+    G = {g^n - u for each root} + {z z' - 1 for each Laurent z}, z^-k
+    written z'^k.  In lex order with later generators larger the leading
+    terms g^n and z z' are pairwise coprime, so G is a Groebner basis and
+    the remainder is the normal form."""
+    xs = sympy.symbols(f"x0:{len(kinds)}")
+    ys = sympy.symbols(f"y0:{len(kinds)}")
+
+    def poly(coeffs):
+        out = 0
+        for mono, c in coeffs.items():
+            term = sympy.Integer(c) if p else sympy.Rational(Fraction(c).numerator,
+                                                             Fraction(c).denominator)
+            for x, y, e in zip(xs, ys, mono):
+                term *= x ** e if e >= 0 else y ** -e
+            out += term
+        return out
+    G = [xs[i] ** degrees[i] - poly(values[i])
+         for i, k in enumerate(kinds) if k == "root"]
+    G += [xs[i] * ys[i] - 1 for i, k in enumerate(kinds) if k == "laurent"]
+    order = [v for i in reversed(range(len(kinds)))
+             for v in ((xs[i], ys[i]) if kinds[i] == "laurent" else (xs[i],))]
+    opts = {"modulus": p} if p else {}
+    f = sympy.expand(poly(a) * poly(b))
+    r = sympy.reduced(f, G, *order, order="lex", **opts)[1] if G else f
+    out = {}
+    for monom, c in sympy.Poly(r, *order, **opts).as_dict().items():
+        e = dict(zip(order, monom))
+        mono = tuple(e[xs[i]] - e.get(ys[i], 0) for i in range(len(kinds)))
+        out[mono] = int(c) % p if p else Fraction(int(c.p), int(c.q))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_towers_and_pairs())
+def test_ring_multiplication_matches_sympy_normal_form(case) -> None:
+    """a * b against sympy's remainder modulo the tower's Groebner basis, on
+    towers over Q and F_p with free, Laurent and root generators, roots over
+    Laurent generators and over roots; the product is in normal form: no
+    zero coefficient and every root exponent in range(n)."""
+    p, kinds, degrees, values, a, b = case
+    R = base_ring(PrimeField(p) if p else QQ)
+    for i, (k, n) in enumerate(zip(kinds, degrees)):
+        if k == "free":
+            R = R.add_free(f"g{i}")
+        elif k == "laurent":
+            R = R.add_laurent(f"g{i}")
+        else:
+            R, _, _ = adjoin_root(R, R.element(values[i]),
+                                  n, name=f"g{i}")
+    got = (R.element(a) * R.element(b)).coeffs
+    assert not any(R.field.is_zero(c) for c in got.values())
+    assert all(m[i] in range(n) for m in got for i, n in enumerate(degrees) if n)
+    want = _sympy_normal_form(p, kinds, degrees, values, a, b)
+    assert {m: c % p if p else Fraction(c) for m, c in got.items()} == want
