@@ -25,11 +25,13 @@ from pathlib import Path
 
 import hopfgal
 from hopfgal.cleft import check_cleaving
-from hopfgal.document import load_document
+from hopfgal.document import load_document, validate_raw
+from hopfgal.errors import SchemaError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.galois import canonical_matrix, is_galois, verify_bundle
 from hopfgal.homotopy import kummer_trivialization_witness, verify_witness
 from hopfgal.hopf import taft, verify_hopf
+from hopfgal.linalg import ring_det
 from hopfgal.rings import adjoin_root, laurent_ring, polynomial_ring
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +41,9 @@ INVERSES = 1000  # per run of the extension-field rung
 CLEAVINGS = 100  # per run of the cleaving rung: one takes under 1 ms
 PRODUCTS, TERMS = 1000, 12  # per run of a product rung: pairs of elements, terms of each
 INVERSES_IN_RING = 500  # per run of a ring try_inverse rung
+DETS = 20  # per run of the Berkowitz ring_det rung: one takes about 5 ms
+VALIDATIONS = 20  # per run of a validate_raw rung
+ROOTS = 1000  # per run of a Q or F_p sqrt rung; a tenth of it in an extension
 
 
 def timed(fn):
@@ -104,13 +109,42 @@ def ring_rungs():
                 lambda R=R, x=x: [R.try_inverse(x) for _ in range(INVERSES_IN_RING)][-1] is not None)
 
 
+def sqrt_rungs():
+    """sqrt of squares, so every call finds a root: of fractions with
+    30-digit numerators over Q, in F998244353 (119 * 2^23 + 1, the longest
+    Tonelli-Shanks loop) and by search in F31[u]/(u^2 + 1), 961 elements.
+    The verdict is the number of roots found."""
+    rng = random.Random(30)
+    F = PrimeField(998244353)
+    F961 = SimpleExtension(PrimeField(31), "u", (1, 0, 1))
+    squares = (
+        ("Q", QQ, [QQ.div(rng.randrange(10 ** 30), rng.randrange(1, 10 ** 30)) for _ in range(ROOTS)]),
+        ("F998244353", F, [F.from_int(rng.randrange(F.p)) for _ in range(ROOTS)]),
+        ("F31[u]/(u^2+1)", F961, [(rng.randrange(31), rng.randrange(31)) for _ in range(ROOTS // 10)]))
+    for name, K, xs in squares:
+        ys = [K.mul(x, x) for x in xs]
+        yield "sqrt", f"{len(ys)} in {name}", lambda K=K, ys=ys: sum(K.sqrt(y) is not None for y in ys)
+
+
 def rungs():
     """(layer, size, callable returning a verdict) in the order they run;
     what a rung needs is built before it is timed."""
     yield from ring_rungs()
+    yield from sqrt_rungs()
     for name in ("bundle-towers/kummer.json", "cli-docs/abg.json"):
         path = str(DATA / name)
         yield "load_document", name, lambda path=path: len(load_document(path).bundles)
+    # an accepted document and one the schema rejects; the verdict is the
+    # pointer of the rejection, "" when there is none
+    for name in ("bundle-towers/kummer.json", "cli-docs/schema.json"):
+        raw = json.loads((DATA / name).read_text(encoding="utf-8"))
+        yield "validate_raw", f"{VALIDATIONS} of {name}", lambda raw=raw: [
+            schema_pointer(raw) for _ in range(VALIDATIONS)][-1]
+    # 36 unit pivots, then Berkowitz on the 28 x 28 block left
+    B = load_document(str(DATA / "bundle-towers" / "nongalois.json")).bundles["B"]
+    rows = canonical_matrix(B).sparse_rows()
+    yield "ring_det", f"{DETS} berkowitz, nongalois.json over {B.base!r}", lambda: [
+        B.base.format_coeffs(ring_det(rows, B.base)) for _ in range(DETS)][-1]
     for n, p in ((8, 17), (16, 17), (24, 73), (32, 97)):
         K = PrimeField(p)
         q = of_order(K, n)
@@ -122,6 +156,10 @@ def rungs():
         A, w = kummer_trivialization_witness(n, of_order(F241, n), F241)
         size = f"kummer N={n}/F241"
         yield "verify_bundle", size, lambda A=A: verify_bundle(A).ok
+        # every one of the N^2 pivots is a unit; the verdict is the determinant
+        if n < 60:
+            rows = canonical_matrix(A).sparse_rows()
+            yield "ring_det", size, lambda A=A, rows=rows: A.base.format_coeffs(ring_det(rows, A.base))
         yield "canonical_matrix", size, lambda A=A: sum(map(len, canonical_matrix(A).terms))
         yield "is_galois", size, lambda A=A: is_galois(A).ok
         yield "verify_witness", size, lambda w=w: verify_witness(w).ok
@@ -142,6 +180,15 @@ def rungs():
     a = (QQ.fraction(3, 7), 5)
     yield "SimpleExtension.inv", f"{INVERSES} inverses in Q(i)", lambda: [
         QI.inv(a) for _ in range(INVERSES)][-1] == QI.inv(a)
+
+
+def schema_pointer(raw) -> str:
+    """The pointer of the SchemaError ``validate_raw(raw)`` raises, "" if none."""
+    try:
+        validate_raw(raw)
+    except SchemaError as exc:
+        return exc.pointer
+    return ""
 
 
 def sources_sha256() -> str:

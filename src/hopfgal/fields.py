@@ -9,13 +9,17 @@ hashes equal, so both spellings are the same key.  Representations are
 normalized, so ``==`` on raw values is exact equality.  No floating point is
 used anywhere.
 
-Root extraction is exact: over Q by integer Newton iteration on numerator and
-denominator, square roots in F_p by Tonelli-Shanks, other roots over finite
-fields by exhaustive search (these fields are small by construction).  Over
-an infinite extension field root search raises ``RootSearchUnsupportedError``
-rather than guessing.  Primality is deterministic Miller-Rabin, refused past
-the size where its bases are proven exact, and an order test
+Square roots are exact: over Q by ``math.isqrt`` on numerator and
+denominator, in F_p by Tonelli-Shanks, and over a finite extension by a
+search of its elements (these fields are small by construction).  Over an
+infinite extension field the search raises ``RootSearchUnsupportedError``
+rather than guessing.  Primality is deterministic Miller-Rabin, refused
+past the size where its bases are proven exact, and an order test
 (``has_order``) reads the prime factors of the order, with no search.
+
+One printer, ``format_polynomial``, writes the polynomials of both layers:
+an extension field's scalars and modulus, and the elements of a ``BaseRing``.
+It is the one place that strips a coefficient's field annotation.
 """
 
 from __future__ import annotations
@@ -27,28 +31,6 @@ from functools import cached_property
 from itertools import product
 
 from .errors import BadScalarError, RootSearchUnsupportedError
-
-
-def _int_nth_root(m: int, n: int) -> tuple[int, bool]:
-    """Return (floor(m ** (1/n)), exact?) for m >= 0 using integer Newton."""
-    if m < 0:
-        raise ValueError("negative radicand")
-    if n == 1 or m in (0, 1):
-        return m, True
-    if n == 2:
-        r = math.isqrt(m)
-        return r, r * r == m
-    x = 1 << ((m.bit_length() + n - 1) // n)
-    while True:
-        y = ((n - 1) * x + m // x ** (n - 1)) // n
-        if y >= x:
-            break
-        x = y
-    while x ** n > m:
-        x -= 1
-    while (x + 1) ** n <= m:
-        x += 1
-    return x, x ** n == m
 
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
@@ -153,12 +135,9 @@ class Field:
         """Iterate every scalar (finite fields only)."""
         raise RootSearchUnsupportedError(f"{self.name} is not finite")
 
-    def nth_root(self, a, n: int):
-        """An exact x with x**n == a, or None if there is none."""
-        raise NotImplementedError
-
     def sqrt(self, a):
-        return self.nth_root(a, 2)
+        """An exact x with x * x == a, or None if there is none."""
+        raise NotImplementedError
 
     def has_order(self, a, n: int) -> bool:
         """Whether a has multiplicative order exactly n >= 1.
@@ -253,18 +232,14 @@ class RationalField(Field):
     def is_finite(self):
         return False
 
-    def nth_root(self, a, n):
-        if a == 0:
-            return 0
-        if n % 2 == 0 and a < 0:
+    def sqrt(self, a):
+        """The non-negative square root, or None."""
+        if a < 0:
             return None
-        num, den = abs(a.numerator), a.denominator
-        rn, okn = _int_nth_root(num, n)
-        rd, okd = _int_nth_root(den, n)
-        if not (okn and okd):
+        rn, rd = math.isqrt(a.numerator), math.isqrt(a.denominator)
+        if rn * rn != a.numerator or rd * rd != a.denominator:
             return None
-        r = rn if rd == 1 else self.fraction(rn, rd)
-        return -r if a < 0 else r
+        return rn if rd == 1 else self.fraction(rn, rd)
 
     def format(self, a):
         return str(a)
@@ -336,12 +311,6 @@ class PrimeField(Field):
     def elements(self):
         return iter(range(self.p))
 
-    def nth_root(self, a, n):
-        for x in range(self.p):
-            if pow(x, n, self.p) == a % self.p:
-                return x
-        return None
-
     def sqrt(self, a):
         """The smaller of the two square roots (Euler's criterion, then
         Tonelli-Shanks), or None for a non-residue."""
@@ -385,6 +354,29 @@ class PrimeField(Field):
         return hash(("F", self.p))
 
 
+def format_polynomial(K: Field, terms) -> str:
+    """The sum of the (c, m) in ``terms``, each the nonzero scalar c of K
+    times m, a product of variables written out ("" for 1).  A coefficient
+    is printed without its field annotation, and in parentheses when it is
+    itself a sum or a product."""
+    out = []
+    for c, m in terms:
+        cs = K.format(c).split(" mod ")[0].split(" in ")[0]
+        if any(op in cs[1:] for op in "+-") or "*" in cs:
+            cs = f"({cs})"
+        if not m:
+            out.append(cs)
+        elif cs == "1":
+            out.append(m)
+        elif cs == "-1":
+            out.append("-" + m)
+        else:
+            out.append(f"{cs}*{m}")
+    if not out:
+        return "0"
+    return out[0] + "".join(t if t.startswith("-") else "+" + t for t in out[1:])
+
+
 # --------------------------------------------------------------------------
 # simple extensions k0[u]/(f), f monic;  irreducibility is trusted input and
 # a failed inverse (a zero divisor, when f is reducible) surfaces as
@@ -408,29 +400,14 @@ class SimpleExtension(Field):
         self._reduction = tuple((j, c) for j, c in enumerate(modulus[:-1])
                                 if not base.is_zero(c))
         self._zero, self._one = self.zero(), self.one()
-        self.name = f"{base.name}[{var}]/({self._poly_str(modulus)})"
+        self.name = f"{base.name}[{var}]/({self._polynomial(modulus)})"
 
-    def _poly_str(self, coeffs) -> str:
-        terms = []
-        for e in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[e]
-            if self.base.is_zero(c):
-                continue
-            cs = self.base.format(c)
-            if isinstance(self.base, PrimeField):
-                cs = cs.split(" mod ")[0]
-            if e == 0:
-                mono = cs
-            else:
-                head = "" if cs == "1" else ("-" if cs == "-1" else cs + "*")
-                mono = head + (self.var if e == 1 else f"{self.var}^{e}")
-            terms.append(mono)
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+    def _polynomial(self, coeffs) -> str:
+        """sum_e coeffs[e] var^e, highest power first."""
+        var = self.var
+        return format_polynomial(self.base, (
+            (c, "" if e == 0 else var if e == 1 else f"{var}^{e}")
+            for e, c in reversed(list(enumerate(coeffs))) if not self.base.is_zero(c)))
 
     # elements are tuples of length self.degree over the base field
     def zero(self):
@@ -501,17 +478,15 @@ class SimpleExtension(Field):
         for coeffs in product(list(self.base.elements()), repeat=self.degree):
             yield tuple(coeffs)
 
-    def nth_root(self, a, n):
+    def sqrt(self, a):
+        """The first square root in ``elements()`` order, or None."""
         if not self.is_finite():
             raise RootSearchUnsupportedError(
                 f"no exact root search over the infinite field {self.name}")
-        for x in self.elements():
-            if self.pow(x, n) == a:
-                return x
-        return None
+        return next((x for x in self.elements() if self.mul(x, x) == a), None)
 
     def format(self, a):
-        return f"{self._poly_str(a)} in {self.name}"
+        return f"{self._polynomial(a)} in {self.name}"
 
     def parse(self, text, spend=None):
         m = re.fullmatch(r"(.*?)\s+in\s+(\S+)", text.strip())

@@ -147,14 +147,9 @@ class HomotopyWitness(Record, frozen=True):
     iso_one: tuple
 
 
-def verify_witness(w: HomotopyWitness, at_zero=None, at_one=None) -> Report:
-    """Re-derive everything a witness claims; stored data is not trusted.
-
-    Optional endpoint bundles override the stored ones, so a chain can ask
-    a witness to connect the bundles the chain believes it connects.
-    """
-    A = at_zero if at_zero is not None else w.at_zero
-    B = at_one if at_one is not None else w.at_one
+def verify_witness(w: HomotopyWitness) -> Report:
+    """Re-derive everything a witness claims; stored data is not trusted."""
+    A, B = w.at_zero, w.at_one
     C = w.step.source
     if A.base != C or B.base != C:
         raise BaseMismatchError("endpoint bundles must live over the step's source")

@@ -59,7 +59,7 @@ from .errors import (
     RingMismatchError,
     TowerOrderError,
 )
-from .fields import Field, check_digits
+from .fields import Field, check_digits, format_polynomial
 from .record import Record
 
 # the pairs of terms the products and powers of one document may multiply
@@ -179,7 +179,10 @@ class BaseRing:
     # --------------------------------------------------------- elements
 
     def element(self, coeffs: dict) -> BaseElement:
-        return BaseElement(self, {m: c for m, c in coeffs.items() if not self.field.is_zero(c)})
+        """The element with coefficient dict ``coeffs``, in normal form: zero
+        coefficients dropped and root exponents past their degree reduced."""
+        K = self.field
+        return BaseElement(self, self._normal({m: c for m, c in coeffs.items() if not K.is_zero(c)}))
 
     def zero(self) -> BaseElement:
         return BaseElement(self, {})
@@ -207,15 +210,7 @@ class BaseRing:
                 raise ValueError(f"negative exponent on non-laurent generator {name}")
             m[i] = e
         c = coeff if coeff is not None else self.field.one()
-        return self.element(self._reduce({tuple(m): c}))
-
-    def lift(self, a: BaseElement) -> BaseElement:
-        """Reinterpret an element of a prefix of this tower in this ring."""
-        k = len(a.ring.gens)
-        if a.ring != self.prefix(k):
-            raise RingMismatchError(f"{a.ring!r} is not a prefix of {self!r}")
-        pad = (0,) * (len(self.gens) - k)
-        return BaseElement(self, {m + pad: c for m, c in a.coeffs.items()})
+        return self.element({tuple(m): c})
 
     # ----------------------------------------------- raw dict arithmetic
 
@@ -259,10 +254,14 @@ class BaseRing:
                         out[m] = s
                 else:
                     out[m] = c
+        return self._normal(out)
+
+    def _normal(self, terms: dict) -> dict:
+        """terms, or ``_reduce(terms)`` when some root exponent is out of range."""
         roots, gens = self._root_indices, self.gens
-        if roots and any(m[i] >= gens[i].degree for m in out for i in roots):
-            return self._reduce(out)
-        return out
+        if roots and any(m[i] >= gens[i].degree for m in terms for i in roots):
+            return self._reduce(terms)
+        return terms
 
     def _reduce(self, terms: dict) -> dict:
         """Rewrite root exponents into range, highest generator first."""
@@ -395,35 +394,11 @@ class BaseRing:
     def format_coeffs(self, coeffs: dict) -> str:
         """The element with coefficient dict ``coeffs``, as ``format_element``
         writes it."""
-        if not coeffs:
-            return "0"
-        K = self.field
-        terms = []
-        for mono in sorted(coeffs, reverse=True):
-            c = coeffs[mono]
-            factors = []
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                nm = self.gens[i].name
-                factors.append(nm if e == 1 else f"{nm}^{e}")
-            cs = K.format(c)
-            # strip field annotations inside composite expressions
-            cs = cs.split(" mod ")[0].split(" in ")[0]
-            if any(op in cs[1:] for op in "+-") or "*" in cs:
-                cs = f"({cs})"
-            if not factors:
-                terms.append(cs)
-            elif cs == "1":
-                terms.append("*".join(factors))
-            elif cs == "-1":
-                terms.append("-" + "*".join(factors))
-            else:
-                terms.append(cs + "*" + "*".join(factors))
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        names = [g.name for g in self.gens]
+        return format_polynomial(self.field, (
+            (coeffs[mono], "*".join(nm if e == 1 else f"{nm}^{e}"
+                                    for nm, e in zip(names, mono) if e))
+            for mono in sorted(coeffs, reverse=True)))
 
     def parse_element(self, text: str, spend=None, noun: str = "element") -> BaseElement:
         """The element ``text`` spells: integer literals, the generators (and

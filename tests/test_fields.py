@@ -18,31 +18,30 @@ from hopfgal.fields import (
     PrimeField,
     RationalField,
     SimpleExtension,
-    _int_nth_root,
     field_from_name,
     is_prime,
 )
 from hopfgal.hopf import taft
+from hopfgal.rings import polynomial_ring
 from reference_scalars import random_scalar, reference_parse
 
 F7 = PrimeField(7)
 F3 = PrimeField(3)
+QI = SimpleExtension(QQ, "i", [Fraction(1), Fraction(0), Fraction(1)])
 
 
-def test_int_nth_root_exhaustive() -> None:
-    for m in range(200):
-        for n in (1, 2, 3, 4, 5):
-            r, exact = _int_nth_root(m, n)
-            assert r ** n <= m < (r + 1) ** n
-            assert exact == (r ** n == m)
-
-
-def test_rational_roots() -> None:
-    assert QQ.nth_root(Fraction(49, 4), 2) == Fraction(7, 2)
-    assert QQ.nth_root(Fraction(2), 2) is None
-    assert QQ.nth_root(Fraction(-27, 8), 3) == Fraction(-3, 2)
-    assert QQ.nth_root(Fraction(-4), 2) is None
-    assert QQ.nth_root(Fraction(0), 5) == 0
+def test_rational_sqrt_matches_brute_force() -> None:
+    """Every k/d with |k| <= 40 and d <= 12; a root of one has numerator
+    at most 6 and denominator at most 3, so the candidates hold it."""
+    candidates = [Fraction(j, e) for j in range(7) for e in range(1, 4)]
+    for k in range(-40, 41):
+        for d in range(1, 13):
+            a = QQ.div(k, d)
+            roots = sorted({x for x in candidates if x * x == a})
+            root = QQ.sqrt(a)
+            assert root == (roots[0] if roots else None), a
+            if root is not None:
+                assert type(root) is (int if Fraction(root).denominator == 1 else Fraction)
 
 
 def test_prime_field_arithmetic_exhaustive() -> None:
@@ -53,8 +52,8 @@ def test_prime_field_arithmetic_exhaustive() -> None:
             assert F7.mul(a, b) == (a * b) % p
         if a:
             assert F7.mul(a, F7.inv(a)) == 1
-    assert F7.nth_root(2, 2) in (3, 4)
-    assert F7.nth_root(3, 2) is None  # 3 is not a square mod 7
+    assert F7.sqrt(2) == 3
+    assert F7.sqrt(3) is None  # 3 is not a square mod 7
     assert F7.has_order(3, 6)
     assert F7.has_order(2, 3)
 
@@ -75,7 +74,21 @@ def test_extension_q_sqrt3() -> None:
     y = K.sub(K.one(), a)
     assert K.mul(x, y) == K.from_int(-2)
     with pytest.raises(RootSearchUnsupportedError):
-        K.nth_root(K.from_int(2), 2)
+        K.sqrt(K.from_int(3))
+
+
+def test_a_tower_of_extensions_prints_its_value() -> None:
+    """K2 = Q(i)[v]/(v^2 - i): a coefficient from Q(i) prints without its
+    annotation, in parentheses when it is a sum, in K2's name, in K2's
+    scalars and in the elements of a ring over K2."""
+    K2 = SimpleExtension(QI, "v", (QI.neg(QI.gen()), QI.zero(), QI.one()))
+    x = (QI.one(), QI.add(QI.one(), QI.gen()))  # (i+1)*v+1
+    assert K2.name == "Q[i]/(i^2+1)[v]/(v^2-i)"
+    assert K2.format(x) == "(i+1)*v+1 in Q[i]/(i^2+1)[v]/(v^2-i)"
+    R = polynomial_ring(K2, "x")
+    assert R.format_coeffs({(0,): x}) == "((i+1)*v+1)"
+    assert R.format_coeffs({(1,): x, (0,): K2.neg(K2.gen())}) == "((i+1)*v+1)*x-v"
+    assert R.format_coeffs({(2,): (QI.zero(), QI.one()), (1,): K2.from_int(-1)}) == "v*x^2-x"
 
 
 def test_extension_f4_is_a_field() -> None:
@@ -90,8 +103,6 @@ def test_extension_f4_is_a_field() -> None:
     a = F4.gen()
     # a has order 3 in F4*
     assert F4.has_order(a, 3)
-    # every element is a cube root of itself ** 3... and 1 has a cube root
-    assert F4.nth_root(F4.one(), 3) is not None
 
 
 def test_field_ops_random_consistency() -> None:
@@ -187,13 +198,24 @@ def test_field_from_name() -> None:
 
 # ------------------------------------------------- square roots and exact orders
 
-@pytest.mark.parametrize("p", [3, 5, 13, 17, 41, 97])
+@pytest.mark.parametrize("p", [p for p in range(60) if is_prime(p)] + [97])
 def test_prime_sqrt_matches_brute_force(p) -> None:
     # 17, 41 and 97 are 1 mod 8, so Tonelli-Shanks runs its inner loop
     K = PrimeField(p)
     for a in range(p):
         roots = [x for x in range(p) if x * x % p == a]
         assert K.sqrt(a) == (roots[0] if roots else None)
+
+
+def test_extension_sqrt_matches_brute_force() -> None:
+    """F49 = F7[u]/(u^2 + 1): the root found is the first in ``elements()``
+    order, and every square of F49 has one."""
+    K = SimpleExtension(F7, "u", (1, 0, 1))
+    elems = list(K.elements())
+    for a in elems:
+        roots = [x for x in elems if K.mul(x, x) == a]
+        assert K.sqrt(a) == (roots[0] if roots else None)
+    assert sum(K.sqrt(a) is not None for a in elems) == 25  # 0 and the 24 nonzero squares
 
 
 def test_prime_sqrt_large_two_adic_prime() -> None:
@@ -204,9 +226,6 @@ def test_prime_sqrt_large_two_adic_prime() -> None:
         a = rng.randrange(p)
         assert K.sqrt(a * a % p) == min(a, p - a)
     assert K.sqrt(3) is None  # 3 generates the unit group, so it is no square
-
-
-QI = SimpleExtension(QQ, "i", [Fraction(1), Fraction(0), Fraction(1)])
 
 
 def _counted_order(K, a, bound):
@@ -415,20 +434,7 @@ def test_rational_ops_match_fraction(a, b, e) -> None:
     else:
         with pytest.raises(ZeroDivisionError):
             QQ.pow(a, e)
-    for n in (1, 2, 3):
-        root = QQ.nth_root(a ** n, n)
-        _normal_q(root, Fraction(abs(a)) if n == 2 else fa)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_RATIONALS, st.integers(1, 3))
-def test_rational_nth_root_of_a_non_power_is_none(a, n) -> None:
-    r = QQ.nth_root(a, n)
-    if r is None:
-        assert all(x ** n != a for x in (Fraction(k, d) for k in range(-50, 51)
-                                         for d in range(1, 13)))
-    else:
-        _normal_q(r ** n, Fraction(a))
+    _normal_q(QQ.sqrt(QQ.mul(a, a)), abs(fa))
 
 
 def test_rational_constants_are_ints() -> None:

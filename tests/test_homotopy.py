@@ -167,12 +167,16 @@ def test_verifier_rejects_tampering():
     rep = verify_witness(forged)
     assert not rep.ok
     assert any("fibre at 1" in f for f in rep.failures())
-    # asking the witness to connect a bundle it does not connect
-    assert not verify_witness(w, at_zero=abg_bundle(qp(3, 5, 7))).ok
+
+    def claiming(at_zero):
+        return HomotopyWitness(w.step, w.interval, w.family,
+                               at_zero, w.at_one, w.iso_zero, w.iso_one)
+    # a witness claiming to connect a bundle it does not connect
+    assert not verify_witness(claiming(abg_bundle(qp(3, 5, 7)))).ok
     # endpoint over an alien base is refused outright
     Cu = polynomial_ring(QQ, "u")
     with pytest.raises(BaseMismatchError):
-        verify_witness(w, at_zero=untwisted(Cu))
+        verify_witness(claiming(untwisted(Cu)))
 
 
 def test_morphism_homotopy_contraction_path():

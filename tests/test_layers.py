@@ -2,6 +2,7 @@
 elimination kernel and Berkowitz, ``rings`` does not import it at module
 level, and the kernel takes its coefficients through ``Ops`` alone.
 Equality of records stays in one place: ``Record``'s, field by field.
+Only ``fields`` strips a scalar's field annotation.
 Nothing in ``src/`` is defined for the tests alone: every function, method
 and class is named somewhere in ``src/`` or exported, or is allowed by
 name with a reason."""
@@ -45,6 +46,16 @@ def test_rings_does_not_import_linalg_at_module_level() -> None:
 def test_the_kernel_takes_no_ring() -> None:
     for f in (linalg._det, linalg._solve):
         assert "ring" not in inspect.signature(f).parameters
+
+
+def test_only_fields_strips_a_scalar_annotation() -> None:
+    """A coefficient loses its " mod p" or " in K" in
+    ``fields.format_polynomial`` alone: no other module calls anything on
+    those strings."""
+    stripping = {path.name for path in SRC.glob("*.py") for node in ast.walk(_tree(path.name))
+                 if isinstance(node, ast.Call) and any(
+                     isinstance(a, ast.Constant) and a.value in (" mod ", " in ") for a in node.args)}
+    assert stripping == {"fields.py"}
 
 
 def test_no_record_in_src_defines_eq() -> None:

@@ -135,7 +135,7 @@ def _towers_with_roots():
     kummer, _, _ = adjoin_root(C, C.gen("z"), 8, name="r")
     L = laurent_ring(QQ, "y", "z")
     two_roots, _, s = adjoin_root(L, L.gen("y") * L.gen("z"), 2, name="s")
-    two_roots, _, _ = adjoin_root(two_roots, two_roots.lift(s), 3, name="t")
+    two_roots, _, _ = adjoin_root(two_roots, s, 3, name="t")
     free = polynomial_ring(QQ, "x").add_laurent("z")
     split, _, _ = adjoin_root(free, free.from_int(4), 2, name="r")
     return [kummer, two_roots, split]

@@ -179,17 +179,17 @@ def test_laurent_above_root_refused() -> None:
     assert kum.is_unit(kum.gen("w"))
 
 
-def test_lift_restrict_round_trip() -> None:
-    rng = random.Random(3)
-    L = laurent_ring(QQ, "z")
-    ring, _, _ = adjoin_root(L, L.gen("z"), 3, name="w")
-    for _ in range(20):
-        a = _rand_element(L, rng)
-        lifted = ring.lift(a)
-        assert lifted.ring == ring and all(m[1] == 0 for m in lifted.coeffs)
-        assert {m[:1]: c for m, c in lifted.coeffs.items()} == a.coeffs
-    with pytest.raises(RingMismatchError):
-        ring.lift(polynomial_ring(QQ, "q").gen("q"))
+def test_element_reduces_root_exponents() -> None:
+    """A coefficient dict with a root exponent out of range is taken to its
+    normal form, as a product is: over F241[z^+-1][w | w^2 = z], w^2 is z."""
+    L = laurent_ring(PrimeField(241), "z")
+    R, _, w = adjoin_root(L, L.gen("z"), 2, name="w")
+    z = R.gen("z")
+    assert R.element({(0, 2): 1}) == z and repr(R.element({(0, 2): 1})) == "z"
+    # 5 w^3 = 5 z w cancels -5 z w
+    assert R.element({(0, 3): 5, (1, 1): 236}) == R.zero()
+    assert R.element({(0, 0): 0, (2, 1): 3}).coeffs == {(2, 1): 3}
+    assert R.monomial({"z": -1, "w": 5}) == z * w
 
 
 def test_parse_format_round_trip() -> None:
