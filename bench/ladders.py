@@ -25,12 +25,13 @@ from pathlib import Path
 
 import hopfgal
 from hopfgal.cleft import check_cleaving
+from hopfgal.comod import convolution_invert
 from hopfgal.document import load_document, validate_raw
 from hopfgal.errors import SchemaError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.galois import canonical_matrix, is_galois, verify_bundle
 from hopfgal.homotopy import kummer_trivialization_witness, verify_witness
-from hopfgal.hopf import taft, verify_hopf
+from hopfgal.hopf import Bialgebra, dual_hopf, solve_antipode, taft, verify_hopf
 from hopfgal.linalg import ring_det
 from hopfgal.rings import adjoin_root, laurent_ring, polynomial_ring
 
@@ -38,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "perfbench" / "data" / "seed0"
 RUNS, SINGLE_RUN_OVER_S = 3, 4.0
 INVERSES = 1000  # per run of the extension-field rung
-CLEAVINGS = 100  # per run of the cleaving rung: one takes under 1 ms
+CLEAVINGS = 100  # per run of a cleaving rung: one takes under 1 ms
 PRODUCTS, TERMS = 1000, 12  # per run of a product rung: pairs of elements, terms of each
 INVERSES_IN_RING = 500  # per run of a ring try_inverse rung
 DETS = 20  # per run of the Berkowitz ring_det rung: one takes about 5 ms
@@ -151,6 +152,16 @@ def rungs():
         yield "taft", f"N={n}/F{p}", lambda n=n, q=q, K=K: taft(n, q, K).dim
         H = taft(n, q, K)
         yield "verify_hopf", f"taft N={n}/F{p}", lambda H=H: verify_hopf(H).ok
+    # the antipode solved on generators, then on the whole basis of a dual,
+    # whose 1 is a sum of basis elements; the verdict is the stored antipode
+    for n, p, dual in ((6, 7, False), (8, 17, False), (12, 13, False),
+                       (3, 7, True), (4, 5, True), (5, 11, True)):
+        K = PrimeField(p)
+        H = taft(n, of_order(K, n), K)
+        H = dual_hopf(H) if dual else H
+        B = Bialgebra(K, H.labels, H.mult, H.unit, H.comult, H.counit)
+        yield "solve_antipode", f"{'dual of ' if dual else ''}taft N={n}/F{p}", (
+            lambda B=B, H=H: solve_antipode(B) == H.antipode)
     F241 = PrimeField(241)
     for n in (24, 40, 60):
         A, w = kummer_trivialization_witness(n, of_order(F241, n), F241)
@@ -176,6 +187,8 @@ def rungs():
     g = load_document(str(DATA / "bundle-towers" / "abg_uvw.json")).cleavings["g"]
     yield "check_cleaving", f"{CLEAVINGS} on abg over Q[u,v,w]", lambda: [
         sum(map(len, check_cleaving(g.algebra, g).gamma_inv.values)) for _ in range(CLEAVINGS)][-1]
+    yield "convolution_invert", f"{CLEAVINGS} on abg over Q[u,v,w]", lambda: [
+        sum(map(len, convolution_invert(g).values)) for _ in range(CLEAVINGS)][-1]
     QI = SimpleExtension(QQ, "i", (1, 0, 1))
     a = (QQ.fraction(3, 7), 5)
     yield "SimpleExtension.inv", f"{INVERSES} inverses in Q(i)", lambda: [

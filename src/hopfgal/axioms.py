@@ -41,12 +41,16 @@ whose witness is the one reported:
   phi(a b) = phi(a) phi(b) for all b form a subalgebra, so rows i in S
   suffice (``algebra_map(..., gens)``);
 * the antipode (``hopf.solve_antipode``), once unit, counit,
-  associativity and coassociativity hold: the square system is solved on
+  associativity and coassociativity hold: S * id = counit(-) 1 is solved on
   the root and S closed under the left legs of Delta, then extended by
   S(a_s a_r) = S(a_r) S(a_s); the result is kept only when both antipode
   identities hold on every basis element, as then it is the unique
   inverse of id in the convolution algebra.  A singular sub-system, or
   one that is the whole system, runs the full solve.
+
+Convolution.  ``convolution`` forms f * g for maps H -> A and
+``solve_convolution`` solves x * g = expect for x: the antipode inverts id
+over the ground field (A = H), a cleaving's inverse the cleaving over C.
 """
 
 from __future__ import annotations
@@ -348,14 +352,42 @@ def comodule_map(ops: Ops, n: int, phi: dict, coaction: dict, bcoaction: dict):
     return None
 
 
-def antipode(ops: Ops, n: int, mult: dict, comult: dict, S: dict, expect: list, left: bool):
-    """First i with sum S(h_(1)) h_(2) != expect[i] for h = a_i, or with
-    sum h_(1) S(h_(2)) when left is False; S maps j to S(a_j) as {i: c}."""
+def convolution(ops: Ops, d: int, mult: dict, comult: dict, f: dict, g: dict) -> list:
+    """[(f * g)(h_i) for i < d], (f * g)(h) = sum f(h_(1)) g(h_(2)) in A: f
+    and g map j to their value at h_j in A as {l: c}, mult is A's table and
+    comult H's, with coefficients in the same ring."""
     mul, get = ops.mul, mult.get
-    for i in range(n):
-        got = accumulate(ops, ((r, mul(mul(c, s), m)) for (j, k), c in comult.get(i, {}).items()
-                               for p, s in S.get(j if left else k, {}).items()
-                               for r, m in get((p, k) if left else (j, p), {}).items()))
-        if got != expect[i]:
-            return i
-    return None
+    return [accumulate(ops, ((r, mul(mul(c, x), mul(y, m)))
+                             for (j, k), c in comult.get(i, {}).items()
+                             for p, x in f.get(j, {}).items() for q, y in g.get(k, {}).items()
+                             for r, m in get((p, q), {}).items()))
+            for i in range(d)]
+
+
+def solve_convolution(ops: Ops, n: int, mult: dict, comult: dict, g: dict, expect, sub: list,
+                      solve):
+    """{i: x(h_i)} for i in sub with (x * g)(h_i) = expect[i] for i in sub,
+    or None when solve(M, b), a ``linalg`` solver, finds the system singular.
+
+    A has rank n; mult, comult and g are as in ``convolution``.  The left
+    legs of Delta(h_i), i in sub, must lie in sub, so the unknowns are the
+    coordinates of x(h_j), j in sub: column p*k + z is the a_p coordinate of
+    x(h_sub[z]), k = len(sub), and row y*n + l the a_l coordinate at h_sub[y].
+    """
+    k, mul, add, get = len(sub), ops.mul, ops.add, mult.get
+    pos = {i: z for z, i in enumerate(sub)}
+    rows, rhs = [{} for _ in range(k * n)], [ops.zero] * (k * n)
+    for y, i in enumerate(sub):
+        for (j, m), c in comult.get(i, {}).items():
+            for q, gq in g.get(m, {}).items():
+                cg = mul(c, gq)
+                for p in range(n):
+                    for l, v in get((p, q), {}).items():
+                        row, col, t = rows[y * n + l], p * k + pos[j], mul(cg, v)
+                        row[col] = add(row[col], t) if col in row else t
+        for l, u in expect[i].items():
+            rhs[y * n + l] = u
+    sol = solve(rows, rhs)
+    return None if sol is None else {
+        i: {p: sol[p * k + z] for p in range(n) if not ops.is_zero(sol[p * k + z])}
+        for z, i in enumerate(sub)}

@@ -22,7 +22,7 @@ from itertools import chain, product
 
 from .axioms import accumulate, ring_ops
 from .cleft import cleaving_of_twisted_product
-from .comod import ComoduleAlgebra, check_iso
+from .comod import ComoduleAlgebra, check_iso, trivial_bundle
 from .errors import (
     BadRootError,
     BadRootOfUnityError,
@@ -83,17 +83,9 @@ def abg_bundle(p: AbgParams) -> ComoduleAlgebra:
         (2, 0): {2: one}, (2, 1): {3: -one, 0: g}, (2, 2): {0: b}, (2, 3): {1: -b, 2: g},
         (3, 0): {3: one}, (3, 1): {2: -a, 1: g}, (3, 2): {1: b}, (3, 3): {0: -(a * b), 3: g},
     }
-    lift = C.from_scalar
-    K = C.field
-    e = K.one()
-    coaction = {
-        0: {(0, 0): lift(e)},
-        1: {(1, 1): lift(e)},
-        2: {(0, 2): lift(e), (2, 1): lift(e)},
-        3: {(1, 3): lift(e), (3, 0): lift(e)},
-    }
-    return ComoduleAlgebra(C, sweedler_h4(K), ("1", "x", "y", "xy"),
-                           mult, {0: one}, coaction)
+    # the unit and coaction of C (x) H
+    T = trivial_bundle(C, sweedler_h4(C.field))
+    return ComoduleAlgebra(C, T.hopf, ("1", "x", "y", "xy"), mult, T.unit, T.coaction)
 
 
 # The tautological cleaving 1 -> 1, X -> x, Y -> y, XY -> xy, certified: the

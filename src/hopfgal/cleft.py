@@ -24,6 +24,7 @@ from .comod import (
     _lifted,
     convolution_invert,
     convolve,
+    trivial_bundle,
     unit_counit_map,
 )
 from .errors import (
@@ -220,8 +221,7 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
     """
     if sigma.base != base or sigma.hopf != H:
         raise RingMismatchError("cocycle was built over different data")
-    if base.field != H.field:
-        raise RingMismatchError("base ring and Hopf algebra use different ground fields")
+    T = trivial_bundle(base, H)  # its unit and coaction; it refuses another ground field
     _check_normalization(sigma)
     K = H.field
     d = H.dim
@@ -232,10 +232,7 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
                                      for (b1, b2), cb in H.comult.get(b, {}).items()
                                      for l, m in H.mult.get((a2, b2), {}).items()))
             for a in range(d) for b in range(d)}
-    unit = {i: base.from_scalar(c) for i, c in H.unit.items()}
-    coaction = {i: {jk: base.from_scalar(c) for jk, c in t.items()}
-                for i, t in H.comult.items()}
-    A = ComoduleAlgebra(base, H, H.labels, mult, unit, coaction)
+    A = ComoduleAlgebra(base, H, H.labels, mult, T.unit, T.coaction)
     L = H.labels
     bad, tree = axioms.unit_tree(ops, d, A.mult, A.unit)
     if bad is not None:

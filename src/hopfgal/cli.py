@@ -34,7 +34,7 @@ from .bundles import (
 )
 from .cleft import check_cleaving
 from .comod import push_forward
-from .document import Document, document_of, load_document
+from .document import Document, document_of, load_document, values_spec
 from .errors import BadScalarError, InputError, MathError
 from .fields import field_from_name
 from .galois import is_galois, verify_bundle
@@ -95,34 +95,22 @@ def _format_vec(A, vec: dict) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _values_table(A, values) -> list:
-    C, H = A.base, A.hopf
-    out = []
-    for k, vec in enumerate(values):
-        if vec:
-            out.append([H.labels[k],
-                        {A.labels[i]: C.format_coeffs(c)
-                         for i, c in sorted(vec.items())}])
-    return out
-
-
 # --------------------------------------------------------------------------
 # verification commands
 # --------------------------------------------------------------------------
 
-def _cmd_verify_hopf(args):
-    doc = _load(args.file)
-    objs = [_pick(doc.hopf_algebras, nm, "Hopf algebra", args.file)
-            for nm in args.names]
-    reports = [verify_hopf(H) for H in objs]
-    return _report_results("verify-hopf", args.names, reports)
-
-
-def _cmd_verify_bundle(args):
-    doc = _load(args.file)
-    objs = [_pick(doc.bundles, nm, "bundle", args.file) for nm in args.names]
-    reports = [verify_bundle(A) for A in objs]
-    return _report_results("verify-bundle", args.names, reports)
+def _verifier(command: str, table: str, kind: str, verify):
+    """The handler of a command that loads args.file, picks each name from
+    the document's ``table`` (every object in it when no name is given),
+    verifies each object and reports."""
+    def handler(args):
+        doc = _load(args.file)
+        names = args.names or list(getattr(doc, table))
+        if not names:
+            raise InputError(f"no {table} in {args.file}")
+        objs = [_pick(getattr(doc, table), nm, kind, args.file) for nm in names]
+        return _report_results(command, names, [verify(x) for x in objs])
+    return handler
 
 
 def _cmd_galois(args):
@@ -154,8 +142,7 @@ def _cmd_cleft(args):
         lines.append(f"{nm}: convolution inverse")
         for k, vec in enumerate(cm.gamma_inv.values):
             lines.append(f"  {A.hopf.labels[k]} -> {_format_vec(A, vec)}")
-        results.append({"name": nm,
-                        "inverse": _values_table(A, cm.gamma_inv.values)})
+        results.append({"name": nm, "inverse": values_spec(cm.gamma_inv)})
     return 0, lines, {"command": "cleft invert", "ok": True, "results": results}
 
 
@@ -191,16 +178,6 @@ def _cmd_h4_criterion(args):
                "s": K.format(verdict.s) if verdict.trivial else None,
                "t": K.format(verdict.t) if verdict.trivial else None}
     return (0 if verdict.trivial else 1), [line], payload
-
-
-def _cmd_witness_verify(args):
-    doc = _load(args.file)
-    names = args.names or list(doc.witnesses)
-    if not names:
-        raise InputError(f"no witnesses in {args.file}")
-    objs = [_pick(doc.witnesses, nm, "witness", args.file) for nm in names]
-    reports = [verify_witness(w) for w in objs]
-    return _report_results("witness verify", names, reports)
 
 
 # --------------------------------------------------------------------------
@@ -303,8 +280,10 @@ _ABG_FLAGS = (("--alpha", {"required": True, "help": "unit scalar, e.g. 3 or 2/5
 
 # in help order
 _COMMANDS = {
-    "verify-hopf": _Leaf("check every Hopf algebra axiom", _cmd_verify_hopf, _FILE_NAMES),
-    "verify-bundle": _Leaf("full principal bundle check", _cmd_verify_bundle, _FILE_NAMES),
+    "verify-hopf": _Leaf("check every Hopf algebra axiom", _verifier(
+        "verify-hopf", "hopf_algebras", "Hopf algebra", verify_hopf), _FILE_NAMES),
+    "verify-bundle": _Leaf("full principal bundle check", _verifier(
+        "verify-bundle", "bundles", "bundle", verify_bundle), _FILE_NAMES),
     "galois": _Leaf("bijectivity of the structure map, by determinant", _cmd_galois,
                     _FILE_NAMES),
     "cleft": _Group("cleaving map commands", "action", {
@@ -316,7 +295,8 @@ _COMMANDS = {
         "criterion": _Leaf("decide isomorphism to (1, 0, 0) over a field",
                            _cmd_h4_criterion, options=_ABG_FLAGS)}),
     "witness": _Group("homotopy witness commands", "action", {
-        "verify": _Leaf("re-certify stored witnesses", _cmd_witness_verify, (
+        "verify": _Leaf("re-certify stored witnesses", _verifier(
+            "witness verify", "witnesses", "witness", verify_witness), (
             ("file", {}),
             ("names", {"nargs": "*", "metavar": "name",
                        "help": "default: every witness in the file"})))}),

@@ -65,9 +65,9 @@ def _entries(C: BaseRing, vec: dict) -> dict:
 
 def _lifted(A, table: dict) -> dict:
     """A table of H with its coefficients lifted into A's base, as
-    coefficient dicts."""
-    lift = A.lift
-    return {key: {k: lift(c).coeffs for k, c in row.items()} for key, row in table.items()}
+    coefficient dicts: H's are nonzero, and constants are in normal form."""
+    const = (0,) * len(A.base.gens)
+    return {key: {k: {const: c} for k, c in row.items()} for key, row in table.items()}
 
 
 class ComoduleAlgebra(Record, frozen=True):
@@ -327,44 +327,29 @@ def convolve(f: HModuleMap, g: HModuleMap) -> HModuleMap:
     A = f.algebra
     if g.algebra != A:
         raise RingMismatchError("convolution needs maps into the same algebra")
-    C = A.base
-    return HModuleMap(A, tuple(
-        accumulate(A.ops, ((l, C._scale(c, m)) for (i, j), c in A.hopf.comult.get(k, {}).items()
-                           for l, m in A.mul_vec(f.values[i], g.values[j]).items()))
-        for k in range(A.hopf.dim)))
+    return HModuleMap(A, tuple(axioms.convolution(
+        A.ops, A.hopf.dim, A.mult, _lifted(A, A.hopf.comult),
+        dict(enumerate(f.values)), dict(enumerate(g.values)))))
 
 
 def convolution_invert(gamma: HModuleMap) -> HModuleMap:
     """Two-sided convolution inverse of gamma, by solving a linear system.
 
-    The right-inverse condition gamma * gamma' = unit.counit is C-linear in
-    the values of gamma'; solve it, then verify the left identity directly.
-    NotInvertibleError if the system is inconsistent or one-sided.
+    The left-inverse condition gamma' * gamma = unit.counit is C-linear in
+    the values of gamma'; solve it (``axioms.solve_convolution``), then
+    verify the right identity directly.  NotInvertibleError if the system
+    is inconsistent or one-sided.
     """
     A = gamma.algebra
-    C, K, H = A.base, A.field, A.hopf
-    n, d = A.dim, H.dim
-    N = n * d
-    mul, add = A.ops.mul, A.ops.add
-    rows = [{} for _ in range(N)]
-    rhs = [{}] * N
-    for k in range(d):
-        for (i, j), c in H.comult.get(k, {}).items():
-            for p, cp in gamma.values[i].items():
-                base = C._scale(c, cp)
-                for m in range(n):
-                    for l, cl in A.mult.get((p, m), {}).items():
-                        row, key, t = rows[k * n + l], j * n + m, mul(base, cl)
-                        row[key] = add(row[key], t) if key in row else t
-        eps = H.counit.get(k, K.zero())
-        for l, u in A.unit.items():
-            rhs[k * n + l] = C._scale(eps, u)
-    sol = ring_solve(rows, rhs, C)
+    C, d = A.base, A.hopf.dim
+    e = unit_counit_map(A)
+    sol = axioms.solve_convolution(A.ops, A.dim, A.mult, _lifted(A, A.hopf.comult),
+                                   dict(enumerate(gamma.values)), e.values, list(range(d)),
+                                   lambda M, b: ring_solve(M, b, C))
     if sol is None:
         raise NotInvertibleError("the cleaving map has no convolution inverse")
-    inv = HModuleMap(A, tuple({i: sol[j * n + i] for i in range(n)} for j in range(d)))
-    e = unit_counit_map(A)
-    if convolve(inv, gamma) != e:
+    inv = HModuleMap(A, tuple(sol[k] for k in range(d)))
+    if convolve(gamma, inv) != e:
         raise NotInvertibleError(
-            "right convolution inverse exists but is not two-sided")
+            "left convolution inverse exists but is not two-sided")
     return inv

@@ -41,8 +41,7 @@ from .hopf import (Bialgebra, HopfAlgebra, cyclic_group_algebra, dual_hopf,
                    hopf_from_bialgebra, sweedler_h4, taft)
 from .comod import ComoduleAlgebra, HModuleMap, trivial_bundle
 from .bundles import AbgParams, abg_bundle, kummer_bundle
-from .homotopy import (ROOT_ADJUNCTION, EtaleStep, HomotopyWitness,
-                       _frozen_matrix)
+from .homotopy import EtaleStep, HomotopyWitness, _frozen_matrix
 from .record import Record
 
 FREE, LAURENT, ROOT = "free", "laurent", "root"
@@ -565,6 +564,13 @@ def _vec_spec(fmt, labels, v):
     return {labels[i]: fmt(c) for i, c in sorted(v.items())}
 
 
+def values_spec(f: HModuleMap) -> list:
+    """The nonzero values of a map H -> A, as [H label, {A label: coefficient}]."""
+    A = f.algebra
+    return [[A.hopf.labels[k], _vec_spec(A.base.format_coeffs, A.labels, v)]
+            for k, v in enumerate(f.values) if v]
+
+
 def _tables_spec(fmt, labels, right_labels, unit, mult, key, table):
     """The explicit form of labels, unit, ``mult`` and the ``key`` table."""
     return {"construction": "explicit", "labels": list(labels),
@@ -651,7 +657,7 @@ def _parse_witness(doc: Document, spec, pointer, spend) -> HomotopyWitness:
         here = f"{pointer}/step/adjunctions/{i}"
         _first(names, adj["name"], here + "/name", "name")
         u = _value(cur.parse_element, adj["value"], here + "/value", spend)
-        recipe.append((ROOT_ADJUNCTION, u, adj["degree"], adj["name"]))
+        recipe.append((u, adj["degree"], adj["name"]))
         cur, _, _ = adjoin_root(cur, u, adj["degree"], adj["name"])
     step = EtaleStep(inclusion_morphism(source, cur), tuple(recipe))
     interval = extend_with_t(cur)
@@ -708,20 +714,13 @@ def document_of(doc: Document) -> dict:
             "target": _named(ring_objs, f.target, "ring"),
             "images": {g.name: f.target.format_element(img)
                        for g, img in zip(f.source.gens, f.images)}}
-    cleavings = {}
-    for name, cm in doc.cleavings.items():
-        A = cm.algebra
-        cleavings[name] = {"bundle": bundle_name(A), "values": [
-            [A.hopf.labels[k], _vec_spec(A.base.format_coeffs, A.labels, v)]
-            for k, v in enumerate(cm.values) if v]}
+    cleavings = {name: {"bundle": bundle_name(cm.algebra), "values": values_spec(cm)}
+                 for name, cm in doc.cleavings.items()}
     witnesses = {}
     for name, w in doc.witnesses.items():
         sname = _named(ring_objs, w.step.source, "ring")
-        adjs = []
-        cur = w.step.source
-        for _, u, n, nm in w.step.recipe:
-            adjs.append({"name": nm, "degree": n, "value": cur.format_element(u)})
-            cur, _, _ = adjoin_root(cur, u, n, nm)
+        adjs = [{"name": nm, "degree": n, "value": u.ring.format_element(u)}
+                for u, n, nm in w.step.recipe]
         family = _bundle_body_spec(w.family, _named(hopf_objs, w.family.hopf, "hopf"))
         fmt = w.step.target.format_element
         witnesses[name] = {

@@ -28,8 +28,6 @@ from .comod import (ComoduleAlgebra, check_iso, map_matrix_entries,
 from .galois import verify_bundle
 from .bundles import AbgParams, abg_bundle, kummer_root_data, sqrt_reduction
 
-ROOT_ADJUNCTION = "root"
-
 
 def identity_matrix(ring, n: int) -> list:
     one, zero = ring.one(), ring.zero()
@@ -46,7 +44,7 @@ def _frozen_matrix(M) -> tuple:
 class EtaleStep(Record, frozen=True):
     """An admissible extension of the base: a tower of root adjunctions.
 
-    The recipe records each adjunction as (kind, value, degree, name), so
+    The recipe records each root adjunction as (value, degree, name), so
     the tower can be replayed, both to verify the step and to rebuild it
     over a different base.
     """
@@ -65,7 +63,7 @@ class EtaleStep(Record, frozen=True):
     def __repr__(self):
         if not self.recipe:
             return f"<identity step on {self.source!r}>"
-        adjs = ", ".join(f"{nm}^{n} = {u}" for _, u, n, nm in self.recipe)
+        adjs = ", ".join(f"{nm}^{n} = {u}" for u, n, nm in self.recipe)
         return f"<step adjoining {adjs}>"
 
 
@@ -76,7 +74,7 @@ def identity_step(ring) -> EtaleStep:
 def root_step(ring, u, n: int, name: str | None = None):
     """Adjoin an n-th root of the unit u; returns (step, root)."""
     ext, incl, root = adjoin_root(ring, u, n, name)
-    return EtaleStep(incl, ((ROOT_ADJUNCTION, u, n, ext.gens[-1].name),)), root
+    return EtaleStep(incl, ((u, n, ext.gens[-1].name),)), root
 
 
 def compose_steps(first: EtaleStep, second: EtaleStep) -> EtaleStep:
@@ -87,10 +85,7 @@ def compose_steps(first: EtaleStep, second: EtaleStep) -> EtaleStep:
 def verify_step(step: EtaleStep) -> bool:
     """Replay the recipe from the source; it must reproduce the extension."""
     cur = step.source
-    for entry in step.recipe:
-        if len(entry) != 4 or entry[0] != ROOT_ADJUNCTION:
-            return False
-        _, u, n, nm = entry
+    for u, n, nm in step.recipe:
         if getattr(u, "ring", None) != cur:
             return False
         try:
@@ -115,7 +110,7 @@ def transport_step(step: EtaleStep, f: BaseMorphism):
         raise NotEtaleInclusionError("step recipe does not reproduce its extension")
     fbar = f
     recipe = []
-    for _, u, n, nm in step.recipe:
+    for u, n, nm in step.recipe:
         stage, _, _ = adjoin_root(fbar.source, u, n, nm)
         value = fbar(u)
         nm2 = fresh_name(fbar.target, nm)
@@ -124,7 +119,7 @@ def transport_step(step: EtaleStep, f: BaseMorphism):
                   for g in fbar.source.gens}
         images[nm] = root2
         fbar = BaseMorphism(stage, stage2, images)
-        recipe.append((ROOT_ADJUNCTION, value, n, nm2))
+        recipe.append((value, n, nm2))
     return EtaleStep(inclusion_morphism(f.target, fbar.target), tuple(recipe)), fbar
 
 
@@ -163,26 +158,18 @@ def verify_witness(w: HomotopyWitness) -> Report:
         return rep
     if w.family.base != w.interval.ring:
         raise BaseMismatchError("family must live over the interval ring")
-    fam = verify_bundle(w.family)
-    fam.title = "family bundle"
-    rep.nest(fam)
-    left = verify_bundle(A)
-    left.title = "endpoint bundle at 0"
-    rep.nest(left)
-    right = verify_bundle(B)
-    right.title = "endpoint bundle at 1"
-    rep.nest(right)
+    for title, bundle in (("family bundle", w.family), ("endpoint bundle at 0", A),
+                          ("endpoint bundle at 1", B)):
+        sub = verify_bundle(bundle)
+        sub.title = title
+        rep.nest(sub)
     ext = w.step.target
-    pushed0 = push_forward(w.step.morphism, A)
-    pushed1 = push_forward(w.step.morphism, B)
-    fibre0 = push_forward(w.interval.at_zero, w.family)
-    fibre1 = push_forward(w.interval.at_one, w.family)
-    for label, M, src, dst in (("0", w.iso_zero, pushed0, fibre0),
-                               ("1", w.iso_one, pushed1, fibre1)):
+    for label, M, end, at in (("0", w.iso_zero, A, w.interval.at_zero),
+                              ("1", w.iso_one, B, w.interval.at_one)):
         over = all(getattr(e, "ring", None) == ext for row in M for e in row)
         rep.add(f"matrix at {label} over the extension", over)
         if over:
-            sub = check_iso(src, dst, M)
+            sub = check_iso(push_forward(w.step.morphism, end), push_forward(at, w.family), M)
             sub.title = f"endpoint fibre at {label}"
             rep.nest(sub)
     return rep
@@ -444,5 +431,5 @@ def kummer_trivialization_witness(N: int, q, k):
     extension that splits it.
     """
     A, _, incl, images = kummer_root_data(N, q, k)
-    step = EtaleStep(incl, ((ROOT_ADJUNCTION, A.base.gen("z"), N, "w"),))
+    step = EtaleStep(incl, ((A.base.gen("z"), N, "w"),))
     return A, etale_trivialization_witness(A, step, images)

@@ -180,8 +180,13 @@ class BaseRing:
 
     def element(self, coeffs: dict) -> BaseElement:
         """The element with coefficient dict ``coeffs``, in normal form: zero
-        coefficients dropped and root exponents past their degree reduced."""
+        coefficients dropped and root exponents past their degree reduced.
+        A negative exponent off a Laurent generator raises ValueError."""
         K = self.field
+        for m in coeffs:
+            for g, e in zip(self.gens, m):
+                if e < 0 and g.kind != LAURENT:
+                    raise ValueError(f"negative exponent on non-laurent generator {g.name}")
         return BaseElement(self, self._normal({m: c for m, c in coeffs.items() if not K.is_zero(c)}))
 
     def zero(self) -> BaseElement:
@@ -205,10 +210,7 @@ class BaseRing:
     def monomial(self, exps: dict, coeff=None) -> BaseElement:
         m = [0] * len(self.gens)
         for name, e in exps.items():
-            i = self._index[name]
-            if e < 0 and self.gens[i].kind != LAURENT:
-                raise ValueError(f"negative exponent on non-laurent generator {name}")
-            m[i] = e
+            m[self._index[name]] = e
         c = coeff if coeff is not None else self.field.one()
         return self.element({tuple(m): c})
 
@@ -414,8 +416,11 @@ class BaseRing:
         if self._names is None:
             self._names = {g.name: self.gen(i) for i, g in enumerate(self.gens)}
             from .fields import SimpleExtension
-            if isinstance(self.field, SimpleExtension):
-                self._names.setdefault(self.field.var, self.from_scalar(self.field.gen()))
+            K, embed = self.field, lambda x: x  # each variable of the field tower
+            while isinstance(K, SimpleExtension):
+                self._names.setdefault(K.var, self.from_scalar(embed(K.gen())))
+                embed = lambda x, up=embed, K=K: up((x, *K.zero()[1:]))  # K.base into the top
+                K = K.base
         spend = spend or WorkBudget()
 
         def mul(A: dict, B: dict) -> dict:

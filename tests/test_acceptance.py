@@ -165,7 +165,7 @@ def test_criterion_6_trivializing_chain():
     w, forward = chain.links[0]
     assert not forward
     # one admissible step: a square root of 3
-    (kind, value, degree, name), = w.step.recipe
+    (value, degree, name), = w.step.recipe
     assert degree == 2 and value == C.from_int(3)
     ext = w.step.target
     i = w.step.morphism

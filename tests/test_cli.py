@@ -192,7 +192,7 @@ def test_memory_error_is_one_error_line(doc_path, monkeypatch, capsys):
     """A command that runs out of memory exits 2 with one line, no traceback."""
     def exhausted(A):
         raise MemoryError
-    monkeypatch.setattr("hopfgal.cli.verify_bundle", exhausted)
+    monkeypatch.setattr("hopfgal.galois.is_galois", exhausted)
     assert main(["verify-bundle", doc_path, "A"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

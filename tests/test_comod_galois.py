@@ -35,7 +35,8 @@ from hopfgal.galois import (
     verify_bundle,
 )
 from hopfgal.homotopy import identity_matrix
-from hopfgal.hopf import cyclic_group_algebra, sweedler_h4
+from hopfgal.hopf import (Bialgebra, cyclic_group_algebra, dual_hopf, solve_antipode,
+                          sweedler_h4, taft)
 from hopfgal.rings import (
     BaseElement,
     BaseMorphism,
@@ -199,19 +200,47 @@ def test_check_iso_refuses_a_matrix_over_another_ring():
         check_iso(A, A, identity_matrix(polynomial_ring(QQ, "v"), A.dim))
 
 
-def test_trivial_cleaving_inverse_is_antipode():
-    H = sweedler_h4(QQ)
-    C = base_ring(QQ)
+def _bialgebra(H):
+    return Bialgebra(H.field, H.labels, H.mult, H.unit, H.comult, H.counit)
+
+
+@pytest.mark.parametrize("H", [sweedler_h4(QQ), taft(3, 2, F7), dual_hopf(taft(3, 2, F7))],
+                         ids=repr)
+def test_trivial_cleaving_inverse_is_antipode(H):
+    """The convolution inverse of the identity cleaving of C (x) H is S:
+    the closed-form antipode and the one solve_antipode recovers, on the
+    generators (Sweedler, Taft) or on the whole basis (the dual, whose 1 is
+    a sum of basis elements)."""
+    C = base_ring(H.field)
     A = trivial_bundle(C, H)
-    gamma = HModuleMap(A, tuple({k: C.one()} for k in range(4)))
+    gamma = HModuleMap(A, tuple({k: C.one()} for k in range(H.dim)))
     inv = convolution_invert(gamma)
-    # gamma'(h) = S(h) embedded in C (x) H, known by hand for this algebra
-    expect = HModuleMap(A, tuple(
-        {i: C.from_scalar(c) for i, c in H.antipode[k].items()} for k in range(4)))
-    assert inv == expect
+    for S in (H.antipode, solve_antipode(_bialgebra(H))):
+        assert inv == HModuleMap(A, tuple(
+            {i: C.from_scalar(c) for i, c in S.get(k, {}).items()} for k in range(H.dim)))
     e = unit_counit_map(A)
     assert convolve(gamma, inv) == e
     assert convolve(inv, gamma) == e
+
+
+def test_antipode_and_cleaving_inverse_share_one_solve(monkeypatch):
+    """solve_antipode and convolution_invert both set up their system in
+    axioms.solve_convolution: the first over the field, the second over the
+    base ring."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0])
+        return solve(*args)
+    solve = axioms.solve_convolution
+    monkeypatch.setattr(axioms, "solve_convolution", spy)
+    H = taft(3, 2, F7)
+    assert solve_antipode(_bialgebra(H)) == H.antipode
+    assert len(calls) == 1 and calls[0].zero == F7.zero()  # the field's Ops
+    C = base_ring(F7)
+    A = trivial_bundle(C, H)
+    convolution_invert(HModuleMap(A, tuple({k: C.one()} for k in range(H.dim))))
+    assert len(calls) == 2 and calls[1] is A.ops
 
 
 def test_convolution_invert_over_laurent_base():

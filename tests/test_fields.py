@@ -91,6 +91,20 @@ def test_a_tower_of_extensions_prints_its_value() -> None:
     assert R.format_coeffs({(2,): (QI.zero(), QI.one()), (1,): K2.from_int(-1)}) == "v*x^2-x"
 
 
+def test_a_tower_of_extensions_parses_its_printing() -> None:
+    """Every variable of a field tower is a name when a scalar is read: over
+    K2 = Q(i)[v]/(v^2 - i) and K3 = K2[c]/(c^3 - v), a scalar printed with
+    i, v and c parses back to itself."""
+    K2 = SimpleExtension(QI, "v", (QI.neg(QI.gen()), QI.zero(), QI.one()))
+    K3 = SimpleExtension(K2, "c", (K2.neg(K2.gen()), K2.zero(), K2.zero(), K2.one()))
+    i2 = (QI.gen(), QI.zero())  # i in K2
+    for K, x in ((K2, (QI.one(), QI.add(QI.one(), QI.gen()))),  # (i+1)*v+1
+                 (K2, K2.add(K2.from_int(3), i2)),
+                 (K3, (K2.add(K2.gen(), i2), K2.one(), K2.zero())),
+                 (K3, (K2.zero(), K2.zero(), i2))):
+        assert K.parse(K.format(x)) == x, K.format(x)
+
+
 def test_extension_f4_is_a_field() -> None:
     F2 = PrimeField(2)
     F4 = SimpleExtension(F2, "a", [1, 1, 1])  # a^2 + a + 1 = 0

@@ -238,7 +238,7 @@ def test_the_checks_read_the_records_own_tables(monkeypatch):
     as they are: the rows are read in place, not copied first."""
     H = taft(4, 2, F5)
     calls = []
-    for name in ("associativity", "antipode"):
+    for name in ("associativity", "convolution"):
         def spy(*args, _check=getattr(axioms, name), _name=name, **kw):
             calls.append((_name, args))
             return _check(*args, **kw)
@@ -246,10 +246,10 @@ def test_the_checks_read_the_records_own_tables(monkeypatch):
     for run in (verify_hopf, solve_antipode):
         calls.clear()
         run(H)
-        assert sorted({name for name, _ in calls}) == ["antipode", "associativity"], run
+        assert sorted({name for name, _ in calls}) == ["associativity", "convolution"], run
         for name, args in calls:
             assert args[2] is H.mult
-            if name == "antipode":
+            if name == "convolution":
                 assert args[3] is H.comult
     assert verify_hopf(H).ok
 

@@ -192,6 +192,17 @@ def test_element_reduces_root_exponents() -> None:
     assert R.monomial({"z": -1, "w": 5}) == z * w
 
 
+def test_element_refuses_a_negative_exponent_off_laurent() -> None:
+    """Over F241[z^+-1][w | w^2 = z], w^-1 as a coefficient dict is refused
+    as ``monomial`` refuses it, while z^-1 is a Laurent monomial."""
+    L = laurent_ring(PrimeField(241), "z")
+    R, _, w = adjoin_root(L, L.gen("z"), 2, name="w")
+    for make in (lambda: R.element({(0, -1): 1}), lambda: R.monomial({"w": -1})):
+        with pytest.raises(ValueError, match="^negative exponent on non-laurent generator w$"):
+            make()
+    assert R.element({(-1, 1): 1}) == R.gen("z") ** -1 * w
+
+
 def test_parse_format_round_trip() -> None:
     rng = random.Random(5)
     for ring in sample_rings():
