@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 import hopfgal
-from hopfgal.cleft import check_cleaving
+from hopfgal.cleft import check_cleaving, extract_cocycle, twisted_product
 from hopfgal.comod import convolution_invert
 from hopfgal.document import load_document, validate_raw
 from hopfgal.errors import SchemaError
@@ -45,6 +45,7 @@ INVERSES_IN_RING = 500  # per run of a ring try_inverse rung
 DETS = 20  # per run of the Berkowitz ring_det rung: one takes about 5 ms
 VALIDATIONS = 20  # per run of a validate_raw rung
 ROOTS = 1000  # per run of a Q or F_p sqrt rung; a tenth of it in an extension
+FIELD_OPS = 10000  # per run of a field mul or inv rung
 
 
 def timed(fn):
@@ -127,11 +128,28 @@ def sqrt_rungs():
         yield "sqrt", f"{len(ys)} in {name}", lambda K=K, ys=ys: sum(K.sqrt(y) is not None for y in ys)
 
 
+def field_rungs():
+    """mul of FIELD_OPS pairs of neighbours and inv of FIELD_OPS elements,
+    over Q (fractions of two numbers below 10^30) and over F998244353; the
+    verdict is the last value, printed."""
+    rng = random.Random(32)
+    F = PrimeField(998244353)
+    for name, K, xs in (
+            ("Q", QQ, [QQ.div(rng.randrange(1, 10 ** 30), rng.randrange(1, 10 ** 30))
+                       for _ in range(FIELD_OPS + 1)]),
+            ("F998244353", F, [F.from_int(rng.randrange(1, F.p)) for _ in range(FIELD_OPS + 1)])):
+        yield "field mul", f"{FIELD_OPS} in {name}", lambda K=K, xs=xs: K.format(
+            [K.mul(x, y) for x, y in zip(xs, xs[1:])][-1])
+        yield "field inv", f"{FIELD_OPS} in {name}", lambda K=K, xs=xs: K.format(
+            [K.inv(x) for x in xs[1:]][-1])
+
+
 def rungs():
     """(layer, size, callable returning a verdict) in the order they run;
     what a rung needs is built before it is timed."""
     yield from ring_rungs()
     yield from sqrt_rungs()
+    yield from field_rungs()
     for name in ("bundle-towers/kummer.json", "cli-docs/abg.json"):
         path = str(DATA / name)
         yield "load_document", name, lambda path=path: len(load_document(path).bundles)
@@ -164,7 +182,8 @@ def rungs():
             lambda B=B, H=H: solve_antipode(B) == H.antipode)
     F241 = PrimeField(241)
     for n in (24, 40, 60):
-        A, w = kummer_trivialization_witness(n, of_order(F241, n), F241)
+        q = of_order(F241, n)
+        A, w = kummer_trivialization_witness(n, q, F241)
         size = f"kummer N={n}/F241"
         yield "verify_bundle", size, lambda A=A: verify_bundle(A).ok
         # every one of the N^2 pivots is a unit; the verdict is the determinant
@@ -174,6 +193,9 @@ def rungs():
         yield "canonical_matrix", size, lambda A=A: sum(map(len, canonical_matrix(A).terms))
         yield "is_galois", size, lambda A=A: is_galois(A).ok
         yield "verify_witness", size, lambda w=w: verify_witness(w).ok
+        if n < 60:  # the verdict is the rank of the witness's family
+            yield "kummer_trivialization_witness", size, (
+                lambda n=n, q=q: kummer_trivialization_witness(n, q, F241)[1].family.dim)
     # e z + (1 - e), e = (1 + r + ... + r^(n-1))/n idempotent: a unit with
     # no unit entry in its multiplication matrix, so ring_solve runs its
     # Cayley-Hamilton tail on all of it
@@ -189,6 +211,15 @@ def rungs():
         sum(map(len, check_cleaving(g.algebra, g).gamma_inv.values)) for _ in range(CLEAVINGS)][-1]
     yield "convolution_invert", f"{CLEAVINGS} on abg over Q[u,v,w]", lambda: [
         sum(map(len, convolution_invert(g).values)) for _ in range(CLEAVINGS)][-1]
+    # the verdicts are the nonzero values of sigma and the terms of the table
+    cm = check_cleaving(g.algebra, g)
+    sigma = extract_cocycle(cm)
+    yield "extract_cocycle", f"{CLEAVINGS} on abg over Q[u,v,w]", lambda: [
+        sum(not c.is_zero for row in extract_cocycle(cm).sigma for c in row)
+        for _ in range(CLEAVINGS)][-1]
+    yield "twisted_product", f"{CLEAVINGS} on abg over Q[u,v,w]", lambda: [
+        sum(map(len, twisted_product(sigma.base, sigma.hopf, sigma).mult.values()))
+        for _ in range(CLEAVINGS)][-1]
     QI = SimpleExtension(QQ, "i", (1, 0, 1))
     a = (QQ.fraction(3, 7), 5)
     yield "SimpleExtension.inv", f"{INVERSES} inverses in Q(i)", lambda: [

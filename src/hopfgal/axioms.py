@@ -48,7 +48,8 @@ whose witness is the one reported:
   inverse of id in the convolution algebra.  A singular sub-system, or
   one that is the whole system, runs the full solve.
 
-Convolution.  ``convolution`` forms f * g for maps H -> A and
+Convolution.  ``convolution`` forms f * g for maps H -> A, every Sweedler
+sum (over H (x) H for a cocycle), with identity ``counit_unit``, and
 ``solve_convolution`` solves x * g = expect for x: the antipode inverts id
 over the ground field (A = H), a cleaving's inverse the cleaving over C.
 """
@@ -350,6 +351,14 @@ def comodule_map(ops: Ops, n: int, phi: dict, coaction: dict, bcoaction: dict):
         if lhs != rhs:
             return i
     return None
+
+
+def counit_unit(ops: Ops, d: int, counit: dict, unit: dict) -> list:
+    """[counit(h_i) 1 for i < d], the identity of convolution: counit maps i
+    to a nonzero coefficient, and unit holds the 1 of A as {l: c}."""
+    mul = ops.mul
+    return [nonzero({l: mul(counit[i], u) for l, u in unit.items()}, ops.is_zero)
+            if i in counit else {} for i in range(d)]
 
 
 def convolution(ops: Ops, d: int, mult: dict, comult: dict, f: dict, g: dict) -> list:

@@ -38,7 +38,7 @@ from .fields import Field, PrimeField
 from .hopf import cyclic_group_algebra, dual_hopf, sweedler_h4
 from .record import Record
 from .report import Report
-from .rings import BaseElement, BaseRing, adjoin_root, laurent_ring
+from .rings import BaseElement, BaseRing, adjoin_root, base_ring, fresh_name, laurent_ring
 
 
 # --------------------------------------------------------------------------
@@ -286,15 +286,16 @@ def _kummer_checks(N: int, q, k: Field):
 
 
 def kummer_bundle(N: int, q, k: Field) -> ComoduleAlgebra:
-    """Adjoining an N-th root of z to k[z, z^-1], as a bundle.
+    """Adjoining an N-th root of z to k[z, z^-1], as a bundle; z is named
+    z2 (or z3, ...) when k's tower has a variable z.
 
     The dual of the cyclic group algebra coacts by encoding the degree-N
     deck action w -> q w; the j-th power of the root transforms through the
     j-th character.
     """
     q = _kummer_checks(N, q, k)
-    C = laurent_ring(k, "z")
-    z = C.gen("z")
+    C = laurent_ring(k, fresh_name(base_ring(k), "z"))
+    z = C.gen(0)
     H = dual_hopf(cyclic_group_algebra(N, k))
     labels = tuple("1" if j == 0 else ("w" if j == 1 else f"w^{j}") for j in range(N))
     one = C.one()
@@ -318,7 +319,7 @@ def kummer_root_data(N: int, q, k: Field):
     """
     A = kummer_bundle(N, q, k)
     C = A.base
-    ext, incl, w = adjoin_root(C, C.gen("z"), N, "w")
+    ext, incl, w = adjoin_root(C, C.gen(0), N, fresh_name(C, "w"))
     images = [ext.one()]
     for _ in range(N - 1):
         images.append(images[-1] * w)

@@ -6,7 +6,7 @@ map two pieces of data fall out: a quasi-action of H on the base and a
 cocycle sigma(g, h) = sum gamma(g_(1)) gamma(h_(1)) gamma'(g_(2) h_(2)).
 With central base the quasi-action must be trivial and sigma must take
 values in the base; the bundle is then recovered as a twisted product of
-the base with H.
+the base with H.  Each Sweedler sum here is one ``axioms.convolution``.
 
 Cocycle validity is certified by directly checking unitality and
 associativity of the constructed product on all basis triples rather than
@@ -17,7 +17,7 @@ check is cheap and leaves nothing implicit.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import accumulate, ring_ops
+from .axioms import ring_ops
 from .comod import (
     ComoduleAlgebra,
     HModuleMap,
@@ -41,22 +41,20 @@ from .report import Report
 from .rings import BaseElement, BaseMorphism, BaseRing
 
 
+def _times_unit(A: ComoduleAlgebra, c: dict) -> dict:
+    """c 1_A for a coefficient dict c."""
+    return {i: v for i, u in A.unit.items() if (v := A.ops.mul(c, u))}
+
+
 def central_coefficient(A: ComoduleAlgebra, vec: dict):
     """The c in C (a BaseElement) with vec = c * unit, or None if vec is not
     central; vec holds coefficient dicts, with no zero among them."""
-    C = A.base
-    pivot = None
-    for i, u in A.unit.items():
-        inv = C.try_inverse(BaseElement(C, u))
-        if inv is not None:
-            pivot = (i, inv.coeffs)
-            break
+    inv = A.ops.inv
+    pivot = next(((i, v) for i, u in A.unit.items() if (v := inv(u)) is not None), None)
     if pivot is None:
         return None
-    i0, uinv = pivot
-    c = C._mul(vec.get(i0, {}), uinv)
-    expect = {i: v for i, u in A.unit.items() if (v := C._mul(c, u))}
-    return BaseElement(C, c) if vec == expect else None
+    c = A.ops.mul(vec.get(pivot[0], {}), pivot[1])
+    return BaseElement(A.base, c) if vec == _times_unit(A, c) else None
 
 
 class CleavingMap(Record, frozen=True):
@@ -69,9 +67,8 @@ class CleavingMap(Record, frozen=True):
     def verify(self) -> Report:
         rep = Report("cleaving map")
         A, H = self.algebra, self.algebra.hopf
-        bad = _comodule_map_witness(A, self.gamma)
-        rep.add("comodule morphism", bad is None,
-                "" if bad is None else f"fails on {H.labels[bad]}")
+        axioms.record(rep, "comodule morphism", _comodule_map_witness(A, self.gamma),
+                      lambda i: f"fails on {H.labels[i]}")
         e = unit_counit_map(A)
         rep.add("right convolution inverse", convolve(self.gamma, self.gamma_inv) == e)
         rep.add("left convolution inverse", convolve(self.gamma_inv, self.gamma) == e)
@@ -81,7 +78,7 @@ class CleavingMap(Record, frozen=True):
 def _comodule_map_witness(A: ComoduleAlgebra, gamma: HModuleMap):
     """Index of the first basis element where rho(gamma(h)) != (gamma (x) id)(Delta h)."""
     return axioms.comodule_map(A.ops, A.hopf.dim, dict(enumerate(gamma.values)),
-                               _lifted(A, A.hopf.comult), A.coaction)
+                               _lifted(A.base, A.hopf.comult), A.coaction)
 
 
 def check_cleaving(A: ComoduleAlgebra, gamma: HModuleMap) -> CleavingMap:
@@ -119,23 +116,27 @@ class Cocycle(Record, frozen=True):
 
 def trivial_cocycle(base: BaseRing, H: HopfAlgebra) -> Cocycle:
     """sigma(g, h) = counit(g) counit(h) 1, the untwisted case."""
-    K = H.field
-    d = H.dim
-    sigma = tuple(tuple(base.from_scalar(K.mul(H.counit.get(a, K.zero()),
-                                               H.counit.get(b, K.zero())))
-                        for b in range(d)) for a in range(d))
-    return Cocycle(base, H, sigma)
+    eps = [base.from_scalar(H.counit.get(k, H.field.zero())) for k in range(H.dim)]
+    return Cocycle(base, H, tuple(tuple(a * b for b in eps) for a in eps))
 
 
-def quasi_action(cm: CleavingMap, k: int, c: BaseElement) -> dict:
-    """h_k . c = sum gamma(h_(1)) (c 1_A) gamma'(h_(2)), as an element of A."""
+def _tensor_square_comult(C: BaseRing, H: HopfAlgebra) -> dict:
+    """Delta of H (x) H on the basis h_a (x) h_b, index a d + b, lifted to C:
+    Delta(g (x) h) = sum (g_(1) (x) h_(1)) (x) (g_(2) (x) h_(2))."""
+    d, mul = H.dim, H.field.mul
+    return _lifted(C, {a * d + b: {(a1 * d + b1, a2 * d + b2): mul(ca, cb)
+                                   for (a1, a2), ca in ta.items() for (b1, b2), cb in tb.items()}
+                       for a, ta in H.comult.items() for b, tb in H.comult.items()})
+
+
+def quasi_action(cm: CleavingMap, c: BaseElement) -> list:
+    """[h_k . c for k < d] as elements of A, h . c = sum gamma(h_(1)) (c 1_A)
+    gamma'(h_(2)): the convolution of gamma (c 1_A) with gamma'."""
     A = cm.algebra
-    C, H = A.base, A.hopf
-    c_vec = {i: C._mul(c.coeffs, u) for i, u in A.unit.items()}
-    return accumulate(A.ops, (
-        (l, C._scale(w, m)) for (i, j), w in H.comult.get(k, {}).items()
-        for l, m in A.mul_vec(A.mul_vec(cm.gamma.values[i], c_vec),
-                              cm.gamma_inv.values[j]).items()))
+    c1 = _times_unit(A, c.coeffs)
+    return axioms.convolution(A.ops, A.hopf.dim, A.mult, _lifted(A.base, A.hopf.comult),
+                              {k: A.mul_vec(v, c1) for k, v in enumerate(cm.gamma.values)},
+                              dict(enumerate(cm.gamma_inv.values)))
 
 
 def extract_cocycle(cm: CleavingMap) -> Cocycle:
@@ -147,36 +148,25 @@ def extract_cocycle(cm: CleavingMap) -> Cocycle:
     either fails: the input did not come from a central extension.
     """
     A = cm.algebra
-    C, H, K = A.base, A.hopf, A.field
-    probes = [C.one()] + [C.gen(g.name) for g in C.gens]
-    for k in range(H.dim):
-        eps = H.counit.get(k, K.zero())
-        for c in probes:
-            got = quasi_action(cm, k, c)
-            ec = C._scale(eps, c.coeffs)
-            want = {i: v for i, u in A.unit.items() if (v := C._mul(ec, u))}
-            if got != want:
+    C, H, ops = A.base, A.hopf, A.ops
+    d, L, hcounit = H.dim, H.labels, _lifted(C, H.counit)
+    probes = [(c, quasi_action(cm, c),
+               axioms.counit_unit(ops, d, hcounit, _times_unit(A, c.coeffs)))
+              for c in [C.one()] + [C.gen(g.name) for g in C.gens]]
+    for k in range(d):
+        for c, got, want in probes:
+            if got[k] != want[k]:
                 raise NonCentralDatumError(
-                    f"quasi-action of {H.labels[k]} moves the base element "
-                    f"{C.format_element(c)}")
-    d, ops = H.dim, A.ops
-    rows = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            acc = accumulate(ops, (
-                (l, C._scale(K.mul(ca, cb), m))
-                for (a1, a2), ca in H.comult.get(a, {}).items()
-                for (b1, b2), cb in H.comult.get(b, {}).items()
-                for l, m in A.mul_vec(A.mul_vec(cm.gamma.values[a1], cm.gamma.values[b1]),
-                                      cm.gamma_inv.apply(H.mult.get((a2, b2), {}))).items()))
-            c = central_coefficient(A, acc)
-            if c is None:
-                raise NonCentralDatumError(
-                    f"sigma({H.labels[a]}, {H.labels[b]}) does not lie in the base")
-            row.append(c)
-        rows.append(tuple(row))
-    return Cocycle(C, H, tuple(rows))
+                    f"quasi-action of {L[k]} moves the base element {C.format_element(c)}")
+    gamma = cm.gamma.values
+    sigma = [central_coefficient(A, v) for v in axioms.convolution(
+        ops, d * d, A.mult, _tensor_square_comult(C, H),
+        {a * d + b: A.mul_vec(gamma[a], gamma[b]) for a in range(d) for b in range(d)},
+        {a * d + b: cm.gamma_inv.apply(h) for (a, b), h in H.mult.items()})]
+    bad = next((i for i, c in enumerate(sigma) if c is None), None)
+    if bad is not None:
+        raise NonCentralDatumError(f"sigma({L[bad // d]}, {L[bad % d]}) does not lie in the base")
+    return Cocycle(C, H, tuple(tuple(sigma[a * d:a * d + d]) for a in range(d)))
 
 
 def push_cocycle(f: BaseMorphism, sigma: Cocycle) -> Cocycle:
@@ -190,23 +180,19 @@ def push_cocycle(f: BaseMorphism, sigma: Cocycle) -> Cocycle:
 # twisted and crossed products
 # --------------------------------------------------------------------------
 
-def _check_normalization(sigma: Cocycle) -> None:
-    C, H, K = sigma.base, sigma.hopf, sigma.hopf.field
-    d = H.dim
-    for b in range(d):
-        eps = C.from_scalar(H.counit.get(b, K.zero()))
-        left = C.zero()
-        right = C.zero()
-        for a, u in H.unit.items():
-            lifted = C.from_scalar(u)
-            left = left + lifted * sigma.sigma[a][b]
-            right = right + lifted * sigma.sigma[b][a]
-        if left != eps:
-            raise BadNormalizationError(
-                f"sigma(1, {H.labels[b]}) != counit({H.labels[b]}) 1")
-        if right != eps:
-            raise BadNormalizationError(
-                f"sigma({H.labels[b]}, 1) != counit({H.labels[b]}) 1")
+def _check_normalization(ops, sigma: Cocycle) -> None:
+    """sigma(1, h) = sigma(h, 1) = counit(h) 1, each side summed once."""
+    C, H = sigma.base, sigma.hopf
+    L, unit, eps = H.labels, _lifted(C, H.unit), _lifted(C, H.counit)
+    rows = {a: {b: c.coeffs for b, c in enumerate(row) if c.coeffs}
+            for a, row in enumerate(sigma.sigma)}
+    cols = {b: {a: row[b] for a, row in rows.items() if b in row} for b in range(H.dim)}
+    left, right = axioms.image(ops, rows, unit), axioms.image(ops, cols, unit)
+    for b in range(H.dim):
+        if left.get(b, {}) != eps.get(b, {}):
+            raise BadNormalizationError(f"sigma(1, {L[b]}) != counit({L[b]}) 1")
+        if right.get(b, {}) != eps.get(b, {}):
+            raise BadNormalizationError(f"sigma({L[b]}, 1) != counit({L[b]}) 1")
 
 
 def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleAlgebra:
@@ -214,6 +200,7 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
 
     (c (x) g)(d (x) h) = sum c d sigma(g_(1), h_(1)) (x) g_(2) h_(2)
 
+    The table is sigma convolved with H's product over H (x) H.
     Normalization of sigma is checked first (BadNormalization), then the
     result is screened for unitality and associativity (NotAssociative, on
     the generators of a word tree when they pass); what survives is a
@@ -222,18 +209,16 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
     if sigma.base != base or sigma.hopf != H:
         raise RingMismatchError("cocycle was built over different data")
     T = trivial_bundle(base, H)  # its unit and coaction; it refuses another ground field
-    _check_normalization(sigma)
-    K = H.field
-    d = H.dim
-    ops = ring_ops(base)
-    scale, sig = base._scale, [[c.coeffs for c in row] for row in sigma.sigma]
-    mult = {(a, b): accumulate(ops, ((l, scale(K.mul(K.mul(ca, cb), m), sig[a1][b1]))
-                                     for (a1, a2), ca in H.comult.get(a, {}).items()
-                                     for (b1, b2), cb in H.comult.get(b, {}).items()
-                                     for l, m in H.mult.get((a2, b2), {}).items()))
-            for a in range(d) for b in range(d)}
-    A = ComoduleAlgebra(base, H, H.labels, mult, T.unit, T.coaction)
-    L = H.labels
+    ops, d, L = ring_ops(base), H.dim, H.labels
+    _check_normalization(ops, sigma)
+    # C, of rank 1 with basis index 0, acts on H by {(0, q): {q: 1}}
+    table = axioms.convolution(
+        ops, d * d, {(0, q): {q: ops.one} for q in range(d)}, _tensor_square_comult(base, H),
+        {a * d + b: {0: c.coeffs} for a, row in enumerate(sigma.sigma)
+         for b, c in enumerate(row) if c.coeffs},
+        _lifted(base, {a * d + b: h for (a, b), h in H.mult.items()}))
+    A = ComoduleAlgebra(base, H, H.labels, {divmod(i, d): v for i, v in enumerate(table)},
+                        T.unit, T.coaction)
     bad, tree = axioms.unit_tree(ops, d, A.mult, A.unit)
     if bad is not None:
         raise NotAssociativeError(f"twisted product is not unital on {L[bad]}")
@@ -247,10 +232,8 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
 
 def trivial_action(base: BaseRing, H: HopfAlgebra):
     """h . c = counit(h) c, the only action compatible with central bases."""
-    K = H.field
-
     def act(k: int, c: BaseElement) -> BaseElement:
-        return base.from_scalar(H.counit.get(k, K.zero())) * c
+        return base.from_scalar(H.counit.get(k, H.field.zero())) * c
 
     return act
 
@@ -263,12 +246,11 @@ def crossed_product(base: BaseRing, H: HopfAlgebra, action, sigma: Cocycle) -> C
     input is rejected (NonCentralDatum).  With the trivial action this is
     exactly the twisted product.
     """
-    K = H.field
+    trivial = trivial_action(base, H)
     probes = [base.one()] + [base.gen(g.name) for g in base.gens]
     for k in range(H.dim):
-        eps = base.from_scalar(H.counit.get(k, K.zero()))
         for c in probes:
-            if action(k, c) != eps * c:
+            if action(k, c) != trivial(k, c):
                 raise NonCentralDatumError(
                     f"action of {H.labels[k]} moves {base.format_element(c)}: "
                     "base would not be central")

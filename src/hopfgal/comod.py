@@ -24,7 +24,8 @@ read as its coefficient dict, so tables may be built with ring arithmetic.
 Module vectors ({index: coefficient dict}) are summed by
 ``axioms.accumulate`` with the record's ``ops``, the ``axioms.ring_ops`` of
 its base, built once with the record; a BaseElement is formed only to call
-an API that takes one (a base morphism, ``try_inverse``).
+an API that takes one (a base morphism).  ``_lifted`` alone lifts H's
+tables and vectors into the base.
 
 ``verify_comodule_algebra`` checks the axioms on the record's own tables
 with the one axiom checker of ``axioms``, the one that also verifies Hopf
@@ -63,11 +64,11 @@ def _entries(C: BaseRing, vec: dict) -> dict:
     return {k: e for k, c in vec.items() if (e := _entry(C, c))}
 
 
-def _lifted(A, table: dict) -> dict:
-    """A table of H with its coefficients lifted into A's base, as
+def _lifted(C: BaseRing, x: dict) -> dict:
+    """A vector or table of H with its coefficients lifted into C, as
     coefficient dicts: H's are nonzero, and constants are in normal form."""
-    const = (0,) * len(A.base.gens)
-    return {key: {k: {const: c} for k, c in row.items()} for key, row in table.items()}
+    const = (0,) * len(C.gens)
+    return {key: _lifted(C, c) if isinstance(c, dict) else {const: c} for key, c in x.items()}
 
 
 class ComoduleAlgebra(Record, frozen=True):
@@ -112,10 +113,6 @@ class ComoduleAlgebra(Record, frozen=True):
     def basis_vec(self, i: int) -> dict:
         return {i: self.base.one().coeffs}
 
-    def lift(self, c) -> BaseElement:
-        """Coerce a ground-field scalar into the base ring."""
-        return self.base.from_scalar(c)
-
     def mul_vec(self, a: dict, b: dict) -> dict:
         ops = self.ops
         return accumulate(ops, axioms.product(ops, self.mult)(a, b))
@@ -144,8 +141,7 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     rep = Report(f"comodule algebra (rank {A.dim} over {A.base!r})")
     n, L = A.dim, A.labels
     H = A.hopf
-    ops, hops = A.ops, field_ops(A.field)
-    lift = A.lift
+    ops, hops, C = A.ops, field_ops(A.field), A.base
     mult, coaction, unit = A.mult, A.coaction, A.unit
 
     def fails_on(i):
@@ -155,12 +151,12 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     record(rep, "unit", bad_unit, fails_on)
     bad_assoc = axioms.associativity(ops, n, mult, None if tree is None else tree.gens)
     record(rep, "associativity", bad_assoc, lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
-    hcounit = {k: lift(c).coeffs for k, c in H.counit.items()}
-    record(rep, "coaction counit", axioms.coaction_counit(ops, n, coaction, hcounit), fails_on)
+    record(rep, "coaction counit",
+           axioms.coaction_counit(ops, n, coaction, _lifted(C, H.counit)), fails_on)
     record(rep, "coaction coassociativity",
-           axioms.coassociativity(ops, n, coaction, _lifted(A, H.comult)), fails_on)
+           axioms.coassociativity(ops, n, coaction, _lifted(C, H.comult)), fails_on)
 
-    hunit = {k: lift(c).coeffs for k, c in H.unit.items()}
+    hunit = _lifted(C, H.unit)
     if axioms.image(ops, coaction, unit) != accumulate(ops, (((i, k), ops.mul(c, u))
                                                             for i, c in unit.items()
                                                             for k, u in hunit.items())):
@@ -171,7 +167,7 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
             hops, H.dim, H.mult, H.unit) else None)
         record(rep, "coaction respects product",
                axioms.algebra_map(ops, n, mult, coaction,
-                                  axioms.tensor_product(ops, mult, _lifted(A, H.mult)), gens),
+                                  axioms.tensor_product(ops, mult, _lifted(C, H.mult)), gens),
                lambda b: f"rho({L[b[0]]}*{L[b[1]]})")
     return rep
 
@@ -184,11 +180,8 @@ def trivial_bundle(base: BaseRing, H: HopfAlgebra) -> ComoduleAlgebra:
     """C (x) H with componentwise product and coaction id (x) Delta."""
     if base.field != H.field:
         raise RingMismatchError("base ring and Hopf algebra use different ground fields")
-    lift = base.from_scalar
-    mult = {ij: {l: lift(c) for l, c in sc.items()} for ij, sc in H.mult.items()}
-    unit = {i: lift(c) for i, c in H.unit.items()}
-    coaction = {i: {jk: lift(c) for jk, c in t.items()} for i, t in H.comult.items()}
-    return ComoduleAlgebra(base, H, H.labels, mult, unit, coaction)
+    return ComoduleAlgebra(base, H, H.labels, _lifted(base, H.mult), _lifted(base, H.unit),
+                           _lifted(base, H.comult))
 
 
 def push_forward(f: BaseMorphism, A: ComoduleAlgebra) -> ComoduleAlgebra:
@@ -317,9 +310,8 @@ class HModuleMap(Record, frozen=True):
 
 def unit_counit_map(A: ComoduleAlgebra) -> HModuleMap:
     """The convolution identity h -> counit(h) 1_A."""
-    C, K = A.base, A.field
-    return HModuleMap(A, tuple({i: C._scale(A.hopf.counit.get(k, K.zero()), u)
-                                for i, u in A.unit.items()} for k in range(A.hopf.dim)))
+    return HModuleMap(A, tuple(axioms.counit_unit(A.ops, A.hopf.dim,
+                                                  _lifted(A.base, A.hopf.counit), A.unit)))
 
 
 def convolve(f: HModuleMap, g: HModuleMap) -> HModuleMap:
@@ -328,7 +320,7 @@ def convolve(f: HModuleMap, g: HModuleMap) -> HModuleMap:
     if g.algebra != A:
         raise RingMismatchError("convolution needs maps into the same algebra")
     return HModuleMap(A, tuple(axioms.convolution(
-        A.ops, A.hopf.dim, A.mult, _lifted(A, A.hopf.comult),
+        A.ops, A.hopf.dim, A.mult, _lifted(A.base, A.hopf.comult),
         dict(enumerate(f.values)), dict(enumerate(g.values)))))
 
 
@@ -343,7 +335,7 @@ def convolution_invert(gamma: HModuleMap) -> HModuleMap:
     A = gamma.algebra
     C, d = A.base, A.hopf.dim
     e = unit_counit_map(A)
-    sol = axioms.solve_convolution(A.ops, A.dim, A.mult, _lifted(A, A.hopf.comult),
+    sol = axioms.solve_convolution(A.ops, A.dim, A.mult, _lifted(C, A.hopf.comult),
                                    dict(enumerate(gamma.values)), e.values, list(range(d)),
                                    lambda M, b: ring_solve(M, b, C))
     if sol is None:

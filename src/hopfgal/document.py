@@ -36,7 +36,7 @@ from .axioms import accumulate, field_ops, ring_ops
 from .errors import BadScalarError, GradingError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension
 from .rings import (BaseElement, BaseMorphism, BaseRing, Generator, adjoin_root, base_ring,
-                    refusal, WorkBudget, extend_with_t, inclusion_morphism)
+                    extension_levels, refusal, WorkBudget, extend_with_t, inclusion_morphism)
 from .hopf import (Bialgebra, HopfAlgebra, cyclic_group_algebra, dual_hopf,
                    hopf_from_bialgebra, sweedler_h4, taft)
 from .comod import ComoduleAlgebra, HModuleMap, trivial_bundle
@@ -417,8 +417,14 @@ def field_spec(K: Field):
 # ------------------------------------------------------------------- rings
 
 
+def _field_variables(K: Field) -> dict:
+    """Where the document's field gives each variable of its tower, which
+    no ring generator may take as its name."""
+    return {L.var: "/field" + "/base" * d + "/var" for d, L in enumerate(extension_levels(K))}
+
+
 def parse_ring(K: Field, spec, pointer, spend) -> BaseRing:
-    R, names = base_ring(K), {}
+    R, names = base_ring(K), _field_variables(K)
     for i, g in enumerate(spec["gens"]):
         here = f"{pointer}/gens/{i}"
         name, kind, grade = g["name"], g["kind"], g.get("grade", 0)
@@ -651,7 +657,8 @@ def resolve(raw) -> Document:
 def _parse_witness(doc: Document, spec, pointer, spend) -> HomotopyWitness:
     name = spec["step"]["source"]
     source = _ref(doc.rings, name, pointer + "/step/source")
-    names = {g.name: f"/rings/{_token(name)}/gens/{i}/name" for i, g in enumerate(source.gens)}
+    names = _field_variables(doc.field)
+    names.update({g.name: f"/rings/{_token(name)}/gens/{i}/name" for i, g in enumerate(source.gens)})
     cur, recipe = source, []
     for i, adj in enumerate(spec["step"]["adjunctions"]):
         here = f"{pointer}/step/adjunctions/{i}"

@@ -13,7 +13,6 @@ family backwards.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import ring_ops
 from .errors import (BaseMismatchError, CharTwoError, MathError,
                      NotCommutativeError, NotEtaleInclusionError,
                      RingMismatchError)
@@ -396,24 +395,20 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
         raise NotEtaleInclusionError("need one extension element per module basis vector")
 
     # a_i -> images[i] must be an algebra map into ext, whose one basis element is 0
-    ops, C = ring_ops(ext), A.base
-
-    def included(c):
-        return incl(BaseElement(C, c))
+    P = push_forward(incl, A)
+    ops = P.ops
     phi = {i: {0: x.coeffs} for i, x in enumerate(images) if not x.is_zero}
-    unit = {i: included(c).coeffs for i, c in A.unit.items()}
-    if axioms.image(ops, phi, unit) != {0: ops.one}:
+    if axioms.image(ops, phi, P.unit) != {0: ops.one}:
         raise NotEtaleInclusionError("images do not realize the unit")
-    mult = {ij: {l: included(c).coeffs for l, c in row.items()} for ij, row in A.mult.items()}
-    bad = axioms.algebra_map(ops, n, mult, phi, axioms.product(ops, {(0, 0): {0: ops.one}}))
+    bad = axioms.algebra_map(ops, n, P.mult, phi, axioms.product(ops, {(0, 0): {0: ops.one}}))
     if bad is not None:
         raise NotEtaleInclusionError(
             f"images break the product on {A.labels[bad[0]]}, {A.labels[bad[1]]}")
     d = A.hopf.dim
     M = [[ext.zero() for _ in range(n)] for _ in range(d)]
     for j in range(n):
-        for (jj, k), c in A.coaction.get(j, {}).items():
-            M[k][j] = M[k][j] + included(c) * images[jj]
+        for (jj, k), c in P.coaction.get(j, {}).items():
+            M[k][j] = M[k][j] + BaseElement(ext, c) * images[jj]
     interval = extend_with_t(ext)
     return HomotopyWitness(step, interval,
                            trivial_bundle(interval.ring, A.hopf),
@@ -430,6 +425,6 @@ def kummer_trivialization_witness(N: int, q, k):
     module basis, so the bundle's total algebra is itself the admissible
     extension that splits it.
     """
-    A, _, incl, images = kummer_root_data(N, q, k)
-    step = EtaleStep(incl, ((A.base.gen("z"), N, "w"),))
+    A, ext, incl, images = kummer_root_data(N, q, k)
+    step = EtaleStep(incl, ((A.base.gen(0), N, ext.gens[-1].name),))
     return A, etale_trivialization_witness(A, step, images)

@@ -59,7 +59,7 @@ from .errors import (
     RingMismatchError,
     TowerOrderError,
 )
-from .fields import Field, check_digits, format_polynomial
+from .fields import Field, SimpleExtension, check_digits, format_polynomial
 from .record import Record
 
 # the pairs of terms the products and powers of one document may multiply
@@ -78,6 +78,14 @@ class Generator(Record, frozen=True):
     kind: str
     degree: int = 0  # root generators: the n of g^n = u
     grade: int = 0   # grading degree
+
+
+def extension_levels(K: Field):
+    """K and each field below it in its tower that is a simple extension,
+    top first; their variables are the names a ring over K may not take."""
+    while isinstance(K, SimpleExtension):
+        yield K
+        K = K.base
 
 
 def refusal(gens: tuple, g: Generator):
@@ -108,6 +116,9 @@ class BaseRing:
         names = [g.name for g in self.gens]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names in {names}")
+        for L in extension_levels(field):
+            if L.var in names:
+                raise ValueError(f"generator name {L.var} is a variable of {field.name}")
         for i, g in enumerate(self.gens):
             refused = refusal(self.gens[:i], g)
             if refused is not None:
@@ -116,7 +127,7 @@ class BaseRing:
         self._root_indices = tuple(i for i, g in enumerate(self.gens) if g.kind == ROOT)
         self._prefix_cache: dict[int, BaseRing] = {}
         self._root_pow_cache: dict[tuple[int, int], dict] = {}
-        self._names: dict | None = None  # parse_element's names, built on first use
+        self._names: dict | None = None  # _parse_names(), built on first use
         self._hash = None
 
     # -------------------------------------------------------------- basics
@@ -402,6 +413,17 @@ class BaseRing:
                                     for nm, e in zip(names, mono) if e))
             for mono in sorted(coeffs, reverse=True)))
 
+    def _parse_names(self) -> dict:
+        """The names parse_element reads: the generators, then each variable
+        of the field tower, embedded into the top."""
+        if self._names is None:
+            self._names = {g.name: self.gen(i) for i, g in enumerate(self.gens)}
+            embed = lambda x: x
+            for K in extension_levels(self.field):
+                self._names[K.var] = self.from_scalar(embed(K.gen()))
+                embed = lambda x, up=embed, K=K: up((x, *K.zero()[1:]))  # K.base into the top
+        return self._names
+
     def parse_element(self, text: str, spend=None, noun: str = "element") -> BaseElement:
         """The element ``text`` spells: integer literals, the generators (and
         an extension field's variable) by name, +, -, *, division by a unit,
@@ -413,14 +435,7 @@ class BaseRing:
         per call unless the caller shares one.  Anything else raises
         BadScalarError, whose message calls ``text`` the ``noun``.
         """
-        if self._names is None:
-            self._names = {g.name: self.gen(i) for i, g in enumerate(self.gens)}
-            from .fields import SimpleExtension
-            K, embed = self.field, lambda x: x  # each variable of the field tower
-            while isinstance(K, SimpleExtension):
-                self._names.setdefault(K.var, self.from_scalar(embed(K.gen())))
-                embed = lambda x, up=embed, K=K: up((x, *K.zero()[1:]))  # K.base into the top
-                K = K.base
+        self._parse_names()
         spend = spend or WorkBudget()
 
         def mul(A: dict, B: dict) -> dict:
@@ -647,7 +662,8 @@ def laurent_ring(field: Field, *names: str) -> BaseRing:
 
 
 def fresh_name(ring: BaseRing, stem: str) -> str:
-    used = {g.name for g in ring.gens}
+    """The first of stem, stem2, ... that names nothing parse_element reads."""
+    used = ring._parse_names()
     if stem not in used:
         return stem
     i = 2

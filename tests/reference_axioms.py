@@ -22,7 +22,10 @@ dicts read as BaseElements.
 the rank-4 family, as ``bundles.abg_bundle`` did before its table was
 written out.  ``crossed_multiply`` is the general crossed-product formula
 with an explicit action, which ``cleft`` had as an entry point that only
-the tests called.  A bundle's tables hold coefficient dicts; the oracles
+the tests called.  ``quasi_action``, ``cocycle_values`` and
+``twisted_table`` transcribe h . c, sigma and the twisted product straight
+from their Sweedler sums, on dense lists of BaseElements, so they share no
+code with ``axioms.convolution``.  A bundle's tables hold coefficient dicts; the oracles
 read each entry as a BaseElement through ``elements`` and compute with
 BaseElement arithmetic, as the library did; ``linalg.ring_det`` takes and
 returns coefficient dicts, and ``check_iso`` converts at that call.
@@ -627,3 +630,85 @@ def crossed_multiply(base, H, action, sigma, x: tuple, y: tuple) -> dict:
                         for l, m in H.mult.get((q, b2), {}).items():
                             _vadd(out, l, w * coeff * base.from_scalar(m))
     return out
+
+
+# ---- the Sweedler sums of a cleft bundle, on dense vectors
+
+
+def dense(C, vec: dict, n: int) -> list:
+    """A vector {i: coefficient dict} of rank n as a list of BaseElements."""
+    return [BaseElement(C, vec[i]) if i in vec else C.zero() for i in range(n)]
+
+
+def _dense_mul(A, x: list, y: list) -> list:
+    """x y for dense vectors of A, entry by entry from the table."""
+    C = A.base
+    out = [C.zero()] * A.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for l, m in A.mult.get((i, j), {}).items():
+                out[l] = out[l] + xi * yj * BaseElement(C, m)
+    return out
+
+
+def _dense_add_scaled(acc: list, w, v: list) -> list:
+    return [s + w * e for s, e in zip(acc, v)]
+
+
+def quasi_action(cm, c) -> list:
+    """[h_k . c for every k] as dense vectors of A:
+    h . c = sum gamma(h_(1)) (c 1_A) gamma'(h_(2))."""
+    A = cm.algebra
+    C, H, n = A.base, A.hopf, A.dim
+    gamma = [dense(C, v, n) for v in cm.gamma.values]
+    gamma_inv = [dense(C, v, n) for v in cm.gamma_inv.values]
+    c1 = [c * u for u in dense(C, A.unit, n)]
+    out = []
+    for k in range(H.dim):
+        acc = [C.zero()] * n
+        for (i, j), w in H.comult.get(k, {}).items():
+            acc = _dense_add_scaled(acc, C.from_scalar(w),
+                                    _dense_mul(A, _dense_mul(A, gamma[i], c1), gamma_inv[j]))
+        out.append(acc)
+    return out
+
+
+def cocycle_values(cm) -> list:
+    """[[sigma(h_a, h_b) for b] for a] as dense vectors of A:
+    sigma(g, h) = sum gamma(g_(1)) gamma(h_(1)) gamma'(g_(2) h_(2))."""
+    A = cm.algebra
+    C, H, n = A.base, A.hopf, A.dim
+    K = H.field
+    gamma = [dense(C, v, n) for v in cm.gamma.values]
+    gamma_inv = [dense(C, v, n) for v in cm.gamma_inv.values]
+    rows = []
+    for a in range(H.dim):
+        row = []
+        for b in range(H.dim):
+            acc = [C.zero()] * n
+            for (a1, a2), ca in H.comult.get(a, {}).items():
+                for (b1, b2), cb in H.comult.get(b, {}).items():
+                    after = [C.zero()] * n  # gamma'(a2 b2)
+                    for l, m in H.mult.get((a2, b2), {}).items():
+                        after = _dense_add_scaled(after, C.from_scalar(m), gamma_inv[l])
+                    acc = _dense_add_scaled(acc, C.from_scalar(K.mul(ca, cb)), _dense_mul(
+                        A, _dense_mul(A, gamma[a1], gamma[b1]), after))
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def twisted_table(H, sigma) -> dict:
+    """{(a, b): (1 (x) h_a)(1 (x) h_b) as a dense vector of C (x) H}:
+    (1 (x) g)(1 (x) h) = sum sigma(g_(1), h_(1)) (x) g_(2) h_(2)."""
+    C, K, d = sigma.base, H.field, H.dim
+    table = {}
+    for a in range(d):
+        for b in range(d):
+            acc = [C.zero()] * d
+            for (a1, a2), ca in H.comult.get(a, {}).items():
+                for (b1, b2), cb in H.comult.get(b, {}).items():
+                    for l, m in H.mult.get((a2, b2), {}).items():
+                        acc[l] = acc[l] + C.from_scalar(K.mul(K.mul(ca, cb), m)) * sigma.sigma[a1][b1]
+            table[(a, b)] = acc
+    return table

@@ -35,26 +35,6 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
-def _bound_names(node):
-    for alias in node.names:
-        yield alias.asname or alias.name.split(".")[0]
-
-
-def test_every_imported_name_is_used():
-    unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(), str(path))
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{node.lineno} {name}"
-                   for node in ast.walk(tree)
-                   if isinstance(node, (ast.Import, ast.ImportFrom))
-                   and getattr(node, "module", None) != "__future__"
-                   for name in _bound_names(node) if name not in used]
-    assert unused == []
-
-
 def _run_optimized(*args, flags=("-O",)):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     return subprocess.run([sys.executable, *flags, "-m", "hopfgal.cli", *args], env=env,

@@ -16,9 +16,12 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfgal
 from hopfgal import axioms
+from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving
 from hopfgal.cleft import (
     CleavingMap,
     Cocycle,
@@ -42,14 +45,17 @@ from hopfgal.errors import (
     NotComoduleMapError,
     NotInvertibleError,
 )
-from hopfgal.fields import QQ
+from hopfgal.fields import QQ, PrimeField
 from hopfgal.galois import NOT_BIJECTIVE, is_galois, verify_bundle
 from hopfgal.hopf import cyclic_group_algebra, sweedler_h4
 from hopfgal.rings import BaseMorphism, base_ring, laurent_ring, polynomial_ring
-from reference_axioms import crossed_multiply, elements
+import reference_axioms as ref
+from reference_axioms import crossed_multiply, dense, elements
 
 H4 = sweedler_h4(QQ)
 C2 = cyclic_group_algebra(2, QQ)
+RINGS = [R for K in (QQ, PrimeField(7))
+         for R in (polynomial_ring(K, "u"), laurent_ring(K, "u"), laurent_ring(K, "u").add_free("v"))]
 SEED0 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "seed0"
 
 
@@ -136,8 +142,8 @@ def test_quasi_action_is_trivial_on_bundles():
     for k in range(2):
         eps = C2.counit.get(k, QQ.zero())
         for c in (C.one(), u, u * u + 5):
-            got = quasi_action(cm, k, c)
-            want = {i: A.lift(eps) * c * w for i, w in elements(C, A.unit).items()}
+            got = quasi_action(cm, c)[k]
+            want = {i: C.from_scalar(eps) * c * w for i, w in elements(C, A.unit).items()}
             want = {i: v for i, v in want.items() if not v.is_zero}
             assert elements(C, got) == want
 
@@ -250,3 +256,71 @@ def test_a_cleaving_and_its_cocycle_build_one_ring_ops(monkeypatch):
             monkeypatch.setattr(module, "ring_ops", counting)
     extract_cocycle(check_cleaving(g.algebra, g))
     assert built == [g.algebra.base]
+
+
+def _scalar(draw, K, nonzero=False):
+    n = draw(st.integers(-3, 3).filter(lambda n: n or not nonzero))
+    return K.div(K.from_int(n), K.from_int(draw(st.integers(1, 3))))
+
+
+def _element(draw, R):
+    out = R.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        out = out + R.monomial({g.name: draw(st.integers(-2 if g.kind == "laurent" else 0, 2))
+                                for g in R.gens}, _scalar(draw, R.field))
+    return out
+
+
+def _unit(draw, R):
+    """A nonzero scalar times a Laurent monomial: the units of these rings."""
+    return R.monomial({g.name: draw(st.integers(-2, 2)) for g in R.gens if g.kind == "laurent"},
+                      _scalar(draw, R.field, nonzero=True))
+
+
+def _abg_cleaving(draw, R):
+    return abg_cleaving(abg_bundle(AbgParams(R, _unit(draw, R), _element(draw, R),
+                                             _element(draw, R))))
+
+
+def _sums_match_their_formulas(cm, c) -> Cocycle:
+    """quasi_action on 1, the generators and c, extract_cocycle, and
+    twisted_product of that cocycle, each equal to the reference formula."""
+    A = cm.algebra
+    C, H, n = A.base, A.hopf, A.dim
+    for x in (C.one(), *(C.gen(g.name) for g in C.gens), c):
+        assert [dense(C, v, n) for v in quasi_action(cm, x)] == ref.quasi_action(cm, x)
+    sigma = extract_cocycle(cm)
+    one = dense(C, A.unit, n)
+    assert [[[s * u for u in one] for s in row] for row in sigma.sigma] == ref.cocycle_values(cm)
+    T = twisted_product(C, H, sigma)
+    want = ref.twisted_table(H, sigma)
+    assert {ab: dense(C, T.mult.get(ab, {}), H.dim) for ab in want} == want
+    return sigma
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_cleft_sums_match_their_formulas_on_abg(data):
+    """The rank-4 family over Q and F7 base rings, alpha a unit."""
+    R = data.draw(st.sampled_from(RINGS))
+    _sums_match_their_formulas(_abg_cleaving(data.draw, R), _element(data.draw, R))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_cleft_sums_match_their_formulas_on_twisted_products(data):
+    """Twisted products of C2, sigma(g, g) a unit, and of H4, sigma the
+    cocycle of a rank-4 bundle; each cleaving gives its sigma back."""
+    draw = data.draw
+    R = draw(st.sampled_from(RINGS))
+    if draw(st.booleans()):
+        H = cyclic_group_algebra(2, R.field)
+        sigma = Cocycle(R, H, ((R.one(), R.one()), (R.one(), _unit(draw, R))))
+    else:
+        H = sweedler_h4(R.field)
+        sigma = extract_cocycle(_abg_cleaving(draw, R))
+    T = twisted_product(R, H, sigma)
+    want = ref.twisted_table(H, sigma)
+    assert {ab: dense(R, T.mult.get(ab, {}), H.dim) for ab in want} == want
+    cm = cleaving_of_twisted_product(T)
+    assert _sums_match_their_formulas(cm, _element(draw, R)) == sigma

@@ -20,13 +20,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hopfgal
-from hopfgal.bundles import AbgParams, abg_bundle, kummer_bundle
-from hopfgal.cleft import check_cleaving
+from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving, kummer_bundle
+from hopfgal.cleft import Cocycle, check_cleaving, cleaving_of_twisted_product, twisted_product
 from hopfgal.cli import main
 from hopfgal.document import (
     Document,
     document_of,
     dump_document,
+    load_document,
     parse_document,
 )
 from hopfgal.errors import BadScalarError, SchemaError, UnresolvedReferenceError
@@ -35,6 +36,7 @@ from hopfgal.homotopy import (
     HomotopyWitness,
     cleft_trivialization_witness,
     identity_step,
+    kummer_trivialization_witness,
     root_step,
     verify_witness,
 )
@@ -269,6 +271,32 @@ def test_generated_documents_round_trip(doc):
     text = dump_document(doc)
     again = parse_document(text)
     assert again == doc
+    assert dump_document(again) == text
+
+
+@settings(deadline=None, max_examples=20, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_constructor_documents_load_back(tmp_path_factory, data):
+    """A document of records the constructors build, written by
+    ``dump_document``, reads back equal through ``load_document``: a Taft
+    algebra and its dual, a Kummer bundle and its trivialization witness,
+    a twisted product of C2 and a rank-4 bundle with their cleavings."""
+    draw = data.draw
+    K, N, q = draw(st.sampled_from(_FIELDS))
+    C = laurent_ring(K, "u")
+    C2 = cyclic_group_algebra(2, K)
+    S = twisted_product(C, C2, Cocycle(C, C2, ((C.one(), C.one()), (C.one(), _unit_of(draw, C)))))
+    B = _abg_over(draw, C)[0]
+    A, w = kummer_trivialization_witness(N, q, K)
+    T = taft(N, q, K)
+    doc = Document(K, hopf_algebras={"T": T, "D": dual_hopf(T)}, bundles={"A": A, "S": S, "B": B},
+                   cleavings={"s": cleaving_of_twisted_product(S).gamma, "b": abg_cleaving(B).gamma},
+                   witnesses={"w": w})
+    path, text = tmp_path_factory.mktemp("doc") / "doc.json", dump_document(doc)
+    path.write_text(text, encoding="utf-8")
+    again = load_document(str(path))  # names the rings and Hopf algebras doc left unnamed
+    for kind in ("hopf_algebras", "bundles", "cleavings", "witnesses"):
+        assert {name: getattr(again, kind)[name] for name in getattr(doc, kind)} == getattr(doc, kind)
     assert dump_document(again) == text
 
 
@@ -676,6 +704,26 @@ def test_repeated_generator_name_exits_2_at_its_pointer(tmp_path, capsys, case):
     path.write_text(json.dumps(raw))
     assert main(["witness", "verify", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {pointer}: repeats the name at {first}\n"
+
+
+@pytest.mark.parametrize("case", ["ring", "adjunction"])
+def test_generator_named_like_a_field_variable_exits_2_at_its_pointer(tmp_path, capsys, case):
+    """Over Q(w) a ring generator named w used to shadow the field's w, so
+    a printed value mentioning the field's w read back as the generator;
+    now the name is refused where it stands, in a ring's gens or in a
+    witness's adjunction."""
+    raw = _tables_document()
+    raw["field"] = {"base": "Q", "var": "w", "modulus": ["1", "1", "1"]}
+    if case == "ring":
+        raw["rings"]["C"] = {"gens": [{"name": "w", "kind": "free"}]}
+        pointer = "/rings/C/gens/0/name"
+    else:
+        raw["witnesses"]["w"]["step"]["adjunctions"][0]["name"] = "w"
+        pointer = "/witnesses/w/step/adjunctions/0/name"
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(raw))
+    assert main(["witness", "verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {pointer}: repeats the name at /field/var\n"
 
 
 def test_image_of_a_name_outside_the_source_exits_2(tmp_path, capsys):

@@ -21,7 +21,8 @@ from hopfgal.errors import (
     NotCommutativeError,
     NotEtaleInclusionError,
 )
-from hopfgal.fields import QQ, PrimeField
+from hopfgal.document import Document, dump_document, parse_document
+from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.homotopy import (
     EtaleStep,
     HomotopyWitness,
@@ -296,3 +297,26 @@ def test_random_parameters_trivialize():
             rep = verify_chain(cleft_trivialization_witness(p),
                                start=abg_bundle(p), end=target)
             assert rep.ok, (repr(p), list(rep.failures()))
+
+
+def test_a_kummer_witness_over_q_w_verifies_after_a_round_trip():
+    """Over Q(w) the root the witness adjoins is named w2, not w: a ring
+    generator named like a field variable shadows it when a printed value
+    is read back, so the stored witness failed its endpoint at 0."""
+    QW = SimpleExtension(QQ, "w", (QQ.one(), QQ.one(), QQ.one()))
+    _, w = kummer_trivialization_witness(3, QW.gen(), QW)
+    assert w.step.target.gens[-1].name == w.step.recipe[0][2] == "w2"
+    again = parse_document(dump_document(Document(QW, witnesses={"w": w}))).witnesses["w"]
+    assert again == w
+    assert verify_witness(again).ok
+
+
+def test_a_kummer_witness_over_q_z_verifies_after_a_round_trip():
+    """Over Q(z) the bundle's Laurent generator is named z2: a ring
+    generator may not take the name of a variable of its field."""
+    QZ = SimpleExtension(QQ, "z", (QQ.one(), QQ.one(), QQ.one()))
+    A, w = kummer_trivialization_witness(3, QZ.gen(), QZ)
+    assert [g.name for g in A.base.gens] == ["z2"]
+    again = parse_document(dump_document(Document(QZ, witnesses={"w": w}))).witnesses["w"]
+    assert again == w
+    assert verify_witness(again).ok

@@ -3,6 +3,9 @@ elimination kernel and Berkowitz, ``rings`` does not import it at module
 level, and the kernel takes its coefficients through ``Ops`` alone.
 Equality of records stays in one place: ``Record``'s, field by field.
 Only ``fields`` strips a scalar's field annotation.
+Only ``axioms`` and ``hopf`` read a comultiplication table row by row;
+every other Sweedler sum goes through ``axioms.convolution``.
+No module imports a name it does not use.
 Nothing in ``src/`` is defined for the tests alone: every function, method
 and class is named somewhere in ``src/`` or exported, or is allowed by
 name with a reason."""
@@ -56,6 +59,38 @@ def test_only_fields_strips_a_scalar_annotation() -> None:
                  if isinstance(node, ast.Call) and any(
                      isinstance(a, ast.Constant) and a.value in (" mod ", " in ") for a in node.args)}
     assert stripping == {"fields.py"}
+
+
+def test_only_axioms_and_hopf_read_a_comult_row() -> None:
+    """No other module calls ``.get`` on a table named ``comult`` (or
+    ``hcomult``): a cleaving's sums are convolutions."""
+    reading = {path.name for path in SRC.glob("*.py") for node in ast.walk(_tree(path.name))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "get" and (
+                   getattr(node.func.value, "id", None) or getattr(node.func.value, "attr", "")
+               ).endswith("comult")}
+    assert reading <= {"axioms.py", "hopf.py"}, sorted(reading)
+
+
+def _bound_names(node):
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_imported_name_is_used() -> None:
+    """``__init__`` is left out: it imports names to export them."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path.name)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in _bound_names(node) if name not in used]
+    assert unused == []
 
 
 def test_no_record_in_src_defines_eq() -> None:

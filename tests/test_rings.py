@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hopfgal.errors import (
@@ -15,13 +15,14 @@ from hopfgal.errors import (
     RingMismatchError,
     TowerOrderError,
 )
-from hopfgal.fields import QQ, PrimeField
+from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.rings import (
     BaseMorphism,
     adjoin_root,
     base_ring,
     compose,
     extend_with_t,
+    extension_levels,
     identity_morphism,
     inclusion_morphism,
     laurent_ring,
@@ -385,3 +386,88 @@ def test_ring_multiplication_matches_sympy_normal_form(case) -> None:
     assert all(m[i] in range(n) for m in got for i, n in enumerate(degrees) if n)
     want = _sympy_normal_form(p, kinds, degrees, values, a, b)
     assert {m: c % p if p else Fraction(c) for m, c in got.items()} == want
+
+
+# Every field the constructors build: Q, F_p, simple extensions and towers
+# of them (Q(i)[v]/(v^2 - i)[c]/(c^3 - v); F49 = F7[s]/(s^2 - 3), and
+# F49[t]/(t^3 - s), s not a cube in F49).
+_QI = SimpleExtension(QQ, "i", (QQ.one(), QQ.zero(), QQ.one()))
+_QI2 = SimpleExtension(_QI, "v", (_QI.neg(_QI.gen()), _QI.zero(), _QI.one()))
+_QI3 = SimpleExtension(_QI2, "c", (_QI2.neg(_QI2.gen()), _QI2.zero(), _QI2.zero(), _QI2.one()))
+_F49 = SimpleExtension(F7, "s", (F7.from_int(-3), F7.zero(), F7.one()))
+_F49T = SimpleExtension(_F49, "t", (_F49.neg(_F49.gen()), _F49.zero(), _F49.zero(), _F49.one()))
+TOWER_FIELDS = (QQ, PrimeField(2), F7, _QI, _QI2, _QI3, _F49, _F49T)
+
+
+def _scalar(draw, K):
+    if isinstance(K, SimpleExtension):
+        return tuple(_scalar(draw, K.base) for _ in range(K.degree))
+    if isinstance(K, PrimeField):
+        return draw(st.integers(0, K.p - 1))
+    return Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 9)))
+
+
+def _ring_tower(draw):
+    """base_ring(K) with up to three free, Laurent or root generators, the
+    Laurent ones below every root; a root's value is a unit monomial and
+    its degree is invertible in K.  A generator named like a variable of
+    K's tower (c over Q(i)[v][c]) is refused with ValueError, and left out."""
+    K = draw(st.sampled_from(TOWER_FIELDS))
+    R = base_ring(K)
+    for name in "abc"[:draw(st.integers(0, 3))]:
+        rooted = any(g.kind == "root" for g in R.gens)
+        kind = draw(st.sampled_from(("free", "root") if rooted else ("free", "laurent", "root")))
+        if name in {L.var for L in extension_levels(K)}:
+            with pytest.raises(ValueError, match="is a variable of"):
+                if kind == "root":
+                    adjoin_root(R, R.one(), 1, name)
+                else:
+                    getattr(R, f"add_{kind}")(name)
+        elif kind == "free":
+            R = R.add_free(name)
+        elif kind == "laurent":
+            R = R.add_laurent(name)
+        else:
+            c = _scalar(draw, K)
+            u = R.monomial({g.name: draw(st.integers(-2 if g.kind == "laurent" else 0, 2))
+                            for g in R.gens if g.kind != "free"}, K.one() if K.is_zero(c) else c)
+            degrees = [n for n in (2, 3) if not K.is_zero(K.from_int(n))]
+            R, _, _ = adjoin_root(R, u, draw(st.sampled_from(degrees)), name)
+    return R
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_scalar_parses_back_from_its_printing(data) -> None:
+    K = data.draw(st.sampled_from(TOWER_FIELDS))
+    x = _scalar(data.draw, K)
+    assert K.parse(K.format(x)) == x, K.format(x)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_every_ring_element_is_normal_and_parses_back(data) -> None:
+    """``element`` of any coefficient dict, exponents negative or past a
+    root's degree among them, either refuses a negative exponent off a
+    Laurent generator with ValueError or is in normal form: no zero
+    coefficient, every root exponent below its degree, no negative
+    exponent off a Laurent generator.  The normal form is a fixed point of
+    ``element`` and parses back from its printing."""
+    draw = data.draw
+    R = _ring_tower(draw)
+    exps = [st.integers(-3, 3) if g.kind == "laurent"
+            else st.one_of(st.integers(0, 5), st.integers(-2, -1)) for g in R.gens]
+    raw = {tuple(draw(e) for e in exps): _scalar(draw, R.field)
+           for _ in range(draw(st.integers(0, 4)))}
+    negative = any(e < 0 and g.kind != "laurent" for m in raw for g, e in zip(R.gens, m))
+    try:
+        x = R.element(raw)
+    except ValueError:
+        assert negative
+        return
+    assert not negative
+    assert not any(R.field.is_zero(c) for c in x.coeffs.values())
+    assert all(0 <= e < g.degree if g.kind == "root" else e >= 0 or g.kind == "laurent"
+               for m in x.coeffs for g, e in zip(R.gens, m)), R.format_element(x)
+    assert R.element(x.coeffs) == x
+    assert R.parse_element(R.format_element(x)) == x, R.format_element(x)
