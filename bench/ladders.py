@@ -13,7 +13,9 @@ comparing files.  The stored documents under ``perfbench/data`` are only
 read.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -24,6 +26,7 @@ import time
 from pathlib import Path
 
 import hopfgal
+from hopfgal.cli import main as cli_main
 from hopfgal.cleft import check_cleaving, extract_cocycle, twisted_product
 from hopfgal.comod import convolution_invert
 from hopfgal.document import load_document, validate_raw
@@ -164,6 +167,8 @@ def rungs():
     rows = canonical_matrix(B).sparse_rows()
     yield "ring_det", f"{DETS} berkowitz, nongalois.json over {B.base!r}", lambda: [
         B.base.format_coeffs(ring_det(rows, B.base)) for _ in range(DETS)][-1]
+    # the verdict of a bundle that is not Galois, with its determinant
+    yield "is_galois", "nongalois.json B", lambda: is_galois(B).describe()
     for n, p in ((8, 17), (16, 17), (24, 73), (32, 97)):
         K = PrimeField(p)
         q = of_order(K, n)
@@ -192,6 +197,10 @@ def rungs():
             yield "ring_det", size, lambda A=A, rows=rows: A.base.format_coeffs(ring_det(rows, A.base))
         yield "canonical_matrix", size, lambda A=A: sum(map(len, canonical_matrix(A).terms))
         yield "is_galois", size, lambda A=A: is_galois(A).ok
+        # the trivial bundle at 1 and the family over the interval, whose
+        # structure maps have no unit entry over their total algebras
+        yield "is_galois", f"{size} trivial bundle", lambda w=w: is_galois(w.at_one).ok
+        yield "is_galois", f"{size} family", lambda w=w: is_galois(w.family).ok
         yield "verify_witness", size, lambda w=w: verify_witness(w).ok
         if n < 60:  # the verdict is the rank of the witness's family
             yield "kummer_trivialization_witness", size, (
@@ -220,10 +229,21 @@ def rungs():
     yield "twisted_product", f"{CLEAVINGS} on abg over Q[u,v,w]", lambda: [
         sum(map(len, twisted_product(sigma.base, sigma.hopf, sigma).mult.values()))
         for _ in range(CLEAVINGS)][-1]
+    # the bundle and witness of Proposition 3.5 at the largest order, in
+    # process; it runs once, being over SINGLE_RUN_OVER_S; the verdict is the
+    # exit code
+    argv = ["demo", "prop35", "--order", "64", "--q", "11", "--field", "F193"]
+    yield "cli.main", " ".join(argv), lambda: quiet(cli_main, argv)
     QI = SimpleExtension(QQ, "i", (1, 0, 1))
     a = (QQ.fraction(3, 7), 5)
     yield "SimpleExtension.inv", f"{INVERSES} inverses in Q(i)", lambda: [
         QI.inv(a) for _ in range(INVERSES)][-1] == QI.inv(a)
+
+
+def quiet(fn, *args):
+    """fn(*args) with what it prints to stdout dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return fn(*args)
 
 
 def schema_pointer(raw) -> str:

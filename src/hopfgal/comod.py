@@ -43,7 +43,7 @@ from .errors import (
     RingMismatchError,
 )
 from .hopf import HopfAlgebra
-from .linalg import field_kernel, ring_det, ring_solve
+from .linalg import _solve, field_kernel, ring_det
 from .record import Record
 from .report import Report
 from .rings import BaseElement, BaseMorphism, BaseRing
@@ -337,7 +337,7 @@ def convolution_invert(gamma: HModuleMap) -> HModuleMap:
     e = unit_counit_map(A)
     sol = axioms.solve_convolution(A.ops, A.dim, A.mult, _lifted(C, A.hopf.comult),
                                    dict(enumerate(gamma.values)), e.values, list(range(d)),
-                                   lambda M, b: ring_solve(M, b, C))
+                                   lambda M, b: _solve(M, b, A.ops))
     if sol is None:
         raise NotInvertibleError("the cleaving map has no convolution inverse")
     inv = HModuleMap(A, tuple(sol[k] for k in range(d)))

@@ -36,14 +36,22 @@ base ring, zero divisors included.
   are such solves.  Both use only ``Ops.zero``, ``one``, ``add``, ``neg``,
   ``mul`` and ``is_zero``.  Over a field elimination stops only at an empty
   row, and the matrix is then singular.
+* ``regular`` turns an algebra free of finite rank over a base ring, given
+  by its multiplication table, into one more ``Ops``: its ``inv`` is a
+  solve with the matrix L_x of multiplication by x, and its norm is
+  det L_x.  A root adjunction is such an algebra over the ring below it
+  (``rings.BaseRing._root_try_inv``), and so is a commutative bundle over
+  its base (``galois.is_galois``, whose determinant over the bundle gives
+  up at a stall: ``_det`` with ``wait`` False).
 """
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
 from heapq import heapify, heappop, heappush
 
-from .axioms import Ops, field_ops, ring_ops
+from .axioms import Ops, accumulate, field_ops, product, ring_ops
 from .fields import Field
 from .rings import BaseRing
 
@@ -56,15 +64,17 @@ def _rows(M, ops: Ops) -> list:
              if not is_zero(x)} for row in M]
 
 
-def _eliminate(rows: list, ops: Ops, ncols: int, markowitz: bool) -> list:
+def _eliminate(rows: list, ops: Ops, ncols: int, markowitz: bool, wait=True) -> list:
     """Sparse Gauss-Jordan on ``rows`` in place; returns (row, col, pivot)s.
 
     ``ops.inv`` gives the inverse of an entry, or None for a non-unit.
     Each pivot row ends scaled to 1 at its column, which is zero in every
     other row; columns >= ncols (a right-hand side) are never pivots.  With
     ``markowitz`` the pivot is a unit entry of the shortest unpivoted row,
-    in its column with the fewest rows; otherwise columns go left to right
-    (every nonzero must then be a unit, as over a field).
+    in its column with the fewest rows, and a row with no unit entry waits
+    for an update, or with ``wait`` False ends elimination; otherwise
+    columns go left to right (every nonzero must then be a unit, as over a
+    field).
     """
     add, neg, mul, is_zero, inv = ops.add, ops.neg, ops.mul, ops.is_zero, ops.inv
     colrows = {}
@@ -81,7 +91,9 @@ def _eliminate(rows: list, ops: Ops, ncols: int, markowitz: bool) -> list:
             ln, i = heappop(heap)
             if i not in active or ln != len(rows[i]):
                 continue  # stale entry: the row was pivoted or changed length
-            cols = sorted((k for k in rows[i] if k < ncols), key=lambda k: (len(colrows[k]), k))
+            cols = [k for k in rows[i] if k < ncols]
+            if len(cols) > 1:
+                cols.sort(key=lambda k: (len(colrows[k]), k))
             if not cols:
                 break
             for c in cols:
@@ -89,7 +101,9 @@ def _eliminate(rows: list, ops: Ops, ncols: int, markowitz: bool) -> list:
                 if pinv is not None:
                     break
             else:
-                continue  # no unit entry: the row waits for an update
+                if wait:
+                    continue  # no unit entry: the row waits for an update
+                break
         else:
             c = next(columns, None)
             if c is None:
@@ -106,7 +120,9 @@ def _eliminate(rows: list, ops: Ops, ncols: int, markowitz: bool) -> list:
             prow[k] = mul(pinv, prow[k])
         pivots.append((i, c, pv))
         rest = [(k, y) for k, y in prow.items() if k != c]
-        for j in colrows[c] - {i}:
+        others, colrows[c] = colrows[c], {i}
+        others.discard(i)
+        for j in others:
             row = rows[j]
             f = neg(row.pop(c))
             for k, y in rest:
@@ -121,7 +137,6 @@ def _eliminate(rows: list, ops: Ops, ncols: int, markowitz: bool) -> list:
                     colrows[k].add(j)
             if j in active:
                 heappush(heap, (len(row), j))
-        colrows[c] = {i}
     return pivots
 
 
@@ -133,15 +148,19 @@ def _stalled(rows: list, pivots: list, n: int) -> tuple:
             sorted(set(range(n)).difference(c for _, c, _ in pivots)))
 
 
-def _det(M, ops: Ops):
+def _det(M, ops: Ops, wait=True):
     """Determinant of the square matrix M: the pivots, times Berkowitz on the
-    block elimination could not reduce, times the sign of the permutation."""
+    block elimination could not reduce, times the sign of the permutation.
+    With ``wait`` False, elimination ends at the first row with no unit
+    entry, and then the answer is None unless some row is zero."""
     rows = _rows(M, ops)
     n = len(rows)
-    pivots = _eliminate(rows, ops, n, True)
+    pivots = _eliminate(rows, ops, n, True, wait)
     left, cols = _stalled(rows, pivots, n)
     if any(not rows[i] for i in left):
         return ops.zero
+    if left and not wait:
+        return None
     block = [[rows[i].get(c, ops.zero) for c in cols] for i in left]
     det = ops.mul(reduce(ops.mul, (pv for _, _, pv in pivots), ops.one), _berkowitz(block, ops))
     perm = dict(zip(left, cols))
@@ -159,6 +178,8 @@ def _solve(M, b, ops: Ops):
     """
     rows = _rows(M, ops)
     n = len(rows)
+    if not all(rows):  # a zero row: M is singular
+        return None
     for row, bv in zip(rows, b):
         if not ops.is_zero(bv):
             row[n] = bv
@@ -180,10 +201,10 @@ def _solve(M, b, ops: Ops):
             v = [reduce(add, (mul(e, v[j]) for j, e in Bi), mul(c, r)) for Bi, r in zip(B, rhs)]
         y = {c: mul(f, vc) for c, vc in zip(cols, v)}
     x = dict(y)
-    for i, c, _ in pivots:
+    for i, c, _ in pivots:  # with no block, each pivot row is solved as it stands
         row = rows[i]
         x[c] = reduce(add, (neg(mul(row[k], yk)) for k, yk in y.items() if k in row),
-                      row.get(n, zero))
+                      row.get(n, zero)) if y else row.get(n, zero)
     return [x[c] for c in range(n)]
 
 
@@ -261,6 +282,46 @@ def _berkowitz(M, ops: Ops):
         c = _charpoly([[M[i][j] for j in cols] for i in rows], ops)[-1]
         det = ops.mul(det, ops.neg(c) if len(rows) % 2 else c)
     return ops.neg(det) if odd_permutation(perm) else det
+
+
+def regular(ops: Ops, n: int, table: dict, one: dict):
+    """The regular representation of an algebra free of rank n over a base
+    ring, on whose coefficient dicts ``ops`` works: table[(i, j)] holds
+    a_i a_j as {k: c}, and ``one`` holds 1 as {i: c}.
+
+    Returns (Ops, norm).  The Ops work on vectors {i: c} of the algebra;
+    its ``inv`` solves L_x y = 1, where L_x is the matrix of multiplication
+    by x (column k is x a_k), memoized by value.  norm(x) is det L_x.
+    This is exact when the algebra is commutative, unital and associative:
+    then x y = 1 for the y found, and x is a unit exactly when its norm is.
+    """
+    add, mul, get, empty, times = ops.add, ops.mul, table.get, {}, product(ops, table)
+
+    def lmat(x):
+        rows = [{} for _ in range(n)]
+        for j, xj in x.items():
+            last = None  # x_j m is formed once per run of one coefficient object m in the table
+            for k in range(n):
+                for l, m in get((j, k), empty).items():
+                    if m is not last:
+                        last, t = m, mul(xj, m)
+                    row = rows[l]
+                    row[k] = add(row[k], t) if k in row else t
+        return rows
+    memo = {}
+
+    def inv(x):
+        key = frozenset((i, frozenset(c.items())) for i, c in x.items())
+        if key not in memo:
+            y = _solve(lmat(x), [one.get(i, ops.zero) for i in range(n)], ops)
+            memo[key] = None if y is None else {
+                i: c for i, c in enumerate(y) if not ops.is_zero(c)}
+        return memo[key]
+    algebra = Ops({}, one, lambda x, y: accumulate(ops, (*x.items(), *y.items())),
+                  lambda x: {i: ops.neg(c) for i, c in x.items()},
+                  lambda x, y: accumulate(ops, times(x, y)), operator.not_, one.__eq__,
+                  lambda x: inv(x) is not None, inv)
+    return algebra, lambda x: _det(lmat(x), ops)
 
 
 def odd_permutation(perm: list) -> bool:

@@ -23,16 +23,16 @@ its tower.  Unit testing follows that structure: an element is a unit iff it
 is constant in the free generators, its single Laurent monomial factor is
 absorbed, and for each root extension its multiplication operator L on the
 rank-n free module over the prefix ring is invertible, recursing to k: the
-elimination kernel (``linalg.ring_solve``) solves L y = e_0 over the prefix
-ring, or answers None when det L is no unit, and y is the inverse.  Each
-inverse is re-verified by multiplication (an explicit check, not an assert,
-so ``python -O`` keeps it).  A scalar times a monomial in the Laurent
-generators alone is inverted directly, whatever roots lie above them.
-Laurent generators must precede every root
+root's regular representation (``linalg.regular``, built once per ring)
+solves L y = e_0 over the prefix ring, or answers None when det L is no
+unit, and y is the inverse.  Each inverse is re-verified by multiplication
+(an explicit check, not an assert, so ``python -O`` keeps it).  A scalar
+times a monomial in the Laurent generators alone is inverted directly,
+whatever roots lie above them.  Laurent generators must precede every root
 adjunction (TowerOrderError otherwise): above a root adjunction that created
 idempotents, a unit need not be a single Laurent monomial times a unit.
-This module holds no linear algebra: ``linalg`` imports it, so the root
-unit test imports ``ring_solve`` when it first runs.
+This module holds no linear algebra: ``linalg`` imports it, so the root unit
+test imports ``linalg`` when it first runs.
 
 The strings of one document share one ``WorkBudget``, which also reads
 each distinct string once: a repeat costs a dictionary lookup and
@@ -127,6 +127,7 @@ class BaseRing:
         self._root_indices = tuple(i for i, g in enumerate(self.gens) if g.kind == ROOT)
         self._prefix_cache: dict[int, BaseRing] = {}
         self._root_pow_cache: dict[tuple[int, int], dict] = {}
+        self._regular = None  # a top root's regular representation, built on first use
         self._names: dict | None = None  # _parse_names(), built on first use
         self._hash = None
 
@@ -371,27 +372,19 @@ class BaseRing:
         return {mono + (-e,): c for mono, c in inv.items()}
 
     def _root_try_inv(self, d: dict):
-        """_try_inv_dict when the last generator is a root r with r^n = u:
-        solve L y = e_0 over the prefix ring, where column k of L is d r^k in
-        the basis 1, r, ..., r^(n-1); then d^-1 = sum_k y_k r^k."""
-        from .linalg import ring_solve  # linalg imports this module
-        m = len(self.gens) - 1
-        sub, n = self.prefix(m), self.gens[-1].degree
-        u = {mono[:-1]: c for mono, c in self.root_values[-1].items()}
+        """_try_inv_dict when the last generator is a root r with r^n = u: the inverse
+        in the regular representation over the prefix ring on 1, r, ..., r^(n-1)."""
+        if self._regular is None:  # r^j r^k is r^(j+k), or u r^(j+k-n) once j + k >= n
+            from . import axioms, linalg  # they import this module
+            sub, n = self.prefix(len(self.gens) - 1), self.gens[-1].degree
+            one, u = sub.one().coeffs, {mono[:-1]: c for mono, c in self.root_values[-1].items()}
+            table = {(j, k): {(j + k) % n: u if j + k >= n else one} for j in range(n) for k in range(n)}
+            self._regular = linalg.regular(axioms.ring_ops(sub), n, table, {0: one})[0]
         coords = {}
         for mono, c in d.items():
             coords.setdefault(mono[-1], {})[mono[:-1]] = c
-        # a term a r^j of d puts a in row j + k of column k, or a u in row
-        # j + k - n once r^(j+k) passes r^n = u
-        entries = {j: (a, sub._mul(a, u)) for j, a in coords.items()}
-        rows = [{} for _ in range(n)]
-        for k in range(n):
-            for j, (a, au) in entries.items():
-                rows[(j + k) % n][k] = au if j + k >= n else a
-        y = ring_solve(rows, [{(0,) * m: self.field.one()}] + [{}] * (n - 1), sub)
-        if y is None:
-            return None
-        return {mono + (k,): c for k, yk in enumerate(y) for mono, c in yk.items()}
+        y = self._regular.inv(coords)
+        return None if y is None else {m + (k,): c for k, yk in y.items() for m, c in yk.items()}
 
     # ------------------------------------------------------------ grading
 

@@ -104,10 +104,10 @@ def berkowitz_det(M, ring: BaseRing) -> BaseElement:
     return BaseElement(ring, _berkowitz_dicts(ring, [[e.coeffs for e in row] for row in M]))
 
 
-def root_try_inv(ring: BaseRing, d: dict):
-    """_try_inv_dict when the last generator is a root: decide via the
-    multiplication operator on the free module with basis 1, g, ...,
-    g^(n-1) over the prefix ring."""
+def root_matrix(ring: BaseRing, d: dict) -> list:
+    """The dense matrix over the prefix ring of multiplication by d, when
+    the last generator g is a root: column k is d g^k in the basis 1, g,
+    ..., g^(n-1)."""
     m = len(ring.gens)
     sub = ring.prefix(m - 1)
     n = ring.gens[-1].degree
@@ -133,6 +133,22 @@ def root_try_inv(ring: BaseRing, d: dict):
             images[r] = sub._add(images[r], term)
         for row in range(n):
             M[row][col] = images[row]
+    return M
+
+
+def root_norm(ring: BaseRing, d: dict) -> dict:
+    """det of ``root_matrix``, by Berkowitz over the prefix ring."""
+    return _berkowitz_dicts(ring.prefix(len(ring.gens) - 1), root_matrix(ring, d))
+
+
+def root_try_inv(ring: BaseRing, d: dict):
+    """_try_inv_dict when the last generator is a root: decide via the
+    multiplication operator on the free module with basis 1, g, ...,
+    g^(n-1) over the prefix ring."""
+    m = len(ring.gens)
+    sub = ring.prefix(m - 1)
+    n = ring.gens[-1].degree
+    M = root_matrix(ring, d)
     # det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n, and c_n = (-1)^n det M
     poly = _charpoly_dicts(sub, M)
     cinv = sub._try_inv_dict(poly[n])

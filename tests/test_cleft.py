@@ -238,10 +238,10 @@ def test_push_forward_commutes_with_twisting():
     assert left == right
 
 
-def test_a_cleaving_and_its_cocycle_build_one_ring_ops(monkeypatch):
+def test_a_cleaving_and_its_cocycle_build_no_ring_ops(monkeypatch):
     """A bundle record builds its coefficient operations once, and the maps
     into it use them: certifying the stored cleaving of the ABG bundle over
-    Q[u,v,w] and extracting its cocycle builds only the Ops of the one
+    Q[u,v,w] and extracting its cocycle builds no Ops, not even for the
     convolution solve."""
     g = load_document(str(SEED0 / "bundle-towers" / "abg_uvw.json")).cleavings["g"]
     built = []
@@ -255,7 +255,26 @@ def test_a_cleaving_and_its_cocycle_build_one_ring_ops(monkeypatch):
         if getattr(module, "ring_ops", None) is ring_ops:
             monkeypatch.setattr(module, "ring_ops", counting)
     extract_cocycle(check_cleaving(g.algebra, g))
-    assert built == [g.algebra.base]
+    assert built == []
+
+
+def test_a_second_check_of_a_cleaving_tests_no_unit_again(monkeypatch):
+    """The convolution solve tests its entries for units through the
+    bundle's own memoized Ops: checking the stored ABG cleaving over
+    Q[u,v,w] a second time calls no try_inverse."""
+    g = load_document(str(SEED0 / "bundle-towers" / "abg_uvw.json")).cleavings["g"]
+    C, calls = g.algebra.base, []
+    try_inverse = type(C).try_inverse
+
+    def counting(ring, a):
+        calls.append(a)
+        return try_inverse(ring, a)
+    monkeypatch.setattr(type(C), "try_inverse", counting)
+    first = check_cleaving(g.algebra, g)
+    assert calls
+    calls.clear()
+    assert check_cleaving(g.algebra, g) == first
+    assert calls == []
 
 
 def _scalar(draw, K, nonzero=False):

@@ -6,6 +6,8 @@ structure-map determinant is -u (not a unit, ramified); over k[u, u^-1]
 it is a unit.  Both facts were checked by hand and are frozen here.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,8 @@ from hopfgal.galois import (
     is_galois,
     verify_bundle,
 )
-from hopfgal.homotopy import identity_matrix
+from hopfgal.document import load_document
+from hopfgal.homotopy import identity_matrix, kummer_trivialization_witness
 from hopfgal.hopf import (Bialgebra, cyclic_group_algebra, dual_hopf, solve_antipode,
                           sweedler_h4, taft)
 from hopfgal.rings import (
@@ -283,10 +286,10 @@ def test_the_ring_layer_of_linalg_computes_on_coefficient_dicts(monkeypatch):
     entries, results, eliminations = [], [], []
     eliminate = linalg._eliminate
 
-    def spying(rows, ops, ncols, markowitz):
+    def spying(rows, ops, *rest):
         eliminations.append(len(rows))
         entries.extend(x for row in rows for x in row.values())
-        return eliminate(rows, ops, ncols, markowitz)
+        return eliminate(rows, ops, *rest)
     monkeypatch.setattr(linalg, "_eliminate", spying)
 
     def recording(f):
@@ -297,8 +300,8 @@ def test_the_ring_layer_of_linalg_computes_on_coefficient_dicts(monkeypatch):
             results.extend([] if out is None else out if isinstance(out, list) else [out])
             return out
         return entry_point
-    for module, name in ((galois, "ring_det"), (comod, "ring_det"), (comod, "ring_solve"),
-                         (linalg, "ring_solve")):  # rings imports ring_solve when it runs
+    for module, name in ((galois, "ring_det"), (comod, "ring_det"), (comod, "_solve"),
+                         (linalg, "_solve")):  # the root unit test solves in linalg.regular
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
 
     C = laurent_ring(QQ, "u")
@@ -418,3 +421,132 @@ def test_records_read_base_elements_at_the_edge(built, data):
         values[k] = foreign(values[k])
         with pytest.raises(RingMismatchError):
             HModuleMap(A, tuple(values))
+
+
+# --------------------------------------------------------------------------
+# the Galois determinant as a norm over a commutative A, against the
+# canonical matrix as the oracle
+# --------------------------------------------------------------------------
+
+F13, F241 = PrimeField(13), PrimeField(241)
+SEED0 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "seed0"
+
+
+def _of_order(K, N):
+    return next(K.from_int(a) for a in range(2, K.p) if K.has_order(K.from_int(a), N))
+
+
+def _canonical_det(A) -> dict:
+    """det beta by the canonical-matrix route, which is_galois falls back to."""
+    return linalg.ring_det(canonical_matrix(A).sparse_rows(), A.base)
+
+
+def _norm_route(A):
+    """det beta by the norm route, or None where is_galois falls back."""
+    return galois._norm_det(A, galois._structure_columns(A))
+
+
+@pytest.mark.parametrize("K, N", [(K, N) for K in (F241, F13) for N in range(2, 25)
+                                  if (K.p - 1) % N == 0], ids=repr)
+def test_the_norm_route_gives_the_canonical_determinant_on_kummer_bundles(K, N):
+    A = kummer_bundle(N, _of_order(K, N), K)
+    want = _canonical_det(A)
+    assert _norm_route(A) == want
+    assert is_galois(A).det.coeffs == want
+
+
+def _stored_and_witness_bundles():
+    """The seed-0 bundles and witness bundles, and a Kummer witness's at N = 8
+    and 12 over F241: trivial bundles and families, on which elimination
+    over A stalls, Kummer bundles, on which it does not, nongalois.json's B
+    and the non-commutative ABG bundles."""
+    out = []
+    for name in ("kummer", "nongalois", "abg_uvw"):
+        doc = load_document(str(SEED0 / "bundle-towers" / f"{name}.json"))
+        out += [(f"{name}:{key}", B) for key, B in sorted(doc.bundles.items())]
+        out += [(f"{name}:{key}.{end}", getattr(w, end)) for key, w in sorted(doc.witnesses.items())
+                for end in ("family", "at_zero", "at_one")]
+    for N in (8, 12):
+        _, w = kummer_trivialization_witness(N, _of_order(F241, N), F241)
+        out += [(f"witness{N}.{end}", getattr(w, end)) for end in ("family", "at_zero", "at_one")]
+    return out
+
+
+@pytest.mark.parametrize("name, A", _stored_and_witness_bundles(), ids=lambda x: x
+                         if isinstance(x, str) else "")
+def test_is_galois_gives_the_canonical_determinant_on_stored_bundles(name, A):
+    """Whichever route runs, the determinant is the canonical one; the norm
+    route answers only over a commutative A."""
+    want = _canonical_det(A)
+    assert is_galois(A).det.coeffs == want
+    route = _norm_route(A)
+    assert route in (None, want)
+    if axioms.commutativity(A.dim, A.mult) is not None:
+        assert route is None
+
+
+def test_the_norm_route_falls_back_where_elimination_over_a_stalls():
+    """The trivial bundle of a Kummer witness has no unit entry in X, and
+    nongalois.json's B stalls too; the Kummer bundles do not."""
+    _, w = kummer_trivialization_witness(8, _of_order(F241, 8), F241)
+    B = load_document(str(SEED0 / "bundle-towers" / "nongalois.json")).bundles["B"]
+    assert _norm_route(w.at_one) is None and _norm_route(w.family) is None
+    assert _norm_route(B) is None
+    assert _norm_route(w.at_zero) is not None
+
+
+def _kummer4_with(mult=None, unit=None):
+    A = kummer_bundle(4, _of_order(F241, 4), F241)
+    return ComoduleAlgebra(A.base, A.hopf, A.labels, {**A.mult, **(mult or {})},
+                           A.unit if unit is None else unit, A.coaction)
+
+
+FIVE_Z = {0: {(1,): F241.from_int(5)}}  # 5z a_0 over F241[z^+-1]
+
+
+@pytest.mark.parametrize("build, premise", [
+    (lambda: _kummer4_with(mult={(1, 3): FIVE_Z, (3, 1): FIVE_Z}), "associativity"),
+    (lambda: _kummer4_with(mult={(2, 2): FIVE_Z}), "associativity"),
+    (lambda: _kummer4_with(unit={0: {(0,): F241.from_int(2)}}), "unit"),
+], ids=["a1a3", "a2a2", "unit"])
+def test_the_norm_route_needs_its_premises(build, premise, monkeypatch):
+    """Each corrupted Kummer table over F241[z^+-1] stays commutative and
+    breaks one premise; the norm route taken without it would give another
+    determinant, so the canonical-matrix route runs."""
+    A = build()
+    assert axioms.commutativity(A.dim, A.mult) is None
+    assert [c.ok for c in ref.verify_comodule_algebra(A).checks if c.name == premise] == [False]
+    want = _canonical_det(A)
+    assert _norm_route(A) is None
+    assert is_galois(A).det.coeffs == want
+    monkeypatch.setattr(galois, "unital_associative", lambda *args: True)
+    assert _norm_route(A) not in (None, want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_corrupted_commutative_tables_keep_the_canonical_determinant(data):
+    """A Kummer bundle over F241 or F13 with a product a_i a_j = a_j a_i, or
+    its unit, replaced by a drawn vector: when the unit or associativity
+    fails the norm route declines, and is_galois gives the canonical
+    determinant."""
+    K = data.draw(st.sampled_from((F241, F13)))
+    N = data.draw(st.sampled_from((2, 3, 4, 6)))
+    A = kummer_bundle(N, _of_order(K, N), K)
+    C = A.base
+    vector = st.dictionaries(st.integers(0, N - 1), st.tuples(
+        st.integers(-2, 2), st.integers(1, K.p - 1)), min_size=1, max_size=2).map(
+        lambda v: {l: {(e,): K.from_int(c)} for l, (e, c) in v.items()})
+    mult, unit = dict(A.mult), A.unit
+    if data.draw(st.booleans()):
+        i, j = sorted(data.draw(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1))))
+        mult[(i, j)] = mult[(j, i)] = data.draw(vector)
+    else:
+        unit = data.draw(vector)
+    bad = ComoduleAlgebra(C, A.hopf, A.labels, mult, unit, A.coaction)
+    want = _canonical_det(bad)
+    checks = {c.name: c.ok for c in ref.verify_comodule_algebra(bad).checks}
+    if not (checks["unit"] and checks["associativity"]):
+        assert _norm_route(bad) is None
+    assert _norm_route(bad) in (None, want)
+    assert is_galois(bad).det.coeffs == want

@@ -1,6 +1,7 @@
 """The linear algebra stays in one layer: ``linalg`` alone defines the
-elimination kernel and Berkowitz, ``rings`` does not import it at module
-level, and the kernel takes its coefficients through ``Ops`` alone.
+elimination kernel, Berkowitz and the regular representation, ``rings``
+does not import it at module level, and the kernel takes its
+coefficients through ``Ops`` alone.
 Equality of records stays in one place: ``Record``'s, field by field.
 Only ``fields`` strips a scalar's field annotation.
 Only ``axioms`` and ``hopf`` read a comultiplication table row by row;
@@ -20,7 +21,7 @@ from hopfgal import linalg
 from hopfgal.record import Record
 
 SRC = Path(linalg.__file__).parent
-KERNEL = {"_eliminate", "_charpoly", "_berkowitz", "odd_permutation"}
+KERNEL = {"_eliminate", "_charpoly", "_berkowitz", "odd_permutation", "regular"}
 
 
 def _tree(name):
@@ -111,9 +112,11 @@ def test_no_record_in_src_defines_eq() -> None:
 # Defined in src/ and named nowhere else in it, each kept on purpose.
 UNCALLED = {
     "berkowitz_det": "perfbench/traced.py traces it",
+    "ring_solve": "perfbench/traced.py traces it; the solves in src/ take their record's Ops",
     "BaseRing.monomial": "public ring API; the tests build elements with it",
     "polynomial_ring": "public constructor; perfbench/workloads.py and the tests use it",
     "CanonicalMatrix.nrows": "public property; demos/02_galois_bundles.py prints it",
+    "CanonicalMatrix.sparse_rows": "public matrix API; bench/ladders.py hands it to ring_det",
     "WitnessChain.reverse": "public chain API; test_homotopy and test_cli compose with it",
     "WitnessChain.then": "public chain API; test_homotopy composes with it",
 }

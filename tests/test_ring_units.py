@@ -212,6 +212,34 @@ def test_root_inverse_matches_the_cayley_hamilton_oracle(case) -> None:
     assert (None if got is None else got.coeffs) == ref.root_try_inv(ring, d)
 
 
+def _by_root_power(ring, coeffs: dict) -> dict:
+    """An element of the ring as {k: coefficient of r^k over the prefix}."""
+    out = {}
+    for mono, c in coeffs.items():
+        out.setdefault(mono[-1], {})[mono[:-1]] = c
+    return out
+
+
+@settings(deadline=None, max_examples=200)
+@given(_under_a_root())
+def test_the_regular_representation_matches_the_root_oracles(case) -> None:
+    """linalg.regular on the table of r^j r^k, formed by ring arithmetic:
+    inv is the Cayley-Hamilton inverse and norm the Berkowitz determinant
+    of the multiplication matrix, both from reference_units."""
+    ring, d = case
+    sub, n, r = ring.prefix(len(ring.gens) - 1), ring.gens[-1].degree, ring.gen("r")
+    table = {(j, k): _by_root_power(ring, (r ** j * r ** k).coeffs)
+             for j in range(n) for k in range(n)}
+    algebra, norm = linalg.regular(ring_ops(sub), n, table, {0: sub.one().coeffs})
+    x = _by_root_power(ring, d)
+    want = ref.root_try_inv(ring, d)
+    assert algebra.inv(x) == (None if want is None else _by_root_power(ring, want))
+    assert algebra.is_unit(x) == (want is not None)
+    assert norm(x) == ref.root_norm(ring, d)
+    if want is not None:
+        assert algebra.is_one(algebra.mul(x, algebra.inv(x)))
+
+
 def _refuse_charpoly(ring, M):
     raise AssertionError("the charpoly was taken")
 
