@@ -28,15 +28,15 @@ from pathlib import Path
 import hopfgal
 from hopfgal.cli import main as cli_main
 from hopfgal.cleft import check_cleaving, extract_cocycle, twisted_product
-from hopfgal.comod import convolution_invert
+from hopfgal.comod import ComoduleAlgebra, convolution_invert
 from hopfgal.document import load_document, validate_raw
 from hopfgal.errors import SchemaError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.galois import canonical_matrix, is_galois, verify_bundle
 from hopfgal.homotopy import kummer_trivialization_witness, verify_witness
-from hopfgal.hopf import Bialgebra, dual_hopf, solve_antipode, taft, verify_hopf
+from hopfgal.hopf import Bialgebra, HopfAlgebra, dual_hopf, solve_antipode, taft, verify_hopf
 from hopfgal.linalg import ring_det
-from hopfgal.rings import adjoin_root, laurent_ring, polynomial_ring
+from hopfgal.rings import BaseElement, adjoin_root, laurent_ring, polynomial_ring
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "perfbench" / "data" / "seed0"
@@ -49,6 +49,7 @@ DETS = 20  # per run of the Berkowitz ring_det rung: one takes about 5 ms
 VALIDATIONS = 20  # per run of a validate_raw rung
 ROOTS = 1000  # per run of a Q or F_p sqrt rung; a tenth of it in an extension
 FIELD_OPS = 10000  # per run of a field mul or inv rung
+CONSTRUCTIONS = 20  # per run of the ComoduleAlgebra rung: one takes about 2.5 ms
 
 
 def timed(fn):
@@ -114,6 +115,25 @@ def ring_rungs():
                 lambda R=R, x=x: [R.try_inverse(x) for _ in range(INVERSES_IN_RING)][-1] is not None)
 
 
+def fresh_inverse_rungs():
+    """try_inverse of INVERSES_IN_RING distinct elements under a root, on a
+    ring built afresh in each run, so that no value is in the memo of its
+    regular representation: units c z^a w^b and non-units 1 + c z^a w^b,
+    0 < b < N, of F241[z^+-1][w | w^N = z]; the verdict is the number of
+    units found."""
+    L = laurent_ring(PrimeField(241), "z")
+    for n in (8, 16, 24):
+        picks = [(c, a, b) for c in range(1, 241) for a in (-1, 0, 1)
+                 for b in range(1, n)][:INVERSES_IN_RING]
+        for kind, elements in (("unit", [{(a, b): c} for c, a, b in picks]),
+                               ("non-unit", [{(0, 0): 1, (a, b): c} for c, a, b in picks])):
+            def run(n=n, elements=elements):
+                R = adjoin_root(L, L.gen("z"), n, name="w")[0]
+                return sum(R.try_inverse(BaseElement(R, e)) is not None for e in elements)
+            yield f"try_inverse {kind}", (
+                f"{len(elements)} distinct in a fresh F241[z^+-1][w | w^{n} = z]"), run
+
+
 def sqrt_rungs():
     """sqrt of squares, so every call finds a root: of fractions with
     30-digit numerators over Q, in F998244353 (119 * 2^23 + 1, the longest
@@ -151,6 +171,7 @@ def rungs():
     """(layer, size, callable returning a verdict) in the order they run;
     what a rung needs is built before it is timed."""
     yield from ring_rungs()
+    yield from fresh_inverse_rungs()
     yield from sqrt_rungs()
     yield from field_rungs()
     for name in ("bundle-towers/kummer.json", "cli-docs/abg.json"):
@@ -175,6 +196,9 @@ def rungs():
         yield "taft", f"N={n}/F{p}", lambda n=n, q=q, K=K: taft(n, q, K).dim
         H = taft(n, q, K)
         yield "verify_hopf", f"taft N={n}/F{p}", lambda H=H: verify_hopf(H).ok
+        if n == 32:  # the record alone, from tables in normal form; the verdict is its rows
+            yield "HopfAlgebra", f"taft N={n}/F{p} tables", lambda H=H: len(HopfAlgebra(
+                H.field, H.labels, H.mult, H.unit, H.comult, H.counit, H.antipode).mult)
     # the antipode solved on generators, then on the whole basis of a dual,
     # whose 1 is a sum of basis elements; the verdict is the stored antipode
     for n, p, dual in ((6, 7, False), (8, 17, False), (12, 13, False),
@@ -190,6 +214,16 @@ def rungs():
         q = of_order(F241, n)
         A, w = kummer_trivialization_witness(n, q, F241)
         size = f"kummer N={n}/F241"
+        if n == 60:  # the record alone, from tables of BaseElements as kummer_bundle gives
+            C = A.base
+
+            def elements(vec, C=C):
+                return {i: BaseElement(C, c) for i, c in vec.items()}
+            tables = ({k: elements(row) for k, row in A.mult.items()}, elements(A.unit),
+                      {k: elements(row) for k, row in A.coaction.items()})
+            yield "ComoduleAlgebra", f"{CONSTRUCTIONS} of {size} tables", (
+                lambda A=A, tables=tables: [len(ComoduleAlgebra(A.base, A.hopf, A.labels, *tables)
+                                                .coaction) for _ in range(CONSTRUCTIONS)][-1])
         yield "verify_bundle", size, lambda A=A: verify_bundle(A).ok
         # every one of the N^2 pivots is a unit; the verdict is the determinant
         if n < 60:

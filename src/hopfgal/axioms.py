@@ -12,8 +12,9 @@ coefficient interface that ``linalg`` shares: the ground field's
 operations on scalars for a Hopf algebra, the base ring's operations on
 coefficient dicts for a bundle.  A record's tables hold their entries in
 that form, field scalars in a Hopf algebra and coefficient dicts
-{monomial: scalar} in a bundle, so every check reads the tables it was
-built with, as they are.
+{monomial: scalar} in a bundle, put there by ``normal`` when the record is
+built, which also refuses an index out of range and an entry of another
+ring; so every check reads the tables it was built with, as they are.
 
 A product of basis elements is read off the table instead of being formed
 from basis vectors, and a product with a coefficient 1 is the other
@@ -58,8 +59,11 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from itertools import chain
+from operator import itemgetter
 
-from .rings import BaseElement
+from .errors import DimensionMismatchError, RingMismatchError
+from .rings import BaseElement, BaseRing
 
 
 # Coefficient operations of a field (on scalars) or of a base ring (on
@@ -114,16 +118,52 @@ def ring_ops(C) -> Ops:
                operator.not_, is_one, lambda a: is_one(a) or inv(a) is not None, inv)
 
 
-def nonzero(vec: dict, is_zero) -> dict:
-    """vec with its zero values dropped."""
-    return {k: c for k, c in vec.items() if not is_zero(c)}
+def normal(name: str, table: dict, keys: tuple, cols, over) -> dict:
+    """A copy of table as a record holds it: zero entries and empty rows
+    dropped, so that equality is field by field, and a BaseElement entry
+    read as its coefficient dict.  ``over`` is the field of its scalars or
+    the base ring of its coefficient dicts (RingMismatchError for an element
+    of another ring).  ``keys`` gives the bound n of each index of a key and
+    ``cols`` of a row's keys, None for a vector (a row itself); an index
+    outside range(n) raises DimensionMismatchError "<name> index out of range".
+    """
+    if isinstance(over, BaseRing):
+        def vec(row):
+            return {k: e for k, c in row.items() if (e := _coefficients(over, c))}
+    elif any(map(over.is_zero, set(table.values() if cols is None else
+                                   chain.from_iterable(map(dict.values, table.values()))))):
+        def vec(row):
+            return {k: c for k, c in row.items() if not over.is_zero(c)}
+    else:
+        vec = dict  # no entry is zero, found once per distinct scalar
+    if cols is None:
+        out = vec(table)
+    else:
+        out = {key: v for key, row in table.items() if (v := vec(row))}
+        _in_range(name, set().union(*out.values()), cols)
+    _in_range(name, out, keys)
+    return out
 
 
-def normal(table: dict, is_zero) -> dict:
-    """A table of vectors with zero values and empty rows dropped: the form
-    in which a record keeps its tables, so that equality is field by field."""
-    return {key: v for key, row in table.items()
-            if (v := {k: c for k, c in row.items() if not is_zero(c)})}
+def _coefficients(C, c) -> dict:
+    """A table entry over C, a BaseElement or a coefficient dict, as the latter."""
+    if c.__class__ is not BaseElement:
+        return c
+    if c.ring is not C and c.ring != C:
+        raise RingMismatchError(f"entry {c} lies in {c.ring!r}, not in {C!r}")
+    return c.coeffs
+
+
+def _in_range(name: str, indices, bounds: tuple) -> None:
+    """DimensionMismatchError unless each index, an int for one bound n, else
+    a tuple of one per bound, lies in range(n)."""
+    if len(bounds) == 1:
+        ok = set(indices) <= set(range(bounds[0]))
+    else:
+        ok = set(map(len, indices)) <= {len(bounds)} and all(
+            set(map(itemgetter(p), indices)) <= set(range(n)) for p, n in enumerate(bounds))
+    if not ok:
+        raise DimensionMismatchError(f"{name} index out of range")
 
 
 def accumulate(ops: Ops, pairs) -> dict:
@@ -356,8 +396,8 @@ def comodule_map(ops: Ops, n: int, phi: dict, coaction: dict, bcoaction: dict):
 def counit_unit(ops: Ops, d: int, counit: dict, unit: dict) -> list:
     """[counit(h_i) 1 for i < d], the identity of convolution: counit maps i
     to a nonzero coefficient, and unit holds the 1 of A as {l: c}."""
-    mul = ops.mul
-    return [nonzero({l: mul(counit[i], u) for l, u in unit.items()}, ops.is_zero)
+    mul, is_zero = ops.mul, ops.is_zero
+    return [{l: v for l, u in unit.items() if not is_zero(v := mul(counit[i], u))}
             if i in counit else {} for i in range(d)]
 
 

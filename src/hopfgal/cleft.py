@@ -8,6 +8,9 @@ With central base the quasi-action must be trivial and sigma must take
 values in the base; the bundle is then recovered as a twisted product of
 the base with H.  Each Sweedler sum here is one ``axioms.convolution``.
 
+A ``Cocycle`` keeps sigma as a tuple of rows of BaseElements, and the sums
+read it as a table in a record's normal form (``axioms.normal``).
+
 Cocycle validity is certified by directly checking unitality and
 associativity of the constructed product on all basis triples rather than
 through abstract cocycle identities; at the ranks handled here the direct
@@ -17,7 +20,7 @@ check is cheap and leaves nothing implicit.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import ring_ops
+from .axioms import normal, ring_ops
 from .comod import (
     ComoduleAlgebra,
     HModuleMap,
@@ -27,14 +30,8 @@ from .comod import (
     trivial_bundle,
     unit_counit_map,
 )
-from .errors import (
-    BadNormalizationError,
-    DimensionMismatchError,
-    NonCentralDatumError,
-    NotAssociativeError,
-    NotComoduleMapError,
-    RingMismatchError,
-)
+from .errors import (BadNormalizationError, DimensionMismatchError, NonCentralDatumError,
+                     NotAssociativeError, NotComoduleMapError, RingMismatchError)
 from .hopf import HopfAlgebra
 from .record import Record
 from .report import Report
@@ -110,8 +107,13 @@ class Cocycle(Record, frozen=True):
 
     def __post_init__(self):
         d = self.hopf.dim
+        object.__setattr__(self, "sigma", tuple(map(tuple, self.sigma)))
         if len(self.sigma) != d or any(len(row) != d for row in self.sigma):
             raise DimensionMismatchError("cocycle table must be square of the Hopf dimension")
+        # not a field: sigma as {(a, b): coefficient dict}, the form the sums read
+        object.__setattr__(self, "table", normal(
+            "cocycle", {(a, b): c for a, row in enumerate(self.sigma) for b, c in enumerate(row)},
+            (d, d), None, self.base))
 
 
 def trivial_cocycle(base: BaseRing, H: HopfAlgebra) -> Cocycle:
@@ -184,9 +186,10 @@ def _check_normalization(ops, sigma: Cocycle) -> None:
     """sigma(1, h) = sigma(h, 1) = counit(h) 1, each side summed once."""
     C, H = sigma.base, sigma.hopf
     L, unit, eps = H.labels, _lifted(C, H.unit), _lifted(C, H.counit)
-    rows = {a: {b: c.coeffs for b, c in enumerate(row) if c.coeffs}
-            for a, row in enumerate(sigma.sigma)}
-    cols = {b: {a: row[b] for a, row in rows.items() if b in row} for b in range(H.dim)}
+    rows, cols = {}, {}
+    for (a, b), c in sigma.table.items():
+        rows.setdefault(a, {})[b] = c
+        cols.setdefault(b, {})[a] = c
     left, right = axioms.image(ops, rows, unit), axioms.image(ops, cols, unit)
     for b in range(H.dim):
         if left.get(b, {}) != eps.get(b, {}):
@@ -214,8 +217,7 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
     # C, of rank 1 with basis index 0, acts on H by {(0, q): {q: 1}}
     table = axioms.convolution(
         ops, d * d, {(0, q): {q: ops.one} for q in range(d)}, _tensor_square_comult(base, H),
-        {a * d + b: {0: c.coeffs} for a, row in enumerate(sigma.sigma)
-         for b, c in enumerate(row) if c.coeffs},
+        {a * d + b: {0: c} for (a, b), c in sigma.table.items()},
         _lifted(base, {a * d + b: h for (a, b), h in H.mult.items()}))
     A = ComoduleAlgebra(base, H, H.labels, {divmod(i, d): v for i, v in enumerate(table)},
                         T.unit, T.coaction)

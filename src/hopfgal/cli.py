@@ -161,13 +161,18 @@ def _cmd_pushforward(args):
     return (0 if rep.ok else 1), lines, payload
 
 
-def _cmd_h4_criterion(args):
+def _abg_flags(args) -> AbgParams:
+    """The parameters --alpha, --beta and --gamma over --field."""
     K = field_from_name(args.field)
     C = base_ring(K)
-    vals = {nm: C.from_scalar(_scalar_flag(K, getattr(args, nm), nm))
-            for nm in ("alpha", "beta", "gamma")}
-    verdict = abg_triviality_criterion(
-        AbgParams(C, vals["alpha"], vals["beta"], vals["gamma"]))
+    return AbgParams(C, *(C.from_scalar(_scalar_flag(K, getattr(args, nm), nm))
+                          for nm in ("alpha", "beta", "gamma")))
+
+
+def _cmd_h4_criterion(args):
+    p = _abg_flags(args)
+    K = p.base.field
+    verdict = abg_triviality_criterion(p)
     if verdict.trivial:
         line = f"trivial, s={K.format(verdict.s)}, t={K.format(verdict.t)}"
     else:
@@ -189,11 +194,8 @@ MAX_KUMMER_ORDER = 64
 
 
 def _cmd_demo_thm43(args):
-    K = field_from_name(args.field)
-    C = base_ring(K)
-    vals = {nm: C.from_scalar(_scalar_flag(K, getattr(args, nm), nm))
-            for nm in ("alpha", "beta", "gamma")}
-    p = AbgParams(C, vals["alpha"], vals["beta"], vals["gamma"])
+    p = _abg_flags(args)
+    C = p.base
     lines = [f"bundle {p!r}"]
     verdict = abg_triviality_criterion(p)
     lines.append(f"criterion over {args.field}: {verdict.describe()}")

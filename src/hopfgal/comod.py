@@ -17,10 +17,12 @@ an assumption: see ``coinvariants_over_field`` and the canonical-map test in
 the Galois module.
 
 As for a Hopf algebra, a record keeps copies of its tables, and an
-``HModuleMap`` of its values, in normal form: zero coefficients and empty
-rows dropped.  Equality is field by field.  Building a record is the one
-place that converts: an entry given as a BaseElement of the base ring is
-read as its coefficient dict, so tables may be built with ring arithmetic.
+``HModuleMap`` of its values, in normal form (``axioms.normal``): zero
+coefficients and empty rows dropped, every index in range.  Equality is
+field by field.  Building a record is the one place that converts: an
+entry given as a BaseElement of the base ring is read as its coefficient
+dict, so tables may be built with ring arithmetic, and an element of
+another ring is refused, as in ``check_iso``'s matrix.
 Module vectors ({index: coefficient dict}) are summed by
 ``axioms.accumulate`` with the record's ``ops``, the ``axioms.ring_ops`` of
 its base, built once with the record; a BaseElement is formed only to call
@@ -35,33 +37,14 @@ algebras.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import accumulate, field_ops, record, ring_ops
-from .errors import (
-    BaseNotFieldError,
-    DimensionMismatchError,
-    NotInvertibleError,
-    RingMismatchError,
-)
+from .axioms import accumulate, field_ops, normal, record, ring_ops
+from .errors import (BaseNotFieldError, DimensionMismatchError, NotInvertibleError,
+                     RingMismatchError)
 from .hopf import HopfAlgebra
 from .linalg import _solve, field_kernel, ring_det
 from .record import Record
 from .report import Report
 from .rings import BaseElement, BaseMorphism, BaseRing
-
-
-def _entry(C: BaseRing, c) -> dict:
-    """A table entry over C as its coefficient dict: a BaseElement's
-    ``coeffs``, a coefficient dict as it is."""
-    if not isinstance(c, BaseElement):
-        return c
-    if c.ring != C:
-        raise RingMismatchError(f"entry {c} lies in {c.ring!r}, not in {C!r}")
-    return c.coeffs
-
-
-def _entries(C: BaseRing, vec: dict) -> dict:
-    """vec with each entry read by ``_entry`` and the zeros dropped."""
-    return {k: e for k, c in vec.items() if (e := _entry(C, c))}
 
 
 def _lifted(C: BaseRing, x: dict) -> dict:
@@ -81,24 +64,14 @@ class ComoduleAlgebra(Record, frozen=True):
 
     def __post_init__(self):
         put, C = object.__setattr__, self.base
-        for name in ("mult", "coaction"):
-            put(self, name, {key: v for key, row in getattr(self, name).items()
-                             if (v := _entries(C, row))})
-        put(self, "unit", _entries(C, self.unit))
-        put(self, "ops", ring_ops(C))  # not a field: equality and hash ignore it
-        if self.base.field != self.hopf.field:
+        if C.field != self.hopf.field:
             raise RingMismatchError(
                 "base ring and Hopf algebra use different ground fields")
         n, d = self.dim, self.hopf.dim
-        for (i, j) in self.mult:
-            if not (0 <= i < n and 0 <= j < n):
-                raise DimensionMismatchError("multiplication index out of range")
-        for i, t in self.coaction.items():
-            if not 0 <= i < n:
-                raise DimensionMismatchError("coaction index out of range")
-            for (j, k) in t:
-                if not (0 <= j < n and 0 <= k < d):
-                    raise DimensionMismatchError("coaction tensor index out of range")
+        put(self, "mult", normal("multiplication", self.mult, (n, n), (n,), C))
+        put(self, "unit", normal("unit", self.unit, (n,), None, C))
+        put(self, "coaction", normal("coaction", self.coaction, (n,), (n, d), C))
+        put(self, "ops", ring_ops(C))  # not a field: equality and hash ignore it
 
     @property
     def dim(self) -> int:
@@ -178,8 +151,6 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
 
 def trivial_bundle(base: BaseRing, H: HopfAlgebra) -> ComoduleAlgebra:
     """C (x) H with componentwise product and coaction id (x) Delta."""
-    if base.field != H.field:
-        raise RingMismatchError("base ring and Hopf algebra use different ground fields")
     return ComoduleAlgebra(base, H, H.labels, _lifted(base, H.mult), _lifted(base, H.unit),
                            _lifted(base, H.comult))
 
@@ -190,12 +161,10 @@ def push_forward(f: BaseMorphism, A: ComoduleAlgebra) -> ComoduleAlgebra:
         raise RingMismatchError("morphism source does not match the bundle's base ring")
     C = A.base
 
-    def image(c):
-        return f.apply(BaseElement(C, c))
-    mult = {ij: {l: image(c) for l, c in sc.items()} for ij, sc in A.mult.items()}
-    unit = {i: image(c) for i, c in A.unit.items()}
-    coaction = {i: {jk: image(c) for jk, c in t.items()} for i, t in A.coaction.items()}
-    return ComoduleAlgebra(f.target, A.hopf, A.labels, mult, unit, coaction)
+    def image(vec):
+        return {k: f.apply(BaseElement(C, c)) for k, c in vec.items()}
+    return ComoduleAlgebra(f.target, A.hopf, A.labels, {ij: image(v) for ij, v in A.mult.items()},
+                           image(A.unit), {i: image(t) for i, t in A.coaction.items()})
 
 
 def coinvariants_over_field(A: ComoduleAlgebra) -> list:
@@ -230,10 +199,11 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
     """Certify that a_j -> sum_i M[i][j] b_i is an isomorphism of bundles.
 
     Requires the same base ring and the same Hopf algebra on both sides,
-    and M's entries in that ring (RingMismatchError otherwise); checks invertibility (unit determinant), phi(1) = 1, that phi is an
-    algebra map, on the generator rows of A's word tree once A and B are
-    unital and associative and phi(1) = 1 (else on every row), and that
-    phi is a comodule map.
+    and M's entries in that ring (RingMismatchError otherwise); checks
+    invertibility (unit determinant), phi(1) = 1, that phi is an algebra
+    map, on the generator rows of A's word tree once A and B are unital and
+    associative and phi(1) = 1 (else on every row), and that phi is a
+    comodule map.
     """
     rep = Report("bundle isomorphism")
     if A.base != B.base:
@@ -252,9 +222,9 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
 
     # phi's rows are the columns of M, and det of the transpose is det M
     ops = A.ops
-    phi = {j: {i: e for i, row in enumerate(M) if (e := _entry(A.base, row[j]))}
-           for j in range(n)}
-    det = ring_det([phi[j] for j in range(n)], A.base)
+    phi = normal("matrix", {j: {i: row[j] for i, row in enumerate(M)} for j in range(n)},
+                 (n,), (n,), A.base)
+    det = ring_det([phi.get(j, {}) for j in range(n)], A.base)
     if not ops.is_unit(det):
         rep.add("invertible", False, f"determinant {A.base.format_coeffs(det)} is not a unit")
         return rep
@@ -292,10 +262,11 @@ class HModuleMap(Record, frozen=True):
     values: tuple  # values[k] is a vector in A, {index: coefficient dict}
 
     def __post_init__(self):
-        C = self.algebra.base
-        object.__setattr__(self, "values", tuple(_entries(C, v) for v in self.values))
-        if len(self.values) != self.algebra.hopf.dim:
+        A, d = self.algebra, len(self.values)
+        if d != A.hopf.dim:
             raise DimensionMismatchError("one value per Hopf basis element required")
+        values = normal("value", dict(enumerate(self.values)), (d,), (A.dim,), A.base)
+        object.__setattr__(self, "values", tuple(values.get(k, {}) for k in range(d)))
 
     def apply(self, h: dict) -> dict:
         """The value at h, a vector {k: scalar} of H."""

@@ -15,10 +15,10 @@ document rebuilds equal objects.
 Hopf algebras, bundles and the families of witnesses share one table
 format, read by one reader and written by one writer.  Scalars and ring
 elements share the value and vector readers, which are given the parse
-function and the ``axioms.Ops`` to use; a bundle and a family share the
-reader of their constructions.  The strings of a document share one
-``rings.WorkBudget``, whose memo reads each distinct string once per
-document.  A table that gives two rows for the same key (a product a·b,
+function to use, and the table reader the addition that sums repeated
+terms; a bundle and a family share the reader of their constructions.  The
+strings of a document share one ``rings.WorkBudget``, whose memo reads
+each distinct string once per document.  A table that gives two rows for the same key (a product a·b,
 a basis element of the tensor table or the antipode, a cleaving's value
 on a basis element) is refused at the second, and so is a generator name
 given twice in a ring or a witness's tower.
@@ -27,21 +27,21 @@ given twice in a ring or a witness's tower.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 from functools import cache, partial
 from operator import itemgetter
 
-from .axioms import accumulate, field_ops, ring_ops
 from .errors import BadScalarError, GradingError, SchemaError, UnresolvedReferenceError
-from .fields import Field, PrimeField, QQ, SimpleExtension
-from .rings import (BaseElement, BaseMorphism, BaseRing, Generator, adjoin_root, base_ring,
+from .fields import Field, PrimeField, QQ, SimpleExtension, field_from_name
+from .rings import (BaseMorphism, BaseRing, Generator, adjoin_root, base_ring,
                     extension_levels, refusal, WorkBudget, extend_with_t, inclusion_morphism)
 from .hopf import (Bialgebra, HopfAlgebra, cyclic_group_algebra, dual_hopf,
                    hopf_from_bialgebra, sweedler_h4, taft)
 from .comod import ComoduleAlgebra, HModuleMap, trivial_bundle
 from .bundles import AbgParams, abg_bundle, kummer_bundle
-from .homotopy import EtaleStep, HomotopyWitness, _frozen_matrix
+from .homotopy import EtaleStep, HomotopyWitness
 from .record import Record
 
 FREE, LAURENT, ROOT = "free", "laurent", "root"
@@ -387,15 +387,11 @@ def _ref(table: dict, name, pointer):
 
 
 def parse_field(spec, spend, pointer="/field") -> Field:
-    if isinstance(spec, str):
-        if spec == "Q":
-            return QQ
-        if spec.startswith("F"):
-            try:
-                return PrimeField(int(spec[1:]))
-            except ValueError as exc:
-                raise SchemaError(pointer, str(exc)) from None
-        raise SchemaError(pointer, f"unknown field {spec!r}")
+    if isinstance(spec, str):  # "Q" or "F<digits>", as the schema's pattern admits
+        try:
+            return field_from_name(spec)
+        except BadScalarError as exc:
+            raise SchemaError(pointer, str(exc)) from None
     base = parse_field(spec["base"], spend, pointer + "/base")
     modulus = tuple(_value(base.parse, c, f"{pointer}/modulus/{i}", spend)
                     for i, c in enumerate(spec["modulus"]))
@@ -497,24 +493,22 @@ def _rows(rows, pointer, width):
         yield here, row
 
 
-def _tables(read, ops, spec, labels, right_labels, key, pointer, spend):
+def _tables(read, add, spec, labels, right_labels, key, pointer, spend):
     """The ``mult`` table, the ``key`` table and the unit, read in that
-    order; repeated terms of a row of the ``key`` table are summed, a
-    repeated row is refused."""
+    order; repeated terms of a row of the ``key`` table are summed by
+    ``add``, a repeated row is refused."""
     mult = {}
     for here, (a, b, vec) in _rows(spec["mult"], f"{pointer}/mult", 2):
         row = (_ref(labels, a, here), _ref(labels, b, here))
         mult[row] = _vec(read, vec, labels, here + "/2", spend)
-
-    def term(at, left, right, text):
-        value = _value(read, text, at, spend)  # a scalar, or a BaseElement of a bundle's base
-        return ((_ref(labels, left, at), _ref(right_labels, right, at)),
-                value.coeffs if isinstance(value, BaseElement) else value)
-
     table = {}
     for here, (a, terms) in _rows(spec[key], f"{pointer}/{key}", 1):
-        i = _ref(labels, a, here)
-        table[i] = accumulate(ops, (term(f"{here}/1/{s}", *t) for s, t in enumerate(terms)))
+        row = table[_ref(labels, a, here)] = {}
+        for s, (left, right, text) in enumerate(terms):
+            at = f"{here}/1/{s}"
+            value = _value(read, text, at, spend)
+            k = (_ref(labels, left, at), _ref(right_labels, right, at))
+            row[k] = add(row[k], value) if k in row else value
     return mult, table, _vec(read, spec["unit"], labels, pointer + "/unit", spend)
 
 
@@ -529,8 +523,8 @@ def parse_hopf(K: Field, spec, pointer, spend) -> HopfAlgebra:
     if kind == "cyclic_dual":
         return dual_hopf(cyclic_group_algebra(spec["order"], K))
     labels = _labels(spec, pointer)
-    read, ops = K.parse, field_ops(K)
-    mult, comult, unit = _tables(read, ops, spec, labels, labels, "comult", pointer, spend)
+    read = K.parse
+    mult, comult, unit = _tables(read, K.add, spec, labels, labels, "comult", pointer, spend)
     tables = (K, tuple(spec["labels"]), mult, unit, comult,
               _vec(read, spec["counit"], labels, pointer + "/counit", spend))
     if "antipode" not in spec:
@@ -552,7 +546,7 @@ def _bundle_over(doc: Document, R: BaseRing, spec, pointer, spend) -> ComoduleAl
         return trivial_bundle(R, H)
     labels = _labels(spec, pointer)
     hlabels = {nm: i for i, nm in enumerate(H.labels)}
-    mult, coaction, unit = _tables(read, ring_ops(R), spec, labels, hlabels, "coaction",
+    mult, coaction, unit = _tables(read, operator.add, spec, labels, hlabels, "coaction",
                                    pointer, spend)
     return ComoduleAlgebra(R, H, tuple(spec["labels"]), mult, unit, coaction)
 
@@ -671,12 +665,9 @@ def _parse_witness(doc: Document, spec, pointer, spend) -> HomotopyWitness:
     family = _bundle_over(doc, interval.ring, spec["family"], pointer + "/family", spend)
     at_zero = _ref(doc.bundles, spec["at_zero"], pointer + "/at_zero")
     at_one = _ref(doc.bundles, spec["at_one"], pointer + "/at_one")
-    isos = []
-    for key in ("iso_zero", "iso_one"):
-        M = [[_value(cur.parse_element, e, f"{pointer}/{key}/{r}/{c}", spend)
-              for c, e in enumerate(row)]
-             for r, row in enumerate(spec[key])]
-        isos.append(_frozen_matrix(M))
+    isos = ([[_value(cur.parse_element, e, f"{pointer}/{key}/{r}/{c}", spend)
+              for c, e in enumerate(row)] for r, row in enumerate(spec[key])]
+            for key in ("iso_zero", "iso_one"))
     return HomotopyWitness(step, interval, family, at_zero, at_one, *isos)
 
 

@@ -33,10 +33,6 @@ def identity_matrix(ring, n: int) -> list:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _frozen_matrix(M) -> tuple:
-    return tuple(tuple(row) for row in M)
-
-
 # --------------------------------------------------------------- base steps
 
 
@@ -129,7 +125,8 @@ class HomotopyWitness(Record, frozen=True):
     """A family over the interval with certified endpoint fibres.
 
     The two matrices identify the pushed-forward endpoint bundles with the
-    fibres of the family at 0 and at 1; both live over the extension.
+    fibres of the family at 0 and at 1; both live over the extension, and
+    the record holds each as a tuple of row tuples, so that it hashes.
     """
 
     step: EtaleStep
@@ -139,6 +136,10 @@ class HomotopyWitness(Record, frozen=True):
     at_one: ComoduleAlgebra
     iso_zero: tuple
     iso_one: tuple
+
+    def __post_init__(self):
+        for name in ("iso_zero", "iso_one"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
 
 
 def verify_witness(w: HomotopyWitness) -> Report:
@@ -199,8 +200,8 @@ def transport_witness(f: BaseMorphism, w: HomotopyWitness) -> HomotopyWitness:
         push_forward(fbar_t, w.family),
         push_forward(f, w.at_zero),
         push_forward(f, w.at_one),
-        _frozen_matrix(map_matrix_entries(fbar, w.iso_zero)),
-        _frozen_matrix(map_matrix_entries(fbar, w.iso_one)))
+        map_matrix_entries(fbar, w.iso_zero),
+        map_matrix_entries(fbar, w.iso_one))
 
 
 # ------------------------------------------------------------------- chains
@@ -304,7 +305,7 @@ def morphism_homotopy_witness(f: BaseMorphism, g: BaseMorphism,
     if A.base != f.source:
         raise BaseMismatchError("bundle must live over the morphisms' source")
     interval = extend_with_t(step.target)
-    ident = _frozen_matrix(identity_matrix(step.target, A.dim))
+    ident = identity_matrix(step.target, A.dim)
     return HomotopyWitness(step, interval,
                            push_forward(path, A),
                            push_forward(f, A),
@@ -365,8 +366,7 @@ def cleft_trivialization_witness(p: AbgParams) -> WitnessChain:
     w = HomotopyWitness(step, interval, family,
                         abg_bundle(AbgParams(C, C.one(), C.zero(), C.zero())),
                         abg_bundle(p),
-                        _frozen_matrix(identity_matrix(ext, 4)),
-                        _frozen_matrix(red.matrix))
+                        identity_matrix(ext, 4), red.matrix)
     return WitnessChain(((w, False),))
 
 
@@ -414,8 +414,7 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
                            trivial_bundle(interval.ring, A.hopf),
                            A,
                            trivial_bundle(A.base, A.hopf),
-                           _frozen_matrix(M),
-                           _frozen_matrix(identity_matrix(ext, d)))
+                           M, identity_matrix(ext, d))
 
 
 def kummer_trivialization_witness(N: int, q, k):

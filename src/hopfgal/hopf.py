@@ -9,8 +9,9 @@ A bialgebra over the ground field k is stored sparsely:
 * ``antipode[j]``    -- coordinates of S(h_j) (dict index -> scalar)
 
 A record keeps copies of its tables in normal form, built once by its
-constructor: zero coefficients and empty rows are dropped, so a missing
-row reads as zero (``.get(key, {})``) and equality is field by field.  A
+constructor with ``axioms.normal``: zero coefficients and empty rows are
+dropped, so a missing row reads as zero (``.get(key, {})``) and equality
+is field by field, and an index outside range(dim) is refused.  A
 Bialgebra never equals a HopfAlgebra.
 
 Nothing is trusted: ``verify_hopf`` re-checks every axiom on these tables
@@ -30,12 +31,8 @@ order N (Taft's algebras), cyclic group algebras, and duals.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import accumulate, field_ops, first, nonzero, normal, record
-from .errors import (
-    BadRootOfUnityError,
-    DimensionMismatchError,
-    NoAntipodeError,
-)
+from .axioms import accumulate, field_ops, first, normal, record
+from .errors import BadRootOfUnityError, NoAntipodeError
 from .fields import Field
 from .linalg import field_det, field_solve
 from .record import Record
@@ -53,18 +50,11 @@ class Bialgebra(Record, frozen=True):
     counit: Vec
 
     def __post_init__(self):
-        put, is_zero = object.__setattr__, self.field.is_zero
-        put(self, "mult", normal(self.mult, is_zero))
-        put(self, "unit", nonzero(self.unit, is_zero))
-        put(self, "comult", normal(self.comult, is_zero))
-        put(self, "counit", nonzero(self.counit, is_zero))
-        d = self.dim
-        for (i, j) in self.mult:
-            if not (0 <= i < d and 0 <= j < d):
-                raise DimensionMismatchError("multiplication tensor index out of range")
-        for i in self.comult:
-            if not 0 <= i < d:
-                raise DimensionMismatchError("comultiplication tensor index out of range")
+        put, K, d = object.__setattr__, self.field, self.dim
+        put(self, "mult", normal("multiplication", self.mult, (d, d), (d,), K))
+        put(self, "unit", normal("unit", self.unit, (d,), None, K))
+        put(self, "comult", normal("comultiplication", self.comult, (d,), (d, d), K))
+        put(self, "counit", normal("counit", self.counit, (d,), None, K))
 
     @property
     def dim(self) -> int:
@@ -85,10 +75,9 @@ class HopfAlgebra(Bialgebra, frozen=True):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "antipode", normal(self.antipode, self.field.is_zero))
         d = self.dim
-        if any(not 0 <= i < d for j, row in self.antipode.items() for i in (j, *row)):
-            raise DimensionMismatchError("antipode index out of range")
+        object.__setattr__(self, "antipode",
+                           normal("antipode", self.antipode, (d,), (d,), self.field))
 
     def __repr__(self):
         return f"<HopfAlgebra dim {self.dim} over {self.field.name}>"

@@ -6,6 +6,7 @@ Equality of records stays in one place: ``Record``'s, field by field.
 Only ``fields`` strips a scalar's field annotation.
 Only ``axioms`` and ``hopf`` read a comultiplication table row by row;
 every other Sweedler sum goes through ``axioms.convolution``.
+Only ``axioms`` puts a record's table in normal form.
 No module imports a name it does not use.
 Nothing in ``src/`` is defined for the tests alone: every function, method
 and class is named somewhere in ``src/`` or exported, or is allowed by
@@ -71,6 +72,36 @@ def test_only_axioms_and_hopf_read_a_comult_row() -> None:
                    getattr(node.func.value, "id", None) or getattr(node.func.value, "attr", "")
                ).endswith("comult")}
     assert reading <= {"axioms.py", "hopf.py"}, sorted(reading)
+
+
+def _tests_for_base_element(node) -> bool:
+    """isinstance(x, BaseElement), or x.__class__ is (not) BaseElement."""
+    if isinstance(node, ast.Call):
+        return (getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2
+                and getattr(node.args[1], "id", None) == "BaseElement")
+    return isinstance(node, ast.Compare) and any(
+        isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops) and any(
+        getattr(c, "id", None) == "BaseElement" for c in node.comparators)
+
+
+def test_only_axioms_puts_a_table_in_normal_form() -> None:
+    """``axioms.normal`` alone words the range error of a table and reads a
+    table entry that may be a BaseElement as its coefficient dict (a
+    function that both tests a value for BaseElement and reads its
+    ``.coeffs``; ``rings``, which defines BaseElement, compares elements
+    so), so no record grows its own loop over a table again."""
+    wording, reading = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and " index out of range" in node.value):
+                wording.add(path.name)
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)) and path.name != "rings.py":
+                body = list(ast.walk(node))
+                if any(map(_tests_for_base_element, body)) and any(
+                        isinstance(n, ast.Attribute) and n.attr == "coeffs" for n in body):
+                    reading.add(path.name)
+    assert wording == reading == {"axioms.py"}, (sorted(wording), sorted(reading))
 
 
 def _bound_names(node):

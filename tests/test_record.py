@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from hopfgal.cleft import Cocycle, trivial_cocycle
 from hopfgal.comod import ComoduleAlgebra, HModuleMap, trivial_bundle, unit_counit_map
 from hopfgal.document import Document
-from hopfgal.errors import DimensionMismatchError
+from hopfgal.bundles import AbgParams
+from hopfgal.errors import DimensionMismatchError, RingMismatchError
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.galois import GaloisVerdict, canonical_matrix
+from hopfgal.homotopy import HomotopyWitness, cleft_trivialization_witness
 from hopfgal.hopf import Bialgebra, HopfAlgebra, cyclic_group_algebra, sweedler_h4, taft
 from hopfgal.record import Record
 from hopfgal.report import Check, Report
@@ -202,3 +204,98 @@ def test_repr_lists_the_fields_in_order():
     assert repr(Point3(1, 2, 3)) == "Point3(x=1, y=2, z=3)"
     assert repr(Generator("u", FREE)) == "Generator(name='u', kind='free', degree=0, grade=0)"
     assert repr(Check("c", False, "w")) == "Check(name='c', ok=False, witness='w')"
+
+
+# Every table of every record, with each index position it has: (record,
+# table, position, the bound of that index, the record built with the bad
+# index b at that position).  The bundle has rank 4 over a 2-dimensional H,
+# so an H index of 2 lies below the rank and must still be refused.
+H4 = sweedler_h4(QQ)
+R_U = polynomial_ring(QQ, "u")
+H2 = cyclic_group_algebra(2, QQ)
+A4 = trivial_bundle(R_U, H4)
+A42 = ComoduleAlgebra(R_U, H2, A4.labels, A4.mult, A4.unit,
+                      {i: {(i, 0): R_U.one()} for i in range(4)})
+
+
+def _hopf_with(record, table, row):
+    """record built from H4's tables with ``row`` merged into ``table``."""
+    tables = {"mult": H4.mult, "unit": H4.unit, "comult": H4.comult, "counit": H4.counit}
+    if record is HopfAlgebra:
+        tables["antipode"] = H4.antipode
+    tables[table] = {**tables[table], **row}
+    return record(QQ, H4.labels, **tables)
+
+
+def _bundle_with(table, row):
+    tables = {"mult": A42.mult, "unit": A42.unit, "coaction": A42.coaction}
+    tables[table] = {**tables[table], **row}
+    return ComoduleAlgebra(R_U, H2, A42.labels, **tables)
+
+
+ONE, R_ONE = QQ.one(), R_U.one()
+HOPF_PLACES = [
+    ("mult", "key 0", lambda b: {(b, 0): {0: ONE}}),
+    ("mult", "key 1", lambda b: {(0, b): {0: ONE}}),
+    ("mult", "value", lambda b: {(0, 0): {b: ONE}}),
+    ("unit", "key", lambda b: {b: ONE}),
+    ("comult", "key", lambda b: {b: {(0, 0): ONE}}),
+    ("comult", "value 0", lambda b: {0: {(b, 0): ONE}}),
+    ("comult", "value 1", lambda b: {0: {(0, b): ONE}}),
+    ("counit", "key", lambda b: {b: ONE}),
+]
+OUT_OF_RANGE = [
+    *((f"{rec.__name__}.{table} {where}", 4, lambda b, rec=rec, t=table, r=row: _hopf_with(rec, t, r(b)))
+      for rec in (Bialgebra, HopfAlgebra) for table, where, row in HOPF_PLACES),
+    ("HopfAlgebra.antipode key", 4, lambda b: _hopf_with(HopfAlgebra, "antipode", {b: {0: ONE}})),
+    ("HopfAlgebra.antipode value", 4, lambda b: _hopf_with(HopfAlgebra, "antipode", {0: {b: ONE}})),
+    ("ComoduleAlgebra.mult key 0", 4, lambda b: _bundle_with("mult", {(b, 0): {0: R_ONE}})),
+    ("ComoduleAlgebra.mult key 1", 4, lambda b: _bundle_with("mult", {(0, b): {0: R_ONE}})),
+    ("ComoduleAlgebra.mult value", 4, lambda b: _bundle_with("mult", {(0, 0): {b: R_ONE}})),
+    ("ComoduleAlgebra.unit key", 4, lambda b: _bundle_with("unit", {b: R_ONE})),
+    ("ComoduleAlgebra.coaction key", 4, lambda b: _bundle_with("coaction", {b: {(0, 0): R_ONE}})),
+    ("ComoduleAlgebra.coaction A index", 4,
+     lambda b: _bundle_with("coaction", {0: {(b, 0): R_ONE}})),
+    ("ComoduleAlgebra.coaction H index", 2,
+     lambda b: _bundle_with("coaction", {0: {(0, b): R_ONE}})),
+    ("HModuleMap.values value", 4, lambda b: HModuleMap(A42, ({b: R_ONE.coeffs}, {}))),
+]
+
+
+@pytest.mark.parametrize("bad", ["n", -1])
+@pytest.mark.parametrize("build", [case[1:] for case in OUT_OF_RANGE],
+                         ids=[case[0] for case in OUT_OF_RANGE])
+def test_every_table_index_is_range_checked_when_the_record_is_built(build, bad):
+    """An index n or -1, for n its bound, as a key or as a value, is
+    refused by the constructor, so no check or writer reads past a basis;
+    the same record with the index 0 there builds."""
+    n, make = build
+    make(0)
+    with pytest.raises(DimensionMismatchError, match=" index out of range"):
+        make(n if bad == "n" else bad)
+
+
+def test_a_cocycle_entry_of_another_ring_is_refused():
+    """A Q[v] value in a cocycle over Q[u], with as many generators, used to
+    be read as the same polynomial in u."""
+    R_V = polynomial_ring(QQ, "v")
+    rows = [list(row) for row in trivial_cocycle(R_U, H4).sigma]
+    rows[1][1] = R_V.gen("v")
+    with pytest.raises(RingMismatchError):
+        Cocycle(R_U, H4, tuple(map(tuple, rows)))
+    sigma = trivial_cocycle(R_U, H4)
+    assert sigma.table == {(a, b): c.coeffs for a, row in enumerate(sigma.sigma)
+                           for b, c in enumerate(row) if c.coeffs}
+
+
+def test_a_witness_and_a_cocycle_freeze_their_matrices():
+    """Given lists, each holds tuples, so it equals and hashes like the
+    record given tuples."""
+    w = cleft_trivialization_witness(AbgParams(base_ring(QQ), 4, 1, 4)).links[0][0]
+    lists = HomotopyWitness(w.step, w.interval, w.family, w.at_zero, w.at_one,
+                            [list(row) for row in w.iso_zero], list(map(list, w.iso_one)))
+    assert lists == w and hash(lists) == hash(w)
+    assert type(lists.iso_zero) is tuple and all(type(row) is tuple for row in lists.iso_one)
+    sigma = trivial_cocycle(R_U, H4)
+    listed = Cocycle(R_U, H4, [list(row) for row in sigma.sigma])
+    assert listed == sigma and hash(listed) == hash(sigma)
