@@ -29,11 +29,11 @@ import hopfgal
 from hopfgal.cli import main as cli_main
 from hopfgal.cleft import check_cleaving, extract_cocycle, twisted_product
 from hopfgal.comod import ComoduleAlgebra, convolution_invert
-from hopfgal.document import load_document, validate_raw
+from hopfgal.document import dump_document, load_document, validate_raw
 from hopfgal.errors import SchemaError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.galois import canonical_matrix, is_galois, verify_bundle
-from hopfgal.homotopy import kummer_trivialization_witness, verify_witness
+from hopfgal.homotopy import kummer_trivialization_witness, verify_step, verify_witness
 from hopfgal.hopf import Bialgebra, HopfAlgebra, dual_hopf, solve_antipode, taft, verify_hopf
 from hopfgal.linalg import ring_det
 from hopfgal.rings import BaseElement, adjoin_root, laurent_ring, polynomial_ring
@@ -50,6 +50,8 @@ VALIDATIONS = 20  # per run of a validate_raw rung
 ROOTS = 1000  # per run of a Q or F_p sqrt rung; a tenth of it in an extension
 FIELD_OPS = 10000  # per run of a field mul or inv rung
 CONSTRUCTIONS = 20  # per run of the ComoduleAlgebra rung: one takes about 2.5 ms
+STEPS = 1000  # per run of a verify_step rung: one takes about 25 us
+DUMPS = 10  # per run of the dump_document rung: one takes about 8 ms
 
 
 def timed(fn):
@@ -177,6 +179,12 @@ def rungs():
     for name in ("bundle-towers/kummer.json", "cli-docs/abg.json"):
         path = str(DATA / name)
         yield "load_document", name, lambda path=path: len(load_document(path).bundles)
+    # the writer, whose witnesses read each step's recipe; the verdict is
+    # whether it gives back the stored bytes
+    path = DATA / "bundle-towers" / "kummer.json"
+    doc, text = load_document(str(path)), path.read_text(encoding="utf-8")
+    yield "dump_document", f"{DUMPS} of bundle-towers/kummer.json", lambda: [
+        dump_document(doc) for _ in range(DUMPS)][-1] == text
     # an accepted document and one the schema rejects; the verdict is the
     # pointer of the rejection, "" when there is none
     for name in ("bundle-towers/kummer.json", "cli-docs/schema.json"):
@@ -236,6 +244,8 @@ def rungs():
         yield "is_galois", f"{size} trivial bundle", lambda w=w: is_galois(w.at_one).ok
         yield "is_galois", f"{size} family", lambda w=w: is_galois(w.family).ok
         yield "verify_witness", size, lambda w=w: verify_witness(w).ok
+        yield "verify_step", f"{STEPS} of {size}", lambda w=w: [
+            verify_step(w.step) for _ in range(STEPS)][-1]
         if n < 60:  # the verdict is the rank of the witness's family
             yield "kummer_trivialization_witness", size, (
                 lambda n=n, q=q: kummer_trivialization_witness(n, q, F241)[1].family.dim)

@@ -120,22 +120,18 @@ def _cmd_galois(args):
     lines, results = [], []
     for nm, v in zip(args.names, verdicts):
         lines.append(f"{nm}: {v.describe()}")
-        det = v.det.ring.format_element(v.det) if v.det is not None else None
-        results.append({"name": nm, "galois": v.ok, "det": det,
+        results.append({"name": nm, "galois": v.ok, "det": v.det_text,
                         "reason": v.describe()})
     ok = all(v.ok for v in verdicts)
     return (0 if ok else 1), lines, {"command": "galois", "ok": ok,
                                      "results": results}
 
 
-def _cmd_cleft(args):
+def _cmd_cleft_invert(args):
     doc = _load(args.file)
     maps = [_pick(doc.cleavings, nm, "cleaving", args.file) for nm in args.names]
-    # rejects with NotComoduleMap / NotInvertible before any report is built
+    # rejects with NotComoduleMap / NotInvertible before anything is printed
     made = [check_cleaving(g.algebra, g) for g in maps]
-    if args.action == "check":
-        reports = [cm.verify() for cm in made]
-        return _report_results("cleft check", args.names, reports)
     lines, results = [], []
     for nm, cm in zip(args.names, made):
         A = cm.algebra
@@ -289,8 +285,10 @@ _COMMANDS = {
     "galois": _Leaf("bijectivity of the structure map, by determinant", _cmd_galois,
                     _FILE_NAMES),
     "cleft": _Group("cleaving map commands", "action", {
-        "check": _Leaf("certify a cleaving map", _cmd_cleft, _FILE_NAMES),
-        "invert": _Leaf("print the convolution inverse", _cmd_cleft, _FILE_NAMES)}),
+        "check": _Leaf("certify a cleaving map", _verifier(
+            "cleft check", "cleavings", "cleaving",
+            lambda g: check_cleaving(g.algebra, g).verify()), _FILE_NAMES),
+        "invert": _Leaf("print the convolution inverse", _cmd_cleft_invert, _FILE_NAMES)}),
     "pushforward": _Leaf("push a bundle along a base morphism", _cmd_pushforward,
                          (("file", {}), ("bundle", {}), ("morphism", {}))),
     "h4": _Group("rank-4 family commands", "action", {

@@ -448,10 +448,8 @@ def ring_spec(R: BaseRing):
         if g.grade:
             entry["grade"] = g.grade
         if g.kind == ROOT:
-            pre = R.prefix(i)
-            value = pre.element({m[:i]: c for m, c in R.root_values[i].items()})
             entry["degree"] = g.degree
-            entry["value"] = pre.format_element(value)
+            entry["value"] = repr(R.root_value(i))
         gens.append(entry)
     return {"gens": gens}
 
@@ -653,14 +651,13 @@ def _parse_witness(doc: Document, spec, pointer, spend) -> HomotopyWitness:
     source = _ref(doc.rings, name, pointer + "/step/source")
     names = _field_variables(doc.field)
     names.update({g.name: f"/rings/{_token(name)}/gens/{i}/name" for i, g in enumerate(source.gens)})
-    cur, recipe = source, []
+    cur = source
     for i, adj in enumerate(spec["step"]["adjunctions"]):
         here = f"{pointer}/step/adjunctions/{i}"
         _first(names, adj["name"], here + "/name", "name")
         u = _value(cur.parse_element, adj["value"], here + "/value", spend)
-        recipe.append((u, adj["degree"], adj["name"]))
         cur, _, _ = adjoin_root(cur, u, adj["degree"], adj["name"])
-    step = EtaleStep(inclusion_morphism(source, cur), tuple(recipe))
+    step = EtaleStep(inclusion_morphism(source, cur))
     interval = extend_with_t(cur)
     family = _bundle_over(doc, interval.ring, spec["family"], pointer + "/family", spend)
     at_zero = _ref(doc.bundles, spec["at_zero"], pointer + "/at_zero")
@@ -717,8 +714,7 @@ def document_of(doc: Document) -> dict:
     witnesses = {}
     for name, w in doc.witnesses.items():
         sname = _named(ring_objs, w.step.source, "ring")
-        adjs = [{"name": nm, "degree": n, "value": u.ring.format_element(u)}
-                for u, n, nm in w.step.recipe]
+        adjs = [{"name": nm, "degree": n, "value": repr(u)} for u, n, nm in w.step.recipe]
         family = _bundle_body_spec(w.family, _named(hopf_objs, w.family.hopf, "hopf"))
         fmt = w.step.target.format_element
         witnesses[name] = {

@@ -137,13 +137,17 @@ class GaloisVerdict(Record, frozen=True):
     def ok(self) -> bool:
         return self.status == GALOIS
 
+    @property
+    def det_text(self) -> str | None:
+        """The determinant as printed, None when there is none."""
+        return None if self.det is None else repr(self.det)
+
     def describe(self) -> str:
         if self.status == RANK_MISMATCH:
             return "rank mismatch: module rank differs from the Hopf dimension"
+        shown = self.det_text or "?"
         if self.status == NOT_BIJECTIVE:
-            shown = self.det.ring.format_element(self.det) if self.det is not None else "?"
             return f"structure map not bijective: determinant {shown} is not a unit"
-        shown = self.det.ring.format_element(self.det) if self.det is not None else "?"
         return f"Galois: structure map has unit determinant {shown}"
 
 

@@ -6,17 +6,21 @@ as endpoint fibres of a single bundle over the extension with a free
 interval variable adjoined.  A witness packages the extension step, the
 family, and one certifying matrix per endpoint; verification recomputes
 every push-forward and re-certifies both matrices, trusting nothing stored.
+A step is its inclusion alone: the root adjunctions it makes are read off
+the target ring's own tower, so a step cannot disagree with its extension.
 Chains of witnesses compose the relation, and a reversed link runs its
 family backwards.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import axioms
 from .errors import (BaseMismatchError, CharTwoError, MathError,
                      NotCommutativeError, NotEtaleInclusionError,
                      RingMismatchError)
-from .rings import (BaseElement, BaseMorphism, IntervalRing, adjoin_root, compose,
+from .rings import (ROOT, BaseElement, BaseMorphism, IntervalRing, adjoin_root, compose,
                     extend_with_t, fresh_name, identity_morphism,
                     inclusion_morphism)
 from .record import Record
@@ -39,13 +43,13 @@ def identity_matrix(ring, n: int) -> list:
 class EtaleStep(Record, frozen=True):
     """An admissible extension of the base: a tower of root adjunctions.
 
-    The recipe records each root adjunction as (value, degree, name), so
-    the tower can be replayed, both to verify the step and to rebuild it
+    The step is its inclusion alone.  Its recipe, each root adjunction past
+    the source as (value, degree, name), is read off the target's own tower,
+    so the tower can be replayed, both to verify the step and to rebuild it
     over a different base.
     """
 
     morphism: BaseMorphism
-    recipe: tuple = ()
 
     @property
     def source(self):
@@ -55,6 +59,12 @@ class EtaleStep(Record, frozen=True):
     def target(self):
         return self.morphism.target
 
+    @cached_property
+    def recipe(self) -> tuple:
+        T, k = self.target, len(self.source.gens)
+        return tuple((T.root_value(i), g.degree, g.name)
+                     for i, g in enumerate(T.gens) if i >= k and g.kind == ROOT)
+
     def __repr__(self):
         if not self.recipe:
             return f"<identity step on {self.source!r}>"
@@ -63,30 +73,27 @@ class EtaleStep(Record, frozen=True):
 
 
 def identity_step(ring) -> EtaleStep:
-    return EtaleStep(identity_morphism(ring), ())
+    return EtaleStep(identity_morphism(ring))
 
 
 def root_step(ring, u, n: int, name: str | None = None):
     """Adjoin an n-th root of the unit u; returns (step, root)."""
-    ext, incl, root = adjoin_root(ring, u, n, name)
-    return EtaleStep(incl, ((u, n, ext.gens[-1].name),)), root
+    _, incl, root = adjoin_root(ring, u, n, name)
+    return EtaleStep(incl), root
 
 
 def compose_steps(first: EtaleStep, second: EtaleStep) -> EtaleStep:
-    return EtaleStep(compose(first.morphism, second.morphism),
-                     first.recipe + second.recipe)
+    return EtaleStep(compose(first.morphism, second.morphism))
 
 
 def verify_step(step: EtaleStep) -> bool:
     """Replay the recipe from the source; it must reproduce the extension."""
     cur = step.source
-    for u, n, nm in step.recipe:
-        if getattr(u, "ring", None) != cur:
-            return False
-        try:
+    try:
+        for u, n, nm in step.recipe:
             cur, _, _ = adjoin_root(cur, u, n, nm)
-        except (MathError, ValueError):
-            return False
+    except (MathError, ValueError):
+        return False
     if cur != step.target:
         return False
     return step.morphism == inclusion_morphism(step.source, step.target)
@@ -104,18 +111,11 @@ def transport_step(step: EtaleStep, f: BaseMorphism):
     if not verify_step(step):
         raise NotEtaleInclusionError("step recipe does not reproduce its extension")
     fbar = f
-    recipe = []
-    for u, n, nm in step.recipe:
-        stage, _, _ = adjoin_root(fbar.source, u, n, nm)
-        value = fbar(u)
-        nm2 = fresh_name(fbar.target, nm)
-        stage2, incl2, root2 = adjoin_root(fbar.target, value, n, nm2)
-        images = {g.name: incl2(fbar(fbar.source.gen(g.name)))
-                  for g in fbar.source.gens}
-        images[nm] = root2
-        fbar = BaseMorphism(stage, stage2, images)
-        recipe.append((value, n, nm2))
-    return EtaleStep(inclusion_morphism(f.target, fbar.target), tuple(recipe)), fbar
+    for j, (u, n, nm) in enumerate(step.recipe, len(step.source.gens)):
+        top, incl, root = adjoin_root(fbar.target, fbar(u), n, fresh_name(fbar.target, nm))
+        images = {g.name: incl(img) for g, img in zip(fbar.source.gens, fbar.images)}
+        fbar = BaseMorphism(step.target.prefix(j + 1), top, {**images, nm: root})
+    return EtaleStep(inclusion_morphism(f.target, fbar.target)), fbar
 
 
 # ---------------------------------------------------------------- witnesses
@@ -191,10 +191,8 @@ def transport_witness(f: BaseMorphism, w: HomotopyWitness) -> HomotopyWitness:
     """
     step2, fbar = transport_step(w.step, f)
     interval2 = extend_with_t(step2.target)
-    lift = {g.name: interval2.include(fbar(w.step.target.gen(g.name)))
-            for g in w.step.target.gens}
-    lift[w.interval.t_name] = interval2.t
-    fbar_t = BaseMorphism(w.interval.ring, interval2.ring, lift)
+    lift = {g.name: interval2.include(img) for g, img in zip(fbar.source.gens, fbar.images)}
+    fbar_t = BaseMorphism(w.interval.ring, interval2.ring, {**lift, w.interval.t_name: interval2.t})
     return HomotopyWitness(
         step2, interval2,
         push_forward(fbar_t, w.family),
@@ -424,6 +422,5 @@ def kummer_trivialization_witness(N: int, q, k):
     module basis, so the bundle's total algebra is itself the admissible
     extension that splits it.
     """
-    A, ext, incl, images = kummer_root_data(N, q, k)
-    step = EtaleStep(incl, ((A.base.gen(0), N, ext.gens[-1].name),))
-    return A, etale_trivialization_witness(A, step, images)
+    A, _, incl, images = kummer_root_data(N, q, k)
+    return A, etale_trivialization_witness(A, EtaleStep(incl), images)

@@ -106,7 +106,8 @@ class BaseRing:
 
     ``root_values[i]`` holds, for a root generator, the coefficient dict of u
     (an element supported on generators < i, exponent tuples already padded
-    to full length); None for the other kinds.
+    to full length); None for the other kinds.  Outside this module a root
+    adjunction is read through ``root_value(i)``.
     """
 
     def __init__(self, field: Field, gens=(), root_values=()):
@@ -159,19 +160,21 @@ class BaseRing:
             elif g.kind == LAURENT:
                 parts.append(f"{g.name}^+-1")
             else:
-                u = self.element(self.root_values[i])
-                parts.append(f"{g.name}|{g.name}^{g.degree}={u}")
+                parts.append(f"{g.name}|{g.name}^{g.degree}={self.root_value(i)}")
         return f"{self.field.name}[{','.join(parts)}]"
+
+    def root_value(self, i: int) -> BaseElement:
+        """The u of root generator i (g_i^n = u), an element of the ring below it."""
+        return BaseElement(self.prefix(i), {m[:i]: c for m, c in self.root_values[i].items()})
 
     # ------------------------------------------------------- constructing
 
     def _extended(self, gen: Generator, root_value=None) -> BaseRing:
-        pad = tuple(dict(((m + (0,)), c) for m, c in v.items()) if v is not None else None
-                    for v in self.root_values)
-        rv = None
-        if root_value is not None:
-            rv = {m + (0,): c for m, c in root_value.items()}
-        return BaseRing(self.field, self.gens + (gen,), pad + (rv,))
+        pad = tuple(None if v is None else {m + (0,): c for m, c in v.items()}
+                    for v in self.root_values + (root_value,))
+        ext = BaseRing(self.field, self.gens + (gen,), pad)
+        ext._prefix_cache[len(self.gens)] = self  # a root value read off ext lies in self
+        return ext
 
     def add_free(self, name: str, grade: int = 0) -> BaseRing:
         return self._extended(Generator(name, FREE, grade=grade))
@@ -377,7 +380,7 @@ class BaseRing:
         if self._regular is None:  # r^j r^k is r^(j+k), or u r^(j+k-n) once j + k >= n
             from . import axioms, linalg  # they import this module
             sub, n = self.prefix(len(self.gens) - 1), self.gens[-1].degree
-            one, u = sub.one().coeffs, {mono[:-1]: c for mono, c in self.root_values[-1].items()}
+            one, u = sub.one().coeffs, self.root_value(len(self.gens) - 1).coeffs
             table = {(j, k): {(j + k) % n: u if j + k >= n else one} for j in range(n) for k in range(n)}
             self._regular = linalg.regular(axioms.ring_ops(sub), n, table, {0: one})[0]
         coords = {}

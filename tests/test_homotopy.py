@@ -8,6 +8,7 @@ inadmissible steps.  Morphism homotopies are exercised on the polynomial
 ring with the contraction path x -> t*x.
 """
 
+import json
 import random
 
 import pytest
@@ -44,9 +45,13 @@ from hopfgal.homotopy import (
     verify_step,
     verify_witness,
 )
-from hopfgal.hopf import sweedler_h4
+from hopfgal.hopf import cyclic_group_algebra, sweedler_h4
 from hopfgal.rings import (
+    FREE,
+    ROOT,
     BaseMorphism,
+    BaseRing,
+    Generator,
     base_ring,
     extend_with_t,
     identity_morphism,
@@ -66,6 +71,22 @@ def untwisted(C):
     return abg_bundle(AbgParams(C, C.one(), C.zero(), C.zero()))
 
 
+def forged_towers():
+    """Inclusions into towers that are not etale over their source, each with
+    a commutative bundle over the source: a free generator past it, a square
+    root of the non-unit u, and a cube root over F3."""
+    Cu = polynomial_ring(QQ, "u")
+    F3 = PrimeField(3)
+    C3 = base_ring(F3)
+    towers = (
+        (Q, BaseRing(QQ, (Generator("x", FREE),), (None,))),
+        (Cu, BaseRing(QQ, (Generator("u", FREE), Generator("r", ROOT, degree=2)),
+                      (None, {(1, 0): QQ.one()}))),
+        (C3, BaseRing(F3, (Generator("r", ROOT, degree=3),), ({(0,): F3.from_int(2)},))))
+    for C, T in towers:
+        yield EtaleStep(inclusion_morphism(C, T)), trivial_bundle(C, cyclic_group_algebra(2, C.field))
+
+
 def test_steps_replay_and_reject_forgeries():
     assert verify_step(identity_step(Q))
     step, s = root_step(Q, Q.from_scalar(QQ.from_int(3)), 2, "s")
@@ -76,14 +97,35 @@ def test_steps_replay_and_reject_forgeries():
     tower = compose_steps(step, top)
     assert verify_step(tower)
     assert len(tower.recipe) == 2
-    # recipe that rebuilds a different extension
-    wrong = EtaleStep(step.morphism, ((Q.from_scalar(QQ.from_int(5)), 2, "s"),))
-    assert not verify_step(wrong)
+    # towers that are not etale over their source
+    for forged, _ in forged_towers():
+        assert not verify_step(forged), forged.target
     # morphism that is not the inclusion of the replayed tower
     Cu = polynomial_ring(QQ, "u")
     u = Cu.gen("u")
     twist = BaseMorphism(Cu, Cu, {"u": u * u})
-    assert not verify_step(EtaleStep(twist, ()))
+    assert not verify_step(EtaleStep(twist))
+
+
+def test_a_recipe_is_the_adjunctions_that_built_the_step():
+    three = Q.from_scalar(QQ.from_int(3))
+    assert identity_step(Q).recipe == ()
+    step, s = root_step(Q, three, 2, "s")
+    assert step.recipe == ((three, 2, "s"),)
+    top, _ = root_step(step.target, s, 3, "c")
+    assert compose_steps(step, top).recipe == ((three, 2, "s"), (s, 3, "c"))
+    Cs = polynomial_ring(QQ, "s")
+    moved, _ = transport_step(step, BaseMorphism(Q, Cs, {}))
+    assert moved.recipe == ((Cs.from_scalar(QQ.from_int(3)), 2, "s2"),)
+    w = cleft_trivialization_witness(qp(3, 5, 7)).links[0][0]
+    assert w.step.recipe == ((three, 2, "s"),)
+    A, wk = kummer_trivialization_witness(2, QQ.from_int(-1), QQ)
+    assert wk.step.recipe == ((A.base.gen("z"), 2, "w"),)
+    raw = json.loads(dump_document(Document(QQ, witnesses={"w": wk})))
+    assert raw["witnesses"]["w"]["step"]["adjunctions"] == [
+        {"name": "w", "degree": 2, "value": "z"}]
+    parsed = parse_document(json.dumps(raw)).witnesses["w"].step
+    assert parsed.recipe == ((parsed.source.gen("z"), 2, "w"),)
 
 
 def test_reflexive_witness():
@@ -238,14 +280,16 @@ def test_etale_self_trivialization_of_kummer_bundles():
 
 def test_etale_witness_guards():
     A, ext, incl, images = kummer_root_data(2, QQ.from_int(-1), QQ)
-    step = EtaleStep(incl, ((A.base.gen("z"), 2, "w"),))
+    step = EtaleStep(incl)
     # images that do not satisfy the bundle's multiplication table
     with pytest.raises(NotEtaleInclusionError):
         etale_trivialization_witness(A, step, [ext.one(), images[1] + ext.one()])
-    # recipe rebuilding a cube-root tower instead of the square root
-    forged = EtaleStep(incl, ((A.base.gen("z"), 3, "w"),))
-    with pytest.raises(NotEtaleInclusionError):
-        etale_trivialization_witness(A, forged, images)
+    # towers that are not etale over the bundle's base
+    for forged, B in forged_towers():
+        with pytest.raises(NotEtaleInclusionError):
+            etale_trivialization_witness(B, forged, [forged.target.one()] * B.dim)
+        with pytest.raises(NotEtaleInclusionError):
+            transport_step(forged, identity_morphism(forged.source))
     # noncommutative total algebras are refused before anything else
     nc = abg_bundle(qp(1, 0, 1))
     with pytest.raises(NotCommutativeError):

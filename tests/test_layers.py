@@ -7,6 +7,8 @@ Only ``fields`` strips a scalar's field annotation.
 Only ``axioms`` and ``hopf`` read a comultiplication table row by row;
 every other Sweedler sum goes through ``axioms.convolution``.
 Only ``axioms`` puts a record's table in normal form.
+Only ``rings`` reads a ring's ``root_values``; every other reader of a root
+adjunction takes ``BaseRing.root_value``.
 No module imports a name it does not use.
 Nothing in ``src/`` is defined for the tests alone: every function, method
 and class is named somewhere in ``src/`` or exported, or is allowed by
@@ -102,6 +104,14 @@ def test_only_axioms_puts_a_table_in_normal_form() -> None:
                         isinstance(n, ast.Attribute) and n.attr == "coeffs" for n in body):
                     reading.add(path.name)
     assert wording == reading == {"axioms.py"}, (sorted(wording), sorted(reading))
+
+
+def test_only_rings_reads_root_values() -> None:
+    """A step's recipe, a ring's document entry and its repr read each root
+    adjunction through ``BaseRing.root_value``, not off the padded table."""
+    reading = {path.name for path in SRC.glob("*.py") for node in ast.walk(_tree(path.name))
+               if isinstance(node, ast.Attribute) and node.attr == "root_values"}
+    assert reading == {"rings.py"}, sorted(reading)
 
 
 def _bound_names(node):
