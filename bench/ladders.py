@@ -26,9 +26,11 @@ import time
 from pathlib import Path
 
 import hopfgal
+from hopfgal import axioms
 from hopfgal.cli import main as cli_main
 from hopfgal.cleft import check_cleaving, extract_cocycle, twisted_product
-from hopfgal.comod import ComoduleAlgebra, convolution_invert
+from hopfgal.comod import (ComoduleAlgebra, check_iso, convolution_invert, push_forward,
+                           verify_comodule_algebra)
 from hopfgal.document import dump_document, load_document, validate_raw
 from hopfgal.errors import SchemaError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
@@ -207,6 +209,8 @@ def rungs():
         if n == 32:  # the record alone, from tables in normal form; the verdict is its rows
             yield "HopfAlgebra", f"taft N={n}/F{p} tables", lambda H=H: len(HopfAlgebra(
                 H.field, H.labels, H.mult, H.unit, H.comult, H.counit, H.antipode).mult)
+            yield "Verdict", f"taft N={n}/F{p}", lambda H=H: algebra_verdict(
+                axioms.field_ops(H.field), H)
     # the antipode solved on generators, then on the whole basis of a dual,
     # whose 1 is a sum of basis elements; the verdict is the stored antipode
     for n, p, dual in ((6, 7, False), (8, 17, False), (12, 13, False),
@@ -232,7 +236,22 @@ def rungs():
             yield "ComoduleAlgebra", f"{CONSTRUCTIONS} of {size} tables", (
                 lambda A=A, tables=tables: [len(ComoduleAlgebra(A.base, A.hopf, A.labels, *tables)
                                                 .coaction) for _ in range(CONSTRUCTIONS)][-1])
+            yield "Verdict", size, lambda A=A: algebra_verdict(A.ops, A)
         yield "verify_bundle", size, lambda A=A: verify_bundle(A).ok
+        # the bundle, which is also the witness's endpoint at 0, and its push
+        # to the extension have a word tree; the endpoint at 1 and the
+        # family, whose 1 is the sum of H's idempotents, have none
+        pushed = push_forward(w.step.morphism, A)
+        for name, X in (("bundle", A), ("bundle over the extension", pushed),
+                        ("endpoint at 1", w.at_one), ("family", w.family)):
+            yield "verify_comodule_algebra", f"{size} {name}", (
+                lambda X=X: verify_comodule_algebra(X).ok)
+        # both endpoint isomorphisms, as verify_witness checks them
+        for label, M, end, at in (("0", w.iso_zero, pushed, w.interval.at_zero),
+                                  ("1", w.iso_one, push_forward(w.step.morphism, w.at_one),
+                                   w.interval.at_one)):
+            yield "check_iso", f"{size} at {label}", (
+                lambda end=end, fibre=push_forward(at, w.family), M=M: check_iso(end, fibre, M).ok)
         # every one of the N^2 pivots is a unit; the verdict is the determinant
         if n < 60:
             rows = canonical_matrix(A).sparse_rows()
@@ -282,6 +301,12 @@ def rungs():
     a = (QQ.fraction(3, 7), 5)
     yield "SimpleExtension.inv", f"{INVERSES} inverses in Q(i)", lambda: [
         QI.inv(a) for _ in range(INVERSES)][-1] == QI.inv(a)
+
+
+def algebra_verdict(ops, R) -> list:
+    """The generators of R's word tree from its verdict, [] when it keeps none."""
+    tree = axioms.Verdict(ops, R.dim, R.mult, R.unit).tree
+    return [] if tree is None else list(tree.gens)
 
 
 def quiet(fn, *args):

@@ -28,22 +28,24 @@ is a comodule map into A (x) H coacted on by id (x) Delta.
 
 Checks on generators.  ``word_tree`` finds, by a closure search over the
 multiplication table, a generating set S such that every basis element is
-a unit times a word s_1 (s_2 (... (s_k 1))) in S.  Four reductions use
-it; each only ever certifies a pass, so a failure, a failed premise or a
-missing tree (1 not a unit times one basis element) runs the full scan,
-whose witness is the one reported:
+a unit times a word s_1 (s_2 (... (s_k 1))) in S.  One ``Verdict`` per
+algebra, its ``unit`` and associativity with the tree kept only when both
+pass, is the premise of every reduction; each caller adds only its map's
+own (phi(1) = 1, the target's verdict).  A reduction only ever certifies a
+pass, so a failure, a failed premise or a missing tree (1 not a unit
+times one basis element) runs the full scan, whose witness is reported:
 
-* associativity, once ``unit`` holds: the left nucleus
+* associativity, inside the verdict once ``unit`` holds: the left nucleus
   {a : (a b) c = a (b c) for all b, c} is a subalgebra containing 1, so
-  rows i in S suffice (``associativity(..., gens)``);
+  rows i in S suffice;
 * multiplicativity of an algebra map phi: A -> B, among them Delta, the
-  counit, a coaction and (the fourth) a bundle isomorphism, once A and B
-  pass ``unit`` and associativity and phi(1) = 1: the a with
-  phi(a b) = phi(a) phi(b) for all b form a subalgebra, so rows i in S
-  suffice (``algebra_map(..., gens)``);
-* the antipode (``hopf.solve_antipode``), once unit, counit,
-  associativity and coassociativity hold: S * id = counit(-) 1 is solved on
-  the root and S closed under the left legs of Delta, then extended by
+  counit, a coaction and a bundle isomorphism, given A's tree once B
+  passes its verdict and phi(1) = 1: the a with phi(a b) = phi(a) phi(b)
+  for all b form a subalgebra, so rows i in S suffice
+  (``algebra_map(..., tree)``);
+* the antipode (``hopf.solve_antipode``), given H's tree once counit and
+  coassociativity hold: S * id = counit(-) 1 is solved on the root and S
+  closed under the left legs of Delta, then extended by
   S(a_s a_r) = S(a_r) S(a_s); the result is kept only when both antipode
   identities hold on every basis element, as then it is the unique
   inverse of id in the convolution algebra.  A singular sub-system, or
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -257,25 +260,19 @@ def word_tree(n: int, mult: dict, unit: dict, is_unit):
     return WordTree(tuple(gens), root, steps)
 
 
-def unit_tree(ops: Ops, n: int, mult: dict, one: dict):
-    """The first failure of ``unit``, and a word tree when there is none."""
-    bad = unit(ops, n, mult, one)
-    return bad, None if bad is not None else word_tree(n, mult, one, ops.is_unit)
-
-
-def on_generators(scan, n: int, gens):
-    """scan(rows) on the generators when they are given and pass, else on
-    every row: the generators only ever certify a pass."""
-    if gens is not None and scan(gens) is None:
+def on_generators(scan, n: int, tree):
+    """scan(rows) on the generators of a word tree when one is given and
+    they pass, else on every row: the generators only ever certify a pass."""
+    if tree is not None and scan(tree.gens) is None:
         return None
     return scan(range(n))
 
 
-def associativity(ops: Ops, n: int, mult: dict, gens=None):
+def associativity(ops: Ops, n: int, mult: dict, tree=None):
     """First (i, j, l) in lexicographic order with (a_i a_j) a_l != a_i (a_j a_l).
 
-    Both sides are formed for all l at once, keyed (l, index).  ``gens``,
-    the generators of a word tree, may be given once ``unit`` holds.
+    Both sides are formed for all l at once, keyed (l, index).  ``tree``, a
+    word tree, may be given once ``unit`` holds.
     """
     mul, get = ops.mul, mult.get
     # the terms (l, r, c) of a_k a_l over all l, per k
@@ -293,14 +290,31 @@ def associativity(ops: Ops, n: int, mult: dict, gens=None):
                     return i, j, _first_index(left, right)
         return None
 
-    return on_generators(scan, n, gens)
+    return on_generators(scan, n, tree)
+
+
+class Verdict:
+    """An algebra's ``unit``, the first failure of ``unit``; ``assoc``, that
+    of associativity, scanned when first read, on the generators of a word
+    tree once ``unit`` holds; and ``tree``, that tree when both are None, the
+    premise of every reduction (None with no scan when there is no tree)."""
+
+    def __init__(self, ops: Ops, n: int, mult: dict, one: dict):
+        self.unit, self._args = unit(ops, n, mult, one), (ops, n, mult)
+        self._tree = None if self.unit is not None else word_tree(n, mult, one, ops.is_unit)
+
+    @cached_property
+    def assoc(self):
+        return associativity(*self._args, self._tree)
+
+    @property
+    def tree(self):
+        return self._tree if self._tree is None or self.assoc is None else None
 
 
 def unital_associative(ops: Ops, n: int, mult: dict, one: dict) -> bool:
     """Whether ``unit`` and associativity hold."""
-    bad, tree = unit_tree(ops, n, mult, one)
-    return bad is None and associativity(
-        ops, n, mult, None if tree is None else tree.gens) is None
+    return (verdict := Verdict(ops, n, mult, one)).unit is None and verdict.assoc is None
 
 
 def commutativity(n: int, mult: dict):
@@ -351,13 +365,13 @@ def tensor_product(ops: Ops, mult: dict, hmult: dict):
                          for r, cr in mult.get((p, q), {}).items())
 
 
-def algebra_map(ops: Ops, n: int, mult: dict, phi: dict, bmul, gens=None):
+def algebra_map(ops: Ops, n: int, mult: dict, phi: dict, bmul, tree=None):
     """First (i, j) in lexicographic order with phi(a_i a_j) != phi(a_i) phi(a_j).
 
     phi maps i to phi(a_i) in B as {key: c}, and bmul is B's ``product``.
-    Both sides are formed for all j at once, keyed (j, B-index).  ``gens``,
-    the generators of a word tree of A, may be given once A and B are
-    unital and associative and phi(1) = 1.
+    Both sides are formed for all j at once, keyed (j, B-index).  ``tree``,
+    the word tree of A's verdict, may be given once B is unital and
+    associative and phi(1) = 1.
     """
     mul, get = ops.mul, mult.get
 
@@ -373,7 +387,7 @@ def algebra_map(ops: Ops, n: int, mult: dict, phi: dict, bmul, gens=None):
                 return i, _first_index(lhs, rhs)
         return None
 
-    return on_generators(scan, n, gens)
+    return on_generators(scan, n, tree)
 
 
 def comodule_map(ops: Ops, n: int, phi: dict, coaction: dict, bcoaction: dict):

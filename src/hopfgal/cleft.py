@@ -221,12 +221,11 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
         _lifted(base, {a * d + b: h for (a, b), h in H.mult.items()}))
     A = ComoduleAlgebra(base, H, H.labels, {divmod(i, d): v for i, v in enumerate(table)},
                         T.unit, T.coaction)
-    bad, tree = axioms.unit_tree(ops, d, A.mult, A.unit)
-    if bad is not None:
-        raise NotAssociativeError(f"twisted product is not unital on {L[bad]}")
-    bad = axioms.associativity(ops, d, A.mult, None if tree is None else tree.gens)
-    if bad is not None:
-        i, j, l = bad
+    verdict = axioms.Verdict(ops, d, A.mult, A.unit)
+    if verdict.unit is not None:
+        raise NotAssociativeError(f"twisted product is not unital on {L[verdict.unit]}")
+    if verdict.assoc is not None:
+        i, j, l = verdict.assoc
         raise NotAssociativeError(
             f"twisted product fails associativity on ({L[i]}, {L[j]}, {L[l]})")
     return A

@@ -112,18 +112,16 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     base ring once per call.
     """
     rep = Report(f"comodule algebra (rank {A.dim} over {A.base!r})")
-    n, L = A.dim, A.labels
-    H = A.hopf
+    n, L, H = A.dim, A.labels, A.hopf
     ops, hops, C = A.ops, field_ops(A.field), A.base
     mult, coaction, unit = A.mult, A.coaction, A.unit
 
     def fails_on(i):
         return f"fails on {L[i]}"
 
-    bad_unit, tree = axioms.unit_tree(ops, n, mult, unit)
-    record(rep, "unit", bad_unit, fails_on)
-    bad_assoc = axioms.associativity(ops, n, mult, None if tree is None else tree.gens)
-    record(rep, "associativity", bad_assoc, lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
+    verdict = axioms.Verdict(ops, n, mult, unit)
+    record(rep, "unit", verdict.unit, fails_on)
+    record(rep, "associativity", verdict.assoc, lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
     record(rep, "coaction counit",
            axioms.coaction_counit(ops, n, coaction, _lifted(C, H.counit)), fails_on)
     record(rep, "coaction coassociativity",
@@ -136,11 +134,11 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
         rep.add("coaction respects product", False, "rho(1) != 1 (x) 1")
     else:
         # the rows of the generators suffice once A (x) H is unital and associative
-        gens = (tree.gens if tree is not None and bad_assoc is None and axioms.unital_associative(
-            hops, H.dim, H.mult, H.unit) else None)
+        tree = verdict.tree if verdict.tree is not None and axioms.unital_associative(
+            hops, H.dim, H.mult, H.unit) else None
         record(rep, "coaction respects product",
                axioms.algebra_map(ops, n, mult, coaction,
-                                  axioms.tensor_product(ops, mult, _lifted(C, H.mult)), gens),
+                                  axioms.tensor_product(ops, mult, _lifted(C, H.mult)), tree),
                lambda b: f"rho({L[b[0]]}*{L[b[1]]})")
     return rep
 
@@ -201,9 +199,9 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
     Requires the same base ring and the same Hopf algebra on both sides,
     and M's entries in that ring (RingMismatchError otherwise); checks
     invertibility (unit determinant), phi(1) = 1, that phi is an algebra
-    map, on the generator rows of A's word tree once A and B are unital and
-    associative and phi(1) = 1 (else on every row), and that phi is a
-    comodule map.
+    map, on the generator rows of A's word tree once phi(1) = 1 and B is
+    unital and associative (else on every row), and that phi is a comodule
+    map.
     """
     rep = Report("bundle isomorphism")
     if A.base != B.base:
@@ -233,13 +231,12 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
     unital = axioms.image(ops, phi, A.unit) == B.unit
     rep.add("preserves unit", unital, "phi(1) != 1")
 
-    _, tree = axioms.unit_tree(ops, n, A.mult, A.unit)
-    gens = (tree.gens if unital and tree is not None
-            and axioms.associativity(ops, n, A.mult, tree.gens) is None
-            and axioms.unital_associative(ops, n, B.mult, B.unit) else None)
+    tree = axioms.Verdict(ops, n, A.mult, A.unit).tree if unital else None
+    if tree is not None and not axioms.unital_associative(ops, n, B.mult, B.unit):
+        tree = None
     L = A.labels
     record(rep, "preserves product",
-           axioms.algebra_map(ops, n, A.mult, phi, axioms.product(ops, B.mult), gens),
+           axioms.algebra_map(ops, n, A.mult, phi, axioms.product(ops, B.mult), tree),
            lambda b: f"phi({L[b[0]]}*{L[b[1]]}) != phi({L[b[0]]})*phi({L[b[1]]})")
     record(rep, "equivariant",
            axioms.comodule_map(ops, n, phi, A.coaction, B.coaction),

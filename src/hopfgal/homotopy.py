@@ -66,10 +66,13 @@ class EtaleStep(Record, frozen=True):
                      for i, g in enumerate(T.gens) if i >= k and g.kind == ROOT)
 
     def __repr__(self):
-        if not self.recipe:
-            return f"<identity step on {self.source!r}>"
-        adjs = ", ".join(f"{nm}^{n} = {u}" for u, n, nm in self.recipe)
-        return f"<step adjoining {adjs}>"
+        S, T = self.source, self.target
+        if T == S:
+            return f"<identity step on {S!r}>"
+        if 0 < len(self.recipe) == len(T.gens) - len(S.gens):  # roots alone
+            adjs = ", ".join(f"{nm}^{n} = {u}" for u, n, nm in self.recipe)
+            return f"<step adjoining {adjs}>"
+        return f"<step from {S!r} to {T!r}>"
 
 
 def identity_step(ring) -> EtaleStep:
@@ -94,9 +97,9 @@ def verify_step(step: EtaleStep) -> bool:
             cur, _, _ = adjoin_root(cur, u, n, nm)
     except (MathError, ValueError):
         return False
-    if cur != step.target:
-        return False
-    return step.morphism == inclusion_morphism(step.source, step.target)
+    # the inclusion sends each generator of the source to its namesake
+    return cur == step.target and step.morphism.images == [
+        cur.gen(g.name) for g in step.source.gens]
 
 
 def transport_step(step: EtaleStep, f: BaseMorphism):

@@ -334,7 +334,9 @@ def test_word_trees_of_taft_and_kummer():
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_non_generator_corruptions_match_reference(data):
-    """One or two products of two non-generators are changed, added or zeroed."""
+    """One or two products of two non-generators are changed, added or zeroed;
+    the reports, and the verdict that decides the shortcut, match the
+    reference."""
     hopf = data.draw(st.booleans())
     mult = T4.mult if hopf else KUMMER4.mult
     for _ in range(data.draw(st.integers(1, 2))):
@@ -349,12 +351,27 @@ def test_non_generator_corruptions_match_reference(data):
             mult = _corrupt_entry(data, mult, _non_generator_pairs(KUMMER4.dim, (1,)),
                                   value, C.zero())
     if hopf:
-        H = HopfAlgebra(F5, T4.labels, mult, T4.unit, T4.comult, T4.counit, T4.antipode)
-        assert verify_hopf(H).to_json() == ref.verify_hopf(H).to_json()
+        R = HopfAlgebra(F5, T4.labels, mult, T4.unit, T4.comult, T4.counit, T4.antipode)
+        ops, want = field_ops(F5), ref.verify_hopf(R)
+        assert verify_hopf(R).to_json() == want.to_json()
     else:
         A = KUMMER4
-        A = ComoduleAlgebra(A.base, A.hopf, A.labels, mult, A.unit, A.coaction)
-        assert verify_comodule_algebra(A).to_json() == ref.verify_comodule_algebra(A).to_json()
+        R = ComoduleAlgebra(A.base, A.hopf, A.labels, mult, A.unit, A.coaction)
+        ops, want = ring_ops(R.base), ref.verify_comodule_algebra(R)
+        assert verify_comodule_algebra(R).to_json() == want.to_json()
+    # the verdict's failures are the reference's, pass or fail and witness,
+    # and it keeps the word tree only when both checks pass
+    got, L = axioms.Verdict(ops, R.dim, R.mult, R.unit), R.labels
+    checks = {c.name: c for c in want.checks}
+    assert ((got.unit is None, "" if got.unit is None else f"fails on {L[got.unit]}")
+            == (checks["unit"].ok, checks["unit"].witness))
+    assert ((got.assoc is None, "" if got.assoc is None else "({}*{})*{}".format(
+        *(L[i] for i in got.assoc))) == (checks["associativity"].ok,
+                                         checks["associativity"].witness))
+    if got.unit is None and got.assoc is None:
+        assert got.tree == word_tree(R.dim, R.mult, R.unit, ops.is_unit)
+    else:
+        assert got.tree is None
 
 
 def _hopf_table(K, labels, mult, comult, counit):

@@ -100,6 +100,11 @@ def test_steps_replay_and_reject_forgeries():
     # towers that are not etale over their source
     for forged, _ in forged_towers():
         assert not verify_step(forged), forged.target
+    # a step is printed as an identity only when its target is its source
+    assert repr(identity_step(Q)) == "<identity step on Q>"
+    assert repr(tower) == "<step adjoining s^2 = 3, c^3 = s>"
+    assert [repr(forged) for forged, _ in forged_towers()] == [
+        "<step from Q to Q[x]>", "<step adjoining r^2 = u>", "<step adjoining r^3 = 2>"]
     # morphism that is not the inclusion of the replayed tower
     Cu = polynomial_ring(QQ, "u")
     u = Cu.gen("u")

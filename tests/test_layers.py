@@ -9,6 +9,8 @@ every other Sweedler sum goes through ``axioms.convolution``.
 Only ``axioms`` puts a record's table in normal form.
 Only ``rings`` reads a ring's ``root_values``; every other reader of a root
 adjunction takes ``BaseRing.root_value``.
+Only ``axioms`` scans an algebra's unit and associativity and builds its
+word tree; only ``axioms`` and ``hopf`` read that tree.
 No module imports a name it does not use.
 Nothing in ``src/`` is defined for the tests alone: every function, method
 and class is named somewhere in ``src/`` or exported, or is allowed by
@@ -112,6 +114,26 @@ def test_only_rings_reads_root_values() -> None:
     reading = {path.name for path in SRC.glob("*.py") for node in ast.walk(_tree(path.name))
                if isinstance(node, ast.Attribute) and node.attr == "root_values"}
     assert reading == {"rings.py"}, sorted(reading)
+
+
+def test_only_axioms_gives_an_algebras_verdict() -> None:
+    """``unit``, ``word_tree`` and ``associativity`` are called in ``axioms``
+    alone, through its one verdict per algebra.  A field of a word tree
+    (``.gens``, ``.root`` or ``.steps`` off a name ``tree``) is read only
+    there and in ``hopf``, whose antipode walks the tree; ``BaseRing.gens``,
+    read off a ring, is another attribute."""
+    calling, reading = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            ) in {"unit", "word_tree", "associativity"}:
+                calling.add(path.name)
+            if (isinstance(node, ast.Attribute) and node.attr in {"gens", "root", "steps"}
+                    and getattr(node.value, "id", None) == "tree"):
+                reading.add(path.name)
+    assert calling == {"axioms.py"}, sorted(calling)
+    assert reading == {"axioms.py", "hopf.py"}, sorted(reading)
 
 
 def _bound_names(node):
