@@ -29,8 +29,8 @@ import hopfgal
 from hopfgal import axioms
 from hopfgal.cli import main as cli_main
 from hopfgal.cleft import check_cleaving, extract_cocycle, twisted_product
-from hopfgal.comod import (ComoduleAlgebra, check_iso, convolution_invert, push_forward,
-                           verify_comodule_algebra)
+from hopfgal.comod import (ComoduleAlgebra, _lifted, check_iso, convolution_invert,
+                           push_forward, verify_comodule_algebra)
 from hopfgal.document import dump_document, load_document, validate_raw
 from hopfgal.errors import SchemaError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
@@ -195,7 +195,7 @@ def rungs():
             schema_pointer(raw) for _ in range(VALIDATIONS)][-1]
     # 36 unit pivots, then Berkowitz on the 28 x 28 block left
     B = load_document(str(DATA / "bundle-towers" / "nongalois.json")).bundles["B"]
-    rows = canonical_matrix(B).sparse_rows()
+    rows = canonical_matrix(B)
     yield "ring_det", f"{DETS} berkowitz, nongalois.json over {B.base!r}", lambda: [
         B.base.format_coeffs(ring_det(rows, B.base)) for _ in range(DETS)][-1]
     # the verdict of a bundle that is not Galois, with its determinant
@@ -206,6 +206,9 @@ def rungs():
         yield "taft", f"N={n}/F{p}", lambda n=n, q=q, K=K: taft(n, q, K).dim
         H = taft(n, q, K)
         yield "verify_hopf", f"taft N={n}/F{p}", lambda H=H: verify_hopf(H).ok
+        if n >= 24:  # the check alone, Delta as the coaction of H on itself
+            yield "coassociativity", f"taft N={n}/F{p}", lambda H=H: axioms.coassociativity(
+                axioms.field_ops(H.field), H.dim, H.comult, H.comult)
         if n == 32:  # the record alone, from tables in normal form; the verdict is its rows
             yield "HopfAlgebra", f"taft N={n}/F{p} tables", lambda H=H: len(HopfAlgebra(
                 H.field, H.labels, H.mult, H.unit, H.comult, H.counit, H.antipode).mult)
@@ -238,6 +241,9 @@ def rungs():
                                                 .coaction) for _ in range(CONSTRUCTIONS)][-1])
             yield "Verdict", size, lambda A=A: algebra_verdict(A.ops, A)
         yield "verify_bundle", size, lambda A=A: verify_bundle(A).ok
+        # the check alone, on H's comultiplication lifted into the base once
+        yield "coassociativity", size, lambda A=A, hcomult=_lifted(A.base, A.hopf.comult): (
+            axioms.coassociativity(A.ops, A.dim, A.coaction, hcomult))
         # the bundle, which is also the witness's endpoint at 0, and its push
         # to the extension have a word tree; the endpoint at 1 and the
         # family, whose 1 is the sum of H's idempotents, have none
@@ -254,9 +260,9 @@ def rungs():
                 lambda end=end, fibre=push_forward(at, w.family), M=M: check_iso(end, fibre, M).ok)
         # every one of the N^2 pivots is a unit; the verdict is the determinant
         if n < 60:
-            rows = canonical_matrix(A).sparse_rows()
+            rows = canonical_matrix(A)
             yield "ring_det", size, lambda A=A, rows=rows: A.base.format_coeffs(ring_det(rows, A.base))
-        yield "canonical_matrix", size, lambda A=A: sum(map(len, canonical_matrix(A).terms))
+        yield "canonical_matrix", size, lambda A=A: sum(map(len, canonical_matrix(A)))
         yield "is_galois", size, lambda A=A: is_galois(A).ok
         # the trivial bundle at 1 and the family over the interval, whose
         # structure maps have no unit entry over their total algebras

@@ -32,7 +32,7 @@ print()
 print("== the two-generator rank-4 family ==")
 A = abg_bundle(AbgParams(C, 3, 5, 7))
 M = canonical_matrix(A)
-print(f"canonical matrix is {M.nrows} x {M.ncols}")
+print(f"canonical matrix is {len(M)} x {A.dim ** 2}")
 v = is_galois(A)
 print("verdict:", v.describe())
 assert v.ok

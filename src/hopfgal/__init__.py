@@ -60,7 +60,7 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .fields import QQ, PrimeField, SimpleExtension, field_from_name
-from .galois import CanonicalMatrix, GaloisVerdict, canonical_matrix, is_galois, verify_bundle
+from .galois import GaloisVerdict, canonical_matrix, is_galois, verify_bundle
 from .homotopy import (
     EtaleStep,
     HomotopyWitness,

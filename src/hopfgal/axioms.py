@@ -22,9 +22,11 @@ factor, so neither costs a multiplication.  Each check returns the first
 failing basis index or tuple in the order its docstring gives, or None.
 
 Map checks.  ``algebra_map`` and ``comodule_map`` test a map phi: A -> B
-given by each phi(a_i) as a vector.  Delta, the counit and a coaction
-are algebra maps (into A (x) A, k, A (x) H), and coassociativity says rho
-is a comodule map into A (x) H coacted on by id (x) Delta.
+given by each phi(a_i) as a vector, and B by a function that yields the
+terms of its product or coaction, so no table of B is built to be read
+once.  Delta, the counit and a coaction are algebra maps (into A (x) A,
+k, A (x) H), and coassociativity says rho is a comodule map into A (x) H
+coacted on by id (x) Delta, whose terms are read off Delta's table.
 
 Checks on generators.  ``word_tree`` finds, by a closure search over the
 multiplication table, a generating set S such that every basis element is
@@ -125,8 +127,8 @@ def normal(name: str, table: dict, keys: tuple, cols, over) -> dict:
     """A copy of table as a record holds it: zero entries and empty rows
     dropped, so that equality is field by field, and a BaseElement entry
     read as its coefficient dict.  ``over`` is the field of its scalars or
-    the base ring of its coefficient dicts (RingMismatchError for an element
-    of another ring).  ``keys`` gives the bound n of each index of a key and
+    the base ring of its coefficient dicts (RingMismatchError for an entry
+    that is neither such a dict nor a BaseElement of it).  ``keys`` gives the bound n of each index of a key and
     ``cols`` of a row's keys, None for a vector (a row itself); an index
     outside range(n) raises DimensionMismatchError "<name> index out of range".
     """
@@ -150,8 +152,10 @@ def normal(name: str, table: dict, keys: tuple, cols, over) -> dict:
 
 def _coefficients(C, c) -> dict:
     """A table entry over C, a BaseElement or a coefficient dict, as the latter."""
-    if c.__class__ is not BaseElement:
+    if isinstance(c, dict):
         return c
+    if c.__class__ is not BaseElement:
+        raise RingMismatchError(f"entry {c!r} is not an element of {C!r}")
     if c.ring is not C and c.ring != C:
         raise RingMismatchError(f"entry {c} lies in {c.ring!r}, not in {C!r}")
     return c.coeffs
@@ -336,9 +340,10 @@ def coaction_counit(ops: Ops, n: int, coaction: dict, hcounit: dict):
 
 def coassociativity(ops: Ops, n: int, coaction: dict, hcomult: dict):
     """First i with (rho (x) id) rho(a_i) != (id (x) Delta) rho(a_i)."""
-    id_delta = {(j, k): {((j, a), b): c for (a, b), c in hcomult.get(k, {}).items()}
-                for t in coaction.values() for j, k in t}
-    return comodule_map(ops, n, coaction, coaction, id_delta)
+    def id_tensor_delta(key):  # the terms of a_j (x) Delta(h_k), key (j, k)
+        j, k = key
+        return ((((j, a), b), c) for (a, b), c in hcomult.get(k, {}).items())
+    return comodule_map(ops, n, coaction, coaction, id_tensor_delta)
 
 
 def image(ops: Ops, phi: dict, vec: dict) -> dict:
@@ -390,16 +395,17 @@ def algebra_map(ops: Ops, n: int, mult: dict, phi: dict, bmul, tree=None):
     return on_generators(scan, n, tree)
 
 
-def comodule_map(ops: Ops, n: int, phi: dict, coaction: dict, bcoaction: dict):
+def comodule_map(ops: Ops, n: int, phi: dict, coaction: dict, bcoact):
     """First i with rho_B(phi(a_i)) != (phi (x) id) rho(a_i).
 
-    phi maps i to phi(a_i) in B as {key: c}, and bcoaction is the coaction
-    table of B.
+    phi maps i to phi(a_i) in B as {key: c}, and bcoact is B's coaction:
+    given a basis key of B it yields the terms (key, c) of its image, as
+    ``algebra_map``'s bmul yields B's products.
     """
     mul = ops.mul
     for i in range(n):
         lhs = accumulate(ops, ((key, mul(c, c2)) for p, c in phi.get(i, {}).items()
-                               for key, c2 in bcoaction.get(p, {}).items()))
+                               for key, c2 in bcoact(p)))
         rhs = accumulate(ops, (((q, k), mul(c, c2)) for (j, k), c in coaction.get(i, {}).items()
                                for q, c2 in phi.get(j, {}).items()))
         if lhs != rhs:

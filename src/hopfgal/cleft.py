@@ -75,7 +75,8 @@ class CleavingMap(Record, frozen=True):
 def _comodule_map_witness(A: ComoduleAlgebra, gamma: HModuleMap):
     """Index of the first basis element where rho(gamma(h)) != (gamma (x) id)(Delta h)."""
     return axioms.comodule_map(A.ops, A.hopf.dim, dict(enumerate(gamma.values)),
-                               _lifted(A.base, A.hopf.comult), A.coaction)
+                               _lifted(A.base, A.hopf.comult),
+                               lambda p: A.coaction.get(p, {}).items())
 
 
 def check_cleaving(A: ComoduleAlgebra, gamma: HModuleMap) -> CleavingMap:

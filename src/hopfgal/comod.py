@@ -21,8 +21,8 @@ As for a Hopf algebra, a record keeps copies of its tables, and an
 coefficients and empty rows dropped, every index in range.  Equality is
 field by field.  Building a record is the one place that converts: an
 entry given as a BaseElement of the base ring is read as its coefficient
-dict, so tables may be built with ring arithmetic, and an element of
-another ring is refused, as in ``check_iso``'s matrix.
+dict, so tables may be built with ring arithmetic, and any other entry
+but a coefficient dict is refused, as in ``check_iso``'s matrix.
 Module vectors ({index: coefficient dict}) are summed by
 ``axioms.accumulate`` with the record's ``ops``, the ``axioms.ring_ops`` of
 its base, built once with the record; a BaseElement is formed only to call
@@ -239,7 +239,7 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
            axioms.algebra_map(ops, n, A.mult, phi, axioms.product(ops, B.mult), tree),
            lambda b: f"phi({L[b[0]]}*{L[b[1]]}) != phi({L[b[0]]})*phi({L[b[1]]})")
     record(rep, "equivariant",
-           axioms.comodule_map(ops, n, phi, A.coaction, B.coaction),
+           axioms.comodule_map(ops, n, phi, A.coaction, lambda p: B.coaction.get(p, {}).items()),
            lambda i: f"coaction differs on phi({L[i]})")
     return rep
 

@@ -20,8 +20,9 @@ over the terms c a_l (x) h_k of rho(a_j), and the column of a_i (x) a_j is
 so entry (p, q) is the sum of c c' over the terms c a_l of X[q][j] and c'
 a_p of a_i a_l.  No unitality of H is assumed, so a corrupted H gives the
 matrix of the map as defined.  Entries are coefficient dicts, the form of
-A's own tables, and ``is_galois`` hands the sparse rows straight to
-``ring_det``; only the determinant of the verdict is a BaseElement.
+A's own tables, and ``canonical_matrix`` returns the sparse rows that
+``is_galois`` hands straight to ``ring_det``, a dict column -> entry per
+row; only the determinant of the verdict is a BaseElement.
 
 The determinant as a norm.  When A is commutative, beta is left A-linear:
 X is its n x d matrix over A, from the free A-module on the 1 (x) a_j to
@@ -42,7 +43,7 @@ same X, as it is when A is not commutative, or not unital and associative
 
 from __future__ import annotations
 
-from .axioms import accumulate, commutativity, field_ops, unital_associative
+from .axioms import accumulate, commutativity, unital_associative
 from .comod import ComoduleAlgebra, verify_comodule_algebra
 from .linalg import _det, regular, ring_det
 from .record import Record
@@ -54,39 +55,12 @@ RANK_MISMATCH = "rank_mismatch"
 NOT_BIJECTIVE = "not_bijective"
 
 
-class CanonicalMatrix(Record, frozen=True):
-    """Matrix of beta; rows (l, k) as l*d + k, columns (i, j) as i*n + j.
-
-    Each row is held as its (column, entry) pairs with a nonzero entry, in
-    column order; an entry is a coefficient dict over the base ring.
-    """
-
-    algebra: ComoduleAlgebra
-    terms: tuple
-
-    @property
-    def nrows(self) -> int:
-        return len(self.terms)
-
-    @property
-    def ncols(self) -> int:
-        return self.algebra.dim ** 2 if self.terms else 0
-
-    def sparse_rows(self) -> list:
-        return [dict(r) for r in self.terms]
-
-    def __hash__(self):
-        return hash(self.algebra)
-
-
 def _structure_columns(A: ComoduleAlgebra) -> list:
     """X by columns: for each j, {(q, l): c} with c a_l the terms of X[q][j];
     1_H h_k is formed once per k over the ground field."""
     H, K, ops = A.hopf, A.field, A.ops
-    fops, scale, is_one = field_ops(K), A.base._scale, K.is_one
-    unit_times = [accumulate(fops, ((q, K.mul(u, s)) for k, u in H.unit.items()
-                                    for q, s in H.mult.get((k, l), {}).items()))
-                  for l in range(H.dim)]
+    scale, is_one = A.base._scale, K.is_one
+    unit_times = [H.mul_vec(H.unit, {l: K.one()}) for l in range(H.dim)]
     return [accumulate(ops, (((q, l), c if is_one(s) else scale(s, c))
                              for (l, k), c in A.coaction.get(j, {}).items()
                              for q, s in unit_times[k].items()))
@@ -108,9 +82,11 @@ def _canonical_rows(A: ComoduleAlgebra, X: list) -> list:
     return rows
 
 
-def canonical_matrix(A: ComoduleAlgebra) -> CanonicalMatrix:
-    rows = _canonical_rows(A, _structure_columns(A))
-    return CanonicalMatrix(A, tuple(tuple(row.items()) for row in rows))
+def canonical_matrix(A: ComoduleAlgebra) -> list:
+    """The matrix of beta as the rows ``ring_det`` takes: row l*d + k, for
+    a_l (x) h_k, is a dict from column i*n + j, for a_i (x) a_j, to a
+    nonzero coefficient dict, filled in column order."""
+    return _canonical_rows(A, _structure_columns(A))
 
 
 def _norm_det(A: ComoduleAlgebra, X: list):

@@ -389,12 +389,6 @@ class BaseRing:
         y = self._regular.inv(coords)
         return None if y is None else {m + (k,): c for k, yk in y.items() for m, c in yk.items()}
 
-    # ------------------------------------------------------------ grading
-
-    @property
-    def grades(self) -> tuple[int, ...]:
-        return tuple(g.grade for g in self.gens)
-
     # --------------------------------------------------------- formatting
 
     def format_element(self, a: BaseElement) -> str:
@@ -604,10 +598,6 @@ class BaseElement:
         if isinstance(other, int):
             other = self.ring.from_int(other)
         return self * self.ring.inverse(other)
-
-    def scale(self, c) -> BaseElement:
-        """Multiply by a scalar of the ground field."""
-        return BaseElement(self.ring, self.ring._scale(c, self.coeffs))
 
     @property
     def is_zero(self) -> bool:

@@ -15,9 +15,8 @@ builds the structure map's matrix through ``tensor_mul``, as the library
 did before reading it off the tables.
 ``check_iso`` forms every product of two basis elements and its image, as
 the library did before it checked maps through the axiom checker.
-``entries`` and ``rows`` spell a ``galois.CanonicalMatrix`` out densely, as
-its own methods did before only the tests read them, with its coefficient
-dicts read as BaseElements.
+``entries`` and ``rows`` spell the rows of ``galois.canonical_matrix`` out
+densely, with their coefficient dicts read as BaseElements.
 ``reduce_word_combination`` rewrites words in x, y to the normal form of
 the rank-4 family, as ``bundles.abg_bundle`` did before its table was
 written out.  ``crossed_multiply`` is the general crossed-product formula
@@ -224,17 +223,16 @@ def canonical_matrix(A) -> tuple:
     return tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * d))
 
 
-def entries(M) -> tuple:
-    """The dense matrix of a ``galois.CanonicalMatrix``: a tuple of row
-    tuples of BaseElements."""
-    C, ncols = M.algebra.base, M.ncols
-    return tuple(tuple(BaseElement(C, row.get(c, {})) for c in range(ncols))
-                 for row in M.sparse_rows())
+def entries(A, M) -> tuple:
+    """The dense matrix of the rows M of ``galois.canonical_matrix(A)``: a
+    tuple of row tuples of BaseElements, one column per pair (i, j)."""
+    C, ncols = A.base, A.dim ** 2
+    return tuple(tuple(BaseElement(C, row.get(c, {})) for c in range(ncols)) for row in M)
 
 
-def rows(M) -> list:
+def rows(A, M) -> list:
     """``entries`` as a list of row lists."""
-    return [list(r) for r in entries(M)]
+    return [list(r) for r in entries(A, M)]
 
 
 def verify_hopf(H) -> Report:

@@ -87,7 +87,7 @@ def test_criterion_2_galois_determinants():
             C.from_scalar(rational(rng)), C.from_scalar(rational(rng)))))
     for A in bundles:
         M = canonical_matrix(A)
-        assert M.nrows == 16 and M.ncols == 16
+        assert len(M) == 16 and set().union(*M) <= set(range(16))
         assert is_galois(A).ok
     # same structure constants, coaction paired with the wrong Hopf leg
     good = bundles[1]

@@ -11,8 +11,10 @@ Hand-derived facts frozen below:
   the unit, so cocycle extraction must refuse.
 """
 
+import contextlib
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -343,3 +345,65 @@ def test_cleft_sums_match_their_formulas_on_twisted_products(data):
     assert {ab: dense(R, T.mult.get(ab, {}), H.dim) for ab in want} == want
     cm = cleaving_of_twisted_product(T)
     assert _sums_match_their_formulas(cm, _element(draw, R)) == sigma
+
+
+# --------------------------------------------------------------------------
+# the cleaving's comodule-map witness against a brute-force check
+# --------------------------------------------------------------------------
+
+def _certified_cleavings():
+    """The cleaving maps the library certifies on the ABG bundle over Q, on
+    the stored one over Q[u,v,w] and on a twisted product of H4 over
+    Q[u^+-1] by the cocycle of an ABG bundle there."""
+    Q, L = base_ring(QQ), laurent_ring(QQ, "u")
+    u = L.gen("u")
+    sigma = extract_cocycle(abg_cleaving(abg_bundle(AbgParams(L, u, L.from_int(2), u))))
+    return [abg_cleaving(abg_bundle(AbgParams(Q, 3, 5, 7))).gamma,
+            load_document(str(SEED0 / "bundle-towers" / "abg_uvw.json")).cleavings["g"],
+            cleaving_of_twisted_product(twisted_product(L, H4, sigma)).gamma]
+
+
+CLEAVINGS = _certified_cleavings()
+
+
+def _first_not_intertwined(gamma):
+    """The first k with rho(gamma(h_k)) != (gamma (x) id) Delta(h_k), or
+    None: both sides formed on BaseElements through the reference coaction
+    and comultiplication."""
+    A = gamma.algebra
+    C, H = A.base, A.hopf
+    for k in range(H.dim):
+        rhs = {}
+        for (a, b), s in ref._h_comult_vec(H, {k: H.field.one()}).items():
+            for l, c in elements(C, gamma.values[a]).items():
+                ref._vadd(rhs, (l, b), c * C.from_scalar(s))
+        if ref._a_coact_vec(A, elements(C, gamma.values[k])) != rhs:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("gamma", CLEAVINGS, ids=["abg-Q", "abg-Q[u,v,w]", "twisted"])
+def test_a_certified_cleaving_is_a_comodule_map(gamma):
+    assert _first_not_intertwined(gamma) is None
+    assert check_cleaving(gamma.algebra, gamma).verify().ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_corrupted_cleaving_fails_where_a_brute_force_check_does(data):
+    """One coordinate of one value changed, added or zeroed: check_cleaving
+    names the first h_k that the brute-force check finds, and when that
+    finds none the map passes as a comodule map."""
+    gamma = data.draw(st.sampled_from(CLEAVINGS))
+    A = gamma.algebra
+    values = list(gamma.values)
+    k, i = data.draw(st.integers(0, A.hopf.dim - 1)), data.draw(st.integers(0, A.dim - 1))
+    values[k] = {**values[k], i: _element(data.draw, A.base).coeffs}
+    bad = HModuleMap(A, tuple(values))
+    want = _first_not_intertwined(bad)
+    if want is None:
+        with contextlib.suppress(NotInvertibleError):
+            check_cleaving(A, bad)
+    else:
+        with pytest.raises(NotComoduleMapError, match=f" on {re.escape(A.hopf.labels[want])}$"):
+            check_cleaving(A, bad)

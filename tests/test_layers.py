@@ -178,20 +178,20 @@ UNCALLED = {
     "ring_solve": "perfbench/traced.py traces it; the solves in src/ take their record's Ops",
     "BaseRing.monomial": "public ring API; the tests build elements with it",
     "polynomial_ring": "public constructor; perfbench/workloads.py and the tests use it",
-    "CanonicalMatrix.nrows": "public property; demos/02_galois_bundles.py prints it",
-    "CanonicalMatrix.sparse_rows": "public matrix API; bench/ladders.py hands it to ring_det",
     "WitnessChain.reverse": "public chain API; test_homotopy and test_cli compose with it",
     "WitnessChain.then": "public chain API; test_homotopy composes with it",
 }
 
 
 def test_src_defines_nothing_that_only_tests_call() -> None:
-    """A function, method or class counts as called when its name appears
-    in src/ as a name or an attribute outside every definition of that
-    name, so a method that names itself, or an override of itself, in its
-    own body is not called by that; dunder methods are called by the
-    language, and top-level names in ``hopfgal.__all__`` by users."""
-    defined, named = {}, set()
+    """A function or class counts as called when its name appears in src/
+    as a name or an attribute, and a method when its name is read as an
+    attribute, so a local variable or a parameter of the same name calls no
+    method; in each case outside every definition of that name, so a method
+    that names itself, or an override of itself, in its own body is not
+    called by that.  Dunder methods are called by the language, and
+    top-level names in ``hopfgal.__all__`` by users."""
+    defined, named, read = {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = _tree(path.name)
         todo = [(tree, "", frozenset())]
@@ -200,16 +200,17 @@ def test_src_defines_nothing_that_only_tests_call() -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     qualname = f"{owner}.{child.name}" if owner else child.name
-                    defined[qualname] = (child.name, node is tree)
+                    defined[qualname] = (child.name, node is tree, isinstance(node, ast.ClassDef))
                     todo.append((child, qualname, inside | {child.name}))
                     continue
-                if isinstance(child, (ast.Name, ast.Attribute)):
-                    name = child.id if isinstance(child, ast.Name) else child.attr
-                    if name not in inside:
-                        named.add(name)
+                if isinstance(child, ast.Name) and child.id not in inside:
+                    named.add(child.id)
+                if isinstance(child, ast.Attribute) and child.attr not in inside:
+                    read.add(child.attr)
                 todo.append((child, owner, inside))
-    uncalled = {qualname for qualname, (name, top) in defined.items()
-                if name not in named and not (name.startswith("__") and name.endswith("__"))
+    uncalled = {qualname for qualname, (name, top, method) in defined.items()
+                if name not in (read if method else named | read)
+                and not (name.startswith("__") and name.endswith("__"))
                 and not (top and name in hopfgal.__all__)}
     assert uncalled == set(UNCALLED), (
         f"called only from outside src/: {sorted(uncalled - set(UNCALLED))}; "

@@ -350,7 +350,7 @@ def test_ring_det_tests_each_entry_for_a_unit_once(monkeypatch) -> None:
     K = PrimeField(241)
     q = next(K.from_int(a) for a in range(2, 241) if K.has_order(K.from_int(a), 8))
     A = kummer_bundle(8, q, K)
-    M = ref.rows(canonical_matrix(A))
+    M = ref.rows(A, canonical_matrix(A))
     tested = []
     try_inverse = BaseRing.try_inverse
 

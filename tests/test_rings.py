@@ -163,8 +163,8 @@ def test_grading_validation() -> None:
     with pytest.raises(GradingError):
         BaseRing(QQ, (Generator("x", "free", grade=-1),), (None,))
     graded = polynomial_ring(QQ, "x", grades=(2,))
-    assert graded.grades == (2,)
-    assert laurent_ring(QQ, "z").grades == (0,)
+    assert tuple(g.grade for g in graded.gens) == (2,)
+    assert tuple(g.grade for g in laurent_ring(QQ, "z").gens) == (0,)
 
 
 def test_laurent_above_root_refused() -> None:
