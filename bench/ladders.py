@@ -21,6 +21,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -303,10 +304,26 @@ def rungs():
     # exit code
     argv = ["demo", "prop35", "--order", "64", "--q", "11", "--field", "F193"]
     yield "cli.main", " ".join(argv), lambda: quiet(cli_main, argv)
+    # the commands that take names, in process with --json, on stored
+    # documents; the verdict is the exit code
+    for argv in (["galois", "cli-docs/abg.json", "A"],
+                 ["cleft", "check", "cli-docs/abg.json", "g"],
+                 ["cleft", "invert", "cli-docs/abg.json", "g"],
+                 ["witness", "verify", "cli-docs/abg.json", "w"],
+                 ["verify-bundle", "bundle-towers/kummer.json", "K6", "K8", "K10"],
+                 ["galois", "bundle-towers/kummer.json", "K6", "K8", "K10"],
+                 ["witness", "verify", "bundle-towers/kummer.json", "w6", "w8", "w10"]):
+        full = [str(DATA / a) if a.endswith(".json") else a for a in argv] + ["--json"]
+        yield "cli.main", " ".join(argv + ["--json"]), lambda full=full: quiet(cli_main, full)
     QI = SimpleExtension(QQ, "i", (1, 0, 1))
     a = (QQ.fraction(3, 7), 5)
     yield "SimpleExtension.inv", f"{INVERSES} inverses in Q(i)", lambda: [
         QI.inv(a) for _ in range(INVERSES)][-1] == QI.inv(a)
+    # the tier-1 suite in a child process from the root of the checkout;
+    # the verdict is its exit status
+    yield "tier-1", "python -m pytest -q", lambda: subprocess.run(
+        [sys.executable, "-m", "pytest", "-q"], cwd=ROOT, stdout=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).returncode
 
 
 def algebra_verdict(ops, R) -> list:

@@ -1,12 +1,15 @@
 """Command line front end.
 
 Verification commands read a JSON document, resolve named objects, and
-re-run the library's certifying checks.  Exit status 0 means everything
-verified, 1 means a mathematical check failed or an object was rejected,
-2 means the input itself was unusable, or too large to check in memory.
-With --json each command prints a single machine-readable verdict; the
-encoder is pinned (sorted keys, two-space indent) so identical inputs give
-byte-identical output.
+re-run the library's certifying checks.  One handler, ``_each``, loads the
+document, picks every named object and runs the command's check on each;
+the six commands that take a file and names differ only in that check.
+Exit status 0 means everything verified, 1 means a mathematical check
+failed or an object was rejected, 2 means the input itself was unusable,
+or too large to check in memory.  With --json each command prints a single
+machine-readable verdict, whose "command" key ``main`` writes from the
+command's words in argv; the encoder is pinned (sorted keys, two-space
+indent) so identical inputs give byte-identical output.
 
 One table, ``_COMMANDS``, defines every command.  A plain reader reads
 the usual argv (the command's words, its positionals, and --json and its
@@ -73,21 +76,6 @@ def _scalar_flag(K, text: str, flag: str):
         raise BadScalarError(f"--{flag}: {exc}") from None
 
 
-def _report_results(command: str, names: list, reports: list):
-    lines = []
-    for name, rep in zip(names, reports):
-        lines.append(f"{name}:")
-        lines.extend("  " + ln for ln in str(rep).splitlines())
-    ok = all(rep.ok for rep in reports)
-    payload = {
-        "command": command,
-        "ok": ok,
-        "results": [{"name": nm, "report": rep.to_json()}
-                    for nm, rep in zip(names, reports)],
-    }
-    return (0 if ok else 1), lines, payload
-
-
 def _format_vec(A, vec: dict) -> str:
     C = A.base
     terms = [f"({C.format_coeffs(c)}) {A.labels[i]}"
@@ -99,47 +87,47 @@ def _format_vec(A, vec: dict) -> str:
 # verification commands
 # --------------------------------------------------------------------------
 
-def _verifier(command: str, table: str, kind: str, verify):
+def _each(table: str, kind: str, run):
     """The handler of a command that loads args.file, picks each name from
-    the document's ``table`` (every object in it when no name is given),
-    verifies each object and reports."""
+    the document's ``table`` (every object in it when no name is given) and
+    calls ``run(name, obj) -> (ok, lines, result)`` on each object in turn;
+    the command passes when every run does."""
     def handler(args):
-        doc = _load(args.file)
-        names = args.names or list(getattr(doc, table))
+        objs = getattr(_load(args.file), table)
+        names = args.names or list(objs)
         if not names:
             raise InputError(f"no {table} in {args.file}")
-        objs = [_pick(getattr(doc, table), nm, kind, args.file) for nm in names]
-        return _report_results(command, names, [verify(x) for x in objs])
+        picked = [_pick(objs, nm, kind, args.file) for nm in names]
+        oks, lines, results = zip(*(run(nm, x) for nm, x in zip(names, picked)))
+        ok = all(oks)
+        return ((0 if ok else 1), [ln for part in lines for ln in part],
+                {"ok": ok, "results": list(results)})
     return handler
 
 
-def _cmd_galois(args):
-    doc = _load(args.file)
-    objs = [_pick(doc.bundles, nm, "bundle", args.file) for nm in args.names]
-    verdicts = [is_galois(A) for A in objs]
-    lines, results = [], []
-    for nm, v in zip(args.names, verdicts):
-        lines.append(f"{nm}: {v.describe()}")
-        results.append({"name": nm, "galois": v.ok, "det": v.det_text,
-                        "reason": v.describe()})
-    ok = all(v.ok for v in verdicts)
-    return (0 if ok else 1), lines, {"command": "galois", "ok": ok,
-                                     "results": results}
+def _verifier(table: str, kind: str, verify):
+    """_each, reporting the Report ``verify`` gives for each object."""
+    def run(name, obj):
+        rep = verify(obj)
+        return (rep.ok, [f"{name}:", *("  " + ln for ln in str(rep).splitlines())],
+                {"name": name, "report": rep.to_json()})
+    return _each(table, kind, run)
 
 
-def _cmd_cleft_invert(args):
-    doc = _load(args.file)
-    maps = [_pick(doc.cleavings, nm, "cleaving", args.file) for nm in args.names]
+def _galois(name, A):
+    v = is_galois(A)
+    return v.ok, [f"{name}: {v.describe()}"], {"name": name, "galois": v.ok,
+                                               "det": v.det_text, "reason": v.describe()}
+
+
+def _cleft_inverse(name, g):
     # rejects with NotComoduleMap / NotInvertible before anything is printed
-    made = [check_cleaving(g.algebra, g) for g in maps]
-    lines, results = [], []
-    for nm, cm in zip(args.names, made):
-        A = cm.algebra
-        lines.append(f"{nm}: convolution inverse")
-        for k, vec in enumerate(cm.gamma_inv.values):
-            lines.append(f"  {A.hopf.labels[k]} -> {_format_vec(A, vec)}")
-        results.append({"name": nm, "inverse": values_spec(cm.gamma_inv)})
-    return 0, lines, {"command": "cleft invert", "ok": True, "results": results}
+    cm = check_cleaving(g.algebra, g)
+    A = cm.algebra
+    lines = [f"{name}: convolution inverse"]
+    lines += [f"  {A.hopf.labels[k]} -> {_format_vec(A, vec)}"
+              for k, vec in enumerate(cm.gamma_inv.values)]
+    return True, lines, {"name": name, "inverse": values_spec(cm.gamma_inv)}
 
 
 def _cmd_pushforward(args):
@@ -152,9 +140,8 @@ def _cmd_pushforward(args):
     lines = [f"push-forward of {args.bundle} along {args.morphism}:"]
     lines.extend("  " + ln for ln in str(rep).splitlines())
     lines.append(json.dumps(out, indent=2, sort_keys=True))
-    payload = {"command": "pushforward", "ok": rep.ok,
-               "report": rep.to_json(), "document": out}
-    return (0 if rep.ok else 1), lines, payload
+    return (0 if rep.ok else 1), lines, {"ok": rep.ok, "report": rep.to_json(),
+                                         "document": out}
 
 
 def _abg_flags(args) -> AbgParams:
@@ -173,9 +160,8 @@ def _cmd_h4_criterion(args):
         line = f"trivial, s={K.format(verdict.s)}, t={K.format(verdict.t)}"
     else:
         line = "not trivial"
-    payload = {"command": "h4 criterion", "field": args.field,
-               "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-               "trivial": verdict.trivial,
+    payload = {"field": args.field, "alpha": args.alpha, "beta": args.beta,
+               "gamma": args.gamma, "trivial": verdict.trivial,
                "s": K.format(verdict.s) if verdict.trivial else None,
                "t": K.format(verdict.t) if verdict.trivial else None}
     return (0 if verdict.trivial else 1), [line], payload
@@ -185,8 +171,8 @@ def _cmd_h4_criterion(args):
 # demos: rebuild a known result and re-verify it through public entry points
 # --------------------------------------------------------------------------
 
-# the schema's cap on a kummer bundle's order, which --order shares
-MAX_KUMMER_ORDER = 64
+# the schema's bounds on a kummer bundle's order, which --order shares
+MIN_KUMMER_ORDER, MAX_KUMMER_ORDER = 2, 64
 
 
 def _cmd_demo_thm43(args):
@@ -205,14 +191,16 @@ def _cmd_demo_thm43(args):
     end = abg_bundle(AbgParams(C, C.one(), C.zero(), C.zero()))
     rep = verify_chain(chain, start=start, end=end)
     lines.extend(str(rep).splitlines())
-    payload = {"command": "demo thm43", "field": args.field,
-               "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-               "criterion_trivial": verdict.trivial,
+    payload = {"field": args.field, "alpha": args.alpha, "beta": args.beta,
+               "gamma": args.gamma, "criterion_trivial": verdict.trivial,
                "links": len(chain), "ok": rep.ok, "report": rep.to_json()}
     return (0 if rep.ok else 1), lines, payload
 
 
 def _cmd_demo_prop35(args):
+    if args.order < MIN_KUMMER_ORDER:
+        raise InputError(f"--order {args.order} is below {MIN_KUMMER_ORDER}, "
+                         "the smallest order a kummer bundle may have")
     if args.order > MAX_KUMMER_ORDER:
         raise InputError(f"--order {args.order} is above {MAX_KUMMER_ORDER}, "
                          "the largest order a kummer bundle may have")
@@ -227,8 +215,7 @@ def _cmd_demo_prop35(args):
     witness_rep = verify_witness(w)
     lines.extend(str(witness_rep).splitlines())
     ok = bundle_rep.ok and witness_rep.ok
-    payload = {"command": "demo prop35", "field": args.field,
-               "order": args.order, "q": args.q, "ok": ok,
+    payload = {"field": args.field, "order": args.order, "q": args.q, "ok": ok,
                "bundle": bundle_rep.to_json(), "witness": witness_rep.to_json()}
     return (0 if ok else 1), lines, payload
 
@@ -255,9 +242,7 @@ def _cmd_demo_census(args):
     count = sum(1 for r in rows if r["criterion"])
     lines.append(f"{count} of {len(rows)} triples trivial; "
                  f"criterion and search {'agree on all' if ok else 'DISAGREE on some'}")
-    payload = {"command": "demo census-f3", "ok": ok,
-               "trivial_count": count, "rows": rows}
-    return (0 if ok else 1), lines, payload
+    return (0 if ok else 1), lines, {"ok": ok, "trivial_count": count, "rows": rows}
 
 
 # --------------------------------------------------------------------------
@@ -279,16 +264,17 @@ _ABG_FLAGS = (("--alpha", {"required": True, "help": "unit scalar, e.g. 3 or 2/5
 # in help order
 _COMMANDS = {
     "verify-hopf": _Leaf("check every Hopf algebra axiom", _verifier(
-        "verify-hopf", "hopf_algebras", "Hopf algebra", verify_hopf), _FILE_NAMES),
+        "hopf_algebras", "Hopf algebra", verify_hopf), _FILE_NAMES),
     "verify-bundle": _Leaf("full principal bundle check", _verifier(
-        "verify-bundle", "bundles", "bundle", verify_bundle), _FILE_NAMES),
-    "galois": _Leaf("bijectivity of the structure map, by determinant", _cmd_galois,
-                    _FILE_NAMES),
+        "bundles", "bundle", verify_bundle), _FILE_NAMES),
+    "galois": _Leaf("bijectivity of the structure map, by determinant",
+                    _each("bundles", "bundle", _galois), _FILE_NAMES),
     "cleft": _Group("cleaving map commands", "action", {
         "check": _Leaf("certify a cleaving map", _verifier(
-            "cleft check", "cleavings", "cleaving",
-            lambda g: check_cleaving(g.algebra, g).verify()), _FILE_NAMES),
-        "invert": _Leaf("print the convolution inverse", _cmd_cleft_invert, _FILE_NAMES)}),
+            "cleavings", "cleaving", lambda g: check_cleaving(g.algebra, g).verify()),
+            _FILE_NAMES),
+        "invert": _Leaf("print the convolution inverse",
+                        _each("cleavings", "cleaving", _cleft_inverse), _FILE_NAMES)}),
     "pushforward": _Leaf("push a bundle along a base morphism", _cmd_pushforward,
                          (("file", {}), ("bundle", {}), ("morphism", {}))),
     "h4": _Group("rank-4 family commands", "action", {
@@ -296,7 +282,7 @@ _COMMANDS = {
                            _cmd_h4_criterion, options=_ABG_FLAGS)}),
     "witness": _Group("homotopy witness commands", "action", {
         "verify": _Leaf("re-certify stored witnesses", _verifier(
-            "witness verify", "witnesses", "witness", verify_witness), (
+            "witnesses", "witness", verify_witness), (
             ("file", {}),
             ("names", {"nargs": "*", "metavar": "name",
                        "help": "default: every witness in the file"})))}),
@@ -431,7 +417,10 @@ def main(argv=None) -> int:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        spec = _COMMANDS[args.command]
+        command = args.command if isinstance(spec, _Leaf) else (
+            f"{args.command} {getattr(args, spec.dest)}")
+        print(json.dumps({**payload, "command": command}, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))
     return code

@@ -163,18 +163,15 @@ def verify_witness(w: HomotopyWitness) -> Report:
         raise BaseMismatchError("family must live over the interval ring")
     for title, bundle in (("family bundle", w.family), ("endpoint bundle at 0", A),
                           ("endpoint bundle at 1", B)):
-        sub = verify_bundle(bundle)
-        sub.title = title
-        rep.nest(sub)
+        rep.nest(verify_bundle(bundle), title)
     ext = w.step.target
     for label, M, end, at in (("0", w.iso_zero, A, w.interval.at_zero),
                               ("1", w.iso_one, B, w.interval.at_one)):
         over = all(getattr(e, "ring", None) == ext for row in M for e in row)
         rep.add(f"matrix at {label} over the extension", over)
         if over:
-            sub = check_iso(push_forward(w.step.morphism, end), push_forward(at, w.family), M)
-            sub.title = f"endpoint fibre at {label}"
-            rep.nest(sub)
+            rep.nest(check_iso(push_forward(w.step.morphism, end), push_forward(at, w.family), M),
+                     f"endpoint fibre at {label}")
     return rep
 
 
@@ -254,9 +251,7 @@ def verify_chain(chain: WitnessChain, start=None, end=None) -> Report:
     if end is not None:
         rep.add("chain ends at the given bundle", chain.end == end)
     for idx, (w, forward) in enumerate(chain.links):
-        sub = verify_witness(w)
-        sub.title = f"link {idx}" + ("" if forward else " (reversed)")
-        rep.nest(sub)
+        rep.nest(verify_witness(w), f"link {idx}" + ("" if forward else " (reversed)"))
     return rep
 
 

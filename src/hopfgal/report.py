@@ -31,7 +31,11 @@ class Report(Record):
         self.checks.append(Check(name, ok, witness if not ok else ""))
         return ok
 
-    def nest(self, sub: "Report") -> "Report":
+    def nest(self, sub: "Report", title: str | None = None) -> "Report":
+        """Append sub as a subreport, retitled ``title`` when one is given:
+        a report another verifier returned is named for its place here."""
+        if title is not None:
+            sub.title = title
         self.subreports.append(sub)
         return sub
 

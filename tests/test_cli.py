@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 import hopfgal
 from hopfgal.bundles import (AbgParams, _coaction_images, abg_bundle, abg_cleaving,
                              kummer_bundle)
-from hopfgal.cli import MAX_KUMMER_ORDER, _build_parser, _read_plain, main, run
+from hopfgal.cli import (MAX_KUMMER_ORDER, MIN_KUMMER_ORDER, _build_parser, _read_plain,
+                         main, run)
 from hopfgal.comod import HModuleMap, trivial_bundle
 from hopfgal.document import Document, dump_document
 from hopfgal.fields import QQ
@@ -126,6 +127,16 @@ def test_cleft_check_and_invert(doc_path, capsys):
 def test_noninvertible_cleaving_exits_1(doc_path, capsys):
     assert main(["cleft", "check", doc_path, "dead"]) == 1
     assert "rejected:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["check", "invert"])
+def test_a_dead_cleaving_after_a_good_one_prints_nothing(doc_path, action, capsys):
+    """Every named cleaving is checked before anything is printed, so the
+    good one listed first leaves no partial output behind the rejection."""
+    assert main(["cleft", action, doc_path, "g", "dead"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("rejected: ")
 
 
 def test_witness_verify_ok(doc_path, capsys):
@@ -272,10 +283,15 @@ def test_demo_prop35(capsys):
 
 
 def test_demo_prop35_refuses_an_order_above_the_schema_cap(capsys):
-    """--order shares the schema's cap on a kummer bundle's order and is
-    refused before any work, with one error line; the cap itself passes."""
+    """--order shares the schema's bounds on a kummer bundle's order and is
+    refused above the cap before any work, with one error line; the cap
+    itself passes."""
     schema = json.loads((Path(hopfgal.__file__).parent / "schema.json").read_text())
-    assert MAX_KUMMER_ORDER == schema["$defs"]["bundle"]["properties"]["order"]["maximum"]
+    bundle = schema["$defs"]["bundle"]
+    assert MAX_KUMMER_ORDER == bundle["properties"]["order"]["maximum"]
+    (kummer,) = [b for b in bundle["oneOf"]
+                 if b["properties"]["construction"] == {"const": "kummer"}]
+    assert MIN_KUMMER_ORDER == kummer["properties"]["order"]["minimum"]
     for order in (65, 1000):
         start = time.perf_counter()
         assert main(["demo", "prop35", "--order", str(order), "--field", "F3001"]) == 2
@@ -287,6 +303,17 @@ def test_demo_prop35_refuses_an_order_above_the_schema_cap(capsys):
     assert main(["demo", "prop35", "--order", "64"]) == 1
     assert capsys.readouterr().err == (
         "rejected: -1 does not have exact multiplicative order 64\n")
+
+
+@pytest.mark.parametrize("order", [1, 0, -2])
+def test_demo_prop35_refuses_an_order_below_the_schema_minimum(order, capsys):
+    """As a document with a kummer order below 2 fails the schema, --order
+    below it is an input error, with one line and before any work."""
+    assert main(["demo", "prop35", "--order", str(order)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --order {order} is below 2, the smallest "
+                            "order a kummer bundle may have\n")
 
 
 def _element_of_order(n):
@@ -331,29 +358,38 @@ def test_census_filters_the_candidate_images_once_per_ring(capsys):
 
 def test_multi_name_reports_in_input_order(tmp_path, capsys):
     C = base_ring(QQ)
+    abg = {nm: AbgParams(C, *t) for nm, t in (("A", (3, 5, 7)), ("B", (2, 1, 1)))}
+    bundles = {nm: abg_bundle(p) for nm, p in abg.items()}
     doc = Document(
         QQ,
         hopf_algebras={"H4": sweedler_h4(QQ), "C3": cyclic_group_algebra(3, QQ),
                        "D2": dual_hopf(cyclic_group_algebra(2, QQ))},
-        bundles={"A": abg_bundle(AbgParams(C, 3, 5, 7)),
-                 "T": trivial_bundle(C, cyclic_group_algebra(3, QQ)),
-                 "K": kummer_bundle(2, -1, QQ)})
+        bundles={**bundles, "T": trivial_bundle(C, cyclic_group_algebra(3, QQ)),
+                 "K": kummer_bundle(2, -1, QQ)},
+        cleavings={f"g{nm}": abg_cleaving(A).gamma for nm, A in bundles.items()},
+        witnesses={f"w{nm}": cleft_trivialization_witness(p).links[0][0]
+                   for nm, p in abg.items()})
     path = tmp_path / "many.json"
     path.write_text(dump_document(doc))
-    for command, names in (("verify-hopf", ["D2", "H4", "C3", "H4"]),
-                           ("verify-bundle", ["K", "T", "A"]),
-                           ("galois", ["T", "K", "A"])):
+    for command, names in ((["verify-hopf"], ["D2", "H4", "C3", "H4"]),
+                           (["verify-bundle"], ["K", "T", "A"]),
+                           (["galois"], ["T", "K", "A"]),
+                           (["cleft", "check"], ["gB", "gA", "gB"]),
+                           (["cleft", "invert"], ["gA", "gB", "gA"]),
+                           (["witness", "verify"], ["wB", "wA", "wA"])):
         single = {}
         for nm in set(names):
-            assert main([command, str(path), nm, "--json"]) == 0
+            assert main([*command, str(path), nm, "--json"]) == 0
             single[nm] = json.loads(capsys.readouterr().out)["results"][0]
         bodies = {json.dumps({k: v for k, v in r.items() if k != "name"}, sort_keys=True)
                   for r in single.values()}
-        assert len(bodies) == len(single)  # a swapped report would show
-        assert main([command, str(path), *names, "--json"]) == 0
+        # a swapped report would show; every cleaving check_cleaving accepts
+        # reports the same passing checks, so there only the names can
+        assert len(bodies) == (1 if command == ["cleft", "check"] else len(single))
+        assert main([*command, str(path), *names, "--json"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert results == [single[nm] for nm in names]
-        assert main([command, str(path), *names]) == 0
+        assert main([*command, str(path), *names]) == 0
         out = capsys.readouterr().out
         found = [ln.split(":")[0] for ln in out.splitlines() if not ln.startswith(" ")]
         assert found == names

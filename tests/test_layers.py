@@ -11,6 +11,9 @@ Only ``rings`` reads a ring's ``root_values``; every other reader of a root
 adjunction takes ``BaseRing.root_value``.
 Only ``axioms`` scans an algebra's unit and associativity and builds its
 word tree; only ``axioms`` and ``hopf`` read that tree.
+The command layer says each rule once: only ``_each`` and
+``_cmd_pushforward`` load a document, only ``main`` writes a payload's
+"command", and only ``report`` sets a report's title.
 No module imports a name it does not use.
 Nothing in ``src/`` is defined for the tests alone: every function, method
 and class is named somewhere in ``src/`` or exported, or is allowed by
@@ -134,6 +137,39 @@ def test_only_axioms_gives_an_algebras_verdict() -> None:
                 reading.add(path.name)
     assert calling == {"axioms.py"}, sorted(calling)
     assert reading == {"axioms.py", "hopf.py"}, sorted(reading)
+
+
+def _in_functions(name):
+    """(top-level function of the module that holds it, or "", node) for
+    every node of the module ``name``."""
+    for top in _tree(name).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else ""
+        for node in ast.walk(top):
+            yield owner, node
+
+
+def test_the_command_layer_says_each_rule_once() -> None:
+    """One handler reads the named objects of every command that takes
+    names; ``main`` writes the "command" key of every payload from argv,
+    and ``_read_plain``'s dict is argparse's own ``command`` field; a
+    report is titled by ``Report.nest`` where it is nested."""
+    loading, naming = set(), set()
+    for owner, node in _in_functions("cli.py"):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load":
+            loading.add(owner)
+        if isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "command" for k in node.keys):
+            naming.add(owner)
+    assert loading == {"_each", "_cmd_pushforward"}, sorted(loading)
+    assert naming == {"main", "_read_plain"}, sorted(naming)
+    titling = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            targets = (node.targets if isinstance(node, ast.Assign) else [node.target]
+                       if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            if any(isinstance(t, ast.Attribute) and t.attr == "title" for t in targets):
+                titling.add(path.name)
+    assert titling == {"report.py"}, sorted(titling)
 
 
 def _bound_names(node):
