@@ -249,6 +249,14 @@ def rungs():
         # to the extension have a word tree; the endpoint at 1 and the
         # family, whose 1 is the sum of H's idempotents, have none
         pushed = push_forward(w.step.morphism, A)
+        # three push-forwards verify_witness makes: the bundle to the
+        # extension and the family to each end; the verdict is the number of
+        # terms of the product table
+        for name, f, X in (("bundle to the extension", w.step.morphism, A),
+                           ("family at 0", w.interval.at_zero, w.family),
+                           ("family at 1", w.interval.at_one, w.family)):
+            yield "push_forward", f"{size} {name}", lambda f=f, X=X: sum(
+                len(c) for row in push_forward(f, X).mult.values() for c in row.values())
         for name, X in (("bundle", A), ("bundle over the extension", pushed),
                         ("endpoint at 1", w.at_one), ("family", w.family)):
             yield "verify_comodule_algebra", f"{size} {name}", (

@@ -119,7 +119,7 @@ def ring_ops(C) -> Ops:
             e = C.try_inverse(BaseElement(C, a))
             memo[key] = None if e is None else e.coeffs
         return memo[key]
-    return Ops({}, C.one().coeffs, C._add, C._neg, _skipping_one(C._mul, is_one),
+    return Ops({}, {constant: C.field.one()}, C._add, C._neg, _skipping_one(C._mul, is_one),
                operator.not_, is_one, lambda a: is_one(a) or inv(a) is not None, inv)
 
 

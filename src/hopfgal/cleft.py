@@ -175,8 +175,7 @@ def extract_cocycle(cm: CleavingMap) -> Cocycle:
 def push_cocycle(f: BaseMorphism, sigma: Cocycle) -> Cocycle:
     if f.source != sigma.base:
         raise RingMismatchError("morphism source does not match the cocycle's base")
-    return Cocycle(f.target, sigma.hopf,
-                   tuple(tuple(f.apply(c) for c in row) for row in sigma.sigma))
+    return Cocycle(f.target, sigma.hopf, [[f(c) for c in row] for row in sigma.sigma])
 
 
 # --------------------------------------------------------------------------

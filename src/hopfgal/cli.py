@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from contextlib import suppress
 from types import SimpleNamespace
 
 from .bundles import (
@@ -261,12 +262,12 @@ _ABG_FLAGS = (("--alpha", {"required": True, "help": "unit scalar, e.g. 3 or 2/5
               ("--gamma", {"required": True}),
               ("--field", {"default": "Q", "help": "Q or F<p> (default Q)"}))
 
-# in help order
+# in help order; a check is read from this module's globals when it runs
 _COMMANDS = {
     "verify-hopf": _Leaf("check every Hopf algebra axiom", _verifier(
-        "hopf_algebras", "Hopf algebra", verify_hopf), _FILE_NAMES),
+        "hopf_algebras", "Hopf algebra", lambda H: verify_hopf(H)), _FILE_NAMES),
     "verify-bundle": _Leaf("full principal bundle check", _verifier(
-        "bundles", "bundle", verify_bundle), _FILE_NAMES),
+        "bundles", "bundle", lambda A: verify_bundle(A)), _FILE_NAMES),
     "galois": _Leaf("bijectivity of the structure map, by determinant",
                     _each("bundles", "bundle", _galois), _FILE_NAMES),
     "cleft": _Group("cleaving map commands", "action", {
@@ -282,7 +283,7 @@ _COMMANDS = {
                            _cmd_h4_criterion, options=_ABG_FLAGS)}),
     "witness": _Group("homotopy witness commands", "action", {
         "verify": _Leaf("re-certify stored witnesses", _verifier(
-            "witnesses", "witness", verify_witness), (
+            "witnesses", "witness", lambda w: verify_witness(w)), (
             ("file", {}),
             ("names", {"nargs": "*", "metavar": "name",
                        "help": "default: every witness in the file"})))}),
@@ -420,9 +421,11 @@ def main(argv=None) -> int:
         spec = _COMMANDS[args.command]
         command = args.command if isinstance(spec, _Leaf) else (
             f"{args.command} {getattr(args, spec.dest)}")
-        print(json.dumps({**payload, "command": command}, indent=2, sort_keys=True))
+        text = json.dumps({**payload, "command": command}, indent=2, sort_keys=True)
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    with suppress(BrokenPipeError):  # the reader closed its end; the code is the verdict
+        print(text)
     return code
 
 
@@ -431,15 +434,17 @@ def run() -> int:
 
     Once main() has returned and stdout and stderr are flushed, the process
     ends with os._exit, so the interpreter tears down none of the objects
-    the run built.  A failed flush returns the code instead, and the
-    interpreter's own shutdown reports it as it would without this exit.
+    the run built.  A stdout whose reader has closed its end drops what is
+    left unwritten.  Any other failed flush returns the code instead, and
+    the interpreter's own shutdown reports it as it would without this exit.
     main() itself never exits: it may run many times in one process.
     """
     code = main()
     try:
-        sys.stdout.flush()
+        with suppress(BrokenPipeError):
+            sys.stdout.flush()
         sys.stderr.flush()
-    except Exception:  # a full disk, a closed pipe, a missing stream
+    except Exception:  # a full disk, a missing stream
         return code
     os._exit(code)
 

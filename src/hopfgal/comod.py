@@ -25,9 +25,9 @@ dict, so tables may be built with ring arithmetic, and any other entry
 but a coefficient dict is refused, as in ``check_iso``'s matrix.
 Module vectors ({index: coefficient dict}) are summed by
 ``axioms.accumulate`` with the record's ``ops``, the ``axioms.ring_ops`` of
-its base, built once with the record; a BaseElement is formed only to call
-an API that takes one (a base morphism).  ``_lifted`` alone lifts H's
-tables and vectors into the base.
+its base, built once with the record, and a base change maps them entry by
+entry with ``BaseMorphism.apply``, dict to dict, forming no BaseElement.
+``_lifted`` alone lifts H's tables and vectors into the base.
 
 ``verify_comodule_algebra`` checks the axioms on the record's own tables
 with the one axiom checker of ``axioms``, the one that also verifies Hopf
@@ -37,14 +37,14 @@ algebras.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import accumulate, field_ops, normal, record, ring_ops
+from .axioms import accumulate, normal, record, ring_ops
 from .errors import (BaseNotFieldError, DimensionMismatchError, NotInvertibleError,
                      RingMismatchError)
 from .hopf import HopfAlgebra
 from .linalg import _solve, field_kernel, ring_det
 from .record import Record
 from .report import Report
-from .rings import BaseElement, BaseMorphism, BaseRing
+from .rings import BaseMorphism, BaseRing
 
 
 def _lifted(C: BaseRing, x: dict) -> dict:
@@ -87,8 +87,7 @@ class ComoduleAlgebra(Record, frozen=True):
         return {i: self.base.one().coeffs}
 
     def mul_vec(self, a: dict, b: dict) -> dict:
-        ops = self.ops
-        return accumulate(ops, axioms.product(ops, self.mult)(a, b))
+        return accumulate(self.ops, axioms.product(self.ops, self.mult)(a, b))
 
     def coact_vec(self, a: dict) -> dict:
         return axioms.image(self.ops, self.coaction, a)
@@ -113,7 +112,7 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     """
     rep = Report(f"comodule algebra (rank {A.dim} over {A.base!r})")
     n, L, H = A.dim, A.labels, A.hopf
-    ops, hops, C = A.ops, field_ops(A.field), A.base
+    ops, hops, C = A.ops, H.ops, A.base
     mult, coaction, unit = A.mult, A.coaction, A.unit
 
     def fails_on(i):
@@ -157,10 +156,9 @@ def push_forward(f: BaseMorphism, A: ComoduleAlgebra) -> ComoduleAlgebra:
     """Base change along f: same structure constants with f applied entrywise."""
     if f.source != A.base:
         raise RingMismatchError("morphism source does not match the bundle's base ring")
-    C = A.base
 
     def image(vec):
-        return {k: f.apply(BaseElement(C, c)) for k, c in vec.items()}
+        return {k: f.apply(c) for k, c in vec.items()}
     return ComoduleAlgebra(f.target, A.hopf, A.labels, {ij: image(v) for ij, v in A.mult.items()},
                            image(A.unit), {i: image(t) for i, t in A.coaction.items()})
 
@@ -245,7 +243,7 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
 
 
 def map_matrix_entries(f: BaseMorphism, M: list) -> list:
-    return [[f.apply(c) for c in row] for row in M]
+    return [[f(c) for c in row] for row in M]
 
 
 # --------------------------------------------------------------------------

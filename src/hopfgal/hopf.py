@@ -12,7 +12,8 @@ A record keeps copies of its tables in normal form, built once by its
 constructor with ``axioms.normal``: zero coefficients and empty rows are
 dropped, so a missing row reads as zero (``.get(key, {})``) and equality
 is field by field, and an index outside range(dim) is refused.  A
-Bialgebra never equals a HopfAlgebra.
+Bialgebra never equals a HopfAlgebra.  A record carries ``ops``, its
+field's ``axioms.field_ops``, built once; every check and solve reads it.
 
 Nothing is trusted: ``verify_hopf`` re-checks every axiom on these tables
 with the one axiom checker of ``axioms``, which verifies bundles too (a Hopf
@@ -55,6 +56,7 @@ class Bialgebra(Record, frozen=True):
         put(self, "unit", normal("unit", self.unit, (d,), None, K))
         put(self, "comult", normal("comultiplication", self.comult, (d,), (d, d), K))
         put(self, "counit", normal("counit", self.counit, (d,), None, K))
+        put(self, "ops", field_ops(K))  # not a field: equality and hash ignore it
 
     @property
     def dim(self) -> int:
@@ -63,8 +65,7 @@ class Bialgebra(Record, frozen=True):
     # ------------------------------------------------------ structure ops
 
     def mul_vec(self, a: Vec, b: Vec) -> Vec:
-        ops = field_ops(self.field)
-        return accumulate(ops, axioms.product(ops, self.mult)(a, b))
+        return accumulate(self.ops, axioms.product(self.ops, self.mult)(a, b))
 
     def __hash__(self):
         return hash((self.field, self.labels))
@@ -97,7 +98,7 @@ def _counit(ops, d: int, comult: dict, counit: dict):
 
 def verify_hopf(H: HopfAlgebra) -> Report:
     """Re-check every Hopf axiom on the structure constants; nothing is trusted."""
-    K, d, L, ops = H.field, H.dim, H.labels, field_ops(H.field)
+    K, d, L, ops = H.field, H.dim, H.labels, H.ops
     rep = Report(f"hopf axioms ({d}-dimensional over {K.name})")
     mult, comult, unit, counit = H.mult, H.comult, H.unit, H.counit
 
@@ -134,7 +135,7 @@ def verify_hopf(H: HopfAlgebra) -> Report:
         rep.add("comultiplication is multiplicative", True)
 
     record(rep, "antipode identity",
-           _antipode_fails(ops, H, H.antipode, axioms.counit_unit(ops, d, counit, unit)), fails_on)
+           _antipode_fails(H, H.antipode, axioms.counit_unit(ops, d, counit, unit)), fails_on)
 
     # the rows of S^T, whose determinant is det S
     rep.add("antipode bijective",
@@ -146,29 +147,29 @@ def verify_hopf(H: HopfAlgebra) -> Report:
 # antipode recovery
 # --------------------------------------------------------------------------
 
-def _antipode_fails(ops, B: Bialgebra, S: dict, expect: list):
+def _antipode_fails(B: Bialgebra, S: dict, expect: list):
     """First i with (S * id)(h_i) or (id * S)(h_i) != counit(h_i) 1."""
-    d = B.dim
+    d, ops = B.dim, B.ops
     ident = {i: {i: ops.one} for i in range(d)}
     left, right = (axioms.convolution(ops, d, B.mult, B.comult, f, g)
                    for f, g in ((S, ident), (ident, S)))
     return next((i for i in range(d) if left[i] != expect[i] or right[i] != expect[i]), None)
 
 
-def _antipode_system(B: Bialgebra, ops, expect: list, sub: list):
+def _antipode_system(B: Bialgebra, expect: list, sub: list):
     """{i: S(a_i)} for i in sub solving S * id = counit(-) 1 on sub, or None."""
-    K, d = B.field, B.dim
+    K, d, ops = B.field, B.dim, B.ops
     return axioms.solve_convolution(ops, d, B.mult, B.comult, {i: {i: ops.one} for i in range(d)},
                                     expect, sub, lambda M, b: field_solve(M, b, K))
 
 
-def _antipode_on_generators(B: Bialgebra, ops, expect: list):
+def _antipode_on_generators(B: Bialgebra, expect: list):
     """{i: S(a_i)} from the system on generators, or None, by the reduction
     that ``axioms`` states: None on a failed premise (B's word tree, counit,
     coassociativity), a singular sub-system, a sub-system on every basis
     element or a failed identity.
     """
-    d, comult = B.dim, B.comult
+    d, comult, ops = B.dim, B.comult, B.ops
     tree = axioms.Verdict(ops, d, B.mult, B.unit).tree
     if (tree is None or _counit(ops, d, comult, B.counit) is not None
             or axioms.coassociativity(ops, d, comult, comult) is not None):
@@ -180,14 +181,14 @@ def _antipode_on_generators(B: Bialgebra, ops, expect: list):
                 sub.append(j)
     if len(sub) == d:
         return None
-    cols = _antipode_system(B, ops, expect, sub)
+    cols = _antipode_system(B, expect, sub)
     if cols is None:
         return None
     for i, (s, r, c) in tree.steps.items():
         if i not in cols:
             inv = B.field.inv(c)
             cols[i] = {p: ops.mul(inv, v) for p, v in B.mul_vec(cols[r], cols[s]).items()}
-    return None if _antipode_fails(ops, B, cols, expect) is not None else cols
+    return None if _antipode_fails(B, cols, expect) is not None else cols
 
 
 def solve_antipode(B: Bialgebra) -> dict:
@@ -199,15 +200,14 @@ def solve_antipode(B: Bialgebra) -> dict:
     k-linear system (``axioms.solve_convolution``), then verifies
     id * S = counit(-) 1 as well.
     """
-    ops = field_ops(B.field)
-    expect = axioms.counit_unit(ops, B.dim, B.counit, B.unit)
-    cols = _antipode_on_generators(B, ops, expect)
+    expect = axioms.counit_unit(B.ops, B.dim, B.counit, B.unit)
+    cols = _antipode_on_generators(B, expect)
     if cols is None:
-        cols = _antipode_system(B, ops, expect, list(range(B.dim)))
+        cols = _antipode_system(B, expect, list(range(B.dim)))
         if cols is None:
             raise NoAntipodeError(
                 "identity has no convolution inverse: this bialgebra is not a Hopf algebra")
-        bad = _antipode_fails(ops, B, cols, expect)
+        bad = _antipode_fails(B, cols, expect)
         if bad is not None:
             raise NoAntipodeError(
                 f"left convolution inverse fails the right-sided identity on {B.labels[bad]}")
@@ -313,26 +313,20 @@ def cyclic_group_algebra(N: int, field: Field) -> HopfAlgebra:
     return HopfAlgebra(K, labels, mult, unit, comult, counit, antipode)
 
 
+def _transposed(table: dict) -> dict:
+    """{k: {i: c}} for the table {i: {k: c}}."""
+    out = {}
+    for i, row in table.items():
+        for k, c in row.items():
+            out.setdefault(k, {})[i] = c
+    return out
+
+
 def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
-    """The dual Hopf algebra on the dual basis (finite dimension only)."""
-    K = H.field
-    d = H.dim
-    labels = tuple(f"{l}*" for l in H.labels)
-    mult = {}
-    for l in range(d):
-        for (i, j), c in H.comult.get(l, {}).items():
-            mult.setdefault((i, j), {})[l] = c
-    unit = dict(H.counit)
-    comult = {}
-    for (i, j), sc in H.mult.items():
-        for l, c in sc.items():
-            comult.setdefault(l, {})[(i, j)] = c
-    counit = dict(H.unit)
-    antipode = {}
-    for j, row in H.antipode.items():
-        for i, c in row.items():
-            antipode.setdefault(i, {})[j] = c
-    return HopfAlgebra(K, labels, mult, unit, comult, counit, antipode)
+    """The dual Hopf algebra on the dual basis (finite dimension only): each
+    table is the transpose of the one dual to it."""
+    return HopfAlgebra(H.field, tuple(f"{l}*" for l in H.labels), _transposed(H.comult),
+                       H.counit, _transposed(H.mult), H.unit, _transposed(H.antipode))
 
 
 def is_commutative_hopf(H: HopfAlgebra) -> bool:

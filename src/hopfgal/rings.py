@@ -44,6 +44,10 @@ An optional grading assigns a non-negative degree to each generator.  Only
 free generators may carry positive degree: a graded unit would otherwise be
 forced into positive degree, which cannot happen in a non-negatively graded
 ring.
+
+A ``BaseMorphism`` computes on coefficient dicts, the form every record
+holds: ``apply`` maps one of the source to one of the target, and calling
+the morphism on a BaseElement checks its ring and wraps the image once.
 """
 
 from __future__ import annotations
@@ -716,9 +720,10 @@ def inclusion_morphism(small: BaseRing, big: BaseRing) -> BaseMorphism:
 class BaseMorphism:
     """A ring homomorphism fixing the ground field, given on generators.
 
-    Validated at construction: Laurent generator images must be units (their
-    inverses are stored for use on negative exponents) and root generator
-    images must satisfy the image of the defining relation.
+    Validated at construction: Laurent generator images must be units and
+    root generator images must satisfy the image of the defining relation.
+    Powers of the generator images are cached as coefficient dicts, a
+    Laurent generator's inverse as its power -1.
     """
 
     def __init__(self, source: BaseRing, target: BaseRing, images: dict):
@@ -727,7 +732,6 @@ class BaseMorphism:
         self.source = source
         self.target = target
         self.images: list[BaseElement] = []
-        self.inv_images: list[BaseElement | None] = []
         for g in source.gens:
             if g.name not in images:
                 raise RingMismatchError(f"no image given for generator {g.name}")
@@ -735,43 +739,42 @@ class BaseMorphism:
             if img.ring != target:
                 raise RingMismatchError(f"image of {g.name} lives in the wrong ring")
             self.images.append(img)
-            self.inv_images.append(None)
-        self._pow_cache: dict[tuple[int, int], BaseElement] = {}
+        self._pow_cache: dict[tuple[int, int], dict] = {}
         for i, g in enumerate(source.gens):
             if g.kind == LAURENT:
                 inv = target.try_inverse(self.images[i])
                 if inv is None:
                     raise NonUnitError(f"image of laurent generator {g.name} must be a unit")
-                self.inv_images[i] = inv
+                self._pow_cache[i, -1] = inv.coeffs
             elif g.kind == ROOT:
-                u = source.element(source.root_values[i])
-                if self.images[i] ** g.degree != self.apply(u):
-                    raise RingMismatchError(
-                        f"image of root generator {g.name} violates {g.name}^{g.degree} = {u}")
+                u = source.root_values[i]
+                if target._pow(self.images[i].coeffs, g.degree) != self.apply(u):
+                    raise RingMismatchError(f"image of root generator {g.name} violates "
+                                            f"{g.name}^{g.degree} = {source.format_coeffs(u)}")
 
-    def _gen_power(self, i: int, e: int) -> BaseElement:
-        key = (i, e)
-        if key not in self._pow_cache:
-            if e >= 0:
-                self._pow_cache[key] = self.images[i] ** e
-            else:
-                self._pow_cache[key] = self.inv_images[i] ** (-e)
-        return self._pow_cache[key]
+    def _gen_power(self, i: int, e: int) -> dict:
+        if (i, e) not in self._pow_cache:
+            base = self.images[i].coeffs if e > 0 else self._pow_cache[i, -1]
+            self._pow_cache[i, e] = self.target._pow(base, abs(e))
+        return self._pow_cache[i, e]
 
-    def apply(self, a: BaseElement) -> BaseElement:
-        if a.ring != self.source:
-            raise RingMismatchError("element is not in the source ring")
-        out = self.target.zero()
-        for mono, c in a.coeffs.items():
-            term = self.target.from_scalar(c)
+    def apply(self, a: dict) -> dict:
+        """The image of the source element with coefficient dict a, as the
+        target's coefficient dict."""
+        T = self.target
+        const, out = (0,) * len(T.gens), {}
+        for mono, c in a.items():
+            term = {const: c}
             for i, e in enumerate(mono):
                 if e:
-                    term = term * self._gen_power(i, e)
-            out = out + term
+                    term = T._mul(term, self._gen_power(i, e))
+            out = T._add(out, term)
         return out
 
     def __call__(self, a: BaseElement) -> BaseElement:
-        return self.apply(a)
+        if a.ring != self.source:
+            raise RingMismatchError("element is not in the source ring")
+        return BaseElement(self.target, self.apply(a.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, BaseMorphism):
@@ -795,5 +798,5 @@ def compose(f: BaseMorphism, g: BaseMorphism) -> BaseMorphism:
     """The composite 'f then g' (source of g must be the target of f)."""
     if f.target != g.source:
         raise RingMismatchError("morphisms do not compose")
-    images = {gen.name: g.apply(img) for gen, img in zip(f.source.gens, f.images)}
+    images = {gen.name: g(img) for gen, img in zip(f.source.gens, f.images)}
     return BaseMorphism(f.source, g.target, images)

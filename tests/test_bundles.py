@@ -350,12 +350,12 @@ def test_kummer_root_data_identification():
     for N, q, k in ((2, -1, QQ), (3, 2, F7)):
         A, ext, incl, images = kummer_root_data(N, q, k)
         w = images[1] if N > 1 else ext.one()
-        z_up = incl.apply(A.base.gen("z"))
+        z_up = incl(A.base.gen("z"))
         assert w ** N == z_up
         for i in range(N):
             for j in range(N):
                 lhs = images[i] * images[j]
                 rhs = ext.zero()
                 for l, c in elements(A.base, A.mult[(i, j)]).items():
-                    rhs = rhs + incl.apply(c) * images[l]
+                    rhs = rhs + incl(c) * images[l]
                 assert lhs == rhs

@@ -190,7 +190,7 @@ def test_crossed_multiply_sign_action_smash_product():
     flip = BaseMorphism(C, C, {"u": -u})
 
     def act(k, c):
-        return c if k == 0 else flip.apply(c)
+        return c if k == 0 else flip(c)
 
     sigma = trivial_cocycle(C, C2)
     got = crossed_multiply(C, C2, act, sigma, (C.one(), {1: QQ.one()}), (u, {0: QQ.one()}))
@@ -222,7 +222,7 @@ def test_crossed_product_requires_trivial_action():
     flip = BaseMorphism(C, C, {"u": -u})
 
     def act(k, c):
-        return c if k == 0 else flip.apply(c)
+        return c if k == 0 else flip(c)
 
     with pytest.raises(NonCentralDatumError):
         crossed_product(C, C2, act, trivial_cocycle(C, C2))

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfgal
+from hopfgal import cli
 from hopfgal.bundles import (AbgParams, _coaction_images, abg_bundle, abg_cleaving,
                              kummer_bundle)
 from hopfgal.cli import (MAX_KUMMER_ORDER, MIN_KUMMER_ORDER, _build_parser, _read_plain,
@@ -558,6 +559,39 @@ def test_run_leaves_a_failed_flush_to_the_interpreter():
     assert unbuffered.returncode == 1
     assert unbuffered.stderr.startswith("Traceback (most recent call last):")
     assert unbuffered.stderr.endswith("\nOSError: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("names, fits", [(["H4"], True), (["H4"] * 10, False)])
+def test_a_closed_stdout_ends_with_the_code_of_main(doc_path, names, fits, capsys):
+    """A reader that closed its end before the child writes: an output that
+    fits stdout's 8 KiB buffer fails at run()'s flush, a longer one in the
+    print itself; either way the process ends with main()'s code and
+    writes nothing to stderr."""
+    argv = ["verify-hopf", doc_path, *names, "--json"]
+    code = main(argv)
+    assert (len(capsys.readouterr().out) < 8192) == fits
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = _run_child(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (code, "")
+
+
+def test_verify_commands_call_the_checks_bound_in_cli(doc_path, monkeypatch, capsys):
+    """The top-level check of each verify command is looked up in ``cli``
+    when it runs, so a tracer or a spy that rebinds it sees the call."""
+    seen = []
+    for name in ("verify_hopf", "verify_bundle", "verify_witness"):
+        def spy(obj, _check=getattr(cli, name), _name=name):
+            seen.append(_name)
+            return _check(obj)
+        monkeypatch.setattr(cli, name, spy)
+    for argv in (["verify-hopf", doc_path, "H4"], ["verify-bundle", doc_path, "A"],
+                 ["witness", "verify", doc_path, "w43"]):
+        assert main(argv) == 0
+    assert seen == ["verify_hopf", "verify_bundle", "verify_witness"]
 
 
 def test_console_script_is_run():

@@ -127,7 +127,7 @@ def test_push_forward_composes_and_transforms_det():
     assert left == right
     # base change rewrites the structure map by f entrywise, so the
     # determinant transforms functorially
-    assert is_galois(push_forward(f, A)).det == f.apply(is_galois(A).det)
+    assert is_galois(push_forward(f, A)).det == f(is_galois(A).det)
     assert verify_bundle(left).ok
 
 
@@ -138,6 +138,75 @@ def test_push_forward_wrong_source_rejected():
     f = BaseMorphism(D, D, {"u": D.gen("u")})
     with pytest.raises(RingMismatchError):
         push_forward(f, A)
+
+
+@st.composite
+def _base_changes(draw):
+    """(f, x, substituted): a morphism from K[x, z^+-1, r | r^n = z] to
+    K[s, w^+-1, v | v^m = w] with r -> a v^j w^k, z -> (a v^j w^k)^n and x
+    -> a drawn element, an element x of the source, and f(x) computed in
+    the target by substitution with BaseElement arithmetic."""
+    K = draw(st.sampled_from([QQ, PrimeField(5), F7]))
+    n, m = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    C0, T0 = base_ring(K).add_free("x").add_laurent("z"), base_ring(K).add_free("s").add_laurent("w")
+    C, _, _ = adjoin_root(C0, C0.gen("z"), n, "r")
+    T, _, v = adjoin_root(T0, T0.gen("w"), m, "v")
+    scalar = st.integers(1, 4).map(K.from_int)  # nonzero in each field
+
+    def element(R, ranges):
+        monos = draw(st.lists(st.tuples(*map(st.sampled_from, ranges)), max_size=4, unique=True))
+        return R.element({mono: draw(scalar) for mono in monos})
+    root = T.from_scalar(draw(scalar)) * v ** draw(st.integers(0, m - 1)) * (
+        T.gen("w") ** draw(st.integers(-2, 2)))
+    images = {"x": element(T, [range(3), range(-2, 3), range(m)]), "z": root ** n, "r": root}
+    f = BaseMorphism(C, T, images)
+    x = element(C, [range(3), range(-2, 3), range(n)])
+    substituted = T.zero()
+    for mono, c in x.coeffs.items():
+        term = T.from_scalar(c)
+        for g, e in zip(C.gens, mono):
+            term = term * images[g.name] ** e
+        substituted = substituted + term
+    return f, x, substituted
+
+
+@settings(max_examples=60, deadline=None)
+@given(_base_changes(), st.data())
+def test_base_change_is_substitution(case, data):
+    """``apply`` on a coefficient dict is substitution of the generator
+    images, and push_forward maps every table entry c to f(c)."""
+    f, x, substituted = case
+    C = f.source
+    assert f.apply(x.coeffs) == substituted.coeffs
+    assert f(x) == substituted
+    alpha = C.gen("z") ** data.draw(st.integers(-2, 2)) * C.gen("r")
+    A = abg_bundle(AbgParams(C, alpha, x, x * C.gen("x") + 1))
+    B = push_forward(f, A)
+
+    def image(row):
+        return {k: v for k, c in row.items() if (v := f(BaseElement(C, c)).coeffs)}
+    for got, table in ((B.mult, A.mult), (B.coaction, A.coaction)):
+        assert got == {key: v for key, row in table.items() if (v := image(row))}
+    assert B.unit == image(A.unit)
+
+
+def test_push_forward_builds_no_base_element(monkeypatch):
+    """Base change maps the coefficient dicts a record holds: the three
+    push-forwards of a Kummer witness wrap no entry in a BaseElement."""
+    _, w = kummer_trivialization_witness(5, F241.from_int(87), F241)
+    built = []
+    init = BaseElement.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(BaseElement, "__init__", spy)
+    pushed = [push_forward(w.step.morphism, w.at_zero),
+              push_forward(w.interval.at_zero, w.family),
+              push_forward(w.interval.at_one, w.family)]
+    assert built == []
+    monkeypatch.undo()
+    assert all(verify_bundle(B).ok for B in pushed)
 
 
 def test_galois_invariant_under_basis_permutation():

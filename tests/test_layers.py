@@ -14,6 +14,7 @@ word tree; only ``axioms`` and ``hopf`` read that tree.
 The command layer says each rule once: only ``_each`` and
 ``_cmd_pushforward`` load a document, only ``main`` writes a payload's
 "command", and only ``report`` sets a report's title.
+A Hopf algebra or bundle record builds its ops once, in its constructor.
 No module imports a name it does not use.
 Nothing in ``src/`` is defined for the tests alone: every function, method
 and class is named somewhere in ``src/`` or exported, or is allowed by
@@ -175,6 +176,16 @@ def test_the_command_layer_says_each_rule_once() -> None:
 def _bound_names(node):
     for alias in node.names:
         yield alias.asname or alias.name.split(".")[0]
+
+
+def test_a_record_builds_its_ops_once() -> None:
+    """In ``hopf`` and ``comod`` only a record's ``__post_init__`` calls
+    ``field_ops`` or ``ring_ops``; every check and solve reads ``.ops``."""
+    calls = {(path, fn.name) for path in ("hopf.py", "comod.py")
+             for fn in ast.walk(_tree(path)) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("field_ops", "ring_ops")}
+    assert calls == {("hopf.py", "__post_init__"), ("comod.py", "__post_init__")}, sorted(calls)
 
 
 def test_every_imported_name_is_used() -> None:

@@ -238,7 +238,11 @@ REJECTIONS = [
                                       "mult": [["1", "1", {"1": "1"}]],
                                       "coaction": [["1", [["1", "1"]]]]}}},
      "/bundles/A/coaction/0/1/0", "['1', '1'] is too short"),
-    ({"field": "Q7"}, "/field", "'Q7' does not match '^(Q|F[0-9]+)$'"),
+    ({"field": "Q7"}, "/field", r"'Q7' does not match '^(Q|F[0-9]+)(?!\\n)$'"),
+    # Python's $ also matches before a final newline; the pattern refuses one
+    ({"field": "F7\n"}, "/field", r"'F7\n' does not match '^(Q|F[0-9]+)(?!\\n)$'"),
+    ({"field": {"base": "F7\n", "var": "i", "modulus": ["1", "0", "1"]}},
+     "/field/base", r"'F7\n' does not match '^(Q|F[0-9]+)(?!\\n)$'"),
     ({"rings": {}}, "/", "'field' is a required property"),
     ({"field": "Q", "rings": {"C": {"gens": [{"name": "u", "kind": "cubic"}]}}},
      "/rings/C/gens/0/kind", "'cubic' is not one of ['free', 'laurent', 'root']"),
