@@ -4,8 +4,10 @@
 
 Run from the root of a source checkout.  Each rung records the median of
 three runs of wall time (``time.perf_counter``) and of CPU time
-(``time.process_time``), or one run when the first takes over 4 s, and the
-verdict it computed, so a run that got a wrong answer shows.  The file also
+(``time.process_time``), or one run when the first takes over 4 s, the
+range of the wall times, and the verdict it computed, so a run that got a
+wrong answer shows.  The tier-1 rung always runs three times: one run of
+the suite cannot show a change of a few seconds.  The file also
 records the machine, ``nproc``, the Python version, a SHA-256 of the
 library's sources and a fixed pure-Python yardstick timed the same way: on
 a shared host, divide a rung by the yardstick of its own file before
@@ -44,7 +46,9 @@ from hopfgal.rings import BaseElement, adjoin_root, laurent_ring, polynomial_rin
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "perfbench" / "data" / "seed0"
 RUNS, SINGLE_RUN_OVER_S = 3, 4.0
-INVERSES = 1000  # per run of the extension-field rung
+REPEATED = {"tier-1"}  # layers timed RUNS times, however long a run takes
+INVERSES = 1000  # per run of an extension-field rung
+POWERS = 20  # per run of a ring power rung
 CLEAVINGS = 100  # per run of a cleaving rung: one takes under 1 ms
 PRODUCTS, TERMS = 1000, 12  # per run of a product rung: pairs of elements, terms of each
 INVERSES_IN_RING = 500  # per run of a ring try_inverse rung
@@ -57,15 +61,16 @@ STEPS = 1000  # per run of a verify_step rung: one takes about 25 us
 DUMPS = 10  # per run of the dump_document rung: one takes about 8 ms
 
 
-def timed(fn):
-    """(median wall, median cpu, value of fn(), number of runs)."""
+def timed(fn, repeat=False):
+    """(median wall, median cpu, value of fn(), the wall times): RUNS runs,
+    or one when the first takes over SINGLE_RUN_OVER_S and not ``repeat``."""
     walls, cpus = [], []
-    while len(walls) < RUNS and not (walls and walls[0] > SINGLE_RUN_OVER_S):
+    while len(walls) < RUNS and (repeat or not (walls and walls[0] > SINGLE_RUN_OVER_S)):
         w0, c0 = time.perf_counter(), time.process_time()
         value = fn()
         walls.append(time.perf_counter() - w0)
         cpus.append(time.process_time() - c0)
-    return statistics.median(walls), statistics.median(cpus), value, len(walls)
+    return statistics.median(walls), statistics.median(cpus), value, walls
 
 
 def yardstick():
@@ -139,6 +144,18 @@ def fresh_inverse_rungs():
                 f"{len(elements)} distinct in a fresh F241[z^+-1][w | w^{n} = z]"), run
 
 
+def power_rungs():
+    """POWERS powers (1 + u + v)^24 in Q[u,v] and (1 + z + w)^40 under
+    w^8 = z, by ``BaseRing._pow``; the verdict is the number of terms."""
+    P = polynomial_ring(QQ, "u", "v")
+    L = laurent_ring(PrimeField(241), "z")
+    R, _, w = adjoin_root(L, L.gen("z"), 8, name="w")
+    for size, x, e in (("(1+u+v)^24 in Q[u,v]", 1 + P.gen("u") + P.gen("v"), 24),
+                       ("(1+z+w)^40 in F241[z^+-1][w | w^8 = z]", 1 + R.gen("z") + w, 40)):
+        yield "ring pow", f"{POWERS} of {size}", (
+            lambda x=x, e=e: [len(x.ring._pow(x.coeffs, e)) for _ in range(POWERS)][-1])
+
+
 def sqrt_rungs():
     """sqrt of squares, so every call finds a root: of fractions with
     30-digit numerators over Q, in F998244353 (119 * 2^23 + 1, the longest
@@ -177,6 +194,7 @@ def rungs():
     what a rung needs is built before it is timed."""
     yield from ring_rungs()
     yield from fresh_inverse_rungs()
+    yield from power_rungs()
     yield from sqrt_rungs()
     yield from field_rungs()
     for name in ("bundle-towers/kummer.json", "cli-docs/abg.json"):
@@ -323,10 +341,14 @@ def rungs():
                  ["witness", "verify", "bundle-towers/kummer.json", "w6", "w8", "w10"]):
         full = [str(DATA / a) if a.endswith(".json") else a for a in argv] + ["--json"]
         yield "cli.main", " ".join(argv + ["--json"]), lambda full=full: quiet(cli_main, full)
-    QI = SimpleExtension(QQ, "i", (1, 0, 1))
-    a = (QQ.fraction(3, 7), 5)
-    yield "SimpleExtension.inv", f"{INVERSES} inverses in Q(i)", lambda: [
-        QI.inv(a) for _ in range(INVERSES)][-1] == QI.inv(a)
+    # the verdict is whether the last inverse times the element is 1
+    for name, K, a in (("Q(i)", SimpleExtension(QQ, "i", (1, 0, 1)), (QQ.fraction(3, 7), 5)),
+                       ("Q(2^(1/3))", SimpleExtension(QQ, "c", (-2, 0, 0, 1)),
+                        (QQ.fraction(3, 7), 5, -1)),
+                       ("F5[u]/(u^3+u+1)", SimpleExtension(PrimeField(5), "u", (1, 1, 0, 1)),
+                        (2, 0, 3))):
+        yield "SimpleExtension.inv", f"{INVERSES} inverses in {name}", lambda K=K, a=a: K.is_one(
+            K.mul(a, [K.inv(a) for _ in range(INVERSES)][-1]))
     # the tier-1 suite in a child process from the root of the checkout;
     # the verdict is its exit status
     yield "tier-1", "python -m pytest -q", lambda: subprocess.run(
@@ -374,21 +396,22 @@ def cpu_model() -> str:
 
 
 def main(out: str) -> None:
-    wall, cpu, _, runs = timed(yardstick)
+    wall, cpu, _, walls = timed(yardstick)
     result = {
         "machine": {"platform": platform.platform(), "machine": platform.machine(),
                     "cpu": cpu_model(), "nproc": os.cpu_count()},
         "python": platform.python_version(),
         "hopfgal_sha256": sources_sha256(),
-        "yardstick": {"wall_s": round(wall, 4), "cpu_s": round(cpu, 4), "runs": runs},
+        "yardstick": {"wall_s": round(wall, 4), "cpu_s": round(cpu, 4), "runs": len(walls)},
         "rungs": [],
     }
     for layer, size, fn in rungs():
-        wall, cpu, value, runs = timed(fn)
-        result["rungs"].append({"layer": layer, "size": size, "runs": runs,
+        wall, cpu, value, walls = timed(fn, layer in REPEATED)
+        result["rungs"].append({"layer": layer, "size": size, "runs": len(walls),
                                 "wall_s": round(wall, 4), "cpu_s": round(cpu, 4),
+                                "wall_range_s": [round(min(walls), 4), round(max(walls), 4)],
                                 "verdict": value})
-        print(f"{layer:22} {size:28} wall {wall:8.4f} s  cpu {cpu:8.4f} s  ({runs} runs)",
+        print(f"{layer:22} {size:28} wall {wall:8.4f} s  cpu {cpu:8.4f} s  ({len(walls)} runs)",
               file=sys.stderr, flush=True)
     Path(out).write_text(json.dumps(result, indent=1) + "\n")
 

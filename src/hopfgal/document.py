@@ -35,7 +35,7 @@ from operator import itemgetter
 
 from .errors import BadScalarError, GradingError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension, field_from_name
-from .rings import (BaseMorphism, BaseRing, Generator, adjoin_root, base_ring,
+from .rings import (FREE, LAURENT, ROOT, BaseMorphism, BaseRing, Generator, adjoin_root, base_ring,
                     extension_levels, refusal, WorkBudget, extend_with_t, inclusion_morphism)
 from .hopf import (Bialgebra, HopfAlgebra, cyclic_group_algebra, dual_hopf,
                    hopf_from_bialgebra, sweedler_h4, taft)
@@ -43,8 +43,6 @@ from .comod import ComoduleAlgebra, HModuleMap, trivial_bundle
 from .bundles import AbgParams, abg_bundle, kummer_bundle
 from .homotopy import EtaleStep, HomotopyWitness
 from .record import Record
-
-FREE, LAURENT, ROOT = "free", "laurent", "root"
 
 
 class Document(Record):
@@ -424,6 +422,9 @@ def parse_ring(K: Field, spec, pointer, spend) -> BaseRing:
     for i, g in enumerate(spec["gens"]):
         here = f"{pointer}/gens/{i}"
         name, kind, grade = g["name"], g["kind"], g.get("grade", 0)
+        stray = next((key for key in ("degree", "value") if key in g and kind != ROOT), None)
+        if stray:
+            raise SchemaError(f"{here}/{stray}", f"a {kind} generator takes no {stray}")
         _first(names, name, here + "/name", "name")
         refused = refusal(R.gens, Generator(name, kind, grade=grade))
         if refused is not None:

@@ -7,7 +7,9 @@ is imported when Q makes its first non-integer, so a run over F_p, or over Q
 with integral scalars only, never loads it; ``Fraction(n)`` equals ``n`` and
 hashes equal, so both spellings are the same key.  Representations are
 normalized, so ``==`` on raw values is exact equality.  No floating point is
-used anywhere.
+used anywhere.  ``power`` is the one square-and-multiply loop, which
+``BaseRing`` shares; Q and F_p use the builtin ``**`` and ``pow``.  An
+extension field inverts in its regular representation (``linalg.regular``).
 
 Square roots are exact: over Q by ``math.isqrt`` on numerator and
 denominator, in F_p by Tonelli-Shanks, and over a finite extension by a
@@ -76,6 +78,18 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+def power(a, e: int, mul, one):
+    """a^e for e >= 0, by the one square-and-multiply loop of the package."""
+    r = one
+    while e:
+        if e & 1:
+            r = mul(r, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return r
+
+
 class Field:
     """Common interface; subclasses fix the scalar representation."""
 
@@ -109,15 +123,7 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r = self.one()
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return self.pow(self.inv(a), -e) if e < 0 else power(a, e, self.mul, self.one())
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
@@ -400,6 +406,7 @@ class SimpleExtension(Field):
         self._reduction = tuple((j, c) for j, c in enumerate(modulus[:-1])
                                 if not base.is_zero(c))
         self._zero, self._one = self.zero(), self.one()
+        self._regular = None  # the regular representation, built on the first inverse
         self.name = f"{base.name}[{var}]/({self._polynomial(modulus)})"
 
     def _polynomial(self, coeffs) -> str:
@@ -449,18 +456,22 @@ class SimpleExtension(Field):
         return tuple(prod[:d])
 
     def inv(self, a):
-        """Solve a y = 1 on the basis 1, u, ..., u^(d-1), whose matrix has
-        a u^k as column k; it is singular exactly when a is a zero divisor."""
-        from .linalg import field_solve  # linalg imports this module
+        """a^-1 in the regular representation over the base field on
+        1, u, ..., u^(d-1) (``linalg.regular``); it has none exactly when a
+        is a zero divisor."""
         if self.is_zero(a):
             raise ZeroDivisionError(f"inverse of 0 in {self.name}")
-        cols, u = [a], self.gen()
-        while len(cols) < self.degree:
-            cols.append(self.mul(cols[-1], u))
-        y = field_solve(list(zip(*cols)), self.one(), self.base)
+        K, d = self.base, self.degree
+        if self._regular is None:  # the table of u^j u^k = u^(j+k), read off mul
+            from . import axioms, linalg  # they import this module
+            powers = [self.pow(self.gen(), m) for m in range(2 * d - 1)]
+            table = {(j, k): {l: c for l, c in enumerate(powers[j + k]) if not K.is_zero(c)}
+                     for j in range(d) for k in range(d)}
+            self._regular = linalg.regular(axioms.field_ops(K), d, table, {0: K.one()})[0]
+        y = self._regular.inv({i: c for i, c in enumerate(a) if not K.is_zero(c)})
         if y is None:
             raise ZeroDivisionError(f"{self.format(a)} is a zero divisor; modulus of {self.name} is reducible")
-        return tuple(y)
+        return tuple(y.get(i, K.zero()) for i in range(d))
 
     def is_zero(self, a):
         return a == self._zero

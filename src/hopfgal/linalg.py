@@ -36,13 +36,13 @@ base ring, zero divisors included.
   are such solves.  Both use only ``Ops.zero``, ``one``, ``add``, ``neg``,
   ``mul`` and ``is_zero``.  Over a field elimination stops only at an empty
   row, and the matrix is then singular.
-* ``regular`` turns an algebra free of finite rank over a base ring, given
-  by its multiplication table, into one more ``Ops``: its ``inv`` is a
-  solve with the matrix L_x of multiplication by x, and its norm is
-  det L_x.  A root adjunction is such an algebra over the ring below it
-  (``rings.BaseRing._root_try_inv``), and so is a commutative bundle over
-  its base (``galois.is_galois``, whose determinant over the bundle gives
-  up at a stall: ``_det`` with ``wait`` False).
+* ``regular`` turns an algebra free of finite rank over a field or a base
+  ring, given by its multiplication table, into one more ``Ops``: its
+  ``inv`` is a solve with the matrix L_x of multiplication by x, and its
+  norm is det L_x.  It inverts in every finite extension: a simple field
+  extension (``fields``), a root adjunction over the ring below it
+  (``rings``) and a commutative bundle over its base (``galois.is_galois``,
+  whose ``_det`` over the bundle gives up at a stall, ``wait`` False).
 """
 
 from __future__ import annotations
@@ -286,12 +286,12 @@ def _berkowitz(M, ops: Ops):
 
 def regular(ops: Ops, n: int, table: dict, one: dict):
     """The regular representation of an algebra free of rank n over a base
-    ring, on whose coefficient dicts ``ops`` works: table[(i, j)] holds
-    a_i a_j as {k: c}, and ``one`` holds 1 as {i: c}.
+    ring or over a field, on whose coefficients ``ops`` works: table[(i, j)]
+    holds a_i a_j as {k: c}, and ``one`` holds 1 as {i: c}.
 
     Returns (Ops, norm).  The Ops work on vectors {i: c} of the algebra;
     its ``inv`` solves L_x y = 1, where L_x is the matrix of multiplication
-    by x (column k is x a_k), memoized by value.  norm(x) is det L_x.
+    by x (column k is x a_k).  norm(x) is det L_x.
     This is exact when the algebra is commutative, unital and associative:
     then x y = 1 for the y found, and x is a unit exactly when its norm is.
     """
@@ -308,15 +308,10 @@ def regular(ops: Ops, n: int, table: dict, one: dict):
                     row = rows[l]
                     row[k] = add(row[k], t) if k in row else t
         return rows
-    memo = {}
 
     def inv(x):
-        key = frozenset((i, frozenset(c.items())) for i, c in x.items())
-        if key not in memo:
-            y = _solve(lmat(x), [one.get(i, ops.zero) for i in range(n)], ops)
-            memo[key] = None if y is None else {
-                i: c for i, c in enumerate(y) if not ops.is_zero(c)}
-        return memo[key]
+        y = _solve(lmat(x), [one.get(i, ops.zero) for i in range(n)], ops)
+        return None if y is None else {i: c for i, c in enumerate(y) if not ops.is_zero(c)}
     algebra = Ops({}, one, lambda x, y: accumulate(ops, (*x.items(), *y.items())),
                   lambda x: {i: ops.neg(c) for i, c in x.items()},
                   lambda x, y: accumulate(ops, times(x, y)), operator.not_, one.__eq__,

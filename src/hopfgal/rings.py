@@ -25,14 +25,16 @@ absorbed, and for each root extension its multiplication operator L on the
 rank-n free module over the prefix ring is invertible, recursing to k: the
 root's regular representation (``linalg.regular``, built once per ring)
 solves L y = e_0 over the prefix ring, or answers None when det L is no
-unit, and y is the inverse.  Each inverse is re-verified by multiplication
-(an explicit check, not an assert, so ``python -O`` keeps it).  A scalar
-times a monomial in the Laurent generators alone is inverted directly,
-whatever roots lie above them.  Laurent generators must precede every root
-adjunction (TowerOrderError otherwise): above a root adjunction that created
-idempotents, a unit need not be a single Laurent monomial times a unit.
-This module holds no linear algebra: ``linalg`` imports it, so the root unit
-test imports ``linalg`` when it first runs.
+unit, and y is the inverse; the ring keeps each answer by value.  Each
+inverse is re-verified by multiplication (an explicit check, not an assert,
+so ``python -O`` keeps it).  A scalar times a monomial in the Laurent
+generators alone is inverted directly, whatever roots lie above them.
+Laurent generators must precede every root adjunction (TowerOrderError
+otherwise): above a root adjunction that created idempotents, a unit need
+not be a single Laurent monomial times a unit.  This module holds no linear
+algebra: ``linalg`` imports it, so the root unit test imports ``linalg``
+when it first runs.  Every power, a root value's included, is taken by
+``fields.power``.
 
 The strings of one document share one ``WorkBudget``, which also reads
 each distinct string once: a repeat costs a dictionary lookup and
@@ -63,7 +65,7 @@ from .errors import (
     RingMismatchError,
     TowerOrderError,
 )
-from .fields import Field, SimpleExtension, check_digits, format_polynomial
+from .fields import Field, SimpleExtension, check_digits, format_polynomial, power
 from .record import Record
 
 # the pairs of terms the products and powers of one document may multiply
@@ -133,6 +135,7 @@ class BaseRing:
         self._prefix_cache: dict[int, BaseRing] = {}
         self._root_pow_cache: dict[tuple[int, int], dict] = {}
         self._regular = None  # a top root's regular representation, built on first use
+        self._root_inverses: dict = {}  # its inverses by coefficient dict, None for a non-unit
         self._names: dict | None = None  # _parse_names(), built on first use
         self._hash = None
 
@@ -312,26 +315,13 @@ class BaseRing:
         """Normal form of u_i ** q as a coefficient dict (support on gens < i)."""
         key = (i, q)
         if key not in self._root_pow_cache:
-            if q == 1:
-                self._root_pow_cache[key] = self.root_values[i]
-            else:
-                prev = self._root_power(i, q - 1)
-                self._root_pow_cache[key] = self._mul(prev, self.root_values[i])
+            self._root_pow_cache[key] = self._pow(self.root_values[i], q)
         return self._root_pow_cache[key]
 
     def _pow(self, A: dict, e: int, mul=None) -> dict:
         if e < 0:
             raise ValueError(f"negative exponent {e}")
-        mul = mul or self._mul
-        result = {(0,) * len(self.gens): self.field.one()}
-        base = A
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return result
+        return power(A, e, mul or self._mul, {(0,) * len(self.gens): self.field.one()})
 
     # ------------------------------------------------------------- units
 
@@ -387,11 +377,14 @@ class BaseRing:
             one, u = sub.one().coeffs, self.root_value(len(self.gens) - 1).coeffs
             table = {(j, k): {(j + k) % n: u if j + k >= n else one} for j in range(n) for k in range(n)}
             self._regular = linalg.regular(axioms.ring_ops(sub), n, table, {0: one})[0]
-        coords = {}
-        for mono, c in d.items():
-            coords.setdefault(mono[-1], {})[mono[:-1]] = c
-        y = self._regular.inv(coords)
-        return None if y is None else {m + (k,): c for k, yk in y.items() for m, c in yk.items()}
+        key = frozenset(d.items())
+        if key not in self._root_inverses:
+            coords = {}
+            for mono, c in d.items():
+                coords.setdefault(mono[-1], {})[mono[:-1]] = c
+            y = self._regular.inv(coords)  # None, or the inverse's nonzero coordinates
+            self._root_inverses[key] = y and {m + (k,): c for k, yk in y.items() for m, c in yk.items()}
+        return self._root_inverses[key]
 
     # --------------------------------------------------------- formatting
 

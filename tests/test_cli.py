@@ -263,6 +263,22 @@ def test_graded_laurent_or_root_generator_is_rejected(tmp_path, capsys, gen):
     assert main(["verify-hopf", str(path), "S"]) == 0
 
 
+@pytest.mark.parametrize("kind", ["free", "laurent"])
+@pytest.mark.parametrize("key, value", [("degree", 3), ("value", "7")])
+def test_a_free_or_laurent_generator_refuses_a_degree_or_value(tmp_path, capsys, kind, key, value):
+    """Only a root generator reads a degree and a value; on another kind
+    either key is refused at its pointer, not dropped unread."""
+    path = tmp_path / "gens.json"
+    gen = {"name": "u", "kind": kind}
+    for gens, code in (([{**gen, key: value}], 2), ([gen], 0)):
+        path.write_text(json.dumps({"field": "Q", "rings": {"R": {"gens": gens}},
+                                    "hopf_algebras": {"S": {"construction": "sweedler"}}}))
+        assert main(["verify-hopf", str(path), "S"]) == code
+        err = capsys.readouterr().err
+        assert err == (f"error: /rings/R/gens/0/{key}: a {kind} generator takes no {key}\n"
+                       if code else "")
+
+
 def test_no_witnesses_is_input_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"field": "Q"}\n')

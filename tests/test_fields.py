@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import random
 import subprocess
 import sys
@@ -20,9 +21,10 @@ from hopfgal.fields import (
     SimpleExtension,
     field_from_name,
     is_prime,
+    power,
 )
 from hopfgal.hopf import taft
-from hopfgal.rings import polynomial_ring
+from hopfgal.rings import adjoin_root, polynomial_ring
 from reference_scalars import random_scalar, reference_parse
 
 F7 = PrimeField(7)
@@ -363,12 +365,25 @@ def test_extension_mul_matches_sympy_rem(case) -> None:
     assert K.mul(tuple(a), tuple(b)) == tuple(want[:K.degree])
 
 
-# F5[s]/(s^2 + 1) is not a field: s^2 + 1 = (s - 2)(s + 2) mod 5
+def _irreducible_moduli(rng, d: int, count: int) -> list:
+    """``count`` monic moduli of degree d over Q with coefficients in
+    [-3, 3], drawn by ``rng`` and kept when sympy finds them irreducible."""
+    u, out = sympy.Symbol("u"), []
+    while len(out) < count:
+        modulus = tuple(rng.randint(-3, 3) for _ in range(d)) + (1,)
+        if sympy.Poly(modulus[::-1], u, domain="QQ").is_irreducible:
+            out.append(modulus)
+    return out
+
+
+# F5[s]/(s^2 + 1) is not a field: s^2 + 1 = (s - 2)(s + 2) mod 5; then two
+# random fields Q[u]/(f) of each degree 2-5
 _EXTENSIONS = [SimpleExtension(QQ, "i", (1, 0, 1)), SimpleExtension(QQ, "w", (1, 1, 1)),
-               SimpleExtension(F7, "t", (3, 0, 0, 1)), SimpleExtension(PrimeField(5), "s", (1, 0, 1))]
+               SimpleExtension(F7, "t", (3, 0, 0, 1)), SimpleExtension(PrimeField(5), "s", (1, 0, 1))] + [
+    SimpleExtension(QQ, "u", f) for d in (2, 3, 4, 5) for f in _irreducible_moduli(random.Random(d), d, 2)]
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=400)
 @given(st.sampled_from(_EXTENSIONS), st.data())
 def test_extension_inverse_matches_sympy_invert(K, data) -> None:
     """The inverse against sympy's ``invert`` (its extended Euclid); where
@@ -472,3 +487,63 @@ def test_extension_is_zero_and_is_one_are_coordinatewise(coords, c) -> None:
                  (F49, (c, x % 7)), (F49, (c, 0)), (F49, (0, c))):
         assert K.is_zero(a) == all(K.base.is_zero(x) for x in a)
         assert K.is_one(a) == (K.base.is_one(a[0]) and all(map(K.base.is_zero, a[1:])))
+
+
+# ------------------------- inverses in the regular representation, and powers
+
+@pytest.mark.parametrize("p, modulus", [
+    (2, (1, 1, 0, 1)), (2, (1, 0, 1)),        # u^3+u+1 irreducible; u^2+1 = (u+1)^2
+    (3, (1, 2, 0, 1)), (3, (2, 1, 0, 1)),     # u^3+2u+1 irreducible; u^3+u+2 has the root 2
+    (5, (1, 1, 0, 1)), (5, (1, 0, 1)),        # u^3+u+1 irreducible; u^2+1 = (u-2)(u+2)
+])
+def test_extension_inverse_matches_brute_force(p, modulus) -> None:
+    """Every nonzero element of F_p[u]/(f): its inverse is the one element
+    whose product with it is 1, and an element with none, a zero divisor of
+    a reducible f, is refused with the message it always had."""
+    K = SimpleExtension(PrimeField(p), "u", modulus)
+    elements = list(K.elements())
+    for a in elements[1:]:
+        inverses = [b for b in elements if K.mul(a, b) == K.one()]
+        if inverses:
+            assert [K.inv(a)] == inverses
+        else:
+            with pytest.raises(ZeroDivisionError) as err:
+                K.inv(a)
+            assert str(err.value) == (
+                f"{K.format(a)} is a zero divisor; modulus of {K.name} is reducible")
+    with pytest.raises(ZeroDivisionError, match=f"^inverse of 0 in {re.escape(K.name)}$"):
+        K.inv(elements[0])
+
+
+def test_every_power_is_repeated_multiplication() -> None:
+    """``fields.power``, ``Field.pow`` (negative exponents through the
+    inverse) and ``BaseRing._pow`` against repeated multiplication; a power
+    costs one product per set bit of e and one square per bit past the first."""
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        return a * b
+    for e in range(40):
+        calls.clear()
+        assert power(3, e, mul, 1) == 3 ** e
+        assert len(calls) == (bin(e).count("1") + e.bit_length() - 1 if e else 0)
+    for K, a in ((SimpleExtension(F7, "t", (3, 0, 0, 1)), (2, 5, 1)),
+                 (SimpleExtension(QQ, "i", (1, 0, 1)), (Fraction(1, 2), 3))):
+        for e in range(-6, 13):
+            want, b = K.one(), a if e >= 0 else K.inv(a)
+            for _ in range(abs(e)):
+                want = K.mul(want, b)
+            assert K.pow(a, e) == want, (K, e)
+    L = polynomial_ring(QQ, "x").add_laurent("z")
+    S, _, r = adjoin_root(L, L.one(), 2, name="r")
+    R, _, w = adjoin_root(S, (2 + r) * S.gen("z"), 3, name="w")  # (2 + r)(2 - r) = 3
+    x = R.gen("x") + w + 2
+    u = {m + (0,): c for m, c in R.root_value(3).coeffs.items()}
+    want, root_want = R.one().coeffs, R.one().coeffs
+    for e in range(10):
+        assert R._pow(x.coeffs, e) == want
+        assert e == 0 or R._root_power(3, e) == root_want
+        want, root_want = R._mul(want, x.coeffs), R._mul(root_want, u)
+    with pytest.raises(ValueError, match="^negative exponent -1$"):
+        R._pow(x.coeffs, -1)

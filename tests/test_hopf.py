@@ -4,6 +4,7 @@ Oracle values were computed by hand from the defining relations and frozen
 here; none were produced by the code under test.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -12,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgal import axioms, hopf
+from hopfgal.comod import trivial_bundle
 from hopfgal.document import Document, dump_document, load_document, parse_document
 from hopfgal.errors import BadRootOfUnityError, DimensionMismatchError, NoAntipodeError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
+from hopfgal.galois import is_galois
 from hopfgal.hopf import (
     Bialgebra,
     HopfAlgebra,
@@ -27,9 +30,11 @@ from hopfgal.hopf import (
     verify_hopf,
 )
 from hopfgal.linalg import field_solve
+from hopfgal.rings import base_ring
 from test_axioms import HOPF
 
 import reference_axioms as ref
+from reference_units import berkowitz_det
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -394,3 +399,96 @@ def test_an_explicit_table_with_an_antipode_builds_one_record(monkeypatch):
     H = load_document(str(path)).hopf_algebras["T"]
     assert calls == {"solve_antipode": 0, "post_init": 1}
     assert type(H) is HopfAlgebra
+
+
+# ------------------------------------- a Hopf-Galois oracle for the antipode
+
+def _monoid_tables(n: int) -> list:
+    """Every associative table on range(n) with identity 0, as rows t[a][b]."""
+    pairs = [(a, b) for a in range(1, n) for b in range(1, n)]
+    tables = []
+    for values in itertools.product(range(n), repeat=len(pairs)):
+        t = [list(range(n))] + [[a] + [0] * (n - 1) for a in range(1, n)]
+        for (a, b), v in zip(pairs, values):
+            t[a][b] = v
+        if all(t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n)):
+            tables.append(t)
+    return tables
+
+
+MONOIDS = [t for n in (1, 2, 3) for t in _monoid_tables(n)]
+
+
+def _is_group(t: list) -> bool:
+    return all(0 in row for row in t)
+
+
+def _monoid_algebra(t: list, K) -> Bialgebra:
+    """k[M]: the elements of M group-like, multiplied by the table t."""
+    n, one = len(t), K.one()
+    return Bialgebra(K, tuple(f"m{a}" for a in range(n)),
+                     {(a, b): {t[a][b]: one} for a in range(n) for b in range(n)},
+                     {0: one}, {a: {(a, a): one} for a in range(n)}, dict.fromkeys(range(n), one))
+
+
+def _dual_bialgebra(B: Bialgebra) -> Bialgebra:
+    """B* on the dual basis: each table the transpose of the one dual to it."""
+    def transposed(table):
+        out = {}
+        for i, row in table.items():
+            for k, c in row.items():
+                out.setdefault(k, {})[i] = c
+        return out
+    return Bialgebra(B.field, tuple(f"{l}*" for l in B.labels), transposed(B.comult), B.counit,
+                     transposed(B.mult), B.unit)
+
+
+def _solves(B: Bialgebra) -> bool:
+    try:
+        solve_antipode(B)
+    except NoAntipodeError:
+        return False
+    return True
+
+
+def _galois_over_its_field(B: Bialgebra, dense=False) -> bool:
+    """Whether B, coacted on by its own Delta over the ring with no
+    generators, is Galois: the canonical map reads no antipode.  With
+    ``dense`` the determinant must also be Berkowitz's on the reference's
+    dense canonical matrix."""
+    A = trivial_bundle(base_ring(B.field), B)
+    verdict = is_galois(A)
+    if dense:
+        assert verdict.det == berkowitz_det(ref.canonical_matrix(A), A.base)
+    return verdict.ok
+
+
+def test_the_monoids_on_three_elements() -> None:
+    """14 tables with identity 0 on at most 3 elements, 3 of them groups:
+    on 3 elements the 7 monoids up to isomorphism give 11 tables, as Z/3
+    and the left and right zero semigroups with 1 adjoined are fixed by
+    the swap of their two other elements."""
+    assert [len(_monoid_tables(n)) for n in (1, 2, 3)] == [1, 2, 11]
+    assert sum(map(_is_group, MONOIDS)) == 3
+
+
+@pytest.mark.parametrize("K", [F5, QQ], ids=repr)
+@pytest.mark.parametrize("t", MONOIDS, ids=str)
+def test_a_monoid_bialgebra_is_hopf_exactly_when_it_is_galois_over_its_field(t, K) -> None:
+    """B is a Hopf algebra iff its canonical map x (x) y -> x y_(1) (x) y_(2)
+    is bijective (Montgomery, CBMS 82, 8.1); for k[M] and k^M that is when
+    M is a group."""
+    for B in (_monoid_algebra(t, K), _dual_bialgebra(_monoid_algebra(t, K))):
+        assert _galois_over_its_field(B, dense=True) == _solves(B) == _is_group(t)
+
+
+QW = SimpleExtension(QQ, "w", (1, 1, 1))
+QI = SimpleExtension(QQ, "i", (1, 0, 1))
+GALOIS_HOPF = [sweedler_h4(QQ), taft(3, 2, F7), taft(3, QW.gen(), QW), taft(4, QI.gen(), QI),
+               cyclic_group_algebra(6, F7)]
+
+
+@pytest.mark.parametrize("H", GALOIS_HOPF + [dual_hopf(H) for H in GALOIS_HOPF], ids=repr)
+def test_a_hopf_algebra_is_galois_over_its_field(H) -> None:
+    B = Bialgebra(H.field, H.labels, H.mult, H.unit, H.comult, H.counit)
+    assert _galois_over_its_field(B, dense=H.dim <= 4) and _solves(B)

@@ -1,7 +1,9 @@
 """The linear algebra stays in one layer: ``linalg`` alone defines the
 elimination kernel, Berkowitz and the regular representation, ``rings``
 does not import it at module level, and the kernel takes its
-coefficients through ``Ops`` alone.
+coefficients through ``Ops`` alone; an extension field's inverse is one
+of its solves, and every power takes ``fields.power``, the one
+square-and-multiply loop.
 Equality of records stays in one place: ``Record``'s, field by field.
 Only ``fields`` strips a scalar's field annotation.
 Only ``axioms`` and ``hopf`` read a comultiplication table row by row;
@@ -110,6 +112,20 @@ def test_only_axioms_puts_a_table_in_normal_form() -> None:
                         isinstance(n, ast.Attribute) and n.attr == "coeffs" for n in body):
                     reading.add(path.name)
     assert wording == reading == {"axioms.py"}, (sorted(wording), sorted(reading))
+
+
+def test_one_square_and_multiply_and_no_solve_in_fields() -> None:
+    """Only ``fields.power`` halves an exponent (``>>=``), so every power
+    takes the one square-and-multiply loop; and ``fields`` names no
+    ``field_solve``: an extension field inverts in ``linalg.regular``."""
+    shifting = {f"{path.stem}.{fn.name}" for path in SRC.glob("*.py")
+                for fn in ast.walk(_tree(path.name)) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)}
+    assert shifting == {"fields.power"}, sorted(shifting)
+    assert not [node for node in ast.walk(_tree("fields.py"))
+                if "field_solve" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "name", None))]
 
 
 def test_only_rings_reads_root_values() -> None:
