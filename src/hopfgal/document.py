@@ -12,16 +12,14 @@ time.  Serialization always emits the explicit normal form (shorthands like
 "sweedler" parse but are not reproduced), and parse of a serialized
 document rebuilds equal objects.
 
-Hopf algebras, bundles and the families of witnesses share one table
-format, read by one reader and written by one writer.  Scalars and ring
-elements share the value and vector readers, which are given the parse
-function to use, and the table reader the addition that sums repeated
-terms; a bundle and a family share the reader of their constructions.  The
-strings of a document share one ``rings.WorkBudget``, whose memo reads
-each distinct string once per document.  A table that gives two rows for the same key (a product a·b,
-a basis element of the tensor table or the antipode, a cleaving's value
-on a basis element) is refused at the second, and so is a generator name
-given twice in a ring or a witness's tower.
+Each shape of the schema has one reader and one writer: the structure
+tables of Hopf algebras, bundles and families; a tower of generators (a
+ring's ``gens``, a step's ``adjunctions``); a vector (a morphism's
+``images`` too); and a table of [key, vector] rows (an antipode, a
+cleaving's values).  The strings of a document share one
+``rings.WorkBudget``, whose memo reads each distinct string once.  A
+second row for a key of a table, or a name given twice in a tower, is
+refused there.  A witness is written only if the document can spell it.
 """
 
 from __future__ import annotations
@@ -33,7 +31,8 @@ import re
 from functools import cache, partial
 from operator import itemgetter
 
-from .errors import BadScalarError, GradingError, SchemaError, UnresolvedReferenceError
+from .errors import (BadScalarError, BaseMismatchError, GradingError, NotEtaleInclusionError,
+                     SchemaError, UnresolvedReferenceError)
 from .fields import Field, PrimeField, QQ, SimpleExtension, field_from_name
 from .rings import (FREE, LAURENT, ROOT, BaseMorphism, BaseRing, Generator, adjoin_root, base_ring,
                     extension_levels, refusal, WorkBudget, extend_with_t, inclusion_morphism)
@@ -41,7 +40,7 @@ from .hopf import (Bialgebra, HopfAlgebra, cyclic_group_algebra, dual_hopf,
                    hopf_from_bialgebra, sweedler_h4, taft)
 from .comod import ComoduleAlgebra, HModuleMap, trivial_bundle
 from .bundles import AbgParams, abg_bundle, kummer_bundle
-from .homotopy import EtaleStep, HomotopyWitness
+from .homotopy import EtaleStep, HomotopyWitness, verify_step
 from .record import Record
 
 
@@ -411,17 +410,16 @@ def field_spec(K: Field):
 # ------------------------------------------------------------------- rings
 
 
-def _field_variables(K: Field) -> dict:
-    """Where the document's field gives each variable of its tower, which
-    no ring generator may take as its name."""
-    return {L.var: "/field" + "/base" * d + "/var" for d, L in enumerate(extension_levels(K))}
-
-
-def parse_ring(K: Field, spec, pointer, spend) -> BaseRing:
-    R, names = base_ring(K), _field_variables(K)
-    for i, g in enumerate(spec["gens"]):
-        here = f"{pointer}/gens/{i}"
-        name, kind, grade = g["name"], g["kind"], g.get("grade", 0)
+def _tower(R: BaseRing, gens, pointer, spend, below="") -> BaseRing:
+    """R with gens adjoined in turn: a ring's ``gens`` over the field, or a
+    step's ``adjunctions`` (roots, of no kind) over its source, the ring
+    whose gens ``below`` points to.  No name repeats one of R or its field."""
+    names = {L.var: "/field" + "/base" * d + "/var"
+             for d, L in enumerate(extension_levels(R.field))}
+    names.update({g.name: f"{below}/{i}/name" for i, g in enumerate(R.gens)})
+    for i, g in enumerate(gens):
+        here = f"{pointer}/{i}"
+        name, kind, grade = g["name"], g.get("kind", ROOT), g.get("grade", 0)
         stray = next((key for key in ("degree", "value") if key in g and kind != ROOT), None)
         if stray:
             raise SchemaError(f"{here}/{stray}", f"a {kind} generator takes no {stray}")
@@ -435,16 +433,18 @@ def parse_ring(K: Field, spec, pointer, spend) -> BaseRing:
         elif kind == LAURENT:
             R = R.add_laurent(name)
         else:
-            if "value" not in g:
-                raise SchemaError(here, "root generator needs a value")
+            for key in ("value", "degree"):
+                if key not in g:
+                    raise SchemaError(here, f"root generator needs a {key}")
             u = _value(R.parse_element, g["value"], here + "/value", spend)
-            R, _, _ = adjoin_root(R, u, g.get("degree", 2), name)
+            R, _, _ = adjoin_root(R, u, g["degree"], name)
     return R
 
 
-def ring_spec(R: BaseRing):
+def _tower_spec(R: BaseRing, start=0) -> list:
+    """The entries of R's generators from index start on."""
     gens = []
-    for i, g in enumerate(R.gens):
+    for i, g in enumerate(R.gens[start:], start):
         entry = {"name": g.name, "kind": g.kind}
         if g.grade:
             entry["grade"] = g.grade
@@ -452,7 +452,7 @@ def ring_spec(R: BaseRing):
             entry["degree"] = g.degree
             entry["value"] = repr(R.root_value(i))
         gens.append(entry)
-    return {"gens": gens}
+    return gens
 
 
 # ----------------------------------------------- Hopf algebras and bundles
@@ -464,8 +464,12 @@ def ring_spec(R: BaseRing):
 # the Hopf algebra's.  A Hopf algebra adds its counit and antipode.
 
 
+def _indices(labels) -> dict:
+    return {nm: i for i, nm in enumerate(labels)}
+
+
 def _labels(spec, pointer) -> dict:
-    labels = {nm: i for i, nm in enumerate(spec["labels"])}
+    labels = _indices(spec["labels"])
     if len(labels) != len(spec["labels"]):
         raise SchemaError(pointer + "/labels", "duplicate basis label")
     return labels
@@ -490,6 +494,12 @@ def _rows(rows, pointer, width):
         here = f"{pointer}/{r}"
         _first(first, tuple(row[:width]), here, "row")
         yield here, row
+
+
+def _vec_table(read, rows, keys, labels, pointer, spend) -> dict:
+    """{key index: vector} of a table of [key, vector] rows."""
+    return {_ref(keys, key, here): _vec(read, vec, labels, here + "/1", spend)
+            for here, (key, vec) in _rows(rows, pointer, 1)}
 
 
 def _tables(read, add, spec, labels, right_labels, key, pointer, spend):
@@ -528,14 +538,12 @@ def parse_hopf(K: Field, spec, pointer, spend) -> HopfAlgebra:
               _vec(read, spec["counit"], labels, pointer + "/counit", spend))
     if "antipode" not in spec:
         return hopf_from_bialgebra(Bialgebra(*tables))
-    antipode = {_ref(labels, a, here): _vec(read, vec, labels, here + "/1", spend)
-                for here, (a, vec) in _rows(spec["antipode"], f"{pointer}/antipode", 1)}
-    return HopfAlgebra(*tables, antipode)
+    return HopfAlgebra(*tables, _vec_table(read, spec["antipode"], labels, labels,
+                                           pointer + "/antipode", spend))
 
 
 def _bundle_over(doc: Document, R: BaseRing, spec, pointer, spend) -> ComoduleAlgebra:
-    """A bundle over R from an abg, trivial or explicit spec: a bundle of
-    the document, or the family of a witness."""
+    """A bundle of the document over R, or a witness's family over its interval."""
     kind, read = spec["construction"], R.parse_element
     if kind == "abg":
         return abg_bundle(AbgParams(R, *(_value(read, spec[k], f"{pointer}/{k}", spend)
@@ -544,9 +552,8 @@ def _bundle_over(doc: Document, R: BaseRing, spec, pointer, spend) -> ComoduleAl
     if kind == "trivial":
         return trivial_bundle(R, H)
     labels = _labels(spec, pointer)
-    hlabels = {nm: i for i, nm in enumerate(H.labels)}
-    mult, coaction, unit = _tables(read, operator.add, spec, labels, hlabels, "coaction",
-                                   pointer, spend)
+    mult, coaction, unit = _tables(read, operator.add, spec, labels, _indices(H.labels),
+                                   "coaction", pointer, spend)
     return ComoduleAlgebra(R, H, tuple(spec["labels"]), mult, unit, coaction)
 
 
@@ -563,11 +570,15 @@ def _vec_spec(fmt, labels, v):
     return {labels[i]: fmt(c) for i, c in sorted(v.items())}
 
 
+def _vec_table_spec(fmt, keys, labels, rows) -> list:
+    """The [key, vector] rows of the nonzero vectors of rows, (index, vector) pairs."""
+    return [[keys[k], _vec_spec(fmt, labels, v)] for k, v in rows if v]
+
+
 def values_spec(f: HModuleMap) -> list:
     """The nonzero values of a map H -> A, as [H label, {A label: coefficient}]."""
     A = f.algebra
-    return [[A.hopf.labels[k], _vec_spec(A.base.format_coeffs, A.labels, v)]
-            for k, v in enumerate(f.values) if v]
+    return _vec_table_spec(A.base.format_coeffs, A.hopf.labels, A.labels, enumerate(f.values))
 
 
 def _tables_spec(fmt, labels, right_labels, unit, mult, key, table):
@@ -585,8 +596,7 @@ def hopf_spec(H: HopfAlgebra):
     fmt, labels = H.field.format, H.labels
     return {**_tables_spec(fmt, labels, labels, H.unit, H.mult, "comult", H.comult),
             "counit": _vec_spec(fmt, labels, H.counit),
-            "antipode": [[labels[j], _vec_spec(fmt, labels, H.antipode[j])]
-                         for j in sorted(H.antipode)]}
+            "antipode": _vec_table_spec(fmt, labels, labels, sorted(H.antipode.items()))}
 
 
 def _bundle_body_spec(A: ComoduleAlgebra, hopf_name: str):
@@ -616,32 +626,24 @@ def resolve(raw) -> Document:
     doc = Document(parse_field(raw["field"], spend))
     K = doc.field
     for name, spec in raw.get("rings", {}).items():
-        doc.rings[name] = parse_ring(K, spec, f"/rings/{_token(name)}", spend)
+        doc.rings[name] = _tower(base_ring(K), spec["gens"], f"/rings/{_token(name)}/gens", spend)
     for name, spec in raw.get("hopf_algebras", {}).items():
         doc.hopf_algebras[name] = parse_hopf(K, spec, f"/hopf_algebras/{_token(name)}", spend)
     for name, spec in raw.get("morphisms", {}).items():
         here = f"/morphisms/{_token(name)}"
         src = _ref(doc.rings, spec["source"], here + "/source")
         dst = _ref(doc.rings, spec["target"], here + "/target")
-        gens, images = {g.name for g in src.gens}, {}
-        for g, text in spec["images"].items():
-            at = f"{here}/images/{_token(g)}"
-            if g not in gens:
-                raise UnresolvedReferenceError(at, g)
-            images[g] = _value(dst.parse_element, text, at, spend)
+        gens = {g.name: g.name for g in src.gens}
+        images = _vec(dst.parse_element, spec["images"], gens, here + "/images", spend)
         doc.morphisms[name] = BaseMorphism(src, dst, images)
     for name, spec in raw.get("bundles", {}).items():
         doc.bundles[name] = parse_bundle(doc, spec, f"/bundles/{_token(name)}", spend)
     for name, spec in raw.get("cleavings", {}).items():
         here = f"/cleavings/{_token(name)}"
         A = _ref(doc.bundles, spec["bundle"], here + "/bundle")
-        alabels = {nm: i for i, nm in enumerate(A.labels)}
-        hlabels = {nm: i for i, nm in enumerate(A.hopf.labels)}
-        read = A.base.parse_element
-        values = [dict() for _ in range(A.hopf.dim)]
-        for at, (hl, vec) in _rows(spec["values"], f"{here}/values", 1):
-            values[_ref(hlabels, hl, at)] = _vec(read, vec, alabels, at + "/1", spend)
-        doc.cleavings[name] = HModuleMap(A, tuple(values))
+        values = _vec_table(A.base.parse_element, spec["values"], _indices(A.hopf.labels),
+                            _indices(A.labels), here + "/values", spend)
+        doc.cleavings[name] = HModuleMap(A, tuple(values.get(k, {}) for k in range(A.hopf.dim)))
     for name, spec in raw.get("witnesses", {}).items():
         doc.witnesses[name] = _parse_witness(doc, spec, f"/witnesses/{_token(name)}", spend)
     return doc
@@ -650,23 +652,33 @@ def resolve(raw) -> Document:
 def _parse_witness(doc: Document, spec, pointer, spend) -> HomotopyWitness:
     name = spec["step"]["source"]
     source = _ref(doc.rings, name, pointer + "/step/source")
-    names = _field_variables(doc.field)
-    names.update({g.name: f"/rings/{_token(name)}/gens/{i}/name" for i, g in enumerate(source.gens)})
-    cur = source
-    for i, adj in enumerate(spec["step"]["adjunctions"]):
-        here = f"{pointer}/step/adjunctions/{i}"
-        _first(names, adj["name"], here + "/name", "name")
-        u = _value(cur.parse_element, adj["value"], here + "/value", spend)
-        cur, _, _ = adjoin_root(cur, u, adj["degree"], adj["name"])
+    cur = _tower(source, spec["step"]["adjunctions"], pointer + "/step/adjunctions", spend,
+                 f"/rings/{_token(name)}/gens")
     step = EtaleStep(inclusion_morphism(source, cur))
     interval = extend_with_t(cur)
     family = _bundle_over(doc, interval.ring, spec["family"], pointer + "/family", spend)
-    at_zero = _ref(doc.bundles, spec["at_zero"], pointer + "/at_zero")
-    at_one = _ref(doc.bundles, spec["at_one"], pointer + "/at_one")
+    at_zero, at_one = (_ref(doc.bundles, spec[k], f"{pointer}/{k}") for k in ("at_zero", "at_one"))
     isos = ([[_value(cur.parse_element, e, f"{pointer}/{key}/{r}/{c}", spend)
               for c, e in enumerate(row)] for r, row in enumerate(spec[key])]
             for key in ("iso_zero", "iso_one"))
     return HomotopyWitness(step, interval, family, at_zero, at_one, *isos)
+
+
+def _refuse_unspellable(name, w: HomotopyWitness) -> None:
+    """A document spells a witness's step as roots over its source and
+    reads its interval, family and matrices over the top; a witness it
+    cannot spell so is refused, as it would read back as a different one."""
+    if not verify_step(w.step):
+        raise NotEtaleInclusionError(f"witness {name}: its step is not a tower of root "
+                                     "adjunctions over its source")
+    T = w.step.target
+    entries = (e for M in (w.iso_zero, w.iso_one) for row in M for e in row)
+    for ok, fault in ((w.interval == extend_with_t(T), "interval is not over its step's target"),
+                      (w.family.base == w.interval.ring, "family is not over its interval"),
+                      (all(getattr(e, "ring", None) == T for e in entries),
+                       "matrices are not over its step's target")):
+        if not ok:
+            raise BaseMismatchError(f"witness {name}: its {fault}")
 
 
 def _named(table: dict, obj, stem: str):
@@ -686,9 +698,7 @@ def _named(table: dict, obj, stem: str):
 
 def document_of(doc: Document) -> dict:
     """Serialize to the explicit normal form, naming shared subobjects."""
-    ring_objs = dict(doc.rings)
-    hopf_objs = dict(doc.hopf_algebras)
-    bundle_objs = dict(doc.bundles)
+    ring_objs, hopf_objs, bundle_objs = dict(doc.rings), dict(doc.hopf_algebras), dict(doc.bundles)
     bundle_specs = {}
 
     def bundle_spec_for(name, A):
@@ -703,42 +713,32 @@ def document_of(doc: Document) -> dict:
 
     for name, A in doc.bundles.items():
         bundle_spec_for(name, A)
-    morphisms = {}
-    for name, f in doc.morphisms.items():
-        morphisms[name] = {
-            "source": _named(ring_objs, f.source, "ring"),
-            "target": _named(ring_objs, f.target, "ring"),
-            "images": {g.name: f.target.format_element(img)
-                       for g, img in zip(f.source.gens, f.images)}}
+    morphisms = {name: {"source": _named(ring_objs, f.source, "ring"),
+                        "target": _named(ring_objs, f.target, "ring"),
+                        "images": {g.name: f.target.format_element(img)
+                                   for g, img in zip(f.source.gens, f.images)}}
+                 for name, f in doc.morphisms.items()}
     cleavings = {name: {"bundle": bundle_name(cm.algebra), "values": values_spec(cm)}
                  for name, cm in doc.cleavings.items()}
     witnesses = {}
     for name, w in doc.witnesses.items():
-        sname = _named(ring_objs, w.step.source, "ring")
-        adjs = [{"name": nm, "degree": n, "value": repr(u)} for u, n, nm in w.step.recipe]
-        family = _bundle_body_spec(w.family, _named(hopf_objs, w.family.hopf, "hopf"))
+        _refuse_unspellable(name, w)
+        adjs = _tower_spec(w.step.target, len(w.step.source.gens))
+        for adj in adjs:
+            del adj["kind"]
         fmt = w.step.target.format_element
         witnesses[name] = {
-            "step": {"source": sname, "adjunctions": adjs},
-            "family": family,
+            "step": {"source": _named(ring_objs, w.step.source, "ring"), "adjunctions": adjs},
+            "family": _bundle_body_spec(w.family, _named(hopf_objs, w.family.hopf, "hopf")),
             "at_zero": bundle_name(w.at_zero),
             "at_one": bundle_name(w.at_one),
-            "iso_zero": [[fmt(e) for e in row] for row in w.iso_zero],
-            "iso_one": [[fmt(e) for e in row] for row in w.iso_one]}
-    out = {"field": field_spec(doc.field)}
-    if ring_objs:
-        out["rings"] = {n: ring_spec(r) for n, r in ring_objs.items()}
-    if hopf_objs:
-        out["hopf_algebras"] = {n: hopf_spec(h) for n, h in hopf_objs.items()}
-    if morphisms:
-        out["morphisms"] = morphisms
-    if bundle_specs:
-        out["bundles"] = bundle_specs
-    if cleavings:
-        out["cleavings"] = cleavings
-    if witnesses:
-        out["witnesses"] = witnesses
-    return out
+            **{key: [[fmt(e) for e in row] for row in getattr(w, key)]
+               for key in ("iso_zero", "iso_one")}}
+    parts = {"rings": {n: {"gens": _tower_spec(r)} for n, r in ring_objs.items()},
+             "hopf_algebras": {n: hopf_spec(h) for n, h in hopf_objs.items()},
+             "morphisms": morphisms, "bundles": bundle_specs, "cleavings": cleavings,
+             "witnesses": witnesses}
+    return {"field": field_spec(doc.field), **{key: part for key, part in parts.items() if part}}
 
 
 def dump_document(doc: Document) -> str:

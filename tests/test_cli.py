@@ -22,15 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfgal
-from hopfgal import cli
+from hopfgal import cli, homotopy
 from hopfgal.bundles import (AbgParams, _coaction_images, abg_bundle, abg_cleaving,
                              kummer_bundle)
 from hopfgal.cli import (MAX_KUMMER_ORDER, MIN_KUMMER_ORDER, _build_parser, _read_plain,
                          main, run)
 from hopfgal.comod import HModuleMap, trivial_bundle
 from hopfgal.document import Document, dump_document
-from hopfgal.fields import QQ
-from hopfgal.homotopy import cleft_trivialization_witness
+from hopfgal.fields import QQ, PrimeField
+from hopfgal.galois import verify_bundle
+from hopfgal.homotopy import cleft_trivialization_witness, kummer_trivialization_witness
 from hopfgal.hopf import cyclic_group_algebra, dual_hopf, sweedler_h4
 from hopfgal.rings import base_ring, inclusion_morphism
 
@@ -279,6 +280,30 @@ def test_a_free_or_laurent_generator_refuses_a_degree_or_value(tmp_path, capsys,
                        if code else "")
 
 
+@pytest.mark.parametrize("key", ["degree", "value"])
+def test_a_root_generator_needs_its_degree_and_value(tmp_path, capsys, key):
+    """A root generator without a degree used to be read as a square root;
+    now either missing key is refused at the generator, as a witness's
+    adjunction is."""
+    path = tmp_path / "gens.json"
+    gen = {"name": "r", "kind": "root", "degree": 3, "value": "2"}
+    for gens, code in (([{k: v for k, v in gen.items() if k != key}], 2), ([gen], 0)):
+        path.write_text(json.dumps({"field": "Q", "rings": {"R": {"gens": gens}},
+                                    "hopf_algebras": {"S": {"construction": "sweedler"}}}))
+        assert main(["verify-hopf", str(path), "S"]) == code
+        err = capsys.readouterr().err
+        assert err == (f"error: /rings/R/gens/0: root generator needs a {key}\n" if code else "")
+
+
+@pytest.mark.parametrize("key", ["name", "degree", "value"])
+def test_a_witness_adjunction_needs_all_three_keys(doc_path, tmp_path, capsys, key):
+    path = rewrite(doc_path, tmp_path,
+                   lambda d: d["witnesses"]["w43"]["step"]["adjunctions"][0].pop(key))
+    assert main(["witness", "verify", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: /witnesses/w43/step/adjunctions/0: '{key}' is a required property\n")
+
+
 def test_no_witnesses_is_input_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"field": "Q"}\n')
@@ -297,6 +322,30 @@ def test_demo_thm43(capsys):
 def test_demo_prop35(capsys):
     assert main(["demo", "prop35"]) == 0
     assert "[ok] homotopy witness" in capsys.readouterr().out
+
+
+def test_demo_prop35_verifies_its_bundle_once(monkeypatch, capsys):
+    """The witness's bundle at 0 is the demo's bundle itself, so the demo
+    prints the report the witness check made of it, under the title
+    ``verify_bundle`` gives, and runs ``verify_bundle`` only inside that
+    check: on the family and the two endpoints."""
+    A, w = kummer_trivialization_witness(4, 5, PrimeField(13))
+    assert w.at_zero is A
+    calls = []
+
+    def spy(where, verify):
+        def run(B):
+            calls.append((where, B))
+            return verify(B)
+        return run
+
+    monkeypatch.setattr(cli, "verify_bundle", spy("cli", cli.verify_bundle))
+    monkeypatch.setattr(homotopy, "verify_bundle", spy("witness", homotopy.verify_bundle))
+    assert main(["demo", "prop35", "--order", "4", "--q", "5", "--field", "F13", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [where for where, _ in calls] == ["witness"] * 3
+    assert calls[1][1] == A
+    assert payload["bundle"] == verify_bundle(A).to_json()
 
 
 def test_demo_prop35_refuses_an_order_above_the_schema_cap(capsys):

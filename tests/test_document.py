@@ -30,14 +30,20 @@ from hopfgal.document import (
     load_document,
     parse_document,
 )
-from hopfgal.errors import BadScalarError, SchemaError, UnresolvedReferenceError
+from hopfgal.errors import (BadScalarError, BaseMismatchError, NotEtaleInclusionError,
+                            SchemaError, UnresolvedReferenceError)
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.homotopy import (
+    EtaleStep,
     HomotopyWitness,
     cleft_trivialization_witness,
+    grading_witness,
+    identity_matrix,
     identity_step,
     kummer_trivialization_witness,
+    reflexive_witness,
     root_step,
+    transport_witness,
     verify_witness,
 )
 from hopfgal.hopf import dual_hopf, cyclic_group_algebra, sweedler_h4, taft, verify_hopf
@@ -132,12 +138,61 @@ def test_morphism_and_cleaving_round_trip():
     assert dump_document(doc2) == text
 
 
-def test_witness_round_trip_and_reverify():
+def _witness_over_f7(case):
+    """A witness over F7[z^±1] for H4 with one fault a document cannot
+    spell, or none for "admissible": a step whose target also adds a free
+    x, a step sending z to z^-1 into F7[z^±1, r | r^2 = z], an interval
+    over the source, or matrices over the source."""
+    C, H = laurent_ring(PrimeField(7), "z"), sweedler_h4(PrimeField(7))
+    step, _ = root_step(C, C.gen("z"), 2, "r")
+    E = step.target
+    if case == "free generator":
+        step = EtaleStep(inclusion_morphism(C, E.add_free("x")))
+    elif case == "step morphism":
+        step = EtaleStep(BaseMorphism(C, E, {"z": E.gen("z") ** -1}))
+    interval = extend_with_t(C if case == "interval" else step.target)
+    iso = identity_matrix(C if case == "matrices" else step.target, H.dim)
+    end = trivial_bundle(C, H)
+    return HomotopyWitness(step, interval, trivial_bundle(interval.ring, H), end, end, iso, iso)
+
+
+@pytest.mark.parametrize("case, error, fault", [
+    ("free generator", NotEtaleInclusionError,
+     "its step is not a tower of root adjunctions over its source"),
+    ("step morphism", NotEtaleInclusionError,
+     "its step is not a tower of root adjunctions over its source"),
+    ("interval", BaseMismatchError, "its interval is not over its step's target"),
+    ("matrices", BaseMismatchError, "its matrices are not over its step's target"),
+])
+def test_a_witness_the_document_cannot_spell_is_refused(case, error, fault):
+    """Such a witness fails ``verify_witness``; it used to be written as
+    its source and the roots of its target, with the interval, family and
+    matrices read over the top, and so came back as a different witness
+    that passes."""
+    w = _witness_over_f7(case)
+    assert not verify_witness(w).ok
+    with pytest.raises(error) as exc:
+        dump_document(Document(PrimeField(7), witnesses={"w": w}))
+    assert str(exc.value) == f"witness w: {fault}"
+
+
+def _admissible_witnesses():
     Q = base_ring(QQ)
-    chain = cleft_trivialization_witness(AbgParams(Q, 3, 5, 7))
-    w = chain.links[0][0]
-    doc = Document(QQ, witnesses={"w": w})
-    text = dump_document(doc)
+    graded = polynomial_ring(QQ, "x", grades=(1,))
+    cleft = cleft_trivialization_witness(AbgParams(Q, 3, 5, 7)).links[0][0]
+    return {"cleft": cleft,
+            "over F7": _witness_over_f7("admissible"),
+            "kummer": kummer_trivialization_witness(3, 2, PrimeField(7))[1],
+            "reflexive": reflexive_witness(abg_bundle(AbgParams(Q, 3, 5, 7))),
+            "grading": grading_witness(abg_bundle(AbgParams(graded, 1, graded.gen("x"), 0))),
+            "transported": transport_witness(inclusion_morphism(Q, Q.add_free("u")), cleft)}
+
+
+@pytest.mark.parametrize("name", sorted(_admissible_witnesses()))
+def test_witness_round_trip_and_reverify(name):
+    """An admissible witness comes back equal, and still verifies."""
+    w = _admissible_witnesses()[name]
+    text = dump_document(Document(w.family.base.field, witnesses={"w": w}))
     doc2 = parse_document(text)
     assert doc2.witnesses["w"] == w
     assert verify_witness(doc2.witnesses["w"]).ok
@@ -221,6 +276,9 @@ def _documents_and_shorthands(draw):
     H = hopf[hname]
     if draw(st.booleans()):
         hopf["H"] = hopf["H4"]
+    if draw(st.booleans()):  # the antipodes of a Taft algebra and its dual
+        hopf["T"] = taft(N, q, K)
+        hopf["TD"] = dual_hopf(hopf["T"])
     if draw(st.booleans()):
         rings["A"] = R
     bundles, shorthands = {}, {}
@@ -313,6 +371,16 @@ def test_shorthands_build_what_the_normal_form_spells(drawn):
             node = node[key]
         node[path[-1]] = spec
     assert parse_obj(raw) == doc
+
+
+@pytest.mark.parametrize("name", ["seed0/cli-docs/abg.json", "seed0/bundle-towers/kummer.json",
+                                  "seed0/bundle-towers/abg_uvw.json", "taft6_F7_q3.json"])
+def test_stored_documents_keep_their_bytes(name):
+    """The stored documents that ``dump_document`` wrote, with morphisms,
+    antipodes, cleavings and witnesses among them, read back and write
+    the same bytes."""
+    text = _bench_text(name)
+    assert dump_document(parse_document(text)) == text
 
 
 def test_wrong_arity_coaction_rejected():

@@ -11,6 +11,8 @@ every other Sweedler sum goes through ``axioms.convolution``.
 Only ``axioms`` puts a record's table in normal form.
 Only ``rings`` reads a ring's ``root_values``; every other reader of a root
 adjunction takes ``BaseRing.root_value``.
+The document layer reads and writes a tower of generators in one place
+each, and reads every table of rows through ``_rows``.
 Only ``axioms`` scans an algebra's unit and associativity and builds its
 word tree; only ``axioms`` and ``hopf`` read that tree.
 The command layer says each rule once: only ``_each`` and
@@ -134,6 +136,26 @@ def test_only_rings_reads_root_values() -> None:
     reading = {path.name for path in SRC.glob("*.py") for node in ast.walk(_tree(path.name))
                if isinstance(node, ast.Attribute) and node.attr == "root_values"}
     assert reading == {"rings.py"}, sorted(reading)
+
+
+def test_the_document_layer_reads_and_writes_each_shape_once() -> None:
+    """A ring's gens and a step's adjunctions share one reader, the one
+    call of ``adjoin_root``, and one writer, the one read of
+    ``root_value``; no step's ``recipe`` is read.  Tables of rows are read
+    through ``_rows`` by the structure tables' reader and the one reader of
+    [key, vector] rows (antipodes and cleaving values) alone."""
+    callers = {}
+    for fn in ast.walk(_tree("document.py")):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                name = (getattr(node.func, "id", None) if isinstance(node, ast.Call) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                callers.setdefault(name, []).append(fn.name)
+    assert callers["adjoin_root"] == ["_tower"]
+    assert callers["root_value"] == ["_tower_spec"]
+    assert "recipe" not in callers
+    assert callers["UnresolvedReferenceError"] == ["_ref"]  # a morphism's images too
+    assert sorted(callers["_rows"]) == ["_tables", "_tables", "_vec_table"]
 
 
 def test_only_axioms_gives_an_algebras_verdict() -> None:
