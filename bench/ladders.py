@@ -144,6 +144,21 @@ def fresh_inverse_rungs():
                 f"{len(elements)} distinct in a fresh F241[z^+-1][w | w^{n} = z]"), run
 
 
+def stalled_unit_rungs():
+    """try_inverse of the non-unit (1 + r)^(n-1) of K[z^+-1][r | r^n = z],
+    on a ring built afresh in each run, for K = F241 at n = 8, 16, 24 and
+    K = Q at n = 8, 16 (Q at n = 24 takes about 15 s): unit pivots stall on
+    its regular representation, so the test falls back (ROADMAP item 16).
+    The verdict is whether it is a unit."""
+    for K, ns in ((PrimeField(241), (8, 16, 24)), (QQ, (8, 16))):
+        L = laurent_ring(K, "z")
+        for n in ns:
+            def run(L=L, n=n):
+                R, _, r = adjoin_root(L, L.gen("z"), n, name="r")
+                return R.try_inverse((1 + r) ** (n - 1)) is not None
+            yield "try_inverse stalled", f"(1+r)^{n - 1} in a fresh {K.name}[z^+-1][r | r^{n} = z]", run
+
+
 def power_rungs():
     """POWERS powers (1 + u + v)^24 in Q[u,v] and (1 + z + w)^40 under
     w^8 = z, by ``BaseRing._pow``; the verdict is the number of terms."""
@@ -194,14 +209,14 @@ def rungs():
     what a rung needs is built before it is timed."""
     yield from ring_rungs()
     yield from fresh_inverse_rungs()
+    yield from stalled_unit_rungs()
     yield from power_rungs()
     yield from sqrt_rungs()
     yield from field_rungs()
     for name in ("bundle-towers/kummer.json", "cli-docs/abg.json"):
         path = str(DATA / name)
         yield "load_document", name, lambda path=path: len(load_document(path).bundles)
-    # the writer, whose witnesses read each step's recipe; the verdict is
-    # whether it gives back the stored bytes
+    # the writer; the verdict is whether it gives back the stored bytes
     path = DATA / "bundle-towers" / "kummer.json"
     doc, text = load_document(str(path)), path.read_text(encoding="utf-8")
     yield "dump_document", f"{DUMPS} of bundle-towers/kummer.json", lambda: [

@@ -19,7 +19,9 @@ ring's ``gens``, a step's ``adjunctions``); a vector (a morphism's
 cleaving's values).  The strings of a document share one
 ``rings.WorkBudget``, whose memo reads each distinct string once.  A
 second row for a key of a table, or a name given twice in a tower, is
-refused there.  A witness is written only if the document can spell it.
+refused there.  Every witness can be written: it is well formed when built
+(``homotopy``), so its step is roots over its source and its interval,
+family and matrices are read over the step's top.
 """
 
 from __future__ import annotations
@@ -31,16 +33,15 @@ import re
 from functools import cache, partial
 from operator import itemgetter
 
-from .errors import (BadScalarError, BaseMismatchError, GradingError, NotEtaleInclusionError,
-                     SchemaError, UnresolvedReferenceError)
+from .errors import BadScalarError, GradingError, SchemaError, UnresolvedReferenceError
 from .fields import Field, PrimeField, QQ, SimpleExtension, field_from_name
 from .rings import (FREE, LAURENT, ROOT, BaseMorphism, BaseRing, Generator, adjoin_root, base_ring,
-                    extension_levels, refusal, WorkBudget, extend_with_t, inclusion_morphism)
+                    extension_levels, refusal, WorkBudget, inclusion_morphism)
 from .hopf import (Bialgebra, HopfAlgebra, cyclic_group_algebra, dual_hopf,
                    hopf_from_bialgebra, sweedler_h4, taft)
 from .comod import ComoduleAlgebra, HModuleMap, trivial_bundle
 from .bundles import AbgParams, abg_bundle, kummer_bundle
-from .homotopy import EtaleStep, HomotopyWitness, verify_step
+from .homotopy import EtaleStep, HomotopyWitness
 from .record import Record
 
 
@@ -655,30 +656,12 @@ def _parse_witness(doc: Document, spec, pointer, spend) -> HomotopyWitness:
     cur = _tower(source, spec["step"]["adjunctions"], pointer + "/step/adjunctions", spend,
                  f"/rings/{_token(name)}/gens")
     step = EtaleStep(inclusion_morphism(source, cur))
-    interval = extend_with_t(cur)
-    family = _bundle_over(doc, interval.ring, spec["family"], pointer + "/family", spend)
+    family = _bundle_over(doc, step.interval.ring, spec["family"], pointer + "/family", spend)
     at_zero, at_one = (_ref(doc.bundles, spec[k], f"{pointer}/{k}") for k in ("at_zero", "at_one"))
     isos = ([[_value(cur.parse_element, e, f"{pointer}/{key}/{r}/{c}", spend)
               for c, e in enumerate(row)] for r, row in enumerate(spec[key])]
             for key in ("iso_zero", "iso_one"))
-    return HomotopyWitness(step, interval, family, at_zero, at_one, *isos)
-
-
-def _refuse_unspellable(name, w: HomotopyWitness) -> None:
-    """A document spells a witness's step as roots over its source and
-    reads its interval, family and matrices over the top; a witness it
-    cannot spell so is refused, as it would read back as a different one."""
-    if not verify_step(w.step):
-        raise NotEtaleInclusionError(f"witness {name}: its step is not a tower of root "
-                                     "adjunctions over its source")
-    T = w.step.target
-    entries = (e for M in (w.iso_zero, w.iso_one) for row in M for e in row)
-    for ok, fault in ((w.interval == extend_with_t(T), "interval is not over its step's target"),
-                      (w.family.base == w.interval.ring, "family is not over its interval"),
-                      (all(getattr(e, "ring", None) == T for e in entries),
-                       "matrices are not over its step's target")):
-        if not ok:
-            raise BaseMismatchError(f"witness {name}: its {fault}")
+    return HomotopyWitness(step, family, at_zero, at_one, *isos)
 
 
 def _named(table: dict, obj, stem: str):
@@ -722,7 +705,6 @@ def document_of(doc: Document) -> dict:
                  for name, cm in doc.cleavings.items()}
     witnesses = {}
     for name, w in doc.witnesses.items():
-        _refuse_unspellable(name, w)
         adjs = _tower_spec(w.step.target, len(w.step.source.gens))
         for adj in adjs:
             del adj["kind"]

@@ -8,8 +8,11 @@ family, and one certifying matrix per endpoint; verification recomputes
 every push-forward and re-certifies both matrices, trusting nothing stored.
 A step is its inclusion alone: the root adjunctions it makes are read off
 the target ring's own tower, so a step cannot disagree with its extension.
-Chains of witnesses compose the relation, and a reversed link runs its
-family backwards.
+A witness is well formed when built: a step refuses an inclusion that is
+not a tower of root adjunctions over its source, the interval is its
+step's, and a witness refuses a family off that interval or a matrix entry
+off the extension.  Chains of witnesses compose the relation, and a
+reversed link runs its family backwards.
 """
 
 from __future__ import annotations
@@ -46,10 +49,14 @@ class EtaleStep(Record, frozen=True):
     The step is its inclusion alone.  Its recipe, each root adjunction past
     the source as (value, degree, name), is read off the target's own tower,
     so the tower can be replayed, both to verify the step and to rebuild it
-    over a different base.
+    over a different base.  A step whose tower does not replay is refused.
     """
 
     morphism: BaseMorphism
+
+    def __post_init__(self):
+        if not verify_step(self):
+            raise NotEtaleInclusionError("step is not a tower of root adjunctions over its source")
 
     @property
     def source(self):
@@ -65,14 +72,15 @@ class EtaleStep(Record, frozen=True):
         return tuple((T.root_value(i), g.degree, g.name)
                      for i, g in enumerate(T.gens) if i >= k and g.kind == ROOT)
 
+    @cached_property
+    def interval(self) -> IntervalRing:
+        return extend_with_t(self.target)
+
     def __repr__(self):
-        S, T = self.source, self.target
-        if T == S:
-            return f"<identity step on {S!r}>"
-        if 0 < len(self.recipe) == len(T.gens) - len(S.gens):  # roots alone
-            adjs = ", ".join(f"{nm}^{n} = {u}" for u, n, nm in self.recipe)
-            return f"<step adjoining {adjs}>"
-        return f"<step from {S!r} to {T!r}>"
+        if not self.recipe:
+            return f"<identity step on {self.source!r}>"
+        adjs = ", ".join(f"{nm}^{n} = {u}" for u, n, nm in self.recipe)
+        return f"<step adjoining {adjs}>"
 
 
 def identity_step(ring) -> EtaleStep:
@@ -90,7 +98,9 @@ def compose_steps(first: EtaleStep, second: EtaleStep) -> EtaleStep:
 
 
 def verify_step(step: EtaleStep) -> bool:
-    """Replay the recipe from the source; it must reproduce the extension."""
+    """Replay the recipe from the source; it must reproduce the extension.
+
+    Every ``EtaleStep`` passes, as its constructor refuses one that does not."""
     cur = step.source
     try:
         for u, n, nm in step.recipe:
@@ -111,8 +121,6 @@ def transport_step(step: EtaleStep, f: BaseMorphism):
     """
     if f.source != step.source:
         raise BaseMismatchError("morphism must start at the step's source")
-    if not verify_step(step):
-        raise NotEtaleInclusionError("step recipe does not reproduce its extension")
     fbar = f
     for j, (u, n, nm) in enumerate(step.recipe, len(step.source.gens)):
         top, incl, root = adjoin_root(fbar.target, fbar(u), n, fresh_name(fbar.target, nm))
@@ -127,22 +135,32 @@ def transport_step(step: EtaleStep, f: BaseMorphism):
 class HomotopyWitness(Record, frozen=True):
     """A family over the interval with certified endpoint fibres.
 
-    The two matrices identify the pushed-forward endpoint bundles with the
-    fibres of the family at 0 and at 1; both live over the extension, and
-    the record holds each as a tuple of row tuples, so that it hashes.
+    The family lives over the step's interval ring.  The two matrices
+    identify the pushed-forward endpoint bundles with the fibres of the
+    family at 0 and at 1; both live over the extension, and the record holds
+    each as a tuple of row tuples, so that it hashes.
     """
 
     step: EtaleStep
-    interval: IntervalRing
     family: ComoduleAlgebra
     at_zero: ComoduleAlgebra
     at_one: ComoduleAlgebra
     iso_zero: tuple
     iso_one: tuple
 
+    @property
+    def interval(self) -> IntervalRing:
+        return self.step.interval
+
     def __post_init__(self):
         for name in ("iso_zero", "iso_one"):
             object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
+        if self.family.base != self.interval.ring:
+            raise BaseMismatchError("family must live over the interval ring")
+        ext = self.step.target
+        if any(getattr(e, "ring", None) != ext
+               for M in (self.iso_zero, self.iso_one) for row in M for e in row):
+            raise BaseMismatchError("endpoint matrices must live over the extension")
 
 
 def verify_witness(w: HomotopyWitness) -> Report:
@@ -154,32 +172,24 @@ def verify_witness(w: HomotopyWitness) -> Report:
     if A.hopf != B.hopf or A.hopf != w.family.hopf:
         raise BaseMismatchError("endpoints and family must share the coacting Hopf algebra")
     rep = Report("homotopy witness")
-    rep.add("admissible extension step", verify_step(w.step))
-    rep.add("interval ring over the extension",
-            w.interval == extend_with_t(w.step.target))
-    if not rep.ok:
-        return rep
-    if w.family.base != w.interval.ring:
-        raise BaseMismatchError("family must live over the interval ring")
+    # recorded, not tested: a witness is refused when built unless these hold
+    rep.add("admissible extension step", True)
+    rep.add("interval ring over the extension", True)
     for title, bundle in (("family bundle", w.family), ("endpoint bundle at 0", A),
                           ("endpoint bundle at 1", B)):
         rep.nest(verify_bundle(bundle), title)
-    ext = w.step.target
     for label, M, end, at in (("0", w.iso_zero, A, w.interval.at_zero),
                               ("1", w.iso_one, B, w.interval.at_one)):
-        over = all(getattr(e, "ring", None) == ext for row in M for e in row)
-        rep.add(f"matrix at {label} over the extension", over)
-        if over:
-            rep.nest(check_iso(push_forward(w.step.morphism, end), push_forward(at, w.family), M),
-                     f"endpoint fibre at {label}")
+        rep.add(f"matrix at {label} over the extension", True)
+        rep.nest(check_iso(push_forward(w.step.morphism, end), push_forward(at, w.family), M),
+                 f"endpoint fibre at {label}")
     return rep
 
 
 def reflexive_witness(A: ComoduleAlgebra) -> HomotopyWitness:
     """The constant family: every bundle is equivalent to itself."""
-    idm = identity_morphism(A.base)
-    inc = extend_with_t(A.base).include
-    return morphism_homotopy_witness(idm, idm, identity_step(A.base), inc, A)
+    idm, step = identity_morphism(A.base), identity_step(A.base)
+    return morphism_homotopy_witness(idm, idm, step, step.interval.include, A)
 
 
 def transport_witness(f: BaseMorphism, w: HomotopyWitness) -> HomotopyWitness:
@@ -190,11 +200,11 @@ def transport_witness(f: BaseMorphism, w: HomotopyWitness) -> HomotopyWitness:
     entrywise through the lift to the extension tops.
     """
     step2, fbar = transport_step(w.step, f)
-    interval2 = extend_with_t(step2.target)
+    interval2 = step2.interval
     lift = {g.name: interval2.include(img) for g, img in zip(fbar.source.gens, fbar.images)}
     fbar_t = BaseMorphism(w.interval.ring, interval2.ring, {**lift, w.interval.t_name: interval2.t})
     return HomotopyWitness(
-        step2, interval2,
+        step2,
         push_forward(fbar_t, w.family),
         push_forward(f, w.at_zero),
         push_forward(f, w.at_one),
@@ -269,7 +279,7 @@ def verify_morphism_homotopy(f: BaseMorphism, g: BaseMorphism,
         raise RingMismatchError("the two morphisms must share source and target")
     if step.source != f.target:
         raise BaseMismatchError("step must extend the morphisms' target")
-    interval = extend_with_t(step.target)
+    interval = step.interval
     if path.source != f.source or path.target != interval.ring:
         raise RingMismatchError("path must map the source into the interval ring")
     i = step.morphism
@@ -300,12 +310,8 @@ def morphism_homotopy_witness(f: BaseMorphism, g: BaseMorphism,
         raise MathError("; ".join(rep.failures()))
     if A.base != f.source:
         raise BaseMismatchError("bundle must live over the morphisms' source")
-    interval = extend_with_t(step.target)
     ident = identity_matrix(step.target, A.dim)
-    return HomotopyWitness(step, interval,
-                           push_forward(path, A),
-                           push_forward(f, A),
-                           push_forward(g, A),
+    return HomotopyWitness(step, push_forward(path, A), push_forward(f, A), push_forward(g, A),
                            ident, ident)
 
 
@@ -319,7 +325,8 @@ def grading_witness(A: ComoduleAlgebra) -> HomotopyWitness:
     witness.
     """
     C = A.base
-    interval = extend_with_t(C)
+    step = identity_step(C)
+    interval = step.interval
     t = interval.t
     path_images, proj_images = {}, {}
     for g in C.gens:
@@ -328,8 +335,7 @@ def grading_witness(A: ComoduleAlgebra) -> HomotopyWitness:
         proj_images[g.name] = C.gen(g.name) if g.grade == 0 else C.zero()
     path = BaseMorphism(C, interval.ring, path_images)
     proj = BaseMorphism(C, C, proj_images)
-    return morphism_homotopy_witness(proj, identity_morphism(C),
-                                     identity_step(C), path, A)
+    return morphism_homotopy_witness(proj, identity_morphism(C), step, path, A)
 
 
 # ------------------------------------------------ trivialization pipelines
@@ -354,12 +360,12 @@ def cleft_trivialization_witness(p: AbgParams) -> WitnessChain:
     i = step.morphism
     ext = step.target
     red = sqrt_reduction(AbgParams(ext, i(p.alpha), i(p.beta), i(p.gamma)), s)
-    interval = extend_with_t(ext)
+    interval = step.interval
     t, inc = interval.t, interval.include
     family = abg_bundle(AbgParams(interval.ring, interval.ring.one(),
                                   t * inc(red.target.beta),
                                   t * inc(red.target.gamma)))
-    w = HomotopyWitness(step, interval, family,
+    w = HomotopyWitness(step, family,
                         abg_bundle(AbgParams(C, C.one(), C.zero(), C.zero())),
                         abg_bundle(p),
                         identity_matrix(ext, 4), red.matrix)
@@ -384,8 +390,6 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
         raise NotCommutativeError("coacting Hopf algebra is not commutative")
     if step.source != A.base:
         raise BaseMismatchError("step must extend the bundle's base")
-    if not verify_step(step):
-        raise NotEtaleInclusionError("step recipe does not reproduce its extension")
     ext, incl = step.target, step.morphism
     if len(images) != n or any(getattr(x, "ring", None) != ext for x in images):
         raise NotEtaleInclusionError("need one extension element per module basis vector")
@@ -405,12 +409,8 @@ def etale_trivialization_witness(A: ComoduleAlgebra, step: EtaleStep,
     for j in range(n):
         for (jj, k), c in P.coaction.get(j, {}).items():
             M[k][j] = M[k][j] + BaseElement(ext, c) * images[jj]
-    interval = extend_with_t(ext)
-    return HomotopyWitness(step, interval,
-                           trivial_bundle(interval.ring, A.hopf),
-                           A,
-                           trivial_bundle(A.base, A.hopf),
-                           M, identity_matrix(ext, d))
+    return HomotopyWitness(step, trivial_bundle(step.interval.ring, A.hopf), A,
+                           trivial_bundle(A.base, A.hopf), M, identity_matrix(ext, d))
 
 
 def kummer_trivialization_witness(N: int, q, k):

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hopfgal
+from hopfgal import homotopy
 from hopfgal.bundles import AbgParams, abg_bundle, abg_cleaving, kummer_bundle
 from hopfgal.cleft import Cocycle, check_cleaving, cleaving_of_twisted_product, twisted_product
 from hopfgal.cli import main
@@ -139,10 +140,10 @@ def test_morphism_and_cleaving_round_trip():
 
 
 def _witness_over_f7(case):
-    """A witness over F7[z^±1] for H4 with one fault a document cannot
-    spell, or none for "admissible": a step whose target also adds a free
-    x, a step sending z to z^-1 into F7[z^±1, r | r^2 = z], an interval
-    over the source, or matrices over the source."""
+    """A witness over F7[z^±1] for H4 with one fault, or none for
+    "admissible": a step whose target also adds a free x, a step sending z
+    to z^-1 into F7[z^±1, r | r^2 = z], a family over the source's
+    interval, or matrices over the source."""
     C, H = laurent_ring(PrimeField(7), "z"), sweedler_h4(PrimeField(7))
     step, _ = root_step(C, C.gen("z"), 2, "r")
     E = step.target
@@ -150,30 +151,45 @@ def _witness_over_f7(case):
         step = EtaleStep(inclusion_morphism(C, E.add_free("x")))
     elif case == "step morphism":
         step = EtaleStep(BaseMorphism(C, E, {"z": E.gen("z") ** -1}))
-    interval = extend_with_t(C if case == "interval" else step.target)
-    iso = identity_matrix(C if case == "matrices" else step.target, H.dim)
+    interval = extend_with_t(C) if case == "family" else step.interval
+    iso = identity_matrix(C if case == "matrices" else E, H.dim)
     end = trivial_bundle(C, H)
-    return HomotopyWitness(step, interval, trivial_bundle(interval.ring, H), end, end, iso, iso)
+    return HomotopyWitness(step, trivial_bundle(interval.ring, H), end, end, iso, iso)
 
 
-@pytest.mark.parametrize("case, error, fault", [
+@pytest.mark.parametrize("case, error, message", [
     ("free generator", NotEtaleInclusionError,
-     "its step is not a tower of root adjunctions over its source"),
+     "step is not a tower of root adjunctions over its source"),
     ("step morphism", NotEtaleInclusionError,
-     "its step is not a tower of root adjunctions over its source"),
-    ("interval", BaseMismatchError, "its interval is not over its step's target"),
-    ("matrices", BaseMismatchError, "its matrices are not over its step's target"),
+     "step is not a tower of root adjunctions over its source"),
+    ("family", BaseMismatchError, "family must live over the interval ring"),
+    ("matrices", BaseMismatchError, "endpoint matrices must live over the extension"),
 ])
-def test_a_witness_the_document_cannot_spell_is_refused(case, error, fault):
-    """Such a witness fails ``verify_witness``; it used to be written as
-    its source and the roots of its target, with the interval, family and
-    matrices read over the top, and so came back as a different witness
-    that passes."""
-    w = _witness_over_f7(case)
-    assert not verify_witness(w).ok
+def test_a_witness_that_is_not_well_formed_is_refused_when_built(case, error, message):
+    """A witness is well formed by construction, so every witness can be
+    written: a document spells its step as roots over the source and reads
+    its interval, family and matrices over the step's target."""
     with pytest.raises(error) as exc:
-        dump_document(Document(PrimeField(7), witnesses={"w": w}))
-    assert str(exc.value) == f"witness w: {fault}"
+        _witness_over_f7(case)
+    assert str(exc.value) == message
+
+
+def test_a_witness_reads_its_interval_off_its_step(monkeypatch):
+    """Loading, verifying and dumping a document builds one interval ring
+    per witness, the one its step holds."""
+    built = []
+
+    def counting(ring):
+        built.append(ring)
+        return extend_with_t(ring)
+    monkeypatch.setattr(homotopy, "extend_with_t", counting)
+    doc = parse_document(_bench_text("seed0/bundle-towers/kummer.json"))
+    for w in doc.witnesses.values():
+        assert w.interval is w.step.interval
+        assert verify_witness(w).ok
+    dump_document(doc)
+    assert len(doc.witnesses) == 3
+    assert built == [w.step.target for w in doc.witnesses.values()]
 
 
 def _admissible_witnesses():
@@ -301,7 +317,7 @@ def _documents_and_shorthands(draw):
     if draw(st.booleans()):
         step = identity_step(R) if draw(st.booleans()) else root_step(
             R, _unit_of(draw, R), draw(st.sampled_from((2, 3))), "s")[0]
-        interval = extend_with_t(step.target)
+        interval = step.interval
         I = interval.ring
         kind = draw(st.sampled_from(("abg", "trivial", "explicit")))
         if kind == "abg":
@@ -314,7 +330,7 @@ def _documents_and_shorthands(draw):
         at_zero, at_one = (bundles[draw(st.sampled_from(sorted(bundles)))] for _ in range(2))
         isos = [tuple(tuple(_element_of(draw, step.target) for _ in range(A.dim))
                       for _ in range(A.dim)) for A in (at_zero, at_one)]
-        witnesses["w"] = HomotopyWitness(step, interval, family, at_zero, at_one, *isos)
+        witnesses["w"] = HomotopyWitness(step, family, at_zero, at_one, *isos)
     doc = Document(K, rings=rings, hopf_algebras=hopf, morphisms=morphisms, bundles=bundles,
                    cleavings=cleavings, witnesses=witnesses)
     return doc, shorthands

@@ -13,6 +13,9 @@ Only ``rings`` reads a ring's ``root_values``; every other reader of a root
 adjunction takes ``BaseRing.root_value``.
 The document layer reads and writes a tower of generators in one place
 each, and reads every table of rows through ``_rows``.
+A witness's shape is checked in its records alone: outside ``rings`` only
+``EtaleStep.interval`` builds an interval ring, and the document layer
+takes nothing from ``homotopy`` but the two records.
 Only ``axioms`` scans an algebra's unit and associativity and builds its
 word tree; only ``axioms`` and ``hopf`` read that tree.
 The command layer says each rule once: only ``_each`` and
@@ -156,6 +159,22 @@ def test_the_document_layer_reads_and_writes_each_shape_once() -> None:
     assert "recipe" not in callers
     assert callers["UnresolvedReferenceError"] == ["_ref"]  # a morphism's images too
     assert sorted(callers["_rows"]) == ["_tables", "_tables", "_vec_table"]
+
+
+def test_a_witness_is_well_formed_in_its_records() -> None:
+    """A witness reads its interval off its step, the one caller of
+    ``extend_with_t`` outside ``rings``; ``document`` imports only
+    ``EtaleStep`` and ``HomotopyWitness`` from ``homotopy``, so it checks
+    no witness again."""
+    building = {(path.name, fn.name) for path in sorted(SRC.glob("*.py")) if path.name != "rings.py"
+                for fn in ast.walk(_tree(path.name)) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "extend_with_t"}
+    assert building == {("homotopy.py", "interval")}, sorted(building)  # EtaleStep.interval
+    taken = [alias.name for node in ast.walk(_tree("document.py"))
+             if isinstance(node, ast.ImportFrom) and node.module == "homotopy"
+             for alias in node.names]
+    assert taken == ["EtaleStep", "HomotopyWitness"]
 
 
 def test_only_axioms_gives_an_algebras_verdict() -> None:

@@ -312,7 +312,7 @@ def test_a_witness_and_a_cocycle_freeze_their_matrices():
     """Given lists, each holds tuples, so it equals and hashes like the
     record given tuples."""
     w = cleft_trivialization_witness(AbgParams(base_ring(QQ), 4, 1, 4)).links[0][0]
-    lists = HomotopyWitness(w.step, w.interval, w.family, w.at_zero, w.at_one,
+    lists = HomotopyWitness(w.step, w.family, w.at_zero, w.at_one,
                             [list(row) for row in w.iso_zero], list(map(list, w.iso_one)))
     assert lists == w and hash(lists) == hash(w)
     assert type(lists.iso_zero) is tuple and all(type(row) is tuple for row in lists.iso_one)
