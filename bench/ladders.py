@@ -6,13 +6,16 @@ Run from the root of a source checkout.  Each rung records the median of
 three runs of wall time (``time.perf_counter``) and of CPU time
 (``time.process_time``), or one run when the first takes over 4 s, the
 range of the wall times, and the verdict it computed, so a run that got a
-wrong answer shows.  The tier-1 rung always runs three times: one run of
-the suite cannot show a change of a few seconds.  The file also
-records the machine, ``nproc``, the Python version, a SHA-256 of the
-library's sources and a fixed pure-Python yardstick timed the same way: on
-a shared host, divide a rung by the yardstick of its own file before
-comparing files.  The stored documents under ``perfbench/data`` are only
-read.
+wrong answer shows.  A rung that checks a Hopf algebra, a bundle or a
+witness runs on a copy made before each run, outside the timed interval
+(``unread``): a record keeps its verdict once read, and the copy's has not
+been, as at a first check, while its rings and tables, with their caches,
+are the original's.  The tier-1 rung always runs three times: one run of
+the suite cannot show a change of a few seconds.  The file also records
+the machine, ``nproc``, the Python version, a SHA-256 of the library's
+sources and a fixed pure-Python yardstick timed the same way: on a shared
+host, divide a rung by the yardstick of its own file before comparing
+files.  The stored documents under ``perfbench/data`` are only read.
 """
 
 import contextlib
@@ -38,7 +41,8 @@ from hopfgal.document import dump_document, load_document, validate_raw
 from hopfgal.errors import SchemaError
 from hopfgal.fields import QQ, PrimeField, SimpleExtension
 from hopfgal.galois import canonical_matrix, is_galois, verify_bundle
-from hopfgal.homotopy import kummer_trivialization_witness, verify_step, verify_witness
+from hopfgal.homotopy import (HomotopyWitness, kummer_trivialization_witness, verify_step,
+                              verify_witness)
 from hopfgal.hopf import Bialgebra, HopfAlgebra, dual_hopf, solve_antipode, taft, verify_hopf
 from hopfgal.linalg import ring_det
 from hopfgal.rings import BaseElement, adjoin_root, laurent_ring, polynomial_ring
@@ -61,13 +65,16 @@ STEPS = 1000  # per run of a verify_step rung: one takes about 25 us
 DUMPS = 10  # per run of the dump_document rung: one takes about 8 ms
 
 
-def timed(fn, repeat=False):
+def timed(fn, repeat=False, setup=None):
     """(median wall, median cpu, value of fn(), the wall times): RUNS runs,
-    or one when the first takes over SINGLE_RUN_OVER_S and not ``repeat``."""
+    or one when the first takes over SINGLE_RUN_OVER_S and not ``repeat``.
+    With ``setup`` a run is fn(*setup()), setup() called before the clock
+    starts."""
     walls, cpus = [], []
     while len(walls) < RUNS and (repeat or not (walls and walls[0] > SINGLE_RUN_OVER_S)):
+        args = setup() if setup else ()
         w0, c0 = time.perf_counter(), time.process_time()
-        value = fn()
+        value = fn(*args)
         walls.append(time.perf_counter() - w0)
         cpus.append(time.process_time() - c0)
     return statistics.median(walls), statistics.median(cpus), value, walls
@@ -233,13 +240,13 @@ def rungs():
     yield "ring_det", f"{DETS} berkowitz, nongalois.json over {B.base!r}", lambda: [
         B.base.format_coeffs(ring_det(rows, B.base)) for _ in range(DETS)][-1]
     # the verdict of a bundle that is not Galois, with its determinant
-    yield "is_galois", "nongalois.json B", lambda: is_galois(B).describe()
+    yield "is_galois", "nongalois.json B", *unread_by(lambda B: is_galois(B).describe(), B)
     for n, p in ((8, 17), (16, 17), (24, 73), (32, 97)):
         K = PrimeField(p)
         q = of_order(K, n)
         yield "taft", f"N={n}/F{p}", lambda n=n, q=q, K=K: taft(n, q, K).dim
         H = taft(n, q, K)
-        yield "verify_hopf", f"taft N={n}/F{p}", lambda H=H: verify_hopf(H).ok
+        yield "verify_hopf", f"taft N={n}/F{p}", *unread_by(lambda H: verify_hopf(H).ok, H)
         if n >= 24:  # the check alone, Delta as the coaction of H on itself
             yield "coassociativity", f"taft N={n}/F{p}", lambda H=H: axioms.coassociativity(
                 axioms.field_ops(H.field), H.dim, H.comult, H.comult)
@@ -256,8 +263,8 @@ def rungs():
         H = taft(n, of_order(K, n), K)
         H = dual_hopf(H) if dual else H
         B = Bialgebra(K, H.labels, H.mult, H.unit, H.comult, H.counit)
-        yield "solve_antipode", f"{'dual of ' if dual else ''}taft N={n}/F{p}", (
-            lambda B=B, H=H: solve_antipode(B) == H.antipode)
+        yield "solve_antipode", f"{'dual of ' if dual else ''}taft N={n}/F{p}", *unread_by(
+            lambda B, H=H: solve_antipode(B) == H.antipode, B)
     F241 = PrimeField(241)
     for n in (24, 40, 60):
         q = of_order(F241, n)
@@ -274,7 +281,7 @@ def rungs():
                 lambda A=A, tables=tables: [len(ComoduleAlgebra(A.base, A.hopf, A.labels, *tables)
                                                 .coaction) for _ in range(CONSTRUCTIONS)][-1])
             yield "Verdict", size, lambda A=A: algebra_verdict(A.ops, A)
-        yield "verify_bundle", size, lambda A=A: verify_bundle(A).ok
+        yield "verify_bundle", size, *unread_by(lambda A: verify_bundle(A).ok, A)
         # the check alone, on H's comultiplication lifted into the base once
         yield "coassociativity", size, lambda A=A, hcomult=_lifted(A.base, A.hopf.comult): (
             axioms.coassociativity(A.ops, A.dim, A.coaction, hcomult))
@@ -292,25 +299,26 @@ def rungs():
                 len(c) for row in push_forward(f, X).mult.values() for c in row.values())
         for name, X in (("bundle", A), ("bundle over the extension", pushed),
                         ("endpoint at 1", w.at_one), ("family", w.family)):
-            yield "verify_comodule_algebra", f"{size} {name}", (
-                lambda X=X: verify_comodule_algebra(X).ok)
+            yield "verify_comodule_algebra", f"{size} {name}", *unread_by(
+                lambda X: verify_comodule_algebra(X).ok, X)
         # both endpoint isomorphisms, as verify_witness checks them
         for label, M, end, at in (("0", w.iso_zero, pushed, w.interval.at_zero),
                                   ("1", w.iso_one, push_forward(w.step.morphism, w.at_one),
                                    w.interval.at_one)):
-            yield "check_iso", f"{size} at {label}", (
-                lambda end=end, fibre=push_forward(at, w.family), M=M: check_iso(end, fibre, M).ok)
+            yield "check_iso", f"{size} at {label}", *unread_by(
+                lambda end, fibre, M: check_iso(end, fibre, M).ok, end, push_forward(at, w.family),
+                M)
         # every one of the N^2 pivots is a unit; the verdict is the determinant
         if n < 60:
             rows = canonical_matrix(A)
             yield "ring_det", size, lambda A=A, rows=rows: A.base.format_coeffs(ring_det(rows, A.base))
         yield "canonical_matrix", size, lambda A=A: sum(map(len, canonical_matrix(A)))
-        yield "is_galois", size, lambda A=A: is_galois(A).ok
+        yield "is_galois", size, *unread_by(lambda A: is_galois(A).ok, A)
         # the trivial bundle at 1 and the family over the interval, whose
         # structure maps have no unit entry over their total algebras
-        yield "is_galois", f"{size} trivial bundle", lambda w=w: is_galois(w.at_one).ok
-        yield "is_galois", f"{size} family", lambda w=w: is_galois(w.family).ok
-        yield "verify_witness", size, lambda w=w: verify_witness(w).ok
+        yield "is_galois", f"{size} trivial bundle", *unread_by(lambda X: is_galois(X).ok, w.at_one)
+        yield "is_galois", f"{size} family", *unread_by(lambda X: is_galois(X).ok, w.family)
+        yield "verify_witness", size, *unread_by(lambda w: verify_witness(w).ok, w)
         yield "verify_step", f"{STEPS} of {size}", lambda w=w: [
             verify_step(w.step) for _ in range(STEPS)][-1]
         if n < 60:  # the verdict is the rank of the witness's family
@@ -371,6 +379,20 @@ def rungs():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).returncode
 
 
+def unread(x):
+    """For a Hopf algebra, a bundle or a witness, a copy whose verdicts, its
+    own and those of the records it holds, have not been read; its rings,
+    steps and tables are x's.  Anything else is returned as it is."""
+    if isinstance(x, (Bialgebra, ComoduleAlgebra, HomotopyWitness)):
+        return type(x)(*(unread(getattr(x, name)) for name in x._fields))
+    return x
+
+
+def unread_by(fn, *args):
+    """A rung's function and the setup that hands it ``unread`` copies of args."""
+    return fn, lambda: tuple(map(unread, args))
+
+
 def algebra_verdict(ops, R) -> list:
     """The generators of R's word tree from its verdict, [] when it keeps none."""
     tree = axioms.Verdict(ops, R.dim, R.mult, R.unit).tree
@@ -420,8 +442,8 @@ def main(out: str) -> None:
         "yardstick": {"wall_s": round(wall, 4), "cpu_s": round(cpu, 4), "runs": len(walls)},
         "rungs": [],
     }
-    for layer, size, fn in rungs():
-        wall, cpu, value, walls = timed(fn, layer in REPEATED)
+    for layer, size, fn, *setup in rungs():
+        wall, cpu, value, walls = timed(fn, layer in REPEATED, *setup)
         result["rungs"].append({"layer": layer, "size": size, "runs": len(walls),
                                 "wall_s": round(wall, 4), "cpu_s": round(cpu, 4),
                                 "wall_range_s": [round(min(walls), 4), round(max(walls), 4)],

@@ -32,10 +32,12 @@ Checks on generators.  ``word_tree`` finds, by a closure search over the
 multiplication table, a generating set S such that every basis element is
 a unit times a word s_1 (s_2 (... (s_k 1))) in S.  One ``Verdict`` per
 algebra, its ``unit`` and associativity with the tree kept only when both
-pass, is the premise of every reduction; each caller adds only its map's
-own (phi(1) = 1, the target's verdict).  A reduction only ever certifies a
-pass, so a failure, a failed premise or a missing tree (1 not a unit
-times one basis element) runs the full scan, whose witness is reported:
+pass, is the premise of every reduction; the record holds it beside its
+``ops`` as ``verdict``, built when first read, and each caller adds only
+its map's own (phi(1) = 1, the target's verdict).  A reduction only ever
+certifies a pass, so a failure, a failed premise or a missing tree (1 not
+a unit times one basis element) runs the full scan, whose witness is
+reported:
 
 * associativity, inside the verdict once ``unit`` holds: the left nucleus
   {a : (a b) c = a (b c) for all b, c} is a subalgebra containing 1, so
@@ -300,8 +302,9 @@ def associativity(ops: Ops, n: int, mult: dict, tree=None):
 class Verdict:
     """An algebra's ``unit``, the first failure of ``unit``; ``assoc``, that
     of associativity, scanned when first read, on the generators of a word
-    tree once ``unit`` holds; and ``tree``, that tree when both are None, the
-    premise of every reduction (None with no scan when there is no tree)."""
+    tree once ``unit`` holds; ``ok``, whether both are None; and ``tree``,
+    that tree when both are, the premise of every reduction (None with no
+    scan when there is no tree)."""
 
     def __init__(self, ops: Ops, n: int, mult: dict, one: dict):
         self.unit, self._args = unit(ops, n, mult, one), (ops, n, mult)
@@ -315,10 +318,9 @@ class Verdict:
     def tree(self):
         return self._tree if self._tree is None or self.assoc is None else None
 
-
-def unital_associative(ops: Ops, n: int, mult: dict, one: dict) -> bool:
-    """Whether ``unit`` and associativity hold."""
-    return (verdict := Verdict(ops, n, mult, one)).unit is None and verdict.assoc is None
+    @property
+    def ok(self) -> bool:
+        return self.unit is None and self.assoc is None
 
 
 def commutativity(n: int, mult: dict):

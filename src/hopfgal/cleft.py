@@ -20,7 +20,7 @@ check is cheap and leaves nothing implicit.
 from __future__ import annotations
 
 from . import axioms
-from .axioms import normal, ring_ops
+from .axioms import normal
 from .comod import (
     ComoduleAlgebra,
     HModuleMap,
@@ -212,7 +212,7 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
     if sigma.base != base or sigma.hopf != H:
         raise RingMismatchError("cocycle was built over different data")
     T = trivial_bundle(base, H)  # its unit and coaction; it refuses another ground field
-    ops, d, L = ring_ops(base), H.dim, H.labels
+    ops, d, L = T.ops, H.dim, H.labels
     _check_normalization(ops, sigma)
     # C, of rank 1 with basis index 0, acts on H by {(0, q): {q: 1}}
     table = axioms.convolution(
@@ -221,11 +221,10 @@ def twisted_product(base: BaseRing, H: HopfAlgebra, sigma: Cocycle) -> ComoduleA
         _lifted(base, {a * d + b: h for (a, b), h in H.mult.items()}))
     A = ComoduleAlgebra(base, H, H.labels, {divmod(i, d): v for i, v in enumerate(table)},
                         T.unit, T.coaction)
-    verdict = axioms.Verdict(ops, d, A.mult, A.unit)
-    if verdict.unit is not None:
-        raise NotAssociativeError(f"twisted product is not unital on {L[verdict.unit]}")
-    if verdict.assoc is not None:
-        i, j, l = verdict.assoc
+    if A.verdict.unit is not None:
+        raise NotAssociativeError(f"twisted product is not unital on {L[A.verdict.unit]}")
+    if A.verdict.assoc is not None:
+        i, j, l = A.verdict.assoc
         raise NotAssociativeError(
             f"twisted product fails associativity on ({L[i]}, {L[j]}, {L[l]})")
     return A

@@ -27,6 +27,9 @@ Module vectors ({index: coefficient dict}) are summed by
 ``axioms.accumulate`` with the record's ``ops``, the ``axioms.ring_ops`` of
 its base, built once with the record, and a base change maps them entry by
 entry with ``BaseMorphism.apply``, dict to dict, forming no BaseElement.
+Beside its ``ops`` a record holds its ``verdict`` (``axioms.Verdict``),
+built when first read and then kept, as a Hopf algebra does, so its tables
+are not to be changed in place.
 ``_lifted`` alone lifts H's tables and vectors into the base.
 
 ``verify_comodule_algebra`` checks the axioms on the record's own tables
@@ -35,6 +38,8 @@ algebras.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from . import axioms
 from .axioms import accumulate, normal, record, ring_ops
@@ -81,6 +86,10 @@ class ComoduleAlgebra(Record, frozen=True):
     def field(self):
         return self.base.field
 
+    @cached_property
+    def verdict(self) -> axioms.Verdict:
+        return axioms.Verdict(self.ops, self.dim, self.mult, self.unit)
+
     # ------------------------------------------------------ module vectors
 
     def basis_vec(self, i: int) -> dict:
@@ -112,13 +121,12 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
     """
     rep = Report(f"comodule algebra (rank {A.dim} over {A.base!r})")
     n, L, H = A.dim, A.labels, A.hopf
-    ops, hops, C = A.ops, H.ops, A.base
+    ops, C, verdict = A.ops, A.base, A.verdict
     mult, coaction, unit = A.mult, A.coaction, A.unit
 
     def fails_on(i):
         return f"fails on {L[i]}"
 
-    verdict = axioms.Verdict(ops, n, mult, unit)
     record(rep, "unit", verdict.unit, fails_on)
     record(rep, "associativity", verdict.assoc, lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
     record(rep, "coaction counit",
@@ -133,8 +141,7 @@ def verify_comodule_algebra(A: ComoduleAlgebra) -> Report:
         rep.add("coaction respects product", False, "rho(1) != 1 (x) 1")
     else:
         # the rows of the generators suffice once A (x) H is unital and associative
-        tree = verdict.tree if verdict.tree is not None and axioms.unital_associative(
-            hops, H.dim, H.mult, H.unit) else None
+        tree = verdict.tree if verdict.tree is not None and H.verdict.ok else None
         record(rep, "coaction respects product",
                axioms.algebra_map(ops, n, mult, coaction,
                                   axioms.tensor_product(ops, mult, _lifted(C, H.mult)), tree),
@@ -229,9 +236,7 @@ def check_iso(A: ComoduleAlgebra, B: ComoduleAlgebra, M: list) -> Report:
     unital = axioms.image(ops, phi, A.unit) == B.unit
     rep.add("preserves unit", unital, "phi(1) != 1")
 
-    tree = axioms.Verdict(ops, n, A.mult, A.unit).tree if unital else None
-    if tree is not None and not axioms.unital_associative(ops, n, B.mult, B.unit):
-        tree = None
+    tree = A.verdict.tree if unital and A.verdict.tree is not None and B.verdict.ok else None
     L = A.labels
     record(rep, "preserves product",
            axioms.algebra_map(ops, n, A.mult, phi, axioms.product(ops, B.mult), tree),

@@ -43,7 +43,7 @@ same X, as it is when A is not commutative, or not unital and associative
 
 from __future__ import annotations
 
-from .axioms import accumulate, commutativity, unital_associative
+from .axioms import accumulate, commutativity
 from .comod import ComoduleAlgebra, verify_comodule_algebra
 from .linalg import _det, regular, ring_det
 from .record import Record
@@ -102,7 +102,7 @@ def _norm_det(A: ComoduleAlgebra, X: list):
     algebra, norm = regular(ops, n, mult, one)
     # a stall gives up before the premise it costs most to check
     det = _det(rows, algebra, wait=False)
-    return None if det is None or not unital_associative(ops, n, mult, one) else norm(det)
+    return None if det is None or not A.verdict.ok else norm(det)
 
 
 class GaloisVerdict(Record, frozen=True):

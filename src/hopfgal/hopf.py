@@ -13,10 +13,14 @@ constructor with ``axioms.normal``: zero coefficients and empty rows are
 dropped, so a missing row reads as zero (``.get(key, {})``) and equality
 is field by field, and an index outside range(dim) is refused.  A
 Bialgebra never equals a HopfAlgebra.  A record carries ``ops``, its
-field's ``axioms.field_ops``, built once; every check and solve reads it.
+field's ``axioms.field_ops``, built once, and beside it its ``verdict``
+(``axioms.Verdict``), built when first read; every check and solve reads them.
+A verdict once read is kept, so a record's tables are not to be changed in
+place: a changed table is a new record.
 
-Nothing is trusted: ``verify_hopf`` re-checks every axiom on these tables
-with the one axiom checker of ``axioms``, which verifies bundles too (a Hopf
+Nothing given is trusted: ``verify_hopf`` checks every axiom on the
+record's tables, unit and associativity through its verdict, with the one
+axiom checker of ``axioms``, which verifies bundles too (a Hopf
 algebra is its own comodule algebra), and S * id = id * S = counit(-) 1
 with its one convolution.  For an explicit table given without an
 antipode, ``solve_antipode`` recovers it from the bialgebra part as the
@@ -30,6 +34,8 @@ order N (Taft's algebras), cyclic group algebras, and duals.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from . import axioms
 from .axioms import accumulate, field_ops, first, normal, record
@@ -61,6 +67,10 @@ class Bialgebra(Record, frozen=True):
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def verdict(self) -> axioms.Verdict:
+        return axioms.Verdict(self.ops, self.dim, self.mult, self.unit)
 
     # ------------------------------------------------------ structure ops
 
@@ -105,9 +115,8 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     def fails_on(i):
         return f"fails on {L[i]}"
 
-    verdict = axioms.Verdict(ops, d, mult, unit)
-    record(rep, "unit", verdict.unit, fails_on)
-    record(rep, "associativity", verdict.assoc, lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
+    record(rep, "unit", H.verdict.unit, fails_on)
+    record(rep, "associativity", H.verdict.assoc, lambda b: f"({L[b[0]]}*{L[b[1]]})*{L[b[2]]}")
     record(rep, "counit", _counit(ops, d, comult, counit), fails_on)
     record(rep, "coassociativity", axioms.coassociativity(ops, d, comult, comult), fails_on)
 
@@ -121,7 +130,7 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     else:
         not_unital = None
     rep.add("comultiplication is unital", not_unital is None, not_unital or "")
-    tree = verdict.tree if not_unital is None else None
+    tree = H.verdict.tree if not_unital is None else None
 
     # the first pair failing either identity; Delta is checked first on a pair
     bad = axioms.algebra_map(ops, d, mult, comult, axioms.tensor_product(ops, mult, mult), tree)
@@ -169,8 +178,7 @@ def _antipode_on_generators(B: Bialgebra, expect: list):
     coassociativity), a singular sub-system, a sub-system on every basis
     element or a failed identity.
     """
-    d, comult, ops = B.dim, B.comult, B.ops
-    tree = axioms.Verdict(ops, d, B.mult, B.unit).tree
+    d, comult, ops, tree = B.dim, B.comult, B.ops, B.verdict.tree
     if (tree is None or _counit(ops, d, comult, B.counit) is not None
             or axioms.coassociativity(ops, d, comult, comult) is not None):
         return None

@@ -189,6 +189,18 @@ class BaseRing:
     def add_laurent(self, name: str) -> BaseRing:
         return self._extended(Generator(name, LAURENT))
 
+    def is_etale_over(self, k: int) -> bool:
+        """Whether this tower is its stage k and then root adjunctions that
+        ``adjoin_root`` would make, read on the tower itself: every root value
+        lies on the generators before its own, and each generator from k on
+        is a root meeting the premises ``root_refusal`` names."""
+        m = len(self.gens)
+        return (all(len(e) == m and not any(e[i:]) for i in self._root_indices
+                    for e in self.root_values[i])
+                and all(g.kind == ROOT and root_refusal(self.prefix(i), self.root_value(i),
+                                                        g.degree) is None
+                        for i, g in enumerate(self.gens[k:], k)))
+
     def prefix(self, k: int) -> BaseRing:
         if k == len(self.gens):
             return self
@@ -655,6 +667,19 @@ def fresh_name(ring: BaseRing, stem: str) -> str:
     return f"{stem}{i}"
 
 
+def root_refusal(ring: BaseRing, u: BaseElement, n: int):
+    """The error that refuses an n-th root of u over ring, or None when the
+    adjunction is etale: n >= 1, n prime to the characteristic, u a unit."""
+    if n < 1:
+        return ValueError("root degree must be positive")
+    p = ring.field.characteristic()
+    if p and n % p == 0:
+        return CharDividesError(f"degree {n} is not invertible in characteristic {p}")
+    if not ring.is_unit(u):
+        return NonUnitError(f"cannot adjoin a root of the non-unit {u}")
+    return None
+
+
 def adjoin_root(ring: BaseRing, u: BaseElement, n: int, name: str | None = None):
     """Adjoin an n-th root of the unit u: returns (extension, inclusion, root).
 
@@ -665,13 +690,9 @@ def adjoin_root(ring: BaseRing, u: BaseElement, n: int, name: str | None = None)
     """
     if u.ring != ring:
         raise RingMismatchError("root value must live in the ring being extended")
-    if n < 1:
-        raise ValueError("root degree must be positive")
-    p = ring.field.characteristic()
-    if p and n % p == 0:
-        raise CharDividesError(f"degree {n} is not invertible in characteristic {p}")
-    if not ring.is_unit(u):
-        raise NonUnitError(f"cannot adjoin a root of the non-unit {u}")
+    refused = root_refusal(ring, u, n)
+    if refused is not None:
+        raise refused
     nm = name or fresh_name(ring, "r")
     if nm in {g.name for g in ring.gens}:
         raise ValueError(f"generator name {nm} already used")

@@ -361,7 +361,7 @@ def test_non_generator_corruptions_match_reference(data):
         assert verify_comodule_algebra(R).to_json() == want.to_json()
     # the verdict's failures are the reference's, pass or fail and witness,
     # and it keeps the word tree only when both checks pass
-    got, L = axioms.Verdict(ops, R.dim, R.mult, R.unit), R.labels
+    got, L = R.verdict, R.labels
     checks = {c.name: c for c in want.checks}
     assert ((got.unit is None, "" if got.unit is None else f"fails on {L[got.unit]}")
             == (checks["unit"].ok, checks["unit"].witness))

@@ -37,7 +37,7 @@ from hopfgal.galois import (
     verify_bundle,
 )
 from hopfgal.document import load_document
-from hopfgal.homotopy import identity_matrix, kummer_trivialization_witness
+from hopfgal.homotopy import identity_matrix, kummer_trivialization_witness, verify_witness
 from hopfgal.hopf import (Bialgebra, cyclic_group_algebra, dual_hopf, solve_antipode,
                           sweedler_h4, taft)
 from hopfgal.rings import (
@@ -399,7 +399,8 @@ def test_the_ring_layer_of_linalg_computes_on_coefficient_dicts(monkeypatch):
 def test_the_checks_read_the_bundles_own_tables(build, monkeypatch):
     """verify_comodule_algebra and check_iso hand A's and B's tables to the
     axiom checker as the records hold them, with no copy; B's coaction is
-    handed as a lookup that yields the entries of B's own table."""
+    handed as a lookup that yields the entries of B's own table.  A holds
+    its verdict, so check_iso scans only B's associativity."""
     A, B = build(), build()
     calls = []
     for name in ("associativity", "comodule_map"):
@@ -418,11 +419,31 @@ def test_the_checks_read_the_bundles_own_tables(build, monkeypatch):
     assert tables("comodule_map", 2) == tables("comodule_map", 3) == [id(A.coaction)]
     calls.clear()
     assert check_iso(A, B, identity_matrix(A.base, A.dim)).ok
-    assert tables("associativity", 2) == [id(A.mult), id(B.mult)]
+    assert tables("associativity", 2) == [id(B.mult)]
     assert tables("comodule_map", 3) == [id(A.coaction)]
     bcoact, = [args[4] for called, args in calls if called == "comodule_map"]
     assert all(v is B.coaction[p][key] for p in range(B.dim) for key, v in bcoact(p))
     assert sum(len(list(bcoact(p))) for p in range(B.dim)) == sum(map(len, B.coaction.values()))
+
+
+def test_each_algebra_is_scanned_once(monkeypatch):
+    """verify_bundle and verify_witness on seed-0 kummer.json scan each
+    table's associativity at most once: each record holds its verdict, so
+    the norm route, the coaction's premise on H and check_iso's premises
+    read the verdicts already found."""
+    doc = load_document(str(SEED0 / "bundle-towers" / "kummer.json"))
+    scanned, keep = {}, []
+
+    def spy(ops, n, mult, tree=None, _check=axioms.associativity):
+        keep.append(mult)  # so that no id is reused while counting
+        scanned[id(mult)] = scanned.get(id(mult), 0) + 1
+        return _check(ops, n, mult, tree)
+    monkeypatch.setattr(axioms, "associativity", spy)
+    for run, obj in ((verify_bundle, doc.bundles["K10"]),
+                     (verify_witness, doc.witnesses["w10"])):
+        scanned.clear()
+        assert run(obj).ok
+        assert scanned and max(scanned.values()) == 1, (run, sorted(scanned.values()))
 
 
 def _bundles():
@@ -591,7 +612,7 @@ def test_the_norm_route_needs_its_premises(build, premise, monkeypatch):
     want = _canonical_det(A)
     assert _norm_route(A) is None
     assert is_galois(A).det.coeffs == want
-    monkeypatch.setattr(galois, "unital_associative", lambda *args: True)
+    monkeypatch.setattr(axioms.Verdict, "ok", True)
     assert _norm_route(A) not in (None, want)
 
 

@@ -10,9 +10,11 @@ ring with the contraction path x -> t*x.
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from hopfgal import homotopy, rings
 from hopfgal.bundles import AbgParams, abg_bundle, kummer_root_data
 from hopfgal.comod import check_iso, push_forward, trivial_bundle
 from hopfgal.errors import (
@@ -73,8 +75,9 @@ def untwisted(C):
 
 def forged_towers():
     """Inclusions into towers that are not etale over their source: a free
-    generator past it, a square root of the non-unit u, and a cube root over
-    F3."""
+    generator past it, a square root of the non-unit u, a cube root over F3,
+    and a square root whose value names the root itself (r^2 = 2r - 1, so
+    r - 1 is nilpotent, while the value read below r is -1)."""
     Cu = polynomial_ring(QQ, "u")
     F3 = PrimeField(3)
     C3 = base_ring(F3)
@@ -82,7 +85,9 @@ def forged_towers():
         (Q, BaseRing(QQ, (Generator("x", FREE),), (None,))),
         (Cu, BaseRing(QQ, (Generator("u", FREE), Generator("r", ROOT, degree=2)),
                       (None, {(1, 0): QQ.one()}))),
-        (C3, BaseRing(F3, (Generator("r", ROOT, degree=3),), ({(0,): F3.from_int(2)},))))
+        (C3, BaseRing(F3, (Generator("r", ROOT, degree=3),), ({(0,): F3.from_int(2)},))),
+        (Q, BaseRing(QQ, (Generator("r", ROOT, degree=2),),
+                     ({(1,): QQ.from_int(2), (0,): QQ.from_int(-1)},))))
     for C, T in towers:
         yield inclusion_morphism(C, T)
 
@@ -101,7 +106,7 @@ def test_steps_replay_and_reject_forgeries():
     assert repr(identity_step(Q)) == "<identity step on Q>"
     assert repr(tower) == "<step adjoining s^2 = 3, c^3 = s>"
     # towers that are not etale over their source, and a morphism that is
-    # not the inclusion of the replayed tower, are refused as steps
+    # not the inclusion of its target's tower, are refused as steps
     Cu = polynomial_ring(QQ, "u")
     u = Cu.gen("u")
     twist = BaseMorphism(Cu, Cu, {"u": u * u})
@@ -109,6 +114,37 @@ def test_steps_replay_and_reject_forgeries():
         with pytest.raises(NotEtaleInclusionError) as exc:
             EtaleStep(forged)
         assert str(exc.value) == "step is not a tower of root adjunctions over its source"
+
+
+def test_a_step_is_checked_on_its_own_target(monkeypatch):
+    """verify_step reads a step's premises on its target and builds no
+    tower: with ``adjoin_root`` refused, every step the library builds and
+    every step of seed-0 kummer.json still passes, as a step and rebuilt
+    from its inclusion, and the forged towers are still refused."""
+    three = Q.from_scalar(QQ.from_int(3))
+    step, s = root_step(Q, three, 2, "s")
+    top, _ = root_step(step.target, s, 3, "c")
+    Cu = polynomial_ring(QQ, "u")
+    steps = [identity_step(Q), step, compose_steps(step, top),
+             transport_step(step, BaseMorphism(Q, polynomial_ring(QQ, "s"), {}))[0],
+             transport_step(step, BaseMorphism(Q, Cu, {}))[0],
+             cleft_trivialization_witness(qp(3, 5, 7)).links[0][0].step,
+             kummer_trivialization_witness(2, QQ.from_int(-1), QQ)[1].step,
+             grading_witness(untwisted(polynomial_ring(QQ, "x", grades=[1]))).step]
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "seed0"
+    doc = parse_document((path / "bundle-towers" / "kummer.json").read_text(encoding="utf-8"))
+    steps += [w.step for w in doc.witnesses.values()]
+    forged = list(forged_towers())
+
+    def refused(*args, **kwargs):
+        raise AssertionError("verify_step built a tower")
+    monkeypatch.setattr(rings, "adjoin_root", refused)
+    monkeypatch.setattr(homotopy, "adjoin_root", refused)
+    for each in steps:
+        assert verify_step(each) and EtaleStep(each.morphism) == each
+    for f in forged:
+        with pytest.raises(NotEtaleInclusionError):
+            EtaleStep(f)
 
 
 def test_a_recipe_is_the_adjunctions_that_built_the_step():

@@ -4,12 +4,14 @@ Oracle values were computed by hand from the defining relations and frozen
 here; none were produced by the code under test.
 """
 
+import functools
 import itertools
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfgal import axioms, hopf
@@ -240,15 +242,16 @@ def test_antipode_extension_failing_the_identities_falls_back(monkeypatch):
 
 def test_the_checks_read_the_records_own_tables(monkeypatch):
     """verify_hopf and solve_antipode hand H's tables to the axiom checker
-    as they are: the rows are read in place, not copied first."""
-    H = taft(4, 2, F5)
+    as they are: the rows are read in place, not copied first.  A record
+    holds its verdict, so a second check scans its associativity no more."""
     calls = []
     for name in ("associativity", "convolution"):
         def spy(*args, _check=getattr(axioms, name), _name=name, **kw):
             calls.append((_name, args))
             return _check(*args, **kw)
         monkeypatch.setattr(axioms, name, spy)
-    for run in (verify_hopf, solve_antipode):
+    for run, again in ((verify_hopf, solve_antipode), (solve_antipode, verify_hopf)):
+        H = taft(4, 2, F5)
         calls.clear()
         run(H)
         assert sorted({name for name, _ in calls}) == ["associativity", "convolution"], run
@@ -256,6 +259,9 @@ def test_the_checks_read_the_records_own_tables(monkeypatch):
             assert args[2] is H.mult
             if name == "convolution":
                 assert args[3] is H.comult
+        calls.clear()
+        again(H)
+        assert {name for name, _ in calls} == {"convolution"}, again
     assert verify_hopf(H).ok
 
 
@@ -480,6 +486,64 @@ def test_a_monoid_bialgebra_is_hopf_exactly_when_it_is_galois_over_its_field(t, 
     M is a group."""
     for B in (_monoid_algebra(t, K), _dual_bialgebra(_monoid_algebra(t, K))):
         assert _galois_over_its_field(B, dense=True) == _solves(B) == _is_group(t)
+
+
+def _changed_basis(B: Bialgebra, P) -> Bialgebra:
+    """B on the basis e'_a = sum_i P[i, a] e_i, for a sympy matrix P
+    invertible over B's field, and Q = P^-1 by sympy, so e_l = sum_c Q[c, l]
+    e'_c: each table is its structure constants multiplied out, as
+    e'_a e'_b = sum P[i, a] P[j, b] m_ij^l Q[c, l] e'_c."""
+    K, d = B.field, B.dim
+    Q = P.inv() if K == QQ else P.inv_mod(K.p)
+
+    def scalar(x):
+        x = sympy.Rational(x)
+        return K.div(K.from_int(int(x.p)), K.from_int(int(x.q)))
+    P, Q = ([[scalar(M[i, j]) for j in range(d)] for i in range(d)] for M in (P, Q))
+
+    def total(terms):
+        return functools.reduce(K.add, terms, K.zero())
+
+    def mul(*xs):
+        return functools.reduce(K.mul, xs, K.one())
+    mult = {(a, b): {c: total(mul(P[i][a], P[j][b], m, Q[c][l])
+                              for (i, j), row in B.mult.items() for l, m in row.items())
+                     for c in range(d)} for a in range(d) for b in range(d)}
+    unit = {c: total(mul(u, Q[c][l]) for l, u in B.unit.items()) for c in range(d)}
+    comult = {a: {(x, y): total(mul(P[i][a], c, Q[x][j], Q[y][k])
+                                for i, t in B.comult.items() for (j, k), c in t.items())
+                  for x in range(d) for y in range(d)} for a in range(d)}
+    counit = {a: total(mul(P[i][a], c) for i, c in B.counit.items()) for a in range(d)}
+    return Bialgebra(K, tuple(f"e{a}" for a in range(d)), mult, unit, comult, counit)
+
+
+def _bialgebra_part(H: HopfAlgebra) -> Bialgebra:
+    return Bialgebra(H.field, H.labels, H.mult, H.unit, H.comult, H.counit)
+
+
+# (bialgebra over a field, whether it is Hopf): k[M] and k^M over F5 and Q
+# for each monoid M, and two Hopf algebras
+BASIS_CHANGED = [(B, _is_group(t)) for t in MONOIDS for K in (F5, QQ)
+                 for B in (_monoid_algebra(t, K), _dual_bialgebra(_monoid_algebra(t, K)))]
+BASIS_CHANGED += [(_bialgebra_part(sweedler_h4(K)), True) for K in (F5, QQ)]
+BASIS_CHANGED += [(_bialgebra_part(cyclic_group_algebra(3, F7)), True)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_galois_iff_hopf_on_a_changed_basis(data) -> None:
+    """On a dense change of basis P (entries in {-2, -1, 1, 2}, det P != 0
+    over the field by sympy), a bialgebra is still Hopf exactly when it is
+    Galois over its field: the tables are dense, so one wrong sign in the
+    canonical matrix can change the verdict."""
+    B, hopf_ = data.draw(st.sampled_from(BASIS_CHANGED))
+    d = B.dim
+    P = sympy.Matrix(d, d, data.draw(st.lists(st.sampled_from((-2, -1, 1, 2)),
+                                              min_size=d * d, max_size=d * d)))
+    det = P.det()
+    assume(det != 0 if B.field == QQ else det % B.field.p != 0)
+    B2 = _changed_basis(B, P)
+    assert _galois_over_its_field(B2, dense=d <= 3) == _solves(B2) == hopf_
 
 
 QW = SimpleExtension(QQ, "w", (1, 1, 1))

@@ -17,7 +17,8 @@ A witness's shape is checked in its records alone: outside ``rings`` only
 ``EtaleStep.interval`` builds an interval ring, and the document layer
 takes nothing from ``homotopy`` but the two records.
 Only ``axioms`` scans an algebra's unit and associativity and builds its
-word tree; only ``axioms`` and ``hopf`` read that tree.
+word tree; only ``axioms`` and ``hopf`` read that tree, and a record's
+``verdict`` alone builds a ``Verdict``.
 The command layer says each rule once: only ``_each`` and
 ``_cmd_pushforward`` load a document, only ``main`` writes a payload's
 "command", and only ``report`` sets a report's title.
@@ -195,6 +196,25 @@ def test_only_axioms_gives_an_algebras_verdict() -> None:
                 reading.add(path.name)
     assert calling == {"axioms.py"}, sorted(calling)
     assert reading == {"axioms.py", "hopf.py"}, sorted(reading)
+
+
+def test_a_record_holds_its_verdict() -> None:
+    """``axioms.Verdict`` is built in the ``verdict`` properties of
+    ``Bialgebra`` and ``ComoduleAlgebra`` alone, so every reader takes the
+    record's, and no module names a per-call ``unital_associative``."""
+    def builds(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "Verdict"
+    building = [(path.name, fn.name) for path in sorted(SRC.glob("*.py"))
+                for fn in ast.walk(_tree(path.name)) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if builds(node)]
+    assert building == [("comod.py", "verdict"), ("hopf.py", "verdict")], building
+    # and none outside a function
+    assert sum(map(builds, (node for path in SRC.glob("*.py")
+                            for node in ast.walk(_tree(path.name))))) == 2
+    mentioning = {path.name for path in SRC.glob("*.py")
+                  if "unital_associative" in path.read_text(encoding="utf-8")}
+    assert not mentioning, sorted(mentioning)
 
 
 def _in_functions(name):
